@@ -50,7 +50,8 @@ fn bench_decrypt(c: &mut Criterion) {
 
 fn bench_decrypt_ablation(c: &mut Criterion) {
     // Faithful per-pairing decryption (the paper's cost model) vs the
-    // multi-pairing/batched variant, plus the outsourced split.
+    // serving path (Eq. 1 folded into two pairings after two MSMs), plus
+    // the outsourced split, whose server side runs the same fold.
     let mut group = c.benchmark_group("decrypt_ablation_5x5");
     group.sample_size(10);
     let mut world = OurWorld::new(PAPER_POINT, 71);
@@ -58,7 +59,7 @@ fn bench_decrypt_ablation(c: &mut Criterion) {
     group.bench_function("reference(eq1)", |b| {
         b.iter(|| std::hint::black_box(world.decrypt_once(&ct)))
     });
-    group.bench_function("multi_pairing_fast", |b| {
+    group.bench_function("two_pairing_serving", |b| {
         b.iter(|| {
             std::hint::black_box(
                 mabe_core::decrypt_fast(&ct, &world.user_pk, &world.user_keys).unwrap(),

@@ -3,11 +3,12 @@
 //! Two caches sit in front of the expensive pairing work:
 //!
 //! * **Content-key cache** — the recovered KEM element (`e(g,g)^s`) per
-//!   `(uid, owner, record, label, component-versions)`. A cache hit
-//!   turns a read into one AEAD open instead of a full CP-ABE
-//!   decryption. The key embeds the component's `(authority, version)`
-//!   vector, so a re-encrypted component can never be served from a
-//!   stale entry — its versions differ, so its key differs.
+//!   `(uid, owner, record, label, ciphertext id, component-versions)`. A
+//!   cache hit turns a read into one AEAD open instead of a full CP-ABE
+//!   decryption. The key embeds the component ciphertext's id and its
+//!   `(authority, version)` vector, so neither a republished record (new
+//!   ciphertext, new id) nor a re-encrypted component (new versions) can
+//!   be served from a stale entry — its key differs.
 //! * **Update-key chain cache** — the composed
 //!   `UpdateKey(from → latest)` per `(authority, owner, from_version)`,
 //!   the per-`(authority, version)` pairing material the lazy drain and
@@ -37,7 +38,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 
-use mabe_core::UpdateKey;
+use mabe_core::{CiphertextId, UpdateKey};
 use mabe_math::Gt;
 use mabe_policy::AuthorityId;
 
@@ -188,14 +189,18 @@ impl<K: Ord + Hash + Clone, V: Clone> LruCache<K, V> {
     }
 }
 
-/// Content-key cache key: the reader, the component's address, and the
-/// exact `(authority, version)` vector the component was sealed under.
+/// Content-key cache key: the reader, the component's address, the
+/// ciphertext it currently holds, and the exact `(authority, version)`
+/// vector that ciphertext is sealed under.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub(crate) struct ContentCacheKey {
     pub uid: String,
     pub owner: String,
     pub record: String,
     pub label: String,
+    /// The component ciphertext's owner-scoped id: a republished record
+    /// holds a new ciphertext (and content key) under the same address.
+    pub ciphertext: CiphertextId,
     /// Sorted `(authority, version)` pairs of the component ciphertext.
     pub versions: Vec<(String, u64)>,
 }
@@ -328,6 +333,7 @@ mod tests {
             owner: "o".to_owned(),
             record: "r".to_owned(),
             label: "l".to_owned(),
+            ciphertext: CiphertextId(1),
             versions: versions
                 .iter()
                 .map(|(a, v)| ((*a).to_owned(), *v))

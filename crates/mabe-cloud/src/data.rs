@@ -205,9 +205,10 @@ impl CloudSystem {
                 (state.pk.clone(), keys)
             };
             // Hot-key cache: the recovered KEM element per (reader,
-            // component, exact version vector). A hit skips the CP-ABE
-            // pairing work entirely; any re-encryption changes the
-            // version vector and thus the key, so stale hits are
+            // component, ciphertext, exact version vector). A hit skips
+            // the CP-ABE pairing work entirely; republishing the record
+            // changes the ciphertext id and any re-encryption changes the
+            // version vector, either way the key, so stale hits are
             // structurally impossible, and the generation guard keeps a
             // decryption racing a revocation's bump from repopulating
             // the cache afterwards.
@@ -216,6 +217,7 @@ impl CloudSystem {
                 owner: owner_id.to_string(),
                 record: record.to_owned(),
                 label: label.to_owned(),
+                ciphertext: component.key_ct.id,
                 versions: component
                     .key_ct
                     .versions
@@ -229,7 +231,7 @@ impl CloudSystem {
                     let snapshot = self
                         .cache
                         .generation_snapshot(component.key_ct.versions.keys());
-                    match mabe_core::decrypt(&component.key_ct, &pk, &keys) {
+                    match mabe_core::decrypt_fast(&component.key_ct, &pk, &keys) {
                         Ok(kem) => {
                             let out = open_component_with_kem(component, &kem);
                             if out.is_ok() {

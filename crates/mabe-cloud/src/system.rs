@@ -678,6 +678,29 @@ mod tests {
     }
 
     #[test]
+    fn republished_record_is_read_fresh_not_from_a_stale_content_key() {
+        let (sys, alice, _bob, _carol, owner) = medical_system();
+        let publish = |data: &[u8]| {
+            sys.publish(&owner, "rec", &[("x", data, "Doctor@MedOrg")])
+                .unwrap()
+        };
+        let read = || sys.read(&alice, &owner, "rec", "x").unwrap();
+        publish(b"first");
+        assert_eq!(read(), b"first");
+        assert_eq!(read(), b"first");
+        let warm = sys.cache_stats();
+        assert_eq!((warm.content_hits, warm.content_misses), (1, 1));
+
+        // Same address, policy and key versions; a new ciphertext and
+        // content key.
+        publish(b"second");
+        assert_eq!(read(), b"second");
+        assert_eq!(read(), b"second");
+        let after = sys.cache_stats();
+        assert_eq!((after.content_hits, after.content_misses), (2, 2));
+    }
+
+    #[test]
     fn late_owner_gets_keys_flowing() {
         let (sys, alice, _bob, _carol, _owner) = medical_system();
         let clinic = sys.add_owner("clinic").unwrap();

@@ -13,13 +13,27 @@
 //! decryptor needs the `K` component from **every** authority involved in
 //! the ciphertext, even those whose attributes its reconstruction subset
 //! does not use.
+//!
+//! Two decryption paths compute the same `G_T` element under the same
+//! checks and error order:
+//!
+//! * [`decrypt`] / [`decrypt_unchecked`] evaluate Eq. 1 as written —
+//!   `n_A + 2·|I|` pairings and `|I|` `G_T` exponentiations. They are the
+//!   reference for the paper's cost model (Figures 3–4, Table I op
+//!   counts) and the security game.
+//! * [`decrypt_fast`] serves reads. Every pairing in Eq. 1 has `C'` or
+//!   `PK_UID` as one argument, so bilinearity folds the blinding factor
+//!   into `e(Σ_k K_k − n_A·Σ_i w_i·K_ρ(i), C') · e(−n_A·Σ_i w_i·C_i,
+//!   PK_UID)`: two multi-scalar multiplications ([`mabe_math::msm`]) and
+//!   one two-pair [`mabe_math::multi_pairing`], whatever the policy size.
+//!   The outsourced transform ([`crate::outsource`]) shares the fold.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use rand::RngCore;
 
 use mabe_math::{pairing, Fr, G1Affine, Gt, G1};
-use mabe_policy::{AccessStructure, AuthorityId};
+use mabe_policy::{AccessStructure, Attribute, AuthorityId};
 
 use crate::error::Error;
 use crate::ids::OwnerId;
@@ -170,6 +184,19 @@ pub fn decrypt(
     keys: &BTreeMap<AuthorityId, UserSecretKey>,
 ) -> Result<Gt, Error> {
     let _span = mabe_telemetry::Span::with_labels("mabe_decrypt", &[("variant", "reference")]);
+    check_keys(ct, user_pk, keys)?;
+    decrypt_unchecked(ct, user_pk, keys)
+}
+
+/// The metadata validation shared by [`decrypt`] and [`decrypt_fast`]:
+/// per involved authority, in order, the key must exist, be scoped to
+/// the ciphertext's owner, belong to `user_pk`'s holder and match the
+/// ciphertext's key version.
+fn check_keys(
+    ct: &Ciphertext,
+    user_pk: &UserPublicKey,
+    keys: &BTreeMap<AuthorityId, UserSecretKey>,
+) -> Result<(), Error> {
     for aid in ct.involved_authorities() {
         let key = keys
             .get(&aid)
@@ -192,7 +219,7 @@ pub fn decrypt(
             });
         }
     }
-    decrypt_unchecked(ct, user_pk, keys)
+    Ok(())
 }
 
 /// The raw decryption computation with no metadata validation.
@@ -248,15 +275,12 @@ pub fn decrypt_unchecked(
     Ok(ct.c.div(&blinding))
 }
 
-/// Optimized decryption: identical output to [`decrypt`], but all
-/// `n_A + 2·|I|` pairings share a single final exponentiation
-/// ([`mabe_math::multi_pairing`]) and the recombination exponents
-/// `w_i · n_A` are folded into `G` scalar multiplications instead of
-/// `G_T` exponentiations.
+/// Serving decryption: the same checks, error order and output as
+/// [`decrypt`], with Eq. 1 folded by bilinearity into two pairings under
+/// one final exponentiation, after two multi-scalar multiplications,
+/// whatever the policy size (see the module docs).
 ///
-/// Kept separate from [`decrypt`] so the paper's Figure 3/4 cost model
-/// stays reproducible with the faithful path; the `schemes` Criterion
-/// bench quantifies the gap as an ablation.
+/// [`decrypt`] stays the faithful reference for the paper's cost model.
 ///
 /// # Errors
 ///
@@ -267,59 +291,83 @@ pub fn decrypt_fast(
     keys: &BTreeMap<AuthorityId, UserSecretKey>,
 ) -> Result<Gt, Error> {
     let _span = mabe_telemetry::Span::with_labels("mabe_decrypt", &[("variant", "fast")]);
-    let involved = ct.involved_authorities();
-    for aid in &involved {
-        let key = keys
-            .get(aid)
-            .ok_or_else(|| Error::MissingAuthorityKey(aid.clone()))?;
-        if key.owner != ct.owner {
-            return Err(Error::OwnerMismatch {
-                expected: ct.owner.clone(),
-                found: key.owner.clone(),
-            });
-        }
-        if key.uid != user_pk.uid {
-            return Err(Error::Malformed("secret key belongs to a different user"));
-        }
-        let expected = ct.versions[&aid.clone()];
-        if key.version != expected {
-            return Err(Error::VersionMismatch {
-                authority: aid.clone(),
-                expected,
-                found: key.version,
-            });
-        }
+    check_keys(ct, user_pk, keys)?;
+    let blinding = blinding_factor(ct, &user_pk.pk, keys)?;
+    Ok(ct.c.div(&blinding))
+}
+
+/// One authority's key components that Eq. 1 pairs against: `K` and
+/// `K_x` per attribute — a user's secret key, or its blinded copy in an
+/// outsourcing transform key.
+pub(crate) trait PairingKey {
+    /// `K`.
+    fn k(&self) -> &G1Affine;
+    /// `K_x` per held attribute.
+    fn kx(&self) -> &BTreeMap<Attribute, G1Affine>;
+}
+
+impl PairingKey for UserSecretKey {
+    fn k(&self) -> &G1Affine {
+        &self.k
     }
+
+    fn kx(&self) -> &BTreeMap<Attribute, G1Affine> {
+        &self.kx
+    }
+}
+
+/// Eq. 1's blinding factor
+/// `Π_k e(C', K_k) / Π_i (e(C_i, PK) · e(C', K_ρ(i)))^{w_i·n_A}`,
+/// folded by bilinearity into
+/// `e(Σ_k K_k − n_A·Σ_i w_i·K_ρ(i), C') · e(−n_A·Σ_i w_i·C_i, PK)`:
+/// one [`mabe_math::msm`] call for both sums and one two-pair
+/// [`mabe_math::multi_pairing`].
+///
+/// No metadata checks; errors come in [`decrypt_unchecked`]'s order.
+///
+/// # Errors
+///
+/// * [`Error::PolicyNotSatisfied`] — the keys' attributes cannot
+///   reconstruct the secret.
+/// * [`Error::MissingAuthorityKey`] — no key from an involved authority.
+pub(crate) fn blinding_factor<K: PairingKey>(
+    ct: &Ciphertext,
+    pk: &G1Affine,
+    keys: &BTreeMap<AuthorityId, K>,
+) -> Result<Gt, Error> {
+    let involved = ct.involved_authorities();
     let n_a = Fr::from_u64(involved.len() as u64);
-    let attrs: BTreeSet<_> = keys.values().flat_map(|k| k.kx.keys().cloned()).collect();
+    let attrs: BTreeSet<_> = keys.values().flat_map(|k| k.kx().keys().cloned()).collect();
     let coefficients = ct
         .access
         .reconstruction_coefficients(&attrs)
         .ok_or(Error::PolicyNotSatisfied)?;
 
-    // blinding = Π_k e(C', K_k) · Π_i ( e(C_i, PK)·e(C', K_ρ(i)) )^{-w_i·n_A}
-    // with exponents moved into the first pairing argument, all pairings
-    // sharing one Miller accumulator and one final exponentiation.
-    let mut scaled: Vec<G1> = Vec::with_capacity(2 * coefficients.len());
-    let mut partners: Vec<G1Affine> = Vec::with_capacity(2 * coefficients.len());
+    // Terms of Σ_k K_k − n_A·Σ_i w_i·K_ρ(i) and of −n_A·Σ_i w_i·C_i.
+    let mut key_terms = Vec::with_capacity(involved.len() + coefficients.len());
+    for aid in &involved {
+        let key = keys
+            .get(aid)
+            .ok_or_else(|| Error::MissingAuthorityKey(aid.clone()))?;
+        key_terms.push((*key.k(), Fr::one()));
+    }
+    let mut row_terms = Vec::with_capacity(coefficients.len());
     for (row, w) in &coefficients {
         let attr = &ct.access.rho()[*row];
-        let key = &keys[attr.authority()];
-        let kx = key.kx.get(attr).ok_or(Error::PolicyNotSatisfied)?;
+        let key = keys
+            .get(attr.authority())
+            .ok_or_else(|| Error::MissingAuthorityKey(attr.authority().clone()))?;
+        let kx = key.kx().get(attr).ok_or(Error::PolicyNotSatisfied)?;
         let exp = w.mul(&n_a).neg();
-        scaled.push(G1::from(ct.c_i[*row]).mul(&exp));
-        partners.push(user_pk.pk);
-        scaled.push(G1::from(ct.c_prime).mul(&exp));
-        partners.push(*kx);
+        key_terms.push((*kx, exp));
+        row_terms.push((ct.c_i[*row], exp));
     }
-    let scaled_affine = mabe_math::batch_normalize(&scaled);
-    let mut pairs: Vec<(G1Affine, G1Affine)> = involved
-        .iter()
-        .map(|aid| (ct.c_prime, keys[aid].k))
-        .collect();
-    pairs.extend(scaled_affine.into_iter().zip(partners));
-    let blinding = mabe_math::multi_pairing(&pairs);
-    Ok(ct.c.div(&blinding))
+    let [key_sum, row_sum] = mabe_math::msm([&key_terms, &row_terms]);
+    let sums = mabe_math::batch_normalize(&[key_sum, row_sum]);
+    Ok(mabe_math::multi_pairing(&[
+        (sums[0], ct.c_prime),
+        (sums[1], *pk),
+    ]))
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@ use mabe_crypto::{aead, hkdf};
 use mabe_math::Gt;
 use mabe_policy::{AccessStructure, AuthorityId, Policy};
 
-use crate::ciphertext::{decrypt, Ciphertext};
+use crate::ciphertext::{decrypt_fast, Ciphertext};
 use crate::error::Error;
 use crate::keys::{UserPublicKey, UserSecretKey};
 use crate::owner::DataOwner;
@@ -130,7 +130,8 @@ pub fn seal_envelope<R: RngCore + ?Sized>(
     Ok(envelope)
 }
 
-/// Opens one sealed component with the user's key material.
+/// Opens one sealed component with the user's key material, recovering
+/// the content key with the two-pairing [`decrypt_fast`].
 ///
 /// # Errors
 ///
@@ -143,7 +144,7 @@ pub fn open_component(
     user_pk: &UserPublicKey,
     keys: &BTreeMap<AuthorityId, UserSecretKey>,
 ) -> Result<Vec<u8>, Error> {
-    let kem = decrypt(&component.key_ct, user_pk, keys)?;
+    let kem = decrypt_fast(&component.key_ct, user_pk, keys)?;
     let key = content_key_from(&kem, &component.label);
     aead::open(
         &key,

@@ -2,26 +2,30 @@
 //! follow-up system (DAC-MACS, the journal successor of this paper),
 //! adapted to this scheme's structure.
 //!
-//! Decryption costs `n_A + 2·|I|` pairings (paper Eq. 1) — heavy for a
-//! thin client. The user instead blinds its whole key set with a random
-//! `z`: the *transform key* `TK = (PK_UID^{1/z}, {K^{1/z}, K_x^{1/z}})`
-//! goes to the server, which runs the entire pairing computation on
-//! blinded inputs and returns the *token*
-//! `T = (Π_k e(g,g)^{α_k s})^{1/z}`. The client recovers `m = C / T^z`
-//! with a single `G_T` exponentiation.
+//! Decryption is pairing work (paper Eq. 1) — heavy for a thin client.
+//! The user instead blinds its whole key set with a random `z`: the
+//! *transform key* `TK = (PK_UID^{1/z}, {K^{1/z}, K_x^{1/z}})` goes to
+//! the server, which runs the pairing computation on blinded inputs and
+//! returns the *token* `T = (Π_k e(g,g)^{α_k s})^{1/z}`. The client
+//! recovers `m = C / T^z` with a single `G_T` exponentiation.
+//!
+//! The server computes `T` exactly as [`crate::decrypt_fast`] computes
+//! the blinding factor, with the blinded keys in place of the user's:
+//! Eq. 1 folded by bilinearity into two multi-scalar multiplications and
+//! two pairings under one final exponentiation, whatever the policy size.
 //!
 //! The server learns nothing: every pairing output it sees carries the
 //! `1/z` blinding, and `z` never leaves the client (the *retrieval
 //! key*).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use rand::RngCore;
 
-use mabe_math::{pairing, Fr, G1Affine, Gt, G1};
-use mabe_policy::AuthorityId;
+use mabe_math::{Fr, G1Affine, Gt, G1};
+use mabe_policy::{Attribute, AuthorityId};
 
-use crate::ciphertext::Ciphertext;
+use crate::ciphertext::{blinding_factor, Ciphertext, PairingKey};
 use crate::error::Error;
 use crate::ids::{OwnerId, Uid};
 use crate::keys::{UserPublicKey, UserSecretKey};
@@ -34,7 +38,17 @@ pub struct BlindedAuthorityKey {
     /// `K^{1/z}`.
     pub k: G1Affine,
     /// `K_x^{1/z}` per attribute.
-    pub kx: BTreeMap<mabe_policy::Attribute, G1Affine>,
+    pub kx: BTreeMap<Attribute, G1Affine>,
+}
+
+impl PairingKey for BlindedAuthorityKey {
+    fn k(&self) -> &G1Affine {
+        &self.k
+    }
+
+    fn kx(&self) -> &BTreeMap<Attribute, G1Affine> {
+        &self.kx
+    }
 }
 
 /// The transform key handed to the decryption proxy.
@@ -125,8 +139,9 @@ pub fn make_transform_key<R: RngCore + ?Sized>(
     ))
 }
 
-/// Server side: runs the pairing-heavy half of decryption on blinded
-/// inputs (paper Eq. 1 with every key component carrying `1/z`).
+/// Server side: runs the pairing half of decryption on blinded inputs
+/// (paper Eq. 1 with every key component carrying `1/z`, folded into
+/// two pairings like [`crate::decrypt_fast`]).
 ///
 /// # Errors
 ///
@@ -158,35 +173,7 @@ pub fn server_transform(ct: &Ciphertext, tk: &TransformKey) -> Result<TransformT
             });
         }
     }
-
-    let n_a = Fr::from_u64(involved.len() as u64);
-    let attrs: BTreeSet<_> = tk
-        .entries
-        .values()
-        .flat_map(|e| e.kx.keys().cloned())
-        .collect();
-    let coefficients = ct
-        .access
-        .reconstruction_coefficients(&attrs)
-        .ok_or(Error::PolicyNotSatisfied)?;
-
-    let mut numerator = Gt::one();
-    for aid in &involved {
-        let entry = &tk.entries[aid];
-        numerator = numerator.mul(&pairing(&ct.c_prime, &entry.k));
-    }
-    let mut denominator = Gt::one();
-    for (row, w) in &coefficients {
-        let attr = &ct.access.rho()[*row];
-        let entry = tk
-            .entries
-            .get(attr.authority())
-            .ok_or_else(|| Error::MissingAuthorityKey(attr.authority().clone()))?;
-        let kx = entry.kx.get(attr).ok_or(Error::PolicyNotSatisfied)?;
-        let term = pairing(&ct.c_i[*row], &tk.blinded_pk).mul(&pairing(&ct.c_prime, kx));
-        denominator = denominator.mul(&term.pow(&w.mul(&n_a)));
-    }
-    Ok(TransformToken(numerator.div(&denominator)))
+    blinding_factor(ct, &tk.blinded_pk, &tk.entries).map(TransformToken)
 }
 
 /// Client side: unblinds the token and strips the mask — one `G_T`

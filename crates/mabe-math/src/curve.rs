@@ -478,7 +478,7 @@ pub fn generator_mul(k: &Fr) -> G1 {
 
 /// Width-4 signed windowed NAF digits (least-significant first), each in
 /// `{0, ±1, ±3, ±5, ±7}` with no two adjacent nonzero digits.
-fn wnaf_digits(mut x: crate::uint::Uint<3>) -> Vec<i8> {
+pub(crate) fn wnaf_digits(mut x: crate::uint::Uint<3>) -> Vec<i8> {
     const WINDOW: u64 = 16; // 2^4
     let mut digits = Vec::with_capacity(168);
     while !x.is_zero() {

@@ -14,6 +14,8 @@
 //!   [`field::Fr`] (scalar, the paper's `Z_p`).
 //! * [`fp2`] — the quadratic extension `F_{q²}`.
 //! * [`curve`] — the group `G` with hashing-to-curve.
+//! * [`msm`](mod@crate::msm) — multi-scalar multiplication `Σ k_i·P_i`
+//!   (Straus, signed width-4 wNAF).
 //! * [`pairing`](mod@crate::pairing) — the symmetric Tate pairing `e : G × G → G_T` via
 //!   Miller's algorithm with denominator elimination, and the target
 //!   group [`pairing::Gt`].
@@ -47,6 +49,7 @@ pub mod curve;
 pub mod field;
 pub mod fp2;
 pub mod hash;
+pub mod msm;
 pub mod pairing;
 pub mod params;
 pub mod uint;
@@ -54,4 +57,5 @@ pub mod uint;
 pub use curve::{batch_normalize, generator_mul, hash_to_curve, FixedBase, G1Affine, G1};
 pub use field::{Fq, Fr};
 pub use hash::hash_to_fr;
+pub use msm::msm;
 pub use pairing::{multi_pairing, pairing, Gt};

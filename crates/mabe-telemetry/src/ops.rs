@@ -24,9 +24,12 @@ pub enum CryptoOp {
     HashToCurve,
     /// One hash onto the scalar field Z_r.
     HashToField,
+    /// One multi-scalar multiplication `Σ k_i·P_i` in G₁, of any length
+    /// (its terms are not also counted as [`CryptoOp::G1Mul`]).
+    Msm,
 }
 
-const OP_COUNT: usize = 5;
+const OP_COUNT: usize = 6;
 
 impl CryptoOp {
     /// All operation classes, in export order.
@@ -36,6 +39,7 @@ impl CryptoOp {
         CryptoOp::GtPow,
         CryptoOp::HashToCurve,
         CryptoOp::HashToField,
+        CryptoOp::Msm,
     ];
 
     fn index(self) -> usize {
@@ -45,6 +49,7 @@ impl CryptoOp {
             CryptoOp::GtPow => 2,
             CryptoOp::HashToCurve => 3,
             CryptoOp::HashToField => 4,
+            CryptoOp::Msm => 5,
         }
     }
 
@@ -56,6 +61,7 @@ impl CryptoOp {
             CryptoOp::GtPow => "gt_pow",
             CryptoOp::HashToCurve => "hash_to_curve",
             CryptoOp::HashToField => "hash_to_field",
+            CryptoOp::Msm => "msm",
         }
     }
 }
@@ -108,6 +114,8 @@ pub struct OpSnapshot {
     pub hash_to_curve: u64,
     /// Hashes onto Z_r.
     pub hash_to_field: u64,
+    /// Multi-scalar multiplications in G₁.
+    pub msms: u64,
 }
 
 impl OpSnapshot {
@@ -119,6 +127,7 @@ impl OpSnapshot {
             gt_pows: thread_count(CryptoOp::GtPow),
             hash_to_curve: thread_count(CryptoOp::HashToCurve),
             hash_to_field: thread_count(CryptoOp::HashToField),
+            msms: thread_count(CryptoOp::Msm),
         }
     }
 
@@ -130,6 +139,7 @@ impl OpSnapshot {
             gt_pows: self.gt_pows.saturating_sub(earlier.gt_pows),
             hash_to_curve: self.hash_to_curve.saturating_sub(earlier.hash_to_curve),
             hash_to_field: self.hash_to_field.saturating_sub(earlier.hash_to_field),
+            msms: self.msms.saturating_sub(earlier.msms),
         }
     }
 }

@@ -3,7 +3,9 @@
 //! rather than estimated from wall-clock time.
 //!
 //! * Decryption: `n_A + 2·|I|` pairings (Eq. 1) — `2·|I| + 1` in the
-//!   single-authority case.
+//!   single-authority case. The serving path (`decrypt_fast`, and so a
+//!   cold `CloudSystem::read`) folds Eq. 1 by bilinearity into 2
+//!   pairings after 2 multi-scalar multiplications, at any policy size.
 //! * Encryption: `2·l + 1` exponentiations in `G` (two per LSSS row
 //!   plus `C'`) and one exponentiation in `G_T` (the blinding factor).
 
@@ -13,8 +15,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use mabe_core::{
-    decrypt, decrypt_fast, encrypt, AttributeAuthority, CertificateAuthority, Ciphertext,
-    CiphertextId, OwnerId, OwnerMasterKey, UserPublicKey, UserSecretKey,
+    client_recover, decrypt, decrypt_fast, encrypt, make_transform_key, server_transform,
+    AttributeAuthority, CertificateAuthority, Ciphertext, CiphertextId, OwnerId, OwnerMasterKey,
+    UserPublicKey, UserSecretKey,
 };
 use mabe_math::Gt;
 use mabe_policy::{parse, AccessStructure, AuthorityId};
@@ -139,13 +142,78 @@ fn general_decrypt_costs_na_plus_2i_pairings() {
     assert_eq!(ops.pairings, 2 + 2 * 3, "n_A + 2·|I| pairings");
     assert_eq!(ops.gt_pows, 3, "one recombination exponentiation per row");
 
-    // The optimized path runs the same pairing count through one shared
-    // final exponentiation, trading the G_T pows for G multiplications.
+    // The serving path folds every pairing onto C' or PK_UID: two
+    // multi-scalar multiplications, then two pairings.
     let (fast, fast_ops) = measure(|| decrypt_fast(&ct, &pk, &keys).unwrap());
     assert_eq!(fast, msg);
-    assert_eq!(fast_ops.pairings, 2 + 2 * 3);
+    assert_eq!(fast_ops.pairings, 2);
     assert_eq!(fast_ops.gt_pows, 0);
-    assert_eq!(fast_ops.g1_muls, 2 * 3, "two scaled G points per row");
+    assert_eq!(fast_ops.g1_muls, 0);
+    assert_eq!(fast_ops.msms, 2, "one per pairing's folded G argument");
+}
+
+/// The paper's 5×5 point (AND over 25 attributes from 5 authorities):
+/// the faithful path pays `n_A + 2·|I| = 55` pairings, the serving path
+/// 2.
+#[test]
+fn paper_point_5x5_decrypt_costs_55_faithful_and_2_serving_pairings() {
+    let shape = mabe_bench::Shape {
+        authorities: 5,
+        attrs_per_authority: 5,
+    };
+    let mut world = mabe_bench::OurWorld::new(shape, 55);
+    let (ct, msg) = world.encrypt_with_message();
+    world.decrypt_once(&ct); // warm the memoized generators
+
+    let (out, ops) = measure(|| world.decrypt_once(&ct));
+    assert_eq!(out, msg);
+    assert_eq!(ops.pairings, 5 + 2 * 25, "n_A + 2·|I|");
+    assert_eq!(ops.gt_pows, 25);
+
+    let (fast, fast_ops) = measure(|| decrypt_fast(&ct, &world.user_pk, &world.user_keys).unwrap());
+    assert_eq!(fast, msg);
+    assert_eq!(fast_ops.pairings, 2);
+    assert_eq!(fast_ops.gt_pows, 0);
+    assert_eq!(fast_ops.g1_muls, 0);
+    assert_eq!(fast_ops.msms, 2);
+
+    // The outsourcing server runs the same fold on blinded keys.
+    let mut rng = StdRng::seed_from_u64(56);
+    let (tk, rk) = make_transform_key(&world.user_pk, &world.user_keys, &mut rng).unwrap();
+    let (token, server_ops) = measure(|| server_transform(&ct, &tk).unwrap());
+    assert_eq!(client_recover(&ct, &token, &rk), msg);
+    assert_eq!((server_ops.pairings, server_ops.msms), (2, 2));
+    assert_eq!((server_ops.gt_pows, server_ops.g1_muls), (0, 0));
+}
+
+/// A cold read through the cloud system (content-key cache miss) at the
+/// 5×5 point runs the serving path: 2 pairings; the warm re-read none.
+#[test]
+fn cold_cloud_read_at_5x5_costs_2_pairings_and_a_warm_one_none() {
+    let sys = mabe_cloud::CloudSystem::new(5);
+    let attrs = ["a0", "a1", "a2", "a3", "a4"];
+    let mut all = Vec::new();
+    for a in 0..5 {
+        let name = format!("AA{a}");
+        sys.add_authority(&name, &attrs).unwrap();
+        all.extend(attrs.iter().map(|x| format!("{x}@{name}")));
+    }
+    let owner = sys.add_owner("owner").unwrap();
+    let user = sys.add_user("reader").unwrap();
+    let all: Vec<&str> = all.iter().map(String::as_str).collect();
+    sys.grant(&user, &all).unwrap();
+    let policy = all.join(" AND ");
+    sys.publish(&owner, "rec", &[("x", b"payload".as_slice(), &policy)])
+        .unwrap();
+
+    let (bytes, cold) = measure(|| sys.read(&user, &owner, "rec", "x").unwrap());
+    assert_eq!(bytes, b"payload");
+    assert_eq!(cold.pairings, 2);
+    assert_eq!(cold.gt_pows, 0);
+    assert_eq!(cold.msms, 2);
+    let (_, warm) = measure(|| sys.read(&user, &owner, "rec", "x").unwrap());
+    assert_eq!(warm.pairings, 0);
+    assert_eq!(sys.cache_stats().content_hits, 1);
 }
 
 #[test]

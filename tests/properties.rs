@@ -1,13 +1,18 @@
 //! Property-based tests (proptest) over the workspace's core invariants:
 //! field axioms, group laws, pairing bilinearity, LSSS correctness vs
-//! formula semantics, and scheme round-trips on randomized shapes.
+//! formula semantics, scheme round-trips on randomized shapes, and the
+//! serving decryption paths against the faithful paper Eq. 1.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use mabe::core::{
+    client_recover, decrypt, decrypt_fast, make_transform_key, server_transform, DataOwner, Error,
+    OwnerId, UserPublicKey, UserSecretKey,
+};
 use mabe::math::{pairing, Fr, G1Affine, Gt, G1};
 use mabe::policy::{AccessStructure, Attribute, AuthorityId, Policy};
 
@@ -264,4 +269,200 @@ proptest! {
             prop_assert!(mabe::core::open_component(&broken, &user, &keys).is_err());
         }
     }
+}
+
+// ---------- Serving decryption ≡ faithful Eq. 1 ----------
+
+/// The key-material faults each differential case injects, one at a time.
+#[derive(Clone, Copy, Debug)]
+enum Fault {
+    None,
+    /// One involved authority's key carries another version.
+    StaleVersion,
+    /// Every key is scoped to another owner.
+    WrongOwner,
+    /// One involved authority's key belongs to another user.
+    WrongUid,
+    /// One involved authority's key is absent.
+    MissingAuthority,
+}
+
+const FAULTS: [Fault; 5] = [
+    Fault::None,
+    Fault::StaleVersion,
+    Fault::WrongOwner,
+    Fault::WrongUid,
+    Fault::MissingAuthority,
+];
+
+/// `policy` with its leaves renamed, in order, to `attr{j}@AA{j % 3}`:
+/// the same gates, with the injective `ρ` the scheme requires however
+/// often `arb_policy` repeated a leaf (at most 27 leaves).
+fn injective(policy: &Policy, next: &mut usize) -> Policy {
+    let mut children = |cs: &[Policy]| cs.iter().map(|c| injective(c, next)).collect();
+    match policy {
+        Policy::Leaf(_) => {
+            let j = *next;
+            *next += 1;
+            Policy::leaf(Attribute::new(
+                format!("attr{j}"),
+                AuthorityId::new(format!("AA{}", j % 3)),
+            ))
+        }
+        Policy::And(cs) => Policy::And(children(cs)),
+        Policy::Or(cs) => Policy::Or(children(cs)),
+        Policy::Threshold { k, children: cs } => Policy::Threshold {
+            k: *k,
+            children: children(cs),
+        },
+    }
+}
+
+/// Authorities `AA0..AA2`, `attr{i}` (`i < 27`) managed by `AA{i % 3}`,
+/// one owner, and a user holding `held` plus a (possibly attribute-less)
+/// key from every authority.
+struct PolicyWorld {
+    rng: StdRng,
+    owner: DataOwner,
+    user: UserPublicKey,
+    keys: BTreeMap<AuthorityId, UserSecretKey>,
+}
+
+fn policy_world(held: &BTreeSet<Attribute>, seed: u64) -> PolicyWorld {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut ca = mabe::core::CertificateAuthority::new();
+    let mut owner = DataOwner::new(OwnerId::new("owner"), &mut rng);
+    let user = ca.register_user("reader", &mut rng).unwrap();
+    let mut keys = BTreeMap::new();
+    for a in 0..3 {
+        let names: Vec<String> = (a..27).step_by(3).map(|i| format!("attr{i}")).collect();
+        let aid = ca.register_authority(format!("AA{a}")).unwrap();
+        let mut aa = mabe::core::AttributeAuthority::new(aid.clone(), &names, &mut rng);
+        aa.register_owner(owner.owner_secret_key()).unwrap();
+        owner.learn_authority_keys(aa.public_keys());
+        let mine = held.iter().filter(|x| x.authority() == &aid).cloned();
+        aa.grant(&user, mine.collect::<Vec<_>>()).unwrap();
+        keys.insert(aid, aa.keygen(&user.uid, owner.id()).unwrap());
+    }
+    PolicyWorld {
+        rng,
+        owner,
+        user,
+        keys,
+    }
+}
+
+/// `keys` with `fault` applied to the involved authority `target`.
+fn inject(
+    fault: Fault,
+    keys: &BTreeMap<AuthorityId, UserSecretKey>,
+    target: &AuthorityId,
+) -> BTreeMap<AuthorityId, UserSecretKey> {
+    let mut keys = keys.clone();
+    match fault {
+        Fault::None => {}
+        Fault::StaleVersion => keys.get_mut(target).unwrap().version += 1,
+        Fault::WrongOwner => {
+            for key in keys.values_mut() {
+                key.owner = OwnerId::new("other-owner");
+            }
+        }
+        Fault::WrongUid => keys.get_mut(target).unwrap().uid = mabe::core::Uid::new("other"),
+        Fault::MissingAuthority => {
+            keys.remove(target);
+        }
+    }
+    keys
+}
+
+/// The outsourced path end to end: blind, transform on the server,
+/// recover on the client.
+fn outsourced(
+    ct: &mabe::core::Ciphertext,
+    user: &UserPublicKey,
+    keys: &BTreeMap<AuthorityId, UserSecretKey>,
+    rng: &mut StdRng,
+) -> Result<Gt, Error> {
+    let (tk, rk) = make_transform_key(user, keys, rng)?;
+    let token = server_transform(ct, &tk)?;
+    Ok(client_recover(ct, &token, &rk))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// On AND, OR and k-of-n policies, for satisfying and unsatisfying
+    /// attribute sets (every leaf, every leaf but one, a random subset)
+    /// and under each single key fault, the serving decryption and the
+    /// outsourced transform return exactly what the faithful Eq. 1
+    /// returns: the same `G_T` element, or the same error with the same
+    /// fields.
+    #[test]
+    fn serving_decrypt_matches_faithful_eq1(
+        policy in arb_policy(),
+        holding in 0u8..4,
+        mask in any::<u64>(),
+        seed in any::<u64>(),
+    ) {
+        let policy = injective(&policy, &mut 0);
+        let leaves: Vec<Attribute> = policy.leaves().into_iter().cloned().collect();
+        let skipped = (seed % leaves.len() as u64) as usize;
+        let held: BTreeSet<Attribute> = leaves
+            .iter()
+            .enumerate()
+            .filter(|(j, _)| match holding {
+                0 => true,
+                1 => *j != skipped,
+                _ => mask >> j & 1 == 1,
+            })
+            .map(|(_, a)| a.clone())
+            .collect();
+        let mut world = policy_world(&held, seed);
+        let msg = Gt::random(&mut world.rng);
+        let ct = world.owner.encrypt_message(&msg, &policy, &mut world.rng).unwrap();
+        let involved: Vec<AuthorityId> = ct.involved_authorities().into_iter().collect();
+        let target = &involved[(seed % involved.len() as u64) as usize];
+        let satisfied = policy.is_satisfied_by(held.iter());
+        for fault in FAULTS {
+            let keys = inject(fault, &world.keys, target);
+            let faithful = decrypt(&ct, &world.user, &keys);
+            if let Fault::None = fault {
+                let expected = if satisfied { Ok(msg) } else { Err(Error::PolicyNotSatisfied) };
+                prop_assert_eq!(&faithful, &expected);
+            }
+            let fast = decrypt_fast(&ct, &world.user, &keys);
+            prop_assert!(fast == faithful, "{fault:?}: {fast:?} != {faithful:?}");
+            let transformed = outsourced(&ct, &world.user, &keys, &mut world.rng);
+            prop_assert!(transformed == faithful, "{fault:?}: {transformed:?} != {faithful:?}");
+        }
+    }
+}
+
+/// The paper's 5×5 point: all three paths agree, and a stale key gets the
+/// same error from each.
+#[test]
+fn serving_decrypt_matches_faithful_eq1_at_5x5() {
+    let shape = mabe_bench::Shape {
+        authorities: 5,
+        attrs_per_authority: 5,
+    };
+    let mut world = mabe_bench::OurWorld::new(shape, 25);
+    let (ct, msg) = world.encrypt_with_message();
+    let mut rng = StdRng::seed_from_u64(26);
+    assert_eq!(world.decrypt_once(&ct), msg);
+    assert_eq!(decrypt_fast(&ct, &world.user_pk, &world.user_keys), Ok(msg));
+    assert_eq!(
+        outsourced(&ct, &world.user_pk, &world.user_keys, &mut rng),
+        Ok(msg)
+    );
+
+    let stale = inject(
+        Fault::StaleVersion,
+        &world.user_keys,
+        &AuthorityId::new("AA3"),
+    );
+    let faithful = decrypt(&ct, &world.user_pk, &stale);
+    assert!(matches!(faithful, Err(Error::VersionMismatch { .. })));
+    assert_eq!(decrypt_fast(&ct, &world.user_pk, &stale), faithful);
+    assert_eq!(outsourced(&ct, &world.user_pk, &stale, &mut rng), faithful);
 }
