@@ -22,7 +22,7 @@ use std::io::Write as _;
 use std::time::Instant;
 
 use mabe_cloud::CloudSystem;
-use mabe_store::{define_table, Frame, FrameOp, Schema, SimDisk, TypedStore};
+use mabe_store::{define_table, Frame, FrameOp, Keyspace, Schema, SimDisk, TypedStore};
 
 define_table!(
     /// Bench table mirroring the data plane's component layout:
@@ -59,12 +59,21 @@ struct RangeRow {
     rows_per_s: f64,
 }
 
+/// Journals one frame batch and applies it to `ks` — the apply-then-
+/// commit order the durable cloud plane follows.
+fn journal(ts: &TypedStore<SimDisk>, ks: &Keyspace, frames: &[Frame]) {
+    let seq = ts.stage_frames(frames);
+    ks.apply(frames);
+    ts.commit(seq).expect("journaled load");
+}
+
 /// Loads `AUTHORITIES * per_authority * COMPONENTS` rows through the
 /// journaled path (batched frames, one sync per object) and then scans
 /// authority prefixes round-robin.
 fn range_scan(per_authority: usize) -> RangeRow {
     let (ts, _) = TypedStore::open(SimDisk::unfaulted()).expect("fresh store");
-    ts.keyspace().register::<Components>();
+    let ks = Keyspace::new();
+    ks.register::<Components>();
 
     let load = Instant::now();
     for a in 0..AUTHORITIES {
@@ -77,11 +86,11 @@ fn range_scan(per_authority: usize) -> RangeRow {
                     )
                 })
                 .collect();
-            ts.append_frames_sync(&frames).expect("journaled load");
+            journal(&ts, &ks, &frames);
         }
     }
     let load_ms = load.elapsed().as_secs_f64() * 1e3;
-    let rows_total = ts.keyspace().rows(Components::ID);
+    let rows_total = ks.rows(Components::ID);
 
     let scans = AUTHORITIES * 8;
     let mut rows_scanned = 0usize;
@@ -89,7 +98,7 @@ fn range_scan(per_authority: usize) -> RangeRow {
     for s in 0..scans {
         let mut prefix = Vec::new();
         mabe_store::key_str(&mut prefix, &format!("aid-{:02}", s % AUTHORITIES));
-        let hits = ts.range::<Components>(&prefix).expect("scan decodes");
+        let hits = ks.range::<Components>(&prefix).expect("scan decodes");
         rows_scanned += hits.len();
         assert_eq!(hits.len(), per_authority * COMPONENTS as usize);
         assert!(
@@ -179,6 +188,7 @@ struct ReopenRow {
 /// number of tables.
 fn reopen(tables: u16, total_rows: usize) -> ReopenRow {
     let (ts, _) = TypedStore::open(SimDisk::unfaulted()).expect("fresh store");
+    let ks = Keyspace::new();
     let per_table = total_rows / tables as usize;
     for t in 0..tables {
         let frames: Vec<Frame> = (0..per_table)
@@ -189,16 +199,15 @@ fn reopen(tables: u16, total_rows: usize) -> ReopenRow {
                 value: vec![0xA5; 64],
             })
             .collect();
-        ts.append_frames_sync(&frames).expect("load");
+        journal(&ts, &ks, &frames);
     }
-    ts.checkpoint().expect("per-table snapshot");
+    ts.checkpoint_keyspace(&ks).expect("per-table snapshot");
     let disk = ts.into_store();
 
     let start = Instant::now();
-    let (ts2, open) = TypedStore::open(disk).expect("reopen");
+    let (_, open) = TypedStore::open(disk).expect("reopen");
     let reopen_ms = start.elapsed().as_secs_f64() * 1e3;
-    assert!(open.self_hydrated, "checkpointed store reopens typed");
-    let rows = ts2.keyspace().total_rows();
+    let rows = open.keyspace.total_rows();
     assert_eq!(rows, per_table * tables as usize);
     ReopenRow {
         tables,

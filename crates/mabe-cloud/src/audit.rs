@@ -413,44 +413,81 @@ impl AuditLog {
             return Err(AuditLoadError::Malformed("entry count exceeds input"));
         }
         let mut entries = Vec::with_capacity(n);
-        let mut prev = [0u8; DIGEST_LEN];
-        let mut last_seq: Option<u64> = None;
-        let mut last_ts: Option<u64> = None;
-        for i in 0..n as u64 {
-            let index = r.u64()?;
-            let seq = r.u64()?;
-            let timestamp = r.u64()?;
-            let event = wire::get_event(&mut r)?;
-            let mut digest = [0u8; DIGEST_LEN];
-            digest.copy_from_slice(r.bytes(DIGEST_LEN)?);
-            if index != i
-                || last_seq.is_some_and(|s| seq <= s)
-                || last_ts.is_some_and(|t| timestamp <= t)
-            {
-                return Err(AuditLoadError::Reordered { index: i });
-            }
-            if Self::chain_digest(&prev, index, seq, timestamp, &event) != digest {
-                return Err(AuditLoadError::ChainBroken { index: i });
-            }
-            prev = digest;
-            last_seq = Some(seq);
-            last_ts = Some(timestamp);
-            entries.push(AuditEntry {
-                index,
-                seq,
-                timestamp,
-                event,
-                digest,
-            });
+        for _ in 0..n {
+            Self::push_verified(&mut entries, &mut r)?;
         }
         if !r.is_empty() {
             return Err(AuditLoadError::Malformed("trailing bytes"));
         }
-        if last_seq.is_some_and(|s| next_seq <= s) {
-            return Err(AuditLoadError::Malformed("sequence counter behind entries"));
+        Self::with_counters(entries, next_seq, clock)
+    }
+
+    /// Rebuilds a log from its `(next_seq, clock)` counters and one
+    /// [`entry_bytes`] section per entry, in order — the typed
+    /// keyspace's `Audit` rows. Verifies exactly as [`Self::load`]
+    /// does, and rejects trailing bytes after any entry.
+    pub(crate) fn from_entries<'a>(
+        next_seq: u64,
+        clock: u64,
+        sections: impl IntoIterator<Item = &'a [u8]>,
+    ) -> Result<Self, AuditLoadError> {
+        let mut entries = Vec::new();
+        for section in sections {
+            let mut r = wire::Reader::new(section);
+            Self::push_verified(&mut entries, &mut r)?;
+            if !r.is_empty() {
+                return Err(AuditLoadError::Malformed("trailing bytes after entry"));
+            }
         }
-        if last_ts.is_some_and(|t| clock < t) {
-            return Err(AuditLoadError::Malformed("clock behind entries"));
+        Self::with_counters(entries, next_seq, clock)
+    }
+
+    /// Reads the next serialized entry and appends it to `entries`
+    /// after checking its position, its ordering after the previous
+    /// entry, and its chain link.
+    fn push_verified(
+        entries: &mut Vec<AuditEntry>,
+        r: &mut wire::Reader<'_>,
+    ) -> Result<(), AuditLoadError> {
+        let i = entries.len() as u64;
+        let index = r.u64()?;
+        let seq = r.u64()?;
+        let timestamp = r.u64()?;
+        let event = wire::get_event(r)?;
+        let mut digest = [0u8; DIGEST_LEN];
+        digest.copy_from_slice(r.bytes(DIGEST_LEN)?);
+        let last = entries.last();
+        if index != i || last.is_some_and(|e| seq <= e.seq || timestamp <= e.timestamp) {
+            return Err(AuditLoadError::Reordered { index: i });
+        }
+        let prev = last.map_or([0u8; DIGEST_LEN], |e| e.digest);
+        if Self::chain_digest(&prev, index, seq, timestamp, &event) != digest {
+            return Err(AuditLoadError::ChainBroken { index: i });
+        }
+        entries.push(AuditEntry {
+            index,
+            seq,
+            timestamp,
+            event,
+            digest,
+        });
+        Ok(())
+    }
+
+    /// Closes verified entries under the header counters, which must
+    /// not lag the last entry.
+    fn with_counters(
+        entries: Vec<AuditEntry>,
+        next_seq: u64,
+        clock: u64,
+    ) -> Result<Self, AuditLoadError> {
+        if let Some(last) = entries.last() {
+            if next_seq <= last.seq {
+                return Err(AuditLoadError::Malformed("sequence counter behind entries"));
+            }
+            if clock < last.timestamp {
+                return Err(AuditLoadError::Malformed("clock behind entries"));
+            }
         }
         Ok(AuditLog {
             entries,
@@ -487,8 +524,8 @@ impl AuditLog {
 
 /// One entry's serialized section, byte-for-byte the per-entry slice of
 /// [`AuditLog::save`]'s output. The typed keyspace persists entries as
-/// individual `Audit` rows holding exactly these bytes, so concatenating
-/// the rows under a reconstructed header reproduces the legacy blob.
+/// individual `Audit` rows holding exactly these bytes, and
+/// [`AuditLog::from_entries`] reads them back.
 pub(crate) fn entry_bytes(entry: &AuditEntry) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(&entry.index.to_be_bytes());

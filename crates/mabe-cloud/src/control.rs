@@ -81,18 +81,14 @@ impl ControlPlane {
         self.shards.read().get(aid).cloned()
     }
 
-    /// Installs a fresh authority, or (on durable replay) swaps the
-    /// restored post-setup authority into its existing shard without
-    /// touching the shard's recovery state.
+    /// Installs an authority in a shard of its own. Callers guarantee
+    /// the AID is new (the CA registers it once; hydration checks each
+    /// row's key).
     pub(crate) fn insert_authority(&self, aa: AttributeAuthority) {
         let aid = aa.aid().clone();
-        let mut shards = self.shards.write();
-        match shards.get(&aid) {
-            Some(shard) => shard.state.lock().authority = aa,
-            None => {
-                shards.insert(aid, Arc::new(AuthorityShard::new(aa)));
-            }
-        }
+        self.shards
+            .write()
+            .insert(aid, Arc::new(AuthorityShard::new(aa)));
     }
 }
 
@@ -653,52 +649,6 @@ impl CloudSystem {
         self.control
             .shard(aid)
             .is_some_and(|shard| shard.state.lock().down)
-    }
-
-    /// Journals a restored revocation event into its authority's shard
-    /// (durable replay path). The authority must already be installed.
-    pub(crate) fn begin_revocation(&self, event: RevocationEvent) -> u64 {
-        let shard = self
-            .control
-            .shard(&event.aid)
-            .expect("authority installed before revocation replay");
-        let mut st = shard.state.lock();
-        self.begin_in_shard(&mut st, event)
-    }
-
-    /// Defers one journaled revocation by global id, locating its shard
-    /// first (durable replay path for `RevocationDeferred` records).
-    /// Unknown ids are a clean no-op.
-    pub(crate) fn defer_revocation(&self, id: u64) -> Result<(), CloudError> {
-        let shard = self
-            .control
-            .shards
-            .read()
-            .values()
-            .find(|s| s.state.lock().in_flight.contains_key(&id))
-            .cloned();
-        let Some(shard) = shard else {
-            return Ok(());
-        };
-        let mut st = shard.state.lock();
-        self.defer_in_shard(&mut st, id)
-    }
-
-    /// Drives one journaled revocation by global id, locating its shard
-    /// first (durable replay path). Unknown ids are a clean no-op.
-    pub(crate) fn drive_revocation(&self, id: u64, recovered: bool) -> Result<(), CloudError> {
-        let shard = self
-            .control
-            .shards
-            .read()
-            .values()
-            .find(|s| s.state.lock().in_flight.contains_key(&id))
-            .cloned();
-        let Some(shard) = shard else {
-            return Ok(());
-        };
-        let mut st = shard.state.lock();
-        self.drive_in_shard(&mut st, id, recovered)
     }
 
     /// Brings a user back online and replays any queued update keys.

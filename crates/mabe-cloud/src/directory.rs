@@ -144,13 +144,10 @@ impl CloudSystem {
         self.install_authority(aa)
     }
 
-    /// Introduces a (freshly set-up or journal-restored) authority to the
-    /// system: every existing owner not already registered with it
-    /// exchanges `SK_o`, every owner re-learns its public keys, and the
-    /// registration is audited. Factored out of [`Self::add_authority`]
-    /// so durable replay installs the serialized post-setup authority
-    /// through the exact same path (regenerating identical wire
-    /// accounting and audit entries).
+    /// Introduces a freshly set-up authority to the system: every
+    /// existing owner not already registered with it exchanges `SK_o`,
+    /// every owner re-learns its public keys, and the registration is
+    /// audited.
     pub(crate) fn install_authority(
         &self,
         mut aa: AttributeAuthority,
@@ -202,10 +199,9 @@ impl CloudSystem {
         self.install_owner(owner)
     }
 
-    /// Installs a (fresh or journal-restored) owner: exchanges keys with
-    /// every authority it is not yet registered with, issues this owner's
-    /// user secret keys to every already-granted user, and audits the
-    /// registration. The replay twin of [`Self::install_authority`].
+    /// Installs a fresh owner: exchanges keys with every authority it is
+    /// not yet registered with, issues this owner's user secret keys to
+    /// every already-granted user, and audits the registration.
     pub(crate) fn install_owner(&self, mut owner: DataOwner) -> Result<OwnerId, CloudError> {
         let id = owner.id().clone();
         if self.directory.owners.read().contains_key(&id) {
@@ -295,9 +291,8 @@ impl CloudSystem {
         Ok(self.install_user(pk))
     }
 
-    /// Installs a CA-registered user (fresh or journal-restored): the key
-    /// delivery is byte-accounted, runtime state allocated, and the
-    /// registration audited.
+    /// Installs a CA-registered user: the key delivery is byte-accounted,
+    /// runtime state allocated, and the registration audited.
     pub(crate) fn install_user(&self, pk: UserPublicKey) -> Uid {
         let uid = pk.uid.clone();
         self.wire.send(

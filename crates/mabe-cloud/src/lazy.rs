@@ -352,42 +352,18 @@ impl CloudSystem {
             .find(|aid| !draining.contains(*aid))?
             .clone();
         draining.insert(aid.clone());
-        Some(Self::claim_in_queue(&queue, &aid, None))
-    }
-
-    /// Claims exactly `ids` (the durable replay path: a journaled
-    /// `LazyDrained` batch names the ids it converged). `None` if none
-    /// of the ids are still queued.
-    pub(crate) fn claim_ids(&self, ids: &[u64]) -> Option<LazyClaim> {
-        let queue = self.lazy.queue.lock();
-        let mut draining = self.lazy.draining.lock();
-        let aid = ids
-            .iter()
-            .find_map(|id| queue.get(id).map(|p| p.aid.clone()))?;
-        draining.insert(aid.clone());
-        Some(Self::claim_in_queue(&queue, &aid, Some(ids)))
-    }
-
-    fn claim_in_queue(
-        queue: &BTreeMap<u64, PendingUpgrade>,
-        aid: &AuthorityId,
-        only: Option<&[u64]>,
-    ) -> LazyClaim {
         let mut claim = LazyClaim {
-            aid: aid.clone(),
+            aid,
             from_version: u64::MAX,
             to_version: 0,
             entries: Vec::new(),
         };
-        for (id, p) in queue.iter() {
-            if &p.aid != aid || only.is_some_and(|ids| !ids.contains(id)) {
-                continue;
-            }
+        for (id, p) in queue.iter().filter(|(_, p)| p.aid == claim.aid) {
             claim.from_version = claim.from_version.min(p.from_version);
             claim.to_version = claim.to_version.max(p.to_version);
             claim.entries.push((*id, p.to_version, p.enqueued));
         }
-        claim
+        Some(claim)
     }
 
     /// Releases a drain claim (success or failure) so another worker —
@@ -553,22 +529,6 @@ impl CloudSystem {
             std::thread::yield_now();
         }
         Ok(())
-    }
-
-    /// Replays a journaled `LazyDrained` batch: claims exactly those
-    /// ids, drains them to convergence, and completes — producing the
-    /// same audit events the live drain recorded. Already-gone ids are
-    /// a clean no-op (the batch preceded the checkpoint).
-    pub(crate) fn replay_drain(&self, ids: &[u64]) -> Result<(), CloudError> {
-        let Some(claim) = self.claim_ids(ids) else {
-            return Ok(());
-        };
-        let result = self.drain_claim_components(&claim);
-        let out = result.map(|_| {
-            self.complete_claim(&claim);
-        });
-        self.release_claim(&claim.aid);
-        out
     }
 
     /// Restores the queue-depth gauges (durable open, after replay).

@@ -53,7 +53,6 @@ pub(crate) mod data;
 pub(crate) mod directory;
 pub(crate) mod lazy;
 pub mod persist;
-pub mod records;
 pub mod recovery;
 pub mod server;
 pub mod system;
@@ -68,7 +67,6 @@ pub use persist::{
     DurableSystem, LazyDrainHandle, MaintenanceHandle, OpenError, OpenFailure, OpenReport,
     DEFAULT_DEGRADE_HEADROOM, DEGRADED_POINT, POISONED_POINT,
 };
-pub use records::RecordError;
 pub use recovery::{PendingRevocation, RevocationStage};
 pub use server::CloudServer;
 pub use system::{fault_points, CloudError, CloudSystem, StorageReport};

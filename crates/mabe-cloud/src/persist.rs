@@ -27,16 +27,17 @@
 //! chain is byte-identical — [`DurableSystem::open`] rejects the store
 //! if it does not verify.
 //!
-//! Stores written by earlier releases still open: the replay shim
-//! classifies each record by format, re-executes legacy
-//! [`crate::records::WalRecord`] payloads with faults disarmed, and
-//! converts to the typed keyspace at the format boundary (the first
-//! typed batch). The next checkpoint rewrites the store fully typed.
+//! Frame batches and per-table snapshots are the only on-disk format:
+//! a store holding any other record or snapshot (such as one written
+//! before the typed keyspace existed) fails to open with a typed
+//! [`OpenError::Frame`] or [`OpenError::Keyspace`], and the storage is
+//! handed back untouched.
 //!
 //! Revocation journals its begin batch *after* the begin parks the
-//! in-flight [`PendingRevocation`] but **before** any delivery starts,
-//! so a crash at any later point replays into an in-flight revocation
-//! that recovery drives to completion.
+//! in-flight [`PendingRevocation`](crate::PendingRevocation) but
+//! **before** any delivery starts, so a crash at any later point
+//! replays into an in-flight revocation that recovery drives to
+//! completion.
 //!
 //! # Concurrency and group commit
 //!
@@ -63,28 +64,18 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use mabe_core::{
-    AttributeAuthority, CiphertextId, DataEnvelope, DataOwner, Error, OwnerId, RevocationEvent,
-    Uid, UpdateKey, UserPublicKey, UserSecretKey, WireCodec,
-};
+use mabe_core::{Error, OwnerId, RevocationEvent, Uid};
 use mabe_faults::FaultInjector;
 use mabe_policy::{Attribute, AuthorityId};
 use mabe_store::{
-    Frame, Keyspace, RecoveryReport, ReplayRecord, ReplaySnapshot, SchemaError, ScrubReport,
-    Storage, StoreError, StoreRef, TypedOpen, TypedOpenError, TypedStore, DEFAULT_SEGMENT_BUDGET,
+    Frame, RecoveryReport, SchemaError, ScrubReport, Storage, StoreError, StoreRef, TypedOpen,
+    TypedOpenError, TypedStore, DEFAULT_SEGMENT_BUDGET,
 };
 
-use crate::audit::{AuditEvent, AuditLoadError, AuditLog};
+use crate::audit::{AuditLoadError, AuditLog};
 use crate::control::{AuthorityShard, ShardState};
-use crate::directory::UserState;
-use crate::records::{get_bytes, get_count, put_bytes, put_str, put_u32, put_u64, WalRecord};
-use crate::recovery::{PendingRevocation, RevocationStage};
-use crate::server::CloudServer;
 use crate::system::{fault_points, CloudError, CloudSystem};
 use crate::tables;
-
-/// Magic prefix of a legacy (monolithic) system snapshot payload.
-pub(crate) const SNAPSHOT_MAGIC: &[u8; 8] = b"MSYS0001";
 
 /// Fault-point name reported once a durable system has poisoned itself
 /// after a journal-write failure.
@@ -99,459 +90,6 @@ pub const DEGRADED_POINT: &str = "store.degraded";
 pub const DEFAULT_DEGRADE_HEADROOM: usize = 4096;
 
 // ---------------------------------------------------------------------
-// System snapshots
-// ---------------------------------------------------------------------
-
-/// Serializes the full persistent state of a [`CloudSystem`] into a
-/// legacy (monolithic `MSYS0001`) snapshot payload. Live checkpoints
-/// write per-table keyspace snapshots instead ([`tables::populate`]);
-/// this encoder remains as the old-format reference and fixture
-/// generator. The byte format is independent of the in-memory
-/// sharding: authorities encode in AID order, and in-flight
-/// revocations merge across shards in global journal-id order.
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn encode_system(sys: &CloudSystem) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(SNAPSHOT_MAGIC);
-    put_bytes(&mut out, &sys.directory.ca.lock().to_wire_bytes());
-    {
-        let shards = sys.control.shards.read();
-        put_u32(&mut out, shards.len() as u32);
-        for shard in shards.values() {
-            put_bytes(&mut out, &shard.state.lock().authority.to_wire_bytes());
-        }
-    }
-    {
-        let owners = sys.directory.owners.read();
-        put_u32(&mut out, owners.len() as u32);
-        for owner in owners.values() {
-            put_bytes(&mut out, &owner.to_wire_bytes());
-        }
-    }
-    {
-        let users = sys.directory.users.read();
-        put_u32(&mut out, users.users.len() as u32);
-        for (uid, state) in &users.users {
-            put_str(&mut out, uid.as_str());
-            put_bytes(&mut out, &state.pk.to_wire_bytes());
-            put_u32(&mut out, state.keys.len() as u32);
-            for ((owner, aid), key) in &state.keys {
-                put_str(&mut out, owner.as_str());
-                put_str(&mut out, aid.as_str());
-                put_bytes(&mut out, &key.to_wire_bytes());
-            }
-        }
-        put_u32(&mut out, users.grants.len() as u32);
-        for (uid, attrs) in &users.grants {
-            put_str(&mut out, uid.as_str());
-            put_u32(&mut out, attrs.len() as u32);
-            for a in attrs {
-                put_str(&mut out, &a.to_string());
-            }
-        }
-        put_u32(&mut out, users.offline.len() as u32);
-        for uid in &users.offline {
-            put_str(&mut out, uid.as_str());
-        }
-        put_u32(&mut out, users.pending_updates.len() as u32);
-        for (uid, queue) in &users.pending_updates {
-            put_str(&mut out, uid.as_str());
-            put_u32(&mut out, queue.len() as u32);
-            for (owner, uk) in queue {
-                put_str(&mut out, owner.as_str());
-                put_bytes(&mut out, &uk.to_wire_bytes());
-            }
-        }
-    }
-    put_bytes(&mut out, &sys.data.server.snapshot());
-    put_bytes(&mut out, &sys.audit.lock().save());
-    {
-        let shards = sys.control.shards.read();
-        let mut pendings: Vec<PendingRevocation> = Vec::new();
-        for shard in shards.values() {
-            let st = shard.state.lock();
-            for pending in st.in_flight.values() {
-                pendings.push(pending.clone());
-            }
-        }
-        pendings.sort_by_key(|p| p.id);
-        put_u32(&mut out, pendings.len() as u32);
-        for pending in &pendings {
-            put_u64(&mut out, pending.id);
-            put_bytes(&mut out, &pending.event.to_wire_bytes());
-            out.push(match pending.stage {
-                RevocationStage::KeyDelivery => 0,
-                RevocationStage::ReEncryption => 1,
-            });
-            out.push(u8::from(pending.fresh_keys_delivered));
-            put_u32(&mut out, pending.delivered_holders.len() as u32);
-            for uid in &pending.delivered_holders {
-                put_str(&mut out, uid.as_str());
-            }
-            put_u32(&mut out, pending.updated_owners.len() as u32);
-            for owner in &pending.updated_owners {
-                put_str(&mut out, owner.as_str());
-            }
-        }
-    }
-    put_u64(&mut out, sys.control.next_revocation.load(Ordering::SeqCst));
-    {
-        let queue = sys.lazy.queue.lock();
-        put_u32(&mut out, queue.len() as u32);
-        for (id, p) in queue.iter() {
-            put_u64(&mut out, *id);
-            put_str(&mut out, p.aid.as_str());
-            put_u64(&mut out, p.from_version);
-            put_u64(&mut out, p.to_version);
-        }
-    }
-    {
-        let archive = sys.lazy.archive.read();
-        put_u32(&mut out, archive.len() as u32);
-        for ((aid, owner, from), uk) in archive.iter() {
-            put_str(&mut out, aid.as_str());
-            put_str(&mut out, owner.as_str());
-            put_u64(&mut out, *from);
-            put_bytes(&mut out, &uk.to_wire_bytes());
-        }
-    }
-    out
-}
-
-fn snap_err(what: &'static str) -> OpenError {
-    OpenError::Snapshot(Error::Malformed(what))
-}
-
-/// Rebuilds a [`CloudSystem`] from a legacy `MSYS0001` snapshot
-/// payload — also the target format [`tables::hydrate`] synthesizes
-/// from the typed keyspace, so this is the single decode path for both
-/// sources. The restored system gets a fresh RNG from `seed` and no
-/// fault injection; the caller installs the injector after replay.
-pub(crate) fn decode_system(bytes: &[u8], seed: u64) -> Result<CloudSystem, OpenError> {
-    let mut sys = CloudSystem::new(seed);
-    let mut r = mabe_core::Reader::new(bytes);
-    if r.bytes(8).map_err(OpenError::Snapshot)? != SNAPSHOT_MAGIC {
-        return Err(snap_err("bad snapshot magic"));
-    }
-    let snap = |e: Error| OpenError::Snapshot(e);
-
-    *sys.directory.ca.lock() =
-        mabe_core::CertificateAuthority::from_wire_bytes(&get_bytes(&mut r).map_err(snap)?)
-            .map_err(snap)?;
-    let n = get_count(&mut r).map_err(snap)?;
-    for _ in 0..n {
-        let aa =
-            AttributeAuthority::from_wire_bytes(&get_bytes(&mut r).map_err(snap)?).map_err(snap)?;
-        if sys.control.shard(aa.aid()).is_some() {
-            return Err(snap_err("duplicate authority in snapshot"));
-        }
-        sys.control.insert_authority(aa);
-    }
-    let n = get_count(&mut r).map_err(snap)?;
-    for _ in 0..n {
-        let owner = DataOwner::from_wire_bytes(&get_bytes(&mut r).map_err(snap)?).map_err(snap)?;
-        if sys
-            .directory
-            .owners
-            .write()
-            .insert(owner.id().clone(), owner)
-            .is_some()
-        {
-            return Err(snap_err("duplicate owner in snapshot"));
-        }
-    }
-    let n = get_count(&mut r).map_err(snap)?;
-    for _ in 0..n {
-        let uid = Uid::new(mabe_core::read_string(&mut r).map_err(snap)?);
-        let pk = UserPublicKey::from_wire_bytes(&get_bytes(&mut r).map_err(snap)?).map_err(snap)?;
-        let mut state = UserState {
-            pk,
-            keys: Default::default(),
-        };
-        let k = get_count(&mut r).map_err(snap)?;
-        for _ in 0..k {
-            let owner = OwnerId::new(mabe_core::read_string(&mut r).map_err(snap)?);
-            let aid = AuthorityId::new(mabe_core::read_string(&mut r).map_err(snap)?);
-            let key =
-                UserSecretKey::from_wire_bytes(&get_bytes(&mut r).map_err(snap)?).map_err(snap)?;
-            if state.keys.insert((owner, aid), key).is_some() {
-                return Err(snap_err("duplicate key slot in snapshot"));
-            }
-        }
-        if sys
-            .directory
-            .users
-            .write()
-            .users
-            .insert(uid, state)
-            .is_some()
-        {
-            return Err(snap_err("duplicate user in snapshot"));
-        }
-    }
-    let n = get_count(&mut r).map_err(snap)?;
-    for _ in 0..n {
-        let uid = Uid::new(mabe_core::read_string(&mut r).map_err(snap)?);
-        let k = get_count(&mut r).map_err(snap)?;
-        let mut attrs = BTreeSet::new();
-        for _ in 0..k {
-            let raw = mabe_core::read_string(&mut r).map_err(snap)?;
-            let attr: Attribute = raw
-                .parse()
-                .map_err(|_| snap_err("unparseable attribute in snapshot"))?;
-            attrs.insert(attr);
-        }
-        if sys
-            .directory
-            .users
-            .write()
-            .grants
-            .insert(uid, attrs)
-            .is_some()
-        {
-            return Err(snap_err("duplicate grant set in snapshot"));
-        }
-    }
-    let n = get_count(&mut r).map_err(snap)?;
-    for _ in 0..n {
-        sys.directory
-            .users
-            .write()
-            .offline
-            .insert(Uid::new(mabe_core::read_string(&mut r).map_err(snap)?));
-    }
-    let n = get_count(&mut r).map_err(snap)?;
-    for _ in 0..n {
-        let uid = Uid::new(mabe_core::read_string(&mut r).map_err(snap)?);
-        let k = get_count(&mut r).map_err(snap)?;
-        let mut queue = Vec::with_capacity(k);
-        for _ in 0..k {
-            let owner = OwnerId::new(mabe_core::read_string(&mut r).map_err(snap)?);
-            let uk = UpdateKey::from_wire_bytes(&get_bytes(&mut r).map_err(snap)?).map_err(snap)?;
-            queue.push((owner, uk));
-        }
-        if sys
-            .directory
-            .users
-            .write()
-            .pending_updates
-            .insert(uid, queue)
-            .is_some()
-        {
-            return Err(snap_err("duplicate update queue in snapshot"));
-        }
-    }
-    sys.data.server =
-        Arc::new(CloudServer::restore(&get_bytes(&mut r).map_err(snap)?).map_err(snap)?);
-    *sys.audit.lock() =
-        AuditLog::load(&get_bytes(&mut r).map_err(snap)?).map_err(OpenError::Audit)?;
-    let n = get_count(&mut r).map_err(snap)?;
-    for _ in 0..n {
-        let id = r.u64().map_err(snap)?;
-        let event =
-            RevocationEvent::from_wire_bytes(&get_bytes(&mut r).map_err(snap)?).map_err(snap)?;
-        let stage = match r.u8().map_err(snap)? {
-            0 => RevocationStage::KeyDelivery,
-            1 => RevocationStage::ReEncryption,
-            _ => return Err(snap_err("bad revocation stage")),
-        };
-        let fresh_keys_delivered = match r.u8().map_err(snap)? {
-            0 => false,
-            1 => true,
-            _ => return Err(snap_err("bad boolean")),
-        };
-        let mut delivered_holders = BTreeSet::new();
-        let k = get_count(&mut r).map_err(snap)?;
-        for _ in 0..k {
-            delivered_holders.insert(Uid::new(mabe_core::read_string(&mut r).map_err(snap)?));
-        }
-        let mut updated_owners = BTreeSet::new();
-        let k = get_count(&mut r).map_err(snap)?;
-        for _ in 0..k {
-            updated_owners.insert(OwnerId::new(mabe_core::read_string(&mut r).map_err(snap)?));
-        }
-        let pending = PendingRevocation {
-            id,
-            event,
-            stage,
-            fresh_keys_delivered,
-            delivered_holders,
-            updated_owners,
-        };
-        let shard = sys
-            .control
-            .shard(&pending.event.aid)
-            .ok_or_else(|| snap_err("pending revocation for unknown authority"))?;
-        if shard.state.lock().in_flight.insert(id, pending).is_some() {
-            return Err(snap_err("duplicate pending revocation in snapshot"));
-        }
-    }
-    sys.control
-        .next_revocation
-        .store(r.u64().map_err(snap)?, Ordering::SeqCst);
-    let n = get_count(&mut r).map_err(snap)?;
-    for _ in 0..n {
-        let id = r.u64().map_err(snap)?;
-        let aid = AuthorityId::new(mabe_core::read_string(&mut r).map_err(snap)?);
-        let from_version = r.u64().map_err(snap)?;
-        let to_version = r.u64().map_err(snap)?;
-        let entry = crate::lazy::PendingUpgrade {
-            aid,
-            from_version,
-            to_version,
-            enqueued: Instant::now(),
-        };
-        if sys.lazy.queue.lock().insert(id, entry).is_some() {
-            return Err(snap_err("duplicate pending upgrade in snapshot"));
-        }
-    }
-    let n = get_count(&mut r).map_err(snap)?;
-    for _ in 0..n {
-        let aid = AuthorityId::new(mabe_core::read_string(&mut r).map_err(snap)?);
-        let owner = OwnerId::new(mabe_core::read_string(&mut r).map_err(snap)?);
-        let from = r.u64().map_err(snap)?;
-        let uk = UpdateKey::from_wire_bytes(&get_bytes(&mut r).map_err(snap)?).map_err(snap)?;
-        if sys
-            .lazy
-            .archive
-            .write()
-            .insert((aid, owner, from), uk)
-            .is_some()
-        {
-            return Err(snap_err("duplicate archived update key in snapshot"));
-        }
-    }
-    if !r.is_exhausted() {
-        return Err(snap_err("trailing bytes after snapshot"));
-    }
-    // The inverted grant index is derived, live-only state: rebuild it
-    // from the restored grants.
-    sys.directory.users.read().rebuild_grant_index();
-    Ok(sys)
-}
-
-// ---------------------------------------------------------------------
-// Legacy replay shim
-// ---------------------------------------------------------------------
-
-/// Re-applies one legacy journaled record to the system being rebuilt —
-/// the pre-keyspace journal format, kept so stores written by earlier
-/// releases still open. Runs with fault injection disarmed — replay
-/// must be deterministic.
-fn apply_record(sys: &CloudSystem, rec: WalRecord) -> Result<(), CloudError> {
-    match rec {
-        WalRecord::AuthorityAdded { name, authority } => {
-            let aa = AttributeAuthority::from_wire_bytes(&authority)?;
-            let aid = sys.directory.ca.lock().register_authority(&name)?;
-            if &aid != aa.aid() {
-                return Err(CloudError::UnknownEntity(format!(
-                    "journaled authority {} does not match registration {aid}",
-                    aa.aid()
-                )));
-            }
-            sys.install_authority(aa)?;
-        }
-        WalRecord::OwnerAdded { owner } => {
-            sys.install_owner(DataOwner::from_wire_bytes(&owner)?)?;
-        }
-        WalRecord::UserAdded { u, pk } => {
-            let pk = UserPublicKey::from_wire_bytes(&pk)?;
-            sys.directory.ca.lock().import_user(u, pk.clone())?;
-            sys.install_user(pk);
-        }
-        WalRecord::Granted { uid, attributes } => {
-            let uid = Uid::new(uid);
-            let refs: Vec<&str> = attributes.iter().map(String::as_str).collect();
-            sys.grant(&uid, &refs)?;
-        }
-        WalRecord::Published {
-            owner,
-            record,
-            envelope,
-            secrets,
-        } => {
-            let owner_id = OwnerId::new(owner);
-            let envelope = DataEnvelope::from_wire_bytes(&envelope)?;
-            let components: Vec<String> = envelope
-                .components
-                .iter()
-                .map(|c| c.label.clone())
-                .collect();
-            {
-                let mut owners = sys.directory.owners.write();
-                let owner = owners.get_mut(&owner_id).ok_or_else(|| {
-                    CloudError::UnknownEntity(format!("journaled owner {owner_id}"))
-                })?;
-                for comp in &envelope.components {
-                    let s = secrets
-                        .iter()
-                        .find(|(id, _)| *id == comp.key_ct.id.0)
-                        .map(|(_, s)| *s)
-                        .ok_or_else(|| {
-                            CloudError::UnknownEntity(format!(
-                                "journaled publish missing secret for ciphertext {}",
-                                comp.key_ct.id.0
-                            ))
-                        })?;
-                    owner.adopt_record(
-                        CiphertextId(comp.key_ct.id.0),
-                        s,
-                        comp.key_ct.access.rho().to_vec(),
-                    );
-                }
-            }
-            sys.data.server.store(owner_id.clone(), &record, envelope);
-            sys.audit.lock().record(AuditEvent::Published {
-                owner: owner_id.to_string(),
-                record,
-                components,
-            });
-        }
-        WalRecord::ReadAudited {
-            uid,
-            owner,
-            record,
-            component,
-            allowed,
-        } => {
-            sys.audit.lock().record(AuditEvent::Read {
-                uid,
-                owner,
-                record,
-                component,
-                allowed,
-            });
-        }
-        WalRecord::RevocationBegun { authority, event } => {
-            // Install the journaled post-ReKey authority, then park the
-            // event exactly as the live call did. Whether it completed
-            // is decided by a later RevocationDriven record (or, absent
-            // one, by recovery after replay).
-            let aa = AttributeAuthority::from_wire_bytes(&authority)?;
-            sys.control.insert_authority(aa);
-            let event = RevocationEvent::from_wire_bytes(&event)?;
-            sys.begin_revocation(event);
-        }
-        WalRecord::RevocationDriven { id, recovered } => {
-            sys.drive_revocation(id, recovered)?;
-        }
-        WalRecord::UserOffline { uid } => {
-            sys.set_offline(&Uid::new(uid));
-        }
-        WalRecord::UserSynced { uid } => {
-            sys.sync_user(&Uid::new(uid))?;
-        }
-        WalRecord::RevocationDeferred { id } => {
-            sys.defer_revocation(id)?;
-        }
-        WalRecord::LazyDrained { ids } => {
-            sys.replay_drain(&ids)?;
-        }
-    }
-    Ok(())
-}
-
-// ---------------------------------------------------------------------
 // Open errors / report
 // ---------------------------------------------------------------------
 
@@ -561,37 +99,23 @@ pub enum OpenError {
     /// The backing store failed (corrupt pointer, checksum-failed
     /// committed snapshot, injected I/O fault).
     Store(StoreError),
-    /// The checkpoint snapshot payload failed structural validation.
+    /// A keyspace row failed validation.
     Snapshot(Error),
-    /// A typed keyspace snapshot section or replayed row failed to
-    /// decode.
+    /// The checkpoint snapshot did not decode as a per-table keyspace
+    /// snapshot ([`SchemaError::BadMagic`] for any other format), or a
+    /// row key did not decode.
     Keyspace(SchemaError),
     /// The audit trail embedded in the snapshot was tampered with or
     /// reordered.
     Audit(AuditLoadError),
-    /// Typed frame record `index` survived the checksum but failed to
-    /// decode (the error carries the offending byte offset).
+    /// WAL record `index` survived the checksum but is not a
+    /// well-formed frame batch (the error carries the offending byte
+    /// offset where one applies).
     Frame {
         /// Zero-based position among the replayed records.
         index: usize,
         /// The decode failure.
         error: SchemaError,
-    },
-    /// Legacy WAL record `index` survived the checksum but failed to
-    /// decode.
-    Record {
-        /// Zero-based position among the replayed records.
-        index: usize,
-        /// The decode failure (typed: unknown tag with its offset, or a
-        /// payload decode error).
-        error: crate::records::RecordError,
-    },
-    /// Legacy WAL record `index` decoded but could not be re-applied.
-    Replay {
-        /// Zero-based position among the replayed records.
-        index: usize,
-        /// The replay failure.
-        error: Box<CloudError>,
     },
     /// The replayed audit hash chain failed verification.
     AuditChain,
@@ -608,12 +132,6 @@ impl fmt::Display for OpenError {
             OpenError::Audit(e) => write!(f, "audit trail: {e}"),
             OpenError::Frame { index, error } => {
                 write!(f, "frame record {index}: {error}")
-            }
-            OpenError::Record { index, error } => {
-                write!(f, "journal record {index}: {error}")
-            }
-            OpenError::Replay { index, error } => {
-                write!(f, "replaying journal record {index}: {error}")
             }
             OpenError::AuditChain => write!(f, "replayed audit chain failed verification"),
             OpenError::Recovery(e) => write!(f, "recovering in-flight revocations: {e}"),
@@ -784,14 +302,17 @@ impl<S: Storage> DurableSystem<S> {
                 })
             }
         };
-        let records_replayed = open.records.len();
-        let hydrated = if open.self_hydrated {
-            // Pure typed store (or empty): the facade already folded the
-            // snapshot and every frame batch into its keyspace.
-            tables::hydrate(ts.keyspace(), seed)
-        } else {
-            Self::replay_mixed(&open, seed)
-        };
+        let TypedOpen {
+            keyspace,
+            records: records_replayed,
+            report,
+        } = open;
+        let hydrated = tables::hydrate(&keyspace, seed);
+        // The keyspace was only the replay vehicle: the live system of
+        // record is the in-memory `CloudSystem`, and every checkpoint
+        // repopulates a keyspace from it. Drop the replayed rows instead
+        // of keeping a second copy of the world resident.
+        drop(keyspace);
         let mut sys = match hydrated {
             Ok(sys) => sys,
             Err(error) => {
@@ -807,11 +328,6 @@ impl<S: Storage> DurableSystem<S> {
                 storage: ts.into_store(),
             });
         }
-        // The facade keyspace was only the replay vehicle: the live
-        // system of record is the in-memory `CloudSystem`, and every
-        // checkpoint repopulates a keyspace from it. Drop the replayed
-        // rows instead of keeping a second copy of the world resident.
-        ts.keyspace().clear();
         sys.faults = faults;
         let journaled_audit = sys.audit.lock().entries().len();
         let durable = DurableSystem {
@@ -848,56 +364,12 @@ impl<S: Storage> DurableSystem<S> {
         Ok((
             durable,
             OpenReport {
-                wal: open.report,
+                wal: report,
                 records_replayed,
                 revocations_recovered,
                 duration_ms,
             },
         ))
-    }
-
-    /// The format-boundary shim: folds a history containing legacy
-    /// records into one [`CloudSystem`]. Foreign (legacy) records
-    /// re-execute through [`apply_record`]; at the first typed frame
-    /// batch the accumulated state is converted to a keyspace
-    /// ([`tables::populate`]) and everything after folds as rows, with
-    /// the final keyspace hydrating the system. A legacy record *after*
-    /// a typed batch is a writer bug and is rejected.
-    fn replay_mixed(open: &TypedOpen, seed: u64) -> Result<CloudSystem, OpenError> {
-        let mut sys = match &open.snapshot {
-            ReplaySnapshot::None => CloudSystem::new(seed),
-            ReplaySnapshot::Foreign(bytes) => decode_system(bytes, seed)?,
-            ReplaySnapshot::Typed(snap) => tables::hydrate(snap, seed)?,
-        };
-        let mut ks: Option<Keyspace> = None;
-        for (index, record) in open.records.iter().enumerate() {
-            match record {
-                ReplayRecord::Foreign(payload) => {
-                    if ks.is_some() {
-                        return Err(OpenError::Replay {
-                            index,
-                            error: Box::new(CloudError::Storage(
-                                "legacy journal record after typed frames",
-                            )),
-                        });
-                    }
-                    let rec = WalRecord::decode(payload)
-                        .map_err(|error| OpenError::Record { index, error })?;
-                    apply_record(&sys, rec).map_err(|error| OpenError::Replay {
-                        index,
-                        error: Box::new(error),
-                    })?;
-                }
-                ReplayRecord::Frames(frames) => {
-                    let ks = ks.get_or_insert_with(|| tables::populate(&sys));
-                    ks.apply(frames);
-                }
-            }
-        }
-        if let Some(ks) = ks {
-            sys = tables::hydrate(&ks, seed)?;
-        }
-        Ok(sys)
     }
 
     fn check_poisoned(&self) -> Result<(), CloudError> {
@@ -1407,10 +879,10 @@ impl<S: Storage> DurableSystem<S> {
 
     /// Revokes one attribute from one user (durably). The begin batch —
     /// the re-keyed authority, dropped grants, archived update keys and
-    /// the parked [`PendingRevocation`] — is journaled and synced
-    /// **before** any key delivery, so a crash at any point of the
-    /// two-phase protocol replays into an in-flight revocation that
-    /// recovery completes.
+    /// the parked [`PendingRevocation`](crate::PendingRevocation) — is
+    /// journaled and synced **before** any key delivery, so a crash at
+    /// any point of the two-phase protocol replays into an in-flight
+    /// revocation that recovery completes.
     ///
     /// # Errors
     ///
@@ -1532,11 +1004,12 @@ impl<S: Storage> DurableSystem<S> {
     /// Parks the pending revocation and journals the begin batch — the
     /// re-keyed authority row, the dropped grant rows, the purged
     /// update-key queues, the archived update keys, and the parked
-    /// [`PendingRevocation`] — committed durable **before** any
-    /// delivery starts (the write-ahead step), then drives or defers
-    /// it. A crash between the begin and the commit loses an
-    /// unacknowledged revocation entirely (nothing was journaled); a
-    /// crash after replays it in-flight and recovery completes it.
+    /// [`PendingRevocation`](crate::PendingRevocation) — committed
+    /// durable **before** any delivery starts (the write-ahead step),
+    /// then drives or defers it. A crash between the begin and the
+    /// commit loses an unacknowledged revocation entirely (nothing was
+    /// journaled); a crash after replays it in-flight and recovery
+    /// completes it.
     fn begin_logged(
         &self,
         op: &mut OpState,
@@ -1909,8 +1382,9 @@ impl Drop for LazyDrainHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::audit::AuditEvent;
     use mabe_faults::{FaultKind, FaultPlan};
-    use mabe_store::{store_points, SimDisk};
+    use mabe_store::{store_points, GroupWal, Keyspace, Schema, SimDisk};
 
     const DOC_POLICY: &str = "Doctor@MedOrg";
     const SHARED_POLICY: &str = "Doctor@MedOrg OR Nurse@MedOrg";
@@ -2273,6 +1747,51 @@ mod tests {
             .system()
             .authority_version(&AuthorityId::new("Solo"))
             .is_some());
+
+        // A store in another format (here a pre-keyspace tagged record
+        // after a frame batch) is rejected typed at the record's index.
+        ds.add_user("solo").unwrap();
+        let (wal, ..) = GroupWal::open(ds.into_storage()).unwrap();
+        wal.append_sync(&[4, 0, 4, b's', b'o', b'l', b'o']).unwrap();
+        let disk = wal.into_store();
+        let before = durable_objects(&disk);
+        let failure = DurableSystem::open(disk, 5).unwrap_err();
+        assert!(
+            matches!(
+                failure.error,
+                OpenError::Frame {
+                    index: 1,
+                    error: SchemaError::Malformed("not a frame record"),
+                }
+            ),
+            "got {}",
+            failure.error
+        );
+        assert_eq!(durable_objects(&failure.storage), before);
+
+        // Likewise a snapshot that is not a per-table snapshot.
+        let (wal, ..) = GroupWal::open(SimDisk::unfaulted()).unwrap();
+        wal.checkpoint(b"MSYS-STYLE-SNAPSHOT").unwrap();
+        let disk = wal.into_store();
+        let before = durable_objects(&disk);
+        let failure = DurableSystem::open(disk, 5).unwrap_err();
+        assert!(
+            matches!(failure.error, OpenError::Keyspace(SchemaError::BadMagic)),
+            "got {}",
+            failure.error
+        );
+        assert_eq!(durable_objects(&failure.storage), before);
+    }
+
+    /// Every durable object on `disk`, by name.
+    fn durable_objects(disk: &SimDisk) -> Vec<(String, Vec<u8>)> {
+        disk.list()
+            .into_iter()
+            .map(|name| {
+                let bytes = disk.durable_bytes(&name).unwrap_or_default().to_vec();
+                (name, bytes)
+            })
+            .collect()
     }
 
     #[test]
@@ -2507,225 +2026,41 @@ mod tests {
         assert!(!ds.poisoned());
     }
 
-    // -----------------------------------------------------------------
-    // Backward compatibility: pre-keyspace stores open through the shim
-    // -----------------------------------------------------------------
-
-    /// Synthesizes a journal in the previous release's record format —
-    /// the exact apply-then-stage order the old wrapper used — and
-    /// opens it through the replay shim. Then appends typed batches on
-    /// top and reopens the *mixed* log: legacy records re-execute, the
-    /// state converts at the format boundary, and the typed batches
-    /// fold as rows.
-    #[test]
-    fn legacy_wal_records_replay_through_the_shim() {
-        use mabe_store::GroupWal;
-
-        let (wal, snapshot, records, _) = GroupWal::open(SimDisk::unfaulted()).unwrap();
-        assert!(snapshot.is_none() && records.is_empty());
-        let log = |rec: &WalRecord| {
-            let seq = wal.stage(&rec.encode());
-            wal.commit(seq).unwrap();
-        };
-
-        // A live (non-durable) system stands in for the old release.
-        let sys = CloudSystem::new(42);
-        let aid = sys.add_authority("MedOrg", &["Doctor", "Nurse"]).unwrap();
-        log(&WalRecord::AuthorityAdded {
-            name: "MedOrg".to_owned(),
-            authority: sys
-                .control
-                .shard(&aid)
-                .unwrap()
-                .state
-                .lock()
-                .authority
-                .to_wire_bytes(),
-        });
-        let owner = sys.add_owner("hospital").unwrap();
-        log(&WalRecord::OwnerAdded {
-            owner: sys
-                .directory
-                .owners
-                .read()
-                .get(&owner)
-                .unwrap()
-                .to_wire_bytes(),
-        });
-        let alice = sys.add_user("alice").unwrap();
-        let (u, pk) = sys.directory.ca.lock().export_user(&alice).unwrap();
-        log(&WalRecord::UserAdded {
-            u,
-            pk: pk.to_wire_bytes(),
-        });
-        let bob = sys.add_user("bob").unwrap();
-        let (u, pk) = sys.directory.ca.lock().export_user(&bob).unwrap();
-        log(&WalRecord::UserAdded {
-            u,
-            pk: pk.to_wire_bytes(),
-        });
-        sys.grant(&alice, &["Doctor@MedOrg"]).unwrap();
-        log(&WalRecord::Granted {
-            uid: alice.to_string(),
-            attributes: vec!["Doctor@MedOrg".to_owned()],
-        });
-        sys.grant(&bob, &["Doctor@MedOrg"]).unwrap();
-        log(&WalRecord::Granted {
-            uid: bob.to_string(),
-            attributes: vec!["Doctor@MedOrg".to_owned()],
-        });
-        sys.publish(&owner, "rec", &[("x", b"secret".as_slice(), DOC_POLICY)])
-            .unwrap();
-        {
-            let envelope = sys.data.server.fetch(&owner, "rec").unwrap();
-            let owners = sys.directory.owners.read();
-            let secrets = envelope
-                .components
-                .iter()
-                .map(|c| {
-                    let s = owners
-                        .get(&owner)
-                        .unwrap()
-                        .encryption_secret(c.key_ct.id)
-                        .unwrap();
-                    (c.key_ct.id.0, s)
-                })
-                .collect();
-            log(&WalRecord::Published {
-                owner: owner.to_string(),
-                record: "rec".to_owned(),
-                envelope: envelope.to_wire_bytes(),
-                secrets,
-            });
-        }
-        // Revocation, old style: journal the post-ReKey authority plus
-        // the event write-ahead, then begin and drive.
-        let attr: Attribute = "Doctor@MedOrg".parse().unwrap();
-        let (authority, event) = {
-            let shard = sys.control.shard(&aid).unwrap();
-            let mut st = shard.state.lock();
-            let event = st
-                .authority
-                .revoke_attribute(&alice, &attr, &mut *sys.rng.lock())
-                .unwrap();
-            (st.authority.to_wire_bytes(), event)
-        };
-        log(&WalRecord::RevocationBegun {
-            authority,
-            event: event.to_wire_bytes(),
-        });
-        let id = sys.begin_revocation(event);
-        sys.drive_revocation(id, false).unwrap();
-        log(&WalRecord::RevocationDriven {
-            id,
-            recovered: false,
-        });
-        assert_eq!(sys.read(&bob, &owner, "rec", "x").unwrap(), b"secret");
-        log(&WalRecord::ReadAudited {
-            uid: bob.to_string(),
-            owner: owner.to_string(),
-            record: "rec".to_owned(),
-            component: "x".to_owned(),
-            allowed: true,
-        });
-        let expected_audit = sys.audit.lock().clone();
-
-        // The new release opens the old store through the shim.
-        let (ds, report) = DurableSystem::open(wal.into_store(), 7).unwrap();
-        assert_eq!(report.records_replayed, 10);
-        assert!(!report.wal.had_snapshot);
-        assert_eq!(
-            &*ds.audit(),
-            &expected_audit,
-            "legacy replay rebuilds the identical audit chain"
-        );
-        assert!(ds.read(&alice, &owner, "rec", "x").is_err(), "revoked");
-        assert_eq!(ds.read(&bob, &owner, "rec", "x").unwrap(), b"secret");
-
-        // Typed batches now append after the legacy records...
-        let carol = ds.add_user("carol").unwrap();
-        ds.grant(&carol, &["Nurse@MedOrg"]).unwrap();
-        let expected_audit = ds.audit().clone();
-
-        // ...and the mixed log reopens: records, then rows.
-        let mut disk = ds.into_storage();
-        disk.crash();
-        let (ds2, report) = DurableSystem::open(disk, 8).unwrap();
-        assert!(report.records_replayed >= 11);
-        assert_eq!(&*ds2.audit(), &expected_audit);
-        assert!(ds2.read(&alice, &owner, "rec", "x").is_err());
-        assert_eq!(ds2.read(&bob, &owner, "rec", "x").unwrap(), b"secret");
-        assert!(ds2.audit().verify());
-    }
-
-    #[test]
-    fn legacy_checkpoint_snapshot_still_opens() {
-        use mabe_store::GroupWal;
-
-        // Build real state through the durable path, then rewrite the
-        // store as the old release's checkpoint: one monolithic
-        // MSYS0001 snapshot with an empty tail.
-        let (ds, _alice, bob, owner, _aid) = full_world(open_fresh(19));
-        let payload = encode_system(ds.system());
-        let expected_audit = ds.audit().clone();
-
-        let (wal, _, _, _) = GroupWal::open(SimDisk::unfaulted()).unwrap();
-        wal.checkpoint(&payload).unwrap();
-        let (ds2, report) = DurableSystem::open(wal.into_store(), 19).unwrap();
-        assert!(report.wal.had_snapshot);
-        assert_eq!(report.records_replayed, 0);
-        assert_eq!(&*ds2.audit(), &expected_audit);
-        assert_eq!(
-            ds2.read(&bob, &owner, "rec-shared", "note").unwrap(),
-            b"ward note"
-        );
-
-        // The next checkpoint rewrites the store fully typed.
-        ds2.checkpoint().unwrap();
-        let mut disk = ds2.into_storage();
-        disk.crash();
-        let (ds3, _) = DurableSystem::open(disk, 20).unwrap();
-        assert!(ds3.audit().verify());
-        assert_eq!(
-            ds3.read(&bob, &owner, "rec-shared", "note").unwrap(),
-            b"ward note"
-        );
-    }
-
-    #[test]
-    fn unknown_legacy_record_tag_fails_typed_with_offset() {
-        use mabe_store::GroupWal;
-
-        let (wal, _, _, _) = GroupWal::open(SimDisk::unfaulted()).unwrap();
-        let seq = wal.stage(&[99u8, 1, 2, 3]);
-        wal.commit(seq).unwrap();
-        let failure = DurableSystem::open(wal.into_store(), 1).unwrap_err();
-        match failure.error {
-            OpenError::Record {
-                index: 0,
-                error: crate::records::RecordError::UnknownTag { tag: 99, offset: 0 },
-            } => {}
-            other => panic!("unexpected error: {other}"),
-        }
-    }
-
-    /// The typed keyspace is a lossless projection: populating tables
-    /// from a fully-exercised system and hydrating them back yields a
-    /// byte-identical legacy snapshot encoding.
+    /// The typed keyspace is a lossless projection: hydrating a
+    /// populated keyspace and populating it again yields a
+    /// byte-identical snapshot and the same audit chain. `populate` is
+    /// independent of `hydrate`, so it serves as the oracle.
     #[test]
     fn populate_hydrate_roundtrip_is_byte_identical() {
-        let (ds, _, _, _, _) = full_world(open_fresh(42));
-        let hydrated = tables::hydrate(&tables::populate(ds.system()), 42).unwrap();
-        assert_eq!(
-            encode_system(ds.system()),
-            encode_system(&hydrated),
-            "populate → hydrate loses or reorders state"
-        );
-        assert!(hydrated.audit.lock().verify());
+        fn roundtrip(sys: &CloudSystem, seed: u64) -> Keyspace {
+            let ks = tables::populate(sys);
+            let hydrated = tables::hydrate(&ks, seed).unwrap();
+            assert_eq!(
+                ks.encode_snapshot(),
+                tables::populate(&hydrated).encode_snapshot(),
+                "populate → hydrate loses or reorders state"
+            );
+            assert_eq!(*hydrated.audit.lock(), *sys.audit.lock());
+            assert!(hydrated.audit.lock().verify());
+            ks
+        }
+        let (ds, ..) = full_world(open_fresh(42));
+        roundtrip(ds.system(), 42);
 
         // Same through the lazy plane: queue and update-key archive.
-        let (ds, _, _, _) = lazy_world(open_fresh(43));
-        let hydrated = tables::hydrate(&tables::populate(ds.system()), 43).unwrap();
-        assert_eq!(encode_system(ds.system()), encode_system(&hydrated));
+        let (ds, ..) = lazy_world(open_fresh(43));
+        let ks = roundtrip(ds.system(), 43);
+        assert!(ks.rows(tables::LazyQueue::ID) > 0);
+
+        // And with an offline holder's queued update keys and an
+        // in-flight revocation.
+        let ks = roundtrip(&tables::tests::unsettled_system(), 44);
+        for table in [
+            tables::Offline::ID,
+            tables::PendingUpdates::ID,
+            tables::PendingRevocations::ID,
+        ] {
+            assert!(ks.rows(table) > 0, "table {table} left empty");
+        }
     }
 }

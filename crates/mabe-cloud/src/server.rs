@@ -34,7 +34,7 @@ pub struct CloudServer {
     /// revocation re-encryption walks an `(authority, owner)` prefix
     /// scan instead of a full record-map pass. Maintained by every
     /// write path ([`CloudServer::store`],
-    /// [`CloudServer::reencrypt_component`], [`CloudServer::restore`]).
+    /// [`CloudServer::reencrypt_component`], [`CloudServer::from_records`]).
     index: Keyspace,
 }
 
@@ -232,6 +232,12 @@ impl CloudServer {
         if !r.is_exhausted() {
             return Err(Error::Malformed("trailing bytes"));
         }
+        Ok(Self::from_records(records))
+    }
+
+    /// A server holding `records`, with the component index built from
+    /// them (the restore and durable-open paths).
+    pub(crate) fn from_records(records: BTreeMap<RecordKey, DataEnvelope>) -> Self {
         let server = CloudServer {
             records: RwLock::new(records),
             index: Keyspace::default(),
@@ -242,7 +248,7 @@ impl CloudServer {
                 server.index_envelope(owner, name, envelope);
             }
         }
-        Ok(server)
+        server
     }
 
     /// Runs `ReEncrypt` on one stored component (paper §V-C Phase 2).

@@ -19,11 +19,11 @@
 //! * **Checkpointing** — [`populate`] walks the whole system into a
 //!   fresh [`Keyspace`]; the snapshot becomes schema-driven per-table
 //!   sections instead of one hand-rolled byte blob.
-//! * **Hydration** — [`hydrate`] rebuilds a [`crate::CloudSystem`] from
-//!   a keyspace by synthesizing the legacy snapshot byte layout from
-//!   the rows and running it through the battle-tested legacy decoder
-//!   (duplicate detection, chain verification, and all). One decoder,
-//!   two sources.
+//! * **Hydration** — [`hydrate`] rebuilds a [`crate::CloudSystem`]
+//!   straight from the rows: entity values through their wire codecs,
+//!   composite values through the decoder beside each encoder below,
+//!   each value checked whole (no trailing bytes) and each entity row
+//!   checked against its key.
 //!
 //! Key encodings are order-preserving ([`mabe_store::key_str`] /
 //! [`mabe_store::key_u64`]), so prefix range scans replace full-map
@@ -37,16 +37,26 @@
 //! hydration rebuilds the server's live index from the authoritative
 //! envelope bytes in `Records` and ignores them.
 
-use mabe_core::{CiphertextId, DataEnvelope, OwnerId, Uid, UpdateKey, WireCodec};
-use mabe_policy::AuthorityId;
-use mabe_store::{key_str, Frame, Keyspace};
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+use std::time::Instant;
 
-use crate::audit;
+use mabe_core::{
+    read_string, AttributeAuthority, CertificateAuthority, CiphertextId, DataEnvelope, DataOwner,
+    Error, OwnerId, Reader, RevocationEvent, Uid, UpdateKey, UserPublicKey, UserSecretKey,
+    WireCodec,
+};
+use mabe_policy::{Attribute, AuthorityId};
+use mabe_store::{key_str, Frame, Keyspace, Schema};
+
+use crate::audit::{self, AuditLog};
 use crate::control::ShardState;
+use crate::directory::UserState;
 use crate::lazy::PendingUpgrade;
 use crate::persist::OpenError;
-use crate::records::{put_bytes, put_str, put_u32, put_u64};
 use crate::recovery::{PendingRevocation, RevocationStage};
+use crate::server::CloudServer;
 use crate::system::CloudSystem;
 
 mabe_store::define_table!(
@@ -157,6 +167,46 @@ pub(crate) fn register_all(ks: &Keyspace) {
 }
 
 // ---------------------------------------------------------------------
+// Byte helpers (big-endian, matching the mabe-core wire primitives)
+// ---------------------------------------------------------------------
+
+fn put_u32(out: &mut Vec<u8>, v: u32) {
+    out.extend_from_slice(&v.to_be_bytes());
+}
+
+fn put_u64(out: &mut Vec<u8>, v: u64) {
+    out.extend_from_slice(&v.to_be_bytes());
+}
+
+/// `u16`-length-prefixed UTF-8, matching [`mabe_core::read_string`].
+fn put_str(out: &mut Vec<u8>, s: &str) {
+    let bytes = s.as_bytes();
+    assert!(bytes.len() <= u16::MAX as usize, "string too long for wire");
+    out.extend_from_slice(&(bytes.len() as u16).to_be_bytes());
+    out.extend_from_slice(bytes);
+}
+
+/// `u32`-length-prefixed opaque bytes.
+fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
+    put_u32(out, b.len() as u32);
+    out.extend_from_slice(b);
+}
+
+fn get_bytes<'a>(r: &mut Reader<'a>) -> Result<&'a [u8], Error> {
+    let n = r.u32()? as usize;
+    r.bytes(n)
+}
+
+/// A `u32` element count, bounded by the input left to hold them.
+fn get_count(r: &mut Reader<'_>) -> Result<usize, Error> {
+    let n = r.u32()? as usize;
+    if n > r.remaining() {
+        return Err(Error::Malformed("count exceeds input"));
+    }
+    Ok(n)
+}
+
+// ---------------------------------------------------------------------
 // Value codecs
 // ---------------------------------------------------------------------
 
@@ -190,6 +240,18 @@ fn pending_updates_value(queue: &[(OwnerId, UpdateKey)]) -> Vec<u8> {
     out
 }
 
+fn decode_pending_updates_value(value: &[u8]) -> Result<Vec<(OwnerId, UpdateKey)>, OpenError> {
+    decode_whole(value, |r| {
+        let n = get_count(r)?;
+        let mut queue = Vec::with_capacity(n);
+        for _ in 0..n {
+            let owner = OwnerId::new(read_string(r)?);
+            queue.push((owner, UpdateKey::from_wire_bytes(get_bytes(r)?)?));
+        }
+        Ok(queue)
+    })
+}
+
 fn pending_revocation_value(p: &PendingRevocation) -> Vec<u8> {
     let mut out = Vec::new();
     put_bytes(&mut out, &p.event.to_wire_bytes());
@@ -209,6 +271,38 @@ fn pending_revocation_value(p: &PendingRevocation) -> Vec<u8> {
     out
 }
 
+fn decode_pending_revocation_value(id: u64, value: &[u8]) -> Result<PendingRevocation, OpenError> {
+    decode_whole(value, |r| {
+        let event = RevocationEvent::from_wire_bytes(get_bytes(r)?)?;
+        let stage = match r.u8()? {
+            0 => RevocationStage::KeyDelivery,
+            1 => RevocationStage::ReEncryption,
+            _ => return Err(Error::Malformed("bad revocation stage")),
+        };
+        let fresh_keys_delivered = match r.u8()? {
+            0 => false,
+            1 => true,
+            _ => return Err(Error::Malformed("bad boolean")),
+        };
+        let mut delivered_holders = BTreeSet::new();
+        for _ in 0..get_count(r)? {
+            delivered_holders.insert(Uid::new(read_string(r)?));
+        }
+        let mut updated_owners = BTreeSet::new();
+        for _ in 0..get_count(r)? {
+            updated_owners.insert(OwnerId::new(read_string(r)?));
+        }
+        Ok(PendingRevocation {
+            id,
+            event,
+            stage,
+            fresh_keys_delivered,
+            delivered_holders,
+            updated_owners,
+        })
+    })
+}
+
 fn lazy_queue_value(p: &PendingUpgrade) -> Vec<u8> {
     let mut out = Vec::new();
     put_str(&mut out, p.aid.as_str());
@@ -217,8 +311,24 @@ fn lazy_queue_value(p: &PendingUpgrade) -> Vec<u8> {
     out
 }
 
+/// The staleness clock is runtime-only: a hydrated entry restarts it.
+fn decode_lazy_queue_value(value: &[u8]) -> Result<PendingUpgrade, OpenError> {
+    decode_whole(value, |r| {
+        Ok(PendingUpgrade {
+            aid: AuthorityId::new(read_string(r)?),
+            from_version: r.u64()?,
+            to_version: r.u64()?,
+            enqueued: Instant::now(),
+        })
+    })
+}
+
 fn meta_u64_value(v: u64) -> Vec<u8> {
     v.to_be_bytes().to_vec()
+}
+
+fn decode_meta_u64_value(value: &[u8]) -> Result<u64, OpenError> {
+    decode_whole(value, |r| r.u64()).map_err(|_| row_err("malformed revocation counter row"))
 }
 
 fn meta_audit_value(next_seq: u64, clock: u64) -> Vec<u8> {
@@ -226,6 +336,25 @@ fn meta_audit_value(next_seq: u64, clock: u64) -> Vec<u8> {
     put_u64(&mut out, next_seq);
     put_u64(&mut out, clock);
     out
+}
+
+fn decode_meta_audit_value(value: &[u8]) -> Result<(u64, u64), OpenError> {
+    decode_whole(value, |r| Ok((r.u64()?, r.u64()?)))
+        .map_err(|_| row_err("malformed audit counter row"))
+}
+
+/// Decodes one whole row value with `decode`: malformed content and
+/// trailing bytes are both [`OpenError::Snapshot`].
+fn decode_whole<T>(
+    value: &[u8],
+    decode: impl FnOnce(&mut Reader<'_>) -> Result<T, Error>,
+) -> Result<T, OpenError> {
+    let mut r = Reader::new(value);
+    let out = decode(&mut r).map_err(OpenError::Snapshot)?;
+    if !r.is_exhausted() {
+        return Err(row_err("trailing bytes after row value"));
+    }
+    Ok(out)
 }
 
 fn meta_frame(name: &str, value: Vec<u8>) -> Frame {
@@ -700,8 +829,33 @@ pub(crate) fn populate(sys: &CloudSystem) -> Keyspace {
 // Hydration
 // ---------------------------------------------------------------------
 
-fn ks_err(e: mabe_store::SchemaError) -> OpenError {
-    OpenError::Keyspace(e)
+fn row_err(what: &'static str) -> OpenError {
+    OpenError::Snapshot(Error::Malformed(what))
+}
+
+type Rows<T> = Vec<(<T as Schema>::Key, <T as Schema>::Value)>;
+
+/// Every row of `T` under `prefix`, decoded to its key tuple.
+fn rows<T: Schema>(ks: &Keyspace, prefix: &[u8]) -> Result<Rows<T>, OpenError> {
+    ks.range::<T>(prefix).map_err(OpenError::Keyspace)
+}
+
+fn meta_row(ks: &Keyspace, name: &str) -> Result<Option<Vec<u8>>, OpenError> {
+    ks.get::<Meta>(&(name.to_owned(),))
+        .map_err(OpenError::Keyspace)
+}
+
+fn wire<T: WireCodec>(value: &[u8]) -> Result<T, OpenError> {
+    T::from_wire_bytes(value).map_err(OpenError::Snapshot)
+}
+
+/// Presence-only rows (`grants`, `offline`) carry no value bytes.
+fn expect_empty(value: &[u8]) -> Result<(), OpenError> {
+    if value.is_empty() {
+        Ok(())
+    } else {
+        Err(row_err("trailing bytes after row value"))
+    }
 }
 
 fn str_prefix(s: &str) -> Vec<u8> {
@@ -710,157 +864,294 @@ fn str_prefix(s: &str) -> Vec<u8> {
     out
 }
 
-/// Rebuilds a [`CloudSystem`] from keyspace rows by synthesizing the
-/// legacy snapshot byte layout and running the legacy decoder over it —
-/// one decode path (with all its duplicate/integrity checks) for both
-/// typed and pre-migration snapshots. An entirely empty keyspace
-/// hydrates to a fresh system.
+/// Rebuilds a [`CloudSystem`] from keyspace rows, table by table. The
+/// restored system gets a fresh RNG from `seed` and no fault
+/// injection; an entirely empty keyspace hydrates to a fresh system.
+///
+/// Beyond decoding every value whole, it checks what the rows alone
+/// cannot guarantee: the `ca` row exists; each authority and owner row
+/// is keyed by its own id; every attribute parses; every pending
+/// revocation names a known authority; the audit chain, order and
+/// counters verify; and the revocation counter ends up ahead of every
+/// in-flight and queued id. Every user gets a grant set (empty or not),
+/// and the live-only grant index is rebuilt.
 ///
 /// # Errors
 ///
-/// [`OpenError::Keyspace`] for undecodable rows,
-/// [`OpenError::Snapshot`] / [`OpenError::Audit`] from the legacy
-/// decoder for semantically broken state.
+/// [`OpenError::Keyspace`] for undecodable row keys,
+/// [`OpenError::Snapshot`] for a row that fails validation,
+/// [`OpenError::Audit`] for a broken audit chain.
 pub(crate) fn hydrate(ks: &Keyspace, seed: u64) -> Result<CloudSystem, OpenError> {
+    let mut sys = CloudSystem::new(seed);
     if ks.total_rows() == 0 {
-        return Ok(CloudSystem::new(seed));
+        return Ok(sys);
     }
-    let mut out = Vec::new();
-    out.extend_from_slice(crate::persist::SNAPSHOT_MAGIC);
-    let ca = ks
-        .get::<Meta>(&(META_CA.to_owned(),))
-        .map_err(ks_err)?
-        .ok_or(OpenError::Snapshot(mabe_core::Error::Malformed(
-            "keyspace missing certificate-authority row",
-        )))?;
-    put_bytes(&mut out, &ca);
+    let ca = meta_row(ks, META_CA)?
+        .ok_or_else(|| row_err("keyspace missing certificate-authority row"))?;
+    *sys.directory.ca.lock() = wire::<CertificateAuthority>(&ca)?;
 
-    let authorities = ks.range::<Authorities>(&[]).map_err(ks_err)?;
-    put_u32(&mut out, authorities.len() as u32);
-    for (_, wire) in &authorities {
-        put_bytes(&mut out, wire);
+    for ((aid,), value) in rows::<Authorities>(ks, &[])? {
+        let aa = wire::<AttributeAuthority>(&value)?;
+        if aa.aid().as_str() != aid {
+            return Err(row_err("authority row keyed by another authority"));
+        }
+        sys.control.insert_authority(aa);
     }
-
-    let owners = ks.range::<Owners>(&[]).map_err(ks_err)?;
-    put_u32(&mut out, owners.len() as u32);
-    for (_, wire) in &owners {
-        put_bytes(&mut out, wire);
-    }
-
-    let users = ks.range::<Users>(&[]).map_err(ks_err)?;
-    put_u32(&mut out, users.len() as u32);
-    for ((uid,), pk) in &users {
-        put_str(&mut out, uid);
-        put_bytes(&mut out, pk);
-        let keys = ks.range::<UserKeys>(&str_prefix(uid)).map_err(ks_err)?;
-        put_u32(&mut out, keys.len() as u32);
-        for ((_, owner, aid), key) in &keys {
-            put_str(&mut out, owner);
-            put_str(&mut out, aid);
-            put_bytes(&mut out, key);
+    {
+        let mut owners = sys.directory.owners.write();
+        for ((id,), value) in rows::<Owners>(ks, &[])? {
+            let owner = wire::<DataOwner>(&value)?;
+            if owner.id().as_str() != id {
+                return Err(row_err("owner row keyed by another owner"));
+            }
+            owners.insert(owner.id().clone(), owner);
         }
     }
-
-    // The live invariant gives every registered user a grant set (empty
-    // or not), so synthesize one section entry per user.
-    put_u32(&mut out, users.len() as u32);
-    for ((uid,), _) in &users {
-        put_str(&mut out, uid);
-        let attrs = ks.range::<Grants>(&str_prefix(uid)).map_err(ks_err)?;
-        put_u32(&mut out, attrs.len() as u32);
-        for ((_, attr), _) in &attrs {
-            put_str(&mut out, attr);
+    {
+        let mut users = sys.directory.users.write();
+        for ((uid,), value) in rows::<Users>(ks, &[])? {
+            let pk = wire::<UserPublicKey>(&value)?;
+            let prefix = str_prefix(&uid);
+            let mut keys = BTreeMap::new();
+            for ((_, owner, aid), key) in rows::<UserKeys>(ks, &prefix)? {
+                keys.insert(
+                    (OwnerId::new(owner), AuthorityId::new(aid)),
+                    wire::<UserSecretKey>(&key)?,
+                );
+            }
+            let mut attrs: BTreeSet<Attribute> = BTreeSet::new();
+            for ((_, attr), value) in rows::<Grants>(ks, &prefix)? {
+                expect_empty(&value)?;
+                attrs.insert(
+                    attr.parse()
+                        .map_err(|_| row_err("unparseable attribute in grant row"))?,
+                );
+            }
+            let uid = Uid::new(uid);
+            users.users.insert(uid.clone(), UserState { pk, keys });
+            users.grants.insert(uid, attrs);
         }
-    }
-
-    let offline = ks.range::<Offline>(&[]).map_err(ks_err)?;
-    put_u32(&mut out, offline.len() as u32);
-    for ((uid,), _) in &offline {
-        put_str(&mut out, uid);
-    }
-
-    let pending_updates = ks.range::<PendingUpdates>(&[]).map_err(ks_err)?;
-    put_u32(&mut out, pending_updates.len() as u32);
-    for ((uid,), value) in &pending_updates {
-        put_str(&mut out, uid);
-        out.extend_from_slice(value);
-    }
-
-    let records = ks.range::<Records>(&[]).map_err(ks_err)?;
-    let mut server_blob = Vec::new();
-    put_u32(&mut server_blob, records.len() as u32);
-    for ((owner, record), envelope) in &records {
-        put_str(&mut server_blob, owner);
-        put_str(&mut server_blob, record);
-        put_bytes(&mut server_blob, envelope);
-    }
-    put_bytes(&mut out, &server_blob);
-
-    let audit_rows = ks.range::<Audit>(&[]).map_err(ks_err)?;
-    let (next_seq, clock) = match ks.get::<Meta>(&(META_AUDIT.to_owned(),)).map_err(ks_err)? {
-        Some(raw) if raw.len() == 16 => (
-            u64::from_be_bytes(raw[..8].try_into().expect("length checked")),
-            u64::from_be_bytes(raw[8..].try_into().expect("length checked")),
-        ),
-        Some(_) => {
-            return Err(OpenError::Snapshot(mabe_core::Error::Malformed(
-                "malformed audit counter row",
-            )))
+        for ((uid,), value) in rows::<Offline>(ks, &[])? {
+            expect_empty(&value)?;
+            users.offline.insert(Uid::new(uid));
         }
+        for ((uid,), value) in rows::<PendingUpdates>(ks, &[])? {
+            users
+                .pending_updates
+                .insert(Uid::new(uid), decode_pending_updates_value(&value)?);
+        }
+        // The inverted grant index is derived, live-only state.
+        users.rebuild_grant_index();
+    }
+
+    let mut records = BTreeMap::new();
+    for ((owner, record), value) in rows::<Records>(ks, &[])? {
+        records.insert((OwnerId::new(owner), record), wire::<DataEnvelope>(&value)?);
+    }
+    sys.data.server = Arc::new(CloudServer::from_records(records));
+
+    let (next_seq, clock) = match meta_row(ks, META_AUDIT)? {
+        Some(value) => decode_meta_audit_value(&value)?,
         None => (0, 0),
     };
-    let mut audit_blob = Vec::new();
-    audit_blob.extend_from_slice(audit::AUDIT_MAGIC);
-    put_u64(&mut audit_blob, next_seq);
-    put_u64(&mut audit_blob, clock);
-    put_u32(&mut audit_blob, audit_rows.len() as u32);
-    for (_, entry) in &audit_rows {
-        audit_blob.extend_from_slice(entry);
-    }
-    put_bytes(&mut out, &audit_blob);
+    let entries = rows::<Audit>(ks, &[])?;
+    *sys.audit.lock() = AuditLog::from_entries(
+        next_seq,
+        clock,
+        entries.iter().map(|(_, value)| value.as_slice()),
+    )
+    .map_err(OpenError::Audit)?;
 
-    let pendings = ks.range::<PendingRevocations>(&[]).map_err(ks_err)?;
-    put_u32(&mut out, pendings.len() as u32);
-    for ((id,), value) in &pendings {
-        put_u64(&mut out, *id);
-        out.extend_from_slice(value);
-    }
-
-    let queue = ks.range::<LazyQueue>(&[]).map_err(ks_err)?;
     // The counter must outrun every id still in flight or queued, even
     // if the Meta row lagged (it is journaled with the begin batch, so
     // in practice it never does).
-    let stored_next = match ks
-        .get::<Meta>(&(META_NEXT_REVOCATION.to_owned(),))
-        .map_err(ks_err)?
-    {
-        Some(raw) if raw.len() == 8 => u64::from_be_bytes(raw[..].try_into().expect("len")),
-        Some(_) => {
-            return Err(OpenError::Snapshot(mabe_core::Error::Malformed(
-                "malformed revocation counter row",
-            )))
-        }
+    let mut next_revocation = match meta_row(ks, META_NEXT_REVOCATION)? {
+        Some(value) => decode_meta_u64_value(&value)?,
         None => 0,
     };
-    let next_revocation = stored_next
-        .max(pendings.iter().map(|((id,), _)| id + 1).max().unwrap_or(0))
-        .max(queue.iter().map(|((id,), _)| id + 1).max().unwrap_or(0));
-    put_u64(&mut out, next_revocation);
+    for ((id,), value) in rows::<PendingRevocations>(ks, &[])? {
+        let pending = decode_pending_revocation_value(id, &value)?;
+        let shard = sys
+            .control
+            .shard(&pending.event.aid)
+            .ok_or_else(|| row_err("pending revocation for unknown authority"))?;
+        shard.state.lock().in_flight.insert(id, pending);
+        next_revocation = next_revocation.max(id + 1);
+    }
+    {
+        let mut queue = sys.lazy.queue.lock();
+        for ((id,), value) in rows::<LazyQueue>(ks, &[])? {
+            queue.insert(id, decode_lazy_queue_value(&value)?);
+            next_revocation = next_revocation.max(id + 1);
+        }
+    }
+    sys.control
+        .next_revocation
+        .store(next_revocation, Ordering::SeqCst);
+    {
+        let mut archive = sys.lazy.archive.write();
+        for ((aid, owner, from), value) in rows::<LazyArchive>(ks, &[])? {
+            archive.insert(
+                (AuthorityId::new(aid), OwnerId::new(owner), from),
+                wire::<UpdateKey>(&value)?,
+            );
+        }
+    }
+    Ok(sys)
+}
 
-    put_u32(&mut out, queue.len() as u32);
-    for ((id,), value) in &queue {
-        put_u64(&mut out, *id);
-        out.extend_from_slice(value);
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use crate::audit::AuditLoadError;
+
+    /// A system whose populated keyspace fills the tables a settled
+    /// world leaves empty: bob stays offline across a lazy revocation at
+    /// `MedOrg` (queued update keys, a lazy-queue entry), and a
+    /// revocation at `Trial` is begun but never driven.
+    pub(crate) fn unsettled_system() -> CloudSystem {
+        let sys = CloudSystem::new(7);
+        sys.add_authority("MedOrg", &["Doctor"]).unwrap();
+        sys.add_authority("Trial", &["Researcher"]).unwrap();
+        let owner = sys.add_owner("hospital").unwrap();
+        let alice = sys.add_user("alice").unwrap();
+        let bob = sys.add_user("bob").unwrap();
+        sys.grant(&alice, &["Doctor@MedOrg", "Researcher@Trial"])
+            .unwrap();
+        sys.grant(&bob, &["Doctor@MedOrg"]).unwrap();
+        sys.publish(
+            &owner,
+            "rec",
+            &[("x", b"sec".as_slice(), "Doctor@MedOrg AND Researcher@Trial")],
+        )
+        .unwrap();
+        sys.set_offline(&bob);
+        sys.set_lazy_revocation(true);
+        sys.revoke(&alice, "Doctor@MedOrg").unwrap();
+        let shard = sys.control.shard(&AuthorityId::new("Trial")).unwrap();
+        let mut st = shard.state.lock();
+        let attr: Attribute = "Researcher@Trial".parse().unwrap();
+        let event = st
+            .authority
+            .revoke_attribute(&alice, &attr, &mut *sys.rng.lock())
+            .unwrap();
+        sys.begin_in_shard(&mut st, event);
+        drop(st);
+        sys
     }
 
-    let archive = ks.range::<LazyArchive>(&[]).map_err(ks_err)?;
-    put_u32(&mut out, archive.len() as u32);
-    for ((aid, owner, from), uk) in &archive {
-        put_str(&mut out, aid);
-        put_str(&mut out, owner);
-        put_u64(&mut out, *from);
-        put_bytes(&mut out, uk);
+    /// Rewrites the value of the first row of `T` in place.
+    fn edit_first<T: Schema<Value = Vec<u8>>>(ks: &Keyspace, edit: impl FnOnce(&mut Vec<u8>)) {
+        let (key, mut value) = ks.range::<T>(&[]).unwrap().remove(0);
+        edit(&mut value);
+        ks.put::<T>(&key, &value);
     }
 
-    crate::persist::decode_system(&out, seed)
+    fn row_error(what: &'static str) -> impl Fn(&OpenError) -> bool {
+        move |e| matches!(e, OpenError::Snapshot(Error::Malformed(m)) if *m == what)
+    }
+
+    /// Each check hydration makes beyond decoding, provoked by one edit
+    /// of a populated keyspace, fails with its typed error.
+    #[test]
+    fn hydrate_rejects_each_invalid_row_typed() {
+        type Edit = Box<dyn Fn(&Keyspace)>;
+        type Expect = Box<dyn Fn(&OpenError) -> bool>;
+        let base = populate(&unsettled_system());
+        for table in [
+            PendingUpdates::ID,
+            PendingRevocations::ID,
+            LazyQueue::ID,
+            Audit::ID,
+        ] {
+            assert!(base.rows(table) > 0, "table {table} left empty");
+        }
+        let cases: Vec<(&str, Edit, Expect)> = vec![
+            (
+                "missing ca row",
+                Box::new(|ks| {
+                    ks.delete::<Meta>(&(META_CA.to_owned(),));
+                }),
+                Box::new(row_error("keyspace missing certificate-authority row")),
+            ),
+            (
+                "authority row under another authority's key",
+                Box::new(|ks| {
+                    let medorg = ks.get::<Authorities>(&("MedOrg".into(),)).unwrap();
+                    ks.put::<Authorities>(&("Trial".into(),), &medorg.unwrap());
+                }),
+                Box::new(row_error("authority row keyed by another authority")),
+            ),
+            (
+                "owner row under another owner's key",
+                Box::new(|ks| {
+                    let hospital = ks.get::<Owners>(&("hospital".into(),)).unwrap();
+                    ks.put::<Owners>(&("clinic".into(),), &hospital.unwrap());
+                }),
+                Box::new(row_error("owner row keyed by another owner")),
+            ),
+            (
+                "pending revocation for an unknown authority",
+                Box::new(|ks| {
+                    ks.delete::<Authorities>(&("Trial".into(),));
+                }),
+                Box::new(row_error("pending revocation for unknown authority")),
+            ),
+            (
+                "pending revocation with stage byte 2",
+                Box::new(|ks| {
+                    edit_first::<PendingRevocations>(ks, |v| {
+                        let event_len = u32::from_be_bytes(v[..4].try_into().unwrap());
+                        v[4 + event_len as usize] = 2;
+                    })
+                }),
+                Box::new(row_error("bad revocation stage")),
+            ),
+            (
+                "15-byte audit counter row",
+                Box::new(|ks| {
+                    let key = (META_AUDIT.to_owned(),);
+                    let mut value = ks.get::<Meta>(&key).unwrap().unwrap();
+                    value.truncate(15);
+                    ks.put::<Meta>(&key, &value);
+                }),
+                Box::new(row_error("malformed audit counter row")),
+            ),
+            (
+                "one flipped byte in an audit row",
+                Box::new(|ks| edit_first::<Audit>(ks, |v| *v.last_mut().unwrap() ^= 1)),
+                Box::new(|e| {
+                    matches!(
+                        e,
+                        OpenError::Audit(AuditLoadError::ChainBroken { index: 0 })
+                    )
+                }),
+            ),
+            (
+                "trailing byte on a grants value",
+                Box::new(|ks| edit_first::<Grants>(ks, |v| v.push(0))),
+                Box::new(row_error("trailing bytes after row value")),
+            ),
+            (
+                "trailing byte on a pending_updates value",
+                Box::new(|ks| edit_first::<PendingUpdates>(ks, |v| v.push(0))),
+                Box::new(row_error("trailing bytes after row value")),
+            ),
+            (
+                "trailing byte on a lazy_queue value",
+                Box::new(|ks| edit_first::<LazyQueue>(ks, |v| v.push(0))),
+                Box::new(row_error("trailing bytes after row value")),
+            ),
+        ];
+        for (case, edit, expect) in cases {
+            let ks = base.clone();
+            edit(&ks);
+            match hydrate(&ks, 1) {
+                Ok(_) => panic!("{case}: hydrated"),
+                Err(e) => assert!(expect(&e), "{case}: got {e}"),
+            }
+        }
+        // The unedited keyspace hydrates.
+        hydrate(&base, 1).unwrap();
+    }
 }

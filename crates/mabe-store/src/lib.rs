@@ -28,8 +28,8 @@
 //! * The typed keyspace — [`Schema`] tables (order-preserving key
 //!   codecs, [`define_table!`]), [`Frame`]-batch journaling, a
 //!   [`Keyspace`] of ordered rows with prefix range scans, and
-//!   [`TypedStore`]: the journaled facade with per-table checkpoint
-//!   sections and foreign-format classification at reopen.
+//!   [`TypedStore`]: the frame-batch journal with per-table checkpoint
+//!   sections, whose reopen folds both into one [`Keyspace`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -51,11 +51,11 @@ pub use crc::crc32;
 pub use group::{GroupWal, StoreRef};
 pub use manifest::{Manifest, SegmentEntry};
 pub use schema::{
-    decode_frames, encode_frames, is_frame_record, key_str, key_u64, ByteReader, Frame, FrameOp,
-    Schema, SchemaError, FRAME_RECORD_MARKER, KEYSPACE_SNAPSHOT_MAGIC,
+    decode_frames, encode_frames, key_str, key_u64, ByteReader, Frame, FrameOp, Schema,
+    SchemaError, FRAME_RECORD_MARKER, KEYSPACE_SNAPSHOT_MAGIC,
 };
 pub use scrub::ScrubReport;
 pub use sim::SimDisk;
 pub use storage::{store_points, Storage, StorageUsage, StoreError};
-pub use typed::{Keyspace, ReplayRecord, ReplaySnapshot, TypedOpen, TypedOpenError, TypedStore};
+pub use typed::{Keyspace, TypedOpen, TypedOpenError, TypedStore};
 pub use wal::{RecoveryReport, Wal, WalOpenError, DEFAULT_SEGMENT_BUDGET};

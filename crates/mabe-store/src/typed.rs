@@ -1,39 +1,33 @@
 //! The typed keyspace: an in-memory table set ([`Keyspace`]) plus a
-//! journaled facade over the segmented WAL ([`TypedStore`]).
+//! frame-batch journal over the segmented WAL ([`TypedStore`]).
 //!
 //! A [`Keyspace`] is the pure state: ordered rows per table, mutated by
 //! applying [`Frame`]s and snapshotted as per-table checkpoint sections.
-//! A [`TypedStore`] binds a keyspace to a [`GroupWal`]: every mutation
-//! is journaled as a frame batch before it is acknowledged
-//! (acked ⇒ durable), checkpoints write the per-table snapshot, and
-//! reopen replays snapshot + frames back into tables.
+//! A [`TypedStore`] is the journal beside it: callers stage one frame
+//! batch per logical operation ([`TypedStore::stage_frames`]), make it
+//! durable through group commit ([`TypedStore::commit`]), and write
+//! per-table snapshots they assemble themselves
+//! ([`TypedStore::checkpoint_keyspace`]). The store never holds rows.
 //!
-//! Logs are allowed to contain **foreign** records — payloads written
-//! by an older, pre-typed journal format. [`TypedStore::open`] never
-//! guesses at those: it classifies each replayed record as
-//! [`ReplayRecord::Frames`] or [`ReplayRecord::Foreign`] and hands the
-//! whole ordered list back. A log with no foreign parts is hydrated
-//! automatically; a mixed log leaves hydration to the caller's replay
-//! shim, which converts foreign state at the format boundary and
-//! installs the rebuilt keyspace via [`TypedStore::install_keyspace`].
+//! [`TypedStore::open`] folds the checkpoint snapshot and every frame
+//! batch logged after it into one [`Keyspace`] and hands it to the
+//! caller. Every record must be a frame batch and every snapshot a
+//! `MTKS0001` image; anything else fails typed, with the storage handed
+//! back.
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::{Mutex, MutexGuard, PoisonError, RwLock};
+use std::sync::{PoisonError, RwLock};
 
 use crate::compact::CheckpointFailure;
 use crate::group::{GroupWal, StoreRef};
 use crate::schema::{
-    decode_frames, encode_frames, is_frame_record, ByteReader, Frame, FrameOp, Schema, SchemaError,
+    decode_frames, encode_frames, ByteReader, Frame, FrameOp, Schema, SchemaError,
     KEYSPACE_SNAPSHOT_MAGIC,
 };
 use crate::scrub::ScrubReport;
 use crate::storage::{Storage, StoreError};
 use crate::wal::{RecoveryReport, WalOpenError};
-
-fn lock_ok<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// Decoded rows of table `T` in key order — what a prefix range scan
 /// returns.
@@ -53,8 +47,7 @@ struct TableData {
 /// lexicographic order and `range` is a prefix scan. The keyspace is
 /// internally locked: reads take a shared lock, mutations an exclusive
 /// one. Callers that must keep mutation order aligned with journal
-/// order (the durable replay invariant) serialize externally —
-/// [`TypedStore`] does.
+/// order (the durable replay invariant) serialize externally.
 #[derive(Debug, Default)]
 pub struct Keyspace {
     tables: RwLock<BTreeMap<u16, TableData>>,
@@ -126,8 +119,8 @@ impl Keyspace {
             .is_some_and(|t| t.rows.contains_key(&kb))
     }
 
-    /// Inserts or replaces a row in table `T` (in-memory only — the
-    /// journaled path is [`TypedStore::put`]).
+    /// Inserts or replaces a row in table `T` (in-memory only — journal
+    /// it as a [`Frame`] through [`TypedStore::stage_frames`]).
     pub fn put<T: Schema>(&self, key: &T::Key, value: &T::Value) {
         let kb = T::key_bytes(key);
         let vb = T::value_bytes(value);
@@ -210,11 +203,6 @@ impl Keyspace {
         self.write_tables().clear();
     }
 
-    /// Replaces this keyspace's contents with `other`'s.
-    pub fn replace_with(&self, other: &Keyspace) {
-        *self.write_tables() = other.read_tables().clone();
-    }
-
     /// Encodes the per-table checkpoint snapshot: magic, table count,
     /// then each table (id, name, row count, rows) in id order with
     /// rows in key order — byte-stable for identical contents.
@@ -236,11 +224,6 @@ impl Keyspace {
             }
         }
         out
-    }
-
-    /// Whether `bytes` starts with the typed snapshot magic.
-    pub fn is_snapshot(bytes: &[u8]) -> bool {
-        bytes.starts_with(KEYSPACE_SNAPSHOT_MAGIC)
     }
 
     /// Decodes a snapshot produced by [`Keyspace::encode_snapshot`].
@@ -286,40 +269,16 @@ impl Keyspace {
     }
 }
 
-/// One replayed WAL record, classified by format.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ReplayRecord {
-    /// A typed frame batch (already decoded).
-    Frames(Vec<Frame>),
-    /// A record written by some other journal format — the caller's
-    /// replay shim interprets it.
-    Foreign(Vec<u8>),
-}
-
-/// The checkpoint snapshot recovered at open, classified by format.
-#[derive(Clone, Debug)]
-pub enum ReplaySnapshot {
-    /// No checkpoint existed.
-    None,
-    /// A typed per-table snapshot (already decoded).
-    Typed(Keyspace),
-    /// A snapshot written by some other format — the caller's replay
-    /// shim interprets it.
-    Foreign(Vec<u8>),
-}
-
-/// What [`TypedStore::open`] recovered, in replay order.
+/// What [`TypedStore::open`] recovered.
 #[derive(Debug)]
 pub struct TypedOpen {
-    /// The checkpoint, classified.
-    pub snapshot: ReplaySnapshot,
-    /// Every post-checkpoint record, classified, in log order.
-    pub records: Vec<ReplayRecord>,
+    /// The checkpoint snapshot with every later frame batch applied in
+    /// log order — the committed state, owned by the caller.
+    pub keyspace: Keyspace,
+    /// How many frame batches were replayed on top of the snapshot.
+    pub records: usize,
     /// The underlying WAL recovery report.
     pub report: RecoveryReport,
-    /// Whether the store hydrated itself (true exactly when no foreign
-    /// snapshot or record was present).
-    pub self_hydrated: bool,
 }
 
 /// Why [`TypedStore::open`] failed.
@@ -327,21 +286,23 @@ pub struct TypedOpen {
 pub enum TypedOpenError<S> {
     /// The underlying WAL failed to open (store handed back inside).
     Wal(WalOpenError<S>),
-    /// A CRC-intact record carried the frame marker but did not decode
-    /// — a writer bug or incompatible future format, reported with the
-    /// record's index in the replayed log and the offending offset
-    /// inside it. The backing store is handed back for forensics.
+    /// A CRC-intact record did not decode as a frame batch — a writer
+    /// bug, a foreign format, or an incompatible future one — reported
+    /// with the record's index in the replayed log (and, where one
+    /// applies, the offending offset inside it). The backing store is
+    /// handed back for forensics.
     Record {
         /// Index of the record within the replayed (post-checkpoint)
         /// log.
         index: usize,
-        /// The decode failure, carrying the byte offset.
+        /// The decode failure.
         error: SchemaError,
         /// The backing store, handed back untouched for repair.
         store: S,
     },
-    /// The checkpoint snapshot carried the typed magic but did not
-    /// decode. The backing store is handed back for forensics.
+    /// The checkpoint snapshot did not decode as a per-table snapshot
+    /// ([`SchemaError::BadMagic`] for any other format). The backing
+    /// store is handed back for forensics.
     Snapshot {
         /// The decode failure.
         error: SchemaError,
@@ -364,165 +325,67 @@ impl<S> fmt::Display for TypedOpenError<S> {
     }
 }
 
-/// A typed keyspace bound to the segmented WAL: mutations journal frame
-/// batches (acked ⇒ durable), checkpoints write per-table snapshot
-/// sections, reopen replays both.
+/// The frame-batch journal over the segmented WAL: batches are staged
+/// and group-committed (acked ⇒ durable), checkpoints write per-table
+/// snapshot sections, and reopen folds both back into a [`Keyspace`].
 #[derive(Debug)]
 pub struct TypedStore<S: Storage> {
     wal: GroupWal<S>,
-    ks: Keyspace,
-    /// Serializes apply-order with stage-order for the facade ops, so
-    /// replay reconstructs exactly the in-memory state.
-    write_order: Mutex<()>,
 }
 
 impl<S: Storage> TypedStore<S> {
-    /// Opens the store, replaying the checkpoint and log.
-    ///
-    /// If everything recovered is typed (or the log is empty), the
-    /// internal keyspace is hydrated before returning and
-    /// [`TypedOpen::self_hydrated`] is true. If any foreign snapshot or
-    /// record is present, the keyspace is left empty and the caller's
-    /// shim must rebuild it from [`TypedOpen`] (converting foreign
-    /// state at the format boundary) and install it with
-    /// [`TypedStore::install_keyspace`].
+    /// Opens the store: decodes the checkpoint snapshot (if any) and
+    /// applies every frame batch logged after it, in order, returning
+    /// the folded [`Keyspace`] in [`TypedOpen`].
     ///
     /// # Errors
     ///
-    /// [`TypedOpenError`] — WAL-level failure, or a marker-bearing
-    /// record/snapshot that does not decode.
+    /// [`TypedOpenError`] — WAL-level failure, a snapshot that is not a
+    /// well-formed per-table snapshot, or a record that is not a
+    /// well-formed frame batch.
     pub fn open(store: S) -> Result<(Self, TypedOpen), TypedOpenError<S>> {
-        let (wal, raw_snapshot, raw_records, report) =
+        let (wal, snapshot, records, report) =
             GroupWal::open(store).map_err(TypedOpenError::Wal)?;
-        let snapshot = match raw_snapshot {
-            None => ReplaySnapshot::None,
-            Some(bytes) if Keyspace::is_snapshot(&bytes) => {
-                match Keyspace::decode_snapshot(&bytes) {
-                    Ok(snap) => ReplaySnapshot::Typed(snap),
-                    Err(error) => {
-                        return Err(TypedOpenError::Snapshot {
-                            error,
-                            store: wal.into_store(),
-                        })
-                    }
+        // The raw snapshot bytes drop as soon as they are decoded.
+        let keyspace = match snapshot {
+            None => Keyspace::new(),
+            Some(bytes) => match Keyspace::decode_snapshot(&bytes) {
+                Ok(keyspace) => keyspace,
+                Err(error) => {
+                    return Err(TypedOpenError::Snapshot {
+                        error,
+                        store: wal.into_store(),
+                    })
                 }
-            }
-            Some(bytes) => ReplaySnapshot::Foreign(bytes),
+            },
         };
-        let mut records = Vec::with_capacity(raw_records.len());
-        for (index, payload) in raw_records.into_iter().enumerate() {
-            if is_frame_record(&payload) {
-                match decode_frames(&payload) {
-                    Ok(frames) => records.push(ReplayRecord::Frames(frames)),
-                    Err(error) => {
-                        return Err(TypedOpenError::Record {
-                            index,
-                            error,
-                            store: wal.into_store(),
-                        })
-                    }
-                }
-            } else {
-                records.push(ReplayRecord::Foreign(payload));
-            }
-        }
-        let pure_typed = !matches!(snapshot, ReplaySnapshot::Foreign(_))
-            && records.iter().all(|r| matches!(r, ReplayRecord::Frames(_)));
-        let ks = Keyspace::new();
-        if pure_typed {
-            if let ReplaySnapshot::Typed(snap) = &snapshot {
-                ks.replace_with(snap);
-            }
-            for record in &records {
-                if let ReplayRecord::Frames(frames) = record {
-                    ks.apply(frames);
+        let replayed = records.len();
+        for (index, payload) in records.into_iter().enumerate() {
+            match decode_frames(&payload) {
+                Ok(frames) => keyspace.apply(&frames),
+                Err(error) => {
+                    return Err(TypedOpenError::Record {
+                        index,
+                        error,
+                        store: wal.into_store(),
+                    })
                 }
             }
         }
         Ok((
-            TypedStore {
-                wal,
-                ks,
-                write_order: Mutex::new(()),
-            },
+            TypedStore { wal },
             TypedOpen {
-                snapshot,
-                records,
+                keyspace,
+                records: replayed,
                 report,
-                self_hydrated: pure_typed,
             },
         ))
     }
 
-    /// The live keyspace.
-    pub fn keyspace(&self) -> &Keyspace {
-        &self.ks
-    }
-
-    /// Replaces the live keyspace with `ks` — the replay shim's final
-    /// step after rebuilding state from a foreign or mixed log.
-    pub fn install_keyspace(&self, ks: &Keyspace) {
-        let _order = lock_ok(&self.write_order);
-        self.ks.replace_with(ks);
-    }
-
-    /// Journaled read (facade): decoded row of table `T` at `key`.
-    ///
-    /// # Errors
-    ///
-    /// [`SchemaError`] if the stored bytes do not decode.
-    pub fn get<T: Schema>(&self, key: &T::Key) -> Result<Option<T::Value>, SchemaError> {
-        self.ks.get::<T>(key)
-    }
-
-    /// Journaled insert/replace: stages the frame, applies it, and
-    /// blocks until durable.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError`] if the journal write failed (the mutation is
-    /// still applied in memory only if the journal accepted it — on
-    /// error the row is **not** applied).
-    pub fn put<T: Schema>(&self, key: &T::Key, value: &T::Value) -> Result<(), StoreError> {
-        self.mutate(Frame::put::<T>(key, value))
-    }
-
-    /// Journaled delete: stages the frame, applies it, and blocks until
-    /// durable.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError`] if the journal write failed (the delete is not
-    /// applied).
-    pub fn delete<T: Schema>(&self, key: &T::Key) -> Result<(), StoreError> {
-        self.mutate(Frame::delete::<T>(key))
-    }
-
-    fn mutate(&self, frame: Frame) -> Result<(), StoreError> {
-        let frames = [frame];
-        let seq = {
-            let _order = lock_ok(&self.write_order);
-            let seq = self.wal.stage(&encode_frames(&frames));
-            self.ks.apply(&frames);
-            seq
-        };
-        self.wal.commit(seq)
-    }
-
-    /// Prefix range scan over table `T` (see [`Keyspace::range`]).
-    ///
-    /// # Errors
-    ///
-    /// [`SchemaError`] if a matched row fails to decode.
-    pub fn range<T: Schema>(&self, prefix: &[u8]) -> Result<Rows<T>, SchemaError> {
-        self.ks.range::<T>(prefix)
-    }
-
     /// Stages a frame batch as one WAL record and returns its commit
-    /// sequence. Low-level API for callers that serialize their own
-    /// apply order (stage under the same lock that mutates state, then
-    /// [`TypedStore::commit`] outside it). Does **not** touch the
-    /// keyspace.
+    /// sequence. Callers serialize their own apply order: stage under
+    /// the same lock that mutates state, then [`TypedStore::commit`]
+    /// outside it.
     pub fn stage_frames(&self, frames: &[Frame]) -> u64 {
         self.wal.stage(&encode_frames(frames))
     }
@@ -536,43 +399,14 @@ impl<S: Storage> TypedStore<S> {
         self.wal.commit(seq)
     }
 
-    /// Stages a frame batch, applies it to the keyspace, and blocks
-    /// until durable — the serialized single-call form.
-    ///
-    /// # Errors
-    ///
-    /// The poisoning [`StoreError`] (the batch stays applied in memory;
-    /// a failed commit poisons the log, so the caller must treat the
-    /// state as non-durable).
-    pub fn append_frames_sync(&self, frames: &[Frame]) -> Result<(), StoreError> {
-        let seq = {
-            let _order = lock_ok(&self.write_order);
-            let seq = self.wal.stage(&encode_frames(frames));
-            self.ks.apply(frames);
-            seq
-        };
-        self.wal.commit(seq)
-    }
-
-    /// Checkpoints the live keyspace as a per-table snapshot, truncating
-    /// the log (see [`GroupWal::checkpoint`] for failure
-    /// classification).
+    /// Checkpoints a caller-assembled keyspace image as a per-table
+    /// snapshot, truncating the log (see [`GroupWal::checkpoint`] for
+    /// failure classification).
     ///
     /// # Errors
     ///
     /// [`CheckpointFailure`] — `dirty` poisons, clean leaves the old
     /// generation authoritative.
-    pub fn checkpoint(&self) -> Result<(), CheckpointFailure> {
-        self.wal.checkpoint(&self.ks.encode_snapshot())
-    }
-
-    /// Checkpoints an externally assembled keyspace image instead of
-    /// the live one (the durable system snapshots under its own op
-    /// lock).
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointFailure`] as for [`TypedStore::checkpoint`].
     pub fn checkpoint_keyspace(&self, ks: &Keyspace) -> Result<(), CheckpointFailure> {
         self.wal.checkpoint(&ks.encode_snapshot())
     }
@@ -662,21 +496,35 @@ mod tests {
             .0
     }
 
+    /// Stages one batch and blocks until it is durable.
+    fn journal(ts: &TypedStore<SimDisk>, frames: &[Frame]) {
+        let seq = ts.stage_frames(frames);
+        ts.commit(seq).unwrap();
+    }
+
+    fn reopen(ts: TypedStore<SimDisk>) -> TypedOpen {
+        let mut disk = ts.into_store();
+        disk.crash();
+        TypedStore::open(disk).unwrap().1
+    }
+
     #[test]
     fn put_get_delete_survive_reopen() {
         let ts = fresh();
-        ts.put::<Users>(&("u1".into(),), &b"alice".to_vec())
-            .unwrap();
-        ts.put::<Users>(&("u2".into(),), &b"bob".to_vec()).unwrap();
-        ts.delete::<Users>(&("u1".into(),)).unwrap();
-        let mut disk = ts.into_store();
-        disk.crash();
-        let (ts, open) = TypedStore::open(disk).unwrap();
-        assert!(open.self_hydrated);
-        assert_eq!(open.records.len(), 3);
-        assert_eq!(ts.get::<Users>(&("u1".into(),)).unwrap(), None);
+        journal(
+            &ts,
+            &[Frame::put::<Users>(&("u1".into(),), &b"alice".to_vec())],
+        );
+        journal(
+            &ts,
+            &[Frame::put::<Users>(&("u2".into(),), &b"bob".to_vec())],
+        );
+        journal(&ts, &[Frame::delete::<Users>(&("u1".into(),))]);
+        let open = reopen(ts);
+        assert_eq!(open.records, 3);
+        assert_eq!(open.keyspace.get::<Users>(&("u1".into(),)).unwrap(), None);
         assert_eq!(
-            ts.get::<Users>(&("u2".into(),)).unwrap(),
+            open.keyspace.get::<Users>(&("u2".into(),)).unwrap(),
             Some(b"bob".to_vec())
         );
     }
@@ -684,17 +532,30 @@ mod tests {
     #[test]
     fn checkpoint_snapshots_by_table_and_reopen_uses_it() {
         let ts = fresh();
-        ts.put::<Users>(&("u".into(),), &b"x".to_vec()).unwrap();
-        ts.put::<Grants>(&("u".into(), "a@org".into()), &Vec::new())
-            .unwrap();
-        ts.checkpoint().unwrap();
-        ts.put::<Grants>(&("u".into(), "b@org".into()), &Vec::new())
-            .unwrap();
-        let (ts, open) = TypedStore::open(ts.into_store()).unwrap();
+        let image = Keyspace::new();
+        for frames in [
+            vec![Frame::put::<Users>(&("u".into(),), &b"x".to_vec())],
+            vec![Frame::put::<Grants>(
+                &("u".into(), "a@org".into()),
+                &Vec::new(),
+            )],
+        ] {
+            journal(&ts, &frames);
+            image.apply(&frames);
+        }
+        ts.checkpoint_keyspace(&image).unwrap();
+        journal(
+            &ts,
+            &[Frame::put::<Grants>(
+                &("u".into(), "b@org".into()),
+                &Vec::new(),
+            )],
+        );
+        let open = reopen(ts);
         assert!(open.report.had_snapshot);
-        assert_eq!(open.records.len(), 1, "only the post-checkpoint record");
-        assert_eq!(ts.keyspace().rows(Grants::ID), 2);
-        assert_eq!(ts.keyspace().rows(Users::ID), 1);
+        assert_eq!(open.records, 1, "only the post-checkpoint record");
+        assert_eq!(open.keyspace.rows(Grants::ID), 2);
+        assert_eq!(open.keyspace.rows(Users::ID), 1);
     }
 
     #[test]
@@ -707,17 +568,20 @@ mod tests {
             ("ab", "obj", 1),
             ("b", "obj", 9),
         ] {
-            ts.put::<Components>(
-                &(aid.into(), object.into(), version),
-                &version.to_be_bytes().to_vec(),
-            )
-            .unwrap();
+            journal(
+                &ts,
+                &[Frame::put::<Components>(
+                    &(aid.into(), object.into(), version),
+                    &version.to_be_bytes().to_vec(),
+                )],
+            );
         }
+        let ks = reopen(ts).keyspace;
         // Prefix = authority "a": matches exactly the three "a" rows,
         // never authority "ab".
         let mut prefix = Vec::new();
         key_str(&mut prefix, "a");
-        let hits = ts.range::<Components>(&prefix).unwrap();
+        let hits = ks.range::<Components>(&prefix).unwrap();
         let keys: Vec<(String, String, u64)> = hits.into_iter().map(|(k, _)| k).collect();
         assert_eq!(
             keys,
@@ -731,7 +595,7 @@ mod tests {
         let mut prefix = Vec::new();
         key_str(&mut prefix, "a");
         key_str(&mut prefix, "obj");
-        let versions: Vec<u64> = ts
+        let versions: Vec<u64> = ks
             .range::<Components>(&prefix)
             .unwrap()
             .into_iter()
@@ -740,34 +604,7 @@ mod tests {
         assert_eq!(versions, vec![1, 2]);
         // A full-key prefix including the u64 matches exactly one row.
         key_u64(&mut prefix, 2);
-        assert_eq!(ts.range::<Components>(&prefix).unwrap().len(), 1);
-    }
-
-    #[test]
-    fn foreign_records_and_snapshot_defer_hydration_to_the_shim() {
-        // Write a log in a "legacy" format: opaque snapshot + opaque
-        // records + one typed frame batch on top.
-        let (gw, ..) = GroupWal::open(SimDisk::unfaulted()).unwrap();
-        gw.checkpoint(b"LEGACY-SNAP").unwrap();
-        gw.append_sync(&[7, 1, 2, 3]).unwrap();
-        let frames = vec![Frame::put::<Users>(&("u".into(),), &b"v".to_vec())];
-        gw.append_sync(&encode_frames(&frames)).unwrap();
-        let (ts, open) = TypedStore::open(gw.into_store()).unwrap();
-        assert!(!open.self_hydrated);
-        assert_eq!(ts.keyspace().total_rows(), 0, "shim owns hydration");
-        assert!(matches!(&open.snapshot, ReplaySnapshot::Foreign(b) if b == b"LEGACY-SNAP"));
-        assert_eq!(
-            open.records,
-            vec![
-                ReplayRecord::Foreign(vec![7, 1, 2, 3]),
-                ReplayRecord::Frames(frames),
-            ]
-        );
-        // The shim rebuilds and installs.
-        let rebuilt = Keyspace::new();
-        rebuilt.put::<Users>(&("legacy".into(),), &vec![1]);
-        ts.install_keyspace(&rebuilt);
-        assert_eq!(ts.keyspace().rows(Users::ID), 1);
+        assert_eq!(ks.range::<Components>(&prefix).unwrap().len(), 1);
     }
 
     #[test]
@@ -777,7 +614,7 @@ mod tests {
         ks.put::<Grants>(&("u".into(), "a".into()), &b"g".to_vec());
         ks.put::<Components>(&("x".into(), "y".into(), 3), &Vec::new());
         let snap = ks.encode_snapshot();
-        assert!(Keyspace::is_snapshot(&snap));
+        assert!(snap.starts_with(KEYSPACE_SNAPSHOT_MAGIC));
         let back = Keyspace::decode_snapshot(&snap).unwrap();
         assert_eq!(back.encode_snapshot(), snap, "byte-stable roundtrip");
         assert_eq!(back.rows(Users::ID), 0, "registered empty table kept");

@@ -10,8 +10,8 @@
 //! must stay typed with offsets.
 
 use mabe_store::{
-    define_table, key_str, key_u64, Frame, Keyspace, ReplayRecord, Schema, SchemaError, SimDisk,
-    TypedOpenError, TypedStore,
+    define_table, key_str, key_u64, Frame, Keyspace, Schema, SchemaError, SimDisk, TypedOpenError,
+    TypedStore,
 };
 
 define_table!(
@@ -54,12 +54,17 @@ fn seeded_ops() -> Vec<Vec<Frame>> {
     ]
 }
 
+/// Stages one batch and blocks until it is durable.
+fn journal(ts: &TypedStore<SimDisk>, frames: &[Frame]) {
+    let seq = ts.stage_frames(frames);
+    ts.commit(seq).unwrap();
+}
+
 /// A synced generation-0 typed log holding [`seeded_ops`].
 fn seeded_disk() -> SimDisk {
-    let (ts, open) = TypedStore::open(SimDisk::unfaulted()).unwrap();
-    assert!(open.self_hydrated);
+    let (ts, _) = TypedStore::open(SimDisk::unfaulted()).unwrap();
     for frames in seeded_ops() {
-        ts.append_frames_sync(&frames).unwrap();
+        journal(&ts, &frames);
     }
     ts.into_store()
 }
@@ -79,13 +84,12 @@ fn damaged(obj: &str, bytes: Vec<u8>) -> SimDisk {
     disk
 }
 
-/// Asserts `ts` holds exactly the state of some op-prefix of the seeded
+/// Asserts `ks` holds exactly the state of some op-prefix of the seeded
 /// log, returning the prefix length.
-fn assert_op_prefix(ts: &TypedStore<SimDisk>, context: &str) -> usize {
+fn assert_op_prefix(ks: &Keyspace, context: &str) -> usize {
     let want_ops = seeded_ops().len();
     for n in (0..=want_ops).rev() {
         let want = state_after(n);
-        let ks = ts.keyspace();
         let tables = [Users::ID, Grants::ID, Components::ID];
         let matches = tables
             .iter()
@@ -104,9 +108,8 @@ fn bit_flip_every_position_recovers_a_frame_batch_prefix() {
         let mut flipped = log.clone();
         flipped[bit / 8] ^= 1 << (bit % 8);
         match TypedStore::open(damaged(ACTIVE_OBJ, flipped)) {
-            Ok((ts, open)) => {
-                assert!(open.self_hydrated, "bit {bit}: typed log self-hydrates");
-                let n = assert_op_prefix(&ts, &format!("bit {bit}"));
+            Ok((_, open)) => {
+                let n = assert_op_prefix(&open.keyspace, &format!("bit {bit}"));
                 assert!(
                     n == seeded_ops().len() || open.report.dropped_bytes > 0,
                     "bit {bit}: ops lost without reported damage"
@@ -127,12 +130,11 @@ fn bit_flip_every_position_recovers_a_frame_batch_prefix() {
 fn truncate_every_offset_drops_whole_trailing_batches_only() {
     let log = seeded_disk().durable_bytes(ACTIVE_OBJ).unwrap().to_vec();
     for cut in 0..=log.len() {
-        let (ts, open) = TypedStore::open(damaged(ACTIVE_OBJ, log[..cut].to_vec()))
+        let (_, open) = TypedStore::open(damaged(ACTIVE_OBJ, log[..cut].to_vec()))
             .expect("active-segment truncation is always recoverable");
-        let n = assert_op_prefix(&ts, &format!("cut {cut}"));
+        let n = assert_op_prefix(&open.keyspace, &format!("cut {cut}"));
         assert_eq!(
-            open.records.len(),
-            n,
+            open.records, n,
             "cut {cut}: record count must equal surviving op count (no torn batch)"
         );
     }
@@ -146,8 +148,8 @@ fn torn_multi_frame_batch_is_all_or_nothing() {
     // paired component update.
     let log = seeded_disk().durable_bytes(ACTIVE_OBJ).unwrap().to_vec();
     for cut in 0..=log.len() {
-        let (ts, _) = TypedStore::open(damaged(ACTIVE_OBJ, log[..cut].to_vec())).unwrap();
-        let ks = ts.keyspace();
+        let (_, open) = TypedStore::open(damaged(ACTIVE_OBJ, log[..cut].to_vec())).unwrap();
+        let ks = &open.keyspace;
         let role_gone = !ks.contains::<Grants>(&("alice".into(), "role@org".into()));
         let component = ks
             .get::<Components>(&("org".into(), "report".into(), 0))
@@ -202,6 +204,32 @@ fn rotted_frame_record_decode_failures_are_typed_with_offsets() {
         },
         other => panic!("truncated frame record accepted: {other:?}"),
     }
+
+    // A record in any other format (here a pre-keyspace tagged record)
+    // is not a frame batch: rejected at its index, never skipped.
+    let (gw, ..) = GroupWal::open(SimDisk::unfaulted()).unwrap();
+    gw.append_sync(&good).unwrap();
+    gw.append_sync(&[4, 0, 5, b'a', b'l', b'i', b'c', b'e'])
+        .unwrap();
+    match TypedStore::open(gw.into_store()) {
+        Err(TypedOpenError::Record {
+            index: 1,
+            error: SchemaError::Malformed("not a frame record"),
+            ..
+        }) => {}
+        other => panic!("tagged record accepted: {other:?}"),
+    }
+
+    // Likewise a snapshot that is not a per-table snapshot.
+    let (gw, ..) = GroupWal::open(SimDisk::unfaulted()).unwrap();
+    gw.checkpoint(b"LEGACY-SNAP").unwrap();
+    match TypedStore::open(gw.into_store()) {
+        Err(TypedOpenError::Snapshot {
+            error: SchemaError::BadMagic,
+            ..
+        }) => {}
+        other => panic!("foreign snapshot accepted: {other:?}"),
+    }
 }
 
 #[test]
@@ -211,10 +239,12 @@ fn per_table_snapshot_bit_rot_never_resurrects_or_invents_rows() {
     // and if the typed decoder ever sees the bytes, its failure is
     // typed too.
     fn gen1_disk() -> SimDisk {
-        let (ts, _) = TypedStore::open(seeded_disk()).unwrap();
-        ts.checkpoint().unwrap();
-        ts.put::<Users>(&("bob".into(),), &b"pk-b".to_vec())
-            .unwrap();
+        let (ts, open) = TypedStore::open(seeded_disk()).unwrap();
+        ts.checkpoint_keyspace(&open.keyspace).unwrap();
+        journal(
+            &ts,
+            &[Frame::put::<Users>(&("bob".into(),), &b"pk-b".to_vec())],
+        );
         ts.into_store()
     }
     let disk = gen1_disk();
@@ -239,17 +269,16 @@ fn per_table_snapshot_bit_rot_never_resurrects_or_invents_rows() {
         }
     }
     // Undamaged control: full state, snapshot plus the one tail record.
-    let (ts, open) = TypedStore::open(disk).unwrap();
+    let (_, open) = TypedStore::open(disk).unwrap();
     assert!(open.report.had_snapshot);
-    assert_eq!(open.records.len(), 1);
-    assert!(matches!(&open.records[0], ReplayRecord::Frames(f) if f.len() == 1));
+    assert_eq!(open.records, 1);
     assert_eq!(
-        ts.get::<Users>(&("bob".into(),)).unwrap(),
+        open.keyspace.get::<Users>(&("bob".into(),)).unwrap(),
         Some(b"pk-b".to_vec())
     );
     let expected = state_after(seeded_ops().len());
     assert_eq!(
-        ts.keyspace().range_raw(Grants::ID, &[]),
+        open.keyspace.range_raw(Grants::ID, &[]),
         expected.range_raw(Grants::ID, &[])
     );
 }
