@@ -8,11 +8,18 @@
 //! authority must serialize — the shard lock *is* that serialization —
 //! while revocations at different authorities proceed concurrently.
 //!
-//! Lock ordering (see DESIGN.md §12): `shards` map read lock → one
-//! shard's `state` → `users` / `owners` → leaves. A shard lock is
-//! never taken while holding `users` or `owners`, and no operation
-//! takes two shard locks at once (cross-authority operations lock
-//! shards one after another).
+//! The revocation protocol (§V-C) has one driver here: parse → lazy
+//! backpressure → shard → precheck → ReKey → begin → drive or defer,
+//! and [`CloudSystem::recover`] reuses its drive step. Drivers take a
+//! [`Journal`]: [`Unjournaled`] in memory, or the
+//! [`DurableSystem`](crate::DurableSystem) itself, which holds its op
+//! lock across the operation and journals each step.
+//!
+//! Lock ordering (see DESIGN.md §12): op lock (durable only) → `shards`
+//! map read lock → one shard's `state` → `users` / `owners` → leaves. A
+//! shard lock is never taken while holding `users` or `owners`, and no
+//! operation takes two shard locks at once (cross-authority operations
+//! lock shards one after another).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -90,6 +97,79 @@ impl ControlPlane {
             .write()
             .insert(aid, Arc::new(AuthorityShard::new(aa)));
     }
+}
+
+/// A control-plane step a durable deployment journals, named by what
+/// just completed; each maps to one `tables::frames_*` batch.
+pub(crate) enum Step<'a> {
+    /// A revocation was re-keyed and parked in its (still locked) shard.
+    Begun { st: &'a ShardState, id: u64 },
+    /// A revocation was driven to completion, or `deferred` with its
+    /// re-encryption queued.
+    Finished {
+        id: u64,
+        aid: &'a AuthorityId,
+        deferred: bool,
+    },
+    /// A drained lazy batch converged these revocations.
+    Drained {
+        ids: &'a [u64],
+        aid: &'a AuthorityId,
+    },
+}
+
+/// Where the revoke, recover and lazy-drain drivers journal.
+pub(crate) trait Journal {
+    /// What one operation holds while it runs: the durable op lock.
+    type Op<'a>
+    where
+        Self: 'a;
+
+    /// Serializes one journaled operation. Drivers take it after lazy
+    /// backpressure and before any shard lock.
+    fn lock(&self) -> Self::Op<'_>;
+
+    /// Journals a step that just completed, under the op lock. A begin
+    /// step is durable before any key delivery starts.
+    fn step<'j>(&'j self, op: &mut Self::Op<'j>, step: Step<'_>) -> Result<(), CloudError>;
+
+    /// Whether a lazy drain may claim work now.
+    fn may_drain(&self) -> Result<bool, CloudError> {
+        Ok(true)
+    }
+}
+
+/// The in-memory deployment's journal: every step is a no-op.
+pub(crate) struct Unjournaled;
+
+impl Journal for Unjournaled {
+    type Op<'a> = ();
+
+    fn lock(&self) {}
+
+    fn step(&self, _: &mut (), _: Step<'_>) -> Result<(), CloudError> {
+        Ok(())
+    }
+}
+
+/// What a revocation strips from a user.
+#[derive(Clone, Copy)]
+pub(crate) enum Revoke<'a> {
+    /// One attribute ([`CloudSystem::revoke`]).
+    Attribute(&'a str),
+    /// Everything held at one authority ([`CloudSystem::revoke_user_at`]).
+    UserAt(&'a AuthorityId),
+}
+
+/// How a begun revocation finishes.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Finish {
+    /// Re-encrypt inline: an eager revocation.
+    Drive,
+    /// Re-encrypt inline, rolling a stalled revocation forward.
+    Recover,
+    /// Park re-encryption on the lazy queue.
+    Defer,
 }
 
 impl CloudSystem {
@@ -204,32 +284,7 @@ impl CloudSystem {
     /// Unknown user/authority, the user not holding the attribute, a
     /// downed authority, or an unrecovered injected fault.
     pub fn revoke(&self, uid: &Uid, attribute: &str) -> Result<(), CloudError> {
-        // End-to-end revocation latency: ReKey at the authority through
-        // the last server-side re-encryption (eager) or enqueue (lazy).
-        let _e2e = mabe_telemetry::Span::start("mabe_revocation_e2e");
-        let _trace = mabe_trace::Span::child("cloud.revoke").detail(format!("{uid} {attribute}"));
-        let attr: Attribute = attribute
-            .parse()
-            .map_err(|_| CloudError::UnknownEntity(format!("attribute {attribute}")))?;
-        let aid = attr.authority().clone();
-        mabe_trace::op_attr("uid", uid.to_string());
-        mabe_trace::op_attr("authority", aid.to_string());
-        self.lazy_backpressure()?;
-        let shard = self
-            .control
-            .shard(&aid)
-            .ok_or_else(|| CloudError::UnknownAuthority(aid.clone()))?;
-        let mut st = shard.state.lock();
-        self.precheck_in_shard(&aid, &mut st)?;
-        let event = st
-            .authority
-            .revoke_attribute(uid, &attr, &mut *self.rng.lock())?;
-        let id = self.begin_in_shard(&mut st, event);
-        if self.lazy_revocation_enabled() {
-            self.defer_in_shard(&mut st, id)
-        } else {
-            self.drive_in_shard(&mut st, id, false)
-        }
+        self.revoke_via(&Unjournaled, uid, Revoke::Attribute(attribute))
     }
 
     /// User-level revocation at one authority: strips all of the user's
@@ -242,25 +297,7 @@ impl CloudSystem {
     /// Unknown user/authority, no attributes held there, a downed
     /// authority, or an unrecovered injected fault.
     pub fn revoke_user_at(&self, uid: &Uid, aid: &AuthorityId) -> Result<(), CloudError> {
-        let _e2e = mabe_telemetry::Span::start("mabe_revocation_e2e");
-        let _trace =
-            mabe_trace::Span::child("cloud.revoke_user_at").detail(format!("{uid} @{aid}"));
-        mabe_trace::op_attr("uid", uid.to_string());
-        mabe_trace::op_attr("authority", aid.to_string());
-        self.lazy_backpressure()?;
-        let shard = self
-            .control
-            .shard(aid)
-            .ok_or_else(|| CloudError::UnknownAuthority(aid.clone()))?;
-        let mut st = shard.state.lock();
-        self.precheck_in_shard(aid, &mut st)?;
-        let event = st.authority.revoke_user(uid, &mut *self.rng.lock())?;
-        let id = self.begin_in_shard(&mut st, event);
-        if self.lazy_revocation_enabled() {
-            self.defer_in_shard(&mut st, id)
-        } else {
-            self.drive_in_shard(&mut st, id, false)
-        }
+        self.revoke_via(&Unjournaled, uid, Revoke::UserAt(aid))
     }
 
     /// Full user-level revocation: runs [`Self::revoke_user_at`] against
@@ -270,43 +307,91 @@ impl CloudSystem {
     ///
     /// Unknown user; propagates per-authority failures.
     pub fn revoke_user(&self, uid: &Uid) -> Result<(), CloudError> {
-        let involved: Vec<AuthorityId> = {
-            let users = self.directory.users.read();
-            users
-                .grants
-                .get(uid)
-                .ok_or_else(|| CloudError::Core(Error::UnknownUser(uid.clone())))?
-                .iter()
-                .map(|a| a.authority().clone())
-                .collect::<BTreeSet<_>>()
-                .into_iter()
-                .collect()
-        };
-        for aid in involved {
-            self.revoke_user_at(uid, &aid)?;
-        }
-        Ok(())
+        self.revoke_user_with(uid, |aid| self.revoke_user_at(uid, aid))
     }
 
-    /// Gates a revocation on an already-locked shard: the authority must
-    /// be reachable, pass the [`fault_points::REVOKE_REKEY`] fault
-    /// point, and have no in-flight revocation (versions chain, so
-    /// revocations at one authority serialize — any crashed predecessor
-    /// is driven to completion first).
-    pub(crate) fn precheck_in_shard(
+    /// Runs `revoke_at` against every authority where `uid` currently
+    /// holds attributes, in authority order.
+    pub(crate) fn revoke_user_with(
         &self,
-        aid: &AuthorityId,
-        st: &mut ShardState,
+        uid: &Uid,
+        revoke_at: impl FnMut(&AuthorityId) -> Result<(), CloudError>,
     ) -> Result<(), CloudError> {
+        let involved: BTreeSet<AuthorityId> = self
+            .directory
+            .users
+            .read()
+            .grants
+            .get(uid)
+            .ok_or_else(|| CloudError::Core(Error::UnknownUser(uid.clone())))?
+            .iter()
+            .map(|a| a.authority().clone())
+            .collect();
+        involved.iter().try_for_each(revoke_at)
+    }
+
+    /// The one revocation driver, journaled through `j`: parse → lazy
+    /// backpressure → op lock → shard lock → precheck → ReKey → begin
+    /// → drive (eager) or defer (lazy). The precheck fails fast on a
+    /// downed authority, consults [`fault_points::REVOKE_REKEY`], and
+    /// drives any in-flight predecessor to completion first (versions
+    /// chain).
+    pub(crate) fn revoke_via<J: Journal>(
+        &self,
+        j: &J,
+        uid: &Uid,
+        what: Revoke<'_>,
+    ) -> Result<(), CloudError> {
+        // End-to-end revocation latency: ReKey at the authority through
+        // the last server-side re-encryption (eager) or enqueue (lazy).
+        let _e2e = mabe_telemetry::Span::start("mabe_revocation_e2e");
+        let (_trace, attr, aid) = match what {
+            Revoke::Attribute(attribute) => {
+                let trace =
+                    mabe_trace::Span::child("cloud.revoke").detail(format!("{uid} {attribute}"));
+                let attr: Attribute = attribute
+                    .parse()
+                    .map_err(|_| CloudError::UnknownEntity(format!("attribute {attribute}")))?;
+                let aid = attr.authority().clone();
+                (trace, Some(attr), aid)
+            }
+            Revoke::UserAt(aid) => {
+                let trace =
+                    mabe_trace::Span::child("cloud.revoke_user_at").detail(format!("{uid} @{aid}"));
+                (trace, None, aid.clone())
+            }
+        };
+        mabe_trace::op_attr("uid", uid.to_string());
+        mabe_trace::op_attr("authority", aid.to_string());
+        self.lazy_backpressure(j)?;
+        let mut op = j.lock();
+        let shard = self
+            .control
+            .shard(&aid)
+            .ok_or_else(|| CloudError::UnknownAuthority(aid.clone()))?;
+        let mut st = shard.state.lock();
         if st.down {
-            return Err(CloudError::AuthorityUnavailable(aid.clone()));
+            return Err(CloudError::AuthorityUnavailable(aid));
         }
-        self.local_op(fault_points::REVOKE_REKEY, Some(aid))?;
+        self.local_op(fault_points::REVOKE_REKEY, Some(&aid))?;
         let stalled: Vec<u64> = st.in_flight.keys().copied().collect();
         for id in stalled {
-            self.drive_in_shard(st, id, true)?;
+            self.finish_in_shard(j, &mut op, &mut st, id, Finish::Recover)?;
         }
-        Ok(())
+        let event = match &attr {
+            Some(attr) => st
+                .authority
+                .revoke_attribute(uid, attr, &mut *self.rng.lock())?,
+            None => st.authority.revoke_user(uid, &mut *self.rng.lock())?,
+        };
+        let id = self.begin_in_shard(&mut st, event);
+        j.step(&mut op, Step::Begun { st: &st, id })?;
+        let how = if self.lazy_revocation_enabled() {
+            Finish::Defer
+        } else {
+            Finish::Drive
+        };
+        self.finish_in_shard(j, &mut op, &mut st, id, how)
     }
 
     /// Journals the intent of a revocation (audit `RevocationBegun` +
@@ -379,32 +464,42 @@ impl CloudSystem {
         id
     }
 
-    /// Drives one journaled revocation (in an already-locked shard) to
-    /// completion. On success the audit log gains `RevocationCompleted`
-    /// (plus `RevocationRecovered` when `recovered`); on failure the
-    /// pending entry is re-parked with its checkpoints intact so a later
-    /// drive resumes, not restarts.
-    pub(crate) fn drive_in_shard(
+    /// Runs a begun revocation (in its locked shard) past begin and
+    /// journals the outcome. Drive and recover re-encrypt inline and
+    /// audit `RevocationCompleted` (recover adds `RevocationRecovered`);
+    /// defer parks re-encryption on the lazy queue and audits
+    /// `RevocationDeferred`, the security-complete point. On failure the
+    /// pending entry is re-parked with its checkpoints intact, so a
+    /// later drive resumes; recovery always drives eagerly. A crash
+    /// before the journal step replays the revocation as in flight.
+    fn finish_in_shard<'j, J: Journal>(
         &self,
+        j: &'j J,
+        op: &mut J::Op<'j>,
         st: &mut ShardState,
         id: u64,
-        recovered: bool,
+        how: Finish,
     ) -> Result<(), CloudError> {
-        let Some(mut pending) = st.in_flight.remove(&id) else {
-            return Ok(());
-        };
-        match self.drive_phases(&mut pending) {
-            Ok(()) => {
-                self.audit.lock().record(AuditEvent::RevocationCompleted {
-                    aid: pending.event.aid.to_string(),
-                    version: pending.event.to_version,
-                });
+        if let Some(mut pending) = st.in_flight.remove(&id) {
+            if let Err(e) = self.run_phases(&mut pending, how == Finish::Defer) {
+                st.in_flight.insert(id, pending);
+                return Err(e);
+            }
+            let aid = pending.event.aid.to_string();
+            let version = pending.event.to_version;
+            if how == Finish::Defer {
+                let deferred = AuditEvent::RevocationDeferred { aid, version };
+                self.audit.lock().record(deferred);
+            } else {
+                let completed = AuditEvent::RevocationCompleted {
+                    aid: aid.clone(),
+                    version,
+                };
+                self.audit.lock().record(completed);
                 mabe_trace::event(mabe_trace::TraceEvent::RevocationPhase { stage: "complete" });
-                if recovered {
-                    self.audit.lock().record(AuditEvent::RevocationRecovered {
-                        aid: pending.event.aid.to_string(),
-                        version: pending.event.to_version,
-                    });
+                if how == Finish::Recover {
+                    let recovered = AuditEvent::RevocationRecovered { aid, version };
+                    self.audit.lock().record(recovered);
                     mabe_telemetry::global()
                         .counter("mabe_revocations_recovered_total", &[])
                         .inc();
@@ -412,70 +507,35 @@ impl CloudSystem {
                         stage: "recovered",
                     });
                 }
-                Ok(())
-            }
-            Err(e) => {
-                st.in_flight.insert(id, pending);
-                Err(e)
             }
         }
+        let aid = st.authority.aid();
+        let deferred = how == Finish::Defer;
+        j.step(op, Step::Finished { id, aid, deferred })
     }
 
-    fn drive_phases(&self, pending: &mut PendingRevocation) -> Result<(), CloudError> {
+    /// The phases past begin: key delivery (once per revocation), owner
+    /// key updates, then re-encryption — inline, or parked on the lazy
+    /// queue. Owners update their attribute-key history inline even in
+    /// lazy mode: update_info_for needs history at both ends of a span,
+    /// so deferring it would leave read-triggered upgrade keyless.
+    fn run_phases(&self, pending: &mut PendingRevocation, lazy: bool) -> Result<(), CloudError> {
         if pending.stage == RevocationStage::KeyDelivery {
             mabe_trace::event(mabe_trace::TraceEvent::RevocationPhase {
                 stage: "key_delivery",
             });
             self.deliver_keys(pending)?;
             pending.stage = RevocationStage::ReEncryption;
+        }
+        if lazy {
+            self.update_owners(pending)?;
+            return self.enqueue_lazy(pending);
         }
         mabe_trace::event(mabe_trace::TraceEvent::RevocationPhase {
             stage: "re_encryption",
         });
         self.update_owners(pending)?;
         self.reencrypt_phase(pending)
-    }
-
-    /// The lazy counterpart of [`Self::drive_in_shard`]: runs only the
-    /// immediate phase — key delivery and owner key updates — then
-    /// parks server-side re-encryption on the pending-upgrade queue and
-    /// audits [`AuditEvent::RevocationDeferred`] (the security-complete
-    /// point: the version check now denies the revoked user everywhere).
-    /// On failure the pending entry is re-parked with checkpoints
-    /// intact; recovery then drives it *eagerly*, which is the
-    /// documented roll-forward for a crash between begin and defer.
-    pub(crate) fn defer_in_shard(&self, st: &mut ShardState, id: u64) -> Result<(), CloudError> {
-        let Some(mut pending) = st.in_flight.remove(&id) else {
-            return Ok(());
-        };
-        match self.defer_phases(&mut pending) {
-            Ok(()) => {
-                self.audit.lock().record(AuditEvent::RevocationDeferred {
-                    aid: pending.event.aid.to_string(),
-                    version: pending.event.to_version,
-                });
-                Ok(())
-            }
-            Err(e) => {
-                st.in_flight.insert(id, pending);
-                Err(e)
-            }
-        }
-    }
-
-    fn defer_phases(&self, pending: &mut PendingRevocation) -> Result<(), CloudError> {
-        if pending.stage == RevocationStage::KeyDelivery {
-            mabe_trace::event(mabe_trace::TraceEvent::RevocationPhase {
-                stage: "key_delivery",
-            });
-            self.deliver_keys(pending)?;
-            pending.stage = RevocationStage::ReEncryption;
-        }
-        // Owners update their attribute-key history inline even in lazy
-        // mode: update_info_for needs history at both ends of a span, so
-        // deferring this would leave read-triggered upgrade keyless.
-        self.update_owners(pending)?;
-        self.enqueue_lazy(pending)
     }
 
     /// Phase 1: fresh reduced keys to the revoked user (delivered eagerly
@@ -587,7 +647,13 @@ impl CloudSystem {
     ///
     /// Propagates the first fault that still blocks convergence.
     pub fn recover(&self) -> Result<usize, CloudError> {
+        self.recover_via(&Unjournaled)
+    }
+
+    /// [`Self::recover`], journaling each completion through `j`.
+    pub(crate) fn recover_via<J: Journal>(&self, j: &J) -> Result<usize, CloudError> {
         let _trace = mabe_trace::Span::child("cloud.recover");
+        let mut op = j.lock();
         let mut work: Vec<(u64, Arc<AuthorityShard>)> = Vec::new();
         for shard in self.control.shards.read().values() {
             let st = shard.state.lock();
@@ -599,7 +665,7 @@ impl CloudSystem {
         let mut completed = 0;
         for (id, shard) in work {
             let mut st = shard.state.lock();
-            self.drive_in_shard(&mut st, id, true)?;
+            self.finish_in_shard(j, &mut op, &mut st, id, Finish::Recover)?;
             completed += 1;
         }
         Ok(completed)

@@ -8,6 +8,13 @@
 //! shard — they serve the last consistent version, exactly the
 //! graceful degradation the paper's semi-trusted-server model wants.
 //!
+//! Both reads run one loop, [`CloudSystem::serve_read`]: fetch →
+//! read-triggered upgrade → key view → open → bounded retry → audit.
+//! Only the open step differs and is passed in as an [`OpenStep`]:
+//! [`LocalOpen`] (content-key cache plus `decrypt_fast`) for
+//! [`CloudSystem::read`], [`OutsourcedOpen`] (transform key plus
+//! `server_transform`) for [`CloudSystem::read_outsourced`].
+//!
 //! Re-encryption after a revocation fans out across the affected
 //! ciphertext components on a scoped worker pool
 //! ([`CloudSystem::set_reencrypt_workers`]); each worker joins the
@@ -22,8 +29,8 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use mabe_core::{
-    open_component_with_kem, seal_envelope, CiphertextId, Error, OwnerId, Uid, UpdateKey,
-    UserSecretKey,
+    open_component_with_kem, seal_envelope, CiphertextId, Error, OwnerId, SealedComponent, Uid,
+    UpdateInfo, UpdateKey, UserPublicKey, UserSecretKey,
 };
 use mabe_policy::{parse, AuthorityId, Policy};
 
@@ -34,13 +41,165 @@ use crate::server::{CloudServer, RecordKey};
 use crate::system::{fault_points, CloudError, CloudSystem};
 use crate::wire::Endpoint;
 
-/// How many times a reader whose key view lags a concurrent
-/// revocation's key delivery will wait out the immediate phase and
-/// re-clone before giving up. Each pass absorbs one version bump that
-/// landed mid-read, so this only binds under a revocation storm denser
-/// than the reader's own retry loop — a revoked user burns the budget
-/// and is then denied deterministically.
+/// How many times a reader whose key view and component straddle a
+/// concurrent revocation — the key lagging its delivery, or ahead of a
+/// component the read upgraded just before the bump — waits out the
+/// immediate phase and goes round again before giving up. Each pass
+/// absorbs one version bump that landed mid-read, so this only binds
+/// under a revocation storm denser than the reader's own retry loop —
+/// a revoked user burns the budget and is then denied deterministically.
 const MAX_READ_BARRIERS: usize = 8;
+
+/// A reader's keys for one owner's records, cloned out of the
+/// directory.
+struct KeyView {
+    pk: UserPublicKey,
+    keys: BTreeMap<AuthorityId, UserSecretKey>,
+}
+
+/// Who reads which component.
+struct ReadAt<'a> {
+    uid: &'a Uid,
+    owner: &'a OwnerId,
+    record: &'a str,
+    label: &'a str,
+}
+
+/// The step of a read that differs between [`CloudSystem::read`] and
+/// [`CloudSystem::read_outsourced`]; [`CloudSystem::serve_read`] runs
+/// the loop around it.
+trait OpenStep {
+    /// The reader's download of the component: once per read, ahead of
+    /// any upgrade.
+    fn download(
+        &mut self,
+        _sys: &CloudSystem,
+        _at: &ReadAt<'_>,
+        _component: &SealedComponent,
+    ) -> Result<(), CloudError> {
+        Ok(())
+    }
+
+    /// Runs between the read-triggered upgrade and the key-view clone:
+    /// the window in which a revocation landing puts the reader's key
+    /// ahead of the component. Serving paths do nothing here; the race
+    /// tests land revocations in it.
+    fn before_key_view(&mut self, _sys: &CloudSystem) {}
+
+    /// Opens `component` with the reader's key view.
+    fn open(
+        &mut self,
+        sys: &CloudSystem,
+        at: &ReadAt<'_>,
+        component: &SealedComponent,
+        view: &KeyView,
+    ) -> Result<Vec<u8>, Error>;
+}
+
+/// [`CloudSystem::read`]'s open step: the user downloads the component
+/// and decrypts it through the content-key cache.
+struct LocalOpen;
+
+impl OpenStep for LocalOpen {
+    fn download(
+        &mut self,
+        sys: &CloudSystem,
+        at: &ReadAt<'_>,
+        component: &SealedComponent,
+    ) -> Result<(), CloudError> {
+        // Reads are server-side only: they keep working while
+        // authorities are down (graceful degradation at the last
+        // consistent version), and transient download faults are
+        // retried at READ_FETCH.
+        sys.transmit(
+            fault_points::READ_FETCH,
+            Endpoint::Server,
+            Endpoint::User(at.uid.clone()),
+            &format!("component {}/{}", at.record, at.label),
+            component.stored_size(),
+        )
+    }
+
+    fn open(
+        &mut self,
+        sys: &CloudSystem,
+        at: &ReadAt<'_>,
+        component: &SealedComponent,
+        view: &KeyView,
+    ) -> Result<Vec<u8>, Error> {
+        // Hot-key cache: the recovered KEM element per (reader,
+        // component, ciphertext, exact version vector). A hit skips the
+        // CP-ABE pairing work entirely; republishing the record changes
+        // the ciphertext id and any re-encryption changes the version
+        // vector, either way the key, so stale hits are structurally
+        // impossible, and the generation guard keeps a decryption
+        // racing a revocation's bump from repopulating the cache
+        // afterwards.
+        let cache_key = ContentCacheKey {
+            uid: at.uid.to_string(),
+            owner: at.owner.to_string(),
+            record: at.record.to_owned(),
+            label: at.label.to_owned(),
+            ciphertext: component.key_ct.id,
+            versions: component
+                .key_ct
+                .versions
+                .iter()
+                .map(|(a, v)| (a.to_string(), *v))
+                .collect(),
+        };
+        if let Some(kem) = sys.cache.get_content(&cache_key) {
+            return open_component_with_kem(component, &kem);
+        }
+        let snapshot = sys
+            .cache
+            .generation_snapshot(component.key_ct.versions.keys());
+        let kem = mabe_core::decrypt_fast(&component.key_ct, &view.pk, &view.keys)?;
+        let out = open_component_with_kem(component, &kem);
+        if out.is_ok() {
+            sys.cache.insert_content_if(&snapshot, cache_key, kem);
+        }
+        out
+    }
+}
+
+/// [`CloudSystem::read_outsourced`]'s open step: the user sends a
+/// blinded transform key, the server runs all pairings, and the user
+/// finishes with one `G_T` exponentiation.
+struct OutsourcedOpen;
+
+impl OpenStep for OutsourcedOpen {
+    fn open(
+        &mut self,
+        sys: &CloudSystem,
+        at: &ReadAt<'_>,
+        component: &SealedComponent,
+        view: &KeyView,
+    ) -> Result<Vec<u8>, Error> {
+        let (tk, rk) = mabe_core::make_transform_key(&view.pk, &view.keys, &mut *sys.rng.lock())?;
+        // The blinded key travels to the server (same element count as
+        // the underlying secret keys plus the blinded PK).
+        let keys = &view.keys;
+        let tk_bytes: usize =
+            keys.values().map(UserSecretKey::wire_size).sum::<usize>() + mabe_core::G_BYTES;
+        sys.wire.send(
+            Endpoint::User(at.uid.clone()),
+            Endpoint::Server,
+            "transform key",
+            tk_bytes,
+        );
+        let token = mabe_core::server_transform(&component.key_ct, &tk)?;
+        // Only the 128-byte token comes back — not the ciphertext.
+        sys.wire.send(
+            Endpoint::Server,
+            Endpoint::User(at.uid.clone()),
+            format!("transform token {}/{}", at.record, at.label),
+            mabe_core::GT_BYTES + component.sealed.len() + component.nonce.len(),
+        );
+        let kem = mabe_core::client_recover(&component.key_ct, &token, &rk);
+        open_component_with_kem(component, &kem)
+    }
+}
 
 /// The data plane: the shared ciphertext store plus the re-encryption
 /// fan-out width.
@@ -139,145 +298,7 @@ impl CloudSystem {
     ) -> Result<Vec<u8>, CloudError> {
         let _span = mabe_telemetry::Span::with_labels("mabe_system_op", &[("op", "read")]);
         let _trace = mabe_trace::Span::child("cloud.read").detail(format!("{record}/{label}"));
-        mabe_trace::op_attr("uid", uid.to_string());
-        if !self.directory.users.read().users.contains_key(uid) {
-            return Err(CloudError::Core(Error::UnknownUser(uid.clone())));
-        }
-        let envelope = self
-            .data
-            .server
-            .fetch(owner_id, record)
-            .ok_or_else(|| CloudError::UnknownRecord(record.to_owned()))?;
-        let component = envelope
-            .component(label)
-            .ok_or_else(|| CloudError::UnknownComponent(label.to_owned()))?;
-        if let Some(v) = component.key_ct.versions.values().max() {
-            mabe_trace::op_attr("key_version_observed", v.to_string());
-        }
-        // Reads are server-side only: they keep working while authorities
-        // are down (graceful degradation at the last consistent version),
-        // and transient download faults are retried at READ_FETCH.
-        self.transmit(
-            fault_points::READ_FETCH,
-            Endpoint::Server,
-            Endpoint::User(uid.clone()),
-            &format!("component {record}/{label}"),
-            component.stored_size(),
-        )?;
-        let mut retried = false;
-        let mut barriers = 0;
-        let result = loop {
-            let mut envelope = self
-                .data
-                .server
-                .fetch(owner_id, record)
-                .ok_or_else(|| CloudError::UnknownRecord(record.to_owned()))?;
-            let component = envelope
-                .component(label)
-                .ok_or_else(|| CloudError::UnknownComponent(label.to_owned()))?;
-            // Read-triggered upgrade: a component the archive can still
-            // advance is never served stale — hot objects converge ahead
-            // of the lazy drain, and an adversary holding pre-revocation
-            // keys never finds a matching pre-revocation ciphertext.
-            if self.upgrade_before_serve(owner_id, record, label, component)? {
-                envelope = self
-                    .data
-                    .server
-                    .fetch(owner_id, record)
-                    .ok_or_else(|| CloudError::UnknownRecord(record.to_owned()))?;
-            }
-            let component = envelope
-                .component(label)
-                .ok_or_else(|| CloudError::UnknownComponent(label.to_owned()))?;
-            if let Some(v) = component.key_ct.versions.values().max() {
-                // Last iteration wins: the version actually served.
-                mabe_trace::op_attr("key_version_served", v.to_string());
-            }
-            let (pk, keys) = {
-                let users = self.directory.users.read();
-                let state = users.users.get(uid).expect("checked above");
-                let keys: BTreeMap<AuthorityId, UserSecretKey> = state
-                    .keys
-                    .iter()
-                    .filter(|((o, _), _)| o == owner_id)
-                    .map(|((_, aid), key)| (aid.clone(), key.clone()))
-                    .collect();
-                (state.pk.clone(), keys)
-            };
-            // Hot-key cache: the recovered KEM element per (reader,
-            // component, ciphertext, exact version vector). A hit skips
-            // the CP-ABE pairing work entirely; republishing the record
-            // changes the ciphertext id and any re-encryption changes the
-            // version vector, either way the key, so stale hits are
-            // structurally impossible, and the generation guard keeps a
-            // decryption racing a revocation's bump from repopulating
-            // the cache afterwards.
-            let cache_key = ContentCacheKey {
-                uid: uid.to_string(),
-                owner: owner_id.to_string(),
-                record: record.to_owned(),
-                label: label.to_owned(),
-                ciphertext: component.key_ct.id,
-                versions: component
-                    .key_ct
-                    .versions
-                    .iter()
-                    .map(|(a, v)| (a.to_string(), *v))
-                    .collect(),
-            };
-            let opened = match self.cache.get_content(&cache_key) {
-                Some(kem) => open_component_with_kem(component, &kem),
-                None => {
-                    let snapshot = self
-                        .cache
-                        .generation_snapshot(component.key_ct.versions.keys());
-                    match mabe_core::decrypt_fast(&component.key_ct, &pk, &keys) {
-                        Ok(kem) => {
-                            let out = open_component_with_kem(component, &kem);
-                            if out.is_ok() {
-                                self.cache.insert_content_if(&snapshot, cache_key, kem);
-                            }
-                            out
-                        }
-                        Err(e) => Err(e),
-                    }
-                }
-            };
-            match opened {
-                // The key view lags the component: a concurrent
-                // revocation advanced the ciphertext (possibly via our
-                // own upgrade-before-serve) while its key delivery was
-                // still in flight. Wait out the immediate phase and
-                // re-clone — a live holder's key catches up; a revoked
-                // user's never does and falls through to denial.
-                Err(Error::VersionMismatch {
-                    authority,
-                    expected,
-                    found,
-                }) if found < expected && barriers < MAX_READ_BARRIERS => {
-                    barriers += 1;
-                    self.key_delivery_barrier(&authority);
-                    continue;
-                }
-                // The inverse benign race — keys cloned just after a
-                // bump whose component upgrade this read ran ahead of.
-                // One retry re-fetches both sides; the refreshed
-                // upgrade-before-serve pass closes the gap.
-                Err(Error::VersionMismatch { .. }) if !retried => {
-                    retried = true;
-                    continue;
-                }
-                result => break result,
-            }
-        };
-        self.audit.lock().record(AuditEvent::Read {
-            uid: uid.to_string(),
-            owner: owner_id.to_string(),
-            record: record.to_owned(),
-            component: label.to_owned(),
-            allowed: result.is_ok(),
-        });
-        Ok(result?)
+        self.serve_read(uid, owner_id, record, label, &mut LocalOpen)
     }
 
     /// Like [`Self::read`], but decryption is outsourced: the user sends
@@ -301,102 +322,113 @@ impl CloudSystem {
             mabe_telemetry::Span::with_labels("mabe_system_op", &[("op", "read_outsourced")]);
         let _trace =
             mabe_trace::Span::child("cloud.read_outsourced").detail(format!("{record}/{label}"));
-        mabe_trace::op_attr("uid", uid.to_string());
-        if !self.directory.users.read().users.contains_key(uid) {
-            return Err(CloudError::Core(Error::UnknownUser(uid.clone())));
+        self.serve_read(uid, owner_id, record, label, &mut OutsourcedOpen)
+    }
+
+    /// The one read loop: fetch → read-triggered upgrade → key view →
+    /// open → bounded retry, then one audit record of the outcome.
+    /// Failures before the policy decision (unknown user, record or
+    /// component; a lost download; a failed upgrade) return unaudited.
+    fn serve_read(
+        &self,
+        uid: &Uid,
+        owner_id: &OwnerId,
+        record: &str,
+        label: &str,
+        step: &mut impl OpenStep,
+    ) -> Result<Vec<u8>, CloudError> {
+        let at = &ReadAt {
+            uid,
+            owner: owner_id,
+            record,
+            label,
+        };
+        mabe_trace::op_attr("uid", at.uid.to_string());
+        if !self.directory.users.read().users.contains_key(at.uid) {
+            return Err(CloudError::Core(Error::UnknownUser(at.uid.clone())));
         }
-        let mut retried = false;
         let mut barriers = 0;
         let result = loop {
-            let (pk, keys) = {
-                let users = self.directory.users.read();
-                let state = users.users.get(uid).expect("checked above");
-                let keys: BTreeMap<AuthorityId, UserSecretKey> = state
-                    .keys
-                    .iter()
-                    .filter(|((o, _), _)| o == owner_id)
-                    .map(|((_, aid), key)| (aid.clone(), key.clone()))
-                    .collect();
-                (state.pk.clone(), keys)
-            };
-            let mut envelope = self
-                .data
-                .server
-                .fetch(owner_id, record)
-                .ok_or_else(|| CloudError::UnknownRecord(record.to_owned()))?;
-            let component = envelope
-                .component(label)
-                .ok_or_else(|| CloudError::UnknownComponent(label.to_owned()))?;
-            if !retried && barriers == 0 {
+            let mut component = self.fetch_component(at.owner, at.record, at.label)?;
+            if barriers == 0 {
                 if let Some(v) = component.key_ct.versions.values().max() {
                     mabe_trace::op_attr("key_version_observed", v.to_string());
                 }
+                step.download(self, at, &component)?;
             }
-            // Same read-triggered upgrade as [`Self::read`]: stale
-            // components are advanced in place before the server runs
-            // its transform.
-            if self.upgrade_before_serve(owner_id, record, label, component)? {
-                envelope = self
-                    .data
-                    .server
-                    .fetch(owner_id, record)
-                    .ok_or_else(|| CloudError::UnknownRecord(record.to_owned()))?;
+            // Read-triggered upgrade: a component the archive can still
+            // advance is never served stale — hot objects converge ahead
+            // of the lazy drain, and an adversary holding pre-revocation
+            // keys never finds a matching pre-revocation ciphertext.
+            if self.upgrade_before_serve(at.owner, at.record, at.label, &component)? {
+                component = self.fetch_component(at.owner, at.record, at.label)?;
             }
-            let component = envelope
-                .component(label)
-                .ok_or_else(|| CloudError::UnknownComponent(label.to_owned()))?;
             if let Some(v) = component.key_ct.versions.values().max() {
                 // Last iteration wins: the version actually served.
                 mabe_trace::op_attr("key_version_served", v.to_string());
             }
-            let (tk, rk) = mabe_core::make_transform_key(&pk, &keys, &mut *self.rng.lock())?;
-            // The blinded key travels to the server (same element count as
-            // the underlying secret keys plus the blinded PK).
-            let tk_bytes: usize =
-                keys.values().map(UserSecretKey::wire_size).sum::<usize>() + mabe_core::G_BYTES;
-            self.wire.send(
-                Endpoint::User(uid.clone()),
-                Endpoint::Server,
-                "transform key",
-                tk_bytes,
-            );
-            let token = match mabe_core::server_transform(&component.key_ct, &tk) {
-                // Same two races as [`Self::read`]: lagging key view
-                // (wait out the in-flight delivery, bounded) or a key
-                // bump this read ran ahead of (one refetch).
-                Err(Error::VersionMismatch {
-                    authority,
-                    expected,
-                    found,
-                }) if found < expected && barriers < MAX_READ_BARRIERS => {
+            step.before_key_view(self);
+            let view = self.key_view(at.uid, at.owner);
+            match step.open(self, at, &component, &view) {
+                // The key view and the component straddle a revocation
+                // at `authority`: the key lags a bump whose delivery is
+                // still in flight, or a bump landed between the upgrade
+                // and the key-view clone and the key is ahead. Wait out
+                // the immediate phase and go round again: the next pass
+                // clones the delivered key or upgrades the component to
+                // it. A live holder catches up; a revoked user's key
+                // never does and falls through to denial.
+                Err(Error::VersionMismatch { authority, .. }) if barriers < MAX_READ_BARRIERS => {
                     barriers += 1;
                     self.key_delivery_barrier(&authority);
-                    continue;
                 }
-                Err(Error::VersionMismatch { .. }) if !retried => {
-                    retried = true;
-                    continue;
-                }
-                token => token?,
-            };
-            // Only the 128-byte token comes back — not the ciphertext.
-            self.wire.send(
-                Endpoint::Server,
-                Endpoint::User(uid.clone()),
-                format!("transform token {record}/{label}"),
-                mabe_core::GT_BYTES + component.sealed.len() + component.nonce.len(),
-            );
-            let kem = mabe_core::client_recover(&component.key_ct, &token, &rk);
-            break mabe_core::open_component_with_kem(component, &kem);
+                result => break result,
+            }
         };
         self.audit.lock().record(AuditEvent::Read {
-            uid: uid.to_string(),
-            owner: owner_id.to_string(),
-            record: record.to_owned(),
-            component: label.to_owned(),
+            uid: at.uid.to_string(),
+            owner: at.owner.to_string(),
+            record: at.record.to_owned(),
+            component: at.label.to_owned(),
             allowed: result.is_ok(),
         });
         Ok(result?)
+    }
+
+    /// One stored component, fetched from the server.
+    fn fetch_component(
+        &self,
+        owner_id: &OwnerId,
+        record: &str,
+        label: &str,
+    ) -> Result<SealedComponent, CloudError> {
+        self.data
+            .server
+            .fetch(owner_id, record)
+            .ok_or_else(|| CloudError::UnknownRecord(record.to_owned()))?
+            .components
+            .into_iter()
+            .find(|c| c.label == label)
+            .ok_or_else(|| CloudError::UnknownComponent(label.to_owned()))
+    }
+
+    /// A reader's key view for one owner's records, under a short read
+    /// lock.
+    fn key_view(&self, uid: &Uid, owner_id: &OwnerId) -> KeyView {
+        let users = self.directory.users.read();
+        let state = users
+            .users
+            .get(uid)
+            .expect("reader checked before the loop");
+        KeyView {
+            pk: state.pk.clone(),
+            keys: state
+                .keys
+                .iter()
+                .filter(|((o, _), _)| o == owner_id)
+                .map(|((_, aid), key)| (aid.clone(), key.clone()))
+                .collect(),
+        }
     }
 
     /// Waits out any in-flight revocation at `aid`. The immediate phase
@@ -534,6 +566,21 @@ impl CloudSystem {
             let owner = owners.get(owner_id).expect("owner exists");
             owner.update_info_for(*ct_id, aid, from, to)?
         };
+        self.reencrypt_at_server(owner_id, record_key, label, uk, &ui)
+    }
+
+    /// ReEncrypt at the server: the owner sends the update key plus the
+    /// ciphertext's update info, and the server advances one component.
+    /// Losing the race to a concurrent upgrader — the component already
+    /// at or past the key's target version — is success.
+    pub(crate) fn reencrypt_at_server(
+        &self,
+        owner_id: &OwnerId,
+        record_key: &RecordKey,
+        label: &str,
+        uk: &UpdateKey,
+        ui: &UpdateInfo,
+    ) -> Result<(), CloudError> {
         self.wire.send(
             Endpoint::Owner(owner_id.clone()),
             Endpoint::Server,
@@ -543,12 +590,10 @@ impl CloudSystem {
         match self
             .data
             .server
-            .reencrypt_component(record_key, label, uk, &ui)
+            .reencrypt_component(record_key, label, uk, ui)
         {
             Ok(()) => Ok(()),
-            // A concurrent read-triggered upgrade got here first and
-            // advanced the component past this revocation's target.
-            Err(Error::VersionMismatch { found, .. }) if found >= to => Ok(()),
+            Err(Error::VersionMismatch { found, .. }) if found >= uk.to_version => Ok(()),
             Err(e) => Err(e.into()),
         }
     }
@@ -584,7 +629,7 @@ impl CloudSystem {
         owner_id: &OwnerId,
         record: &str,
         label: &str,
-        component: &mabe_core::SealedComponent,
+        component: &SealedComponent,
     ) -> Result<bool, CloudError> {
         let mut stale = self.stale_versions(owner_id, &component.key_ct.versions);
         if stale.is_empty() {
@@ -597,14 +642,7 @@ impl CloudSystem {
             for (aid, _) in &stale {
                 self.key_delivery_barrier(aid);
             }
-            let envelope = self
-                .data
-                .server
-                .fetch(owner_id, record)
-                .ok_or_else(|| CloudError::UnknownRecord(record.to_owned()))?;
-            let component = envelope
-                .component(label)
-                .ok_or_else(|| CloudError::UnknownComponent(label.to_owned()))?;
+            let component = self.fetch_component(owner_id, record, label)?;
             stale = self.stale_versions(owner_id, &component.key_ct.versions);
             if stale.is_empty() {
                 return Ok(true);
@@ -717,5 +755,86 @@ impl CloudSystem {
             Some((_, e)) => Err(e),
             None => Ok(()),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Opens like [`LocalOpen`], but lands one revocation in the window
+    /// between the upgrade and the key-view clone on each of the first
+    /// `storm.len()` passes.
+    struct RevokeInWindow {
+        storm: Vec<Uid>,
+    }
+
+    impl OpenStep for RevokeInWindow {
+        fn download(
+            &mut self,
+            sys: &CloudSystem,
+            at: &ReadAt<'_>,
+            component: &SealedComponent,
+        ) -> Result<(), CloudError> {
+            LocalOpen.download(sys, at, component)
+        }
+
+        fn before_key_view(&mut self, sys: &CloudSystem) {
+            if let Some(uid) = self.storm.pop() {
+                sys.revoke(&uid, "Doctor@MedOrg").unwrap();
+            }
+        }
+
+        fn open(
+            &mut self,
+            sys: &CloudSystem,
+            at: &ReadAt<'_>,
+            component: &SealedComponent,
+            view: &KeyView,
+        ) -> Result<Vec<u8>, Error> {
+            LocalOpen.open(sys, at, component, view)
+        }
+    }
+
+    /// The lazy-storm reader race, made deterministic: each revocation
+    /// landing between the read-triggered upgrade and the key-view clone
+    /// puts the live reader's key one version ahead of the component it
+    /// just upgraded. A single refetch absorbs one such bump, not two;
+    /// the bounded barrier loop absorbs every bump up to its budget.
+    #[test]
+    fn revocations_landing_between_upgrade_and_key_view_never_fail_a_live_reader() {
+        let sys = CloudSystem::new(0x5ace);
+        let aid = sys.add_authority("MedOrg", &["Doctor"]).unwrap();
+        let owner = sys.add_owner("hospital").unwrap();
+        let bob = sys.add_user("bob").unwrap();
+        sys.grant(&bob, &["Doctor@MedOrg"]).unwrap();
+        let mut cohort: Vec<Uid> = (0..4)
+            .map(|i| {
+                let uid = sys.add_user(&format!("mallory-{i}")).unwrap();
+                sys.grant(&uid, &["Doctor@MedOrg"]).unwrap();
+                uid
+            })
+            .collect();
+        sys.publish(
+            &owner,
+            "chart",
+            &[("x", b"ward chart".as_slice(), "Doctor@MedOrg")],
+        )
+        .unwrap();
+        sys.set_lazy_revocation(true);
+        // A deferred revocation leaves the chart stale, so the read
+        // upgrades it before cloning its key view.
+        sys.revoke(&cohort.remove(0), "Doctor@MedOrg").unwrap();
+
+        let mut step = RevokeInWindow { storm: cohort };
+        let served = sys.serve_read(&bob, &owner, "chart", "x", &mut step);
+        assert_eq!(served.unwrap(), b"ward chart");
+        assert!(
+            step.storm.is_empty(),
+            "every revocation landed in the window"
+        );
+        assert_eq!(sys.authority_version(&aid), Some(5));
+        assert_eq!(sys.read(&bob, &owner, "chart", "x").unwrap(), b"ward chart");
+        assert!(sys.audit().verify());
     }
 }

@@ -23,18 +23,21 @@
 //!   upgraded in **one** re-encryption pass regardless of `n`. This is
 //!   the "server-held update key" of the read-triggered path.
 //! * **The pending-upgrade queue** — one entry per deferred revocation,
-//!   keyed by the global revocation journal id. The durable wrapper
-//!   journals enqueue and drain through the WAL, so an acked lazy
-//!   revoke survives a crash and [`crate::DurableSystem::open`] replays
-//!   it back into the queue.
-//! * **The drain** — [`CloudSystem::drain_lazy_batch`] claims the
-//!   oldest un-claimed authority (so multiple workers never contend on
-//!   one authority's worklist), composes all of its pending revocations
-//!   into a single update pass, and walks
-//!   [`crate::CloudServer::affected_ciphertexts`] until no component is
-//!   left below the target version. The worklist is version-keyed and
-//!   therefore idempotent: crash, replay, and racing read-triggered
-//!   upgrades all just shrink the next pass.
+//!   keyed by the global revocation journal id. Enqueue (the defer
+//!   step) and drain completion go through the drivers'
+//!   [`Journal`](crate::control::Journal), so under
+//!   [`crate::DurableSystem`] an acked lazy revoke survives a crash and
+//!   [`crate::DurableSystem::open`] replays it back into the queue.
+//! * **The drain** — the only drain loop, shared by both systems:
+//!   [`CloudSystem::drain_lazy_batch`] claims the oldest un-claimed
+//!   authority (so multiple workers never contend on one authority's
+//!   worklist), composes all of its pending revocations into a single
+//!   update pass, walks [`crate::CloudServer::affected_ciphertexts`]
+//!   outside the op lock until no component is left below the target
+//!   version, then completes the claim under it. The worklist is
+//!   version-keyed and therefore idempotent: crash, replay, and racing
+//!   read-triggered upgrades all just shrink the next pass. Revokes
+//!   apply backpressure through the same loop.
 //!
 //! Reads never take a shard lock to decide staleness — the archive
 //! alone answers "is this component behind?", which keeps the read path
@@ -52,10 +55,10 @@ use mabe_core::{CiphertextId, Error, OwnerId, RevocationEvent, UpdateKey};
 use mabe_policy::AuthorityId;
 
 use crate::audit::AuditEvent;
+use crate::control::{Journal, Step, Unjournaled};
 use crate::recovery::PendingRevocation;
 use crate::server::RecordKey;
-use crate::system::{fault_points, CloudError, CloudSystem};
-use crate::wire::Endpoint;
+use crate::system::{fault_points, traced, CloudError, CloudSystem};
 
 /// Default bound on queued pending-upgrade batches before new revokes
 /// feel backpressure (they drain a batch inline instead of enqueueing
@@ -110,13 +113,13 @@ impl LazyState {
 /// `from_version..to_version` upgrade pass. The holder must call
 /// [`CloudSystem::release_claim`] when done (success or failure).
 #[derive(Clone, Debug)]
-pub(crate) struct LazyClaim {
-    pub(crate) aid: AuthorityId,
-    pub(crate) from_version: u64,
-    pub(crate) to_version: u64,
+struct LazyClaim {
+    aid: AuthorityId,
+    from_version: u64,
+    to_version: u64,
     /// `(journal id, to_version, enqueued)` per claimed entry, in id
     /// order.
-    pub(crate) entries: Vec<(u64, u64, Instant)>,
+    entries: Vec<(u64, u64, Instant)>,
 }
 
 impl CloudSystem {
@@ -124,8 +127,9 @@ impl CloudSystem {
     /// pre-existing series, kept for baseline compatibility) plus one
     /// `authority`-labeled series per known authority — zeroed when an
     /// authority has nothing queued, so a drained authority's series
-    /// falls back to 0 instead of freezing at its last depth.
-    fn refresh_queue_gauges(&self) {
+    /// falls back to 0 instead of freezing at its last depth. Durable
+    /// open calls it once replay has refilled the queue.
+    pub(crate) fn refresh_queue_gauges(&self) {
         let per_aid: BTreeMap<AuthorityId, i64> = {
             let queue = self.lazy.queue.lock();
             let mut per_aid = BTreeMap::new();
@@ -258,61 +262,53 @@ impl CloudSystem {
 
     /// Upgrades one stored component from `from` to the newest archived
     /// version at `aid`: composed update key + owner-produced update
-    /// info + server-side proxy re-encryption. Losing the race to a
-    /// concurrent upgrader (the component already advanced past the
-    /// chain's target) is success.
+    /// info + server-side proxy re-encryption. A concurrent upgrader
+    /// that took the component past the chain's target wins the race,
+    /// which is success; one that took it only part of the way leaves a
+    /// newer version, and the upgrade goes on from there.
     pub(crate) fn upgrade_one(
         &self,
         aid: &AuthorityId,
         owner_id: &OwnerId,
-        from: u64,
+        mut from: u64,
         record_key: &RecordKey,
         label: &str,
         ct_id: CiphertextId,
     ) -> Result<(), CloudError> {
-        let Some(uk) = self.chain_from(aid, owner_id, from) else {
-            return Ok(());
-        };
-        let mut waited = false;
-        let ui = loop {
-            let result = {
-                let owners = self.directory.owners.read();
-                let owner = owners
-                    .get(owner_id)
-                    .ok_or_else(|| CloudError::Core(Error::UnknownOwner(owner_id.clone())))?;
-                owner.update_info_for(ct_id, aid, from, uk.to_version)
-            };
-            match result {
-                Ok(ui) => break ui,
-                // The owner's attribute-key history hasn't reached the
-                // chain target yet: the revocation that archived this
-                // update key is still in its immediate phase (which
-                // applies owner update keys before acknowledging).
-                // Wait it out behind the shard lock and retry once —
-                // histories only grow, so one barrier is enough.
-                Err(Error::MissingAuthorityKey(_)) if !waited => {
-                    waited = true;
-                    self.key_delivery_barrier(aid);
-                    continue;
+        while let Some(uk) = self.chain_from(aid, owner_id, from) {
+            let mut waited = false;
+            let ui = loop {
+                let result = {
+                    let owners = self.directory.owners.read();
+                    let owner = owners
+                        .get(owner_id)
+                        .ok_or_else(|| CloudError::Core(Error::UnknownOwner(owner_id.clone())))?;
+                    owner.update_info_for(ct_id, aid, from, uk.to_version)
+                };
+                match result {
+                    Ok(ui) => break ui,
+                    // The owner's attribute-key history hasn't reached
+                    // the chain target yet: the revocation that
+                    // archived this update key is still in its
+                    // immediate phase (which applies owner update keys
+                    // before acknowledging). Wait it out behind the
+                    // shard lock and retry once — histories only grow,
+                    // so one barrier is enough.
+                    Err(Error::MissingAuthorityKey(_)) if !waited => {
+                        waited = true;
+                        self.key_delivery_barrier(aid);
+                    }
+                    Err(e) => return Err(e.into()),
                 }
-                Err(e) => return Err(e.into()),
+            };
+            match self.reencrypt_at_server(owner_id, record_key, label, &uk, &ui) {
+                Err(CloudError::Core(Error::VersionMismatch { found, .. })) if found > from => {
+                    from = found;
+                }
+                result => return result,
             }
-        };
-        self.wire.send(
-            Endpoint::Owner(owner_id.clone()),
-            Endpoint::Server,
-            "update key + update info",
-            uk.wire_size() + ui.wire_size(),
-        );
-        match self
-            .data
-            .server
-            .reencrypt_component(record_key, label, &uk, &ui)
-        {
-            Ok(()) => Ok(()),
-            Err(Error::VersionMismatch { found, .. }) if found >= uk.to_version => Ok(()),
-            Err(e) => Err(e.into()),
         }
+        Ok(())
     }
 
     /// Parks a journaled revocation's re-encryption work on the
@@ -343,7 +339,7 @@ impl CloudSystem {
     /// Claims every queued entry of the oldest un-claimed authority.
     /// `None` when the queue is empty or every queued authority is
     /// already claimed by another worker.
-    pub(crate) fn claim_next(&self) -> Option<LazyClaim> {
+    fn claim_next(&self) -> Option<LazyClaim> {
         let queue = self.lazy.queue.lock();
         let mut draining = self.lazy.draining.lock();
         let aid = queue
@@ -368,7 +364,7 @@ impl CloudSystem {
 
     /// Releases a drain claim (success or failure) so another worker —
     /// or a retry — can pick the authority back up.
-    pub(crate) fn release_claim(&self, aid: &AuthorityId) {
+    fn release_claim(&self, aid: &AuthorityId) {
         self.lazy.draining.lock().remove(aid);
     }
 
@@ -376,15 +372,13 @@ impl CloudSystem {
     /// [`crate::CloudServer::affected_ciphertexts`] for every version
     /// the claim spans until a full pass finds nothing stale, upgrading
     /// each hit through the composed archive chain at the
-    /// [`fault_points::LAZY_DRAIN`] point. Carries **no** bookkeeping —
-    /// the durable wrapper runs this outside its op lock and completes
-    /// the claim under it.
-    pub(crate) fn drain_claim_components(&self, claim: &LazyClaim) -> Result<u64, CloudError> {
-        let trace = mabe_trace::Span::child("cloud.lazy_drain").detail(format!("@{}", claim.aid));
-        mabe_trace::op_attr("authority", claim.aid.to_string());
-        mabe_trace::op_attr("key_version_observed", claim.from_version.to_string());
-        mabe_trace::op_attr("key_version_served", claim.to_version.to_string());
-        let result: Result<u64, CloudError> = (|| {
+    /// [`fault_points::LAZY_DRAIN`] point. Carries **no** bookkeeping:
+    /// it runs outside the op lock, and the claim completes under it.
+    fn drain_claim_components(&self, claim: &LazyClaim) -> Result<u64, CloudError> {
+        traced("cloud.lazy_drain", format!("@{}", claim.aid), || {
+            mabe_trace::op_attr("authority", claim.aid.to_string());
+            mabe_trace::op_attr("key_version_observed", claim.from_version.to_string());
+            mabe_trace::op_attr("key_version_served", claim.to_version.to_string());
             let mut drained = 0u64;
             loop {
                 let mut pass = 0u64;
@@ -420,11 +414,7 @@ impl CloudSystem {
                     .add(drained);
             }
             Ok(drained)
-        })();
-        if let Err(e) = &result {
-            trace.fail(e.to_string());
-        }
-        result
+        })
     }
 
     /// Completes a drained claim: removes its entries from the queue,
@@ -432,7 +422,7 @@ impl CloudSystem {
     /// [`AuditEvent::RevocationConverged`] per revocation in journal-id
     /// order. Returns the ids actually completed (entries another
     /// worker already removed are skipped).
-    pub(crate) fn complete_claim(&self, claim: &LazyClaim) -> Vec<u64> {
+    fn complete_claim(&self, claim: &LazyClaim) -> Vec<u64> {
         let ids = {
             let mut queue = self.lazy.queue.lock();
             let mut ids = Vec::new();
@@ -478,13 +468,30 @@ impl CloudSystem {
     ///
     /// Propagates unrecovered injected faults and upgrade failures.
     pub fn drain_lazy_batch(&self) -> Result<Vec<u64>, CloudError> {
+        self.drain_batch_via(&Unjournaled)
+    }
+
+    /// [`Self::drain_lazy_batch`], journaled through `j`: component
+    /// upgrades run outside the op lock, and the claim completes (and
+    /// its drain step is journaled) under it.
+    pub(crate) fn drain_batch_via<J: Journal>(&self, j: &J) -> Result<Vec<u64>, CloudError> {
+        if !j.may_drain()? {
+            return Ok(Vec::new());
+        }
         let Some(claim) = self.claim_next() else {
             return Ok(Vec::new());
         };
-        let result = self.drain_claim_components(&claim);
-        let out = result.map(|_| self.complete_claim(&claim));
+        let result = self.drain_claim_components(&claim).and_then(|_| {
+            let mut op = j.lock();
+            let ids = self.complete_claim(&claim);
+            if !ids.is_empty() {
+                let aid = &claim.aid;
+                j.step(&mut op, Step::Drained { ids: &ids, aid })?;
+            }
+            Ok(ids)
+        });
         self.release_claim(&claim.aid);
-        out
+        result
     }
 
     /// Drains the entire pending-upgrade queue (every authority, every
@@ -495,9 +502,14 @@ impl CloudSystem {
     /// Propagates the first failing batch; earlier batches stay
     /// converged and the failing one stays queued.
     pub fn drain_lazy(&self) -> Result<usize, CloudError> {
+        self.drain_all_via(&Unjournaled)
+    }
+
+    /// [`Self::drain_lazy`], journaled through `j`.
+    pub(crate) fn drain_all_via<J: Journal>(&self, j: &J) -> Result<usize, CloudError> {
         let mut converged = 0;
         loop {
-            let ids = self.drain_lazy_batch()?;
+            let ids = self.drain_batch_via(j)?;
             if ids.is_empty() {
                 return Ok(converged);
             }
@@ -505,12 +517,13 @@ impl CloudSystem {
         }
     }
 
-    /// Backpressure gate for new revokes: while the queue sits at
-    /// capacity, drain a batch inline (the revoker pays the drain
-    /// latency — work is never dropped). If every batch is claimed by
-    /// other workers, yields a bounded number of times and then
-    /// proceeds (soft bound).
-    pub(crate) fn lazy_backpressure(&self) -> Result<(), CloudError> {
+    /// Backpressure gate for new revokes, run before the op lock: while
+    /// the queue sits at capacity, drain a batch inline (the revoker
+    /// pays the drain latency — work is never dropped), each batch
+    /// completing under the op lock. If every batch is claimed by other
+    /// workers, yields a bounded number of times and then proceeds
+    /// (soft bound).
+    pub(crate) fn lazy_backpressure<J: Journal>(&self, j: &J) -> Result<(), CloudError> {
         if !self.lazy_revocation_enabled() {
             return Ok(());
         }
@@ -519,7 +532,7 @@ impl CloudSystem {
             mabe_telemetry::global()
                 .counter("mabe_lazy_backpressure_total", &[])
                 .inc();
-            if !self.drain_lazy_batch()?.is_empty() {
+            if !self.drain_batch_via(j)?.is_empty() {
                 continue;
             }
             spins += 1;
@@ -529,11 +542,6 @@ impl CloudSystem {
             std::thread::yield_now();
         }
         Ok(())
-    }
-
-    /// Restores the queue-depth gauges (durable open, after replay).
-    pub(crate) fn refresh_lazy_gauge(&self) {
-        self.refresh_queue_gauges();
     }
 }
 
@@ -668,6 +676,36 @@ mod tests {
         assert_eq!(uk.from_version, 1);
         assert_eq!(uk.to_version, 3);
         assert!(sys.chain_from(&aid, &owner, 3).is_none());
+    }
+
+    /// Two readers upgrade one stale component: the first takes it one
+    /// version ahead, a revocation lands, and the second — which fetched
+    /// the component before the first upgrade — composes a longer chain
+    /// from the old version. It must continue from where the first
+    /// upgrader stopped instead of failing the read.
+    #[test]
+    fn an_upgrader_overtaken_part_way_continues_from_the_new_version() {
+        let (sys, alice, bob, carol, owner) = medical_system();
+        sys.publish(&owner, "rec", &[("x", b"sec".as_slice(), "Nurse@MedOrg")])
+            .unwrap();
+        let aid = mabe_policy::AuthorityId::new("MedOrg");
+        let ct_id = sys.server().fetch(&owner, "rec").unwrap().components[0]
+            .key_ct
+            .id;
+        let record_key = (owner.clone(), "rec".to_owned());
+        sys.set_lazy_revocation(true);
+        sys.revoke(&alice, "Doctor@MedOrg").unwrap();
+        // The first reader's upgrade: v1 → v2.
+        sys.upgrade_one(&aid, &owner, 1, &record_key, "x", ct_id)
+            .unwrap();
+        sys.revoke(&bob, "Doctor@MedOrg").unwrap();
+        // The second reader still holds the v1 fetch: its chain spans
+        // v1 → v3, but the component now sits at v2.
+        sys.upgrade_one(&aid, &owner, 1, &record_key, "x", ct_id)
+            .unwrap();
+        let component = &sys.server().fetch(&owner, "rec").unwrap().components[0];
+        assert_eq!(component.key_ct.versions[&aid], 3);
+        assert_eq!(sys.read(&carol, &owner, "rec", "x").unwrap(), b"sec");
     }
 
     #[test]

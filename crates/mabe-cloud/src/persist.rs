@@ -33,7 +33,11 @@
 //! [`OpenError::Frame`] or [`OpenError::Keyspace`], and the storage is
 //! handed back untouched.
 //!
-//! Revocation journals its begin batch *after* the begin parks the
+//! Revocation, recovery and the lazy drain have one implementation, in
+//! the control plane (`control.rs`, `lazy.rs`), and this handle passes
+//! itself as their journal: each driver takes the op lock before any
+//! shard lock and journals its begin, defer, drive and drain-completion
+//! steps under it. The begin batch lands *after* the begin parks the
 //! in-flight [`PendingRevocation`](crate::PendingRevocation) but
 //! **before** any delivery starts, so a crash at any later point
 //! replays into an in-flight revocation that recovery drives to
@@ -47,34 +51,32 @@
 //! audit order. The expensive part — the disk sync — happens *outside*
 //! that lock through the typed store's group commit: concurrent
 //! committers batch their staged records under a single sync, so N
-//! parallel journaled ops cost one disk flush instead of N. The one
-//! exception is the write-ahead revocation-begin batch, which must be
-//! durable *before* delivery starts, and therefore commits while the
-//! op lock is held.
+//! parallel journaled ops cost one disk flush instead of N. The
+//! control-plane steps are the exception: each must be durable before
+//! the next state transition, so they commit with the op lock held.
 //!
 //! RNG streams, wire accounting and authority up/down flags are
 //! runtime-only: each incarnation gets a fresh seed, and crypto secrets
 //! travel inside the journaled objects, never through the new RNG.
 
-use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
-use mabe_core::{Error, OwnerId, RevocationEvent, Uid};
+use mabe_core::{Error, OwnerId, Uid};
 use mabe_faults::FaultInjector;
-use mabe_policy::{Attribute, AuthorityId};
+use mabe_policy::AuthorityId;
 use mabe_store::{
     Frame, RecoveryReport, SchemaError, ScrubReport, Storage, StoreError, StoreRef, TypedOpen,
     TypedOpenError, TypedStore, DEFAULT_SEGMENT_BUDGET,
 };
 
 use crate::audit::{AuditLoadError, AuditLog};
-use crate::control::{AuthorityShard, ShardState};
-use crate::system::{fault_points, CloudError, CloudSystem};
+use crate::control::{Journal, Revoke, Step};
+use crate::system::{traced, CloudError, CloudSystem};
 use crate::tables;
 
 /// Fault-point name reported once a durable system has poisoned itself
@@ -186,7 +188,7 @@ pub struct OpenReport {
 
 /// Journaling bookkeeping serialized under the op lock.
 #[derive(Debug)]
-struct OpState {
+pub(crate) struct OpState {
     ops_since_checkpoint: usize,
     checkpoint_interval: usize,
     /// Live log bytes (cold + active segments) above which the next
@@ -279,27 +281,21 @@ impl<S: Storage> DurableSystem<S> {
         let _trace = mabe_trace::Span::root("durable.open");
         let (ts, open) = match TypedStore::open(storage) {
             Ok(parts) => parts,
-            Err(TypedOpenError::Wal(failure)) => {
-                return Err(OpenFailure {
-                    error: OpenError::Store(failure.error),
-                    storage: failure.store,
-                })
-            }
-            Err(TypedOpenError::Record {
-                index,
-                error,
-                store,
-            }) => {
-                return Err(OpenFailure {
-                    error: OpenError::Frame { index, error },
-                    storage: store,
-                })
-            }
-            Err(TypedOpenError::Snapshot { error, store }) => {
-                return Err(OpenFailure {
-                    error: OpenError::Keyspace(error),
-                    storage: store,
-                })
+            Err(e) => {
+                let (error, storage) = match e {
+                    TypedOpenError::Wal(failure) => {
+                        (OpenError::Store(failure.error), failure.store)
+                    }
+                    TypedOpenError::Record {
+                        index,
+                        error,
+                        store,
+                    } => (OpenError::Frame { index, error }, store),
+                    TypedOpenError::Snapshot { error, store } => {
+                        (OpenError::Keyspace(error), store)
+                    }
+                };
+                return Err(OpenFailure { error, storage });
             }
         };
         let TypedOpen {
@@ -356,7 +352,7 @@ impl<S: Storage> DurableSystem<S> {
         // Recovery only drives *in-flight* revocations; deferred ones
         // replayed onto the lazy queue stay queued (acked ⇒ durable) for
         // the drain workers or read-triggered upgrade to converge.
-        durable.sys.refresh_lazy_gauge();
+        durable.sys.refresh_queue_gauges();
         let duration_ms = start.elapsed().as_millis() as u64;
         mabe_telemetry::global()
             .histogram("mabe_recovery_duration_ms", &[])
@@ -427,10 +423,16 @@ impl<S: Storage> DurableSystem<S> {
 
     /// Marks the handle poisoned after a journal failure: in-memory
     /// state may now be ahead of the log, so no further mutation is
-    /// accepted; reopen from storage instead.
+    /// accepted; reopen from storage instead. The poison is recorded on
+    /// the active span and, when `MABE_TRACE_DIR` / `MABE_EVENTS_DIR`
+    /// are set, the flight recorder and the wide-event ring are dumped —
+    /// exactly when forensics matter.
     fn poison(&self, e: &StoreError) {
         self.poisoned.store(true, Ordering::SeqCst);
-        self.note_poisoned(e);
+        let point = store_point(e);
+        mabe_trace::event(mabe_trace::TraceEvent::Poisoned { point });
+        mabe_trace::dump_if_configured(self.seed, &format!("poison_{point}"));
+        mabe_events::dump_if_configured(self.seed, &format!("poison_{point}"));
     }
 
     /// Blocks until everything staged at or before `seq` is durable —
@@ -455,26 +457,6 @@ impl<S: Storage> DurableSystem<S> {
         tables::emit_audit(&self.sys, &mut op.journaled_audit, &mut frames);
         op.ops_since_checkpoint += 1;
         self.ts.stage_frames(&frames)
-    }
-
-    /// Stages one frame batch and blocks until it is durable while the
-    /// caller holds the op lock — the write-ahead path (and the
-    /// serialized revocation path), where durability must precede the
-    /// next state transition.
-    fn log_frames_locked(&self, op: &mut OpState, frames: Vec<Frame>) -> Result<(), CloudError> {
-        let seq = self.stage_frames_locked(op, frames);
-        self.commit(seq)
-    }
-
-    /// Records the poison on the active span and, when `MABE_TRACE_DIR`
-    /// / `MABE_EVENTS_DIR` are set, dumps the flight recorder and
-    /// spills the wide-event ring — the in-memory state is now ahead
-    /// of the journal, which is exactly when forensics matter.
-    fn note_poisoned(&self, e: &StoreError) {
-        let point = store_point(e);
-        mabe_trace::event(mabe_trace::TraceEvent::Poisoned { point });
-        mabe_trace::dump_if_configured(self.seed, &format!("poison_{point}"));
-        mabe_events::dump_if_configured(self.seed, &format!("poison_{point}"));
     }
 
     fn maybe_checkpoint(&self) -> Result<(), CloudError> {
@@ -612,6 +594,47 @@ impl<S: Storage> DurableSystem<S> {
         Ok(report)
     }
 
+    /// The skeleton every journaled mutator shares: the poison and
+    /// disk-full gates, then `apply` (which journals) and an
+    /// opportunistic checkpoint under the op's span.
+    fn journaled<T>(
+        &self,
+        span: &'static str,
+        detail: String,
+        apply: impl FnOnce() -> Result<T, CloudError>,
+    ) -> Result<T, CloudError> {
+        self.check_poisoned()?;
+        self.check_writable()?;
+        traced(span, detail, || {
+            let out = apply()?;
+            self.maybe_checkpoint()?;
+            Ok(out)
+        })
+    }
+
+    /// A journaled mutator whose whole batch is known once it applied:
+    /// `apply` runs under the op lock, the batch `frames` reads back
+    /// from the live state is staged there too, and the commit waits
+    /// outside the lock so concurrent committers share one sync.
+    fn mutate<T>(
+        &self,
+        span: &'static str,
+        detail: String,
+        apply: impl FnOnce() -> Result<T, CloudError>,
+        frames: impl FnOnce(&T) -> Vec<Frame>,
+    ) -> Result<T, CloudError> {
+        self.journaled(span, detail, || {
+            let (out, seq) = {
+                let mut op = self.op.lock();
+                let out = apply()?;
+                let seq = self.stage_frames_locked(&mut op, frames(&out));
+                (out, seq)
+            };
+            self.commit(seq)?;
+            Ok(out)
+        })
+    }
+
     /// Registers an attribute authority (durably).
     ///
     /// # Errors
@@ -623,18 +646,12 @@ impl<S: Storage> DurableSystem<S> {
         name: &str,
         attribute_names: &[&str],
     ) -> Result<AuthorityId, CloudError> {
-        self.check_poisoned()?;
-        self.check_writable()?;
-        let (aid, seq) = {
-            let mut op = self.op.lock();
-            let aid = self.sys.add_authority(name, attribute_names)?;
-            let seq =
-                self.stage_frames_locked(&mut op, tables::frames_authority_added(&self.sys, &aid));
-            (aid, seq)
-        };
-        self.commit(seq)?;
-        self.maybe_checkpoint()?;
-        Ok(aid)
+        self.mutate(
+            "durable.add_authority",
+            name.to_owned(),
+            || self.sys.add_authority(name, attribute_names),
+            |aid| tables::frames_authority_added(&self.sys, aid),
+        )
     }
 
     /// Registers a data owner (durably).
@@ -644,17 +661,12 @@ impl<S: Storage> DurableSystem<S> {
     /// Same contract as [`CloudSystem::add_owner`], plus journal
     /// failures.
     pub fn add_owner(&self, name: &str) -> Result<OwnerId, CloudError> {
-        self.check_poisoned()?;
-        self.check_writable()?;
-        let (id, seq) = {
-            let mut op = self.op.lock();
-            let id = self.sys.add_owner(name)?;
-            let seq = self.stage_frames_locked(&mut op, tables::frames_owner_added(&self.sys, &id));
-            (id, seq)
-        };
-        self.commit(seq)?;
-        self.maybe_checkpoint()?;
-        Ok(id)
+        self.mutate(
+            "durable.add_owner",
+            name.to_owned(),
+            || self.sys.add_owner(name),
+            |id| tables::frames_owner_added(&self.sys, id),
+        )
     }
 
     /// Registers a user (durably).
@@ -664,17 +676,12 @@ impl<S: Storage> DurableSystem<S> {
     /// Same contract as [`CloudSystem::add_user`], plus journal
     /// failures.
     pub fn add_user(&self, name: &str) -> Result<Uid, CloudError> {
-        self.check_poisoned()?;
-        self.check_writable()?;
-        let (uid, seq) = {
-            let mut op = self.op.lock();
-            let uid = self.sys.add_user(name)?;
-            let seq = self.stage_frames_locked(&mut op, tables::frames_user_added(&self.sys, &uid));
-            (uid, seq)
-        };
-        self.commit(seq)?;
-        self.maybe_checkpoint()?;
-        Ok(uid)
+        self.mutate(
+            "durable.add_user",
+            name.to_owned(),
+            || self.sys.add_user(name),
+            |uid| tables::frames_user_added(&self.sys, uid),
+        )
     }
 
     /// Grants attributes to a user (durably).
@@ -683,22 +690,12 @@ impl<S: Storage> DurableSystem<S> {
     ///
     /// Same contract as [`CloudSystem::grant`], plus journal failures.
     pub fn grant(&self, uid: &Uid, attributes: &[&str]) -> Result<(), CloudError> {
-        self.check_poisoned()?;
-        self.check_writable()?;
-        let trace = mabe_trace::Span::child("durable.grant").detail(uid.to_string());
-        let result = (|| {
-            let seq = {
-                let mut op = self.op.lock();
-                self.sys.grant(uid, attributes)?;
-                self.stage_frames_locked(&mut op, tables::frames_granted(&self.sys, uid))
-            };
-            self.commit(seq)?;
-            self.maybe_checkpoint()
-        })();
-        if let Err(e) = &result {
-            trace.fail(e.to_string());
-        }
-        result
+        self.mutate(
+            "durable.grant",
+            uid.to_string(),
+            || self.sys.grant(uid, attributes),
+            |()| tables::frames_granted(&self.sys, uid),
+        )
     }
 
     /// Publishes a record (durably): the sealed envelope's row and the
@@ -715,26 +712,12 @@ impl<S: Storage> DurableSystem<S> {
         record: &str,
         components: &[(&str, &[u8], &str)],
     ) -> Result<(), CloudError> {
-        self.check_poisoned()?;
-        self.check_writable()?;
-        let trace =
-            mabe_trace::Span::child("durable.publish").detail(format!("{owner_id}/{record}"));
-        let result = (|| {
-            let seq = {
-                let mut op = self.op.lock();
-                self.sys.publish(owner_id, record, components)?;
-                self.stage_frames_locked(
-                    &mut op,
-                    tables::frames_published(&self.sys, owner_id, record),
-                )
-            };
-            self.commit(seq)?;
-            self.maybe_checkpoint()
-        })();
-        if let Err(e) = &result {
-            trace.fail(e.to_string());
-        }
-        result
+        self.mutate(
+            "durable.publish",
+            format!("{owner_id}/{record}"),
+            || self.sys.publish(owner_id, record, components),
+            |()| tables::frames_published(&self.sys, owner_id, record),
+        )
     }
 
     /// A user reads one component ([`CloudSystem::read`]); the audited
@@ -752,20 +735,9 @@ impl<S: Storage> DurableSystem<S> {
         record: &str,
         label: &str,
     ) -> Result<Vec<u8>, CloudError> {
-        self.check_poisoned()?;
-        let trace = mabe_trace::Span::child("durable.read").detail(format!("{record}/{label}"));
-        let result = (|| {
-            let (result, seq) = self.apply_read(|| self.sys.read(uid, owner_id, record, label));
-            if let Some(seq) = seq {
-                self.commit(seq)?;
-                self.maybe_checkpoint()?;
-            }
-            result
-        })();
-        if let Err(e) = &result {
-            trace.fail(e.to_string());
-        }
-        result
+        self.audited_read("durable.read", format!("{record}/{label}"), || {
+            self.sys.read(uid, owner_id, record, label)
+        })
     }
 
     /// Outsourced-decryption read ([`CloudSystem::read_outsourced`]),
@@ -782,57 +754,55 @@ impl<S: Storage> DurableSystem<S> {
         record: &str,
         label: &str,
     ) -> Result<Vec<u8>, CloudError> {
-        self.check_poisoned()?;
-        let trace =
-            mabe_trace::Span::child("durable.read_outsourced").detail(format!("{record}/{label}"));
-        let result = (|| {
-            let (result, seq) =
-                self.apply_read(|| self.sys.read_outsourced(uid, owner_id, record, label));
-            if let Some(seq) = seq {
-                self.commit(seq)?;
-                self.maybe_checkpoint()?;
-            }
-            result
-        })();
-        if let Err(e) = &result {
-            trace.fail(e.to_string());
-        }
-        result
+        self.audited_read(
+            "durable.read_outsourced",
+            format!("{record}/{label}"),
+            || self.sys.read_outsourced(uid, owner_id, record, label),
+        )
     }
 
-    /// Runs one read under the op lock and stages an audit-only frame
+    /// Runs one read under the op lock and journals an audit-only frame
     /// batch iff the call reached the audit log (failures before the
     /// policy decision — unknown record, lost download — are not
     /// audited and not journaled). Reads do not journal server-side
     /// component upgrades: `LazyArchive` rows are never consumed, so a
     /// replayed-stale component self-heals on the next read or drain.
-    /// Returns the read result plus the staged sequence for the caller
-    /// to commit lock-free.
-    fn apply_read(
+    /// The commit waits outside the op lock.
+    fn audited_read(
         &self,
+        span: &'static str,
+        detail: String,
         read: impl FnOnce() -> Result<Vec<u8>, CloudError>,
-    ) -> (Result<Vec<u8>, CloudError>, Option<u64>) {
-        let mut op = self.op.lock();
-        let before = self.sys.audit.lock().entries().len();
-        let result = read();
-        if self.sys.audit.lock().entries().len() == before {
-            return (result, None);
-        }
-        // Disk-full degradation: reads must keep serving and must never
-        // poison the handle, so while the store is out of headroom the
-        // audit rows stay in memory only. The watermark does *not*
-        // advance — the dropped rows ride the next successful batch,
-        // keeping the journaled audit chain a contiguous prefix of the
-        // live one (the dropped records are counted; replay after a
-        // crash simply lacks the tail).
-        if self.check_writable().is_err() {
-            mabe_telemetry::global()
-                .counter("mabe_read_audit_records_dropped_total", &[])
-                .inc();
-            return (result, None);
-        }
-        let seq = self.stage_frames_locked(&mut op, Vec::new());
-        (result, Some(seq))
+    ) -> Result<Vec<u8>, CloudError> {
+        self.check_poisoned()?;
+        traced(span, detail, || {
+            let (result, seq) = {
+                let mut op = self.op.lock();
+                let before = self.sys.audit.lock().entries().len();
+                let result = read();
+                if self.sys.audit.lock().entries().len() == before {
+                    return result;
+                }
+                // Disk-full degradation: reads must keep serving and
+                // must never poison the handle, so while the store is
+                // out of headroom the audit rows stay in memory only.
+                // The watermark does *not* advance — the dropped rows
+                // ride the next successful batch, keeping the journaled
+                // audit chain a contiguous prefix of the live one (the
+                // dropped records are counted; replay after a crash
+                // simply lacks the tail).
+                if self.check_writable().is_err() {
+                    mabe_telemetry::global()
+                        .counter("mabe_read_audit_records_dropped_total", &[])
+                        .inc();
+                    return result;
+                }
+                (result, self.stage_frames_locked(&mut op, Vec::new()))
+            };
+            self.commit(seq)?;
+            self.maybe_checkpoint()?;
+            result
+        })
     }
 
     /// Marks a user offline (durably).
@@ -841,16 +811,15 @@ impl<S: Storage> DurableSystem<S> {
     ///
     /// Journal failures only.
     pub fn set_offline(&self, uid: &Uid) -> Result<(), CloudError> {
-        self.check_poisoned()?;
-        self.check_writable()?;
-        let _trace = mabe_trace::Span::child("durable.set_offline").detail(uid.to_string());
-        let seq = {
-            let mut op = self.op.lock();
-            self.sys.set_offline(uid);
-            self.stage_frames_locked(&mut op, tables::frames_offline(&self.sys, uid))
-        };
-        self.commit(seq)?;
-        self.maybe_checkpoint()
+        self.mutate(
+            "durable.set_offline",
+            uid.to_string(),
+            || {
+                self.sys.set_offline(uid);
+                Ok(())
+            },
+            |()| tables::frames_offline(&self.sys, uid),
+        )
     }
 
     /// Brings an offline user back and replays its queued update keys
@@ -865,59 +834,30 @@ impl<S: Storage> DurableSystem<S> {
     /// Same contract as [`CloudSystem::sync_user`], plus journal
     /// failures.
     pub fn sync_user(&self, uid: &Uid) -> Result<(), CloudError> {
-        self.check_poisoned()?;
-        self.check_writable()?;
-        let _trace = mabe_trace::Span::child("durable.sync_user").detail(uid.to_string());
-        let seq = {
-            let mut op = self.op.lock();
-            self.sys.sync_user(uid)?;
-            self.stage_frames_locked(&mut op, tables::frames_synced(&self.sys, uid))
-        };
-        self.commit(seq)?;
-        self.maybe_checkpoint()
+        self.mutate(
+            "durable.sync_user",
+            uid.to_string(),
+            || self.sys.sync_user(uid),
+            |()| tables::frames_synced(&self.sys, uid),
+        )
     }
 
-    /// Revokes one attribute from one user (durably). The begin batch —
-    /// the re-keyed authority, dropped grants, archived update keys and
-    /// the parked [`PendingRevocation`](crate::PendingRevocation) — is
-    /// journaled and synced **before** any key delivery, so a crash at
-    /// any point of the two-phase protocol replays into an in-flight
-    /// revocation that recovery completes.
+    /// Revokes one attribute from one user (durably), through the
+    /// control plane's one revocation driver with this handle as its
+    /// journal: the begin batch — the re-keyed authority, dropped
+    /// grants, archived update keys and the parked
+    /// [`PendingRevocation`](crate::PendingRevocation) — is journaled
+    /// and synced **before** any key delivery, so a crash at any point
+    /// of the two-phase protocol replays into an in-flight revocation
+    /// that recovery completes.
     ///
     /// # Errors
     ///
     /// Same contract as [`CloudSystem::revoke`], plus journal failures.
     pub fn revoke(&self, uid: &Uid, attribute: &str) -> Result<(), CloudError> {
-        self.check_poisoned()?;
-        self.check_writable()?;
-        let trace = mabe_trace::Span::child("durable.revoke").detail(format!("{uid} {attribute}"));
-        let _e2e = mabe_telemetry::Span::start("mabe_revocation_e2e");
-        let result = (|| {
-            let attr: Attribute = attribute
-                .parse()
-                .map_err(|_| CloudError::UnknownEntity(format!("attribute {attribute}")))?;
-            let aid = attr.authority().clone();
-            self.lazy_backpressure_logged()?;
-            let mut op = self.op.lock();
-            let shard = self
-                .sys
-                .control
-                .shard(&aid)
-                .ok_or_else(|| CloudError::UnknownAuthority(aid.clone()))?;
-            {
-                let mut st = shard.state.lock();
-                self.precheck_logged(&mut op, &aid, &mut st)?;
-                let event = st
-                    .authority
-                    .revoke_attribute(uid, &attr, &mut *self.sys.rng.lock())?;
-                self.begin_logged(&mut op, &mut st, event)?;
-            }
-            self.maybe_checkpoint_locked(&mut op)
-        })();
-        if let Err(e) = &result {
-            trace.fail(e.to_string());
-        }
-        result
+        self.journaled("durable.revoke", format!("{uid} {attribute}"), || {
+            self.sys.revoke_via(self, uid, Revoke::Attribute(attribute))
+        })
     }
 
     /// User-level revocation at one authority (durably); see
@@ -928,31 +868,9 @@ impl<S: Storage> DurableSystem<S> {
     /// Same contract as [`CloudSystem::revoke_user_at`], plus journal
     /// failures.
     pub fn revoke_user_at(&self, uid: &Uid, aid: &AuthorityId) -> Result<(), CloudError> {
-        self.check_poisoned()?;
-        self.check_writable()?;
-        let trace =
-            mabe_trace::Span::child("durable.revoke_user_at").detail(format!("{uid} @{aid}"));
-        let _e2e = mabe_telemetry::Span::start("mabe_revocation_e2e");
-        let result = (|| {
-            self.lazy_backpressure_logged()?;
-            let mut op = self.op.lock();
-            let shard = self
-                .sys
-                .control
-                .shard(aid)
-                .ok_or_else(|| CloudError::UnknownAuthority(aid.clone()))?;
-            {
-                let mut st = shard.state.lock();
-                self.precheck_logged(&mut op, aid, &mut st)?;
-                let event = st.authority.revoke_user(uid, &mut *self.sys.rng.lock())?;
-                self.begin_logged(&mut op, &mut st, event)?;
-            }
-            self.maybe_checkpoint_locked(&mut op)
-        })();
-        if let Err(e) = &result {
-            trace.fail(e.to_string());
-        }
-        result
+        self.journaled("durable.revoke_user_at", format!("{uid} @{aid}"), || {
+            self.sys.revoke_via(self, uid, Revoke::UserAt(aid))
+        })
     }
 
     /// Full user-level revocation across every authority where the user
@@ -963,166 +881,21 @@ impl<S: Storage> DurableSystem<S> {
     /// Unknown user; propagates per-authority failures.
     pub fn revoke_user(&self, uid: &Uid) -> Result<(), CloudError> {
         self.check_poisoned()?;
-        let involved: Vec<AuthorityId> = {
-            let users = self.sys.directory.users.read();
-            users
-                .grants
-                .get(uid)
-                .ok_or_else(|| CloudError::Core(Error::UnknownUser(uid.clone())))?
-                .iter()
-                .map(|a| a.authority().clone())
-                .collect::<BTreeSet<_>>()
-                .into_iter()
-                .collect()
-        };
-        for aid in involved {
-            self.revoke_user_at(uid, &aid)?;
-        }
-        Ok(())
+        self.sys
+            .revoke_user_with(uid, |aid| self.revoke_user_at(uid, aid))
     }
 
-    /// The durable twin of the control plane's shard precheck: any
-    /// stalled predecessor at this authority is driven through the
-    /// journaled path so its completion is logged too.
-    fn precheck_logged(
-        &self,
-        op: &mut OpState,
-        aid: &AuthorityId,
-        st: &mut ShardState,
-    ) -> Result<(), CloudError> {
-        if st.down {
-            return Err(CloudError::AuthorityUnavailable(aid.clone()));
-        }
-        self.sys.local_op(fault_points::REVOKE_REKEY, Some(aid))?;
-        let stalled: Vec<u64> = st.in_flight.keys().copied().collect();
-        for id in stalled {
-            self.drive_logged(op, st, id, true)?;
-        }
-        Ok(())
-    }
-
-    /// Parks the pending revocation and journals the begin batch — the
-    /// re-keyed authority row, the dropped grant rows, the purged
-    /// update-key queues, the archived update keys, and the parked
-    /// [`PendingRevocation`](crate::PendingRevocation) — committed
-    /// durable **before** any delivery starts (the write-ahead step),
-    /// then drives or defers it. A crash between the begin and the
-    /// commit loses an unacknowledged revocation entirely (nothing was
-    /// journaled); a crash after replays it in-flight and recovery
-    /// completes it.
-    fn begin_logged(
-        &self,
-        op: &mut OpState,
-        st: &mut ShardState,
-        event: RevocationEvent,
-    ) -> Result<(), CloudError> {
-        // Users whose pending-update queues existed before the begin:
-        // the begin purges entries the revoked user no longer gets, so
-        // their rows re-emit put-or-delete.
-        let queued_before: Vec<Uid> = self
-            .sys
-            .directory
-            .users
-            .read()
-            .pending_updates
-            .keys()
-            .cloned()
-            .collect();
-        let id = self.sys.begin_in_shard(st, event);
-        let frames = {
-            let pending = st.in_flight.get(&id).expect("begin just parked this id");
-            tables::frames_revocation_begun(&self.sys, st, pending, &queued_before)
-        };
-        self.log_frames_locked(op, frames)?;
-        if self.sys.lazy_revocation_enabled() {
-            self.defer_logged(op, st, id)
-        } else {
-            self.drive_logged(op, st, id, false)
-        }
-    }
-
-    /// Runs the lazy immediate phase and logs the defer. A crash
-    /// between the defer and the log replays the revocation as still
-    /// in-flight and recovery drives it eagerly — the documented
-    /// roll-forward; the security-gating steps are idempotent either
-    /// way.
-    fn defer_logged(
-        &self,
-        op: &mut OpState,
-        st: &mut ShardState,
-        id: u64,
-    ) -> Result<(), CloudError> {
-        let aid = st.authority.aid().clone();
-        self.sys.defer_in_shard(st, id)?;
-        self.log_frames_locked(op, tables::frames_revocation_deferred(&self.sys, id, &aid))
-    }
-
-    /// Drives one journaled revocation and logs its completion. A crash
-    /// between the drive and the log replays the revocation as still
-    /// in-flight and recovery re-drives it — every delivery step is
-    /// idempotent, so at-least-once execution is safe.
-    fn drive_logged(
-        &self,
-        op: &mut OpState,
-        st: &mut ShardState,
-        id: u64,
-        recovered: bool,
-    ) -> Result<(), CloudError> {
-        let aid = st.authority.aid().clone();
-        self.sys.drive_in_shard(st, id, recovered)?;
-        self.log_frames_locked(op, tables::frames_revocation_driven(&self.sys, id, &aid))
-    }
-
-    /// Rolls every journaled in-flight revocation forward, logging each
-    /// completion. Returns how many converged.
+    /// Rolls every journaled in-flight revocation forward, journaling
+    /// each completion. Returns how many converged.
     ///
     /// # Errors
     ///
     /// Propagates the first fault that still blocks convergence.
     pub fn recover(&self) -> Result<usize, CloudError> {
         self.check_poisoned()?;
-        let trace = mabe_trace::Span::child("durable.recover");
-        let result: Result<usize, CloudError> = (|| {
-            let mut op = self.op.lock();
-            let mut work: Vec<(u64, Arc<AuthorityShard>)> = Vec::new();
-            for shard in self.sys.control.shards.read().values() {
-                let st = shard.state.lock();
-                for id in st.in_flight.keys() {
-                    work.push((*id, Arc::clone(shard)));
-                }
-            }
-            work.sort_by_key(|(id, _)| *id);
-            let mut completed = 0;
-            for (id, shard) in work {
-                let mut st = shard.state.lock();
-                self.drive_logged(&mut op, &mut st, id, true)?;
-                completed += 1;
-            }
-            Ok(completed)
-        })();
-        if let Err(e) = &result {
-            trace.fail(e.to_string());
-        }
-        result
-    }
-
-    /// The durable backpressure gate: while the lazy queue sits at
-    /// capacity, this revoker drains (and journals) a batch inline
-    /// before enqueueing more. Runs *before* the op lock — the drain
-    /// takes it briefly for its own completion record.
-    fn lazy_backpressure_logged(&self) -> Result<(), CloudError> {
-        if !self.sys.lazy_revocation_enabled() {
-            return Ok(());
-        }
-        while self.sys.lazy_queue_depth() >= self.sys.lazy_capacity() {
-            mabe_telemetry::global()
-                .counter("mabe_lazy_backpressure_total", &[])
-                .inc();
-            if self.drain_lazy_batch()?.is_empty() {
-                break;
-            }
-        }
-        Ok(())
+        traced("durable.recover", String::new(), || {
+            self.sys.recover_via(self)
+        })
     }
 
     /// Claims and drains one authority's pending lazy batch to
@@ -1138,30 +911,7 @@ impl<S: Storage> DurableSystem<S> {
     /// Poisoned handle, journal failures, or unrecovered drain faults
     /// (the claim is released and the queue kept intact for retry).
     pub fn drain_lazy_batch(&self) -> Result<Vec<u64>, CloudError> {
-        self.check_poisoned()?;
-        if self.degraded() {
-            return Ok(Vec::new());
-        }
-        let Some(claim) = self.sys.claim_next() else {
-            return Ok(Vec::new());
-        };
-        let result = self.drain_claim_logged(&claim);
-        self.sys.release_claim(&claim.aid);
-        result
-    }
-
-    fn drain_claim_logged(&self, claim: &crate::lazy::LazyClaim) -> Result<Vec<u64>, CloudError> {
-        self.sys.drain_claim_components(claim)?;
-        let mut op = self.op.lock();
-        let ids = self.sys.complete_claim(claim);
-        if !ids.is_empty() {
-            self.log_frames_locked(
-                &mut op,
-                tables::frames_lazy_drained(&self.sys, &ids, &claim.aid),
-            )?;
-            self.maybe_checkpoint_locked(&mut op)?;
-        }
-        Ok(ids)
+        self.sys.drain_batch_via(self)
     }
 
     /// Drains the entire lazy pending-upgrade queue durably. Returns
@@ -1172,14 +922,7 @@ impl<S: Storage> DurableSystem<S> {
     /// Propagates the first failing batch; earlier batches stay
     /// converged and journaled.
     pub fn drain_lazy(&self) -> Result<usize, CloudError> {
-        let mut converged = 0;
-        loop {
-            let ids = self.drain_lazy_batch()?;
-            if ids.is_empty() {
-                return Ok(converged);
-            }
-            converged += ids.len();
-        }
+        self.sys.drain_all_via(self)
     }
 
     /// Read access to the wrapped system (audit trail, server, wire
@@ -1250,6 +993,47 @@ impl<S: Storage> DurableSystem<S> {
     }
 }
 
+/// The durable journal of the control plane's drivers: the op lock is
+/// held from before the shard lock to the end of the operation, and
+/// each step's frame batch is staged and committed under it.
+impl<S: Storage> Journal for DurableSystem<S> {
+    type Op<'a>
+        = MutexGuard<'a, OpState>
+    where
+        Self: 'a;
+
+    fn lock(&self) -> Self::Op<'_> {
+        self.op.lock()
+    }
+
+    fn step<'j>(&'j self, op: &mut Self::Op<'j>, step: Step<'_>) -> Result<(), CloudError> {
+        let drained = matches!(step, Step::Drained { .. });
+        let frames = match step {
+            Step::Begun { st, id } => tables::frames_revocation_begun(&self.sys, st, id),
+            Step::Finished { id, aid, deferred } => {
+                tables::frames_revocation_finished(&self.sys, id, aid, deferred)
+            }
+            Step::Drained { ids, aid } => tables::frames_lazy_drained(&self.sys, ids, aid),
+        };
+        // Committed with the op lock held: each step must be durable
+        // before the next state transition (the begin, before any key
+        // delivery).
+        let seq = self.stage_frames_locked(op, frames);
+        self.commit(seq)?;
+        // A drain completes outside every shard lock, so it may
+        // checkpoint; revocations checkpoint once their shard is free.
+        if drained {
+            self.maybe_checkpoint_locked(op)?;
+        }
+        Ok(())
+    }
+
+    fn may_drain(&self) -> Result<bool, CloudError> {
+        self.check_poisoned()?;
+        Ok(!self.degraded())
+    }
+}
+
 impl<S: Storage + Send + Sync + 'static> DurableSystem<S> {
     /// Spawns the background maintenance loop: every `period` it runs
     /// one scrubber pass (repairing any rot it finds) and an
@@ -1258,30 +1042,20 @@ impl<S: Storage + Send + Sync + 'static> DurableSystem<S> {
     /// foreground path already owns poisoning and degradation — and the
     /// loop parks itself permanently if the handle poisons.
     pub fn spawn_maintenance(self: &Arc<Self>, period: Duration) -> MaintenanceHandle {
-        let stop = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&stop);
-        let sys = Arc::clone(self);
-        let thread = std::thread::spawn(move || {
-            while !flag.load(Ordering::SeqCst) {
-                // Sleep in short slices so stop() returns promptly even
-                // with a long period.
-                let mut slept = Duration::ZERO;
-                while slept < period && !flag.load(Ordering::SeqCst) {
-                    let slice = (period - slept).min(Duration::from_millis(20));
-                    std::thread::sleep(slice);
-                    slept += slice;
+        let workers = Workers::spawn(1, |stop| {
+            let sys = Arc::clone(self);
+            move || {
+                while !stop.load(Ordering::SeqCst) {
+                    nap(&stop, period);
+                    if stop.load(Ordering::SeqCst) || sys.poisoned() {
+                        break;
+                    }
+                    let _ = sys.scrub();
+                    let _ = sys.maybe_checkpoint();
                 }
-                if flag.load(Ordering::SeqCst) || sys.poisoned() {
-                    break;
-                }
-                let _ = sys.scrub();
-                let _ = sys.maybe_checkpoint();
             }
         });
-        MaintenanceHandle {
-            stop,
-            thread: Some(thread),
-        }
+        MaintenanceHandle { workers }
     }
 
     /// Spawns the bounded lazy-drain worker pool: `workers` threads
@@ -1292,80 +1066,57 @@ impl<S: Storage + Send + Sync + 'static> DurableSystem<S> {
     /// poisons; drain errors are absorbed — foreground revokes apply
     /// backpressure and reads self-heal regardless.
     pub fn spawn_lazy_drain(self: &Arc<Self>, workers: usize, period: Duration) -> LazyDrainHandle {
-        let stop = Arc::new(AtomicBool::new(false));
-        let mut threads = Vec::new();
-        for _ in 0..workers.max(1) {
-            let flag = Arc::clone(&stop);
+        let workers = Workers::spawn(workers.max(1), |stop| {
             let sys = Arc::clone(self);
-            threads.push(std::thread::spawn(move || {
-                while !flag.load(Ordering::SeqCst) {
-                    if sys.poisoned() {
-                        break;
-                    }
-                    if let Ok(ids) = sys.drain_lazy_batch() {
-                        if !ids.is_empty() {
-                            // Keep draining while there is claimable work.
-                            continue;
-                        }
-                    }
-                    // Idle (or transiently faulted): sleep in short
-                    // slices so stop() returns promptly.
-                    let mut slept = Duration::ZERO;
-                    while slept < period && !flag.load(Ordering::SeqCst) {
-                        let slice = (period - slept).min(Duration::from_millis(20));
-                        std::thread::sleep(slice);
-                        slept += slice;
+            move || {
+                while !stop.load(Ordering::SeqCst) && !sys.poisoned() {
+                    // Keep draining while there is claimable work; idle
+                    // (or transiently faulted), sleep.
+                    if !sys.drain_lazy_batch().is_ok_and(|ids| !ids.is_empty()) {
+                        nap(&stop, period);
                     }
                 }
-            }));
-        }
-        LazyDrainHandle { stop, threads }
+            }
+        });
+        LazyDrainHandle { workers }
     }
 }
 
-/// Stops the background maintenance loop when explicitly
-/// [`stopped`](MaintenanceHandle::stop) or dropped.
+/// Sleeps `period` in short slices, so a stop request cuts it short.
+fn nap(stop: &AtomicBool, period: Duration) {
+    let mut slept = Duration::ZERO;
+    while slept < period && !stop.load(Ordering::SeqCst) {
+        let slice = (period - slept).min(Duration::from_millis(20));
+        std::thread::sleep(slice);
+        slept += slice;
+    }
+}
+
+/// Background threads sharing one stop flag; stopped and joined on
+/// drop.
 #[derive(Debug)]
-pub struct MaintenanceHandle {
-    stop: Arc<AtomicBool>,
-    thread: Option<std::thread::JoinHandle<()>>,
-}
-
-impl MaintenanceHandle {
-    /// Signals the loop to exit and joins it.
-    pub fn stop(mut self) {
-        self.halt();
-    }
-
-    fn halt(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
-        }
-    }
-}
-
-impl Drop for MaintenanceHandle {
-    fn drop(&mut self) {
-        self.halt();
-    }
-}
-
-/// Stops the lazy-drain worker pool when explicitly
-/// [`stopped`](LazyDrainHandle::stop) or dropped.
-#[derive(Debug)]
-pub struct LazyDrainHandle {
+struct Workers {
     stop: Arc<AtomicBool>,
     threads: Vec<std::thread::JoinHandle<()>>,
 }
 
-impl LazyDrainHandle {
-    /// Signals every worker to exit and joins them.
-    pub fn stop(mut self) {
-        self.halt();
+impl Workers {
+    /// Spawns `n` threads, each running the loop `body` builds around
+    /// the shared stop flag.
+    fn spawn<F>(n: usize, body: impl Fn(Arc<AtomicBool>) -> F) -> Self
+    where
+        F: FnOnce() + Send + 'static,
+    {
+        let stop = Arc::new(AtomicBool::new(false));
+        let threads = (0..n)
+            .map(|_| std::thread::spawn(body(Arc::clone(&stop))))
+            .collect();
+        Workers { stop, threads }
     }
+}
 
-    fn halt(&mut self) {
+impl Drop for Workers {
+    fn drop(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
         for thread in self.threads.drain(..) {
             let _ = thread.join();
@@ -1373,9 +1124,31 @@ impl LazyDrainHandle {
     }
 }
 
-impl Drop for LazyDrainHandle {
-    fn drop(&mut self) {
-        self.halt();
+/// Stops the background maintenance loop when explicitly
+/// [`stopped`](MaintenanceHandle::stop) or dropped.
+#[derive(Debug)]
+pub struct MaintenanceHandle {
+    workers: Workers,
+}
+
+impl MaintenanceHandle {
+    /// Signals the loop to exit and joins it.
+    pub fn stop(self) {
+        drop(self.workers);
+    }
+}
+
+/// Stops the lazy-drain worker pool when explicitly
+/// [`stopped`](LazyDrainHandle::stop) or dropped.
+#[derive(Debug)]
+pub struct LazyDrainHandle {
+    workers: Workers,
+}
+
+impl LazyDrainHandle {
+    /// Signals every worker to exit and joins them.
+    pub fn stop(self) {
+        drop(self.workers);
     }
 }
 
@@ -1383,6 +1156,7 @@ impl Drop for LazyDrainHandle {
 mod tests {
     use super::*;
     use crate::audit::AuditEvent;
+    use crate::system::fault_points;
     use mabe_faults::{FaultKind, FaultPlan};
     use mabe_store::{store_points, GroupWal, Keyspace, Schema, SimDisk};
 

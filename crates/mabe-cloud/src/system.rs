@@ -189,6 +189,20 @@ pub(crate) fn apply_update_tolerant(
     }
 }
 
+/// Runs `op` under a span named `span`, marked failed on error.
+pub(crate) fn traced<T>(
+    span: &'static str,
+    detail: String,
+    op: impl FnOnce() -> Result<T, CloudError>,
+) -> Result<T, CloudError> {
+    let trace = mabe_trace::Span::child(span).detail(detail);
+    let result = op();
+    if let Err(e) = &result {
+        trace.fail(e.to_string());
+    }
+    result
+}
+
 impl From<Error> for CloudError {
     fn from(e: Error) -> Self {
         CloudError::Core(e)
@@ -322,80 +336,32 @@ impl CloudSystem {
                 &mut LockedRng(&self.retry_rng),
                 point,
                 |attempt| {
-                    let ok_disposition = if attempt > 1 {
+                    let ok = if attempt > 1 {
                         Disposition::Retransmit
                     } else {
                         Disposition::Delivered
                     };
+                    let send = |disposition| {
+                        self.wire
+                            .send_with(from.clone(), to.clone(), what, bytes, disposition)
+                    };
                     match self.faults.decide(point) {
-                        Some(FaultKind::Crash) => Err(CloudError::Crashed { point }),
                         Some(FaultKind::Drop) => {
-                            self.wire.send_with(
-                                from.clone(),
-                                to.clone(),
-                                what,
-                                bytes,
-                                Disposition::Dropped,
-                            );
+                            send(Disposition::Dropped);
                             Err(CloudError::Lost { point })
                         }
                         Some(FaultKind::Corrupt) => {
-                            self.wire.send_with(
-                                from.clone(),
-                                to.clone(),
-                                what,
-                                bytes,
-                                Disposition::Corrupted,
-                            );
+                            send(Disposition::Corrupted);
                             Err(CloudError::Lost { point })
                         }
                         Some(FaultKind::Duplicate) => {
-                            self.wire.send_with(
-                                from.clone(),
-                                to.clone(),
-                                what,
-                                bytes,
-                                ok_disposition,
-                            );
-                            self.wire.send_with(
-                                from.clone(),
-                                to.clone(),
-                                what,
-                                bytes,
-                                Disposition::Duplicate,
-                            );
+                            send(ok);
+                            send(Disposition::Duplicate);
                             Ok(())
                         }
-                        Some(
-                            FaultKind::StorageError
-                            | FaultKind::TornWrite
-                            | FaultKind::PartialFlush
-                            | FaultKind::ReadCorrupt
-                            | FaultKind::ManifestTorn,
-                        ) => Err(CloudError::Storage(point)),
-                        Some(FaultKind::NoSpace) => Err(CloudError::StoreFull { point }),
-                        Some(FaultKind::AuthorityDown) => Err(CloudError::Lost { point }),
-                        Some(FaultKind::Delay) => {
-                            mabe_telemetry::global()
-                                .counter("mabe_fault_delay_us_total", &[("point", point)])
-                                .add(self.faults.delay_us());
-                            self.wire.send_with(
-                                from.clone(),
-                                to.clone(),
-                                what,
-                                bytes,
-                                ok_disposition,
-                            );
-                            Ok(())
-                        }
-                        None => {
-                            self.wire.send_with(
-                                from.clone(),
-                                to.clone(),
-                                what,
-                                bytes,
-                                ok_disposition,
-                            );
+                        kind => {
+                            self.local_fault(point, kind, None)?;
+                            send(ok);
                             Ok(())
                         }
                     }
@@ -406,8 +372,7 @@ impl CloudSystem {
     }
 
     /// Consults the fault injector at a local (non-wire) operation point
-    /// under the retry policy. Drop/duplicate/corrupt kinds are
-    /// meaningless off the wire and are ignored.
+    /// under the retry policy.
     pub(crate) fn local_op(
         &self,
         point: &'static str,
@@ -418,37 +383,47 @@ impl CloudSystem {
             .run(
                 &mut LockedRng(&self.retry_rng),
                 point,
-                |_| match self.faults.decide(point) {
-                    Some(FaultKind::Crash) => Err(CloudError::Crashed { point }),
-                    // The disk-level kinds only shape byte survival inside
-                    // mabe-store; on a cloud op they degrade to a transient
-                    // storage error.
-                    Some(
-                        FaultKind::StorageError
-                        | FaultKind::TornWrite
-                        | FaultKind::PartialFlush
-                        | FaultKind::ReadCorrupt
-                        | FaultKind::ManifestTorn,
-                    ) => Err(CloudError::Storage(point)),
-                    Some(FaultKind::NoSpace) => Err(CloudError::StoreFull { point }),
-                    Some(FaultKind::AuthorityDown) => Err(match aid {
-                        Some(a) => CloudError::AuthorityUnavailable(a.clone()),
-                        None => CloudError::Lost { point },
-                    }),
-                    Some(FaultKind::Delay) => {
-                        mabe_telemetry::global()
-                            .counter("mabe_fault_delay_us_total", &[("point", point)])
-                            .add(self.faults.delay_us());
-                        Ok(())
-                    }
-                    Some(FaultKind::Drop)
-                    | Some(FaultKind::Duplicate)
-                    | Some(FaultKind::Corrupt)
-                    | None => Ok(()),
-                },
+                |_| self.local_fault(point, self.faults.decide(point), aid),
                 CloudError::is_transient,
             )
             .map_err(|e| CloudError::from_retry(point, e))
+    }
+
+    /// What an injected fault means off the wire (and for a transmission
+    /// that never left): drop/duplicate/corrupt kinds are meaningless
+    /// there and ignored, and an authority outage names `aid` when the
+    /// point has one.
+    fn local_fault(
+        &self,
+        point: &'static str,
+        kind: Option<FaultKind>,
+        aid: Option<&AuthorityId>,
+    ) -> Result<(), CloudError> {
+        match kind {
+            Some(FaultKind::Crash) => Err(CloudError::Crashed { point }),
+            // The disk-level kinds only shape byte survival inside
+            // mabe-store; on a cloud op they degrade to a transient
+            // storage error.
+            Some(
+                FaultKind::StorageError
+                | FaultKind::TornWrite
+                | FaultKind::PartialFlush
+                | FaultKind::ReadCorrupt
+                | FaultKind::ManifestTorn,
+            ) => Err(CloudError::Storage(point)),
+            Some(FaultKind::NoSpace) => Err(CloudError::StoreFull { point }),
+            Some(FaultKind::AuthorityDown) => Err(match aid {
+                Some(a) => CloudError::AuthorityUnavailable(a.clone()),
+                None => CloudError::Lost { point },
+            }),
+            Some(FaultKind::Delay) => {
+                mabe_telemetry::global()
+                    .counter("mabe_fault_delay_us_total", &[("point", point)])
+                    .add(self.faults.delay_us());
+                Ok(())
+            }
+            Some(FaultKind::Drop | FaultKind::Duplicate | FaultKind::Corrupt) | None => Ok(()),
+        }
     }
 
     /// The byte-accounted transport log.

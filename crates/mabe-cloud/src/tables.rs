@@ -606,15 +606,10 @@ pub(crate) fn frames_synced(sys: &CloudSystem, uid: &Uid) -> Vec<Frame> {
 
 /// Frames for a just-begun revocation. Runs under the authority's shard
 /// lock (hence the borrowed `ShardState`) so the batch is journaled
-/// write-ahead of any delivery. `queued_before` names every user that
-/// had a pending-update queue before the begin purged stale entries —
-/// their rows are re-emitted put-or-delete.
-pub(crate) fn frames_revocation_begun(
-    sys: &CloudSystem,
-    st: &ShardState,
-    pending: &PendingRevocation,
-    queued_before: &[Uid],
-) -> Vec<Frame> {
+/// write-ahead of any delivery. The begin may have purged the revoked
+/// user's queued update keys, so every pending-update row is re-emitted.
+pub(crate) fn frames_revocation_begun(sys: &CloudSystem, st: &ShardState, id: u64) -> Vec<Frame> {
+    let pending = st.in_flight.get(&id).expect("begin just parked this id");
     let mut out = vec![authority_frame_from_state(st)];
     let uid = &pending.event.revoked_uid;
     for attr in &pending.event.revoked_attributes {
@@ -623,9 +618,7 @@ pub(crate) fn frames_revocation_begun(
             attr.to_string(),
         )));
     }
-    for queued in queued_before {
-        pending_updates_frame(sys, queued, &mut out);
-    }
+    all_pending_update_frames(sys, &mut out);
     for (owner, uk) in &pending.event.update_keys {
         out.push(Frame::put::<LazyArchive>(
             &(
@@ -651,34 +644,23 @@ pub(crate) fn frames_revocation_begun(
     out
 }
 
-/// Frames after a revocation drove to completion (eagerly or via
-/// recovery): the in-flight entry is gone, keys were delivered or
-/// queued, owners advanced, and affected ciphertexts re-encrypted.
-pub(crate) fn frames_revocation_driven(
+/// Frames after a revocation finished past begin: the in-flight entry
+/// is gone, keys were delivered or queued, and owners advanced. A driven
+/// revocation (eager, or via recovery) re-encrypted the affected
+/// ciphertexts; a deferred one parked that work on the lazy queue.
+pub(crate) fn frames_revocation_finished(
     sys: &CloudSystem,
     id: u64,
     aid: &AuthorityId,
+    deferred: bool,
 ) -> Vec<Frame> {
     let mut out = vec![Frame::delete::<PendingRevocations>(&(id,))];
     user_key_frames_for_aid(sys, aid, &mut out);
     all_pending_update_frames(sys, &mut out);
     all_owner_frames(sys, &mut out);
-    record_frames_for_authority(sys, aid, &mut out);
-    out
-}
-
-/// Frames after a revocation's immediate phase completed with its
-/// re-encryption deferred onto the lazy queue.
-pub(crate) fn frames_revocation_deferred(
-    sys: &CloudSystem,
-    id: u64,
-    aid: &AuthorityId,
-) -> Vec<Frame> {
-    let mut out = vec![Frame::delete::<PendingRevocations>(&(id,))];
-    user_key_frames_for_aid(sys, aid, &mut out);
-    all_pending_update_frames(sys, &mut out);
-    all_owner_frames(sys, &mut out);
-    if let Some(p) = sys.lazy.queue.lock().get(&id) {
+    if !deferred {
+        record_frames_for_authority(sys, aid, &mut out);
+    } else if let Some(p) = sys.lazy.queue.lock().get(&id) {
         out.push(Frame::put::<LazyQueue>(&(id,), &lazy_queue_value(p)));
     }
     out
