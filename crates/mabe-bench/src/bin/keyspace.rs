@@ -201,7 +201,8 @@ fn reopen(tables: u16, total_rows: usize) -> ReopenRow {
             .collect();
         journal(&ts, &ks, &frames);
     }
-    ts.checkpoint_keyspace(&ks).expect("per-table snapshot");
+    ts.checkpoint_keyspace(&ks, None)
+        .expect("per-table snapshot");
     let disk = ts.into_store();
 
     let start = Instant::now();

@@ -1,8 +1,9 @@
 //! Recovery bench: reopen latency and replay throughput vs. WAL length.
 //!
 //! For each workload size the harness builds a durable world on a
-//! [`SimDisk`] with checkpointing disabled (so the whole history lives
-//! in the journal), power-cycles it, and times `DurableSystem::open` —
+//! [`SimDisk`] with checkpointing disabled — neither the op count nor
+//! the WAL byte budget triggers one, so the whole history lives in the
+//! journal — power-cycles it, and times `DurableSystem::open` —
 //! snapshot decode, record replay, audit-chain verification, and
 //! stalled-revocation recovery, end to end. One TSV row per size; the
 //! reopen is repeated a few times and the best run reported, since the
@@ -36,6 +37,7 @@ struct Row {
 fn build(ops: usize, seed: u64) -> DurableSystem<SimDisk> {
     let (ds, _) = DurableSystem::open(SimDisk::unfaulted(), seed).expect("fresh open never fails");
     ds.set_checkpoint_interval(usize::MAX);
+    ds.set_wal_budget(usize::MAX);
     ds.add_authority("MedOrg", &["Doctor", "Nurse"])
         .expect("setup");
     let owner = ds.add_owner("hospital").expect("setup");

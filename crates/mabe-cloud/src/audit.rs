@@ -384,7 +384,7 @@ impl AuditLog {
 
     /// The `(next_seq, clock)` header counters, as persisted alongside
     /// the entries by [`Self::save`]. The typed keyspace stores these in
-    /// its `Meta` table and the entries as per-index rows.
+    /// its `Meta` table and the entries in seals and per-index rows.
     pub(crate) fn counters(&self) -> (u64, u64) {
         (self.next_seq, self.clock)
     }
@@ -423,9 +423,9 @@ impl AuditLog {
     }
 
     /// Rebuilds a log from its `(next_seq, clock)` counters and one
-    /// [`entry_bytes`] section per entry, in order — the typed
-    /// keyspace's `Audit` rows. Verifies exactly as [`Self::load`]
-    /// does, and rejects trailing bytes after any entry.
+    /// [`entry_bytes`] section per entry, in order — the sealed entries,
+    /// then the journal tail's `Audit` rows. Verifies exactly as
+    /// [`Self::load`] does, and rejects trailing bytes after any entry.
     pub(crate) fn from_entries<'a>(
         next_seq: u64,
         clock: u64,
@@ -523,8 +523,9 @@ impl AuditLog {
 }
 
 /// One entry's serialized section, byte-for-byte the per-entry slice of
-/// [`AuditLog::save`]'s output. The typed keyspace persists entries as
-/// individual `Audit` rows holding exactly these bytes, and
+/// [`AuditLog::save`]'s output. The durable layer persists entries as
+/// exactly these bytes — in journaled `Audit` rows and, once a
+/// checkpoint seals them, in seal payloads — and
 /// [`AuditLog::from_entries`] reads them back.
 pub(crate) fn entry_bytes(entry: &AuditEntry) -> Vec<u8> {
     let mut out = Vec::new();

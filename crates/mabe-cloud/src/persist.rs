@@ -3,14 +3,15 @@
 //!
 //! [`DurableSystem`] wraps a [`CloudSystem`] so that every acknowledged
 //! state mutation is journaled to an append-only, checksummed write-ahead
-//! log **before** the call returns (`acked ⇒ durable`), and the full
+//! log **before** the call returns (`acked ⇒ durable`), and the live
 //! system state is periodically checkpointed into a generation-numbered
-//! per-table snapshot. [`DurableSystem::open`] rebuilds the system from
-//! whatever bytes survived a crash: it loads the committed snapshot,
-//! replays the WAL tail, re-verifies the audit hash chain, and rolls
-//! every journaled in-flight revocation forward — the paper's
-//! requirement that committed version keys and update keys are never
-//! forgotten (§V).
+//! per-table snapshot, beside an append-only seal of the audit entries
+//! recorded since the previous checkpoint. [`DurableSystem::open`]
+//! rebuilds the system from whatever bytes survived a crash: it loads
+//! the committed snapshot and seals, replays the WAL tail, re-verifies
+//! the audit hash chain, and rolls every journaled in-flight revocation
+//! forward — the paper's requirement that committed version keys and
+//! update keys are never forgotten (§V).
 //!
 //! # Journal format
 //!
@@ -27,11 +28,20 @@
 //! chain is byte-identical — [`DurableSystem::open`] rejects the store
 //! if it does not verify.
 //!
-//! Frame batches and per-table snapshots are the only on-disk format:
-//! a store holding any other record or snapshot (such as one written
-//! before the typed keyspace existed) fails to open with a typed
-//! [`OpenError::Frame`] or [`OpenError::Keyspace`], and the storage is
-//! handed back untouched.
+//! A checkpoint never rewrites that history. Its snapshot keeps only the
+//! audit counters, the sealed-entry count and the chain head; the
+//! entries recorded since the previous checkpoint go into one seal
+//! object, committed by the same manifest swap and never collected.
+//! Reopen rebuilds the chain from the seals, then the WAL tail, and
+//! cross-checks count and head against the snapshot. So a checkpoint
+//! costs the live state, not every audit row ever written.
+//!
+//! Frame batches, per-table snapshots and seals are the only on-disk
+//! format: a store holding any other record or snapshot (such as one
+//! written before the typed keyspace existed) fails to open with a
+//! typed [`OpenError::Frame`] or [`OpenError::Keyspace`], one written
+//! before seals with [`StoreError::Format`], and the storage is handed
+//! back untouched.
 //!
 //! Revocation, recovery and the lazy drain have one implementation, in
 //! the control plane (`control.rs`, `lazy.rs`), and this handle passes
@@ -107,8 +117,9 @@ pub enum OpenError {
     /// snapshot ([`SchemaError::BadMagic`] for any other format), or a
     /// row key did not decode.
     Keyspace(SchemaError),
-    /// The audit trail embedded in the snapshot was tampered with or
-    /// reordered.
+    /// The audit trail (the seals, then the journal tail) was tampered
+    /// with or reordered, or the seals disagree with the snapshot's
+    /// sealed-entry count and chain head.
     Audit(AuditLoadError),
     /// WAL record `index` survived the checksum but is not a
     /// well-formed frame batch (the error carries the offending byte
@@ -196,10 +207,22 @@ pub(crate) struct OpState {
     /// knob that keeps disk usage bounded under journal-heavy loads.
     wal_budget: usize,
     /// Audit watermark: how many audit entries are already journaled
-    /// (or checkpointed). Every staged batch appends the rows recorded
-    /// since, so the on-disk `audit` table stays a contiguous prefix of
-    /// the live chain.
+    /// (or sealed). Every staged batch appends the rows recorded since,
+    /// so the seals plus the on-disk `audit` table stay a contiguous
+    /// prefix of the live chain.
     journaled_audit: usize,
+    /// Where each committed seal's entries end: seal `k` holds entries
+    /// `seal_ends[k-1]..seal_ends[k]` (from 0 for `k = 0`). Kept in
+    /// memory so a rotted seal is rewritten without trusting its own
+    /// header.
+    seal_ends: Vec<usize>,
+}
+
+impl OpState {
+    /// Audit entries the committed seals hold.
+    fn sealed(&self) -> usize {
+        self.seal_ends.last().copied().unwrap_or(0)
+    }
 }
 
 /// A [`CloudSystem`] whose every acknowledged mutation is journaled as
@@ -234,8 +257,9 @@ fn store_to_cloud(e: StoreError) -> CloudError {
         StoreError::Crashed { point } => CloudError::Crashed { point },
         StoreError::Transient { point } => CloudError::Storage(point),
         StoreError::NoSpace { point } => CloudError::StoreFull { point },
-        StoreError::Corrupt(what) => CloudError::Storage(what),
-        StoreError::Missing(what) => CloudError::Storage(what),
+        StoreError::Corrupt(what) | StoreError::Missing(what) | StoreError::Format(what) => {
+            CloudError::Storage(what)
+        }
     }
 }
 
@@ -244,7 +268,7 @@ fn store_point(e: &StoreError) -> &'static str {
         StoreError::Crashed { point }
         | StoreError::Transient { point }
         | StoreError::NoSpace { point } => point,
-        StoreError::Corrupt(what) | StoreError::Missing(what) => what,
+        StoreError::Corrupt(what) | StoreError::Missing(what) | StoreError::Format(what) => what,
     }
 }
 
@@ -300,17 +324,18 @@ impl<S: Storage> DurableSystem<S> {
         };
         let TypedOpen {
             keyspace,
+            seals,
             records: records_replayed,
             report,
         } = open;
-        let hydrated = tables::hydrate(&keyspace, seed);
-        // The keyspace was only the replay vehicle: the live system of
-        // record is the in-memory `CloudSystem`, and every checkpoint
-        // repopulates a keyspace from it. Drop the replayed rows instead
-        // of keeping a second copy of the world resident.
-        drop(keyspace);
-        let mut sys = match hydrated {
-            Ok(sys) => sys,
+        let hydrated = tables::hydrate(&keyspace, &seals, seed);
+        // The keyspace and seals were only the replay vehicle: the live
+        // system of record is the in-memory `CloudSystem`, and every
+        // checkpoint repopulates a keyspace from it. Drop the replayed
+        // bytes instead of keeping a second copy of the world resident.
+        drop((keyspace, seals));
+        let (mut sys, seal_ends) = match hydrated {
+            Ok(parts) => parts,
             Err(error) => {
                 return Err(OpenFailure {
                     error,
@@ -335,6 +360,7 @@ impl<S: Storage> DurableSystem<S> {
                 checkpoint_interval: 64,
                 wal_budget: 4 * DEFAULT_SEGMENT_BUDGET,
                 journaled_audit,
+                seal_ends,
             }),
             poisoned: AtomicBool::new(false),
             degraded: AtomicBool::new(false),
@@ -481,8 +507,9 @@ impl<S: Storage> DurableSystem<S> {
         Ok(())
     }
 
-    /// Snapshots the full system state and truncates the WAL, with the
-    /// op lock held (no shard lock may be held — encoding takes them).
+    /// Snapshots the live system state, seals the audit entries
+    /// recorded since the last seal, and truncates the WAL, with the op
+    /// lock held (no shard lock may be held — encoding takes them).
     ///
     /// Failure handling follows the store's clean/dirty classification:
     /// a *dirty* failure (the manifest swap's outcome is ambiguous, or a
@@ -490,15 +517,20 @@ impl<S: Storage> DurableSystem<S> {
     /// committed generation authoritative and the handle fully usable —
     /// a clean ENOSPC additionally flips the read-only degradation flag.
     fn checkpoint_locked(&self, op: &mut OpState) -> Result<(), CloudError> {
-        let audited = self.sys.audit.lock().entries().len();
-        let ks = tables::populate(&self.sys);
-        match self.ts.checkpoint_keyspace(&ks) {
+        let image = tables::populate(&self.sys, op.sealed());
+        match self
+            .ts
+            .checkpoint_keyspace(&image.keyspace, image.seal.as_deref())
+        {
             Ok(()) => {
                 op.ops_since_checkpoint = 0;
-                // The snapshot carries every audit row up to `audited`
-                // (captured before the populate walk); anything recorded
-                // since rides the next staged batch.
-                op.journaled_audit = op.journaled_audit.max(audited);
+                if image.seal.is_some() {
+                    op.seal_ends.push(image.sealed);
+                }
+                // The seals now carry every audit entry up to
+                // `image.sealed`; anything recorded since rides the next
+                // staged batch.
+                op.journaled_audit = op.journaled_audit.max(image.sealed);
                 // Compaction just reclaimed every superseded segment:
                 // re-evaluate the disk-full degradation right away.
                 let _ = self.check_writable();
@@ -557,28 +589,41 @@ impl<S: Storage> DurableSystem<S> {
         self.degraded.load(Ordering::SeqCst)
     }
 
-    /// Runs one scrubber pass: re-verifies every cold segment and the
-    /// committed snapshot. Rot is *repaired*, not fatal — the corrupt
-    /// objects are quarantined for forensics and a fresh checkpoint is
-    /// cut from the authoritative in-memory state, superseding them.
+    /// Runs one scrubber pass: re-verifies every cold segment, the
+    /// committed snapshot and every committed seal. Rot is *repaired*,
+    /// not fatal — the corrupt objects are quarantined for forensics, a
+    /// rotted seal is rewritten byte-identically from the in-memory
+    /// chain (no checkpoint ever supersedes a seal), and rotted
+    /// segments or snapshots are superseded by a fresh checkpoint cut
+    /// from the authoritative in-memory state.
     ///
     /// # Errors
     ///
-    /// A failed scrub read, or a failed repair (quarantine +
-    /// checkpoint); repair failures dump the flight recorder when
-    /// `MABE_TRACE_DIR` is set, since the log is rotting *and* cannot
-    /// be rewritten — the forensics may be all that survives.
+    /// A failed scrub read, or a failed repair (quarantine, seal
+    /// rewrite, checkpoint); repair failures dump the flight recorder
+    /// when `MABE_TRACE_DIR` is set, since the log is rotting *and*
+    /// cannot be rewritten — the forensics may be all that survives.
     pub fn scrub(&self) -> Result<ScrubReport, CloudError> {
         self.check_poisoned()?;
         let _trace = mabe_trace::Span::child("durable.scrub");
         let mut op = self.op.lock();
         let report = self.ts.scrub().map_err(store_to_cloud)?;
         if !report.clean() {
+            // Everything corrupt that is not a seal is a segment or the
+            // snapshot, which only a checkpoint supersedes.
+            let superseded = report.corrupt.len() > report.corrupt_seals.len();
             let repaired = self
                 .ts
                 .quarantine(&report.corrupt)
                 .map_err(store_to_cloud)
-                .and_then(|()| self.checkpoint_locked(&mut op));
+                .and_then(|()| self.rewrite_seals(&op, &report.corrupt_seals))
+                .and_then(|()| {
+                    if superseded {
+                        self.checkpoint_locked(&mut op)
+                    } else {
+                        Ok(())
+                    }
+                });
             match repaired {
                 Ok(()) => {
                     mabe_telemetry::global()
@@ -592,6 +637,20 @@ impl<S: Storage> DurableSystem<S> {
             }
         }
         Ok(report)
+    }
+
+    /// Rewrites each of `seals` from the in-memory chain, over the
+    /// entry range it was sealed with — byte-identical to the seal the
+    /// checkpoint wrote, since both come from [`tables::seal_payload`].
+    fn rewrite_seals(&self, op: &OpState, seals: &[u64]) -> Result<(), CloudError> {
+        let audit = self.sys.audit.lock();
+        for &n in seals {
+            let k = n as usize;
+            let start = k.checked_sub(1).map_or(0, |prev| op.seal_ends[prev]);
+            let payload = tables::seal_payload(&audit.entries()[start..op.seal_ends[k]]);
+            self.ts.rewrite_seal(n, &payload).map_err(store_to_cloud)?;
+        }
+        Ok(())
     }
 
     /// The skeleton every journaled mutator shares: the poison and
@@ -1545,7 +1604,7 @@ mod tests {
 
         // Likewise a snapshot that is not a per-table snapshot.
         let (wal, ..) = GroupWal::open(SimDisk::unfaulted()).unwrap();
-        wal.checkpoint(b"MSYS-STYLE-SNAPSHOT").unwrap();
+        wal.checkpoint(b"MSYS-STYLE-SNAPSHOT", None).unwrap();
         let disk = wal.into_store();
         let before = durable_objects(&disk);
         let failure = DurableSystem::open(disk, 5).unwrap_err();
@@ -1554,6 +1613,51 @@ mod tests {
             "got {}",
             failure.error
         );
+        assert_eq!(durable_objects(&failure.storage), before);
+    }
+
+    /// A store written before seals — an `MMAN0001` manifest naming a
+    /// generation whose snapshot still holds the `audit` rows — fails
+    /// to open with a typed error naming its format, and every byte
+    /// comes back. One format, no shim.
+    #[test]
+    fn a_store_in_the_pre_seal_format_fails_typed_and_hands_back_storage() {
+        let (ds, ..) = full_world(open_fresh(61));
+        let ks = Keyspace::new();
+        tables::register_all(&ks);
+        for entry in ds.audit().entries() {
+            ks.put::<tables::Audit>(&(entry.index,), &crate::audit::entry_bytes(entry));
+        }
+        let snapshot = ks.encode_snapshot();
+        assert!(ks.rows(tables::Audit::ID) > 0);
+        let mut framed_snapshot = b"MSNP0001".to_vec();
+        framed_snapshot.extend_from_slice(&mabe_store::crc32(&snapshot).to_be_bytes());
+        framed_snapshot.extend_from_slice(&snapshot);
+        // MMAN0001: seq 2, generation 1, one empty active segment.
+        let mut payload = Vec::new();
+        payload.extend_from_slice(&2u64.to_be_bytes());
+        payload.extend_from_slice(&1u64.to_be_bytes());
+        payload.extend_from_slice(&1u32.to_be_bytes());
+        payload.extend_from_slice(&[0; 16]);
+        let mut manifest = b"MMAN0001".to_vec();
+        manifest.extend_from_slice(&mabe_store::crc32(&payload).to_be_bytes());
+        manifest.extend_from_slice(&payload);
+
+        let mut disk = SimDisk::unfaulted();
+        disk.set_durable("manifest.0", manifest);
+        disk.set_durable("snapshot-1", framed_snapshot);
+        disk.set_durable("wal.1.0", b"MSEG0001".to_vec());
+        let before = durable_objects(&disk);
+        let failure = DurableSystem::open(disk, 61).unwrap_err();
+        assert!(
+            matches!(
+                failure.error,
+                OpenError::Store(StoreError::Format(f)) if f.starts_with("MMAN0001")
+            ),
+            "got {}",
+            failure.error
+        );
+        assert!(failure.error.to_string().contains("MMAN0001"));
         assert_eq!(durable_objects(&failure.storage), before);
     }
 
@@ -1801,22 +1905,27 @@ mod tests {
     }
 
     /// The typed keyspace is a lossless projection: hydrating a
-    /// populated keyspace and populating it again yields a
-    /// byte-identical snapshot and the same audit chain. `populate` is
-    /// independent of `hydrate`, so it serves as the oracle.
+    /// populated keyspace and its seal and populating it again yields a
+    /// byte-identical snapshot and seal and the same audit chain.
+    /// `populate` is independent of `hydrate`, so it serves as the
+    /// oracle.
     #[test]
     fn populate_hydrate_roundtrip_is_byte_identical() {
         fn roundtrip(sys: &CloudSystem, seed: u64) -> Keyspace {
-            let ks = tables::populate(sys);
-            let hydrated = tables::hydrate(&ks, seed).unwrap();
+            let image = tables::populate(sys, 0);
+            let seals: Vec<Vec<u8>> = image.seal.iter().cloned().collect();
+            let (hydrated, seal_ends) = tables::hydrate(&image.keyspace, &seals, seed).unwrap();
+            assert_eq!(seal_ends, vec![image.sealed]);
+            let again = tables::populate(&hydrated, 0);
             assert_eq!(
-                ks.encode_snapshot(),
-                tables::populate(&hydrated).encode_snapshot(),
+                image.keyspace.encode_snapshot(),
+                again.keyspace.encode_snapshot(),
                 "populate → hydrate loses or reorders state"
             );
+            assert_eq!(image.seal, again.seal);
             assert_eq!(*hydrated.audit.lock(), *sys.audit.lock());
             assert!(hydrated.audit.lock().verify());
-            ks
+            image.keyspace
         }
         let (ds, ..) = full_world(open_fresh(42));
         roundtrip(ds.system(), 42);

@@ -16,14 +16,19 @@
 //!   produces a `(table, op, key, value)` frame batch. Replay is then
 //!   pure row application: no re-running of key generation, no RNG
 //!   coupling, no order-sensitive side effects.
-//! * **Checkpointing** — [`populate`] walks the whole system into a
-//!   fresh [`Keyspace`]; the snapshot becomes schema-driven per-table
-//!   sections instead of one hand-rolled byte blob.
+//! * **Checkpointing** — [`populate`] walks the live state into a fresh
+//!   [`Keyspace`] (schema-driven per-table snapshot sections) and seals
+//!   the audit entries recorded since the previous checkpoint into one
+//!   seal payload ([`seal_payload`]). The snapshot keeps only the audit
+//!   counters, the sealed-entry count and the chain head, so its size
+//!   tracks the live state, not the length of the history.
 //! * **Hydration** — [`hydrate`] rebuilds a [`crate::CloudSystem`]
 //!   straight from the rows: entity values through their wire codecs,
 //!   composite values through the decoder beside each encoder below,
 //!   each value checked whole (no trailing bytes) and each entity row
-//!   checked against its key.
+//!   checked against its key. The audit chain is the seals' entries,
+//!   in seal order, then the journal tail's `audit` rows, decoded by
+//!   one [`AuditLog::from_entries`] call.
 //!
 //! Key encodings are order-preserving ([`mabe_store::key_str`] /
 //! [`mabe_store::key_u64`]), so prefix range scans replace full-map
@@ -47,10 +52,11 @@ use mabe_core::{
     Error, OwnerId, Reader, RevocationEvent, Uid, UpdateKey, UserPublicKey, UserSecretKey,
     WireCodec,
 };
+use mabe_crypto::sha256::DIGEST_LEN;
 use mabe_policy::{Attribute, AuthorityId};
 use mabe_store::{key_str, Frame, Keyspace, Schema};
 
-use crate::audit::{self, AuditLog};
+use crate::audit::{self, AuditEntry, AuditLoadError, AuditLog};
 use crate::control::ShardState;
 use crate::directory::UserState;
 use crate::lazy::PendingUpgrade;
@@ -62,7 +68,9 @@ use crate::system::CloudSystem;
 mabe_store::define_table!(
     /// Singleton rows keyed by name: `"ca"` (certificate-authority
     /// wire bytes), `"next_revocation"` (`u64` BE journal counter),
-    /// `"audit"` (`next_seq ‖ clock`, both `u64` BE).
+    /// `"audit"` (`next_seq ‖ clock`, both `u64` BE), and, in snapshots
+    /// only, `"audit_sealed"` (sealed-entry count `u64` BE ‖ the
+    /// 32-byte digest of the last sealed entry, zeros when none).
     Meta: 1, "meta", key(name: str)
 );
 mabe_store::define_table!(
@@ -113,7 +121,9 @@ mabe_store::define_table!(
 );
 mabe_store::define_table!(
     /// One audit entry per row (keyed by entry index); value is the
-    /// entry's legacy save-format bytes.
+    /// entry's `entry_bytes` encoding. Journaled with each frame batch;
+    /// a checkpoint moves the rows into a seal, so snapshots carry the
+    /// table empty.
     Audit: 11, "audit", key(index: u64)
 );
 mabe_store::define_table!(
@@ -145,6 +155,7 @@ mabe_store::define_table!(
 pub(crate) const META_CA: &str = "ca";
 pub(crate) const META_NEXT_REVOCATION: &str = "next_revocation";
 pub(crate) const META_AUDIT: &str = "audit";
+pub(crate) const META_AUDIT_SEALED: &str = "audit_sealed";
 
 /// Registers every *persistent* table (everything except the live-only
 /// [`GrantsByAuthority`]) so empty tables still appear as checkpoint
@@ -341,6 +352,48 @@ fn meta_audit_value(next_seq: u64, clock: u64) -> Vec<u8> {
 fn decode_meta_audit_value(value: &[u8]) -> Result<(u64, u64), OpenError> {
     decode_whole(value, |r| Ok((r.u64()?, r.u64()?)))
         .map_err(|_| row_err("malformed audit counter row"))
+}
+
+fn meta_audit_sealed_value(sealed: u64, head: [u8; DIGEST_LEN]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(8 + DIGEST_LEN);
+    put_u64(&mut out, sealed);
+    out.extend_from_slice(&head);
+    out
+}
+
+fn decode_meta_audit_sealed_value(value: &[u8]) -> Result<(u64, [u8; DIGEST_LEN]), OpenError> {
+    decode_whole(value, |r| {
+        let sealed = r.u64()?;
+        let head = r.bytes(DIGEST_LEN)?.try_into().expect("length read");
+        Ok((sealed, head))
+    })
+    .map_err(|_| row_err("malformed sealed-audit row"))
+}
+
+/// One seal's payload: `u32 count ‖ count × (u32 len ‖ entry_bytes)`
+/// over `entries`. Deterministic, so a seal rebuilt from the same
+/// in-memory entries is byte-identical to the one first written.
+pub(crate) fn seal_payload(entries: &[AuditEntry]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(4 + entries.len() * 128);
+    put_u32(&mut out, entries.len() as u32);
+    for entry in entries {
+        put_bytes(&mut out, &audit::entry_bytes(entry));
+    }
+    out
+}
+
+/// Splits a [`seal_payload`] back into its per-entry sections.
+fn seal_sections(payload: &[u8]) -> Result<Vec<&[u8]>, OpenError> {
+    let mut r = Reader::new(payload);
+    let sections = get_count(&mut r).and_then(|n| {
+        (0..n)
+            .map(|_| get_bytes(&mut r))
+            .collect::<Result<Vec<_>, _>>()
+    });
+    match sections {
+        Ok(sections) if r.is_exhausted() => Ok(sections),
+        _ => Err(audit_err("malformed seal")),
+    }
 }
 
 /// Decodes one whole row value with `decode`: malformed content and
@@ -701,11 +754,27 @@ pub(crate) fn emit_audit(sys: &CloudSystem, watermark: &mut usize, out: &mut Vec
 // Checkpoint populate
 // ---------------------------------------------------------------------
 
-/// Builds a checkpoint keyspace from the full live state: every
+/// What one checkpoint writes: the live-state keyspace for the
+/// snapshot, plus the audit entries it seals.
+pub(crate) struct CheckpointImage {
+    /// Every persistent table, audit rows excepted.
+    pub(crate) keyspace: Keyspace,
+    /// The entries recorded since the previous checkpoint as one
+    /// [`seal_payload`]; `None` when there are none.
+    pub(crate) seal: Option<Vec<u8>>,
+    /// Audit entries sealed once this checkpoint commits (the
+    /// snapshot's sealed-entry count).
+    pub(crate) sealed: usize,
+}
+
+/// Builds a checkpoint image from the full live state: every
 /// persistent table registered (so empty tables checkpoint as empty
-/// sections) and every row emitted from the same walks the per-op
-/// emitters use.
-pub(crate) fn populate(sys: &CloudSystem) -> Keyspace {
+/// sections), every row emitted from the same walks the per-op emitters
+/// use, and the audit entries from `sealed_from` (the entries the
+/// committed seals already hold) on sealed. The audit counters, sealed
+/// count, chain head and seal come from one hold of the audit lock, so
+/// they always agree.
+pub(crate) fn populate(sys: &CloudSystem, sealed_from: usize) -> CheckpointImage {
     let ks = Keyspace::new();
     register_all(&ks);
     let mut frames = vec![ca_frame(sys)];
@@ -757,17 +826,22 @@ pub(crate) fn populate(sys: &CloudSystem) -> Keyspace {
         ));
         component_frames(&owner, &record, &envelope, &mut frames);
     }
-    {
+    let (seal, sealed) = {
         let audit = sys.audit.lock();
-        for entry in audit.entries() {
-            frames.push(Frame::put::<Audit>(
-                &(entry.index,),
-                &audit::entry_bytes(entry),
-            ));
-        }
+        let entries = audit.entries();
         let (next_seq, clock) = audit.counters();
         frames.push(meta_frame(META_AUDIT, meta_audit_value(next_seq, clock)));
-    }
+        let head = audit.head().unwrap_or([0; DIGEST_LEN]);
+        frames.push(meta_frame(
+            META_AUDIT_SEALED,
+            meta_audit_sealed_value(entries.len() as u64, head),
+        ));
+        let fresh = &entries[sealed_from..];
+        (
+            (!fresh.is_empty()).then(|| seal_payload(fresh)),
+            entries.len(),
+        )
+    };
     {
         let shards = sys.control.shards.read();
         for shard in shards.values() {
@@ -804,7 +878,11 @@ pub(crate) fn populate(sys: &CloudSystem) -> Keyspace {
         }
     }
     ks.apply(&frames);
-    ks
+    CheckpointImage {
+        keyspace: ks,
+        seal,
+        sealed,
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -813,6 +891,10 @@ pub(crate) fn populate(sys: &CloudSystem) -> Keyspace {
 
 fn row_err(what: &'static str) -> OpenError {
     OpenError::Snapshot(Error::Malformed(what))
+}
+
+fn audit_err(what: &'static str) -> OpenError {
+    OpenError::Audit(AuditLoadError::Malformed(what))
 }
 
 type Rows<T> = Vec<(<T as Schema>::Key, <T as Schema>::Value)>;
@@ -846,27 +928,36 @@ fn str_prefix(s: &str) -> Vec<u8> {
     out
 }
 
-/// Rebuilds a [`CloudSystem`] from keyspace rows, table by table. The
-/// restored system gets a fresh RNG from `seed` and no fault
-/// injection; an entirely empty keyspace hydrates to a fresh system.
+/// Rebuilds a [`CloudSystem`] from keyspace rows, table by table, and
+/// its audit chain from the committed `seals` (in order) followed by
+/// the journal tail's `audit` rows. The restored system gets a fresh
+/// RNG from `seed` and no fault injection; an entirely empty keyspace
+/// without seals hydrates to a fresh system. Also returns where each
+/// seal's entries end, so a rotted seal can be rewritten from memory.
 ///
 /// Beyond decoding every value whole, it checks what the rows alone
 /// cannot guarantee: the `ca` row exists; each authority and owner row
 /// is keyed by its own id; every attribute parses; every pending
-/// revocation names a known authority; the audit chain, order and
-/// counters verify; and the revocation counter ends up ahead of every
-/// in-flight and queued id. Every user gets a grant set (empty or not),
-/// and the live-only grant index is rebuilt.
+/// revocation names a known authority; the seals hold exactly the
+/// snapshot's sealed-entry count, ending at its chain head; the audit
+/// chain, order and counters verify; and the revocation counter ends up
+/// ahead of every in-flight and queued id. Every user gets a grant set
+/// (empty or not), and the live-only grant index is rebuilt.
 ///
 /// # Errors
 ///
 /// [`OpenError::Keyspace`] for undecodable row keys,
 /// [`OpenError::Snapshot`] for a row that fails validation,
-/// [`OpenError::Audit`] for a broken audit chain.
-pub(crate) fn hydrate(ks: &Keyspace, seed: u64) -> Result<CloudSystem, OpenError> {
+/// [`OpenError::Audit`] for a malformed seal, seals that disagree with
+/// the snapshot, or a broken audit chain.
+pub(crate) fn hydrate(
+    ks: &Keyspace,
+    seals: &[Vec<u8>],
+    seed: u64,
+) -> Result<(CloudSystem, Vec<usize>), OpenError> {
     let mut sys = CloudSystem::new(seed);
-    if ks.total_rows() == 0 {
-        return Ok(sys);
+    if ks.total_rows() == 0 && seals.is_empty() {
+        return Ok((sys, Vec::new()));
     }
     let ca = meta_row(ks, META_CA)?
         .ok_or_else(|| row_err("keyspace missing certificate-authority row"))?;
@@ -936,13 +1027,35 @@ pub(crate) fn hydrate(ks: &Keyspace, seed: u64) -> Result<CloudSystem, OpenError
         Some(value) => decode_meta_audit_value(&value)?,
         None => (0, 0),
     };
-    let entries = rows::<Audit>(ks, &[])?;
-    *sys.audit.lock() = AuditLog::from_entries(
+    let (sealed, head) = match meta_row(ks, META_AUDIT_SEALED)? {
+        Some(value) => decode_meta_audit_sealed_value(&value)?,
+        None => (0, [0; DIGEST_LEN]),
+    };
+    let mut sections = Vec::new();
+    let mut seal_ends = Vec::with_capacity(seals.len());
+    for seal in seals {
+        sections.extend(seal_sections(seal)?);
+        seal_ends.push(sections.len());
+    }
+    if sections.len() as u64 != sealed {
+        return Err(audit_err("sealed entry count disagrees with the snapshot"));
+    }
+    let tail = rows::<Audit>(ks, &[])?;
+    let log = AuditLog::from_entries(
         next_seq,
         clock,
-        entries.iter().map(|(_, value)| value.as_slice()),
+        sections
+            .into_iter()
+            .chain(tail.iter().map(|(_, value)| value.as_slice())),
     )
     .map_err(OpenError::Audit)?;
+    let sealed_head = sealed
+        .checked_sub(1)
+        .map_or([0; DIGEST_LEN], |last| log.entries()[last as usize].digest);
+    if sealed_head != head {
+        return Err(audit_err("sealed chain head disagrees with the snapshot"));
+    }
+    *sys.audit.lock() = log;
 
     // The counter must outrun every id still in flight or queued, even
     // if the Meta row lagged (it is journaled with the begin batch, so
@@ -979,7 +1092,7 @@ pub(crate) fn hydrate(ks: &Keyspace, seed: u64) -> Result<CloudSystem, OpenError
             );
         }
     }
-    Ok(sys)
+    Ok((sys, seal_ends))
 }
 
 #[cfg(test)]
@@ -1034,31 +1147,28 @@ pub(crate) mod tests {
     }
 
     /// Each check hydration makes beyond decoding, provoked by one edit
-    /// of a populated keyspace, fails with its typed error.
+    /// of a populated keyspace or its seal, fails with its typed error.
     #[test]
     fn hydrate_rejects_each_invalid_row_typed() {
-        type Edit = Box<dyn Fn(&Keyspace)>;
+        type Edit = Box<dyn Fn(&Keyspace, &mut Vec<Vec<u8>>)>;
         type Expect = Box<dyn Fn(&OpenError) -> bool>;
-        let base = populate(&unsettled_system());
-        for table in [
-            PendingUpdates::ID,
-            PendingRevocations::ID,
-            LazyQueue::ID,
-            Audit::ID,
-        ] {
+        let image = populate(&unsettled_system(), 0);
+        let (base, base_seals) = (image.keyspace, vec![image.seal.expect("entries to seal")]);
+        for table in [PendingUpdates::ID, PendingRevocations::ID, LazyQueue::ID] {
             assert!(base.rows(table) > 0, "table {table} left empty");
         }
+        assert_eq!(base.rows(Audit::ID), 0, "audit rows live in the seal");
         let cases: Vec<(&str, Edit, Expect)> = vec![
             (
                 "missing ca row",
-                Box::new(|ks| {
+                Box::new(|ks, _| {
                     ks.delete::<Meta>(&(META_CA.to_owned(),));
                 }),
                 Box::new(row_error("keyspace missing certificate-authority row")),
             ),
             (
                 "authority row under another authority's key",
-                Box::new(|ks| {
+                Box::new(|ks, _| {
                     let medorg = ks.get::<Authorities>(&("MedOrg".into(),)).unwrap();
                     ks.put::<Authorities>(&("Trial".into(),), &medorg.unwrap());
                 }),
@@ -1066,7 +1176,7 @@ pub(crate) mod tests {
             ),
             (
                 "owner row under another owner's key",
-                Box::new(|ks| {
+                Box::new(|ks, _| {
                     let hospital = ks.get::<Owners>(&("hospital".into(),)).unwrap();
                     ks.put::<Owners>(&("clinic".into(),), &hospital.unwrap());
                 }),
@@ -1074,14 +1184,14 @@ pub(crate) mod tests {
             ),
             (
                 "pending revocation for an unknown authority",
-                Box::new(|ks| {
+                Box::new(|ks, _| {
                     ks.delete::<Authorities>(&("Trial".into(),));
                 }),
                 Box::new(row_error("pending revocation for unknown authority")),
             ),
             (
                 "pending revocation with stage byte 2",
-                Box::new(|ks| {
+                Box::new(|ks, _| {
                     edit_first::<PendingRevocations>(ks, |v| {
                         let event_len = u32::from_be_bytes(v[..4].try_into().unwrap());
                         v[4 + event_len as usize] = 2;
@@ -1091,7 +1201,7 @@ pub(crate) mod tests {
             ),
             (
                 "15-byte audit counter row",
-                Box::new(|ks| {
+                Box::new(|ks, _| {
                     let key = (META_AUDIT.to_owned(),);
                     let mut value = ks.get::<Meta>(&key).unwrap().unwrap();
                     value.truncate(15);
@@ -1100,8 +1210,14 @@ pub(crate) mod tests {
                 Box::new(row_error("malformed audit counter row")),
             ),
             (
-                "one flipped byte in an audit row",
-                Box::new(|ks| edit_first::<Audit>(ks, |v| *v.last_mut().unwrap() ^= 1)),
+                "one flipped byte in a sealed entry",
+                // The last byte of entry 0: count, then its length, then
+                // its bytes, which end in its digest.
+                Box::new(|_, seals| {
+                    let seal = &mut seals[0];
+                    let len = u32::from_be_bytes(seal[4..8].try_into().unwrap()) as usize;
+                    seal[8 + len - 1] ^= 1;
+                }),
                 Box::new(|e| {
                     matches!(
                         e,
@@ -1110,30 +1226,84 @@ pub(crate) mod tests {
                 }),
             ),
             (
+                "a seal missing its last entry",
+                Box::new(|_, seals| {
+                    let seal = &mut seals[0];
+                    let count = u32::from_be_bytes(seal[..4].try_into().unwrap());
+                    seal[..4].copy_from_slice(&(count - 1).to_be_bytes());
+                }),
+                Box::new(|e| {
+                    matches!(
+                        e,
+                        OpenError::Audit(AuditLoadError::Malformed("malformed seal"))
+                    )
+                }),
+            ),
+            (
+                "no seals beside a snapshot that counts sealed entries",
+                Box::new(|_, seals| seals.clear()),
+                Box::new(|e| {
+                    matches!(
+                        e,
+                        OpenError::Audit(AuditLoadError::Malformed(
+                            "sealed entry count disagrees with the snapshot"
+                        ))
+                    )
+                }),
+            ),
+            (
+                "a sealed head the seals do not end at",
+                Box::new(|ks, _| {
+                    let key = (META_AUDIT_SEALED.to_owned(),);
+                    let mut value = ks.get::<Meta>(&key).unwrap().unwrap();
+                    *value.last_mut().unwrap() ^= 1;
+                    ks.put::<Meta>(&key, &value);
+                }),
+                Box::new(|e| {
+                    matches!(
+                        e,
+                        OpenError::Audit(AuditLoadError::Malformed(
+                            "sealed chain head disagrees with the snapshot"
+                        ))
+                    )
+                }),
+            ),
+            (
+                "39-byte sealed-audit row",
+                Box::new(|ks, _| {
+                    let key = (META_AUDIT_SEALED.to_owned(),);
+                    let mut value = ks.get::<Meta>(&key).unwrap().unwrap();
+                    value.truncate(39);
+                    ks.put::<Meta>(&key, &value);
+                }),
+                Box::new(row_error("malformed sealed-audit row")),
+            ),
+            (
                 "trailing byte on a grants value",
-                Box::new(|ks| edit_first::<Grants>(ks, |v| v.push(0))),
+                Box::new(|ks, _| edit_first::<Grants>(ks, |v| v.push(0))),
                 Box::new(row_error("trailing bytes after row value")),
             ),
             (
                 "trailing byte on a pending_updates value",
-                Box::new(|ks| edit_first::<PendingUpdates>(ks, |v| v.push(0))),
+                Box::new(|ks, _| edit_first::<PendingUpdates>(ks, |v| v.push(0))),
                 Box::new(row_error("trailing bytes after row value")),
             ),
             (
                 "trailing byte on a lazy_queue value",
-                Box::new(|ks| edit_first::<LazyQueue>(ks, |v| v.push(0))),
+                Box::new(|ks, _| edit_first::<LazyQueue>(ks, |v| v.push(0))),
                 Box::new(row_error("trailing bytes after row value")),
             ),
         ];
         for (case, edit, expect) in cases {
             let ks = base.clone();
-            edit(&ks);
-            match hydrate(&ks, 1) {
+            let mut seals = base_seals.clone();
+            edit(&ks, &mut seals);
+            match hydrate(&ks, &seals, 1) {
                 Ok(_) => panic!("{case}: hydrated"),
                 Err(e) => assert!(expect(&e), "{case}: got {e}"),
             }
         }
-        // The unedited keyspace hydrates.
-        hydrate(&base, 1).unwrap();
+        // The unedited image hydrates.
+        hydrate(&base, &base_seals, 1).unwrap();
     }
 }

@@ -36,7 +36,7 @@ use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use crate::compact::CheckpointFailure;
 use crate::scrub::ScrubReport;
 use crate::storage::{Storage, StoreError};
-use crate::wal::{RecoveryReport, Wal, WalOpenError};
+use crate::wal::{Recovered, Wal, WalOpenError};
 
 /// Locks tolerating poison: a panicked writer thread must not wedge
 /// the whole log (the parked `failure`, not lock poison, is the
@@ -86,11 +86,8 @@ impl<S: Storage> std::ops::Deref for StoreRef<'_, S> {
 impl<S: Storage> GroupWal<S> {
     /// Opens (or initialises) the log in `store` — see [`Wal::open`]
     /// for recovery semantics and errors.
-    #[allow(clippy::type_complexity)]
-    pub fn open(
-        store: S,
-    ) -> Result<(Self, Option<Vec<u8>>, Vec<Vec<u8>>, RecoveryReport), WalOpenError<S>> {
-        let (wal, snapshot, records, report) = Wal::open(store)?;
+    pub fn open(store: S) -> Result<(Self, Recovered), WalOpenError<S>> {
+        let (wal, recovered) = Wal::open(store)?;
         Ok((
             GroupWal {
                 wal: Mutex::new(wal),
@@ -103,9 +100,7 @@ impl<S: Storage> GroupWal<S> {
                 }),
                 cv: Condvar::new(),
             },
-            snapshot,
-            records,
-            report,
+            recovered,
         ))
     }
 
@@ -181,7 +176,7 @@ impl<S: Storage> GroupWal<S> {
     }
 
     /// Flushes anything still staged, then checkpoints the underlying
-    /// log (see [`Wal::checkpoint`]).
+    /// log, sealing `seal_payload` if given (see [`Wal::checkpoint`]).
     ///
     /// Failures are classified: a *dirty* one (the staged flush died,
     /// or the manifest swap was attempted and its outcome is ambiguous)
@@ -191,7 +186,11 @@ impl<S: Storage> GroupWal<S> {
     /// may retry once the cause clears. The returned
     /// [`CheckpointFailure`] carries that classification so the durable
     /// layer can decide whether to poison itself too.
-    pub fn checkpoint(&self, snapshot_payload: &[u8]) -> Result<(), CheckpointFailure> {
+    pub fn checkpoint(
+        &self,
+        snapshot_payload: &[u8],
+        seal_payload: Option<&[u8]>,
+    ) -> Result<(), CheckpointFailure> {
         let mut st = lock_ok(&self.state);
         loop {
             if let Some(err) = &st.failure {
@@ -221,7 +220,7 @@ impl<S: Storage> GroupWal<S> {
                 .try_for_each(|payload| wal.append(payload))
                 .and_then(|()| if batch.is_empty() { Ok(()) } else { wal.sync() })
                 .map_err(|error| CheckpointFailure { error, dirty: true })
-                .and_then(|()| wal.checkpoint(snapshot_payload))
+                .and_then(|()| wal.checkpoint(snapshot_payload, seal_payload))
         };
 
         let mut st = lock_ok(&self.state);
@@ -255,6 +254,11 @@ impl<S: Storage> GroupWal<S> {
     /// Quarantines `names` for forensics (see [`Wal::quarantine`]).
     pub fn quarantine(&self, names: &[String]) -> Result<(), StoreError> {
         lock_ok(&self.wal).quarantine(names)
+    }
+
+    /// Rewrites committed seal `n` (see [`Wal::rewrite_seal`]).
+    pub fn rewrite_seal(&self, n: u64, payload: &[u8]) -> Result<(), StoreError> {
+        lock_ok(&self.wal).rewrite_seal(n, payload)
     }
 
     /// Live log bytes (cold + active segments, snapshot excluded).
@@ -330,9 +334,9 @@ mod tests {
         );
         let mut disk = gw.into_store();
         disk.crash();
-        let (_, snapshot, records, _) = Wal::open(disk).unwrap();
-        assert!(snapshot.is_none());
-        assert_eq!(records, vec![b"one".to_vec(), b"two".to_vec()]);
+        let (_, r) = Wal::open(disk).unwrap();
+        assert!(r.snapshot.is_none());
+        assert_eq!(r.records, vec![b"one".to_vec(), b"two".to_vec()]);
     }
 
     #[test]
@@ -355,7 +359,7 @@ mod tests {
             gw.storage().injector().hits(store_points::SYNC) - base_sync,
             1
         );
-        let (_, _, records, _) = Wal::open(gw.into_store()).unwrap();
+        let records = Wal::open(gw.into_store()).unwrap().1.records;
         assert_eq!(records, vec![b"a".to_vec(), b"b".to_vec(), b"c".to_vec()]);
     }
 
@@ -376,7 +380,7 @@ mod tests {
         });
         let syncs = gw.storage().injector().hits(store_points::SYNC) - base_sync;
         assert!(syncs <= 128, "never more syncs than records: {syncs}");
-        let (_, _, records, _) = Wal::open(gw.into_store()).unwrap();
+        let records = Wal::open(gw.into_store()).unwrap().1.records;
         assert_eq!(records.len(), 128, "every committed record is durable");
         // Per-thread stage order is preserved in the log.
         for t in 0..8u8 {
@@ -405,7 +409,7 @@ mod tests {
         let s2 = gw.stage(b"later");
         assert_eq!(gw.commit(s2).unwrap_err(), err);
         assert_eq!(gw.append_sync(b"more").unwrap_err(), err);
-        let failure = gw.checkpoint(b"snap").unwrap_err();
+        let failure = gw.checkpoint(b"snap", None).unwrap_err();
         assert_eq!(failure.error, err);
         assert!(failure.dirty, "a poisoned log reports dirty");
     }
@@ -418,13 +422,13 @@ mod tests {
             .injector_mut()
             .schedule(store_points::COMPACT, 1, FaultKind::NoSpace);
         // ENOSPC strictly before the manifest swap fails clean…
-        let failure = gw.checkpoint(b"SNAP").unwrap_err();
+        let failure = gw.checkpoint(b"SNAP", None).unwrap_err();
         assert!(matches!(failure.error, StoreError::NoSpace { .. }));
         assert!(!failure.dirty);
         // …so the log is NOT poisoned: writes and a retried checkpoint
         // both go through.
         gw.append_sync(b"more").unwrap();
-        gw.checkpoint(b"SNAP").unwrap();
+        gw.checkpoint(b"SNAP", None).unwrap();
         assert_eq!(gw.generation(), 1);
     }
 
@@ -433,10 +437,10 @@ mod tests {
         let gw = fresh();
         gw.append_sync(b"durable").unwrap();
         let _staged = gw.stage(b"staged-only");
-        gw.checkpoint(b"SNAP").unwrap();
+        gw.checkpoint(b"SNAP", None).unwrap();
         assert_eq!(gw.generation(), 1);
-        let (_, snapshot, records, _) = Wal::open(gw.into_store()).unwrap();
-        assert_eq!(snapshot.as_deref(), Some(&b"SNAP"[..]));
-        assert!(records.is_empty(), "fresh generation starts empty");
+        let (_, r) = Wal::open(gw.into_store()).unwrap();
+        assert_eq!(r.snapshot.as_deref(), Some(&b"SNAP"[..]));
+        assert!(r.records.is_empty(), "fresh generation starts empty");
     }
 }

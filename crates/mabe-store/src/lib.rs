@@ -12,15 +12,17 @@
 //!   errors, and crashes before/after sync are all seeded and replayable.
 //! * [`Wal`] — a segmented, length-prefixed, CRC32-checksummed
 //!   write-ahead log: `wal.<gen>.<seq>` segments capped by a byte budget,
-//!   a dual-slot atomically-swapped manifest naming the live set, and
-//!   generation-numbered checkpoint snapshots. Recovery drops at most the
-//!   torn tail of the *active* segment, requires cold segments to verify
+//!   a dual-slot atomically-swapped manifest naming the live set,
+//!   generation-numbered checkpoint snapshots, and append-only `seal.<n>`
+//!   objects holding the history each checkpoint moved out of its
+//!   snapshot. Recovery drops at most the torn tail of the *active*
+//!   segment, requires cold segments and committed seals to verify
 //!   strictly, and never falls back past a committed checkpoint.
 //! * Lifecycle management on the [`Wal`]: rotation (automatic, budget
 //!   driven), checkpoint-driven compaction with clean/dirty failure
 //!   classification ([`CheckpointFailure`] — a full disk fails clean and
 //!   must not poison), and a [`ScrubReport`]-producing scrubber that
-//!   re-verifies cold segments and quarantines rot.
+//!   re-verifies cold segments, the snapshot and the seals.
 //! * [`GroupWal`] — group commit over the [`Wal`]: concurrent writers
 //!   stage records and the elected leader batches every staged record
 //!   under a single sync, so N concurrent journal writes cost one disk
@@ -58,4 +60,4 @@ pub use scrub::ScrubReport;
 pub use sim::SimDisk;
 pub use storage::{store_points, Storage, StorageUsage, StoreError};
 pub use typed::{Keyspace, TypedOpen, TypedOpenError, TypedStore};
-pub use wal::{RecoveryReport, Wal, WalOpenError, DEFAULT_SEGMENT_BUDGET};
+pub use wal::{Recovered, RecoveryReport, Wal, WalOpenError, DEFAULT_SEGMENT_BUDGET};

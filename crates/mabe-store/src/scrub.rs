@@ -1,19 +1,21 @@
-//! The scrubber: background CRC re-verification of cold segments and
-//! the committed snapshot.
+//! The scrubber: background CRC re-verification of cold segments, the
+//! committed snapshot and every committed seal.
 //!
-//! Cold segments are exactly the bytes recovery *cannot* tolerate rot
-//! in (see [`crate::wal`]), so the scrubber walks them while the
-//! process is healthy and reports anything that no longer verifies.
-//! Repair is the caller's job — the durable layer quarantines the
-//! rotted objects and checkpoints, which supersedes them with a fresh
-//! snapshot built from the authoritative in-memory state. The scrubber
-//! itself never deletes anything.
+//! Cold segments, the snapshot and the seals are exactly the bytes
+//! recovery *cannot* tolerate rot in (see [`crate::wal`]), so the
+//! scrubber walks them while the process is healthy and reports
+//! anything that no longer verifies. Repair is the caller's job — the
+//! durable layer quarantines the rotted objects, checkpoints to
+//! supersede rotted segments or snapshots with a fresh snapshot built
+//! from the authoritative in-memory state, and rewrites a rotted seal
+//! in place ([`Wal::rewrite_seal`]), since no checkpoint ever
+//! supersedes a seal. The scrubber itself never deletes anything.
 
 use mabe_faults::FaultKind;
 
 use crate::segment::{segment_name, verify_frames};
 use crate::storage::{store_points, Storage, StoreError};
-use crate::wal::{crashed, decode_snapshot, snap_name, Wal};
+use crate::wal::{crashed, decode_seal, decode_snapshot, encode_seal, seal_name, snap_name, Wal};
 
 /// What one scrub pass found.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -24,6 +26,11 @@ pub struct ScrubReport {
     pub frames_checked: u64,
     /// Whether the committed snapshot (if any) still verifies.
     pub snapshot_ok: bool,
+    /// Committed seals re-verified.
+    pub seals_checked: usize,
+    /// Numbers of the committed seals that failed (their names are in
+    /// `corrupt` too); each needs a rewrite, not a checkpoint.
+    pub corrupt_seals: Vec<u64>,
     /// Objects that failed verification (rotted, torn, or missing) and
     /// need repair.
     pub corrupt: Vec<String>,
@@ -37,10 +44,11 @@ impl ScrubReport {
 }
 
 impl<S: Storage> Wal<S> {
-    /// Re-verifies every cold segment and the committed snapshot,
-    /// without touching the active segment (its tail may legitimately
-    /// be in flight). Read-only: repair is [`Wal::quarantine`] plus a
-    /// checkpoint, driven by the caller.
+    /// Re-verifies every cold segment, the committed snapshot and every
+    /// committed seal, without touching the active segment (its tail
+    /// may legitimately be in flight). Read-only: repair is
+    /// [`Wal::quarantine`] plus a checkpoint or [`Wal::rewrite_seal`],
+    /// driven by the caller.
     pub fn scrub(&mut self) -> Result<ScrubReport, StoreError> {
         let point = store_points::SCRUB;
         if let Some(FaultKind::Crash) = self.store.lifecycle_faults().and_then(|i| i.decide(point))
@@ -87,6 +95,18 @@ impl<S: Storage> Wal<S> {
                 report.corrupt.push(name);
             }
         }
+        for n in 0..self.manifest.seals {
+            let name = seal_name(n);
+            let ok = self
+                .store
+                .read(&name)?
+                .is_some_and(|bytes| decode_seal(&bytes).is_ok());
+            report.seals_checked += 1;
+            if !ok {
+                report.corrupt_seals.push(n);
+                report.corrupt.push(name);
+            }
+        }
         let registry = mabe_telemetry::global();
         registry
             .counter("mabe_wal_scrub_frames_checked_total", &[])
@@ -98,6 +118,24 @@ impl<S: Storage> Wal<S> {
                 .add(report.corrupt.len() as u64);
         }
         Ok(report)
+    }
+
+    /// Rewrites committed seal `n` with `payload` — the repair for a
+    /// seal the scrubber found rotted or missing. The caller rebuilds
+    /// the payload from its authoritative in-memory history, so the
+    /// rewrite is byte-identical to the seal first written.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Missing`] if seal `n` is not committed; any
+    /// backend error from the put or sync.
+    pub fn rewrite_seal(&mut self, n: u64, payload: &[u8]) -> Result<(), StoreError> {
+        if n >= self.manifest.seals {
+            return Err(StoreError::Missing("committed seal"));
+        }
+        let name = seal_name(n);
+        self.store.put(&name, &encode_seal(payload))?;
+        self.store.sync(&name)
     }
 
     /// Preserves `names` under `quarantine.<name>` for forensics. The
@@ -155,13 +193,13 @@ mod tests {
         // Quarantine preserves a copy; checkpointing then supersedes
         // the rot entirely (state comes from memory, not the log).
         wal.quarantine(&report.corrupt).unwrap();
-        wal.checkpoint(b"AUTHORITATIVE").unwrap();
+        wal.checkpoint(b"AUTHORITATIVE", None).unwrap();
         let names = wal.store().list();
         assert!(names.iter().any(|n| n == "quarantine.wal.0.0"));
         assert!(!names.iter().any(|n| n == "wal.0.0"));
         // The healed log reopens cleanly, quarantine intact.
-        let (mut wal, snapshot, _, _) = Wal::open(wal.into_store()).expect("reopen");
-        assert_eq!(snapshot.as_deref(), Some(&b"AUTHORITATIVE"[..]));
+        let (mut wal, r) = Wal::open(wal.into_store()).expect("reopen");
+        assert_eq!(r.snapshot.as_deref(), Some(&b"AUTHORITATIVE"[..]));
         assert!(wal.scrub().unwrap().clean());
     }
 
@@ -170,7 +208,7 @@ mod tests {
         let mut wal = Wal::open(SimDisk::unfaulted()).expect("fresh open").0;
         wal.append(b"op").unwrap();
         wal.sync().unwrap();
-        wal.checkpoint(b"SNAP").unwrap();
+        wal.checkpoint(b"SNAP", None).unwrap();
         let mut bytes = wal.store().durable_bytes("snapshot-1").unwrap().to_vec();
         let last = bytes.len() - 1;
         bytes[last] ^= 0x01;
@@ -178,6 +216,38 @@ mod tests {
         let report = wal.scrub().unwrap();
         assert!(!report.snapshot_ok);
         assert_eq!(report.corrupt, vec!["snapshot-1".to_string()]);
+    }
+
+    #[test]
+    fn a_rotted_seal_is_reported_and_rewritten_in_place() {
+        let mut wal = Wal::open(SimDisk::unfaulted()).expect("fresh open").0;
+        wal.checkpoint(b"SNAP-1", Some(b"SEAL-0")).unwrap();
+        wal.checkpoint(b"SNAP-2", Some(b"SEAL-1")).unwrap();
+        let good = wal.store().durable_bytes("seal.0").unwrap().to_vec();
+        let mut rotted = good.clone();
+        rotted[13] ^= 0x02;
+        wal.store_mut().set_durable("seal.0", rotted);
+        let report = wal.scrub().unwrap();
+        assert_eq!(report.seals_checked, 2);
+        assert_eq!(report.corrupt_seals, vec![0]);
+        assert_eq!(report.corrupt, vec!["seal.0".to_string()]);
+
+        // A checkpoint does not heal it: seals are never superseded.
+        wal.checkpoint(b"SNAP-3", None).unwrap();
+        assert_eq!(wal.scrub().unwrap().corrupt_seals, vec![0]);
+        // A rewrite from the authoritative payload does, byte for byte.
+        wal.quarantine(&report.corrupt).unwrap();
+        wal.rewrite_seal(0, b"SEAL-0").unwrap();
+        assert_eq!(wal.store().durable_bytes("seal.0").unwrap(), &good[..]);
+        assert!(wal.scrub().unwrap().clean());
+        assert!(wal.store().list().iter().any(|n| n == "quarantine.seal.0"));
+        // Only committed seals can be rewritten.
+        assert_eq!(
+            wal.rewrite_seal(2, b"NOPE"),
+            Err(StoreError::Missing("committed seal"))
+        );
+        let (_, r) = Wal::open(wal.into_store()).expect("reopen");
+        assert_eq!(r.seals, vec![b"SEAL-0".to_vec(), b"SEAL-1".to_vec()]);
     }
 
     #[test]

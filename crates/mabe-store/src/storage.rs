@@ -25,8 +25,13 @@ pub mod store_points {
     /// collection of superseded segments (`Crash` dies pre-swap or
     /// mid-GC; `NoSpace` aborts the compaction cleanly).
     pub const COMPACT: &str = "store.compact";
-    /// The background scrub pass re-verifying cold-segment checksums.
+    /// The background scrub pass re-verifying cold-segment, snapshot
+    /// and seal checksums.
     pub const SCRUB: &str = "store.scrub";
+    /// A checkpoint's audit seal write, consulted before the seal's put
+    /// (`Crash` dies with the old generation intact; `NoSpace` fails
+    /// the checkpoint cleanly).
+    pub const SEAL: &str = "store.seal";
     /// Atomically swapping the segment manifest (`ManifestTorn` tears
     /// the slot being written; the surviving slot must recover).
     pub const MANIFEST_SWAP: &str = "store.manifest_swap";
@@ -51,6 +56,10 @@ pub enum StoreError {
     Corrupt(&'static str),
     /// An object required for recovery is missing.
     Missing(&'static str),
+    /// An object is intact but in an on-disk format this version does
+    /// not read (named here). There is no migration: the caller gets
+    /// the storage back untouched.
+    Format(&'static str),
     /// The backend is out of space (ENOSPC): nothing was written. The
     /// caller should degrade to read-only and reclaim via compaction —
     /// this is the one write failure that never poisons a journal.
@@ -67,6 +76,7 @@ impl fmt::Display for StoreError {
             StoreError::Transient { point } => write!(f, "transient storage failure at {point}"),
             StoreError::Corrupt(what) => write!(f, "corrupt storage: {what}"),
             StoreError::Missing(what) => write!(f, "missing storage object: {what}"),
+            StoreError::Format(what) => write!(f, "unsupported on-disk format: {what}"),
             StoreError::NoSpace { point } => write!(f, "storage out of space at {point}"),
         }
     }
@@ -124,7 +134,8 @@ pub trait Storage {
 
     /// The fault injector consulted at the log-lifecycle points
     /// ([`store_points::ROTATE`], [`store_points::COMPACT`],
-    /// [`store_points::SCRUB`], [`store_points::MANIFEST_SWAP`]), if
+    /// [`store_points::SEAL`], [`store_points::SCRUB`],
+    /// [`store_points::MANIFEST_SWAP`]), if
     /// this backend carries one. Production backends return `None` and
     /// the lifecycle runs unfaulted.
     fn lifecycle_faults(&self) -> Option<&FaultInjector> {

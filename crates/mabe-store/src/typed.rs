@@ -6,14 +6,15 @@
 //! A [`TypedStore`] is the journal beside it: callers stage one frame
 //! batch per logical operation ([`TypedStore::stage_frames`]), make it
 //! durable through group commit ([`TypedStore::commit`]), and write
-//! per-table snapshots they assemble themselves
-//! ([`TypedStore::checkpoint_keyspace`]). The store never holds rows.
+//! per-table snapshots they assemble themselves, each beside an optional
+//! seal of append-only history ([`TypedStore::checkpoint_keyspace`]).
+//! The store never holds rows.
 //!
 //! [`TypedStore::open`] folds the checkpoint snapshot and every frame
 //! batch logged after it into one [`Keyspace`] and hands it to the
-//! caller. Every record must be a frame batch and every snapshot a
-//! `MTKS0001` image; anything else fails typed, with the storage handed
-//! back.
+//! caller together with the committed seal payloads, in order. Every
+//! record must be a frame batch and every snapshot a `MTKS0001` image;
+//! anything else fails typed, with the storage handed back.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -27,7 +28,7 @@ use crate::schema::{
 };
 use crate::scrub::ScrubReport;
 use crate::storage::{Storage, StoreError};
-use crate::wal::{RecoveryReport, WalOpenError};
+use crate::wal::{Recovered, RecoveryReport, WalOpenError};
 
 /// Decoded rows of table `T` in key order — what a prefix range scan
 /// returns.
@@ -275,6 +276,9 @@ pub struct TypedOpen {
     /// The checkpoint snapshot with every later frame batch applied in
     /// log order — the committed state, owned by the caller.
     pub keyspace: Keyspace,
+    /// Every committed seal's payload, in seal order — the history the
+    /// checkpoints moved out of their snapshots.
+    pub seals: Vec<Vec<u8>>,
     /// How many frame batches were replayed on top of the snapshot.
     pub records: usize,
     /// The underlying WAL recovery report.
@@ -336,16 +340,24 @@ pub struct TypedStore<S: Storage> {
 impl<S: Storage> TypedStore<S> {
     /// Opens the store: decodes the checkpoint snapshot (if any) and
     /// applies every frame batch logged after it, in order, returning
-    /// the folded [`Keyspace`] in [`TypedOpen`].
+    /// the folded [`Keyspace`] and the committed seals in [`TypedOpen`].
     ///
     /// # Errors
     ///
-    /// [`TypedOpenError`] — WAL-level failure, a snapshot that is not a
-    /// well-formed per-table snapshot, or a record that is not a
-    /// well-formed frame batch.
+    /// [`TypedOpenError`] — WAL-level failure (a missing or rotted
+    /// committed seal among them), a snapshot that is not a well-formed
+    /// per-table snapshot, or a record that is not a well-formed frame
+    /// batch.
     pub fn open(store: S) -> Result<(Self, TypedOpen), TypedOpenError<S>> {
-        let (wal, snapshot, records, report) =
-            GroupWal::open(store).map_err(TypedOpenError::Wal)?;
+        let (
+            wal,
+            Recovered {
+                snapshot,
+                seals,
+                records,
+                report,
+            },
+        ) = GroupWal::open(store).map_err(TypedOpenError::Wal)?;
         // The raw snapshot bytes drop as soon as they are decoded.
         let keyspace = match snapshot {
             None => Keyspace::new(),
@@ -376,6 +388,7 @@ impl<S: Storage> TypedStore<S> {
             TypedStore { wal },
             TypedOpen {
                 keyspace,
+                seals,
                 records: replayed,
                 report,
             },
@@ -400,15 +413,20 @@ impl<S: Storage> TypedStore<S> {
     }
 
     /// Checkpoints a caller-assembled keyspace image as a per-table
-    /// snapshot, truncating the log (see [`GroupWal::checkpoint`] for
-    /// failure classification).
+    /// snapshot, committing `seal` (if any) as the next seal with the
+    /// same manifest swap, and truncates the log (see
+    /// [`GroupWal::checkpoint`] for failure classification).
     ///
     /// # Errors
     ///
     /// [`CheckpointFailure`] — `dirty` poisons, clean leaves the old
     /// generation authoritative.
-    pub fn checkpoint_keyspace(&self, ks: &Keyspace) -> Result<(), CheckpointFailure> {
-        self.wal.checkpoint(&ks.encode_snapshot())
+    pub fn checkpoint_keyspace(
+        &self,
+        ks: &Keyspace,
+        seal: Option<&[u8]>,
+    ) -> Result<(), CheckpointFailure> {
+        self.wal.checkpoint(&ks.encode_snapshot(), seal)
     }
 
     /// One scrub pass over cold segments (see [`GroupWal::scrub`]).
@@ -427,6 +445,15 @@ impl<S: Storage> TypedStore<S> {
     /// [`StoreError`] if the move failed.
     pub fn quarantine(&self, names: &[String]) -> Result<(), StoreError> {
         self.wal.quarantine(names)
+    }
+
+    /// Rewrites committed seal `n` with `payload` (the scrub repair).
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError`] if seal `n` is not committed or the write failed.
+    pub fn rewrite_seal(&self, n: u64, payload: &[u8]) -> Result<(), StoreError> {
+        self.wal.rewrite_seal(n, payload)
     }
 
     /// Live log bytes (cold + active segments).
@@ -543,7 +570,7 @@ mod tests {
             journal(&ts, &frames);
             image.apply(&frames);
         }
-        ts.checkpoint_keyspace(&image).unwrap();
+        ts.checkpoint_keyspace(&image, Some(b"HISTORY")).unwrap();
         journal(
             &ts,
             &[Frame::put::<Grants>(
@@ -553,6 +580,7 @@ mod tests {
         );
         let open = reopen(ts);
         assert!(open.report.had_snapshot);
+        assert_eq!(open.seals, vec![b"HISTORY".to_vec()]);
         assert_eq!(open.records, 1, "only the post-checkpoint record");
         assert_eq!(open.keyspace.rows(Grants::ID), 2);
         assert_eq!(open.keyspace.rows(Users::ID), 1);

@@ -12,14 +12,23 @@
 //!   The highest seq listed by the manifest is the *active* segment;
 //!   appends land there until the segment budget rolls it.
 //! * `snapshot-<g>` — `b"MSNP0001" ‖ u32 crc32(payload) ‖ payload`, the
-//!   full state as of generation `g`'s checkpoint (absent for `g = 0`).
+//!   live state as of generation `g`'s checkpoint (absent for `g = 0`).
+//! * `seal.<n>` — `b"MSEL0001" ‖ u32 crc32(payload) ‖ payload`, the
+//!   append-only history a checkpoint moved out of its snapshot (the
+//!   durable layer seals the audit entries recorded since the previous
+//!   checkpoint). Each is written once, synced before the manifest swap
+//!   that commits it, and never superseded: the manifest counts the
+//!   committed seals, and compaction only deletes strays numbered at or
+//!   above that count.
 //! * `quarantine.<name>` — corrupt objects preserved by the scrubber
 //!   for forensics; never replayed, never garbage-collected.
 //!
 //! Recovery decodes both manifest slots and trusts the valid one with
 //! the highest swap sequence. It then loads the generation's snapshot
 //! (its checksum must verify — a committed checkpoint is never silently
-//! abandoned for an older one) and replays every live segment in order.
+//! abandoned for an older one), every committed seal in order (each
+//! must be present and verify), and replays every live segment in
+//! order.
 //! Cold segments (all but the last) were synced before any manifest
 //! swap referenced a successor, so they must verify *strictly*: a bad
 //! frame there is bit rot for the scrubber, not a tear, and recovery
@@ -33,11 +42,12 @@ use std::fmt;
 use mabe_faults::FaultKind;
 
 use crate::crc::crc32;
-use crate::manifest::{slot_name, Manifest, SegmentEntry};
+use crate::manifest::{legacy_format, slot_name, Manifest, SegmentEntry};
 use crate::segment::{frame, parse_frames, segment_name, verify_frames, SEG_MAGIC};
 use crate::storage::{store_points, Storage, StoreError};
 
 const SNAP_MAGIC: &[u8; 8] = b"MSNP0001";
+const SEAL_MAGIC: &[u8; 8] = b"MSEL0001";
 
 /// Rotation keeps this many bytes of slack free: when the backend is
 /// too full to afford a new segment plus a manifest swap, the active
@@ -46,6 +56,11 @@ const ROTATE_HEADROOM: usize = 1024;
 
 pub(crate) fn snap_name(generation: u64) -> String {
     format!("snapshot-{generation}")
+}
+
+/// Name of the `n`-th audit seal (0-based).
+pub(crate) fn seal_name(n: u64) -> String {
+    format!("seal.{n}")
 }
 
 /// A crash return: the simulated process dies at `point` — noted on
@@ -66,12 +81,27 @@ pub struct RecoveryReport {
     pub had_snapshot: bool,
     /// Snapshot payload size in bytes.
     pub snapshot_bytes: usize,
+    /// Committed seals loaded.
+    pub seals: usize,
     /// Intact records recovered from the log.
     pub records: usize,
     /// Total payload bytes across recovered records.
     pub record_bytes: usize,
     /// Bytes dropped from the active segment's tail (torn frames).
     pub dropped_bytes: usize,
+}
+
+/// What [`Wal::open`] recovered from the committed generation.
+#[derive(Debug)]
+pub struct Recovered {
+    /// The checkpoint snapshot payload (`None` for generation 0).
+    pub snapshot: Option<Vec<u8>>,
+    /// Every committed seal's payload, in seal order.
+    pub seals: Vec<Vec<u8>>,
+    /// Every intact record logged since the checkpoint, in order.
+    pub records: Vec<Vec<u8>>,
+    /// The salvage report.
+    pub report: RecoveryReport,
 }
 
 /// A failed [`Wal::open`]: the error **plus the backing store**, handed
@@ -122,29 +152,29 @@ pub const DEFAULT_SEGMENT_BUDGET: usize = 256 << 10;
 
 impl<S: Storage> Wal<S> {
     /// Opens (or initialises) the log in `store`, returning the
-    /// checkpoint snapshot payload (if any), every intact record since
-    /// it, and a salvage report.
+    /// checkpoint snapshot payload (if any), every committed seal, every
+    /// intact record since the checkpoint, and a salvage report.
     ///
     /// # Errors
     ///
     /// * [`StoreError::Corrupt`] if both manifest slots are invalid
     ///   beside committed objects, the committed generation's snapshot
-    ///   fails its checksum, or a *cold* segment fails strict
-    ///   verification — recovery never falls back past a committed
-    ///   checkpoint and never silently drops committed records.
-    /// * [`StoreError::Missing`] if the manifest names a snapshot or
-    ///   cold segment the store no longer has.
+    ///   or a committed seal fails its checksum, or a *cold* segment
+    ///   fails strict verification — recovery never falls back past a
+    ///   committed checkpoint, never returns a shorter seal history, and
+    ///   never silently drops committed records.
+    /// * [`StoreError::Missing`] if the manifest names a snapshot, seal
+    ///   or cold segment the store no longer has.
+    /// * [`StoreError::Format`] if the manifest was written in the
+    ///   pre-seal layout.
     /// * Any backend error (including injected ones) from the reads and
     ///   the first-time initialisation writes.
     ///
     /// Every error arrives wrapped in a [`WalOpenError`] carrying the
     /// store back to the caller.
-    #[allow(clippy::type_complexity)]
-    pub fn open(
-        mut store: S,
-    ) -> Result<(Self, Option<Vec<u8>>, Vec<Vec<u8>>, RecoveryReport), WalOpenError<S>> {
+    pub fn open(mut store: S) -> Result<(Self, Recovered), WalOpenError<S>> {
         match Self::open_inner(&mut store) {
-            Ok((manifest, active_bytes, cold_bytes, snapshot, records, report)) => Ok((
+            Ok((manifest, active_bytes, cold_bytes, recovered)) => Ok((
                 Wal {
                     store,
                     manifest,
@@ -152,28 +182,13 @@ impl<S: Storage> Wal<S> {
                     cold_bytes,
                     segment_budget: DEFAULT_SEGMENT_BUDGET,
                 },
-                snapshot,
-                records,
-                report,
+                recovered,
             )),
             Err(error) => Err(WalOpenError { error, store }),
         }
     }
 
-    #[allow(clippy::type_complexity)]
-    fn open_inner(
-        store: &mut S,
-    ) -> Result<
-        (
-            Manifest,
-            usize,
-            usize,
-            Option<Vec<u8>>,
-            Vec<Vec<u8>>,
-            RecoveryReport,
-        ),
-        StoreError,
-    > {
+    fn open_inner(store: &mut S) -> Result<(Manifest, usize, usize, Recovered), StoreError> {
         let slots = [store.read(&slot_name(0))?, store.read(&slot_name(1))?];
         let manifest = slots
             .iter()
@@ -182,6 +197,11 @@ impl<S: Storage> Wal<S> {
         let manifest = match manifest {
             Some(m) => m,
             None => {
+                // One format, no shim: a store written before seals is
+                // named, never read, and keeps every byte.
+                if let Some(format) = slots.iter().flatten().find_map(|s| legacy_format(s)) {
+                    return Err(StoreError::Format(format));
+                }
                 // No valid slot. Alongside nothing but (torn) manifest
                 // slots this is a crash during first-time init — nothing
                 // was ever acknowledged, so reinitializing is safe. Next
@@ -198,6 +218,7 @@ impl<S: Storage> Wal<S> {
                 let m = Manifest {
                     seq: 1,
                     generation: 0,
+                    seals: 0,
                     segments: vec![SegmentEntry { seq: 0, bytes: 0 }],
                 };
                 let slot = slot_name(m.slot());
@@ -218,6 +239,18 @@ impl<S: Storage> Wal<S> {
                 .ok_or(StoreError::Missing("committed snapshot"))?;
             Some(decode_snapshot(&framed)?)
         };
+
+        // Seals are never superseded, so each committed one must be
+        // present and intact: a missing or rotted seal fails typed
+        // rather than opening with a shorter history.
+        let seals = (0..manifest.seals)
+            .map(|n| {
+                let framed = store
+                    .read(&seal_name(n))?
+                    .ok_or(StoreError::Missing("committed seal"))?;
+                decode_seal(&framed)
+            })
+            .collect::<Result<Vec<_>, _>>()?;
 
         let mut records = Vec::new();
         let mut dropped_bytes = 0;
@@ -265,6 +298,7 @@ impl<S: Storage> Wal<S> {
             segments: manifest.segments.len(),
             had_snapshot: snapshot.is_some(),
             snapshot_bytes: snapshot.as_ref().map_or(0, Vec::len),
+            seals: seals.len(),
             records: records.len(),
             record_bytes: records.iter().map(Vec::len).sum(),
             dropped_bytes,
@@ -286,9 +320,12 @@ impl<S: Storage> Wal<S> {
             manifest,
             active_bytes,
             cold_bytes,
-            snapshot,
-            records,
-            report,
+            Recovered {
+                snapshot,
+                seals,
+                records,
+                report,
+            },
         ))
     }
 
@@ -421,6 +458,11 @@ impl<S: Storage> Wal<S> {
         self.manifest.segments.len()
     }
 
+    /// Committed seals the manifest currently counts.
+    pub fn seals(&self) -> u64 {
+        self.manifest.seals
+    }
+
     /// Bytes the live log occupies on disk (cold + active segments,
     /// snapshot excluded) — what compaction can reclaim plus the
     /// irreducible active tail.
@@ -451,24 +493,48 @@ impl<S: Storage> Wal<S> {
     }
 }
 
-pub(crate) fn encode_snapshot(payload: &[u8]) -> Vec<u8> {
+/// `magic ‖ u32 crc32(payload) ‖ payload` — the framing snapshots and
+/// seals share.
+fn encode_checksummed(magic: &[u8; 8], payload: &[u8]) -> Vec<u8> {
     let mut framed = Vec::with_capacity(12 + payload.len());
-    framed.extend_from_slice(SNAP_MAGIC);
+    framed.extend_from_slice(magic);
     framed.extend_from_slice(&crc32(payload).to_be_bytes());
     framed.extend_from_slice(payload);
     framed
 }
 
-pub(crate) fn decode_snapshot(framed: &[u8]) -> Result<Vec<u8>, StoreError> {
-    if framed.len() < 12 || &framed[..8] != SNAP_MAGIC {
-        return Err(StoreError::Corrupt("snapshot header"));
+/// The payload of an [`encode_checksummed`] frame whose magic and
+/// checksum verify; otherwise `Corrupt(header)` or `Corrupt(checksum)`.
+fn decode_checksummed(
+    magic: &[u8; 8],
+    framed: &[u8],
+    [header, checksum]: [&'static str; 2],
+) -> Result<Vec<u8>, StoreError> {
+    if framed.len() < 12 || &framed[..8] != magic {
+        return Err(StoreError::Corrupt(header));
     }
     let want = u32::from_be_bytes(framed[8..12].try_into().expect("4 bytes"));
     let payload = &framed[12..];
     if crc32(payload) != want {
-        return Err(StoreError::Corrupt("snapshot checksum"));
+        return Err(StoreError::Corrupt(checksum));
     }
     Ok(payload.to_vec())
+}
+
+pub(crate) fn encode_snapshot(payload: &[u8]) -> Vec<u8> {
+    encode_checksummed(SNAP_MAGIC, payload)
+}
+
+pub(crate) fn decode_snapshot(framed: &[u8]) -> Result<Vec<u8>, StoreError> {
+    decode_checksummed(SNAP_MAGIC, framed, ["snapshot header", "snapshot checksum"])
+}
+
+pub(crate) fn encode_seal(payload: &[u8]) -> Vec<u8> {
+    encode_checksummed(SEAL_MAGIC, payload)
+}
+
+pub(crate) fn decode_seal(framed: &[u8]) -> Result<Vec<u8>, StoreError> {
+    decode_checksummed(SEAL_MAGIC, framed, ["seal header", "seal checksum"])
 }
 
 #[cfg(test)]
@@ -479,7 +545,8 @@ mod tests {
 
     #[allow(clippy::type_complexity)]
     fn reopen(disk: SimDisk) -> (Wal<SimDisk>, Option<Vec<u8>>, Vec<Vec<u8>>, RecoveryReport) {
-        Wal::open(disk).expect("clean open")
+        let (wal, r) = Wal::open(disk).expect("clean open");
+        (wal, r.snapshot, r.records, r.report)
     }
 
     #[test]
@@ -557,7 +624,7 @@ mod tests {
         let (mut wal, ..) = reopen(SimDisk::unfaulted());
         wal.append(b"pre").unwrap();
         wal.sync().unwrap();
-        wal.checkpoint(b"STATE-1").unwrap();
+        wal.checkpoint(b"STATE-1", None).unwrap();
         assert_eq!(wal.generation(), 1);
         wal.append(b"post").unwrap();
         wal.sync().unwrap();
@@ -582,7 +649,7 @@ mod tests {
         wal.store_mut()
             .injector_mut()
             .schedule(store_points::PUT, 2, FaultKind::Crash);
-        assert!(wal.checkpoint(b"STATE").is_err());
+        assert!(wal.checkpoint(b"STATE", None).is_err());
         let mut disk = wal.into_store();
         disk.crash();
         disk.injector_mut().disarm();
@@ -603,7 +670,7 @@ mod tests {
         wal.store_mut()
             .injector_mut()
             .schedule(store_points::PUT, 3, FaultKind::Crash);
-        assert!(wal.checkpoint(b"STATE").is_err());
+        assert!(wal.checkpoint(b"STATE", None).is_err());
         let mut disk = wal.into_store();
         disk.crash();
         disk.injector_mut().disarm();
@@ -730,7 +797,7 @@ mod tests {
         let (mut wal, ..) = reopen(SimDisk::unfaulted());
         wal.append(b"pre").unwrap();
         wal.sync().unwrap();
-        wal.checkpoint(b"COMMITTED").unwrap();
+        wal.checkpoint(b"COMMITTED", None).unwrap();
         let mut disk = wal.into_store();
         let mut snap = disk.durable_bytes("snapshot-1").unwrap().to_vec();
         let last = snap.len() - 1;

@@ -3,13 +3,14 @@
 //! Every test here drives [`Wal::open`] over systematically damaged
 //! on-disk bytes: single-bit flips at every position, truncation at
 //! every byte offset — in the active segment, across cold segment
-//! boundaries, and inside the manifest slots — plus checksum-breaking
-//! snapshot damage. Recovery must never panic, must drop at most the
-//! suffix starting at the first damaged frame of the *active* segment
-//! (cold-segment damage is typed, for the scrubber), and must never
-//! resurrect pre-checkpoint state.
+//! boundaries, inside the manifest slots and inside committed seals —
+//! plus checksum-breaking snapshot damage. Recovery must never panic,
+//! must drop at most the suffix starting at the first damaged frame of
+//! the *active* segment (cold-segment and seal damage is typed, for the
+//! scrubber), must never open with a shorter seal history, and must
+//! never resurrect pre-checkpoint state.
 
-use mabe_store::{SimDisk, Storage, StoreError, Wal};
+use mabe_store::{crc32, SimDisk, Storage, StoreError, Wal};
 
 const ACTIVE_OBJ: &str = "wal.0.0";
 const RECORDS: &[&[u8]] = &[
@@ -22,7 +23,7 @@ const RECORDS: &[&[u8]] = &[
 
 /// A synced generation-0 log holding [`RECORDS`] in one segment.
 fn seeded_disk() -> SimDisk {
-    let (mut wal, _, _, _) = Wal::open(SimDisk::unfaulted()).unwrap();
+    let (mut wal, _) = Wal::open(SimDisk::unfaulted()).unwrap();
     for r in RECORDS {
         wal.append(r).unwrap();
     }
@@ -45,8 +46,9 @@ fn bit_flip_every_position_never_panics_and_only_drops_a_suffix() {
         let mut flipped = log.clone();
         flipped[bit / 8] ^= 1 << (bit % 8);
         match Wal::open(damaged(seeded_disk, ACTIVE_OBJ, flipped)) {
-            Ok((_, snapshot, records, report)) => {
-                assert!(snapshot.is_none());
+            Ok((_, r)) => {
+                let (records, report) = (r.records, r.report);
+                assert!(r.snapshot.is_none());
                 assert!(
                     records.len() <= RECORDS.len(),
                     "bit {bit}: phantom record appeared"
@@ -85,9 +87,9 @@ fn truncate_every_offset_drops_at_most_the_last_partial_record() {
         boundaries.push(boundaries.last().unwrap() + 8 + r.len());
     }
     for cut in 0..=log.len() {
-        let (_, _, records, report) =
-            Wal::open(damaged(seeded_disk, ACTIVE_OBJ, log[..cut].to_vec()))
-                .expect("truncation of the active segment is always recoverable");
+        let (_, r) = Wal::open(damaged(seeded_disk, ACTIVE_OBJ, log[..cut].to_vec()))
+            .expect("truncation of the active segment is always recoverable");
+        let (records, report) = (r.records, r.report);
         let whole = boundaries
             .iter()
             .filter(|&&b| b <= cut)
@@ -110,7 +112,7 @@ fn truncate_every_offset_drops_at_most_the_last_partial_record() {
 /// A synced multi-segment generation-0 log (tiny budget forces
 /// rotation), for damage across segment boundaries.
 fn multi_segment_disk() -> SimDisk {
-    let (mut wal, _, _, _) = Wal::open(SimDisk::unfaulted()).unwrap();
+    let (mut wal, _) = Wal::open(SimDisk::unfaulted()).unwrap();
     wal.set_segment_budget(64);
     for r in RECORDS {
         wal.append(r).unwrap();
@@ -168,7 +170,8 @@ fn damage_across_segment_boundaries_never_panics_or_fabricates_records() {
 
 fn check_damaged_open(seg: &str, bytes: Vec<u8>, pos: usize) {
     match Wal::open(damaged(multi_segment_disk, seg, bytes)) {
-        Ok((_, _, records, _)) => {
+        Ok((_, r)) => {
+            let records = r.records;
             // Whatever survives must be an unmodified prefix of the
             // written sequence (two passes over RECORDS).
             let written: Vec<&[u8]> = RECORDS.iter().chain(RECORDS.iter()).copied().collect();
@@ -226,8 +229,10 @@ fn manifest_damage_falls_back_or_fails_typed_never_panics() {
         for pos in 0..bytes.len() {
             let mut flipped = bytes.clone();
             flipped[pos] ^= 0x04;
-            let (_, _, records, _) = Wal::open(damaged(multi_segment_disk, name, flipped))
-                .unwrap_or_else(|f| panic!("{name} pos {pos}: {:?} (surviving slot!)", f.error));
+            let records = Wal::open(damaged(multi_segment_disk, name, flipped))
+                .unwrap_or_else(|f| panic!("{name} pos {pos}: {:?} (surviving slot!)", f.error))
+                .1
+                .records;
             let written: Vec<&[u8]> = RECORDS.iter().chain(RECORDS.iter()).copied().collect();
             for (i, rec) in records.iter().enumerate() {
                 assert_eq!(rec.as_slice(), written[i], "{name} pos {pos}");
@@ -239,10 +244,10 @@ fn manifest_damage_falls_back_or_fails_typed_never_panics() {
 /// A generation-1 disk: checkpointed state plus one post-checkpoint
 /// record.
 fn gen1_disk() -> SimDisk {
-    let (mut wal, _, _, _) = Wal::open(SimDisk::unfaulted()).unwrap();
+    let (mut wal, _) = Wal::open(SimDisk::unfaulted()).unwrap();
     wal.append(b"old-secret-grant").unwrap();
     wal.sync().unwrap();
-    wal.checkpoint(b"NEW-STATE").unwrap();
+    wal.checkpoint(b"NEW-STATE", None).unwrap();
     wal.append(b"post-checkpoint").unwrap();
     wal.sync().unwrap();
     wal.into_store()
@@ -265,10 +270,10 @@ fn post_checkpoint_damage_never_resurrects_pre_checkpoint_state() {
                     failure.error
                 );
             }
-            Ok((_, snapshot, records, _)) => {
-                assert_eq!(snapshot.as_deref(), Some(&b"NEW-STATE"[..]), "pos {pos}");
+            Ok((_, r)) => {
+                assert_eq!(r.snapshot.as_deref(), Some(&b"NEW-STATE"[..]), "pos {pos}");
                 assert!(
-                    !records.iter().any(|r| r == b"old-secret-grant"),
+                    !r.records.iter().any(|r| r == b"old-secret-grant"),
                     "pos {pos}"
                 );
                 panic!("pos {pos}: damaged snapshot opened cleanly");
@@ -281,9 +286,9 @@ fn post_checkpoint_damage_never_resurrects_pre_checkpoint_state() {
     // alone, never the old records.
     let mut d = gen1_disk();
     d.delete("wal.1.0").unwrap();
-    let (_, snapshot, records, _) = Wal::open(d).unwrap();
-    assert_eq!(snapshot.as_deref(), Some(&b"NEW-STATE"[..]));
-    assert!(records.is_empty());
+    let (_, r) = Wal::open(d).unwrap();
+    assert_eq!(r.snapshot.as_deref(), Some(&b"NEW-STATE"[..]));
+    assert!(r.records.is_empty());
 
     // A missing snapshot for a committed generation is a typed error,
     // not a silent fallback.
@@ -293,6 +298,154 @@ fn post_checkpoint_damage_never_resurrects_pre_checkpoint_state() {
         Wal::open(d).map(|_| ()).map_err(|f| f.error),
         Err(StoreError::Missing("committed snapshot"))
     ));
+}
+
+const SEALS: &[&[u8]] = &[
+    b"history up to the first checkpoint",
+    b"and up to the second",
+];
+
+/// A generation-2 disk: two checkpoints, each committing one seal of
+/// [`SEALS`], plus one post-checkpoint record.
+fn sealed_disk() -> SimDisk {
+    let (mut wal, _) = Wal::open(SimDisk::unfaulted()).unwrap();
+    for seal in SEALS {
+        wal.append(b"op").unwrap();
+        wal.sync().unwrap();
+        wal.checkpoint(b"STATE", Some(seal)).unwrap();
+    }
+    wal.append(b"post-checkpoint").unwrap();
+    wal.sync().unwrap();
+    wal.into_store()
+}
+
+/// Opens `disk`, which must fail typed: a committed seal is never
+/// dropped, shortened or replaced by a damaged copy.
+fn assert_seal_damage_fails_typed(disk: SimDisk, ctx: &str) {
+    match Wal::open(disk) {
+        Err(failure) => assert!(
+            matches!(
+                failure.error,
+                StoreError::Corrupt(_) | StoreError::Missing(_)
+            ),
+            "{ctx}: untyped error {:?}",
+            failure.error
+        ),
+        Ok((_, r)) => panic!("{ctx}: opened with seals {:?}", r.seals),
+    }
+}
+
+#[test]
+fn committed_seals_open_in_order_and_any_damage_to_one_fails_typed() {
+    let (wal, r) = Wal::open(sealed_disk()).unwrap();
+    assert_eq!((wal.generation(), wal.seals()), (2, 2));
+    assert_eq!(
+        r.seals,
+        SEALS.iter().map(|s| s.to_vec()).collect::<Vec<_>>()
+    );
+    assert_eq!(r.records, vec![b"post-checkpoint".to_vec()]);
+
+    for name in ["seal.0", "seal.1"] {
+        let bytes = sealed_disk().durable_bytes(name).unwrap().to_vec();
+        for pos in 0..bytes.len() {
+            for bit in 0..8 {
+                let mut flipped = bytes.clone();
+                flipped[pos] ^= 1 << bit;
+                let ctx = format!("{name} pos {pos} bit {bit}");
+                assert_seal_damage_fails_typed(damaged(sealed_disk, name, flipped), &ctx);
+            }
+            let ctx = format!("{name} cut {pos}");
+            assert_seal_damage_fails_typed(damaged(sealed_disk, name, bytes[..pos].to_vec()), &ctx);
+        }
+        let mut gone = sealed_disk();
+        gone.delete(name).unwrap();
+        assert!(matches!(
+            Wal::open(gone).map(|_| ()).map_err(|f| f.error),
+            Err(StoreError::Missing("committed seal"))
+        ));
+    }
+}
+
+/// The newest manifest slot of [`sealed_disk`]: the one the second
+/// checkpoint's swap wrote.
+fn newest_slot(disk: &SimDisk) -> &'static str {
+    let seq = |name| {
+        u64::from_be_bytes(
+            disk.durable_bytes(name).unwrap()[12..20]
+                .try_into()
+                .unwrap(),
+        )
+    };
+    if seq("manifest.0") > seq("manifest.1") {
+        "manifest.0"
+    } else {
+        "manifest.1"
+    }
+}
+
+#[test]
+fn damage_to_the_manifest_seal_count_never_opens_a_shorter_history() {
+    let disk = sealed_disk();
+    let slot = newest_slot(&disk);
+    let bytes = disk.durable_bytes(slot).unwrap().to_vec();
+    // The count is the third u64 of the payload, after the 12-byte
+    // frame header.
+    let count = 12 + 16..12 + 24;
+    assert_eq!(
+        u64::from_be_bytes(bytes[count.clone()].try_into().unwrap()),
+        2
+    );
+    for pos in count.clone() {
+        for bit in 0..8 {
+            let mut flipped = bytes.clone();
+            flipped[pos] ^= 1 << bit;
+            // The checksum fails, so recovery falls back to the older
+            // slot, whose snapshot the second checkpoint collected.
+            assert_seal_damage_fails_typed(
+                damaged(sealed_disk, slot, flipped),
+                &format!("count byte {pos} bit {bit}"),
+            );
+        }
+        let cut = bytes[..pos].to_vec();
+        assert_seal_damage_fails_typed(damaged(sealed_disk, slot, cut), &format!("cut {pos}"));
+    }
+    // A count forged past the written seals, checksum and all, names a
+    // seal the store never had.
+    let mut forged = bytes.clone();
+    forged[count].copy_from_slice(&3u64.to_be_bytes());
+    let crc = crc32(&forged[12..]);
+    forged[8..12].copy_from_slice(&crc.to_be_bytes());
+    assert!(matches!(
+        Wal::open(damaged(sealed_disk, slot, forged))
+            .map(|_| ())
+            .map_err(|f| f.error),
+        Err(StoreError::Missing("committed seal"))
+    ));
+}
+
+#[test]
+fn a_pre_seal_manifest_fails_typed_naming_its_format_and_keeps_the_store() {
+    // The MMAN0001 layout: seq, generation, segment count, segments —
+    // no seal count.
+    let mut payload = Vec::new();
+    payload.extend_from_slice(&1u64.to_be_bytes());
+    payload.extend_from_slice(&0u64.to_be_bytes());
+    payload.extend_from_slice(&1u32.to_be_bytes());
+    payload.extend_from_slice(&[0; 16]);
+    let mut slot = b"MMAN0001".to_vec();
+    slot.extend_from_slice(&crc32(&payload).to_be_bytes());
+    slot.extend_from_slice(&payload);
+    let mut disk = SimDisk::unfaulted();
+    disk.set_durable("manifest.1", slot.clone());
+    disk.set_durable("wal.0.0", b"MSEG0001".to_vec());
+    let failure = Wal::open(disk).map(|_| ()).unwrap_err();
+    assert!(
+        matches!(failure.error, StoreError::Format(f) if f.contains("MMAN0001")),
+        "got {:?}",
+        failure.error
+    );
+    assert_eq!(failure.store.durable_bytes("manifest.1"), Some(&slot[..]));
+    assert_eq!(failure.store.list(), vec!["manifest.1", "wal.0.0"]);
 }
 
 #[test]
@@ -306,7 +459,7 @@ fn manifest_slot_garbage_fuzz_never_panics() {
             let mut d = seeded_disk();
             d.set_durable("manifest.0", vec![fill; len]);
             // Garbage in the stale slot beside a valid one: must open.
-            let (_, _, records, _) = Wal::open(d).expect("valid slot wins");
+            let records = Wal::open(d).expect("valid slot wins").1.records;
             assert_eq!(records.len(), RECORDS.len());
         }
     }
@@ -314,14 +467,14 @@ fn manifest_slot_garbage_fuzz_never_panics() {
 
 #[test]
 fn wal_telemetry_families_export_in_json_and_prometheus() {
-    let (mut wal, _, _, _) = Wal::open(SimDisk::unfaulted()).unwrap();
+    let (mut wal, _) = Wal::open(SimDisk::unfaulted()).unwrap();
     wal.set_segment_budget(64);
     for i in 0..8u8 {
         wal.append(&[i; 32]).unwrap();
     }
     wal.sync().unwrap();
     wal.scrub().unwrap();
-    wal.checkpoint(b"SNAP").unwrap();
+    wal.checkpoint(b"SNAP", None).unwrap();
     wal.append(b"replayed-later").unwrap();
     wal.sync().unwrap();
     let mut disk = wal.into_store();

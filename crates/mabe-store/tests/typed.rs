@@ -222,7 +222,7 @@ fn rotted_frame_record_decode_failures_are_typed_with_offsets() {
 
     // Likewise a snapshot that is not a per-table snapshot.
     let (gw, ..) = GroupWal::open(SimDisk::unfaulted()).unwrap();
-    gw.checkpoint(b"LEGACY-SNAP").unwrap();
+    gw.checkpoint(b"LEGACY-SNAP", None).unwrap();
     match TypedStore::open(gw.into_store()) {
         Err(TypedOpenError::Snapshot {
             error: SchemaError::BadMagic,
@@ -240,7 +240,7 @@ fn per_table_snapshot_bit_rot_never_resurrects_or_invents_rows() {
     // typed too.
     fn gen1_disk() -> SimDisk {
         let (ts, open) = TypedStore::open(seeded_disk()).unwrap();
-        ts.checkpoint_keyspace(&open.keyspace).unwrap();
+        ts.checkpoint_keyspace(&open.keyspace, None).unwrap();
         journal(
             &ts,
             &[Frame::put::<Users>(&("bob".into(),), &b"pk-b".to_vec())],

@@ -60,15 +60,18 @@ const STORE_CASES: &[(&str, FaultKind, bool)] = &[
 
 /// Log-lifecycle cases, exercised by the lifecycle scenario (tiny
 /// segment budget + aggressive checkpoint interval + a scrub pass, so
-/// rotation, compaction, manifest swaps, and scrubbing all actually
-/// run). Every crash must reopen to a committed state: a torn manifest
-/// swap loses the swap but never the surviving slot, and a crashed GC
+/// rotation, compaction, seal writes, manifest swaps, and scrubbing all
+/// actually run). Every crash must reopen to a committed state: a torn
+/// manifest swap loses the swap but never the surviving slot, a crashed
+/// seal write leaves the old generation authoritative, and a crashed GC
 /// leaves only strays the next compaction collects.
 const LIFECYCLE_CASES: &[(&str, FaultKind, bool)] = &[
     (store_points::ROTATE, FaultKind::Crash, false),
     (store_points::ROTATE, FaultKind::NoSpace, false),
     (store_points::COMPACT, FaultKind::Crash, false),
     (store_points::COMPACT, FaultKind::NoSpace, false),
+    (store_points::SEAL, FaultKind::Crash, false),
+    (store_points::SEAL, FaultKind::NoSpace, false),
     (store_points::MANIFEST_SWAP, FaultKind::Crash, false),
     (store_points::MANIFEST_SWAP, FaultKind::ManifestTorn, false),
     (store_points::SCRUB, FaultKind::Crash, false),
@@ -118,9 +121,10 @@ fn run_scenario(ds: &mut DurableSystem<SimDisk>) -> Result<(), CloudError> {
 }
 
 /// The scenario under aggressive log-lifecycle pressure: segments
-/// rotate every ~192 bytes, checkpoints fire every 6 ops, and a scrub
-/// pass plus a forced compaction close it out — so the rotation,
-/// compaction, manifest-swap, and scrub fault points are all hit.
+/// rotate every ~192 bytes, checkpoints (each sealing the audit entries
+/// since the last) fire every 6 ops, and a scrub pass plus a forced
+/// compaction close it out — so the rotation, compaction, seal,
+/// manifest-swap, and scrub fault points are all hit.
 fn run_lifecycle_scenario(ds: &mut DurableSystem<SimDisk>) -> Result<(), CloudError> {
     ds.set_segment_budget(192);
     ds.set_checkpoint_interval(6);
@@ -354,7 +358,8 @@ fn crash_point_sweep_recovers_at_every_fault_point() {
 /// The lifecycle sweep: the scenario runs under rotation, compaction
 /// and scrub pressure and is killed at every hit of every lifecycle
 /// fault point — rotation, compaction (both the entry and each GC
-/// delete), the manifest swap (crashed *and* torn), and the scrubber.
+/// delete), the seal write, the manifest swap (crashed *and* torn), and
+/// the scrubber.
 /// Every kill must reopen to a committed generation with the paper's
 /// invariants intact.
 #[test]

@@ -4,9 +4,9 @@
 //! users, grants, publishes, an offline user synced across an eager
 //! revocation, a user-level revocation at one authority, a lazy
 //! revocation plus its drain, an allowed and a denied read — then cuts a
-//! checkpoint and journals one more publish. Before and after the
-//! checkpoint, the sha256 of every durable object must equal the
-//! constants below.
+//! checkpoint (a snapshot plus the seal of every audit entry so far) and
+//! journals one more publish. Before and after the checkpoint, the
+//! sha256 of every durable object must equal the constants below.
 //!
 //! A refactor of the cloud layer must leave these bytes alone. A change
 //! to the on-disk format updates the constants and says why in its
@@ -22,7 +22,7 @@ const SEED: u64 = 0x6a_b7e5;
 const BEFORE_CHECKPOINT: &[(&str, &str)] = &[
     (
         "manifest.1",
-        "2a47d34e383ba604dd68fed731e6e46db890562cee6c52ba21edc630fa161da1",
+        "a1af1b323f0e8b03b19a6bbca71da0b361b4f36894f470c66c0197b138b1805c",
     ),
     (
         "wal.0.0",
@@ -34,15 +34,19 @@ const BEFORE_CHECKPOINT: &[(&str, &str)] = &[
 const AFTER_CHECKPOINT: &[(&str, &str)] = &[
     (
         "manifest.0",
-        "cbc1e3c1c96c4e31a289bca207bcea5f89d481a55aed353acafffcf6bc3eac0c",
+        "a258f25c7eca1ce6b7d0b317e2c35a8b5119c2e50bef488f415f74b1821b8dfc",
     ),
     (
         "manifest.1",
-        "2a47d34e383ba604dd68fed731e6e46db890562cee6c52ba21edc630fa161da1",
+        "a1af1b323f0e8b03b19a6bbca71da0b361b4f36894f470c66c0197b138b1805c",
+    ),
+    (
+        "seal.0",
+        "7aab91df8144e4b89dd2ca73221cee08765c48556225bf75fdefa084b651e3d2",
     ),
     (
         "snapshot-1",
-        "4d1614be3af78f5e7cad50563fc0ad45dc9d0766587d2f0fe2555a0fb36a103f",
+        "1ccfc8da6b2e4a32d2b8ac970ccd86f70c5d41570aad4dfeb1b9c0530c468196",
     ),
     (
         "wal.1.0",
