@@ -30,7 +30,7 @@ use parking_lot::Mutex;
 
 use mabe_core::{
     open_component_with_kem, seal_envelope, CiphertextId, Error, OwnerId, SealedComponent, Uid,
-    UpdateInfo, UpdateKey, UserPublicKey, UserSecretKey,
+    UpdateInfo, UpdateKey, UpdateTables, UserPublicKey, UserSecretKey, WithTables,
 };
 use mabe_policy::{parse, AuthorityId, Policy};
 
@@ -508,6 +508,10 @@ impl CloudSystem {
     /// racing this revocation may seal at the pre-bump version and
     /// store *after* the first snapshot, and a single-shot worklist
     /// would strand it stale forever.
+    ///
+    /// Each owner's step is preprocessed once, from its first worklist
+    /// ([`DataOwner::update_tables`](mabe_core::DataOwner::update_tables)),
+    /// and every pass and every worker evaluates against those tables.
     pub(crate) fn reencrypt_phase(
         &self,
         pending: &mut PendingRevocation,
@@ -516,57 +520,74 @@ impl CloudSystem {
             .detail(format!("@{}", pending.event.aid));
         let aid = pending.event.aid.clone();
         let from = pending.event.from_version;
-        let to = pending.event.to_version;
         let owner_ids: Vec<OwnerId> = self.directory.owners.read().keys().cloned().collect();
         for owner_id in owner_ids {
             let Some(uk) = pending.event.update_keys.get(&owner_id).cloned() else {
                 continue;
             };
+            let mut tables = None;
             loop {
                 let affected = self.data.server.affected_ciphertexts(&owner_id, &aid, from);
                 if affected.is_empty() {
                     break;
                 }
+                let tables =
+                    &*tables.get_or_insert_with(|| self.update_tables(&owner_id, &uk, &affected));
                 let workers = self
                     .data
                     .reencrypt_workers
                     .load(Ordering::Relaxed)
                     .clamp(1, affected.len());
+                let uk = WithTables::new(&uk, tables.as_ref());
                 if workers <= 1 {
                     for item in &affected {
-                        self.reencrypt_one(&aid, from, to, &owner_id, &uk, item)?;
+                        self.reencrypt_one(uk, item)?;
                     }
                 } else {
-                    self.reencrypt_parallel(&aid, from, to, &owner_id, &uk, &affected, workers)?;
+                    self.reencrypt_parallel(uk, &affected, workers)?;
                 }
             }
         }
         Ok(())
     }
 
-    /// Re-encrypts one affected component: fault point, per-ciphertext
-    /// update info from the owner, byte-accounted upload, server-side
-    /// component update. Safe to call from worker threads — every
-    /// touched structure is interior-mutable or read-locked.
-    fn reencrypt_one(
+    /// The owner's [`UpdateTables`] for `uk`'s step over a worklist, or
+    /// `None` if the owner is gone (the per-component calls then fail
+    /// as they would without tables).
+    pub(crate) fn update_tables(
         &self,
-        aid: &AuthorityId,
-        from: u64,
-        to: u64,
         owner_id: &OwnerId,
         uk: &UpdateKey,
+        worklist: &[(RecordKey, String, CiphertextId)],
+    ) -> Option<UpdateTables> {
+        let ids: Vec<CiphertextId> = worklist.iter().map(|(_, _, id)| *id).collect();
+        let owners = self.directory.owners.read();
+        Some(owners.get(owner_id)?.update_tables(uk, &ids))
+    }
+
+    /// Re-encrypts one affected component under `uk`'s step (its owner,
+    /// authority and versions): fault point, per-ciphertext update info
+    /// from the owner, byte-accounted upload, server-side component
+    /// update. Safe to call from worker threads — every touched
+    /// structure is interior-mutable or read-locked, and the step's
+    /// tables are read-only.
+    fn reencrypt_one(
+        &self,
+        uk: WithTables<'_, UpdateKey>,
         item: &(RecordKey, String, CiphertextId),
     ) -> Result<(), CloudError> {
         let (record_key, label, ct_id) = item;
+        let step = uk.value;
         let _trace = mabe_trace::Span::child("cloud.reencrypt")
             .detail(format!("{}/{}/{label}", record_key.0, record_key.1));
         self.local_op(fault_points::REVOKE_REENCRYPT, None)?;
         let ui = {
             let owners = self.directory.owners.read();
-            let owner = owners.get(owner_id).expect("owner exists");
-            owner.update_info_for(*ct_id, aid, from, to)?
+            let owner = owners.get(&step.owner).expect("owner exists");
+            let aid = WithTables::new(&step.aid, uk.tables);
+            owner.update_info_for(*ct_id, aid, step.from_version, step.to_version)?
         };
-        self.reencrypt_at_server(owner_id, record_key, label, uk, &ui)
+        self.reencrypt_at_server(&step.owner, record_key, label, uk, &ui)
     }
 
     /// ReEncrypt at the server: the owner sends the update key plus the
@@ -578,14 +599,14 @@ impl CloudSystem {
         owner_id: &OwnerId,
         record_key: &RecordKey,
         label: &str,
-        uk: &UpdateKey,
+        uk: WithTables<'_, UpdateKey>,
         ui: &UpdateInfo,
     ) -> Result<(), CloudError> {
         self.wire.send(
             Endpoint::Owner(owner_id.clone()),
             Endpoint::Server,
             "update key + update info",
-            uk.wire_size() + ui.wire_size(),
+            uk.value.wire_size() + ui.wire_size(),
         );
         match self
             .data
@@ -593,7 +614,7 @@ impl CloudSystem {
             .reencrypt_component(record_key, label, uk, ui)
         {
             Ok(()) => Ok(()),
-            Err(Error::VersionMismatch { found, .. }) if found >= uk.to_version => Ok(()),
+            Err(Error::VersionMismatch { found, .. }) if found >= uk.value.to_version => Ok(()),
             Err(e) => Err(e.into()),
         }
     }
@@ -653,7 +674,7 @@ impl CloudSystem {
         let record_key = (owner_id.clone(), record.to_owned());
         let telemetry = mabe_telemetry::global();
         for (aid, v) in &stale {
-            self.upgrade_one(aid, owner_id, *v, &record_key, label, ct_id)?;
+            self.upgrade_one(aid, owner_id, *v, &record_key, label, ct_id, None)?;
             // The wide event for the enclosing read carries the (last)
             // authority whose stale component this read healed.
             mabe_trace::op_attr("authority", aid.to_string());
@@ -693,26 +714,23 @@ impl CloudSystem {
                     &record_key,
                     &component.label,
                     component.key_ct.id,
+                    None,
                 );
             }
         }
     }
 
     /// Fans the affected-component worklist out over `workers` scoped
-    /// threads. Each worker opens a span with [`mabe_trace::Span::follow`]
+    /// threads, which share `uk` and its tables read-only.
+    /// Each worker opens a span with [`mabe_trace::Span::follow`]
     /// on the caller's context, so its `cloud.reencrypt` children land
     /// in the revocation's causal tree instead of orphaned roots. On
     /// failure the lowest-index error is returned; other workers stop
     /// at their next pull, and whatever they already re-encrypted stays
     /// done (idempotent worklist).
-    #[allow(clippy::too_many_arguments)]
     fn reencrypt_parallel(
         &self,
-        aid: &AuthorityId,
-        from: u64,
-        to: u64,
-        owner_id: &OwnerId,
-        uk: &UpdateKey,
+        uk: WithTables<'_, UpdateKey>,
         affected: &[(RecordKey, String, CiphertextId)],
         workers: usize,
     ) -> Result<(), CloudError> {
@@ -738,9 +756,7 @@ impl CloudSystem {
                         if i >= affected.len() {
                             break;
                         }
-                        if let Err(e) =
-                            self.reencrypt_one(aid, from, to, owner_id, uk, &affected[i])
-                        {
+                        if let Err(e) = self.reencrypt_one(uk, &affected[i]) {
                             failures.lock().push((i, e));
                             stop.store(true, Ordering::Relaxed);
                             break;

@@ -51,7 +51,9 @@ use std::time::Instant;
 
 use parking_lot::{Mutex, RwLock};
 
-use mabe_core::{CiphertextId, Error, OwnerId, RevocationEvent, UpdateKey};
+use mabe_core::{
+    CiphertextId, Error, OwnerId, RevocationEvent, UpdateKey, UpdateTables, WithTables,
+};
 use mabe_policy::AuthorityId;
 
 use crate::audit::AuditEvent;
@@ -265,7 +267,10 @@ impl CloudSystem {
     /// info + server-side proxy re-encryption. A concurrent upgrader
     /// that took the component past the chain's target wins the race,
     /// which is success; one that took it only part of the way leaves a
-    /// newer version, and the upgrade goes on from there.
+    /// newer version, and the upgrade goes on from there. `tables` (a
+    /// drain group's preprocessing) are used only while the composed
+    /// chain is exactly the step they were built for.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn upgrade_one(
         &self,
         aid: &AuthorityId,
@@ -274,6 +279,7 @@ impl CloudSystem {
         record_key: &RecordKey,
         label: &str,
         ct_id: CiphertextId,
+        tables: Option<&UpdateTables>,
     ) -> Result<(), CloudError> {
         while let Some(uk) = self.chain_from(aid, owner_id, from) {
             let mut waited = false;
@@ -283,6 +289,7 @@ impl CloudSystem {
                     let owner = owners
                         .get(owner_id)
                         .ok_or_else(|| CloudError::Core(Error::UnknownOwner(owner_id.clone())))?;
+                    let aid = WithTables::new(aid, tables);
                     owner.update_info_for(ct_id, aid, from, uk.to_version)
                 };
                 match result {
@@ -301,7 +308,8 @@ impl CloudSystem {
                     Err(e) => return Err(e.into()),
                 }
             };
-            match self.reencrypt_at_server(owner_id, record_key, label, &uk, &ui) {
+            let uk = WithTables::new(&uk, tables);
+            match self.reencrypt_at_server(owner_id, record_key, label, uk, &ui) {
                 Err(CloudError::Core(Error::VersionMismatch { found, .. })) if found > from => {
                     from = found;
                 }
@@ -396,9 +404,25 @@ impl CloudSystem {
                             .data
                             .server
                             .affected_ciphertexts(&owner_id, &claim.aid, v);
+                        if affected.is_empty() {
+                            continue;
+                        }
+                        // One preprocessing per (owner, from-version)
+                        // group, for the chain its upgrades compose.
+                        let tables = self
+                            .chain_from(&claim.aid, &owner_id, v)
+                            .and_then(|uk| self.update_tables(&owner_id, &uk, &affected));
                         for (record_key, label, ct_id) in &affected {
                             self.local_op(fault_points::LAZY_DRAIN, Some(&claim.aid))?;
-                            self.upgrade_one(&claim.aid, &owner_id, v, record_key, label, *ct_id)?;
+                            self.upgrade_one(
+                                &claim.aid,
+                                &owner_id,
+                                v,
+                                record_key,
+                                label,
+                                *ct_id,
+                                tables.as_ref(),
+                            )?;
                             pass += 1;
                         }
                     }
@@ -696,12 +720,12 @@ mod tests {
         sys.set_lazy_revocation(true);
         sys.revoke(&alice, "Doctor@MedOrg").unwrap();
         // The first reader's upgrade: v1 → v2.
-        sys.upgrade_one(&aid, &owner, 1, &record_key, "x", ct_id)
+        sys.upgrade_one(&aid, &owner, 1, &record_key, "x", ct_id, None)
             .unwrap();
         sys.revoke(&bob, "Doctor@MedOrg").unwrap();
         // The second reader still holds the v1 fetch: its chain spans
         // v1 → v3, but the component now sits at v2.
-        sys.upgrade_one(&aid, &owner, 1, &record_key, "x", ct_id)
+        sys.upgrade_one(&aid, &owner, 1, &record_key, "x", ct_id, None)
             .unwrap();
         let component = &sys.server().fetch(&owner, "rec").unwrap().components[0];
         assert_eq!(component.key_ct.versions[&aid], 3);

@@ -16,6 +16,7 @@ use parking_lot::RwLock;
 
 use mabe_core::{
     read_string, reencrypt, CiphertextId, DataEnvelope, Error, OwnerId, UpdateInfo, UpdateKey,
+    WithTables,
 };
 use mabe_policy::AuthorityId;
 use mabe_store::{key_str, Keyspace};
@@ -252,16 +253,18 @@ impl CloudServer {
     }
 
     /// Runs `ReEncrypt` on one stored component (paper §V-C Phase 2).
+    /// `uk` may carry a worklist's [`mabe_core::UpdateTables`], as for
+    /// [`reencrypt`].
     ///
     /// # Errors
     ///
     /// * [`Error::Malformed`] if the record or component does not exist.
     /// * Any [`reencrypt`] validation error.
-    pub fn reencrypt_component(
+    pub fn reencrypt_component<'a>(
         &self,
         record: &RecordKey,
         label: &str,
-        uk: &UpdateKey,
+        uk: impl Into<WithTables<'a, UpdateKey>>,
         ui: &UpdateInfo,
     ) -> Result<(), Error> {
         let _span = mabe_telemetry::Span::with_labels("mabe_server_op", &[("op", "reencrypt")]);

@@ -92,5 +92,7 @@ pub use outsource::{
     TransformToken,
 };
 pub use owner::DataOwner;
-pub use revoke::{reencrypt, UpdateInfo};
+pub use revoke::{
+    reencrypt, UpdateInfo, UpdateTables, WithTables, FIXED_BASE_BREAK_EVEN, LINES_BREAK_EVEN,
+};
 pub use serial::{read_string, Reader, WireCodec};

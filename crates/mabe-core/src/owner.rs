@@ -13,16 +13,21 @@ use std::collections::BTreeMap;
 
 use rand::RngCore;
 
-use mabe_math::{G1Affine, Gt, G1};
+use mabe_math::{FixedBase, G1Affine, Gt, G1};
 use mabe_policy::{AccessStructure, Attribute, AuthorityId, Policy};
 
 use crate::ciphertext::{encrypt, Ciphertext, CiphertextId};
 use crate::error::Error;
 use crate::ids::OwnerId;
 use crate::keys::{AuthorityPublicKeys, OwnerMasterKey, OwnerSecretKey, UpdateKey};
-use crate::revoke::UpdateInfo;
+use crate::revoke::{
+    UpdateInfo, UpdateTables, WithTables, FIXED_BASE_BREAK_EVEN, LINES_BREAK_EVEN,
+};
 
 use mabe_math::Fr;
+
+/// One authority version's public attribute keys.
+type AttributeKeys = BTreeMap<Attribute, G1Affine>;
 
 /// Per-ciphertext record the owner retains (the exponent `s` plus the
 /// attribute labelling, enough to regenerate update information).
@@ -41,7 +46,7 @@ pub struct DataOwner {
     authority_keys: BTreeMap<AuthorityId, AuthorityPublicKeys>,
     /// Historical public attribute keys per (authority, version), kept so
     /// update information for lagging ciphertexts can be computed.
-    attr_pk_history: BTreeMap<(AuthorityId, u64), BTreeMap<Attribute, G1Affine>>,
+    attr_pk_history: BTreeMap<(AuthorityId, u64), AttributeKeys>,
     records: BTreeMap<CiphertextId, EncryptionRecord>,
     next_id: u64,
 }
@@ -166,43 +171,41 @@ impl DataOwner {
 
     /// Produces the update information `UI_x = (PK_x / P̃K_x)^{βs}` for
     /// one ciphertext and one authority-version step (paper §V-C Phase 2).
+    /// `aid` may carry a worklist's [`UpdateTables`]; an attribute with a
+    /// table for this exact step then multiplies fixed-base, with the
+    /// same result.
     ///
     /// # Errors
     ///
     /// Fails if the ciphertext id is unknown or the owner lacks public
     /// keys for either version.
-    pub fn update_info_for(
+    pub fn update_info_for<'a>(
         &self,
         ct_id: CiphertextId,
-        aid: &AuthorityId,
+        aid: impl Into<WithTables<'a, AuthorityId>>,
         from_version: u64,
         to_version: u64,
     ) -> Result<UpdateInfo, Error> {
+        let WithTables { value: aid, tables } = aid.into();
         let record = self
             .records
             .get(&ct_id)
             .ok_or(Error::Malformed("unknown ciphertext id"))?;
-        let old = self
-            .attr_pk_history
-            .get(&(aid.clone(), from_version))
-            .ok_or_else(|| Error::MissingAuthorityKey(aid.clone()))?;
-        let new = self
-            .attr_pk_history
-            .get(&(aid.clone(), to_version))
-            .ok_or_else(|| Error::MissingAuthorityKey(aid.clone()))?;
+        let (old, new) = self.key_history(aid, from_version, to_version)?;
 
         let beta_s = self.mk.beta.mul(&record.s);
         let mut items = BTreeMap::new();
         for attr in record.attributes.iter().filter(|a| a.authority() == aid) {
-            let pk_old = old
-                .get(attr)
-                .ok_or_else(|| Error::MissingPublicAttributeKey(attr.clone()))?;
-            let pk_new = new
-                .get(attr)
-                .ok_or_else(|| Error::MissingPublicAttributeKey(attr.clone()))?;
-            // (PK_x · P̃K_x^{-1})^{βs}
-            let ratio = G1::from(*pk_old).add(&G1::from(*pk_new).neg());
-            items.insert(attr.clone(), G1Affine::from(ratio.mul(&beta_s)));
+            // Computed even when a table exists: a missing key fails
+            // the same way with or without tables.
+            let ratio = key_ratio(old, new, attr)?;
+            let table =
+                tables.and_then(|t| t.ratio_for(&self.id, aid, from_version, to_version, attr));
+            let ui = match table {
+                Some(table) => table.mul(&beta_s),
+                None => ratio.mul(&beta_s),
+            };
+            items.insert(attr.clone(), G1Affine::from(ui));
         }
         Ok(UpdateInfo {
             aid: aid.clone(),
@@ -211,6 +214,53 @@ impl DataOwner {
             to_version,
             items,
         })
+    }
+
+    /// Preprocesses `uk`'s step for a worklist of this owner's
+    /// ciphertexts: `UK1`'s Miller lines once the worklist reaches
+    /// [`LINES_BREAK_EVEN`], and a fixed-base table of `PK_x / P̃K_x`
+    /// for each attribute of `uk.aid` that labels at least
+    /// [`FIXED_BASE_BREAK_EVEN`] of them. Unknown ids and attributes
+    /// whose key history is missing get no table; the per-ciphertext
+    /// calls report those as they would without tables.
+    pub fn update_tables(&self, uk: &UpdateKey, worklist: &[CiphertextId]) -> UpdateTables {
+        let mut uses: BTreeMap<&Attribute, usize> = BTreeMap::new();
+        for record in worklist.iter().filter_map(|id| self.records.get(id)) {
+            for attr in record
+                .attributes
+                .iter()
+                .filter(|a| a.authority() == &uk.aid)
+            {
+                *uses.entry(attr).or_default() += 1;
+            }
+        }
+        let mut ratios = BTreeMap::new();
+        if uk.owner == self.id {
+            if let Ok((old, new)) = self.key_history(&uk.aid, uk.from_version, uk.to_version) {
+                for (attr, _) in uses.iter().filter(|(_, n)| **n >= FIXED_BASE_BREAK_EVEN) {
+                    if let Ok(ratio) = key_ratio(old, new, attr) {
+                        ratios.insert((*attr).clone(), FixedBase::new(&ratio));
+                    }
+                }
+            }
+        }
+        UpdateTables::new(uk, worklist.len() >= LINES_BREAK_EVEN, ratios)
+    }
+
+    /// This owner's public attribute keys of `aid` at both ends of a
+    /// version step.
+    fn key_history(
+        &self,
+        aid: &AuthorityId,
+        from_version: u64,
+        to_version: u64,
+    ) -> Result<(&AttributeKeys, &AttributeKeys), Error> {
+        let at = |version| {
+            self.attr_pk_history
+                .get(&(aid.clone(), version))
+                .ok_or_else(|| Error::MissingAuthorityKey(aid.clone()))
+        };
+        Ok((at(from_version)?, at(to_version)?))
     }
 
     /// Number of ciphertexts this owner has produced.
@@ -251,6 +301,14 @@ impl DataOwner {
         self.records.insert(id, EncryptionRecord { s, attributes });
         self.next_id = self.next_id.max(id.0 + 1);
     }
+}
+
+/// `PK_x · P̃K_x⁻¹`, the base of `UI_x`.
+fn key_ratio(old: &AttributeKeys, new: &AttributeKeys, attr: &Attribute) -> Result<G1, Error> {
+    let missing = || Error::MissingPublicAttributeKey(attr.clone());
+    let pk_old = old.get(attr).ok_or_else(missing)?;
+    let pk_new = new.get(attr).ok_or_else(missing)?;
+    Ok(G1::from(*pk_old).add(&G1::from(*pk_new).neg()))
 }
 
 // Owner state (master key and per-ciphertext exponents included) travels

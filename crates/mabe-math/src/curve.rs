@@ -430,23 +430,28 @@ pub struct FixedBase {
 const FIXED_BASE_WINDOWS: usize = 40;
 
 impl FixedBase {
-    /// Precomputes the table for `point` (~600 group operations).
+    /// Precomputes the table for `point`: ~600 group additions, then
+    /// one [`batch_normalize`] (a single field inversion) for all 600
+    /// entries.
     pub fn new(point: &G1) -> Self {
-        let mut table = Vec::with_capacity(FIXED_BASE_WINDOWS);
+        let mut multiples = Vec::with_capacity(FIXED_BASE_WINDOWS * 15);
         let mut base = *point;
         for _ in 0..FIXED_BASE_WINDOWS {
-            let mut multiples = Vec::with_capacity(15);
             let mut acc = base;
             for _ in 0..15 {
                 multiples.push(acc);
                 acc = acc.add(&base);
             }
-            let affine = batch_normalize(&multiples);
-            let mut row = [G1Affine::identity(); 15];
-            row.copy_from_slice(&affine);
-            table.push(row);
             base = acc; // acc = 16 · base
         }
+        let table = batch_normalize(&multiples)
+            .chunks_exact(15)
+            .map(|row| {
+                let mut entries = [G1Affine::identity(); 15];
+                entries.copy_from_slice(row);
+                entries
+            })
+            .collect();
         FixedBase { table }
     }
 
@@ -802,6 +807,23 @@ mod tests {
         assert_eq!(fb.mul(&Fr::from_u64(16)), p.mul(&Fr::from_u64(16)));
         let top = Fr::zero().sub(&Fr::one()); // r - 1
         assert_eq!(fb.mul(&top), p.mul(&top));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(crate::DIFFERENTIAL_CASES))]
+
+        #[test]
+        fn fixed_base_matches_mul_on_a_key_ratio(seed in proptest::prelude::any::<u64>()) {
+            // The base a revocation preprocesses: PK_x · P̃K_x⁻¹.
+            let mut r = StdRng::seed_from_u64(seed);
+            let (old, new) = (G1::random(&mut r), G1::random(&mut r));
+            let ratio = old.add(&new.neg());
+            let table = FixedBase::new(&ratio);
+            let top = Fr::zero().sub(&Fr::one()); // r − 1
+            for k in [Fr::zero(), Fr::one(), top, Fr::random(&mut r)] {
+                proptest::prop_assert_eq!(table.mul(&k), ratio.mul(&k));
+            }
+        }
     }
 
     #[test]

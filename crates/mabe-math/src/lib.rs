@@ -17,13 +17,16 @@
 //! * [`msm`](mod@crate::msm) — multi-scalar multiplication `Σ k_i·P_i`
 //!   (Straus, signed width-4 wNAF).
 //! * [`pairing`](mod@crate::pairing) — the symmetric Tate pairing `e : G × G → G_T` via
-//!   Miller's algorithm with denominator elimination, and the target
-//!   group [`pairing::Gt`].
+//!   Miller's algorithm with denominator elimination and a Lucas-ladder
+//!   final exponentiation, the fixed-argument [`pairing::FixedPairing`],
+//!   and the target group [`pairing::Gt`].
 //! * [`hash`] — the random oracle `H : {0,1}* → Z_p` of the paper.
 //!
 //! # Security disclaimer
 //!
-//! This is a research reproduction: arithmetic is **variable-time** and the
+//! This is a research reproduction: arithmetic is **variable-time** (field
+//! inversion, a binary extended Euclid, branches on its input; so do the
+//! windowed scalar multiplications and exponentiations) and the
 //! 512-bit/160-bit type-A parameters match the paper's 2012 evaluation, not
 //! today's security margins. Do not deploy.
 //!
@@ -58,4 +61,11 @@ pub use curve::{batch_normalize, generator_mul, hash_to_curve, FixedBase, G1Affi
 pub use field::{Fq, Fr};
 pub use hash::hash_to_fr;
 pub use msm::msm;
-pub use pairing::{multi_pairing, pairing, Gt};
+pub use pairing::{multi_pairing, pairing, FixedPairing, Gt};
+
+/// Cases per differential property of a replaced kernel against its
+/// oracle: enough to stay quick in the debug test run, and deep in the
+/// release run (`cargo test --release -p mabe-math`). The vendored
+/// proptest honours only `with_cases`, so the depth is set here.
+#[cfg(test)]
+pub(crate) const DIFFERENTIAL_CASES: u32 = if cfg!(debug_assertions) { 64 } else { 1024 };

@@ -16,7 +16,13 @@
 //!   costs only `F_q` multiplications.
 //! * Final exponentiation `(q² - 1)/r = (q - 1) · h`: the easy part is a
 //!   conjugate-divide (Frobenius on `F_{q²}` is conjugation), the hard
-//!   part a 353-bit exponentiation by the cofactor `h`.
+//!   part the 353-bit power `z^h` of a unitary `z`, by PBC's Lucas ladder
+//!   on the trace (one `F_q` multiplication and one squaring per bit).
+//! * Each Miller step returns its line in one form,
+//!   `[λ·(μ·x_q + ν) − κ] + [ζ·y_q]·i`, that [`pairing`] and
+//!   [`multi_pairing`] evaluate directly and [`FixedPairing`] (PBC's
+//!   `pairing_pp_t`) stores once, divided by `ζ`, for a first argument
+//!   paired many times.
 
 use std::sync::OnceLock;
 
@@ -27,17 +33,52 @@ use crate::field::{Fq, Fr};
 use crate::fp2::Fq2;
 use crate::params;
 
-/// Result of one Miller step: the line value and the updated point.
+/// A Miller-loop line, kept apart from the point it is evaluated at.
+///
+/// At `φ(Q) = (-x_q, i·y_q)` its value is
+/// `[λ·(μ·x_q + ν) − κ] + [ζ·y_q]·i`: the full pairing evaluates that
+/// directly ([`Line::eval`]), and [`FixedPairing`] stores it as
+/// `(a·x_q + b) + y_q·i` after dividing by `ζ ∈ F_q`
+/// ([`Line::coefficients`]), a factor the final exponentiation kills.
+struct Line {
+    lambda: Fq,
+    mu: Fq,
+    nu: Fq,
+    kappa: Fq,
+    zeta: Fq,
+}
+
+impl Line {
+    /// The line's value at `φ(Q)`.
+    fn eval(&self, xq: &Fq, yq: &Fq) -> Fq2 {
+        let c0 = self
+            .lambda
+            .mul(&self.mu.mul(xq).add(&self.nu))
+            .sub(&self.kappa);
+        Fq2::new(c0, self.zeta.mul(yq))
+    }
+
+    /// `(a, b, c)` with value `(a·x_q + b) + c·y_q·i` at `φ(Q)`.
+    fn coefficients(&self) -> (Fq, Fq, Fq) {
+        let a = self.lambda.mul(&self.mu);
+        let b = self.lambda.mul(&self.nu).sub(&self.kappa);
+        (a, b, self.zeta)
+    }
+}
+
+/// Result of one Miller step: the line (`None` when its value lies in
+/// `F_q`, which the final exponentiation kills) and the updated point.
 struct Step {
-    line: Fq2,
+    line: Option<Line>,
     point: G1,
 }
 
-/// Doubling step: tangent line at `t` evaluated at `φ(Q) = (-x_q, i·y_q)`.
-fn double_step(t: &G1, xq: &Fq, yq: &Fq) -> Step {
+/// Doubling step: the tangent line at `t`, to be evaluated at
+/// `φ(Q) = (-x_q, i·y_q)`.
+fn double_step(t: &G1) -> Step {
     if t.is_identity() {
         return Step {
-            line: Fq2::one(),
+            line: None,
             point: *t,
         };
     }
@@ -53,10 +94,14 @@ fn double_step(t: &G1, xq: &Fq, yq: &Fq) -> Step {
     let z3 = y.mul(&z).double();
     // l(φQ) = Z₃·Z²·(i·y_q) - 2Y² - M·(Z²·(-x_q) - X)
     //       = [M·(Z²·x_q + X) - 2Y²] + [Z₃·Z²·y_q]·i
-    let c0 = m.mul(&z2.mul(xq).add(&x)).sub(&y2.double());
-    let c1 = z3.mul(&z2).mul(yq);
     Step {
-        line: Fq2::new(c0, c1),
+        line: Some(Line {
+            lambda: m,
+            mu: z2,
+            nu: x,
+            kappa: y2.double(),
+            zeta: z3.mul(&z2),
+        }),
         point: G1 {
             x: x3,
             y: y3,
@@ -65,12 +110,12 @@ fn double_step(t: &G1, xq: &Fq, yq: &Fq) -> Step {
     }
 }
 
-/// Addition step: chord through `t` and the affine base point `p`,
-/// evaluated at `φ(Q)`.
-fn add_step(t: &G1, p: &G1Affine, xq: &Fq, yq: &Fq) -> Step {
+/// Addition step: the chord through `t` and the affine base point `p`,
+/// to be evaluated at `φ(Q)`.
+fn add_step(t: &G1, p: &G1Affine) -> Step {
     if t.is_identity() {
         return Step {
-            line: Fq2::one(),
+            line: None,
             point: G1::from(*p),
         };
     }
@@ -83,11 +128,11 @@ fn add_step(t: &G1, p: &G1Affine, xq: &Fq, yq: &Fq) -> Step {
     if h.is_zero() {
         if r.is_zero() {
             // t == p: tangent case (cannot occur in our loop, but correct).
-            return double_step(t, xq, yq);
+            return double_step(t);
         }
         // t == -p: vertical line, value in F_q ⇒ eliminated.
         return Step {
-            line: Fq2::one(),
+            line: None,
             point: G1::identity(),
         };
     }
@@ -99,10 +144,14 @@ fn add_step(t: &G1, p: &G1Affine, xq: &Fq, yq: &Fq) -> Step {
     let z3 = z.mul(&h);
     // l(φQ) = Z₃·(i·y_q - y_p) - R·(-x_q - x_p)
     //       = [R·(x_q + x_p) - Z₃·y_p] + [Z₃·y_q]·i
-    let c0 = r.mul(&xq.add(&p.x())).sub(&z3.mul(&p.y()));
-    let c1 = z3.mul(yq);
     Step {
-        line: Fq2::new(c0, c1),
+        line: Some(Line {
+            lambda: r,
+            mu: Fq::one(),
+            nu: p.x(),
+            kappa: z3.mul(&p.y()),
+            zeta: z3,
+        }),
         point: G1 {
             x: x3,
             y: y3,
@@ -111,14 +160,92 @@ fn add_step(t: &G1, p: &G1Affine, xq: &Fq, yq: &Fq) -> Step {
     }
 }
 
+/// The Miller loop of one fixed `P` over `r = 2^159 + 2^107 + 1`, one
+/// bit at a time (bits 158..=0 below the leading 1; Hamming weight 3,
+/// so only two addition steps).
+struct MillerLoop {
+    p: G1Affine,
+    t: G1,
+}
+
+impl MillerLoop {
+    fn new(p: &G1Affine) -> Self {
+        MillerLoop {
+            p: *p,
+            t: G1::from(*p),
+        }
+    }
+
+    /// The bits the loop runs over, most significant first.
+    fn bits() -> impl Iterator<Item = usize> {
+        (0..(params::R_BITS - 1)).rev()
+    }
+
+    /// Advances over bit `i` and returns its lines in loop order: the
+    /// doubling line, then the addition line when bit `i` of `r` is
+    /// set, each omitted when its value lies in `F_q`.
+    fn bit(&mut self, i: usize) -> impl Iterator<Item = Line> {
+        let double = double_step(&self.t);
+        self.t = double.point;
+        let add = if params::R.bit(i) {
+            let step = add_step(&self.t, &self.p);
+            self.t = step.point;
+            step.line
+        } else {
+            None
+        };
+        double.line.into_iter().chain(add)
+    }
+}
+
 /// Raises the Miller-loop output to `(q² - 1)/r`, landing in the order-`r`
 /// subgroup of `F_{q²}*`.
 fn final_exponentiation(f: &Fq2) -> Fq2 {
-    // Easy part: f^(q-1) = conj(f) / f.
+    hard_part(&easy_part(f))
+}
+
+/// Easy part: `f^(q-1) = conj(f) / f`, a unitary element (norm 1).
+fn easy_part(f: &Fq2) -> Fq2 {
     let inv = f.invert().expect("Miller loop output is nonzero");
-    let easy = f.conjugate().mul(&inv);
-    // Hard part: (q + 1)/r = h.
-    easy.pow_vartime(&params::H.limbs)
+    f.conjugate().mul(&inv)
+}
+
+/// Hard part: `z^h` for unitary `z = a + b·i` and the cofactor
+/// `h = (q + 1)/r`, by PBC's Lucas ladder on the trace (`lucas_odd`).
+///
+/// `z` and `z̄ = z⁻¹` are the roots of `X² − P·X + 1` with trace
+/// `P = 2a`, so `V_k = z^k + z̄^k` obeys `V_{2k} = V_k² − 2` and
+/// `V_{2k+1} = V_k·V_{k+1} − P`: one multiplication and one squaring
+/// in `F_q` per bit of `h`, where square-and-multiply in `F_{q²}`
+/// spends about twice that. Then `z^h = V_h/2 + b·U_h·i` with
+/// `U_h = (2·V_{h+1} − P·V_h)/(P² − 4)`. That divisor is zero exactly
+/// for `z = ±1`, where `z^h = 1` because `h` is even (`4 | q + 1`, `r`
+/// odd); `multi_pairing` of a pair and its negation reaches `z = 1`.
+fn hard_part(z: &Fq2) -> Fq2 {
+    let two = Fq::from_u64(2);
+    let trace = z.c0.double();
+    let (mut v0, mut v1) = (two, trace); // (V_k, V_{k+1}) at k = 0
+    for i in (0..params::H.bits()).rev() {
+        if params::H.bit(i) {
+            v0 = v0.mul(&v1).sub(&trace);
+            v1 = v1.square().sub(&two);
+        } else {
+            v1 = v0.mul(&v1).sub(&trace);
+            v0 = v0.square().sub(&two);
+        }
+    }
+    let Some(inv) = trace.square().sub(&two.double()).invert() else {
+        return Fq2::one();
+    };
+    let u = v1.double().sub(&trace.mul(&v0)).mul(&inv);
+    Fq2::new(v0.halve(), z.c1.mul(&u))
+}
+
+/// The square-and-multiply hard part [`hard_part`] replaced, kept as
+/// its test oracle.
+#[cfg(test)]
+fn hard_part_reference(z: &Fq2) -> Fq2 {
+    z.pow_vartime(&params::H.limbs)
 }
 
 /// The symmetric pairing `e(P, Q)`.
@@ -135,17 +262,11 @@ pub fn pairing(p: &G1Affine, q: &G1Affine) -> Gt {
     let xq = q.x(); // φ(Q).x = -x_q; the formulas fold the sign in.
     let yq = q.y();
     let mut f = Fq2::one();
-    let mut t = G1::from(*p);
-    // r = 2^159 + 2^107 + 1; iterate bits 158..=0 below the leading 1.
-    for i in (0..(params::R_BITS - 1)).rev() {
+    let mut miller = MillerLoop::new(p);
+    for i in MillerLoop::bits() {
         f = f.square();
-        let step = double_step(&t, &xq, &yq);
-        f = f.mul(&step.line);
-        t = step.point;
-        if params::R.bit(i) {
-            let step = add_step(&t, p, &xq, &yq);
-            f = f.mul(&step.line);
-            t = step.point;
+        for line in miller.bit(i) {
+            f = f.mul(&line.eval(&xq, &yq));
         }
     }
     Gt(final_exponentiation(&f))
@@ -164,29 +285,100 @@ pub fn multi_pairing(pairs: &[(G1Affine, G1Affine)]) -> Gt {
     for _ in pairs {
         mabe_telemetry::record(mabe_telemetry::CryptoOp::Pairing);
     }
-    let mut state: Vec<(G1, G1Affine, Fq, Fq)> = pairs
+    let mut state: Vec<(MillerLoop, Fq, Fq)> = pairs
         .iter()
         .filter(|(p, q)| !p.is_identity() && !q.is_identity())
-        .map(|(p, q)| (G1::from(*p), *p, q.x(), q.y()))
+        .map(|(p, q)| (MillerLoop::new(p), q.x(), q.y()))
         .collect();
     if state.is_empty() {
         return Gt::one();
     }
     let mut f = Fq2::one();
-    for i in (0..(params::R_BITS - 1)).rev() {
+    for i in MillerLoop::bits() {
         f = f.square();
-        for (t, p, xq, yq) in state.iter_mut() {
-            let step = double_step(t, xq, yq);
-            f = f.mul(&step.line);
-            *t = step.point;
-            if params::R.bit(i) {
-                let step = add_step(t, p, xq, yq);
-                f = f.mul(&step.line);
-                *t = step.point;
+        for (miller, xq, yq) in state.iter_mut() {
+            for line in miller.bit(i) {
+                f = f.mul(&line.eval(xq, yq));
             }
         }
     }
     Gt(final_exponentiation(&f))
+}
+
+/// A pairing with its first argument fixed: PBC's `pairing_pp_t`.
+///
+/// The Miller loop's points and lines depend only on `P`, so
+/// [`FixedPairing::new`] runs the loop once and keeps every line as
+/// `(a, b)`, divided by its `F_q` factor `ζ` (one batch inversion for
+/// all of them) so that its value at `φ(Q)` is `(a·x_q + b) + y_q·i`.
+/// Each [`FixedPairing::pairing`] then only evaluates and multiplies
+/// lines: a third of a full Miller loop, and the same `G_T` element
+/// as [`pairing`], since the final exponentiation kills the dropped
+/// `F_q` factors. Building costs about one and a third Miller loops,
+/// so it pays from the second pairing with the same `P` on; a
+/// revocation pairs one `UK1` with every affected `C'`. About 20 KiB.
+#[derive(Clone, Debug)]
+pub struct FixedPairing {
+    /// Scaled `(a, b)` of every line not in `F_q`, in loop order.
+    lines: Vec<(Fq, Fq)>,
+    /// How many of `lines` each bit of the loop contributes (0–2).
+    per_bit: Vec<u8>,
+}
+
+impl FixedPairing {
+    /// Runs `p`'s Miller loop once and keeps its lines.
+    pub fn new(p: &G1Affine) -> Self {
+        if p.is_identity() {
+            return FixedPairing {
+                lines: Vec::new(),
+                per_bit: Vec::new(),
+            };
+        }
+        let mut raw = Vec::with_capacity(params::R_BITS + 2);
+        let mut per_bit = Vec::with_capacity(params::R_BITS);
+        let mut miller = MillerLoop::new(p);
+        for i in MillerLoop::bits() {
+            let before = raw.len();
+            raw.extend(miller.bit(i).map(|line| line.coefficients()));
+            per_bit.push((raw.len() - before) as u8);
+        }
+        // Montgomery's trick: one inversion for every ζ (all nonzero:
+        // ζ = 0 only at 2-torsion or the identity, whose lines are None).
+        let mut prefix = Vec::with_capacity(raw.len());
+        let mut acc = Fq::one();
+        for (_, _, zeta) in &raw {
+            prefix.push(acc);
+            acc = acc.mul(zeta);
+        }
+        let mut inv = acc.invert().expect("line factors are nonzero");
+        let mut lines = vec![(Fq::zero(), Fq::zero()); raw.len()];
+        for (k, (a, b, zeta)) in raw.iter().enumerate().rev() {
+            let zeta_inv = inv.mul(&prefix[k]);
+            inv = inv.mul(zeta);
+            lines[k] = (a.mul(&zeta_inv), b.mul(&zeta_inv));
+        }
+        FixedPairing { lines, per_bit }
+    }
+
+    /// `e(P, Q)` for the fixed `P`; counted as one pairing, like
+    /// [`pairing`].
+    pub fn pairing(&self, q: &G1Affine) -> Gt {
+        mabe_telemetry::record(mabe_telemetry::CryptoOp::Pairing);
+        if self.per_bit.is_empty() || q.is_identity() {
+            return Gt::one();
+        }
+        let xq = q.x();
+        let yq = q.y();
+        let mut f = Fq2::one();
+        let mut lines = self.lines.iter();
+        for &count in &self.per_bit {
+            f = f.square();
+            for (a, b) in lines.by_ref().take(count as usize) {
+                f = f.mul(&Fq2::new(a.mul(&xq).add(b), yq));
+            }
+        }
+        Gt(final_exponentiation(&f))
+    }
 }
 
 /// An element of the target group `G_T` (the order-`r` subgroup of
@@ -314,11 +506,83 @@ impl core::fmt::Display for Gt {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(99)
+    }
+
+    fn random_point(r: &mut StdRng) -> G1Affine {
+        G1Affine::from(G1::random(r))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(crate::DIFFERENTIAL_CASES))]
+
+        #[test]
+        fn lucas_hard_part_matches_square_and_multiply(seed in any::<u64>()) {
+            // Any nonzero F_{q²} element is a possible Miller output.
+            let f = Fq2::random(&mut StdRng::seed_from_u64(seed));
+            prop_assume!(!f.is_zero());
+            let z = easy_part(&f);
+            prop_assert_eq!(hard_part(&z), hard_part_reference(&z));
+            prop_assert_eq!(final_exponentiation(&f), hard_part_reference(&z));
+        }
+
+        #[test]
+        fn fixed_pairing_matches_pairing(seed in any::<u64>()) {
+            let mut r = StdRng::seed_from_u64(seed);
+            let (p, q) = (random_point(&mut r), random_point(&mut r));
+            let fixed = FixedPairing::new(&p);
+            prop_assert_eq!(fixed.pairing(&q), pairing(&p, &q));
+            prop_assert_eq!(fixed.pairing(&p), pairing(&p, &p));
+        }
+    }
+
+    #[test]
+    fn hard_part_of_plus_and_minus_one_is_one() {
+        // P² − 4 = 0 at z = ±1: the ladder's divisor vanishes, and
+        // z^h = 1 because h is even.
+        assert!(params::H.limbs[0].is_multiple_of(4), "4 | h");
+        for z in [Fq2::one(), Fq2::one().neg()] {
+            assert_eq!(hard_part(&z), Fq2::one());
+            assert_eq!(hard_part_reference(&z), Fq2::one());
+        }
+        // Miller outputs whose easy part is ±1: f in F_q and in i·F_q.
+        let c = Fq::from_u64(7);
+        assert_eq!(easy_part(&Fq2::new(c, Fq::zero())), Fq2::one());
+        assert_eq!(easy_part(&Fq2::new(Fq::zero(), c)), Fq2::one().neg());
+        for f in [Fq2::new(c, Fq::zero()), Fq2::new(Fq::zero(), c)] {
+            assert_eq!(final_exponentiation(&f), Fq2::one());
+        }
+    }
+
+    #[test]
+    fn fixed_pairing_edge_arguments() {
+        let mut r = rng();
+        let p = random_point(&mut r);
+        let id = G1Affine::identity();
+        let fixed = FixedPairing::new(&p);
+        assert_eq!(fixed.pairing(&p), pairing(&p, &p));
+        assert_eq!(fixed.pairing(&p.neg()), pairing(&p, &p.neg()));
+        assert_eq!(fixed.pairing(&p.neg()), pairing(&p, &p).invert());
+        assert!(fixed.pairing(&id).is_one());
+        assert!(FixedPairing::new(&id).pairing(&p).is_one());
+        assert!(FixedPairing::new(&id).pairing(&id).is_one());
+        let g = G1Affine::generator();
+        assert_eq!(FixedPairing::new(&g).pairing(&g), Gt::generator());
+    }
+
+    #[test]
+    fn fixed_pairing_counts_one_pairing_per_evaluation() {
+        let mut r = rng();
+        let (p, q) = (random_point(&mut r), random_point(&mut r));
+        let (fixed, built) = mabe_telemetry::measure(|| FixedPairing::new(&p));
+        assert_eq!(built.pairings, 0, "building runs no pairing");
+        let (_, used) = mabe_telemetry::measure(|| fixed.pairing(&q));
+        assert_eq!(used.pairings, 1);
     }
 
     #[test]
