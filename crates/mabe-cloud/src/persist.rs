@@ -40,8 +40,9 @@
 //! format: a store holding any other record or snapshot (such as one
 //! written before the typed keyspace existed) fails to open with a
 //! typed [`OpenError::Frame`] or [`OpenError::Keyspace`], one written
-//! before seals with [`StoreError::Format`], and the storage is handed
-//! back untouched.
+//! before seals with [`StoreError::Format`], one whose ciphertexts were
+//! shared under an older LSSS construction with [`OpenError::Lsss`],
+//! and the storage is handed back untouched.
 //!
 //! Revocation, recovery and the lazy drain have one implementation, in
 //! the control plane (`control.rs`, `lazy.rs`), and this handle passes
@@ -78,6 +79,7 @@ use parking_lot::{Mutex, MutexGuard};
 
 use mabe_core::{Error, OwnerId, Uid};
 use mabe_faults::FaultInjector;
+use mabe_policy::lsss::CONSTRUCTION;
 use mabe_policy::AuthorityId;
 use mabe_store::{
     Frame, RecoveryReport, SchemaError, ScrubReport, Storage, StoreError, StoreRef, TypedOpen,
@@ -132,6 +134,16 @@ pub enum OpenError {
     },
     /// The replayed audit hash chain failed verification.
     AuditChain,
+    /// The store's ciphertexts were shared under another LSSS
+    /// construction than [`CONSTRUCTION`], the one this build rebuilds
+    /// their matrices with: it holds an owner or a record but no `lsss`
+    /// marker (a store written before the marker), or a marker naming
+    /// another construction. Every read of such a ciphertext would fail
+    /// authentication, so the store does not open.
+    Lsss {
+        /// The construction the store names, if any.
+        found: Option<String>,
+    },
     /// Rolling journaled in-flight revocations forward failed.
     Recovery(Box<CloudError>),
 }
@@ -147,6 +159,16 @@ impl fmt::Display for OpenError {
                 write!(f, "frame record {index}: {error}")
             }
             OpenError::AuditChain => write!(f, "replayed audit chain failed verification"),
+            OpenError::Lsss { found: Some(c) } => write!(
+                f,
+                "LSSS construction: the store's ciphertexts were shared under \"{c}\", \
+                 this build reads \"{CONSTRUCTION}\""
+            ),
+            OpenError::Lsss { found: None } => write!(
+                f,
+                "LSSS construction: the store holds owners or records but no construction \
+                 marker, so they predate \"{CONSTRUCTION}\""
+            ),
             OpenError::Recovery(e) => write!(f, "recovering in-flight revocations: {e}"),
         }
     }
@@ -1613,6 +1635,30 @@ mod tests {
             "got {}",
             failure.error
         );
+        assert_eq!(durable_objects(&failure.storage), before);
+
+        // And a store written before the LSSS marker: a snapshot with
+        // owners and records but no `lsss` row, beside its seal. Its
+        // ciphertexts were shared under the older construction, so no
+        // read of them could succeed.
+        let (ds, ..) = full_world(open_fresh(5));
+        let image = tables::populate(ds.system(), 0);
+        image
+            .keyspace
+            .delete::<tables::Meta>(&(tables::META_LSSS.to_owned(),));
+        assert!(image.keyspace.rows(tables::Records::ID) > 0);
+        let (wal, ..) = GroupWal::open(SimDisk::unfaulted()).unwrap();
+        wal.checkpoint(&image.keyspace.encode_snapshot(), image.seal.as_deref())
+            .unwrap();
+        let disk = wal.into_store();
+        let before = durable_objects(&disk);
+        let failure = DurableSystem::open(disk, 5).unwrap_err();
+        assert!(
+            matches!(failure.error, OpenError::Lsss { found: None }),
+            "got {}",
+            failure.error
+        );
+        assert!(failure.error.to_string().contains("LSSS construction"));
         assert_eq!(durable_objects(&failure.storage), before);
     }
 

@@ -53,6 +53,7 @@ use mabe_core::{
     WireCodec,
 };
 use mabe_crypto::sha256::DIGEST_LEN;
+use mabe_policy::lsss::CONSTRUCTION;
 use mabe_policy::{Attribute, AuthorityId};
 use mabe_store::{key_str, Frame, Keyspace, Schema};
 
@@ -68,9 +69,12 @@ use crate::system::CloudSystem;
 mabe_store::define_table!(
     /// Singleton rows keyed by name: `"ca"` (certificate-authority
     /// wire bytes), `"next_revocation"` (`u64` BE journal counter),
-    /// `"audit"` (`next_seq ‖ clock`, both `u64` BE), and, in snapshots
-    /// only, `"audit_sealed"` (sealed-entry count `u64` BE ‖ the
-    /// 32-byte digest of the last sealed entry, zeros when none).
+    /// `"audit"` (`next_seq ‖ clock`, both `u64` BE), `"lsss"` (the
+    /// UTF-8 name of the LSSS construction the store's ciphertexts were
+    /// shared under, [`mabe_policy::lsss::CONSTRUCTION`]; written by
+    /// every snapshot and by the batch that registers an owner), and,
+    /// in snapshots only, `"audit_sealed"` (sealed-entry count `u64` BE
+    /// ‖ the 32-byte digest of the last sealed entry, zeros when none).
     Meta: 1, "meta", key(name: str)
 );
 mabe_store::define_table!(
@@ -156,6 +160,7 @@ pub(crate) const META_CA: &str = "ca";
 pub(crate) const META_NEXT_REVOCATION: &str = "next_revocation";
 pub(crate) const META_AUDIT: &str = "audit";
 pub(crate) const META_AUDIT_SEALED: &str = "audit_sealed";
+pub(crate) const META_LSSS: &str = "lsss";
 
 /// Registers every *persistent* table (everything except the live-only
 /// [`GrantsByAuthority`]) so empty tables still appear as checkpoint
@@ -422,6 +427,12 @@ fn ca_frame(sys: &CloudSystem) -> Frame {
     meta_frame(META_CA, sys.directory.ca.lock().to_wire_bytes())
 }
 
+/// The `lsss` marker. No ciphertext exists before its owner does, so
+/// the batch that registers an owner and every snapshot carry it.
+fn lsss_frame() -> Frame {
+    meta_frame(META_LSSS, CONSTRUCTION.as_bytes().to_vec())
+}
+
 fn authority_frame_from_state(st: &ShardState) -> Frame {
     Frame::put::<Authorities>(
         &(st.authority.aid().as_str().to_owned(),),
@@ -575,7 +586,7 @@ pub(crate) fn frames_authority_added(sys: &CloudSystem, aid: &AuthorityId) -> Ve
 }
 
 pub(crate) fn frames_owner_added(sys: &CloudSystem, owner_id: &OwnerId) -> Vec<Frame> {
-    let mut out = Vec::new();
+    let mut out = vec![lsss_frame()];
     // Every authority registered the new owner; granted users got key
     // slots for it.
     all_authority_frames(sys, &mut out);
@@ -777,7 +788,7 @@ pub(crate) struct CheckpointImage {
 pub(crate) fn populate(sys: &CloudSystem, sealed_from: usize) -> CheckpointImage {
     let ks = Keyspace::new();
     register_all(&ks);
-    let mut frames = vec![ca_frame(sys)];
+    let mut frames = vec![ca_frame(sys), lsss_frame()];
     all_authority_frames(sys, &mut frames);
     all_owner_frames(sys, &mut frames);
     {
@@ -936,9 +947,10 @@ fn str_prefix(s: &str) -> Vec<u8> {
 /// seal's entries end, so a rotted seal can be rewritten from memory.
 ///
 /// Beyond decoding every value whole, it checks what the rows alone
-/// cannot guarantee: the `ca` row exists; each authority and owner row
-/// is keyed by its own id; every attribute parses; every pending
-/// revocation names a known authority; the seals hold exactly the
+/// cannot guarantee: a store holding an owner or a record names this
+/// build's LSSS construction; the `ca` row exists; each authority and
+/// owner row is keyed by its own id; every attribute parses; every
+/// pending revocation names a known authority; the seals hold exactly the
 /// snapshot's sealed-entry count, ending at its chain head; the audit
 /// chain, order and counters verify; and the revocation counter ends up
 /// ahead of every in-flight and queued id. Every user gets a grant set
@@ -946,7 +958,8 @@ fn str_prefix(s: &str) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// [`OpenError::Keyspace`] for undecodable row keys,
+/// [`OpenError::Lsss`] for a store of another LSSS construction's
+/// ciphertexts, [`OpenError::Keyspace`] for undecodable row keys,
 /// [`OpenError::Snapshot`] for a row that fails validation,
 /// [`OpenError::Audit`] for a malformed seal, seals that disagree with
 /// the snapshot, or a broken audit chain.
@@ -958,6 +971,16 @@ pub(crate) fn hydrate(
     let mut sys = CloudSystem::new(seed);
     if ks.total_rows() == 0 && seals.is_empty() {
         return Ok((sys, Vec::new()));
+    }
+    // Ciphertexts travel as policy text and decode under this build's
+    // construction, so a store of another's must not open.
+    let marker = meta_row(ks, META_LSSS)?;
+    if marker.as_deref() != Some(CONSTRUCTION.as_bytes())
+        && (marker.is_some() || ks.rows(Owners::ID) > 0 || ks.rows(Records::ID) > 0)
+    {
+        return Err(OpenError::Lsss {
+            found: marker.map(|m| String::from_utf8_lossy(&m).into_owned()),
+        });
     }
     let ca = meta_row(ks, META_CA)?
         .ok_or_else(|| row_err("keyspace missing certificate-authority row"))?;
@@ -1279,6 +1302,22 @@ pub(crate) mod tests {
                 Box::new(row_error("malformed sealed-audit row")),
             ),
             (
+                "no lsss marker beside owners and records",
+                Box::new(|ks, _| {
+                    ks.delete::<Meta>(&(META_LSSS.to_owned(),));
+                }),
+                Box::new(|e| matches!(e, OpenError::Lsss { found: None })),
+            ),
+            (
+                "an lsss marker naming another construction",
+                Box::new(|ks, _| {
+                    ks.put::<Meta>(&(META_LSSS.to_owned(),), &b"vandermonde n-of-n".to_vec());
+                }),
+                Box::new(
+                    |e| matches!(e, OpenError::Lsss { found: Some(c) } if c == "vandermonde n-of-n"),
+                ),
+            ),
+            (
                 "trailing byte on a grants value",
                 Box::new(|ks, _| edit_first::<Grants>(ks, |v| v.push(0))),
                 Box::new(row_error("trailing bytes after row value")),
@@ -1305,5 +1344,18 @@ pub(crate) mod tests {
         }
         // The unedited image hydrates.
         hydrate(&base, &base_seals, 1).unwrap();
+    }
+
+    /// Only owners and records bind a store to a construction: one with
+    /// neither opens without the marker.
+    #[test]
+    fn a_store_without_owners_or_records_needs_no_lsss_marker() {
+        let sys = CloudSystem::new(3);
+        sys.add_authority("MedOrg", &["Doctor"]).unwrap();
+        sys.add_user("alice").unwrap();
+        let image = populate(&sys, 0);
+        image.keyspace.delete::<Meta>(&(META_LSSS.to_owned(),));
+        let seals: Vec<Vec<u8>> = image.seal.into_iter().collect();
+        hydrate(&image.keyspace, &seals, 1).unwrap();
     }
 }

@@ -323,6 +323,11 @@ impl PairingKey for UserSecretKey {
 /// one [`mabe_math::msm`] call for both sums and one two-pair
 /// [`mabe_math::multi_pairing`].
 ///
+/// Rows at `w_i = 1` (every row of an AND/OR policy) stay out of the
+/// MSMs: mixed additions add them up into one `K_ρ(i)` sum and one `C_i`
+/// sum, and each sum, times `−n_A` by double-and-add, joins its MSM's
+/// result before the one normalization.
+///
 /// No metadata checks; errors come in [`decrypt_unchecked`]'s order.
 ///
 /// # Errors
@@ -336,7 +341,8 @@ pub(crate) fn blinding_factor<K: PairingKey>(
     keys: &BTreeMap<AuthorityId, K>,
 ) -> Result<Gt, Error> {
     let involved = ct.involved_authorities();
-    let n_a = Fr::from_u64(involved.len() as u64);
+    let n = involved.len() as u64;
+    let n_a = Fr::from_u64(n);
     let attrs: BTreeSet<_> = keys.values().flat_map(|k| k.kx().keys().cloned()).collect();
     let coefficients = ct
         .access
@@ -352,17 +358,26 @@ pub(crate) fn blinding_factor<K: PairingKey>(
         key_terms.push((*key.k(), Fr::one()));
     }
     let mut row_terms = Vec::with_capacity(coefficients.len());
+    let (mut unit_keys, mut unit_rows) = (G1::identity(), G1::identity());
     for (row, w) in &coefficients {
         let attr = &ct.access.rho()[*row];
         let key = keys
             .get(attr.authority())
             .ok_or_else(|| Error::MissingAuthorityKey(attr.authority().clone()))?;
         let kx = key.kx().get(attr).ok_or(Error::PolicyNotSatisfied)?;
-        let exp = w.mul(&n_a).neg();
-        key_terms.push((*kx, exp));
-        row_terms.push((ct.c_i[*row], exp));
+        if *w == Fr::one() {
+            unit_keys = unit_keys.add_mixed(kx);
+            unit_rows = unit_rows.add_mixed(&ct.c_i[*row]);
+        } else {
+            let exp = w.mul(&n_a).neg();
+            key_terms.push((*kx, exp));
+            row_terms.push((ct.c_i[*row], exp));
+        }
     }
     let [key_sum, row_sum] = mabe_math::msm([&key_terms, &row_terms]);
+    // −n_A times each unit sum: a few doublings, no table, no inversion.
+    let key_sum = key_sum.add(&unit_keys.mul_by_limbs(&[n]).neg());
+    let row_sum = row_sum.add(&unit_rows.mul_by_limbs(&[n]).neg());
     let sums = mabe_math::batch_normalize(&[key_sum, row_sum]);
     Ok(mabe_math::multi_pairing(&[
         (sums[0], ct.c_prime),

@@ -511,8 +511,12 @@ pub(crate) fn wnaf_digits(mut x: crate::uint::Uint<3>) -> Vec<i8> {
 
 /// Converts a batch of projective points to affine with a single field
 /// inversion (Montgomery's trick). Identity points map to the affine
-/// identity.
+/// identity; a batch of nothing else (an empty one included) needs no
+/// inversion.
 pub fn batch_normalize(points: &[G1]) -> Vec<G1Affine> {
+    if points.iter().all(G1::is_identity) {
+        return vec![G1Affine::identity(); points.len()];
+    }
     // Prefix products of the non-zero Z coordinates.
     let mut prefix = Vec::with_capacity(points.len());
     let mut acc = Fq::one();

@@ -6,7 +6,10 @@
 //! term, instead of `n` separate ~160-doubling scalar multiplications.
 //!
 //! Two refinements matter for the scheme's decryption (paper Eq. 1),
-//! whose scalars are the LSSS recombination exponents `±w_i·n_A`:
+//! whose scalars are the LSSS recombination exponents `−w_i·n_A` of the
+//! rows under a `k`-of-`n` gate: signed Lagrange coefficients (a
+//! 25-of-25 threshold at `n_A = 5` gives `±C(25, j)·5`). Rows at
+//! `w_i = 1` never reach the MSM; the decrypt adds them up itself.
 //!
 //! * **Signed recoding.** A scalar `k > r/2` runs as `−(r − k)` on the
 //!   negated point, so a small negative exponent (stored as `r − small`)
@@ -15,7 +18,7 @@
 //!   to the largest digit a term uses) of every term of every sum in one
 //!   call are normalized to affine together by [`batch_normalize`], so
 //!   the main loop runs on mixed additions after a single field
-//!   inversion.
+//!   inversion, or none when no term needs a table.
 
 use crate::curve::{batch_normalize, wnaf_digits, G1Affine, G1};
 use crate::field::Fr;
@@ -176,7 +179,8 @@ mod tests {
 
     #[test]
     fn small_signed_coefficients_like_lsss_exponents() {
-        // ±C(25, j)·5, the recombination exponents of a 25-attribute AND.
+        // ±C(25, j)·5, the recombination exponents of a 25-of-25
+        // threshold at n_A = 5.
         let mut rng = StdRng::seed_from_u64(44);
         let mut binom = 1u64;
         let terms: Vec<_> = (1..=25u64)

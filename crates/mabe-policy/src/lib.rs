@@ -8,11 +8,14 @@
 //!   identifiers (the paper's `AID`s).
 //! * [`ast`] — monotone formulas with `AND` / `OR` / `k`-of-`n` gates.
 //! * [`parser`] — the textual policy language.
-//! * [`lsss`] — conversion to monotone span programs `(M, ρ)`, secret
-//!   sharing `λ_i = M_i · v`, and reconstruction-coefficient solving — the
-//!   "any LSSS access structure" machinery of the paper.
-//! * [`linalg`] — Gauss–Jordan elimination over `F_r`, also used by the
-//!   security-game span checks.
+//! * [`lsss`] — conversion to monotone span programs `(M, ρ)` (the
+//!   Lewko–Waters construction: `AND` as a `{0, ±1}` chain, `k`-of-`n`
+//!   as a Vandermonde tail), secret sharing `λ_i = M_i · v`, and
+//!   reconstruction coefficients by a walk of the formula — the "any
+//!   LSSS access structure" machinery of the paper.
+//! * [`linalg`] — Gauss–Jordan elimination over `F_r`, for the
+//!   security-game span checks and as the reconstruction walk's test
+//!   oracle.
 //!
 //! # Examples
 //!

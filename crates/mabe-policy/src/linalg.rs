@@ -1,8 +1,9 @@
 //! Dense linear algebra over the scalar field `F_r`.
 //!
-//! Used for LSSS reconstruction-coefficient solving and for the security
-//! game's span checks (paper §III-B: the challenge access structure must
-//! satisfy `(1,0,…,0) ∉ span(V ∪ V_UID)`).
+//! Used for the security game's span checks (paper §III-B: the
+//! challenge access structure must satisfy `(1,0,…,0) ∉ span(V ∪
+//! V_UID)`), and by the tests as the oracle for the LSSS
+//! reconstruction walk.
 
 use mabe_math::Fr;
 

@@ -1,11 +1,29 @@
 //! Linear secret-sharing scheme (LSSS) access structures.
 //!
 //! Converts a monotone boolean formula into a monotone span program
-//! `(M, ρ)` using the threshold generalization of the Lewko–Waters
-//! construction: each gate with threshold `k` over `n` children appends
-//! `k - 1` fresh columns and hands child `j` the parent vector extended by
-//! the Vandermonde tail `(j, j², …, j^{k-1})`. `AND` is `n`-of-`n`, `OR` is
-//! `1`-of-`n`.
+//! `(M, ρ)` by the Lewko–Waters conversion (Decentralizing ABE,
+//! EUROCRYPT 2011), with Vandermonde tails for thresholds. Each gate
+//! hands every child a vector (the root's is `(1)`), appending fresh
+//! columns as it goes; a leaf's vector is its row of `M`:
+//!
+//! * `OR`, and `1`-of-`n`, appends none: every child gets the parent's
+//!   vector `v`.
+//! * `AND` over `n` children appends `n − 1` and chains them: child 1
+//!   gets `v‖1`, a middle child `t` gets `−1` on fresh column `t − 1`
+//!   and `+1` on column `t`, and the last child gets `−1` on column
+//!   `n − 1`. The children's vectors sum to `v`, and every entry the
+//!   chain adds is `±1`.
+//! * `k`-of-`n` with `k ≥ 2` (an explicit `n`-of-`n` included) appends
+//!   `k − 1` and hands child `j` the parent vector extended by the
+//!   Vandermonde tail `(j, j², …, j^{k-1})`.
+//!
+//! Reconstruction walks the formula and never reads `M`: a held leaf
+//! contributes its row at coefficient 1, `AND` takes every child, `OR`
+//! the satisfied child that uses the fewest rows, and `k`-of-`n` the `k`
+//! such children, each scaled by its Lagrange coefficient at 0 over the
+//! chosen indices. On `AND`/`OR` formulas every coefficient is
+//! therefore 1. [`crate::linalg::solve`] remains for the security
+//! game's span checks and as the tests' oracle.
 //!
 //! As in the paper's construction (§V-B) the labelling `ρ` is required to
 //! be **injective** — each attribute appears on at most one row.
@@ -42,6 +60,13 @@ impl core::fmt::Display for LsssError {
 }
 
 impl std::error::Error for LsssError {}
+
+/// Names the construction [`AccessStructure::from_policy`] builds.
+///
+/// A ciphertext carries its policy text, not its matrix, so its shares
+/// decrypt only under the construction that made them; a store of
+/// ciphertexts records this name and refuses to open under another.
+pub const CONSTRUCTION: &str = "lewko-waters AND chain, vandermonde k-of-n";
 
 /// A monotone span program `(M, ρ)` together with the formula it encodes.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -135,41 +160,25 @@ impl AccessStructure {
     }
 
     /// Finds reconstruction coefficients `w_i` over the rows labelled by
-    /// the given attribute set, such that `Σ w_i · M_i = (1, 0, …, 0)`.
+    /// the given attribute set, such that `Σ w_i · M_i = (1, 0, …, 0)`,
+    /// by walking the formula (see the module docs). The rows are a
+    /// smallest satisfying subset of the held ones.
     ///
-    /// Returns `(row_index, w_i)` pairs (zero coefficients omitted), or
-    /// `None` if the attribute set does not satisfy the structure.
+    /// Returns `(row_index, w_i)` pairs in ascending row order (zero
+    /// coefficients omitted), or `None` if the attribute set does not
+    /// satisfy the structure.
     pub fn reconstruction_coefficients(
         &self,
         attrs: &BTreeSet<Attribute>,
     ) -> Option<Vec<(usize, Fr)>> {
-        let selected: Vec<usize> = (0..self.rows())
-            .filter(|&i| attrs.contains(&self.rho[i]))
-            .collect();
-        if selected.is_empty() {
-            return None;
-        }
-        // Solve M_Sᵀ · w = e₁.
-        let cols = self.width();
-        let a: Vec<Vec<Fr>> = (0..cols)
-            .map(|c| selected.iter().map(|&i| self.matrix[i][c]).collect())
-            .collect();
-        let mut e1 = vec![Fr::zero(); cols];
-        e1[0] = Fr::one();
-        let w = linalg::solve(&a, &e1)?;
-        Some(
-            selected
-                .into_iter()
-                .zip(w)
-                .filter(|(_, wi)| !wi.is_zero())
-                .collect(),
-        )
+        walk(&self.policy, attrs, &mut 0)
     }
 
     /// `true` iff the attribute set satisfies the access structure.
     ///
-    /// Evaluates the formula; by LSSS correctness this coincides with
-    /// [`Self::reconstruction_coefficients`] returning `Some` (asserted by
+    /// Evaluates the formula; [`Self::reconstruction_coefficients`]
+    /// returns `Some` exactly then, and by the soundness of the span
+    /// program no other subset spans `(1, 0, …, 0)` (both asserted by
     /// the crate's property tests).
     pub fn is_satisfied_by(&self, attrs: &BTreeSet<Attribute>) -> bool {
         self.policy.is_satisfied_by(attrs.iter())
@@ -178,28 +187,111 @@ impl AccessStructure {
 
 /// Recursive gate assignment (see module docs).
 fn assign(node: &Policy, vec: Vec<Fr>, width: &mut usize, rows: &mut Vec<(Attribute, Vec<Fr>)>) {
-    let (k, children): (usize, &[Policy]) = match node {
-        Policy::Leaf(attr) => {
-            rows.push((attr.clone(), vec));
-            return;
+    match node {
+        Policy::Leaf(attr) => rows.push((attr.clone(), vec)),
+        Policy::Or(children) | Policy::Threshold { k: 1, children } => {
+            for child in children {
+                assign(child, vec.clone(), width, rows);
+            }
         }
-        Policy::And(cs) => (cs.len(), cs),
-        Policy::Or(cs) => (1, cs),
+        Policy::And(children) => {
+            // Child t's links sit on fresh columns base + t − 1 (−1) and
+            // base + t (+1).
+            let base = *width;
+            let links = children.len() - 1;
+            *width += links;
+            for (t, child) in children.iter().enumerate() {
+                let mut v = if t == 0 { vec.clone() } else { Vec::new() };
+                v.resize(base + links, Fr::zero());
+                if t > 0 {
+                    v[base + t - 1] = Fr::one().neg();
+                }
+                if t < links {
+                    v[base + t] = Fr::one();
+                }
+                assign(child, v, width, rows);
+            }
+        }
+        Policy::Threshold { k, children } => {
+            let base = *width;
+            *width += k - 1;
+            for (idx, child) in children.iter().enumerate() {
+                let j = Fr::from_u64(idx as u64 + 1);
+                let mut v = vec.clone();
+                v.resize(base, Fr::zero());
+                let mut p = j;
+                for _ in 0..k - 1 {
+                    v.push(p);
+                    p = p.mul(&j);
+                }
+                assign(child, v, width, rows);
+            }
+        }
+    }
+}
+
+/// Reconstruction coefficients for the vector [`assign`] handed `node`:
+/// `(row, w)` pairs in ascending row order over a smallest satisfying
+/// subset of the held leaves under `node`, or `None` if `attrs` does not
+/// satisfy it. `next` is the row of `node`'s first leaf on entry and one
+/// past its last on return, so every child is walked, satisfied or not.
+fn walk(node: &Policy, attrs: &BTreeSet<Attribute>, next: &mut usize) -> Option<Vec<(usize, Fr)>> {
+    let (k, children) = match node {
+        Policy::Leaf(attr) => {
+            let row = *next;
+            *next += 1;
+            return attrs.contains(attr).then(|| vec![(row, Fr::one())]);
+        }
+        Policy::And(children) => {
+            // Every child at 1, as the chain's vectors sum to the
+            // parent's. Walk them all before failing, to advance `next`.
+            let walked: Vec<_> = children.iter().map(|c| walk(c, attrs, next)).collect();
+            return walked
+                .into_iter()
+                .collect::<Option<Vec<_>>>()
+                .map(|ws| ws.concat());
+        }
+        Policy::Or(children) => (1, children),
         Policy::Threshold { k, children } => (*k, children),
     };
-    let base = *width;
-    *width += k - 1;
-    for (idx, child) in children.iter().enumerate() {
-        let j = Fr::from_u64(idx as u64 + 1);
-        let mut v = vec.clone();
-        v.resize(base, Fr::zero());
-        let mut p = j;
-        for _ in 0..k - 1 {
-            v.push(p);
-            p = p.mul(&j);
-        }
-        assign(child, v, width, rows);
+    // The k satisfied children that use the fewest rows, ties to the
+    // earlier child.
+    let mut chosen: Vec<(u64, Vec<(usize, Fr)>)> = children
+        .iter()
+        .zip(1u64..)
+        .filter_map(|(child, j)| Some((j, walk(child, attrs, next)?)))
+        .collect();
+    if chosen.len() < k {
+        return None;
     }
+    chosen.sort_by_key(|(_, w)| w.len());
+    chosen.truncate(k);
+    if k == 1 {
+        // OR hands every child the parent's vector.
+        return chosen.pop().map(|(_, w)| w);
+    }
+    // Back in child order, which is row order; scale each child by its
+    // Lagrange coefficient at 0 over the chosen Vandermonde points.
+    chosen.sort_by_key(|(j, _)| *j);
+    let xs: Vec<Fr> = chosen.iter().map(|(j, _)| Fr::from_u64(*j)).collect();
+    let mut out = Vec::new();
+    for (i, (_, w)) in chosen.iter().enumerate() {
+        let l = lagrange_at_zero(&xs, i);
+        out.extend(w.iter().map(|(row, c)| (*row, c.mul(&l))));
+    }
+    Some(out)
+}
+
+/// `L_i(0) = Π_{m ≠ i} x_m / (x_m − x_i)` over distinct points `xs`.
+fn lagrange_at_zero(xs: &[Fr], i: usize) -> Fr {
+    let (mut num, mut den) = (Fr::one(), Fr::one());
+    for (m, x) in xs.iter().enumerate() {
+        if m != i {
+            num = num.mul(x);
+            den = den.mul(&x.sub(&xs[i]));
+        }
+    }
+    num.mul(&den.invert().expect("distinct interpolation points"))
 }
 
 #[cfg(test)]
@@ -312,6 +404,73 @@ mod tests {
             AccessStructure::from_policy(&p),
             Err(LsssError::DuplicateAttribute("A@X".parse().unwrap()))
         );
+    }
+
+    fn fr(v: i64) -> Fr {
+        let m = Fr::from_u64(v.unsigned_abs());
+        if v < 0 {
+            m.neg()
+        } else {
+            m
+        }
+    }
+
+    /// `M` with small signed integer entries.
+    fn matrix<const N: usize>(rows: &[[i64; N]]) -> Vec<Vec<Fr>> {
+        rows.iter().map(|r| r.map(fr).to_vec()).collect()
+    }
+
+    #[test]
+    fn and_is_a_lewko_waters_chain() {
+        let s = structure("A@X AND B@X AND C@X AND D@X");
+        let want = [[1, 1, 0, 0], [0, -1, 1, 0], [0, 0, -1, 1], [0, 0, 0, -1]];
+        assert_eq!(s.matrix(), matrix(&want));
+        // Nested: the inner AND chains off the second child's vector.
+        let s = structure("A@X AND (B@X OR (C@X AND D@X))");
+        let want = [[1, 1, 0], [0, -1, 0], [0, -1, 1], [0, 0, -1]];
+        assert_eq!(s.matrix(), matrix(&want));
+    }
+
+    #[test]
+    fn explicit_n_of_n_keeps_the_vandermonde_tail() {
+        let s = structure("3 of (A@X, B@X, C@X)");
+        assert_eq!(s.matrix(), matrix(&[[1, 1, 1], [1, 2, 4], [1, 3, 9]]));
+        let all = attrset(&["A@X", "B@X", "C@X"]);
+        // Lagrange at 0 over {1, 2, 3}: (3, −3, 1).
+        assert_eq!(
+            s.reconstruction_coefficients(&all).unwrap(),
+            vec![(0, fr(3)), (1, fr(-3)), (2, fr(1))]
+        );
+        assert!(roundtrip(&s, &all).is_some());
+    }
+
+    #[test]
+    fn and_or_coefficients_are_all_one() {
+        let s = structure("((A@P AND B@P) OR (C@Q AND D@Q)) AND (E@R OR F@R)");
+        let w = s
+            .reconstruction_coefficients(&attrset(&["C@Q", "D@Q", "E@R", "F@R"]))
+            .unwrap();
+        assert_eq!(w, vec![(2, fr(1)), (3, fr(1)), (4, fr(1))]);
+    }
+
+    #[test]
+    fn the_walk_takes_the_children_that_use_the_fewest_rows() {
+        // OR: the single leaf beats the two-leaf AND listed first.
+        let s = structure("(A@X AND B@X) OR C@X");
+        let w = s
+            .reconstruction_coefficients(&attrset(&["A@X", "B@X", "C@X"]))
+            .unwrap();
+        assert_eq!(w, vec![(2, fr(1))]);
+        // 2-of-3: children 1 and 3 (one row each), scaled by Lagrange
+        // at 0 over {1, 3}: (3/2, −1/2).
+        let s = structure("2 of (A@X, (B@X AND C@X), D@X)");
+        let held = attrset(&["A@X", "B@X", "C@X", "D@X"]);
+        let half = fr(2).invert().unwrap();
+        assert_eq!(
+            s.reconstruction_coefficients(&held).unwrap(),
+            vec![(0, fr(3).mul(&half)), (3, fr(-1).mul(&half))]
+        );
+        assert!(roundtrip(&s, &held).is_some());
     }
 
     #[test]

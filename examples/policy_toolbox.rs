@@ -8,6 +8,7 @@
 //!
 //! Run with: `cargo run --example policy_toolbox`
 
+use mabe::math::Fr;
 use mabe::policy::analysis::{minimal_authorized_sets, normalize, pivot_attributes};
 use mabe::policy::{parse, AccessStructure};
 
@@ -47,13 +48,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let rendered: Vec<String> = row
             .iter()
             .map(|fe| {
-                let limb = fe.to_uint().limbs[0];
-                // Render small values (the construction only emits small
-                // Vandermonde entries) for readability.
-                if limb < 1 << 16 {
-                    format!("{limb:>3}")
-                } else {
-                    "  *".to_string()
+                // The construction emits AND-chain entries of ±1 (−1 is
+                // stored as r − 1) and small Vandermonde powers; render
+                // both as small signed integers, anything else as `*`.
+                let small = |x: &Fr| {
+                    let u = x.to_uint();
+                    (u.limbs[1..].iter().all(|&l| l == 0) && u.limbs[0] < 1 << 16)
+                        .then_some(u.limbs[0] as i64)
+                };
+                match small(fe).or_else(|| small(&fe.neg()).map(|k| -k)) {
+                    Some(k) => format!("{k:>3}"),
+                    None => "  *".to_string(),
                 }
             })
             .collect();

@@ -26,7 +26,7 @@ const BEFORE_CHECKPOINT: &[(&str, &str)] = &[
     ),
     (
         "wal.0.0",
-        "927926d1e99970a8dd05747c3e9709b7fd333a026351fb2b6008b7ce1ac4a431",
+        "a7100ba54c7a757d301e81d98b83b4a3993f0d317b41fdaa6135ce8d526a8a04",
     ),
 ];
 
@@ -46,7 +46,7 @@ const AFTER_CHECKPOINT: &[(&str, &str)] = &[
     ),
     (
         "snapshot-1",
-        "1ccfc8da6b2e4a32d2b8ac970ccd86f70c5d41570aad4dfeb1b9c0530c468196",
+        "52f7c38cd01dc14d25e4cab5edb040b3b4fa7f585fa25d8f1038f2afde62d71e",
     ),
     (
         "wal.1.0",

@@ -125,7 +125,8 @@ proptest! {
 
     /// For every subset of the policy's leaves, LSSS acceptance (the
     /// existence of reconstruction coefficients) coincides with boolean
-    /// satisfaction, and accepted subsets reconstruct the exact secret.
+    /// satisfaction, accepted subsets reconstruct the exact secret, and
+    /// the rows of a rejected subset do not span `e₁`.
     #[test]
     fn lsss_equals_formula(policy in arb_policy(), subset_mask in any::<u32>(), seed in any::<u64>()) {
         let Some(policy) = dedupe(&policy) else { return Ok(()); };
@@ -150,6 +151,14 @@ proptest! {
                 .iter()
                 .fold(Fr::zero(), |acc, (i, w)| acc.add(&w.mul(&shares[*i])));
             prop_assert_eq!(sum, secret);
+        } else {
+            let held_rows: Vec<Vec<Fr>> = (0..access.rows())
+                .filter(|&i| attrs.contains(&access.rho()[i]))
+                .map(|i| access.matrix()[i].clone())
+                .collect();
+            let mut e1 = vec![Fr::zero(); access.width()];
+            e1[0] = Fr::one();
+            prop_assert!(!mabe::policy::linalg::in_span(&held_rows, &e1));
         }
     }
 
