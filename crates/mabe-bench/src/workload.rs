@@ -17,7 +17,7 @@ use mabe_core::{
     UserSecretKey,
 };
 use mabe_lewko::{LewkoAttributeKey, LewkoAuthority, LewkoCiphertext, LewkoPublicKeys};
-use mabe_math::Gt;
+use mabe_math::{FixedBaseCache, Gt, WithTables};
 use mabe_policy::{AccessStructure, Attribute, AuthorityId, Policy};
 
 /// Shape of a benchmark universe.
@@ -149,6 +149,10 @@ pub struct LewkoWorld {
     pub shape: Shape,
     /// Published per-attribute public keys.
     pub public_keys: BTreeMap<AuthorityId, LewkoPublicKeys>,
+    /// The encryptor's fixed-base tables of the `g^{y_x}` keys, kept
+    /// and built by the rule [`OurWorld`]'s owner keeps its `PK_x`
+    /// tables by, so both schemes' encryptions are preprocessed alike.
+    pub key_tables: FixedBaseCache<Attribute>,
     /// The decryptor's per-attribute keys.
     pub user_keys: BTreeMap<Attribute, LewkoAttributeKey>,
     /// The all-attributes access structure.
@@ -182,6 +186,7 @@ impl LewkoWorld {
             rng,
             shape,
             public_keys,
+            key_tables: FixedBaseCache::default(),
             user_keys,
             access,
             authorities,
@@ -190,16 +195,25 @@ impl LewkoWorld {
 
     /// Encrypts a random message.
     pub fn encrypt_once(&mut self) -> LewkoCiphertext {
-        let msg = Gt::random(&mut self.rng);
-        mabe_lewko::encrypt(&msg, &self.access, &self.public_keys, &mut self.rng)
-            .expect("keys published")
+        self.encrypt_with_message().0
     }
 
-    /// Encrypts and remembers the plaintext.
+    /// Encrypts and remembers the plaintext. Counts one use of each
+    /// row's `g^{y_x}`, as a [`DataOwner`] counts its `PK_x`.
     pub fn encrypt_with_message(&mut self) -> (LewkoCiphertext, Gt) {
         let msg = Gt::random(&mut self.rng);
-        let ct = mabe_lewko::encrypt(&msg, &self.access, &self.public_keys, &mut self.rng)
-            .expect("keys published");
+        for attr in self.access.rho() {
+            let key = self
+                .public_keys
+                .get(attr.authority())
+                .and_then(|keys| keys.entries.get(attr));
+            if let Some((_, g_y)) = key {
+                self.key_tables.count_use(attr, g_y);
+            }
+        }
+        let keys = WithTables::new(&self.public_keys, Some(&self.key_tables));
+        let ct =
+            mabe_lewko::encrypt(&msg, &self.access, keys, &mut self.rng).expect("keys published");
         (ct, msg)
     }
 

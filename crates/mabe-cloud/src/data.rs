@@ -11,7 +11,9 @@
 //! Both reads run one loop, [`CloudSystem::serve_read`]: fetch →
 //! read-triggered upgrade → key view → open → bounded retry → audit.
 //! Only the open step differs and is passed in as an [`OpenStep`]:
-//! [`LocalOpen`] (content-key cache plus `decrypt_fast`) for
+//! [`LocalOpen`] (content-key cache plus `decrypt_fast`, with the
+//! reader's `PK_UID` lines once it has taken
+//! [`mabe_core::LINES_BREAK_EVEN`] cache misses) for
 //! [`CloudSystem::read`], [`OutsourcedOpen`] (transform key plus
 //! `server_transform`) for [`CloudSystem::read_outsourced`].
 //!
@@ -31,7 +33,9 @@ use parking_lot::Mutex;
 use mabe_core::{
     open_component_with_kem, seal_envelope, CiphertextId, Error, OwnerId, SealedComponent, Uid,
     UpdateInfo, UpdateKey, UpdateTables, UserPublicKey, UserSecretKey, WithTables,
+    LINES_BREAK_EVEN,
 };
+use mabe_math::FixedPairing;
 use mabe_policy::{parse, AuthorityId, Policy};
 
 use crate::audit::AuditEvent;
@@ -51,10 +55,11 @@ use crate::wire::Endpoint;
 const MAX_READ_BARRIERS: usize = 8;
 
 /// A reader's keys for one owner's records, cloned out of the
-/// directory.
+/// directory, with its `PK_UID` lines if they are built.
 struct KeyView {
     pk: UserPublicKey,
     keys: BTreeMap<AuthorityId, UserSecretKey>,
+    lines: Option<Arc<FixedPairing>>,
 }
 
 /// Who reads which component.
@@ -154,7 +159,12 @@ impl OpenStep for LocalOpen {
         let snapshot = sys
             .cache
             .generation_snapshot(component.key_ct.versions.keys());
-        let kem = mabe_core::decrypt_fast(&component.key_ct, &view.pk, &view.keys)?;
+        let lines = match &view.lines {
+            Some(lines) => Some(Arc::clone(lines)),
+            None => sys.count_cold_read(at.uid),
+        };
+        let pk = WithTables::new(&view.pk, lines.as_deref());
+        let kem = mabe_core::decrypt_fast(&component.key_ct, pk, &view.keys)?;
         let out = open_component_with_kem(component, &kem);
         if out.is_ok() {
             sys.cache.insert_content_if(&snapshot, cache_key, kem);
@@ -428,7 +438,31 @@ impl CloudSystem {
                 .filter(|((o, _), _)| o == owner_id)
                 .map(|((_, aid), key)| (aid.clone(), key.clone()))
                 .collect(),
+            lines: state.lines.get().cloned(),
         }
+    }
+
+    /// Counts one content-key cache miss of `uid`'s reads. At the
+    /// [`LINES_BREAK_EVEN`]-th it builds the user's `PK_UID` lines with
+    /// the directory unlocked and installs them; a concurrent builder's
+    /// copy loses the install and is dropped. Returns the installed
+    /// lines, if any.
+    fn count_cold_read(&self, uid: &Uid) -> Option<Arc<FixedPairing>> {
+        let pk = {
+            let users = self.directory.users.read();
+            let state = users.users.get(uid)?;
+            if let Some(lines) = state.lines.get() {
+                return Some(Arc::clone(lines));
+            }
+            if state.cold_reads.fetch_add(1, Ordering::Relaxed) + 1 < LINES_BREAK_EVEN {
+                return None;
+            }
+            state.pk.pk
+        };
+        let built = Arc::new(FixedPairing::new(&pk));
+        let users = self.directory.users.read();
+        let state = users.users.get(uid)?;
+        Some(Arc::clone(state.lines.get_or_init(|| built)))
     }
 
     /// Waits out any in-flight revocation at `aid`. The immediate phase

@@ -11,6 +11,8 @@
 //! forbidden. `ca` and `rng` are leaves.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::atomic::AtomicUsize;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::{Mutex, RwLock};
 
@@ -18,6 +20,7 @@ use mabe_core::{
     AttributeAuthority, CertificateAuthority, DataOwner, Error, OwnerId, Uid, UpdateKey,
     UserPublicKey, UserSecretKey,
 };
+use mabe_math::FixedPairing;
 use mabe_policy::{Attribute, AuthorityId};
 use mabe_store::{key_str, Keyspace};
 
@@ -27,11 +30,34 @@ use crate::tables::GrantsByAuthority;
 use crate::wire::Endpoint;
 
 /// Per-user runtime state: the CA-issued public key plus every secret
-/// key, slotted by `(owner, authority)`.
+/// key, slotted by `(owner, authority)`, and the derived `PK_UID` lines
+/// of its serving decrypts (never journaled).
 #[derive(Debug)]
 pub(crate) struct UserState {
     pub(crate) pk: UserPublicKey,
     pub(crate) keys: BTreeMap<(OwnerId, AuthorityId), UserSecretKey>,
+    /// Content-key cache misses this user's reads took, counted until
+    /// its lines are built.
+    pub(crate) cold_reads: AtomicUsize,
+    /// `PK_UID`'s Miller lines, built outside the directory lock at the
+    /// [`mabe_core::LINES_BREAK_EVEN`]-th cold read and installed once;
+    /// `PK_UID` never changes, so nothing invalidates them.
+    pub(crate) lines: OnceLock<Arc<FixedPairing>>,
+}
+
+impl UserState {
+    /// A user's state as registered or reloaded: keys, no lines.
+    pub(crate) fn new(
+        pk: UserPublicKey,
+        keys: BTreeMap<(OwnerId, AuthorityId), UserSecretKey>,
+    ) -> Self {
+        UserState {
+            pk,
+            keys,
+            cold_reads: AtomicUsize::new(0),
+            lines: OnceLock::new(),
+        }
+    }
 }
 
 /// The user registry: one lock covers keys, grants, presence, and the
@@ -303,13 +329,9 @@ impl CloudSystem {
         );
         {
             let mut users = self.directory.users.write();
-            users.users.insert(
-                uid.clone(),
-                UserState {
-                    pk,
-                    keys: BTreeMap::new(),
-                },
-            );
+            users
+                .users
+                .insert(uid.clone(), UserState::new(pk, BTreeMap::new()));
             users.grants.insert(uid.clone(), BTreeSet::new());
         }
         self.audit.lock().record(AuditEvent::UserAdded {

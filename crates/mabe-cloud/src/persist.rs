@@ -1992,4 +1992,105 @@ mod tests {
             assert!(ks.rows(table) > 0, "table {table} left empty");
         }
     }
+
+    /// The serving path's derived caches: an owner keeps at most one
+    /// fixed-base table per current attribute key and drops an
+    /// authority's on its version bump; `PK_UID` lines are per user,
+    /// built at the break-even-th cold read; a reopened system starts
+    /// with neither and serves the same bytes.
+    #[test]
+    fn serving_caches_are_derived_per_key_and_per_user() {
+        use mabe_core::{WireCodec, FIXED_BASE_BREAK_EVEN, LINES_BREAK_EVEN};
+
+        const POLICY: &str = "Doctor@MedOrg AND Researcher@Trial";
+        let tables = |ds: &DurableSystem<SimDisk>, owner: &OwnerId| {
+            ds.system().directory.owners.read()[owner]
+                .key_tables()
+                .tables()
+        };
+        let lines = |ds: &DurableSystem<SimDisk>, uid: &Uid| {
+            let users = ds.system().directory.users.read();
+            users.users[uid].lines.get().map(|l| *l.base())
+        };
+        let pk = |ds: &DurableSystem<SimDisk>, uid: &Uid| {
+            ds.system().directory.users.read().users[uid].pk.pk
+        };
+
+        let ds = open_fresh(0x5e4e);
+        ds.add_authority("MedOrg", &["Doctor", "Nurse"]).unwrap();
+        ds.add_authority("Trial", &["Researcher"]).unwrap();
+        let owner = ds.add_owner("hospital").unwrap();
+        let [alice, bob, carol] = ["alice", "bob", "carol"].map(|n| ds.add_user(n).unwrap());
+        for uid in [&alice, &bob, &carol] {
+            ds.grant(uid, &["Doctor@MedOrg", "Researcher@Trial"])
+                .unwrap();
+        }
+        let current_keys = 3;
+        let mut records = Vec::new();
+        let publish = |records: &mut Vec<String>| {
+            let record = format!("r{}", records.len());
+            ds.publish(&owner, &record, &[("x", record.as_bytes(), POLICY)])
+                .unwrap();
+            records.push(record);
+        };
+        for _ in 1..FIXED_BASE_BREAK_EVEN {
+            publish(&mut records);
+            assert_eq!(tables(&ds, &owner), 0, "no table below the break-even");
+        }
+        publish(&mut records);
+        assert_eq!(tables(&ds, &owner), 2, "Doctor and Researcher");
+
+        // Cold reads: lines at the break-even-th, for that user only.
+        for (n, record) in records.iter().enumerate().take(LINES_BREAK_EVEN) {
+            assert_eq!(lines(&ds, &alice), None, "no lines before cold read {n}");
+            ds.read(&alice, &owner, record, "x").unwrap();
+        }
+        assert_eq!(lines(&ds, &alice), Some(pk(&ds, &alice)));
+        assert_eq!(lines(&ds, &bob), None, "lines are per user");
+        let misses = |uid: &Uid| {
+            ds.system().directory.users.read().users[uid]
+                .cold_reads
+                .load(Ordering::Relaxed)
+        };
+        let before = misses(&alice);
+        ds.read(&alice, &owner, &records[0], "x").unwrap();
+        assert_eq!(misses(&alice), before, "a content-cache hit is not cold");
+
+        // A version bump at MedOrg drops its tables, not Trial's.
+        ds.revoke(&carol, "Doctor@MedOrg").unwrap();
+        assert_eq!(tables(&ds, &owner), 1, "Researcher's table survives");
+        for _ in 0..FIXED_BASE_BREAK_EVEN {
+            publish(&mut records);
+            assert!(tables(&ds, &owner) <= current_keys);
+        }
+        assert_eq!(tables(&ds, &owner), 2, "Doctor's new key has a table");
+        for record in &records {
+            ds.read(&bob, &owner, record, "x").unwrap();
+        }
+        assert_eq!(lines(&ds, &bob), Some(pk(&ds, &bob)));
+        assert_ne!(lines(&ds, &alice), lines(&ds, &bob));
+
+        let served = |ds: &DurableSystem<SimDisk>| {
+            let mut out = Vec::new();
+            for record in &records {
+                let envelope = ds.system().server().fetch(&owner, record).unwrap();
+                out.push(envelope.components[0].key_ct.to_wire_bytes());
+                for uid in [&alice, &bob] {
+                    out.push(ds.read(uid, &owner, record, "x").unwrap());
+                }
+            }
+            out
+        };
+        let expected = served(&ds);
+        let mut disk = ds.into_storage();
+        disk.crash();
+        let (reopened, _) = DurableSystem::open(disk, 0x5e4e).unwrap();
+        assert_eq!(tables(&reopened, &owner), 0, "tables are not journaled");
+        for uid in [&alice, &bob, &carol] {
+            assert_eq!(lines(&reopened, uid), None, "lines are not journaled");
+        }
+        assert_eq!(served(&reopened), expected);
+        // Its own cold reads build the lines again.
+        assert_eq!(lines(&reopened, &alice), Some(pk(&reopened, &alice)));
+    }
 }

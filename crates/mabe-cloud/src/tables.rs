@@ -1024,7 +1024,7 @@ pub(crate) fn hydrate(
                 );
             }
             let uid = Uid::new(uid);
-            users.users.insert(uid.clone(), UserState { pk, keys });
+            users.users.insert(uid.clone(), UserState::new(pk, keys));
             users.grants.insert(uid, attrs);
         }
         for ((uid,), value) in rows::<Offline>(ks, &[])? {

@@ -27,12 +27,20 @@
 //!   PK_UID)`: two multi-scalar multiplications ([`mabe_math::msm`]) and
 //!   one two-pair [`mabe_math::multi_pairing`], whatever the policy size.
 //!   The outsourced transform ([`crate::outsource`]) shares the fold.
+//!
+//! Both serving halves take a holder's long-lived preprocessing beside
+//! their argument ([`WithTables`]), PBC's `element_pp_t` and
+//! `pairing_pp_t`: [`encrypt`] multiplies `PK_x^{−βs}` from a
+//! [`FixedBaseCache`] table of `PK_x` where one was built from exactly
+//! that key, and [`decrypt_fast`] pairs `PK_UID` from its
+//! [`FixedPairing`] lines (the symmetric pairing puts it first). The
+//! tables change no byte, op count or random draw.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use rand::RngCore;
 
-use mabe_math::{pairing, Fr, G1Affine, Gt, G1};
+use mabe_math::{pairing, FixedBaseCache, FixedPairing, Fr, G1Affine, Gt, Pairs, G1};
 use mabe_policy::{AccessStructure, Attribute, AuthorityId};
 
 use crate::error::Error;
@@ -40,6 +48,7 @@ use crate::ids::OwnerId;
 use crate::keys::{
     AuthorityPublicKeys, OwnerMasterKey, UserPublicKey, UserSecretKey, GT_BYTES, G_BYTES,
 };
+use crate::revoke::WithTables;
 
 /// Owner-scoped ciphertext identifier (used to look up the stored
 /// encryption exponent during re-encryption).
@@ -96,22 +105,33 @@ impl Ciphertext {
 /// the owner must retain to generate re-encryption update information
 /// after revocations (§V-C Phase 2).
 ///
+/// `authority_keys` may carry the holder's fixed-base tables of its
+/// attribute keys (a [`crate::DataOwner`] keeps them); a row whose
+/// `PK_x` has a table built from exactly that point multiplies
+/// fixed-base, with the same result.
+///
 /// # Errors
 ///
 /// * [`Error::MissingAuthorityKey`] if `authority_keys` lacks an involved
 ///   authority.
 /// * [`Error::MissingPublicAttributeKey`] if an attribute's public key is
 ///   absent.
-pub fn encrypt<R: RngCore + ?Sized>(
+pub fn encrypt<'a, R: RngCore + ?Sized>(
     message: &Gt,
     access: &AccessStructure,
     mk: &OwnerMasterKey,
     owner: &OwnerId,
     id: CiphertextId,
-    authority_keys: &BTreeMap<AuthorityId, AuthorityPublicKeys>,
+    authority_keys: impl Into<
+        WithTables<'a, BTreeMap<AuthorityId, AuthorityPublicKeys>, FixedBaseCache<Attribute>>,
+    >,
     rng: &mut R,
 ) -> Result<(Ciphertext, Fr), Error> {
     let _span = mabe_telemetry::Span::start("mabe_encrypt");
+    let WithTables {
+        value: authority_keys,
+        tables,
+    } = authority_keys.into();
     let involved = access.authorities();
     let mut versions = BTreeMap::new();
     let mut pk_product = Gt::one();
@@ -144,9 +164,11 @@ pub fn encrypt<R: RngCore + ?Sized>(
             .expect("involved authorities checked above");
         let pk_x = pks.attr_pk(attr)?;
         // C_i = g^{r·λ_i} · PK_x^{-βs}
-        let point =
-            mabe_math::generator_mul(&mk.r.mul(lambda)).add(&G1::from(*pk_x).mul(&neg_beta_s));
-        projective.push(point);
+        let blind = match tables.and_then(|t| t.get(attr, pk_x)) {
+            Some(table) => table.mul(&neg_beta_s),
+            None => G1::from(*pk_x).mul(&neg_beta_s),
+        };
+        projective.push(mabe_math::generator_mul(&mk.r.mul(lambda)).add(&blind));
     }
     let c_i = mabe_math::batch_normalize(&projective);
 
@@ -191,15 +213,16 @@ pub fn decrypt(
 /// The metadata validation shared by [`decrypt`] and [`decrypt_fast`]:
 /// per involved authority, in order, the key must exist, be scoped to
 /// the ciphertext's owner, belong to `user_pk`'s holder and match the
-/// ciphertext's key version.
+/// ciphertext's key version. Returns the involved authority set.
 fn check_keys(
     ct: &Ciphertext,
     user_pk: &UserPublicKey,
     keys: &BTreeMap<AuthorityId, UserSecretKey>,
-) -> Result<(), Error> {
-    for aid in ct.involved_authorities() {
+) -> Result<BTreeSet<AuthorityId>, Error> {
+    let involved = ct.involved_authorities();
+    for aid in &involved {
         let key = keys
-            .get(&aid)
+            .get(aid)
             .ok_or_else(|| Error::MissingAuthorityKey(aid.clone()))?;
         if key.owner != ct.owner {
             return Err(Error::OwnerMismatch {
@@ -210,7 +233,7 @@ fn check_keys(
         if key.uid != user_pk.uid {
             return Err(Error::Malformed("secret key belongs to a different user"));
         }
-        let expected = ct.versions[&aid];
+        let expected = ct.versions[aid];
         if key.version != expected {
             return Err(Error::VersionMismatch {
                 authority: aid.clone(),
@@ -219,7 +242,7 @@ fn check_keys(
             });
         }
     }
-    Ok(())
+    Ok(involved)
 }
 
 /// The raw decryption computation with no metadata validation.
@@ -282,17 +305,27 @@ pub fn decrypt_unchecked(
 ///
 /// [`decrypt`] stays the faithful reference for the paper's cost model.
 ///
+/// `user_pk` may carry the Miller lines of `PK_UID` that the reader's
+/// holder kept ([`FixedPairing`]); lines built from exactly `PK_UID`
+/// replace that pair's Miller loop, with the same result and the same
+/// two counted pairings.
+///
 /// # Errors
 ///
 /// Same contract as [`decrypt`].
-pub fn decrypt_fast(
+pub fn decrypt_fast<'a>(
     ct: &Ciphertext,
-    user_pk: &UserPublicKey,
+    user_pk: impl Into<WithTables<'a, UserPublicKey, FixedPairing>>,
     keys: &BTreeMap<AuthorityId, UserSecretKey>,
 ) -> Result<Gt, Error> {
     let _span = mabe_telemetry::Span::with_labels("mabe_decrypt", &[("variant", "fast")]);
-    check_keys(ct, user_pk, keys)?;
-    let blinding = blinding_factor(ct, &user_pk.pk, keys)?;
+    let WithTables {
+        value: user_pk,
+        tables: lines,
+    } = user_pk.into();
+    let involved = check_keys(ct, user_pk, keys)?;
+    let pk = WithTables::new(&user_pk.pk, lines);
+    let blinding = blinding_factor(ct, &involved, pk, keys)?;
     Ok(ct.c.div(&blinding))
 }
 
@@ -321,14 +354,19 @@ impl PairingKey for UserSecretKey {
 /// folded by bilinearity into
 /// `e(Σ_k K_k − n_A·Σ_i w_i·K_ρ(i), C') · e(−n_A·Σ_i w_i·C_i, PK)`:
 /// one [`mabe_math::msm`] call for both sums and one two-pair
-/// [`mabe_math::multi_pairing`].
+/// [`mabe_math::multi_pairing`]. `PK`'s lines, when `pk` carries lines
+/// built from exactly `PK`, run that pair as `e(PK, −n_A·Σ_i w_i·C_i)`
+/// beside the plain pair, in the same Miller loop and final
+/// exponentiation.
 ///
 /// Rows at `w_i = 1` (every row of an AND/OR policy) stay out of the
 /// MSMs: mixed additions add them up into one `K_ρ(i)` sum and one `C_i`
 /// sum, and each sum, times `−n_A` by double-and-add, joins its MSM's
 /// result before the one normalization.
 ///
-/// No metadata checks; errors come in [`decrypt_unchecked`]'s order.
+/// `involved` is the ciphertext's involved authority set; the walk asks
+/// the keys for each attribute in place. No metadata checks; errors
+/// come in [`decrypt_unchecked`]'s order.
 ///
 /// # Errors
 ///
@@ -337,21 +375,22 @@ impl PairingKey for UserSecretKey {
 /// * [`Error::MissingAuthorityKey`] — no key from an involved authority.
 pub(crate) fn blinding_factor<K: PairingKey>(
     ct: &Ciphertext,
-    pk: &G1Affine,
+    involved: &BTreeSet<AuthorityId>,
+    pk: WithTables<'_, G1Affine, FixedPairing>,
     keys: &BTreeMap<AuthorityId, K>,
 ) -> Result<Gt, Error> {
-    let involved = ct.involved_authorities();
     let n = involved.len() as u64;
     let n_a = Fr::from_u64(n);
-    let attrs: BTreeSet<_> = keys.values().flat_map(|k| k.kx().keys().cloned()).collect();
+    // Held means certified by any supplied key, as in decrypt_unchecked.
+    let held = |attr: &Attribute| keys.values().any(|k| k.kx().contains_key(attr));
     let coefficients = ct
         .access
-        .reconstruction_coefficients(&attrs)
+        .reconstruction_coefficients(&held)
         .ok_or(Error::PolicyNotSatisfied)?;
 
     // Terms of Σ_k K_k − n_A·Σ_i w_i·K_ρ(i) and of −n_A·Σ_i w_i·C_i.
     let mut key_terms = Vec::with_capacity(involved.len() + coefficients.len());
-    for aid in &involved {
+    for aid in involved {
         let key = keys
             .get(aid)
             .ok_or_else(|| Error::MissingAuthorityKey(aid.clone()))?;
@@ -379,10 +418,11 @@ pub(crate) fn blinding_factor<K: PairingKey>(
     let key_sum = key_sum.add(&unit_keys.mul_by_limbs(&[n]).neg());
     let row_sum = row_sum.add(&unit_rows.mul_by_limbs(&[n]).neg());
     let sums = mabe_math::batch_normalize(&[key_sum, row_sum]);
-    Ok(mabe_math::multi_pairing(&[
-        (sums[0], ct.c_prime),
-        (sums[1], *pk),
-    ]))
+    let plain = (sums[0], ct.c_prime);
+    Ok(match pk.tables.filter(|lines| lines.base() == pk.value) {
+        Some(lines) => mabe_math::multi_pairing(Pairs::with_fixed(&[plain], lines, sums[1])),
+        None => mabe_math::multi_pairing(&[plain, (sums[1], *pk.value)]),
+    })
 }
 
 #[cfg(test)]

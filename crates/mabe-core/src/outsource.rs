@@ -173,7 +173,7 @@ pub fn server_transform(ct: &Ciphertext, tk: &TransformKey) -> Result<TransformT
             });
         }
     }
-    blinding_factor(ct, &tk.blinded_pk, &tk.entries).map(TransformToken)
+    blinding_factor(ct, &involved, (&tk.blinded_pk).into(), &tk.entries).map(TransformToken)
 }
 
 /// Client side: unblinds the token and strips the mask — one `G_T`

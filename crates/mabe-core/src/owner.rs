@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 
 use rand::RngCore;
 
-use mabe_math::{FixedBase, G1Affine, Gt, G1};
+use mabe_math::{FixedBase, FixedBaseCache, G1Affine, Gt, G1};
 use mabe_policy::{AccessStructure, Attribute, AuthorityId, Policy};
 
 use crate::ciphertext::{encrypt, Ciphertext, CiphertextId};
@@ -49,6 +49,12 @@ pub struct DataOwner {
     attr_pk_history: BTreeMap<(AuthorityId, u64), AttributeKeys>,
     records: BTreeMap<CiphertextId, EncryptionRecord>,
     next_id: u64,
+    /// Derived, never encoded: per attribute of the current key
+    /// versions, its encryption count and, from the
+    /// [`FIXED_BASE_BREAK_EVEN`]-th encryption under one `PK_x` on, a
+    /// fixed-base table of it for [`encrypt`]'s `PK_x^{−βs}`. An
+    /// authority's entries go whenever its keys change.
+    key_tables: FixedBaseCache<Attribute>,
 }
 
 impl DataOwner {
@@ -61,6 +67,7 @@ impl DataOwner {
             attr_pk_history: BTreeMap::new(),
             records: BTreeMap::new(),
             next_id: 1,
+            key_tables: FixedBaseCache::default(),
         }
     }
 
@@ -74,11 +81,23 @@ impl DataOwner {
         self.mk.secret_key(&self.id)
     }
 
-    /// Ingests (or refreshes) an authority's published keys.
+    /// Ingests (or refreshes) an authority's published keys, dropping
+    /// the tables of its previous ones.
     pub fn learn_authority_keys(&mut self, keys: AuthorityPublicKeys) {
+        self.drop_key_tables(&keys.aid);
         self.attr_pk_history
             .insert((keys.aid.clone(), keys.version), keys.attr_pks.clone());
         self.authority_keys.insert(keys.aid.clone(), keys);
+    }
+
+    fn drop_key_tables(&mut self, aid: &AuthorityId) {
+        self.key_tables.retain(|attr| attr.authority() != aid);
+    }
+
+    /// The fixed-base tables this owner keeps of its current attribute
+    /// keys (derived state: a reopened owner starts without any).
+    pub fn key_tables(&self) -> &FixedBaseCache<Attribute> {
+        &self.key_tables
     }
 
     /// Latest known key version for an authority, if any.
@@ -103,7 +122,9 @@ impl DataOwner {
         self.encrypt_under(message, &access, rng)
     }
 
-    /// Encrypts under a pre-built access structure.
+    /// Encrypts under a pre-built access structure. Counts one use of
+    /// each row's `PK_x`, and from the [`FIXED_BASE_BREAK_EVEN`]-th use
+    /// of one key on multiplies it from a kept table.
     ///
     /// # Errors
     ///
@@ -114,6 +135,15 @@ impl DataOwner {
         access: &AccessStructure,
         rng: &mut R,
     ) -> Result<Ciphertext, Error> {
+        for attr in access.rho() {
+            let pk = self
+                .authority_keys
+                .get(attr.authority())
+                .and_then(|keys| keys.attr_pks.get(attr));
+            if let Some(pk) = pk {
+                self.key_tables.count_use(attr, pk);
+            }
+        }
         let id = CiphertextId(self.next_id);
         let (ct, s) = encrypt(
             message,
@@ -121,7 +151,7 @@ impl DataOwner {
             &self.mk,
             &self.id,
             id,
-            &self.authority_keys,
+            WithTables::new(&self.authority_keys, Some(&self.key_tables)),
             rng,
         )?;
         self.next_id += 1;
@@ -166,6 +196,7 @@ impl DataOwner {
         keys.version = uk.to_version;
         self.attr_pk_history
             .insert((uk.aid.clone(), uk.to_version), keys.attr_pks.clone());
+        self.drop_key_tables(&uk.aid);
         Ok(())
     }
 
@@ -411,6 +442,7 @@ impl crate::serial::WireCodec for DataOwner {
             attr_pk_history,
             records,
             next_id,
+            key_tables: FixedBaseCache::default(),
         })
     }
 }

@@ -29,19 +29,7 @@ use crate::error::Error;
 use crate::ids::OwnerId;
 use crate::keys::UpdateKey;
 
-/// Worklist length from which `UK1`'s Miller lines pay for themselves.
-/// Building a [`FixedPairing`] cost 1.3–1.5 times what one pairing
-/// against it saves (e.g. 572 µs to build, 742 → 353 µs per pairing;
-/// medians of 15 interleaved rounds, three runs, 2-vCPU x86-64 VM), so
-/// the second component recovers the build.
-pub const LINES_BREAK_EVEN: usize = 2;
-
-/// Ciphertexts per attribute from which a [`FixedBase`] table of
-/// `PK_x / P̃K_x` pays for itself. Building one cost 7.3–7.5 times what
-/// one `UI_x` multiplication against it saves (e.g. 2.29 ms to build,
-/// 369 → 64 µs per multiplication; same runs as [`LINES_BREAK_EVEN`]),
-/// so the eighth ciphertext recovers the build.
-pub const FIXED_BASE_BREAK_EVEN: usize = 8;
+pub use mabe_math::{FIXED_BASE_BREAK_EVEN, LINES_BREAK_EVEN};
 
 /// One revocation step (owner, authority, `from → to`) preprocessed for
 /// a worklist: `UK1`'s Miller lines for the server's `e(UK1, C')`, and
@@ -58,7 +46,6 @@ pub struct UpdateTables {
     aid: AuthorityId,
     from_version: u64,
     to_version: u64,
-    uk1: G1Affine,
     lines: Option<FixedPairing>,
     ratios: BTreeMap<Attribute, FixedBase>,
 }
@@ -72,7 +59,6 @@ impl UpdateTables {
             aid: uk.aid.clone(),
             from_version: uk.from_version,
             to_version: uk.to_version,
-            uk1: uk.uk1,
             lines: lines.then(|| FixedPairing::new(&uk.uk1)),
             ratios,
         }
@@ -87,9 +73,10 @@ impl UpdateTables {
 
     /// `UK1`'s lines, if these tables hold them for exactly `uk`.
     fn lines_for(&self, uk: &UpdateKey) -> Option<&FixedPairing> {
-        let same_key =
-            self.covers(&uk.owner, &uk.aid, uk.from_version, uk.to_version) && self.uk1 == uk.uk1;
-        self.lines.as_ref().filter(|_| same_key)
+        let step = self.covers(&uk.owner, &uk.aid, uk.from_version, uk.to_version);
+        self.lines
+            .as_ref()
+            .filter(|lines| step && lines.base() == &uk.uk1)
     }
 
     /// The table of `attr`'s ratio, if these tables hold one for the
@@ -120,41 +107,12 @@ impl UpdateTables {
     }
 }
 
-/// An argument together with the [`UpdateTables`] a worklist built for
-/// its step. A bare reference converts with none, so a one-off call
-/// reads `reencrypt(&mut ct, &uk, &ui)` and runs the full computation.
-#[derive(Debug)]
-pub struct WithTables<'a, T: ?Sized> {
-    /// The argument itself.
-    pub value: &'a T,
-    /// The worklist's tables, if it built any.
-    pub tables: Option<&'a UpdateTables>,
-}
-
-// Copy for every `T`: both fields are shared references (a derive
-// would demand `T: Copy`).
-impl<T: ?Sized> Clone for WithTables<'_, T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T: ?Sized> Copy for WithTables<'_, T> {}
-
-impl<'a, T: ?Sized> WithTables<'a, T> {
-    /// Pairs `value` with `tables`.
-    pub fn new(value: &'a T, tables: Option<&'a UpdateTables>) -> Self {
-        WithTables { value, tables }
-    }
-}
-
-impl<'a, T: ?Sized> From<&'a T> for WithTables<'a, T> {
-    fn from(value: &'a T) -> Self {
-        WithTables {
-            value,
-            tables: None,
-        }
-    }
-}
+/// An argument together with the tables its holder kept for it
+/// ([`mabe_math::WithTables`]); by default the [`UpdateTables`] a
+/// worklist built for its step. A bare reference converts with none,
+/// so a one-off call reads `reencrypt(&mut ct, &uk, &ui)` and runs the
+/// full computation.
+pub type WithTables<'a, T, P = UpdateTables> = mabe_math::WithTables<'a, T, P>;
 
 /// The update information `UI_AID = {UI_x}` an owner publishes for one
 /// ciphertext after a revocation at one authority.

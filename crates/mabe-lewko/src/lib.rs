@@ -55,7 +55,7 @@ use std::fmt;
 
 use rand::RngCore;
 
-use mabe_math::{hash_to_curve, pairing, Fr, G1Affine, Gt, G1};
+use mabe_math::{hash_to_curve, pairing, FixedBaseCache, Fr, G1Affine, Gt, WithTables, G1};
 use mabe_policy::{AccessStructure, Attribute, AuthorityId};
 
 /// Size in bytes of a compressed `G` element.
@@ -265,16 +265,27 @@ impl LewkoCiphertext {
 
 /// Encrypts a `G_T` message under an LSSS access structure.
 ///
+/// `public_keys` may carry the encryptor's fixed-base tables of the
+/// `g^{y_x}` keys, kept per attribute as an owner of the paper's scheme
+/// keeps its `PK_x` tables; a row whose key has a table built from
+/// exactly that point multiplies fixed-base, with the same result.
+///
 /// # Errors
 ///
 /// Fails with [`LewkoError::MissingPublicKey`] if a row's attribute has no
 /// published key.
-pub fn encrypt<R: RngCore + ?Sized>(
+pub fn encrypt<'a, R: RngCore + ?Sized>(
     message: &Gt,
     access: &AccessStructure,
-    public_keys: &BTreeMap<AuthorityId, LewkoPublicKeys>,
+    public_keys: impl Into<
+        WithTables<'a, BTreeMap<AuthorityId, LewkoPublicKeys>, FixedBaseCache<Attribute>>,
+    >,
     rng: &mut R,
 ) -> Result<LewkoCiphertext, LewkoError> {
+    let WithTables {
+        value: public_keys,
+        tables,
+    } = public_keys.into();
     let width = access.width();
     // v shares s; w shares 0.
     let s = Fr::random(rng);
@@ -301,11 +312,11 @@ pub fn encrypt<R: RngCore + ?Sized>(
         let r_i = Fr::random(rng);
         c1s.push(e_gg.pow(&lambda).mul(&pks.0.pow(&r_i)));
         projective.push(mabe_math::generator_mul(&r_i));
-        projective.push(
-            G1::from(pks.1)
-                .mul(&r_i)
-                .add(&mabe_math::generator_mul(&omega)),
-        );
+        let g_yr = match tables.and_then(|t| t.get(attr, &pks.1)) {
+            Some(table) => table.mul(&r_i),
+            None => G1::from(pks.1).mul(&r_i),
+        };
+        projective.push(g_yr.add(&mabe_math::generator_mul(&omega)));
     }
     let affine = mabe_math::batch_normalize(&projective);
     let rows = c1s

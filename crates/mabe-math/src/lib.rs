@@ -13,14 +13,19 @@
 //! * [`field`] — Montgomery prime fields [`field::Fq`] (base) and
 //!   [`field::Fr`] (scalar, the paper's `Z_p`).
 //! * [`fp2`] — the quadratic extension `F_{q²}`.
-//! * [`curve`] — the group `G` with hashing-to-curve.
+//! * [`curve`] — the group `G` with hashing-to-curve, and the signed
+//!   fixed-base tables ([`curve::FixedBase`], kept per key by
+//!   [`curve::FixedBaseCache`]).
 //! * [`msm`](mod@crate::msm) — multi-scalar multiplication `Σ k_i·P_i`
 //!   (Straus, signed width-4 wNAF).
 //! * [`pairing`](mod@crate::pairing) — the symmetric Tate pairing `e : G × G → G_T` via
 //!   Miller's algorithm with denominator elimination and a Lucas-ladder
-//!   final exponentiation, the fixed-argument [`pairing::FixedPairing`],
+//!   final exponentiation, the fixed-argument [`pairing::FixedPairing`]
+//!   (alone or beside plain pairs in one product, [`pairing::Pairs`]),
 //!   and the target group [`pairing::Gt`].
 //! * [`hash`] — the random oracle `H : {0,1}* → Z_p` of the paper.
+//! * [`prepared`] — [`prepared::WithTables`], how an argument travels
+//!   with the tables its holder kept for it.
 //!
 //! # Security disclaimer
 //!
@@ -55,13 +60,18 @@ pub mod hash;
 pub mod msm;
 pub mod pairing;
 pub mod params;
+pub mod prepared;
 pub mod uint;
 
-pub use curve::{batch_normalize, generator_mul, hash_to_curve, FixedBase, G1Affine, G1};
+pub use curve::{
+    batch_normalize, generator_mul, hash_to_curve, FixedBase, FixedBaseCache, G1Affine,
+    FIXED_BASE_BREAK_EVEN, G1,
+};
 pub use field::{Fq, Fr};
 pub use hash::hash_to_fr;
 pub use msm::msm;
-pub use pairing::{multi_pairing, pairing, FixedPairing, Gt};
+pub use pairing::{multi_pairing, pairing, FixedPairing, Gt, Pairs, LINES_BREAK_EVEN};
+pub use prepared::WithTables;
 
 /// Cases per differential property of a replaced kernel against its
 /// oracle: enough to stay quick in the debug test run, and deep in the

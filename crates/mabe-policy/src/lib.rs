@@ -44,5 +44,5 @@ pub mod parser;
 
 pub use ast::Policy;
 pub use attr::{Attribute, AuthorityId, ParseAttributeError};
-pub use lsss::{AccessStructure, LsssError};
+pub use lsss::{AccessStructure, HeldAttributes, LsssError};
 pub use parser::{parse, ParsePolicyError};

@@ -68,6 +68,27 @@ impl std::error::Error for LsssError {}
 /// ciphertexts records this name and refuses to open under another.
 pub const CONSTRUCTION: &str = "lewko-waters AND chain, vandermonde k-of-n";
 
+/// The membership query the reconstruction walk asks of a decryptor's
+/// attributes: an attribute set, or any test over `&Attribute`, so a
+/// caller holding its attributes in another shape (per-authority keys)
+/// answers in place instead of collecting a set.
+pub trait HeldAttributes {
+    /// `true` if `attr` is held.
+    fn holds(&self, attr: &Attribute) -> bool;
+}
+
+impl HeldAttributes for BTreeSet<Attribute> {
+    fn holds(&self, attr: &Attribute) -> bool {
+        self.contains(attr)
+    }
+}
+
+impl<F: Fn(&Attribute) -> bool> HeldAttributes for F {
+    fn holds(&self, attr: &Attribute) -> bool {
+        self(attr)
+    }
+}
+
 /// A monotone span program `(M, ρ)` together with the formula it encodes.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AccessStructure {
@@ -160,8 +181,9 @@ impl AccessStructure {
     }
 
     /// Finds reconstruction coefficients `w_i` over the rows labelled by
-    /// the given attribute set, such that `Σ w_i · M_i = (1, 0, …, 0)`,
-    /// by walking the formula (see the module docs). The rows are a
+    /// the given attributes (a set, or a membership test, see
+    /// [`HeldAttributes`]), such that `Σ w_i · M_i = (1, 0, …, 0)`, by
+    /// walking the formula (see the module docs). The rows are a
     /// smallest satisfying subset of the held ones.
     ///
     /// Returns `(row_index, w_i)` pairs in ascending row order (zero
@@ -169,7 +191,7 @@ impl AccessStructure {
     /// satisfy the structure.
     pub fn reconstruction_coefficients(
         &self,
-        attrs: &BTreeSet<Attribute>,
+        attrs: &impl HeldAttributes,
     ) -> Option<Vec<(usize, Fr)>> {
         walk(&self.policy, attrs, &mut 0)
     }
@@ -235,12 +257,12 @@ fn assign(node: &Policy, vec: Vec<Fr>, width: &mut usize, rows: &mut Vec<(Attrib
 /// subset of the held leaves under `node`, or `None` if `attrs` does not
 /// satisfy it. `next` is the row of `node`'s first leaf on entry and one
 /// past its last on return, so every child is walked, satisfied or not.
-fn walk(node: &Policy, attrs: &BTreeSet<Attribute>, next: &mut usize) -> Option<Vec<(usize, Fr)>> {
+fn walk(node: &Policy, attrs: &dyn HeldAttributes, next: &mut usize) -> Option<Vec<(usize, Fr)>> {
     let (k, children) = match node {
         Policy::Leaf(attr) => {
             let row = *next;
             *next += 1;
-            return attrs.contains(attr).then(|| vec![(row, Fr::one())]);
+            return attrs.holds(attr).then(|| vec![(row, Fr::one())]);
         }
         Policy::And(children) => {
             // Every child at 1, as the chain's vectors sum to the

@@ -11,9 +11,9 @@ use rand::SeedableRng;
 
 use mabe::core::{
     client_recover, decrypt, decrypt_fast, make_transform_key, server_transform, DataOwner, Error,
-    OwnerId, UserPublicKey, UserSecretKey,
+    OwnerId, UserPublicKey, UserSecretKey, WithTables,
 };
-use mabe::math::{pairing, Fr, G1Affine, Gt, G1};
+use mabe::math::{pairing, FixedPairing, Fr, G1Affine, Gt, G1};
 use mabe::policy::{AccessStructure, Attribute, AuthorityId, Policy};
 
 fn fr(seed: u64) -> Fr {
@@ -402,10 +402,10 @@ proptest! {
 
     /// On AND, OR and k-of-n policies, for satisfying and unsatisfying
     /// attribute sets (every leaf, every leaf but one, a random subset)
-    /// and under each single key fault, the serving decryption and the
-    /// outsourced transform return exactly what the faithful Eq. 1
-    /// returns: the same `G_T` element, or the same error with the same
-    /// fields.
+    /// and under each single key fault, the serving decryption (with
+    /// and without the reader's `PK_UID` lines) and the outsourced
+    /// transform return exactly what the faithful Eq. 1 returns: the
+    /// same `G_T` element, or the same error with the same fields.
     #[test]
     fn serving_decrypt_matches_faithful_eq1(
         policy in arb_policy(),
@@ -432,6 +432,7 @@ proptest! {
         let involved: Vec<AuthorityId> = ct.involved_authorities().into_iter().collect();
         let target = &involved[(seed % involved.len() as u64) as usize];
         let satisfied = policy.is_satisfied_by(held.iter());
+        let lines = FixedPairing::new(&world.user.pk);
         for fault in FAULTS {
             let keys = inject(fault, &world.keys, target);
             let faithful = decrypt(&ct, &world.user, &keys);
@@ -441,6 +442,8 @@ proptest! {
             }
             let fast = decrypt_fast(&ct, &world.user, &keys);
             prop_assert!(fast == faithful, "{fault:?}: {fast:?} != {faithful:?}");
+            let prepared = decrypt_fast(&ct, WithTables::new(&world.user, Some(&lines)), &keys);
+            prop_assert!(prepared == faithful, "{fault:?}: {prepared:?} != {faithful:?}");
             let transformed = outsourced(&ct, &world.user, &keys, &mut world.rng);
             prop_assert!(transformed == faithful, "{fault:?}: {transformed:?} != {faithful:?}");
         }
@@ -460,6 +463,9 @@ fn serving_decrypt_matches_faithful_eq1_at_5x5() {
     let mut rng = StdRng::seed_from_u64(26);
     assert_eq!(world.decrypt_once(&ct), msg);
     assert_eq!(decrypt_fast(&ct, &world.user_pk, &world.user_keys), Ok(msg));
+    let lines = FixedPairing::new(&world.user_pk.pk);
+    let prepared = WithTables::new(&world.user_pk, Some(&lines));
+    assert_eq!(decrypt_fast(&ct, prepared, &world.user_keys), Ok(msg));
     assert_eq!(
         outsourced(&ct, &world.user_pk, &world.user_keys, &mut rng),
         Ok(msg)
@@ -473,5 +479,6 @@ fn serving_decrypt_matches_faithful_eq1_at_5x5() {
     let faithful = decrypt(&ct, &world.user_pk, &stale);
     assert!(matches!(faithful, Err(Error::VersionMismatch { .. })));
     assert_eq!(decrypt_fast(&ct, &world.user_pk, &stale), faithful);
+    assert_eq!(decrypt_fast(&ct, prepared, &stale), faithful);
     assert_eq!(outsourced(&ct, &world.user_pk, &stale, &mut rng), faithful);
 }
