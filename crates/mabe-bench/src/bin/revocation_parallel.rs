@@ -1,25 +1,29 @@
-//! Parallel proxy re-encryption bench: one revocation whose phase 2
-//! fans out across the affected ciphertext components on the data
-//! plane's scoped worker pool, measured at increasing worker counts.
+//! Parallel proxy re-encryption bench: the wall-clock speedup of one
+//! revocation whose re-encryptions are prepared on `N` threads instead
+//! of one.
 //!
-//! Two speedup notions are recorded per row, because wall-clock only
-//! reflects the fan-out when the host actually has the hardware
-//! threads to run it:
+//! `N` is `min(available_parallelism, 4)`, and at least 2. Each round
+//! builds the same world twice (same seed, `components` records under
+//! one attribute), revokes its only holder once at width 1 and once at
+//! width `N`, in alternating order, and times each `revoke()`. The
+//! gated `wall_speedup` is the median over rounds of the per-round
+//! ratio `wall_ms_1 / wall_ms_n`, so a slow spell of the host moves
+//! both sides of a ratio alike. Apply stays on the revoking thread, in
+//! worklist order, at any width; only the prepare (`UI` and
+//! `e(UK1, C')`) spreads.
 //!
-//! - `wall_speedup_vs_1` — measured wall time of the 1-worker revoke
-//!   divided by this row's; meaningful when `hw_threads >= workers`.
-//! - `distribution_speedup` — components ÷ max per-worker share, read
-//!   from the flight recorder (each worker's `cloud.reencrypt`
-//!   children are counted). This is the parallel critical path of the
-//!   *actual* run in units of measured per-component cost, and is the
-//!   number that transfers across hosts.
-//!
-//! `speedup_vs_1` picks the wall number when the host has enough
-//! hardware threads, the distribution number otherwise (`basis` says
-//! which). The run asserts `speedup_vs_1 >= 2` at 4 workers.
+//! A shared VM does not always deliver the cores it reports: when its
+//! other vCPUs run someone else's work, `N` threads of pure pairings
+//! finish no sooner than one. So each round also times the same
+//! pairings on 1 and on `N` threads (`host_speedup`), and the run
+//! asserts that the revocation reaches at least [`MIN_EFFICIENCY`] of
+//! what the host delivered: `median(wall_speedup / host_speedup)`.
+//! Serialized re-encryption reads about 1 / `N` there on any host. A
+//! 1-core host reports the rounds and skips the assertion
+//! (`"gated": false`).
 //!
 //! Usage: `revocation_parallel [components]` (default 96). With
-//! `MABE_METRICS_DIR` set the rows are dumped as
+//! `MABE_METRICS_DIR` set the summary and the rounds are dumped as
 //! `BENCH_revocation_parallel.json` alongside the registry snapshot.
 
 use std::io::Write as _;
@@ -27,25 +31,57 @@ use std::time::Instant;
 
 use mabe_cloud::CloudSystem;
 
-const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
+/// Interleaved rounds; each measures width 1 and width `N` once.
+const ROUNDS: usize = 7;
 
-struct Row {
-    workers: usize,
-    components: usize,
-    wall_ms: f64,
-    per_component_ms: f64,
-    worker_items: Vec<usize>,
-    wall_speedup_vs_1: f64,
-    distribution_speedup: f64,
-    speedup_vs_1: f64,
-    basis: &'static str,
+/// Fraction of the host's own `N`-thread speedup the revocation must
+/// reach. Its serial part (the step's tables, the in-order applies, key
+/// delivery) keeps it under 1.
+const MIN_EFFICIENCY: f64 = 0.7;
+
+/// Pairings per thread in the host probe.
+const PROBE_PAIRINGS: usize = 8;
+
+struct Round {
+    wall_ms_1: f64,
+    wall_ms_n: f64,
+    host_speedup: f64,
 }
 
-/// Builds a fresh world (same seed per row so the workload is
-/// identical), revokes the only holder, and reads the re-encryption
-/// fan-out back out of the flight recorder.
-fn measure(components: usize, workers: usize) -> (f64, f64, Vec<usize>) {
-    let sys = CloudSystem::new(xrev_seed(workers));
+impl Round {
+    fn speedup(&self) -> f64 {
+        self.wall_ms_1 / self.wall_ms_n
+    }
+}
+
+/// The host's wall-clock speedup on `workers` threads right now: the
+/// time of `workers × PROBE_PAIRINGS` pairings on one thread over the
+/// time of the same pairings spread over `workers` threads.
+fn host_speedup(workers: usize) -> f64 {
+    let g = mabe_math::G1Affine::generator();
+    let run = |n: usize| {
+        for _ in 0..n {
+            std::hint::black_box(mabe_math::pairing(&g, &g));
+        }
+    };
+    let start = Instant::now();
+    run(workers * PROBE_PAIRINGS);
+    let one = start.elapsed().as_secs_f64();
+    let start = Instant::now();
+    std::thread::scope(|s| {
+        for _ in 1..workers {
+            s.spawn(|| run(PROBE_PAIRINGS));
+        }
+        run(PROBE_PAIRINGS);
+    });
+    one / start.elapsed().as_secs_f64()
+}
+
+/// Builds a fresh world (one seed for every measurement, so the
+/// workload is identical), revokes the only holder at `workers`, and
+/// checks that every component re-encrypted exactly once.
+fn measure(components: usize, workers: usize) -> f64 {
+    let sys = CloudSystem::new(0x5eed_0001);
     sys.set_reencrypt_workers(workers);
     sys.add_authority("Org", &["A"]).expect("fresh authority");
     let owner = sys.add_owner("owner").expect("fresh owner");
@@ -65,84 +101,31 @@ fn measure(components: usize, workers: usize) -> (f64, f64, Vec<usize>) {
     sys.revoke(&victim, "A@Org").expect("revoke succeeds");
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
 
-    let spans = mabe_trace::snapshot();
-    let reencrypts: Vec<_> = spans
+    let reencrypts = mabe_trace::snapshot()
         .iter()
         .filter(|s| s.name == "cloud.reencrypt")
-        .collect();
+        .count();
     assert_eq!(
-        reencrypts.len(),
-        components,
+        reencrypts, components,
         "every component re-encrypts exactly once"
     );
-    let per_component_ms = reencrypts
-        .iter()
-        .map(|s| s.dur_us as f64 / 1e3)
-        .sum::<f64>()
-        / components.max(1) as f64;
+    wall_ms
+}
 
-    // Per-worker share: count each worker span's re-encrypt children.
-    // The sequential path has no worker spans — one share holds all.
-    let worker_spans: Vec<_> = spans
-        .iter()
-        .filter(|s| s.name == "cloud.reencrypt.worker")
-        .collect();
-    let worker_items: Vec<usize> = if worker_spans.is_empty() {
-        vec![components]
+fn median(values: &mut [f64]) -> f64 {
+    values.sort_by(f64::total_cmp);
+    let n = values.len();
+    if n % 2 == 1 {
+        values[n / 2]
     } else {
-        worker_spans
-            .iter()
-            .map(|w| {
-                reencrypts
-                    .iter()
-                    .filter(|r| r.ctx.parent_id == w.ctx.span_id)
-                    .count()
-            })
-            .collect()
-    };
-    assert_eq!(
-        worker_items.iter().sum::<usize>(),
-        components,
-        "worker shares cover the worklist exactly"
-    );
-    (wall_ms, per_component_ms, worker_items)
+        (values[n / 2 - 1] + values[n / 2]) / 2.0
+    }
 }
 
-/// Distinct deterministic seed per worker count (no clock, no RNG).
-fn xrev_seed(workers: usize) -> u64 {
-    0x5eed_0000 + workers as u64
-}
-
-fn emit_json(rows: &[Row], components: usize, hw_threads: usize) {
+fn emit_json(doc: &str) {
     let Some(dir) = std::env::var_os("MABE_METRICS_DIR") else {
         return;
     };
-    let body: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            let items: Vec<String> = r.worker_items.iter().map(usize::to_string).collect();
-            format!(
-                "{{\"workers\": {}, \"components\": {}, \"wall_ms\": {:.3}, \
-                 \"per_component_ms\": {:.4}, \"worker_items\": [{}], \
-                 \"wall_speedup_vs_1\": {:.3}, \"distribution_speedup\": {:.3}, \
-                 \"speedup_vs_1\": {:.3}, \"basis\": \"{}\"}}",
-                r.workers,
-                r.components,
-                r.wall_ms,
-                r.per_component_ms,
-                items.join(", "),
-                r.wall_speedup_vs_1,
-                r.distribution_speedup,
-                r.speedup_vs_1,
-                r.basis
-            )
-        })
-        .collect();
-    let doc = format!(
-        "{{\n\"bench\": \"revocation_parallel\",\n\"components\": {components},\n\
-         \"hw_threads\": {hw_threads},\n\"rows\": [\n{}\n]}}\n",
-        body.join(",\n")
-    );
     let path = std::path::Path::new(&dir).join("BENCH_revocation_parallel.json");
     let write = std::fs::File::create(&path).and_then(|mut f| f.write_all(doc.as_bytes()));
     match write {
@@ -157,53 +140,83 @@ fn main() {
         .and_then(|a| a.parse().ok())
         .unwrap_or(96);
     let hw_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let workers = hw_threads.clamp(2, 4);
+    let gated = hw_threads >= workers;
     mabe_trace::set_enabled(true);
 
-    eprintln!("# revocation_parallel: {components} components, {hw_threads} hw threads");
-    println!("workers\twall_ms\tper_component_ms\tmax_share\tspeedup_vs_1\tbasis");
-
-    let mut rows: Vec<Row> = Vec::new();
-    let mut base_wall_ms = 0.0;
-    for workers in WORKER_COUNTS {
-        let (wall_ms, per_component_ms, worker_items) = measure(components, workers);
-        if workers == 1 {
-            base_wall_ms = wall_ms;
-        }
-        let max_share = worker_items.iter().copied().max().unwrap_or(components);
-        let wall_speedup = base_wall_ms / wall_ms.max(1e-9);
-        let distribution_speedup = components as f64 / max_share.max(1) as f64;
-        let (speedup, basis) = if hw_threads >= workers {
-            (wall_speedup, "wall")
+    eprintln!(
+        "# revocation_parallel: {components} components, {hw_threads} hw threads, \
+         width 1 vs {workers}, {ROUNDS} interleaved rounds"
+    );
+    println!("round\twall_ms_1\twall_ms_{workers}\tspeedup\thost_speedup");
+    let mut rounds = Vec::with_capacity(ROUNDS);
+    for round in 0..ROUNDS {
+        let host_speedup = host_speedup(workers);
+        let (wall_ms_1, wall_ms_n) = if round % 2 == 0 {
+            let one = measure(components, 1);
+            (one, measure(components, workers))
         } else {
-            (distribution_speedup, "work_distribution")
+            let n = measure(components, workers);
+            (measure(components, 1), n)
+        };
+        let r = Round {
+            wall_ms_1,
+            wall_ms_n,
+            host_speedup,
         };
         println!(
-            "{workers}\t{wall_ms:.3}\t{per_component_ms:.4}\t{max_share}\t{speedup:.3}\t{basis}"
+            "{round}\t{wall_ms_1:.3}\t{wall_ms_n:.3}\t{:.3}\t{host_speedup:.3}",
+            r.speedup()
         );
-        rows.push(Row {
-            workers,
-            components,
-            wall_ms,
-            per_component_ms,
-            worker_items,
-            wall_speedup_vs_1: wall_speedup,
-            distribution_speedup,
-            speedup_vs_1: speedup,
-            basis,
-        });
+        rounds.push(r);
     }
 
-    let at_4 = rows
-        .iter()
-        .find(|r| r.workers == 4)
-        .expect("4-worker row measured");
-    assert!(
-        at_4.speedup_vs_1 >= 2.0,
-        "parallel re-encryption must reach 2x at 4 workers (got {:.3}, basis {})",
-        at_4.speedup_vs_1,
-        at_4.basis
+    let wall_ms_1 = median(&mut rounds.iter().map(|r| r.wall_ms_1).collect::<Vec<_>>());
+    let wall_ms_n = median(&mut rounds.iter().map(|r| r.wall_ms_n).collect::<Vec<_>>());
+    let speedup = median(&mut rounds.iter().map(Round::speedup).collect::<Vec<_>>());
+    let host = median(&mut rounds.iter().map(|r| r.host_speedup).collect::<Vec<_>>());
+    let efficiency = median(
+        &mut rounds
+            .iter()
+            .map(|r| r.speedup() / r.host_speedup)
+            .collect::<Vec<_>>(),
     );
-    emit_json(&rows, components, hw_threads);
+    eprintln!(
+        "# median wall {wall_ms_1:.3} ms at width 1, {wall_ms_n:.3} ms at width {workers}: \
+         {speedup:.3}x; the host gave {host:.3}x, efficiency {efficiency:.3}"
+    );
+
+    let body: Vec<String> = rounds
+        .iter()
+        .map(|r| {
+            format!(
+                "{{\"wall_ms_1\": {:.3}, \"wall_ms_n\": {:.3}, \"speedup\": {:.3}, \
+                 \"host_speedup\": {:.3}}}",
+                r.wall_ms_1,
+                r.wall_ms_n,
+                r.speedup(),
+                r.host_speedup
+            )
+        })
+        .collect();
+    emit_json(&format!(
+        "{{\n\"bench\": \"revocation_parallel\",\n\"components\": {components},\n\
+         \"hw_threads\": {hw_threads},\n\"workers\": {workers},\n\"gated\": {gated},\n\
+         \"wall_ms_1\": {wall_ms_1:.3},\n\"wall_ms_n\": {wall_ms_n:.3},\n\
+         \"wall_speedup\": {speedup:.3},\n\"host_speedup\": {host:.3},\n\
+         \"efficiency\": {efficiency:.3},\n\"rounds\": [\n{}\n]}}\n",
+        body.join(",\n")
+    ));
+    if gated {
+        assert!(
+            efficiency >= MIN_EFFICIENCY,
+            "re-encryption at width {workers} must reach {MIN_EFFICIENCY} of the host's \
+             own {workers}-thread speedup (got {speedup:.3}x against {host:.3}x, \
+             efficiency {efficiency:.3})"
+        );
+    } else {
+        eprintln!("# 1-core host: speedup reported, not gated");
+    }
     mabe_bench::metrics::emit("revocation_parallel");
     mabe_obs::profiler::emit("revocation_parallel");
 }

@@ -13,13 +13,20 @@
 //!   `UpdateKey(from → latest)` per `(authority, owner, from_version)`,
 //!   the per-`(authority, version)` pairing material the lazy drain and
 //!   read-triggered upgrades walk repeatedly.
+//! * **Step-table cache** — beside the chains, one
+//!   [`UpdateTables`] set per exact step `(authority, owner, from, to)`
+//!   for single read-triggered upgrades: built at the step's
+//!   [`LINES_BREAK_EVEN`]-th single upgrade, at most
+//!   [`STEP_TABLES_CAPACITY`] sets at once (least recently used
+//!   evicted), reused by the drain for its group.
 //!
 //! Invalidation is wired into revocation's version bump: the begin
 //! phase calls [`SystemCaches::invalidate_authority`] **under the
 //! authority shard lock, before the revocation is acknowledged**. That
 //! bumps the authority's generation counter and purges every entry
 //! mentioning the authority, so a revoked user's cached KEM dies with
-//! the ack. Readers that raced the bump are handled by the generation
+//! the ack, and its step tables with it. Readers that raced the bump
+//! are handled by the generation
 //! guard: a reader snapshots the generations of every authority in the
 //! component *before* decrypting, and the insert is dropped unless the
 //! generations are still current ([`SystemCaches::insert_content_if`]) —
@@ -35,10 +42,11 @@
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use mabe_core::{CiphertextId, UpdateKey};
+use mabe_core::{CiphertextId, UpdateKey, UpdateTables, LINES_BREAK_EVEN};
 use mabe_math::Gt;
 use mabe_policy::AuthorityId;
 
@@ -46,6 +54,13 @@ use mabe_policy::AuthorityId;
 pub(crate) const CONTENT_CACHE_CAPACITY: usize = 4096;
 /// Default total entry budget for the update-key chain cache.
 pub(crate) const CHAIN_CACHE_CAPACITY: usize = 1024;
+/// Cap on the step-table sets cached at once. A set is `UK1`'s lines
+/// (about 20 KiB) plus a 44 KiB fixed-base table per attribute ratio it
+/// built, so the cap bounds the cache at 16 × (20 + 44·n) KiB for steps
+/// of at most `n` attributes: 1 MiB when every authority manages one
+/// attribute. Sets die at their authority's next bump, so between
+/// bumps one authority keeps a set per owner and stale version at most.
+pub(crate) const STEP_TABLES_CAPACITY: usize = 16;
 const SHARDS: usize = 8;
 
 /// Hit/miss/eviction counters of one cache, read via
@@ -64,6 +79,8 @@ pub struct CacheStats {
     pub chain_misses: u64,
     /// Update-key chain cache evictions.
     pub chain_evictions: u64,
+    /// Step-table sets built for single upgrades and installed.
+    pub step_table_builds: u64,
 }
 
 impl CacheStats {
@@ -211,11 +228,88 @@ impl ContentCacheKey {
     }
 }
 
-/// The system-wide cache set: content keys, update-key chains, and the
-/// per-authority generation counters that guard insertion.
+/// A re-encryption step: `(authority, owner, from, to)`.
+type StepKey = (String, String, u64, u64);
+
+fn step_key(uk: &UpdateKey) -> StepKey {
+    (
+        uk.aid.to_string(),
+        uk.owner.to_string(),
+        uk.from_version,
+        uk.to_version,
+    )
+}
+
+/// What the step-table cache holds for one step: its single upgrades so
+/// far and, from the break-even on, its tables.
+#[derive(Default)]
+struct StepEntry {
+    upgrades: usize,
+    tables: Option<Arc<UpdateTables>>,
+    tick: u64,
+}
+
+/// Steps in least-recently-used order. At most [`CHAIN_CACHE_CAPACITY`]
+/// entries (the chain cache's bound: one step per chain) and at most
+/// [`STEP_TABLES_CAPACITY`] of them with tables.
+#[derive(Default)]
+struct StepCache {
+    rows: BTreeMap<StepKey, StepEntry>,
+    tick: u64,
+}
+
+impl StepCache {
+    /// The entry of `key`, created if absent, stamped most recent.
+    fn touch(&mut self, key: StepKey) -> &mut StepEntry {
+        if !self.rows.contains_key(&key) && self.rows.len() >= CHAIN_CACHE_CAPACITY {
+            self.evict(|_| true);
+        }
+        self.tick += 1;
+        let tick = self.tick;
+        let entry = self.rows.entry(key).or_default();
+        entry.tick = tick;
+        entry
+    }
+
+    /// Removes the least recently used entry that `eligible` admits.
+    fn evict(&mut self, eligible: impl Fn(&StepEntry) -> bool) {
+        let victim = self
+            .rows
+            .iter()
+            .filter(|(_, e)| eligible(e))
+            .min_by_key(|(_, e)| e.tick)
+            .map(|(k, _)| k.clone());
+        if let Some(key) = victim {
+            self.rows.remove(&key);
+        }
+    }
+
+    fn table_sets(&self) -> usize {
+        self.rows.values().filter(|e| e.tables.is_some()).count()
+    }
+}
+
+/// What one single upgrade gets from
+/// [`SystemCaches::count_step_upgrade`].
+pub(crate) enum StepUse {
+    /// The step's cached tables.
+    Cached(Arc<UpdateTables>),
+    /// This upgrade reached the break-even: build the set, and install
+    /// it with [`SystemCaches::install_step_tables`] under this
+    /// generation of the authority.
+    Build(u64),
+    /// Counted, below the break-even (or past it with no set to use).
+    Counted,
+}
+
+/// The system-wide cache set: content keys, update-key chains, step
+/// tables, and the per-authority generation counters that guard
+/// insertion.
 pub(crate) struct SystemCaches {
     content: LruCache<ContentCacheKey, Gt>,
     chains: LruCache<(String, String, u64), UpdateKey>,
+    steps: Mutex<StepCache>,
+    step_table_builds: AtomicU64,
     generations: Mutex<BTreeMap<String, u64>>,
 }
 
@@ -236,6 +330,8 @@ impl SystemCaches {
         SystemCaches {
             content: LruCache::new(CONTENT_CACHE_CAPACITY, "content"),
             chains: LruCache::new(CHAIN_CACHE_CAPACITY, "chain"),
+            steps: Mutex::new(StepCache::default()),
+            step_table_builds: AtomicU64::new(0),
             generations: Mutex::new(BTreeMap::new()),
         }
     }
@@ -295,10 +391,76 @@ impl SystemCaches {
             .insert((aid.to_owned(), owner.to_owned(), from), chain);
     }
 
+    /// The cached tables of `uk`'s exact step, if a set was built.
+    pub(crate) fn step_tables(&self, uk: &UpdateKey) -> Option<Arc<UpdateTables>> {
+        self.steps.lock().rows.get(&step_key(uk))?.tables.clone()
+    }
+
+    /// Counts one single upgrade of `uk`'s step: its tables if they are
+    /// built, [`StepUse::Build`] for the [`LINES_BREAK_EVEN`]-th.
+    pub(crate) fn count_step_upgrade(&self, uk: &UpdateKey) -> StepUse {
+        let generation = self
+            .generations
+            .lock()
+            .get(uk.aid.as_str())
+            .copied()
+            .unwrap_or(0);
+        let mut steps = self.steps.lock();
+        let entry = steps.touch(step_key(uk));
+        if let Some(tables) = &entry.tables {
+            return StepUse::Cached(Arc::clone(tables));
+        }
+        entry.upgrades += 1;
+        if entry.upgrades == LINES_BREAK_EVEN {
+            StepUse::Build(generation)
+        } else {
+            StepUse::Counted
+        }
+    }
+
+    /// Installs `tables` for `uk`'s step unless the authority's
+    /// generation moved since [`StepUse::Build`] handed out
+    /// `generation` (its next bump overtook the build). A set already
+    /// installed by a concurrent builder wins; at
+    /// [`STEP_TABLES_CAPACITY`] the least recently used set goes.
+    /// Returns the installed set.
+    pub(crate) fn install_step_tables(
+        &self,
+        uk: &UpdateKey,
+        generation: u64,
+        tables: UpdateTables,
+    ) -> Option<Arc<UpdateTables>> {
+        // Held across the insert, as in `insert_content_if`: a bump
+        // either ran before (the check fails) or purges after.
+        let gens = self.generations.lock();
+        if gens.get(uk.aid.as_str()).copied().unwrap_or(0) != generation {
+            return None;
+        }
+        let mut steps = self.steps.lock();
+        let key = step_key(uk);
+        if let Some(installed) = steps.rows.get(&key).and_then(|e| e.tables.clone()) {
+            return Some(installed);
+        }
+        if steps.table_sets() >= STEP_TABLES_CAPACITY {
+            steps.evict(|e| e.tables.is_some());
+        }
+        let tables = Arc::new(tables);
+        steps.touch(key).tables = Some(Arc::clone(&tables));
+        self.step_table_builds.fetch_add(1, Ordering::Relaxed);
+        Some(tables)
+    }
+
+    /// How many step-table sets are cached.
+    #[cfg(test)]
+    pub(crate) fn step_table_sets(&self) -> usize {
+        self.steps.lock().table_sets()
+    }
+
     /// Revocation's version bump: called under the authority shard lock
     /// before the revocation is acknowledged. Bumps the generation (so
-    /// in-flight decryptions cannot repopulate) and purges every entry
-    /// that mentions the authority.
+    /// in-flight decryptions and table builds cannot repopulate) and
+    /// purges every entry that mentions the authority: content keys,
+    /// chains and step tables.
     pub(crate) fn invalidate_authority(&self, aid: &AuthorityId) {
         let name = aid.to_string();
         {
@@ -307,6 +469,7 @@ impl SystemCaches {
         }
         self.content.purge_if(|k| k.mentions(&name));
         self.chains.purge_if(|(a, _, _)| *a == name);
+        self.steps.lock().rows.retain(|(a, ..), _| *a != name);
     }
 
     pub(crate) fn stats(&self) -> CacheStats {
@@ -319,6 +482,7 @@ impl SystemCaches {
             chain_hits,
             chain_misses,
             chain_evictions,
+            step_table_builds: self.step_table_builds.load(Ordering::Relaxed),
         }
     }
 }
@@ -374,5 +538,121 @@ mod tests {
         // And the next bump purges it.
         caches.invalidate_authority(&aid);
         assert!(caches.get_content(&k).is_none(), "bump purges entries");
+    }
+
+    fn step(aid: &str, owner: &str, from: u64, to: u64) -> UpdateKey {
+        UpdateKey {
+            aid: AuthorityId::new(aid),
+            from_version: from,
+            to_version: to,
+            owner: mabe_core::OwnerId::new(owner),
+            uk1: mabe_math::G1Affine::generator(),
+            uk2: mabe_math::Fr::from_u64(2),
+        }
+    }
+
+    /// An empty set for `uk`'s step: what it holds does not matter here.
+    fn tables(uk: &UpdateKey) -> UpdateTables {
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(3);
+        mabe_core::DataOwner::new(uk.owner.clone(), &mut rng).update_tables(uk, &[])
+    }
+
+    /// Counts single upgrades of `uk` until one is told to build, and
+    /// installs the set it would build.
+    fn build(caches: &SystemCaches, uk: &UpdateKey) -> Option<Arc<UpdateTables>> {
+        for _ in 0..LINES_BREAK_EVEN {
+            if let StepUse::Build(generation) = caches.count_step_upgrade(uk) {
+                return caches.install_step_tables(uk, generation, tables(uk));
+            }
+        }
+        panic!("no build at the break-even");
+    }
+
+    #[test]
+    fn a_step_set_is_built_at_the_break_even_and_serves_only_its_step() {
+        let caches = SystemCaches::new();
+        let uk = step("A", "o", 1, 3);
+        for _ in 1..LINES_BREAK_EVEN {
+            assert!(matches!(caches.count_step_upgrade(&uk), StepUse::Counted));
+        }
+        let StepUse::Build(generation) = caches.count_step_upgrade(&uk) else {
+            panic!("the break-even-th upgrade builds");
+        };
+        let built = caches
+            .install_step_tables(&uk, generation, tables(&uk))
+            .expect("installed");
+        assert!(
+            matches!(caches.count_step_upgrade(&uk), StepUse::Cached(t) if Arc::ptr_eq(&t, &built))
+        );
+        assert_eq!(caches.stats().step_table_builds, 1);
+        // Any other step, however close, has no set.
+        for other in [
+            step("B", "o", 1, 3),
+            step("A", "p", 1, 3),
+            step("A", "o", 2, 3),
+            step("A", "o", 1, 2),
+        ] {
+            assert!(caches.step_tables(&other).is_none(), "{other:?}");
+            assert!(matches!(
+                caches.count_step_upgrade(&other),
+                StepUse::Counted
+            ));
+        }
+        // A second builder of the same step gets the installed set.
+        let again = caches.install_step_tables(&uk, generation, tables(&uk));
+        assert!(again.is_some_and(|t| Arc::ptr_eq(&t, &built)));
+        assert_eq!(caches.step_table_sets(), 1);
+    }
+
+    #[test]
+    fn step_sets_die_at_their_authoritys_next_bump() {
+        let caches = SystemCaches::new();
+        let a = step("A", "o", 1, 2);
+        let b = step("B", "o", 1, 2);
+        build(&caches, &a).expect("installed");
+        build(&caches, &b).expect("installed");
+        caches.invalidate_authority(&AuthorityId::new("A"));
+        assert!(caches.step_tables(&a).is_none(), "dropped with A's bump");
+        assert!(caches.step_tables(&b).is_some(), "B's set is unaffected");
+        assert_eq!(caches.step_table_sets(), 1);
+
+        // A build the bump overtook is dropped, not installed.
+        let c = step("A", "o", 2, 3);
+        let generation = loop {
+            if let StepUse::Build(generation) = caches.count_step_upgrade(&c) {
+                break generation;
+            }
+        };
+        caches.invalidate_authority(&AuthorityId::new("A"));
+        assert!(caches
+            .install_step_tables(&c, generation, tables(&c))
+            .is_none());
+        assert!(caches.step_tables(&c).is_none());
+    }
+
+    #[test]
+    fn step_sets_never_exceed_the_cap_and_the_least_recent_goes() {
+        let caches = SystemCaches::new();
+        let steps: Vec<UpdateKey> = (0..2 * STEP_TABLES_CAPACITY as u64)
+            .map(|v| step("A", "o", v, v + 1))
+            .collect();
+        for (i, uk) in steps.iter().enumerate() {
+            build(&caches, uk).expect("installed");
+            assert!(caches.step_table_sets() <= STEP_TABLES_CAPACITY);
+            // Keep the first step in use: it is never the least recent.
+            if i > 0 {
+                assert!(matches!(
+                    caches.count_step_upgrade(&steps[0]),
+                    StepUse::Cached(_)
+                ));
+            }
+        }
+        assert_eq!(caches.step_table_sets(), STEP_TABLES_CAPACITY);
+        assert!(caches.step_tables(&steps[0]).is_some(), "in use, kept");
+        assert!(
+            caches.step_tables(&steps[1]).is_none(),
+            "least recent, evicted"
+        );
+        assert!(caches.step_tables(steps.last().unwrap()).is_some());
     }
 }

@@ -17,29 +17,32 @@
 //! [`CloudSystem::read`], [`OutsourcedOpen`] (transform key plus
 //! `server_transform`) for [`CloudSystem::read_outsourced`].
 //!
-//! Re-encryption after a revocation fans out across the affected
-//! ciphertext components on a scoped worker pool
-//! ([`CloudSystem::set_reencrypt_workers`]); each worker joins the
-//! revocation's causal tree via [`mabe_trace::Span::follow`], so the
-//! forensics invariant (one tree, no orphan spans) survives the
-//! parallelism.
+//! Every re-encryption worklist (the eager phase, recovery and the lazy
+//! drain) runs through one driver, [`CloudSystem::drive_worklist`]. It
+//! splits `ReEncrypt` in two: prepare computes the owner's `UI` and the
+//! server's `e(UK1, C')` with no lock but read locks held, spread over
+//! up to [`CloudSystem::set_reencrypt_workers`] threads; apply consults
+//! the fault point, sends the wire message and multiplies under the
+//! server's write lock, on the calling thread in worklist order. Each
+//! helper joins the revocation's causal tree via
+//! [`mabe_trace::Span::follow`], so the forensics invariant (one tree,
+//! no orphan spans) survives the parallelism. A single read-triggered
+//! upgrade takes its step's tables from the step-table cache.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
 use mabe_core::{
-    open_component_with_kem, seal_envelope, CiphertextId, Error, OwnerId, SealedComponent, Uid,
-    UpdateInfo, UpdateKey, UpdateTables, UserPublicKey, UserSecretKey, WithTables,
+    open_component_with_kem, seal_envelope, CiphertextId, Error, OwnerId, Refresh, SealedComponent,
+    Uid, UpdateInfo, UpdateKey, UpdateTables, UserPublicKey, UserSecretKey, WithTables,
     LINES_BREAK_EVEN,
 };
 use mabe_math::FixedPairing;
 use mabe_policy::{parse, AuthorityId, Policy};
 
 use crate::audit::AuditEvent;
-use crate::cache::ContentCacheKey;
+use crate::cache::{ContentCacheKey, StepUse};
 use crate::recovery::PendingRevocation;
 use crate::server::{CloudServer, RecordKey};
 use crate::system::{fault_points, CloudError, CloudSystem};
@@ -53,6 +56,33 @@ use crate::wire::Endpoint;
 /// under a revocation storm denser than the reader's own retry loop —
 /// a revoked user burns the budget and is then denied deterministically.
 const MAX_READ_BARRIERS: usize = 8;
+
+/// Components per chunk when the worklist driver spreads prepare over
+/// helpers: the chunk being applied and the one being prepared are all
+/// that is held, so however long a worklist is, memory holds at most
+/// twice this many update infos and refreshes.
+const PREPARE_CHUNK: usize = 32;
+
+/// Worklist length from which the driver spreads prepare over helper
+/// threads. Spawning and joining a scoped helper took 53–82 µs, against
+/// 0.36–0.47 ms to prepare one component (a pairing from `UK1`'s lines
+/// plus a fixed-base `UI`; 96-component revocations, 2-vCPU x86-64 VM):
+/// spawn ÷ per-item cost is 0.1–0.2, so a helper pays for itself with
+/// the first component it takes off the calling thread, and two
+/// components are the smallest worklist that hands it one.
+const SPAWN_BREAK_EVEN: usize = 2;
+
+/// One component a re-encryption worklist advances: its record, its
+/// label, and the ciphertext id the component index listed for it.
+pub(crate) type WorkItem = (RecordKey, String, CiphertextId);
+
+/// One component's re-encryption, prepared off every write lock: the
+/// owner's update information, and the server's refresh `e(UK1, C')`
+/// or the error its checks met.
+pub(crate) struct Prepared {
+    pub(crate) ui: UpdateInfo,
+    pub(crate) refresh: Result<Refresh, Error>,
+}
 
 /// A reader's keys for one owner's records, cloned out of the
 /// directory, with its `PK_UID` lines if they are built.
@@ -216,16 +246,17 @@ impl OpenStep for OutsourcedOpen {
 #[derive(Debug)]
 pub(crate) struct DataPlane {
     pub(crate) server: Arc<CloudServer>,
-    /// Worker count for the re-encryption pool; 1 = sequential (the
-    /// deterministic default every chaos/crash-sweep schedule assumes).
+    /// Threads that prepare an eager worklist's re-encryptions, the
+    /// calling thread included; the machine's parallelism by default.
     pub(crate) reencrypt_workers: AtomicUsize,
 }
 
 impl DataPlane {
     pub(crate) fn new() -> Self {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         DataPlane {
             server: Arc::new(CloudServer::new()),
-            reencrypt_workers: AtomicUsize::new(1),
+            reencrypt_workers: AtomicUsize::new(cores),
         }
     }
 }
@@ -478,17 +509,21 @@ impl CloudSystem {
         }
     }
 
-    /// Sets the worker count for the re-encryption pool. `1` (the
-    /// default) keeps phase 2 strictly sequential — byte-for-byte the
-    /// behavior every seeded chaos schedule replays — while `n > 1`
-    /// fans the affected components out over `n` scoped workers.
+    /// Sets how many threads prepare an eager revocation's (or a
+    /// recovery's) re-encryptions: the calling thread plus `workers - 1`
+    /// scoped helpers. The default is
+    /// [`std::thread::available_parallelism`]. Any width gives the same
+    /// bytes, audit entries and wire transcript, fault schedules
+    /// included: prepare consults no fault point and no randomness, and
+    /// every apply runs on the calling thread in worklist order. `1`
+    /// prepares on the calling thread alone.
     pub fn set_reencrypt_workers(&self, workers: usize) {
         self.data
             .reencrypt_workers
             .store(workers.max(1), Ordering::Relaxed);
     }
 
-    /// The configured re-encryption fan-out width.
+    /// The configured re-encryption width.
     pub fn reencrypt_workers(&self) -> usize {
         self.data.reencrypt_workers.load(Ordering::Relaxed)
     }
@@ -545,7 +580,10 @@ impl CloudSystem {
     ///
     /// Each owner's step is preprocessed once, from its first worklist
     /// ([`DataOwner::update_tables`](mabe_core::DataOwner::update_tables)),
-    /// and every pass and every worker evaluates against those tables.
+    /// and every pass and every helper evaluates against those tables.
+    /// A component republished since its worklist was taken is left to
+    /// the next pass, which lists it under its new ciphertext if it is
+    /// still behind.
     pub(crate) fn reencrypt_phase(
         &self,
         pending: &mut PendingRevocation,
@@ -554,6 +592,7 @@ impl CloudSystem {
             .detail(format!("@{}", pending.event.aid));
         let aid = pending.event.aid.clone();
         let from = pending.event.from_version;
+        let width = self.reencrypt_workers();
         let owner_ids: Vec<OwnerId> = self.directory.owners.read().keys().cloned().collect();
         for owner_id in owner_ids {
             let Some(uk) = pending.event.update_keys.get(&owner_id).cloned() else {
@@ -567,22 +606,33 @@ impl CloudSystem {
                 }
                 let tables =
                     &*tables.get_or_insert_with(|| self.update_tables(&owner_id, &uk, &affected));
-                let workers = self
-                    .data
-                    .reencrypt_workers
-                    .load(Ordering::Relaxed)
-                    .clamp(1, affected.len());
                 let uk = WithTables::new(&uk, tables.as_ref());
-                if workers <= 1 {
-                    for item in &affected {
-                        self.reencrypt_one(uk, item)?;
-                    }
-                } else {
-                    self.reencrypt_parallel(uk, &affected, workers)?;
-                }
+                self.drive_worklist(uk, &affected, width, |item, prepared| {
+                    self.apply_phase_item(uk.value, item, prepared)
+                })?;
             }
         }
         Ok(())
+    }
+
+    /// One apply of the eager phase: the component's `cloud.reencrypt`
+    /// span, the [`fault_points::REVOKE_REENCRYPT`] point, then the
+    /// upload and the server's apply. A component republished since its
+    /// worklist was taken fails the apply with
+    /// [`Error::CiphertextMismatch`] and is left to the next pass.
+    fn apply_phase_item(
+        &self,
+        uk: &UpdateKey,
+        (record_key, label, _): &WorkItem,
+        prepared: Result<Prepared, Error>,
+    ) -> Result<(), CloudError> {
+        let _trace = mabe_trace::Span::child("cloud.reencrypt")
+            .detail(format!("{}/{}/{label}", record_key.0, record_key.1));
+        self.local_op(fault_points::REVOKE_REENCRYPT, None)?;
+        match self.reencrypt_at_server(uk, record_key, label, prepared?) {
+            Err(CloudError::Core(Error::CiphertextMismatch { .. })) => Ok(()),
+            result => result,
+        }
     }
 
     /// The owner's [`UpdateTables`] for `uk`'s step over a worklist, or
@@ -599,58 +649,201 @@ impl CloudSystem {
         Some(owners.get(owner_id)?.update_tables(uk, &ids))
     }
 
-    /// Re-encrypts one affected component under `uk`'s step (its owner,
-    /// authority and versions): fault point, per-ciphertext update info
-    /// from the owner, byte-accounted upload, server-side component
-    /// update. Safe to call from worker threads — every touched
-    /// structure is interior-mutable or read-locked, and the step's
-    /// tables are read-only.
-    fn reencrypt_one(
+    /// The one re-encryption worklist driver, for the eager phase,
+    /// recovery and the lazy drain. It prepares each item of `items`
+    /// under `uk`'s step and hands it to `apply` on the calling thread,
+    /// in worklist order. Prepare consults no fault point, draws no
+    /// randomness, and touches neither the wire nor the audit log, so
+    /// everything those see happens in `apply`, in the order a width of
+    /// 1 gives; an item's prepare error reaches `apply` in its turn.
+    ///
+    /// The worklist goes in chunks of [`PREPARE_CHUNK`]: `width - 1`
+    /// helpers prepare the next chunk while the calling thread applies
+    /// the current one, and the calling thread then joins in. At width
+    /// 1, or below [`SPAWN_BREAK_EVEN`] items, the calling thread
+    /// prepares alone, a chunk at a time, so every width prepares the
+    /// same items.
+    pub(crate) fn drive_worklist(
         &self,
         uk: WithTables<'_, UpdateKey>,
-        item: &(RecordKey, String, CiphertextId),
+        items: &[WorkItem],
+        width: usize,
+        mut apply: impl FnMut(&WorkItem, Result<Prepared, Error>) -> Result<(), CloudError>,
     ) -> Result<(), CloudError> {
-        let (record_key, label, ct_id) = item;
+        let helpers = if items.len() < SPAWN_BREAK_EVEN {
+            0
+        } else {
+            width.clamp(1, items.len()) - 1
+        };
+        let mut chunks = items.chunks(PREPARE_CHUNK);
+        let Some(first) = chunks.next() else {
+            return Ok(());
+        };
+        let (mut prepared, ()) = self.prepare_beside(uk, first, helpers, || ());
+        let mut current = first;
+        for next in chunks {
+            let apply_current = || {
+                current
+                    .iter()
+                    .zip(prepared)
+                    .try_for_each(|(item, p)| apply(item, p))
+            };
+            let (next_prepared, applied) = self.prepare_beside(uk, next, helpers, apply_current);
+            applied?;
+            (current, prepared) = (next, next_prepared);
+        }
+        current
+            .iter()
+            .zip(prepared)
+            .try_for_each(|(item, p)| apply(item, p))
+    }
+
+    /// Prepares `chunk` on `helpers` scoped threads while the calling
+    /// thread runs `meanwhile`, after which the calling thread takes
+    /// what is left of the chunk. Returns the chunk prepared, in its
+    /// order, and `meanwhile`'s result. Helpers take only read locks
+    /// (`directory.owners`, the server's records), never a shard lock or
+    /// the op lock. Each opens a `cloud.reencrypt.worker` span that
+    /// follows from the caller's span, and the caller absorbs the
+    /// crypto operations each one counted.
+    fn prepare_beside<T>(
+        &self,
+        uk: WithTables<'_, UpdateKey>,
+        chunk: &[WorkItem],
+        helpers: usize,
+        meanwhile: impl FnOnce() -> T,
+    ) -> (Vec<Result<Prepared, Error>>, T) {
+        // Hands out indices only: results come back through `join`.
+        let next = AtomicUsize::new(0);
+        let take = || {
+            let mut share = Vec::new();
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = chunk.get(i) else {
+                    return share;
+                };
+                share.push((i, self.prepare_item(uk, item)));
+            }
+        };
+        let parent = mabe_trace::current_ctx();
+        let mut slots: Vec<Option<Result<Prepared, Error>>> = Vec::new();
+        slots.resize_with(chunk.len(), || None);
+        let out = std::thread::scope(|scope| {
+            let take = &take;
+            let handles: Vec<_> = (1..=helpers.min(chunk.len()))
+                .map(|w| {
+                    scope.spawn(move || {
+                        let _span = parent.map(|ctx| {
+                            mabe_trace::Span::follow(ctx, "cloud.reencrypt.worker")
+                                .detail(format!("worker {w}"))
+                        });
+                        mabe_telemetry::measure(take)
+                    })
+                })
+                .collect();
+            let out = meanwhile();
+            let mut shares = vec![take()];
+            for handle in handles {
+                match handle.join() {
+                    Ok((share, ops)) => {
+                        mabe_telemetry::absorb(&ops);
+                        shares.push(share);
+                    }
+                    Err(panic) => std::panic::resume_unwind(panic),
+                }
+            }
+            for (i, prepared) in shares.into_iter().flatten() {
+                slots[i] = Some(prepared);
+            }
+            out
+        });
+        let prepared = slots
+            .into_iter()
+            .map(|slot| slot.expect("every item of the chunk was prepared once"))
+            .collect();
+        (prepared, out)
+    }
+
+    /// Prepares one item: the owner's `UI` for its ciphertext under
+    /// `uk`'s step, then the server's refresh from `C'`. Reads only
+    /// `C'`, `UK1` and what the owner needs for `UI`.
+    fn prepare_item(
+        &self,
+        uk: WithTables<'_, UpdateKey>,
+        (record_key, label, ct_id): &WorkItem,
+    ) -> Result<Prepared, Error> {
         let step = uk.value;
-        let _trace = mabe_trace::Span::child("cloud.reencrypt")
-            .detail(format!("{}/{}/{label}", record_key.0, record_key.1));
-        self.local_op(fault_points::REVOKE_REENCRYPT, None)?;
         let ui = {
             let owners = self.directory.owners.read();
-            let owner = owners.get(&step.owner).expect("owner exists");
+            let owner = owners
+                .get(&step.owner)
+                .ok_or_else(|| Error::UnknownOwner(step.owner.clone()))?;
             let aid = WithTables::new(&step.aid, uk.tables);
             owner.update_info_for(*ct_id, aid, step.from_version, step.to_version)?
         };
-        self.reencrypt_at_server(&step.owner, record_key, label, uk, &ui)
-    }
-
-    /// ReEncrypt at the server: the owner sends the update key plus the
-    /// ciphertext's update info, and the server advances one component.
-    /// Losing the race to a concurrent upgrader — the component already
-    /// at or past the key's target version — is success.
-    pub(crate) fn reencrypt_at_server(
-        &self,
-        owner_id: &OwnerId,
-        record_key: &RecordKey,
-        label: &str,
-        uk: WithTables<'_, UpdateKey>,
-        ui: &UpdateInfo,
-    ) -> Result<(), CloudError> {
-        self.wire.send(
-            Endpoint::Owner(owner_id.clone()),
-            Endpoint::Server,
-            "update key + update info",
-            uk.value.wire_size() + ui.wire_size(),
-        );
-        match self
+        let refresh = self
             .data
             .server
-            .reencrypt_component(record_key, label, uk, ui)
-        {
+            .prepare_reencryption(record_key, label, uk, &ui);
+        Ok(Prepared { ui, refresh })
+    }
+
+    /// ReEncrypt at the server for one prepared component: the owner
+    /// sends the update key plus the ciphertext's update info, and the
+    /// server applies the refresh. Losing the race to a concurrent
+    /// upgrader — the component already at or past the key's target
+    /// version — is success.
+    pub(crate) fn reencrypt_at_server(
+        &self,
+        uk: &UpdateKey,
+        record_key: &RecordKey,
+        label: &str,
+        prepared: Prepared,
+    ) -> Result<(), CloudError> {
+        self.wire.send(
+            Endpoint::Owner(uk.owner.clone()),
+            Endpoint::Server,
+            "update key + update info",
+            uk.wire_size() + prepared.ui.wire_size(),
+        );
+        let applied = prepared.refresh.and_then(|refresh| {
+            self.data
+                .server
+                .apply_reencryption(record_key, label, uk, &prepared.ui, &refresh)
+        });
+        match applied {
             Ok(()) => Ok(()),
-            Err(Error::VersionMismatch { found, .. }) if found >= uk.value.to_version => Ok(()),
+            Err(Error::VersionMismatch { found, .. }) if found >= uk.to_version => Ok(()),
             Err(e) => Err(e.into()),
         }
+    }
+
+    /// The cached [`UpdateTables`] of `uk`'s exact step, for one single
+    /// upgrade. Counts the upgrade; at the step's [`LINES_BREAK_EVEN`]-th
+    /// it builds the set with no cache lock held, over the step's
+    /// remaining worklist, so the break-evens of
+    /// [`DataOwner::update_tables`](mabe_core::DataOwner::update_tables)
+    /// decide what is built, and installs it. A concurrent builder's
+    /// copy, or one the authority's next bump overtook, is dropped.
+    /// Derived state: never journaled, and it counts no operation.
+    pub(crate) fn single_upgrade_tables(
+        &self,
+        owner_id: &OwnerId,
+        uk: &UpdateKey,
+    ) -> Option<Arc<UpdateTables>> {
+        let generation = match self.cache.count_step_upgrade(uk) {
+            StepUse::Cached(tables) => return Some(tables),
+            StepUse::Counted => return None,
+            StepUse::Build(generation) => generation,
+        };
+        let worklist = self
+            .data
+            .server
+            .affected_ciphertexts(owner_id, &uk.aid, uk.from_version);
+        let tables = self
+            .update_tables(owner_id, uk, &worklist)
+            .filter(|t| t.has_lines() || t.ratio_tables() > 0)?;
+        self.cache.install_step_tables(uk, generation, tables)
     }
 
     /// If the archive can advance any of a component's per-authority
@@ -708,7 +901,7 @@ impl CloudSystem {
         let record_key = (owner_id.clone(), record.to_owned());
         let telemetry = mabe_telemetry::global();
         for (aid, v) in &stale {
-            self.upgrade_one(aid, owner_id, *v, &record_key, label, ct_id, None)?;
+            self.upgrade_one(aid, owner_id, *v, &record_key, label, ct_id)?;
             // The wide event for the enclosing read carries the (last)
             // authority whose stale component this read healed.
             mabe_trace::op_attr("authority", aid.to_string());
@@ -741,69 +934,10 @@ impl CloudSystem {
         let record_key = (owner_id.clone(), record.to_owned());
         for component in &envelope.components {
             for (aid, v) in self.stale_versions(owner_id, &component.key_ct.versions) {
-                let _ = self.upgrade_one(
-                    &aid,
-                    owner_id,
-                    v,
-                    &record_key,
-                    &component.label,
-                    component.key_ct.id,
-                    None,
-                );
+                let label = &component.label;
+                let _ =
+                    self.upgrade_one(&aid, owner_id, v, &record_key, label, component.key_ct.id);
             }
-        }
-    }
-
-    /// Fans the affected-component worklist out over `workers` scoped
-    /// threads, which share `uk` and its tables read-only.
-    /// Each worker opens a span with [`mabe_trace::Span::follow`]
-    /// on the caller's context, so its `cloud.reencrypt` children land
-    /// in the revocation's causal tree instead of orphaned roots. On
-    /// failure the lowest-index error is returned; other workers stop
-    /// at their next pull, and whatever they already re-encrypted stays
-    /// done (idempotent worklist).
-    fn reencrypt_parallel(
-        &self,
-        uk: WithTables<'_, UpdateKey>,
-        affected: &[(RecordKey, String, CiphertextId)],
-        workers: usize,
-    ) -> Result<(), CloudError> {
-        let parent = mabe_trace::current_ctx();
-        let next = AtomicUsize::new(0);
-        let stop = AtomicBool::new(false);
-        let failures: Mutex<Vec<(usize, CloudError)>> = Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let next = &next;
-                let stop = &stop;
-                let failures = &failures;
-                scope.spawn(move || {
-                    let _span = parent.map(|ctx| {
-                        mabe_trace::Span::follow(ctx, "cloud.reencrypt.worker")
-                            .detail(format!("worker {w}"))
-                    });
-                    loop {
-                        if stop.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= affected.len() {
-                            break;
-                        }
-                        if let Err(e) = self.reencrypt_one(uk, &affected[i]) {
-                            failures.lock().push((i, e));
-                            stop.store(true, Ordering::Relaxed);
-                            break;
-                        }
-                    }
-                });
-            }
-        });
-        let mut collected = std::mem::take(&mut *failures.lock());
-        collected.sort_by_key(|(i, _)| *i);
-        match collected.into_iter().next() {
-            Some((_, e)) => Err(e),
-            None => Ok(()),
         }
     }
 }
@@ -886,5 +1020,100 @@ mod tests {
         assert_eq!(sys.authority_version(&aid), Some(5));
         assert_eq!(sys.read(&bob, &owner, "chart", "x").unwrap(), b"ward chart");
         assert!(sys.audit().verify());
+    }
+
+    /// A record republished between prepare and apply: the apply fails
+    /// with a typed error and leaves the component alone, and the next
+    /// pass lists the republished component under its new ciphertext.
+    #[test]
+    fn a_component_republished_between_prepare_and_apply_is_left_to_the_next_pass() {
+        use mabe_core::WireCodec;
+
+        let sys = CloudSystem::new(0xc7_1d);
+        let aid = sys.add_authority("MedOrg", &["Doctor"]).unwrap();
+        let owner = sys.add_owner("hospital").unwrap();
+        let [alice, bob] = ["alice", "bob"].map(|n| sys.add_user(n).unwrap());
+        for uid in [&alice, &bob] {
+            sys.grant(uid, &["Doctor@MedOrg"]).unwrap();
+        }
+        for record in ["r0", "r1"] {
+            sys.publish(&owner, record, &[("x", b"v1".as_slice(), "Doctor@MedOrg")])
+                .unwrap();
+        }
+        // The owner as it stands before the bump seals at v1, like a
+        // publish that raced the revocation.
+        let stale_owner = sys.directory.owners.read()[&owner].to_wire_bytes();
+        sys.set_lazy_revocation(true);
+        sys.revoke(&alice, "Doctor@MedOrg").unwrap();
+        let uk = sys.chain_from(&aid, &owner, 1).expect("archived");
+
+        let worklist = sys.data.server.affected_ciphertexts(&owner, &aid, 1);
+        assert_eq!(worklist.len(), 2);
+        let prepared: Vec<_> = worklist
+            .iter()
+            .map(|item| sys.prepare_item(WithTables::from(&uk), item))
+            .collect();
+
+        let mut raced = mabe_core::DataOwner::from_wire_bytes(&stale_owner).unwrap();
+        let policy = parse("Doctor@MedOrg").unwrap();
+        let envelope = mabe_core::seal_envelope(
+            &mut raced,
+            &[("x", b"v2".as_slice(), &policy)],
+            &mut *sys.rng.lock(),
+        )
+        .unwrap();
+        let republished = envelope.components[0].key_ct.id;
+        let s = raced.encryption_secret(republished).unwrap();
+        let attributes = vec!["Doctor@MedOrg".parse().unwrap()];
+        sys.directory
+            .owners
+            .write()
+            .get_mut(&owner)
+            .unwrap()
+            .adopt_record(republished, s, attributes);
+        sys.data.server.store(owner.clone(), "r0", envelope.clone());
+
+        let (r0, r0_prepared) = (&worklist[0], &prepared[0]);
+        let refresh = r0_prepared.as_ref().unwrap().refresh.as_ref().unwrap();
+        let applied = sys.data.server.apply_reencryption(
+            &r0.0,
+            &r0.1,
+            &uk,
+            &r0_prepared.as_ref().unwrap().ui,
+            refresh,
+        );
+        assert_eq!(
+            applied,
+            Err(Error::CiphertextMismatch {
+                expected: r0.2,
+                found: republished
+            })
+        );
+        let stored = sys.data.server.fetch(&owner, "r0").unwrap();
+        assert_eq!(
+            stored.components[0].key_ct.to_wire_bytes(),
+            envelope.components[0].key_ct.to_wire_bytes(),
+            "a rejected apply changes nothing"
+        );
+
+        // The eager apply leaves it to the next pass; r1 goes through.
+        for (item, prepared) in worklist.iter().zip(prepared) {
+            sys.apply_phase_item(&uk, item, prepared).unwrap();
+        }
+        let next = sys.data.server.affected_ciphertexts(&owner, &aid, 1);
+        assert_eq!(next, vec![(r0.0.clone(), r0.1.clone(), republished)]);
+        let uk_ref = WithTables::from(&uk);
+        sys.drive_worklist(uk_ref, &next, 2, |item, prepared| {
+            sys.apply_phase_item(&uk, item, prepared)
+        })
+        .unwrap();
+        assert!(sys
+            .data
+            .server
+            .affected_ciphertexts(&owner, &aid, 1)
+            .is_empty());
+        assert_eq!(sys.read(&bob, &owner, "r0", "x").unwrap(), b"v2");
+        assert_eq!(sys.read(&bob, &owner, "r1", "x").unwrap(), b"v1");
+        assert!(sys.read(&alice, &owner, "r0", "x").is_err());
     }
 }

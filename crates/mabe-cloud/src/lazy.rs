@@ -47,17 +47,17 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::{Mutex, RwLock};
 
-use mabe_core::{
-    CiphertextId, Error, OwnerId, RevocationEvent, UpdateKey, UpdateTables, WithTables,
-};
+use mabe_core::{CiphertextId, Error, OwnerId, RevocationEvent, UpdateKey, WithTables};
 use mabe_policy::AuthorityId;
 
 use crate::audit::AuditEvent;
 use crate::control::{Journal, Step, Unjournaled};
+use crate::data::{Prepared, WorkItem};
 use crate::recovery::PendingRevocation;
 use crate::server::RecordKey;
 use crate::system::{fault_points, traced, CloudError, CloudSystem};
@@ -264,13 +264,12 @@ impl CloudSystem {
 
     /// Upgrades one stored component from `from` to the newest archived
     /// version at `aid`: composed update key + owner-produced update
-    /// info + server-side proxy re-encryption. A concurrent upgrader
-    /// that took the component past the chain's target wins the race,
-    /// which is success; one that took it only part of the way leaves a
-    /// newer version, and the upgrade goes on from there. `tables` (a
-    /// drain group's preprocessing) are used only while the composed
-    /// chain is exactly the step they were built for.
-    #[allow(clippy::too_many_arguments)]
+    /// info + server-side proxy re-encryption, with the step's tables
+    /// from the step-table cache once the step has had
+    /// [`mabe_core::LINES_BREAK_EVEN`] single upgrades. A concurrent
+    /// upgrader that took the component past the chain's target wins the
+    /// race, which is success; one that took it only part of the way
+    /// leaves a newer version, and the upgrade goes on from there.
     pub(crate) fn upgrade_one(
         &self,
         aid: &AuthorityId,
@@ -279,9 +278,9 @@ impl CloudSystem {
         record_key: &RecordKey,
         label: &str,
         ct_id: CiphertextId,
-        tables: Option<&UpdateTables>,
     ) -> Result<(), CloudError> {
         while let Some(uk) = self.chain_from(aid, owner_id, from) {
+            let tables = self.single_upgrade_tables(owner_id, &uk);
             let mut waited = false;
             let ui = loop {
                 let result = {
@@ -289,7 +288,7 @@ impl CloudSystem {
                     let owner = owners
                         .get(owner_id)
                         .ok_or_else(|| CloudError::Core(Error::UnknownOwner(owner_id.clone())))?;
-                    let aid = WithTables::new(aid, tables);
+                    let aid = WithTables::new(aid, tables.as_deref());
                     owner.update_info_for(ct_id, aid, from, uk.to_version)
                 };
                 match result {
@@ -308,8 +307,13 @@ impl CloudSystem {
                     Err(e) => return Err(e.into()),
                 }
             };
-            let uk = WithTables::new(&uk, tables);
-            match self.reencrypt_at_server(owner_id, record_key, label, uk, &ui) {
+            let with_tables = WithTables::new(&uk, tables.as_deref());
+            let refresh =
+                self.data
+                    .server
+                    .prepare_reencryption(record_key, label, with_tables, &ui);
+            let prepared = Prepared { ui, refresh };
+            match self.reencrypt_at_server(&uk, record_key, label, prepared) {
                 Err(CloudError::Core(Error::VersionMismatch { found, .. })) if found > from => {
                     from = found;
                 }
@@ -379,7 +383,8 @@ impl CloudSystem {
     /// The component-upgrade half of a drain: walks
     /// [`crate::CloudServer::affected_ciphertexts`] for every version
     /// the claim spans until a full pass finds nothing stale, upgrading
-    /// each hit through the composed archive chain at the
+    /// each `(owner, version)` group through its composed archive chain
+    /// with the worklist driver on this thread, each apply at the
     /// [`fault_points::LAZY_DRAIN`] point. Carries **no** bookkeeping:
     /// it runs outside the op lock, and the claim completes under it.
     fn drain_claim_components(&self, claim: &LazyClaim) -> Result<u64, CloudError> {
@@ -407,24 +412,23 @@ impl CloudSystem {
                         if affected.is_empty() {
                             continue;
                         }
+                        let Some(uk) = self.chain_from(&claim.aid, &owner_id, v) else {
+                            continue;
+                        };
                         // One preprocessing per (owner, from-version)
-                        // group, for the chain its upgrades compose.
-                        let tables = self
-                            .chain_from(&claim.aid, &owner_id, v)
-                            .and_then(|uk| self.update_tables(&owner_id, &uk, &affected));
-                        for (record_key, label, ct_id) in &affected {
+                        // group, for the chain its upgrades compose: the
+                        // set single upgrades cached for this step, or a
+                        // fresh one over the group.
+                        let tables = self.cache.step_tables(&uk).or_else(|| {
+                            self.update_tables(&owner_id, &uk, &affected).map(Arc::new)
+                        });
+                        let uk = WithTables::new(&uk, tables.as_deref());
+                        self.drive_worklist(uk, &affected, 1, |item, prepared| {
                             self.local_op(fault_points::LAZY_DRAIN, Some(&claim.aid))?;
-                            self.upgrade_one(
-                                &claim.aid,
-                                &owner_id,
-                                v,
-                                record_key,
-                                label,
-                                *ct_id,
-                                tables.as_ref(),
-                            )?;
+                            self.drain_one(uk.value, item, prepared)?;
                             pass += 1;
-                        }
+                            Ok(())
+                        })?;
                     }
                 }
                 if pass == 0 {
@@ -439,6 +443,36 @@ impl CloudSystem {
             }
             Ok(drained)
         })
+    }
+
+    /// Applies one prepared drain item under `uk`'s group step. The
+    /// cases the prepared step cannot finish go through
+    /// [`Self::upgrade_one`], as a single upgrade would: an owner whose
+    /// key history has not reached the chain's target yet (it waits
+    /// that out), and a component a reader moved part of the way (it
+    /// continues from there). A component republished since the
+    /// worklist was taken is left to the next pass.
+    fn drain_one(
+        &self,
+        uk: &UpdateKey,
+        (record_key, label, ct_id): &WorkItem,
+        prepared: Result<Prepared, Error>,
+    ) -> Result<(), CloudError> {
+        let (aid, owner, from) = (&uk.aid, &uk.owner, uk.from_version);
+        let prepared = match prepared {
+            Ok(prepared) => prepared,
+            Err(Error::MissingAuthorityKey(_)) => {
+                return self.upgrade_one(aid, owner, from, record_key, label, *ct_id);
+            }
+            Err(e) => return Err(e.into()),
+        };
+        match self.reencrypt_at_server(uk, record_key, label, prepared) {
+            Err(CloudError::Core(Error::VersionMismatch { found, .. })) if found > from => {
+                self.upgrade_one(aid, owner, found, record_key, label, *ct_id)
+            }
+            Err(CloudError::Core(Error::CiphertextMismatch { .. })) => Ok(()),
+            result => result,
+        }
     }
 
     /// Completes a drained claim: removes its entries from the queue,
@@ -720,12 +754,12 @@ mod tests {
         sys.set_lazy_revocation(true);
         sys.revoke(&alice, "Doctor@MedOrg").unwrap();
         // The first reader's upgrade: v1 → v2.
-        sys.upgrade_one(&aid, &owner, 1, &record_key, "x", ct_id, None)
+        sys.upgrade_one(&aid, &owner, 1, &record_key, "x", ct_id)
             .unwrap();
         sys.revoke(&bob, "Doctor@MedOrg").unwrap();
         // The second reader still holds the v1 fetch: its chain spans
         // v1 → v3, but the component now sits at v2.
-        sys.upgrade_one(&aid, &owner, 1, &record_key, "x", ct_id, None)
+        sys.upgrade_one(&aid, &owner, 1, &record_key, "x", ct_id)
             .unwrap();
         let component = &sys.server().fetch(&owner, "rec").unwrap().components[0];
         assert_eq!(component.key_ct.versions[&aid], 3);

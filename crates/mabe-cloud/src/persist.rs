@@ -2093,4 +2093,63 @@ mod tests {
         // Its own cold reads build the lines again.
         assert_eq!(lines(&reopened, &alice), Some(pk(&reopened, &alice)));
     }
+
+    /// Read-triggered upgrades cache one table set per exact step, built
+    /// at the step's `LINES_BREAK_EVEN`-th upgrade; the authority's next
+    /// bump drops it; a reopened system starts with none and serves the
+    /// same bytes.
+    #[test]
+    fn step_tables_are_derived_and_die_with_the_bump() {
+        use mabe_core::{WireCodec, LINES_BREAK_EVEN};
+
+        let ds = open_fresh(0x57e9);
+        ds.add_authority("MedOrg", &["Doctor"]).unwrap();
+        let owner = ds.add_owner("hospital").unwrap();
+        let [alice, bob, carol] = ["alice", "bob", "carol"].map(|n| ds.add_user(n).unwrap());
+        for uid in [&alice, &bob, &carol] {
+            ds.grant(uid, &["Doctor@MedOrg"]).unwrap();
+        }
+        let records: Vec<String> = (0..8).map(|i| format!("r{i}")).collect();
+        for record in &records {
+            ds.publish(&owner, record, &[("x", record.as_bytes(), "Doctor@MedOrg")])
+                .unwrap();
+        }
+        let sets = |ds: &DurableSystem<SimDisk>| ds.system().cache.step_table_sets();
+        ds.system().set_lazy_revocation(true);
+        ds.revoke(&carol, "Doctor@MedOrg").unwrap();
+        for record in &records[..LINES_BREAK_EVEN - 1] {
+            ds.read(&bob, &owner, record, "x").unwrap();
+            assert_eq!(sets(&ds), 0, "no set below the break-even");
+        }
+        ds.read(&bob, &owner, &records[LINES_BREAK_EVEN - 1], "x")
+            .unwrap();
+        assert_eq!(sets(&ds), 1, "built at the break-even-th upgrade");
+        ds.read(&bob, &owner, &records[LINES_BREAK_EVEN], "x")
+            .unwrap();
+        assert_eq!(sets(&ds), 1, "the next upgrade reuses it");
+
+        ds.revoke(&alice, "Doctor@MedOrg").unwrap();
+        assert_eq!(sets(&ds), 0, "the bump drops it");
+        for record in &records[..2 * LINES_BREAK_EVEN] {
+            ds.read(&bob, &owner, record, "x").unwrap();
+        }
+        assert!(sets(&ds) >= 1, "the new steps build their own");
+
+        let served = |ds: &DurableSystem<SimDisk>| {
+            let mut out = Vec::new();
+            for record in &records {
+                out.push(ds.read(&bob, &owner, record, "x").unwrap());
+                let envelope = ds.system().server().fetch(&owner, record).unwrap();
+                out.push(envelope.components[0].key_ct.to_wire_bytes());
+            }
+            out
+        };
+        let expected = served(&ds);
+        let mut disk = ds.into_storage();
+        disk.crash();
+        let (reopened, _) = DurableSystem::open(disk, 0x57e9).unwrap();
+        assert_eq!(sets(&reopened), 0, "step tables are not journaled");
+        reopened.system().set_lazy_revocation(true);
+        assert_eq!(served(&reopened), expected);
+    }
 }

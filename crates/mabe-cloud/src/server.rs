@@ -7,16 +7,17 @@
 //! proxy re-encryption keeps it unable to decrypt.
 //!
 //! Storage is behind a [`parking_lot::RwLock`] so many simulated users
-//! can fetch concurrently while revocation-driven re-encryption takes the
-//! write lock.
+//! can fetch concurrently. Re-encryption computes its pairing with no
+//! lock held ([`CloudServer::prepare_reencryption`]) and takes the write
+//! lock only to apply it ([`CloudServer::apply_reencryption`]).
 
 use std::collections::BTreeMap;
 
 use parking_lot::RwLock;
 
 use mabe_core::{
-    read_string, reencrypt, CiphertextId, DataEnvelope, Error, OwnerId, UpdateInfo, UpdateKey,
-    WithTables,
+    apply_reencryption, check_reencryption, read_string, CiphertextId, DataEnvelope, Error,
+    OwnerId, Refresh, SealedComponent, UpdateInfo, UpdateKey, WithTables,
 };
 use mabe_policy::AuthorityId;
 use mabe_store::{key_str, Keyspace};
@@ -35,7 +36,7 @@ pub struct CloudServer {
     /// revocation re-encryption walks an `(authority, owner)` prefix
     /// scan instead of a full record-map pass. Maintained by every
     /// write path ([`CloudServer::store`],
-    /// [`CloudServer::reencrypt_component`], [`CloudServer::from_records`]).
+    /// [`CloudServer::apply_reencryption`], [`CloudServer::from_records`]).
     index: Keyspace,
 }
 
@@ -252,14 +253,15 @@ impl CloudServer {
         server
     }
 
-    /// Runs `ReEncrypt` on one stored component (paper §V-C Phase 2).
+    /// Runs `ReEncrypt` on one stored component (paper §V-C Phase 2):
+    /// [`Self::prepare_reencryption`] then [`Self::apply_reencryption`].
     /// `uk` may carry a worklist's [`mabe_core::UpdateTables`], as for
-    /// [`reencrypt`].
+    /// [`reencrypt`](mabe_core::reencrypt).
     ///
     /// # Errors
     ///
     /// * [`Error::Malformed`] if the record or component does not exist.
-    /// * Any [`reencrypt`] validation error.
+    /// * Any [`check_reencryption`] validation error.
     pub fn reencrypt_component<'a>(
         &self,
         record: &RecordKey,
@@ -267,16 +269,64 @@ impl CloudServer {
         uk: impl Into<WithTables<'a, UpdateKey>>,
         ui: &UpdateInfo,
     ) -> Result<(), Error> {
+        let uk = uk.into();
+        let refresh = self.prepare_reencryption(record, label, uk, ui)?;
+        self.apply_reencryption(record, label, uk.value, ui, &refresh)
+    }
+
+    /// The pairing half of `ReEncrypt` on one stored component:
+    /// `e(UK1, C')`, evaluated with no lock held. A read lock covers only
+    /// the checks [`Self::apply_reencryption`] will make and the copy of
+    /// `C'`, so a component that is already past the step fails here
+    /// without paying a pairing. Reads nothing else and changes nothing.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::reencrypt_component`].
+    pub fn prepare_reencryption<'a>(
+        &self,
+        record: &RecordKey,
+        label: &str,
+        uk: impl Into<WithTables<'a, UpdateKey>>,
+        ui: &UpdateInfo,
+    ) -> Result<Refresh, Error> {
+        let uk = uk.into();
+        let (ct_id, c_prime) = {
+            let records = self.records.read();
+            let ct = &stored_component(&records, record, label)?.key_ct;
+            check_reencryption(ct, uk.value, ui)?;
+            (ct.id, ct.c_prime)
+        };
+        Ok(Refresh::new(ct_id, &c_prime, uk))
+    }
+
+    /// The apply half of `ReEncrypt` on one stored component, under the
+    /// records write lock: validates the component as it stands, then
+    /// multiplies `refresh` and `ui` in and moves the index rows to the
+    /// new version. Two group multiplications per row; no pairing.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::reencrypt_component`], plus
+    /// [`Error::CiphertextMismatch`] when the record was republished
+    /// since `refresh` was prepared.
+    pub fn apply_reencryption(
+        &self,
+        record: &RecordKey,
+        label: &str,
+        uk: &UpdateKey,
+        ui: &UpdateInfo,
+        refresh: &Refresh,
+    ) -> Result<(), Error> {
         let _span = mabe_telemetry::Span::with_labels("mabe_server_op", &[("op", "reencrypt")]);
         let _trace = mabe_trace::Span::child("server.reencrypt");
         let mut records = self.records.write();
-        let envelope = records
+        let component = records
             .get_mut(record)
-            .ok_or(Error::Malformed("unknown record"))?;
-        let component = envelope
+            .ok_or(Error::Malformed("unknown record"))?
             .component_mut(label)
             .ok_or(Error::Malformed("unknown component"))?;
-        reencrypt(&mut component.key_ct, uk, ui)?;
+        apply_reencryption(&mut component.key_ct, uk, ui, refresh)?;
         // The version bump changed index row values (never keys — the
         // authority set of a sealed component is fixed), so re-put them.
         for (aid, version) in &component.key_ct.versions {
@@ -292,6 +342,19 @@ impl CloudServer {
         }
         Ok(())
     }
+}
+
+/// One stored component, or the error naming what is missing.
+fn stored_component<'a>(
+    records: &'a BTreeMap<RecordKey, DataEnvelope>,
+    record: &RecordKey,
+    label: &str,
+) -> Result<&'a SealedComponent, Error> {
+    records
+        .get(record)
+        .ok_or(Error::Malformed("unknown record"))?
+        .component(label)
+        .ok_or(Error::Malformed("unknown component"))
 }
 
 #[cfg(test)]

@@ -4,6 +4,7 @@ use std::fmt;
 
 use mabe_policy::{Attribute, AuthorityId, LsssError};
 
+use crate::ciphertext::CiphertextId;
 use crate::ids::{OwnerId, Uid};
 
 /// Errors returned by the scheme's algorithms.
@@ -37,6 +38,14 @@ pub enum Error {
         expected: u64,
         /// Version found on the supplied material.
         found: u64,
+    },
+    /// Re-encryption material made for one ciphertext met another under
+    /// the same address: the record was republished in between.
+    CiphertextMismatch {
+        /// Ciphertext the material was made for.
+        expected: CiphertextId,
+        /// Ciphertext found at the address.
+        found: CiphertextId,
     },
     /// The user does not hold the attribute being revoked.
     AttributeNotHeld {
@@ -79,6 +88,9 @@ impl fmt::Display for Error {
                 f,
                 "version mismatch for authority {authority}: expected v{expected}, found v{found}"
             ),
+            Error::CiphertextMismatch { expected, found } => {
+                write!(f, "ciphertext mismatch: made for {expected}, found {found}")
+            }
             Error::AttributeNotHeld { uid, attribute } => {
                 write!(f, "user {uid} does not hold attribute {attribute}")
             }

@@ -93,6 +93,7 @@ pub use outsource::{
 };
 pub use owner::DataOwner;
 pub use revoke::{
-    reencrypt, UpdateInfo, UpdateTables, WithTables, FIXED_BASE_BREAK_EVEN, LINES_BREAK_EVEN,
+    apply_reencryption, check_reencryption, reencrypt, Refresh, UpdateInfo, UpdateTables,
+    WithTables, FIXED_BASE_BREAK_EVEN, LINES_BREAK_EVEN,
 };
 pub use serial::{read_string, Reader, WireCodec};

@@ -11,17 +11,26 @@
 //! version while the content key stays hidden. Rows of other authorities
 //! are untouched, which is the efficiency point the paper stresses.
 //!
+//! [`reencrypt`] is two steps composed. [`Refresh::new`] evaluates the
+//! pairing `e(UK1, C')` from `C'` alone, so a server can compute it with
+//! no lock on the stored ciphertext and on any thread;
+//! [`apply_reencryption`] validates the ciphertext as it stands and
+//! multiplies the refresh and `UI` in. [`check_reencryption`] is the
+//! validation on its own, for a caller that wants to skip the pairing of
+//! a component that is already past the step.
+//!
 //! One revocation re-encrypts every affected ciphertext of an owner
 //! under the same `UK1` and the same `PK_x / P̃K_x` bases, so a worklist
 //! preprocesses them once ([`UpdateTables`], PBC's `pairing_pp_init`
-//! and `element_pp_init`) and hands the tables to [`reencrypt`] and
-//! [`crate::DataOwner::update_info_for`] through [`WithTables`]. The
-//! tables change how the same group elements are computed, never which:
-//! output bytes and op counts are those of the unpreprocessed path.
+//! and `element_pp_init`) and hands the tables to [`Refresh::new`],
+//! [`reencrypt`] and [`crate::DataOwner::update_info_for`] through
+//! [`WithTables`]. The tables change how the same group elements are
+//! computed, never which: output bytes and op counts are those of the
+//! unpreprocessed path.
 
 use std::collections::BTreeMap;
 
-use mabe_math::{pairing, FixedBase, FixedPairing, G1Affine, G1};
+use mabe_math::{pairing, FixedBase, FixedPairing, G1Affine, Gt, G1};
 use mabe_policy::{Attribute, AuthorityId};
 
 use crate::ciphertext::{Ciphertext, CiphertextId};
@@ -137,24 +146,61 @@ impl UpdateInfo {
     }
 }
 
-/// Runs `ReEncrypt` on the server: moves `ct` from `uk.from_version` to
-/// `uk.to_version` for authority `uk.aid`. `uk` may carry the worklist's
-/// [`UpdateTables`]; `e(UK1, C')` then evaluates `UK1`'s precomputed
-/// lines, with the same result.
+/// `e(UK1, C')` for one ciphertext under one update key: the pairing of
+/// `ReEncrypt`, computed from `C'` alone. `C'` never changes under
+/// re-encryption, so a refresh made from a copy of it stays valid while
+/// the ciphertext keeps its id; [`apply_reencryption`] checks that it
+/// was made for the ciphertext and the step it is applied to.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Refresh {
+    ct_id: CiphertextId,
+    aid: AuthorityId,
+    from_version: u64,
+    to_version: u64,
+    factor: Gt,
+}
+
+impl Refresh {
+    /// Evaluates `e(UK1, C')` for ciphertext `ct_id`, whose `C'` is
+    /// `c_prime`. `uk` may carry the worklist's [`UpdateTables`]; the
+    /// pairing then evaluates `UK1`'s precomputed lines, with the same
+    /// result. Pure: it reads nothing but its arguments.
+    pub fn new<'a>(
+        ct_id: CiphertextId,
+        c_prime: &G1Affine,
+        uk: impl Into<WithTables<'a, UpdateKey>>,
+    ) -> Self {
+        // The re-encryption latency series times the pairing, which is
+        // where a re-encryption spends its time, on whichever thread.
+        let _span = mabe_telemetry::Span::start("mabe_reencrypt");
+        let WithTables { value: uk, tables } = uk.into();
+        let factor = match tables.and_then(|t| t.lines_for(uk)) {
+            Some(lines) => lines.pairing(c_prime),
+            None => pairing(&uk.uk1, c_prime),
+        };
+        Refresh {
+            ct_id,
+            aid: uk.aid.clone(),
+            from_version: uk.from_version,
+            to_version: uk.to_version,
+            factor,
+        }
+    }
+}
+
+/// Checks that `uk` and `ui` can move `ct` one step, without changing
+/// it: every check [`apply_reencryption`] makes before it multiplies.
 ///
 /// # Errors
 ///
 /// * [`Error::OwnerMismatch`] — update key scoped to a different owner.
 /// * [`Error::Malformed`] — update info for a different authority or
-///   ciphertext, or missing an affected attribute.
+///   step, or missing an affected attribute.
+/// * [`Error::CiphertextMismatch`] — update info for a different
+///   ciphertext (the record was republished since it was made).
+/// * [`Error::MissingAuthorityKey`] — `ct` involves no row of `uk.aid`.
 /// * [`Error::VersionMismatch`] — the ciphertext is not at `from_version`.
-pub fn reencrypt<'a>(
-    ct: &mut Ciphertext,
-    uk: impl Into<WithTables<'a, UpdateKey>>,
-    ui: &UpdateInfo,
-) -> Result<(), Error> {
-    let _span = mabe_telemetry::Span::start("mabe_reencrypt");
-    let WithTables { value: uk, tables } = uk.into();
+pub fn check_reencryption(ct: &Ciphertext, uk: &UpdateKey, ui: &UpdateInfo) -> Result<(), Error> {
     if uk.owner != ct.owner {
         return Err(Error::OwnerMismatch {
             expected: ct.owner.clone(),
@@ -165,7 +211,10 @@ pub fn reencrypt<'a>(
         return Err(Error::Malformed("update info does not match update key"));
     }
     if ui.ct_id != ct.id {
-        return Err(Error::Malformed("update info for a different ciphertext"));
+        return Err(Error::CiphertextMismatch {
+            expected: ui.ct_id,
+            found: ct.id,
+        });
     }
     let current = ct
         .versions
@@ -179,25 +228,76 @@ pub fn reencrypt<'a>(
             found: current,
         });
     }
-
-    // C̃ = C · e(UK1, C')
-    let refresh = match tables.and_then(|t| t.lines_for(uk)) {
-        Some(lines) => lines.pairing(&ct.c_prime),
-        None => pairing(&uk.uk1, &ct.c_prime),
-    };
-    ct.c = ct.c.mul(&refresh);
-
-    // C̃_i = C_i · UI_{ρ(i)} for rows of this authority.
-    let rows = ct.access.rows_for_authority(&uk.aid);
-    for i in rows {
-        let attr = ct.access.rho()[i].clone();
-        let delta = ui.items.get(&attr).ok_or(Error::Malformed(
+    let covered = ct
+        .access
+        .rows_for_authority(&uk.aid)
+        .into_iter()
+        .all(|i| ui.items.contains_key(&ct.access.rho()[i]));
+    if !covered {
+        return Err(Error::Malformed(
             "update info missing an affected attribute",
-        ))?;
+        ));
+    }
+    Ok(())
+}
+
+/// The apply half of `ReEncrypt`: after [`check_reencryption`],
+/// `C̃ = C · refresh` and `C̃_i = C_i · UI_{ρ(i)}` for the rows of
+/// `uk.aid`, and the version moves to `uk.to_version`. A rejected call
+/// leaves `ct` unchanged.
+///
+/// # Errors
+///
+/// Every [`check_reencryption`] error, plus
+/// [`Error::CiphertextMismatch`] for a refresh made for another
+/// ciphertext and [`Error::Malformed`] for one made for another step.
+pub fn apply_reencryption(
+    ct: &mut Ciphertext,
+    uk: &UpdateKey,
+    ui: &UpdateInfo,
+    refresh: &Refresh,
+) -> Result<(), Error> {
+    check_reencryption(ct, uk, ui)?;
+    if refresh.ct_id != ct.id {
+        return Err(Error::CiphertextMismatch {
+            expected: refresh.ct_id,
+            found: ct.id,
+        });
+    }
+    if refresh.aid != uk.aid
+        || refresh.from_version != uk.from_version
+        || refresh.to_version != uk.to_version
+    {
+        return Err(Error::Malformed("refresh does not match update key"));
+    }
+    ct.c = ct.c.mul(&refresh.factor);
+    for i in ct.access.rows_for_authority(&uk.aid) {
+        let delta = &ui.items[&ct.access.rho()[i]];
         ct.c_i[i] = G1Affine::from(G1::from(ct.c_i[i]).add_mixed(delta));
     }
     ct.versions.insert(uk.aid.clone(), uk.to_version);
     Ok(())
+}
+
+/// Runs `ReEncrypt` on the server: moves `ct` from `uk.from_version` to
+/// `uk.to_version` for authority `uk.aid`. `uk` may carry the worklist's
+/// [`UpdateTables`]; `e(UK1, C')` then evaluates `UK1`'s precomputed
+/// lines, with the same result. The two steps composed: checks first,
+/// so a rejected call pays no pairing, then [`Refresh::new`] and
+/// [`apply_reencryption`].
+///
+/// # Errors
+///
+/// Every [`check_reencryption`] error.
+pub fn reencrypt<'a>(
+    ct: &mut Ciphertext,
+    uk: impl Into<WithTables<'a, UpdateKey>>,
+    ui: &UpdateInfo,
+) -> Result<(), Error> {
+    let uk = uk.into();
+    check_reencryption(ct, uk.value, ui)?;
+    let refresh = Refresh::new(ct.id, &ct.c_prime, uk);
+    apply_reencryption(ct, uk.value, ui, &refresh)
 }
 
 #[cfg(test)]

@@ -29,7 +29,7 @@ pub mod registry;
 pub mod span;
 
 pub use histogram::{Histogram, HistogramSnapshot};
-pub use ops::{measure, record, CryptoOp, OpSnapshot};
+pub use ops::{absorb, measure, record, CryptoOp, OpSnapshot};
 pub use registry::{global, Counter, Gauge, HistogramHandle, Registry};
 pub use span::{time, Span};
 

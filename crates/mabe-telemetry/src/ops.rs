@@ -144,6 +144,29 @@ impl OpSnapshot {
     }
 }
 
+/// Adds `ops` to this thread's counts, and not to the global mirror.
+/// For work one caller spreads over helper threads: each helper
+/// [`measure`]s its share and the caller absorbs the delta, so the
+/// caller's counts (and any `measure` around it) read as if it had done
+/// the work itself. The mirror already counted each operation on the
+/// helper that ran it.
+pub fn absorb(ops: &OpSnapshot) {
+    let deltas = [
+        (CryptoOp::Pairing, ops.pairings),
+        (CryptoOp::G1Mul, ops.g1_muls),
+        (CryptoOp::GtPow, ops.gt_pows),
+        (CryptoOp::HashToCurve, ops.hash_to_curve),
+        (CryptoOp::HashToField, ops.hash_to_field),
+        (CryptoOp::Msm, ops.msms),
+    ];
+    LOCAL_OPS.with(|cells| {
+        for (op, n) in deltas {
+            let cell = &cells[op.index()];
+            cell.set(cell.get() + n);
+        }
+    });
+}
+
 /// Runs `f` and returns its result along with the crypto operations it
 /// performed **on this thread** — the measurement tool behind the
 /// paper-formula assertions.
@@ -186,6 +209,32 @@ mod tests {
         record(CryptoOp::HashToCurve);
         let handle = std::thread::spawn(|| thread_count(CryptoOp::HashToCurve));
         assert_eq!(handle.join().unwrap(), 0);
+    }
+
+    #[test]
+    fn absorb_adds_a_helpers_delta_to_this_thread_only() {
+        let (helper, _) = measure(|| {
+            std::thread::spawn(|| {
+                measure(|| {
+                    record(CryptoOp::Pairing);
+                    record(CryptoOp::Msm);
+                })
+                .1
+            })
+            .join()
+            .unwrap()
+        });
+        // Only this test records MSMs, so sibling tests leave the
+        // mirror's msm series alone.
+        let mirror = || {
+            crate::registry::global()
+                .counter("mabe_crypto_ops_total", &[("op", "msm")])
+                .get()
+        };
+        let before = mirror();
+        let (_, ops) = measure(|| absorb(&helper));
+        assert_eq!((ops.pairings, ops.msms, ops.g1_muls), (1, 1, 0));
+        assert_eq!(mirror(), before, "the mirror counted it on the helper");
     }
 
     #[test]

@@ -4,9 +4,12 @@
 //! key, so its worklist preprocesses `UK1`'s Miller lines and a
 //! fixed-base table per `PK_x / P̃K_x` ratio once (`UpdateTables`).
 //! This test runs one revocation that affects more components than both
-//! break-evens, eagerly with 1 and with 4 re-encryption workers and
-//! lazily followed by a drain, and checks every re-encrypted component
-//! byte for byte against the unpreprocessed reference computed from its
+//! break-evens, eagerly with 1, 2 and 4 re-encryption workers (prepare
+//! spread over threads, apply in worklist order), lazily followed by a
+//! drain, and lazily followed by read-triggered upgrades, which take
+//! their step's tables from the step-table cache from the step's second
+//! upgrade on. It checks every re-encrypted component byte for byte
+//! against the unpreprocessed reference computed from its
 //! pre-revocation ciphertext: `C · e(UK1, C')` by a full pairing, and
 //! `C_i · UI_x` with `UI_x` from a variable-base multiplication.
 //!
@@ -41,6 +44,7 @@ const DOCTOR_OR_ADMIN: usize = 2;
 enum Mode {
     Eager { workers: usize },
     Lazy,
+    ReadUpgrade,
 }
 
 /// `(record, label)` → the component's key ciphertext.
@@ -119,12 +123,28 @@ fn run(mode: Mode) {
 
     match mode {
         Mode::Eager { workers } => ds.system().set_reencrypt_workers(workers),
-        Mode::Lazy => ds.system().set_lazy_revocation(true),
+        Mode::Lazy | Mode::ReadUpgrade => ds.system().set_lazy_revocation(true),
     }
     ds.revoke(&alice, "Doctor@Med").unwrap();
-    if let Mode::Lazy = mode {
-        assert_eq!(ds.system().lazy_queue_depth(), 1);
-        assert_eq!(ds.drain_lazy().unwrap(), 1);
+    match mode {
+        Mode::Eager { .. } => {}
+        Mode::Lazy => {
+            assert_eq!(ds.system().lazy_queue_depth(), 1);
+            assert_eq!(ds.drain_lazy().unwrap(), 1);
+        }
+        Mode::ReadUpgrade => {
+            for record in &records {
+                assert_eq!(
+                    ds.read(&bob, &owner, record, "body").unwrap(),
+                    record.as_bytes()
+                );
+            }
+            assert_eq!(
+                ds.system().cache_stats().step_table_builds,
+                1,
+                "the upgrades cached one set for their step"
+            );
+        }
     }
     let after = components(&ds, &owner, &records);
 
@@ -191,6 +211,11 @@ fn eager_single_worker_reencrypts_byte_identically() {
 }
 
 #[test]
+fn eager_two_workers_reencrypt_byte_identically() {
+    run(Mode::Eager { workers: 2 });
+}
+
+#[test]
 fn eager_four_workers_reencrypt_byte_identically() {
     run(Mode::Eager { workers: 4 });
 }
@@ -198,4 +223,9 @@ fn eager_four_workers_reencrypt_byte_identically() {
 #[test]
 fn lazy_drain_reencrypts_byte_identically() {
     run(Mode::Lazy);
+}
+
+#[test]
+fn read_upgrades_with_cached_step_tables_reencrypt_byte_identically() {
+    run(Mode::ReadUpgrade);
 }

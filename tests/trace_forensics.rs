@@ -231,10 +231,10 @@ fn parallel_reencryption_workers_join_the_revocation_tree() {
         );
     }
 
-    // Every per-component re-encrypt span sits under the tree: either
-    // below a worker (parallel share) or below the phase directly
-    // (the single-component owner's sequential share).
-    let worker_ids: BTreeSet<u64> = workers.iter().map(|w| w.ctx.span_id).collect();
+    // Workers only prepare. Every per-component re-encrypt span is an
+    // apply, which runs on the revoking thread in worklist order: each
+    // sits directly below this revocation's phase span, never below a
+    // worker.
     let reencrypts: Vec<_> = trace
         .iter()
         .filter(|s| s.name == "cloud.reencrypt")
@@ -244,12 +244,16 @@ fn parallel_reencryption_workers_join_the_revocation_tree() {
         7,
         "one re-encrypt span per affected component"
     );
-    assert!(
-        reencrypts
-            .iter()
-            .any(|s| worker_ids.contains(&s.ctx.parent_id)),
-        "no re-encrypt span ran on a pool worker"
-    );
+    for r in &reencrypts {
+        let parent = by_id
+            .get(&r.ctx.parent_id)
+            .expect("re-encrypt parent is in the same trace");
+        assert_eq!(
+            parent.name, "cloud.reencrypt_phase",
+            "a re-encrypt span sits below {}, not the phase",
+            parent.name
+        );
+    }
 }
 
 #[test]
