@@ -12,7 +12,7 @@
 //!   "bench": "throughput",
 //!   "source": "BENCH_throughput.json",
 //!   "metrics": [
-//!     {"name": "reads_per_s_at_max", "path": "rows[-1].reads_per_s",
+//!     {"name": "ok_reads_per_s_at_max_clients", "path": "rows[-1].ok_reads_per_s",
 //!      "value": 900.0, "direction": "higher", "tolerance_pct": 70}
 //!   ]
 //! }
@@ -26,7 +26,7 @@
 //!   above `value × (1 + tolerance_pct/100)`.
 //! * `exact` — regress when `|fresh − value|` exceeds
 //!   `|value| × tolerance_pct/100` (so `tolerance_pct: 0` demands
-//!   equality — the right gate for invariants like `corruptions`).
+//!   equality — the right gate for invariants like `failed_reads`).
 //!
 //! The bands are deliberately wide for wall-clock metrics (CI hosts
 //! vary) and zero for invariants; the gate's job is to catch

@@ -19,7 +19,8 @@
 //! exploratory runs — the seed is always printed, so every failure is
 //! reproducible by pinning it.
 
-use mabe_cloud::{fault_points, CloudServer, CloudSystem};
+use mabe_cloud::{fault_points, CloudSystem};
+use mabe_core::{DataEnvelope, WireCodec};
 use mabe_faults::{FaultInjector, FaultKind, FaultPlan};
 
 struct Outcome {
@@ -124,8 +125,14 @@ fn run_scenario(seed: u64, lazy: bool) -> Result<Outcome, String> {
     if report.bytes_sent != report.bytes_delivered + report.bytes_lost {
         return Err("wire byte accounting drifted".into());
     }
-    if CloudServer::restore(&sys.server().snapshot()).is_err() {
-        return Err("snapshot failed to restore".into());
+    // Each stored envelope round-trips through the wire bytes a
+    // `Records` row holds.
+    for record in ["med", "late"] {
+        if let Some(envelope) = sys.server().fetch(&hospital, record) {
+            if DataEnvelope::from_wire_bytes(&envelope.to_wire_bytes()).as_ref() != Ok(&envelope) {
+                return Err(format!("envelope {record} failed to round-trip"));
+            }
+        }
     }
     Ok(Outcome {
         injected: sys.faults().injected_total(),

@@ -1,21 +1,19 @@
-//! Extension experiment: server read throughput under concurrency —
-//! parallel readers fetching and decrypting one record while a
-//! revocation-driven re-encryption lands mid-run.
+//! Extension experiment: read throughput of the durable serving path
+//! under concurrency — client threads reading through
+//! `DurableSystem::read` while a scapegoat's eager revocation lands (see
+//! `mabe_bench::throughput`). Only reads that return their record's
+//! plaintext count toward `ok_reads_per_s`.
 //!
-//! The harness applies no artificial delays: readers run back-to-back
-//! (think-time defaults to zero) and the writer re-encrypts as soon as
-//! the readers start, so the numbers measure the system rather than a
-//! sleep. With `MABE_METRICS_DIR` set the per-reader-count rows are
-//! dumped as `BENCH_throughput.json` alongside the standard registry
-//! snapshot; with `MABE_OBS_DIR` set the span profiler writes
+//! With `MABE_METRICS_DIR` set the rows are dumped as
+//! `BENCH_throughput.json` alongside the standard registry snapshot;
+//! with `MABE_OBS_DIR` set the span profiler writes
 //! `profile_throughput.folded` (flamegraph.pl / inferno input).
 //!
-//! Usage: `throughput [readers] [ops_per_reader] [think_us]`
-//! (defaults 4, 25, and 0). Reader counts 1..=readers are each
-//! measured so the dump records a scaling curve, not one point.
+//! Usage: `throughput [clients] [reads_per_client]` (defaults 4 and
+//! 25). Client counts 1, 2, 4, … and `clients` itself are each
+//! measured, so the dump records a scaling curve, not one point.
 
 use std::io::Write as _;
-use std::time::Duration;
 
 use mabe_bench::throughput::{measure, Row};
 
@@ -27,18 +25,15 @@ fn emit_json(rows: &[Row]) {
         .iter()
         .map(|r| {
             format!(
-                "{{\"readers\": {}, \"ops_per_reader\": {}, \"think_us\": {}, \
-                 \"successes\": {}, \"clean_failures\": {}, \"corruptions\": {}, \
-                 \"elapsed_ms\": {:.3}, \"reads_per_s\": {:.1}, \"attempts_per_s\": {:.1}}}",
-                r.readers,
-                r.ops,
-                r.think_us,
-                r.report.successes,
-                r.report.clean_failures,
-                r.report.corruptions,
-                r.report.elapsed.as_secs_f64() * 1e3,
-                r.report.ops_per_sec(),
-                r.report.total() as f64 / r.report.elapsed.as_secs_f64().max(1e-9)
+                "{{\"clients\": {}, \"reads\": {}, \"ok_reads\": {}, \"failed_reads\": {}, \
+                 \"wrong_reads\": {}, \"elapsed_ms\": {:.3}, \"ok_reads_per_s\": {:.1}}}",
+                r.clients,
+                r.reads,
+                r.ok_reads,
+                r.failed_reads,
+                r.wrong_reads,
+                r.elapsed.as_secs_f64() * 1e3,
+                r.ok_reads_per_s()
             )
         })
         .collect();
@@ -57,36 +52,32 @@ fn emit_json(rows: &[Row]) {
 fn print_row(row: &Row) {
     println!(
         "{}\t{}\t{}\t{}\t{}\t{:.3}\t{:.1}",
-        row.readers,
-        row.ops,
-        row.think_us,
-        row.report.successes,
-        row.report.clean_failures,
-        row.report.elapsed.as_secs_f64() * 1e3,
-        row.report.total() as f64 / row.report.elapsed.as_secs_f64().max(1e-9)
+        row.clients,
+        row.reads,
+        row.ok_reads,
+        row.failed_reads,
+        row.wrong_reads,
+        row.elapsed.as_secs_f64() * 1e3,
+        row.ok_reads_per_s()
     );
 }
 
 fn main() {
     let mut args = std::env::args().skip(1);
-    let readers_max: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(4);
-    let ops: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(25);
-    let think_us: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(0);
-    let think = Duration::from_micros(think_us);
+    let clients_max: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(4);
+    let reads: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(25);
 
-    println!(
-        "readers\tops_per_reader\tthink_us\tsuccesses\tclean_failures\telapsed_ms\tattempts_per_s"
-    );
+    println!("clients\treads\tok_reads\tfailed_reads\twrong_reads\telapsed_ms\tok_reads_per_s");
     let mut rows = Vec::new();
     let mut n = 1;
-    while n <= readers_max {
-        let row = measure(n, ops, think);
+    while n <= clients_max {
+        let row = measure(n, reads);
         print_row(&row);
         rows.push(row);
         n *= 2;
     }
-    if rows.last().map(|r| r.readers) != Some(readers_max) {
-        let row = measure(readers_max, ops, think);
+    if rows.last().map(|r| r.clients) != Some(clients_max) {
+        let row = measure(clients_max, reads);
         print_row(&row);
         rows.push(row);
     }

@@ -1,122 +1,131 @@
 //! The concurrent read-throughput workload, shared between the
 //! `throughput` binary and the observability tests.
 //!
-//! One measurement builds a fresh single-authority world, stores one
-//! sealed record, then fans `readers` parallel readers over it while a
-//! revocation-driven proxy re-encryption lands mid-run (the
-//! `mabe_cloud::concurrent` harness). The whole measurement runs under
-//! a `bench.throughput` trace root with setup/reader/writer child
-//! spans, so a span-profiler capture of a run yields a real call tree
-//! — this is what `profile_throughput.folded` renders as a flamegraph.
+//! One measurement opens a fresh [`DurableSystem`] over an in-memory
+//! [`SimDisk`]: one authority, one owner, four records under
+//! `A@Org`, `clients` granted readers and one granted scapegoat. Then
+//! `clients` threads each make `reads` calls to [`DurableSystem::read`],
+//! round-robin over the records, while the calling thread eagerly
+//! revokes the scapegoat. A read is ok only if it returns its record's
+//! plaintext.
+//!
+//! Set-up and the revocation run under a `bench.throughput` trace
+//! root; each client roots its own `bench.client` trace. The wide-event
+//! assembler reads a second op span open in one trace as a nested
+//! delegation, so reads sharing one trace would lose their wide events.
 
-use std::collections::BTreeMap;
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Barrier;
+use std::time::{Duration, Instant};
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use mabe_cloud::DurableSystem;
+use mabe_store::SimDisk;
 
-use mabe_cloud::concurrent::{run_concurrent_reads_with, ReaderSpec, ThroughputReport};
-use mabe_cloud::CloudServer;
-use mabe_core::{seal_envelope, AttributeAuthority, CertificateAuthority, DataOwner, OwnerId};
-use mabe_policy::parse;
+/// Records the clients read, round-robin.
+const RECORDS: usize = 4;
 
 /// One measured row of the scaling curve.
 pub struct Row {
-    /// Parallel readers in this measurement.
-    pub readers: usize,
-    /// Read+decrypt operations each reader performed.
-    pub ops: u64,
-    /// Per-op reader think time (µs; 0 = back-to-back).
-    pub think_us: u64,
-    /// The harness's aggregate outcome.
-    pub report: ThroughputReport,
+    /// Concurrent reading clients.
+    pub clients: usize,
+    /// Reads each client made.
+    pub reads: u64,
+    /// Reads that returned their record's plaintext.
+    pub ok_reads: u64,
+    /// Reads that returned an error.
+    pub failed_reads: u64,
+    /// Reads that returned another plaintext (always 0: [`measure`]
+    /// panics first).
+    pub wrong_reads: u64,
+    /// From the clients' start to the last client's last read.
+    pub elapsed: Duration,
 }
 
-/// Runs one concurrent-read measurement at `readers_n` readers with a
-/// mid-run proxy re-encryption, on a freshly built world.
+impl Row {
+    /// Successful reads per second of [`Row::elapsed`].
+    pub fn ok_reads_per_s(&self) -> f64 {
+        self.ok_reads as f64 / self.elapsed.as_secs_f64().max(1e-9)
+    }
+}
+
+fn record(i: usize) -> String {
+    format!("rec-{i}")
+}
+
+fn payload(i: usize) -> Vec<u8> {
+    format!("payload-{i}").into_bytes()
+}
+
+/// Runs one measurement at `clients` clients making `reads` reads each,
+/// on a freshly built durable world.
 ///
 /// # Panics
 ///
-/// Panics if the world fails to build or any read returns a wrong
-/// plaintext (`corruptions != 0`) — both are bench-invariant
-/// violations, not measurement noise.
-pub fn measure(readers_n: usize, ops: u64, think: Duration) -> Row {
+/// Panics if the world fails to build, the revocation fails, or any
+/// read returns a wrong plaintext.
+pub fn measure(clients: usize, reads: u64) -> Row {
     let bench_span =
-        mabe_trace::Span::root("bench.throughput").detail(format!("readers={readers_n}"));
-
-    let setup_span = mabe_trace::Span::child("bench.setup");
-    let mut rng = StdRng::seed_from_u64(0x7412);
-    let mut ca = CertificateAuthority::new();
-    let aid = ca.register_authority("Org").expect("fresh AID");
-    let mut aa = AttributeAuthority::new(aid.clone(), &["A"], &mut rng);
-    let mut owner = DataOwner::new(OwnerId::new("owner"), &mut rng);
-    aa.register_owner(owner.owner_secret_key())
-        .expect("fresh owner");
-    owner.learn_authority_keys(aa.public_keys());
-
-    let policy = parse("A@Org").expect("valid policy");
-    let envelope = {
-        let _seal_span = mabe_trace::Span::child("bench.seal");
-        seal_envelope(&mut owner, &[("x", b"payload", &policy)], &mut rng).expect("seal succeeds")
+        mabe_trace::Span::root("bench.throughput").detail(format!("clients={clients}"));
+    let (ds, _) = DurableSystem::open(SimDisk::unfaulted(), 0x7412).expect("fresh store opens");
+    ds.add_authority("Org", &["A"]).expect("fresh authority");
+    let owner = ds.add_owner("owner").expect("fresh owner");
+    for i in 0..RECORDS {
+        ds.publish(&owner, &record(i), &[("x", &payload(i), "A@Org")])
+            .expect("publish succeeds");
+    }
+    let grant = |name: String| {
+        let uid = ds.add_user(&name).expect("fresh user");
+        ds.grant(&uid, &["A@Org"]).expect("managed attribute");
+        uid
     };
-    let ct_id = envelope.components[0].key_ct.id;
-    let server = Arc::new(CloudServer::new());
-    server.store(owner.id().clone(), "rec", envelope);
+    let readers: Vec<_> = (0..clients).map(|i| grant(format!("r{i}"))).collect();
+    let scapegoat = grant("scapegoat".into());
 
-    let attr: mabe_policy::Attribute = "A@Org".parse().expect("valid");
-    let readers: Vec<ReaderSpec> = {
-        let _keygen_span = mabe_trace::Span::child("bench.keygen");
-        (0..readers_n)
-            .map(|i| {
-                let pk = ca.register_user(format!("r{i}"), &mut rng).expect("fresh");
-                aa.grant(&pk, [attr.clone()]).expect("managed");
-                let keys = BTreeMap::from([(
-                    aid.clone(),
-                    aa.keygen(&pk.uid, owner.id()).expect("registered"),
-                )]);
-                ReaderSpec {
-                    user_pk: pk,
-                    keys,
-                    owner: owner.id().clone(),
-                    record: "rec".into(),
-                    label: "x".into(),
-                    expected: b"payload".to_vec(),
-                }
+    let (ok, failed, wrong) = (AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0));
+    let start = Barrier::new(clients + 1);
+    let (began, last) = std::thread::scope(|scope| {
+        let handles: Vec<_> = readers
+            .iter()
+            .map(|uid| {
+                let (ds, owner, start) = (&ds, &owner, &start);
+                let (ok, failed, wrong) = (&ok, &failed, &wrong);
+                scope.spawn(move || {
+                    start.wait();
+                    let _client = mabe_trace::Span::root("bench.client");
+                    for n in 0..reads {
+                        let i = n as usize % RECORDS;
+                        let counter = match ds.read(uid, owner, &record(i), "x") {
+                            Ok(data) if data == payload(i) => ok,
+                            Ok(_) => wrong,
+                            Err(_) => failed,
+                        };
+                        counter.fetch_add(1, Ordering::Relaxed);
+                    }
+                    Instant::now()
+                })
             })
-            .collect()
-    };
-
-    // Mid-run revocation of a scapegoat (re-encrypts the record).
-    let (uk, ui) = {
-        let _revoke_span = mabe_trace::Span::child("bench.revoke_prep");
-        let scapegoat = ca.register_user("scapegoat", &mut rng).expect("fresh");
-        aa.grant(&scapegoat, [attr.clone()]).expect("managed");
-        let event = aa
-            .revoke_attribute(&scapegoat.uid, &attr, &mut rng)
-            .expect("held");
-        let uk = event.update_keys[owner.id()].clone();
-        owner.apply_update_key(&uk).expect("chains");
-        let ui = owner.update_info_for(ct_id, &aid, 1, 2).expect("history");
-        (uk, ui)
-    };
-    drop(setup_span);
-
-    let server_for_writer = Arc::clone(&server);
-    let owner_id = owner.id().clone();
-    let report = run_concurrent_reads_with(&server, &readers, ops, think, move || {
-        server_for_writer
-            .reencrypt_component(&(owner_id.clone(), "rec".into()), "x", &uk, &ui)
-            .expect("valid update");
+            .collect();
+        start.wait();
+        let began = Instant::now();
+        ds.revoke(&scapegoat, "A@Org")
+            .expect("the scapegoat's revocation succeeds");
+        let last = handles
+            .into_iter()
+            .map(|h| h.join().expect("client thread"))
+            .max();
+        (began, last)
     });
     drop(bench_span);
-    assert_eq!(report.corruptions, 0);
-    Row {
-        readers: readers_n,
-        ops,
-        think_us: think.as_micros().min(u128::from(u64::MAX)) as u64,
-        report,
-    }
+    let row = Row {
+        clients,
+        reads,
+        ok_reads: ok.into_inner(),
+        failed_reads: failed.into_inner(),
+        wrong_reads: wrong.into_inner(),
+        elapsed: last.map_or(Duration::ZERO, |end| end.saturating_duration_since(began)),
+    };
+    assert_eq!(row.wrong_reads, 0, "a read returned a wrong plaintext");
+    row
 }
 
 #[cfg(test)]
@@ -124,14 +133,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn one_measurement_reads_cleanly_and_traces_a_call_tree() {
-        let row = measure(2, 3, Duration::ZERO);
-        assert_eq!(row.readers, 2);
-        assert_eq!(row.report.corruptions, 0);
-        assert!(row.report.total() >= 6);
-        let spans = mabe_trace::snapshot();
-        assert!(spans.iter().any(|s| s.name == "bench.throughput"));
-        assert!(spans.iter().any(|s| s.name == "harness.reader"));
-        assert!(spans.iter().any(|s| s.name == "server.fetch"));
+    fn two_clients_read_every_record_across_the_live_revocation() {
+        let reads = 4;
+        let row = measure(2, reads);
+        assert_eq!(row.ok_reads, 2 * reads);
+        assert_eq!(row.failed_reads, 0);
+        assert_eq!(row.wrong_reads, 0);
+        assert!(row.ok_reads_per_s() > 0.0);
     }
 }

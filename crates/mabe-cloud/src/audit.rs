@@ -10,14 +10,11 @@ use std::fmt;
 
 use mabe_crypto::sha256::{Sha256, DIGEST_LEN};
 
-/// Magic header of a serialized audit log.
-pub(crate) const AUDIT_MAGIC: &[u8; 8] = b"MAUD0001";
-
-/// Why a serialized audit log was rejected by [`AuditLog::load`].
+/// Why stored audit entries were rejected when a durable store opened.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum AuditLoadError {
-    /// The bytes do not parse (bad magic, truncation, unknown event
-    /// tag, trailing garbage, or inconsistent header counters).
+    /// The bytes do not parse (truncation, unknown event tag, trailing
+    /// garbage, or inconsistent counters).
     Malformed(&'static str),
     /// Entry `index` fails the hash chain: its digest does not commit
     /// to its predecessor and its own fields — an in-place edit or a
@@ -367,65 +364,26 @@ impl AuditLog {
             .filter(|e| matches!(e.event, AuditEvent::Read { allowed: false, .. }))
     }
 
-    /// Serializes the log (header counters and every chained entry) for
-    /// durable storage. [`Self::load`] re-verifies the chain, so stored
-    /// bytes need no additional integrity envelope.
-    pub fn save(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(AUDIT_MAGIC);
-        out.extend_from_slice(&self.next_seq.to_be_bytes());
-        out.extend_from_slice(&self.clock.to_be_bytes());
-        out.extend_from_slice(&(self.entries.len() as u32).to_be_bytes());
-        for entry in &self.entries {
-            out.extend_from_slice(&entry_bytes(entry));
-        }
-        out
-    }
-
-    /// The `(next_seq, clock)` header counters, as persisted alongside
-    /// the entries by [`Self::save`]. The typed keyspace stores these in
-    /// its `Meta` table and the entries in seals and per-index rows.
+    /// The `(next_seq, clock)` counters [`Self::from_entries`] takes
+    /// back. The typed keyspace stores these in its `Meta` table and the
+    /// entries in seals and per-index rows.
     pub(crate) fn counters(&self) -> (u64, u64) {
         (self.next_seq, self.clock)
     }
 
-    /// Deserializes and **re-verifies** a log produced by [`Self::save`]:
+    /// Rebuilds a log from its `(next_seq, clock)` counters and one
+    /// [`entry_bytes`] section per entry, in order — the sealed entries,
+    /// then the journal tail's `Audit` rows — and **re-verifies** it:
     /// every digest is recomputed against its predecessor and ordering is
     /// checked, so a tampered, reordered, or spliced log is rejected with
     /// a typed error instead of being trusted.
     ///
     /// # Errors
     ///
-    /// [`AuditLoadError::Malformed`] for unparseable bytes or
-    /// inconsistent header counters, [`AuditLoadError::ChainBroken`] for
-    /// the first entry whose digest does not verify, and
+    /// [`AuditLoadError::Malformed`] for unparseable or trailing bytes
+    /// and counters behind the entries, [`AuditLoadError::ChainBroken`]
+    /// for the first entry whose digest does not verify, and
     /// [`AuditLoadError::Reordered`] for the first entry out of order.
-    pub fn load(bytes: &[u8]) -> Result<Self, AuditLoadError> {
-        let mut r = wire::Reader::new(bytes);
-        if r.bytes(8)? != AUDIT_MAGIC {
-            return Err(AuditLoadError::Malformed("bad audit magic"));
-        }
-        let next_seq = r.u64()?;
-        let clock = r.u64()?;
-        let n = r.u32()? as usize;
-        if n > bytes.len() {
-            // Cheap bound: every entry costs well over one byte.
-            return Err(AuditLoadError::Malformed("entry count exceeds input"));
-        }
-        let mut entries = Vec::with_capacity(n);
-        for _ in 0..n {
-            Self::push_verified(&mut entries, &mut r)?;
-        }
-        if !r.is_empty() {
-            return Err(AuditLoadError::Malformed("trailing bytes"));
-        }
-        Self::with_counters(entries, next_seq, clock)
-    }
-
-    /// Rebuilds a log from its `(next_seq, clock)` counters and one
-    /// [`entry_bytes`] section per entry, in order — the sealed entries,
-    /// then the journal tail's `Audit` rows. Verifies exactly as
-    /// [`Self::load`] does, and rejects trailing bytes after any entry.
     pub(crate) fn from_entries<'a>(
         next_seq: u64,
         clock: u64,
@@ -522,9 +480,8 @@ impl AuditLog {
     }
 }
 
-/// One entry's serialized section, byte-for-byte the per-entry slice of
-/// [`AuditLog::save`]'s output. The durable layer persists entries as
-/// exactly these bytes — in journaled `Audit` rows and, once a
+/// One entry's serialized section. The durable layer persists entries
+/// as exactly these bytes — in journaled `Audit` rows and, once a
 /// checkpoint seals them, in seal payloads — and
 /// [`AuditLog::from_entries`] reads them back.
 pub(crate) fn entry_bytes(entry: &AuditEntry) -> Vec<u8> {
@@ -887,8 +844,8 @@ mod tests {
         assert!(rendered[4].contains("DENIED"));
     }
 
-    /// A log exercising every event variant (so save/load covers all
-    /// tags).
+    /// A log exercising every event variant (so the entry codec covers
+    /// all tags).
     fn full_log() -> AuditLog {
         let mut log = sample_log();
         log.record(AuditEvent::OwnerAdded { owner: "o".into() });
@@ -928,13 +885,22 @@ mod tests {
         log
     }
 
+    /// The log's entries as the durable layer stores them.
+    fn sections(log: &AuditLog) -> Vec<Vec<u8>> {
+        log.entries().iter().map(entry_bytes).collect()
+    }
+
+    /// [`AuditLog::from_entries`] over `sections` under `log`'s counters.
+    fn reload(log: &AuditLog, sections: &[Vec<u8>]) -> Result<AuditLog, AuditLoadError> {
+        let (next_seq, clock) = log.counters();
+        AuditLog::from_entries(next_seq, clock, sections.iter().map(Vec::as_slice))
+    }
+
     #[test]
-    fn save_load_roundtrips_every_event_variant() {
+    fn from_entries_roundtrips_every_event_variant() {
         let log = full_log();
-        let bytes = log.save();
-        let restored = AuditLog::load(&bytes).unwrap();
-        assert_eq!(restored.entries(), log.entries());
-        assert_eq!(restored.clock(), log.clock());
+        let restored = reload(&log, &sections(&log)).unwrap();
+        assert_eq!(restored, log);
         assert!(restored.verify());
         // The restored log continues the chain seamlessly.
         let mut restored = restored;
@@ -944,33 +910,38 @@ mod tests {
     }
 
     #[test]
-    fn load_rejects_tampered_entry_with_chain_broken() {
+    fn from_entries_rejects_a_flipped_byte() {
+        // Every single-byte flip is either a parse failure or a broken
+        // chain, never silent acceptance; flips inside an entry's event
+        // or digest break the chain at that entry.
         let log = full_log();
-        let mut bytes = log.save();
-        // Flip one payload byte somewhere past the header: either a
-        // parse failure or a broken chain, never silent acceptance.
-        // Find the byte position of entry 2's event by re-encoding.
-        let mut tampered_hits = 0;
-        for pos in 28..bytes.len() {
-            bytes[pos] ^= 0x01;
-            match AuditLog::load(&bytes) {
-                Ok(loaded) => {
-                    assert_eq!(
-                        loaded.entries(),
-                        log.entries(),
-                        "undetected change at {pos}"
-                    );
+        let mut sections = sections(&log);
+        let mut chain_broken = 0;
+        for entry in 0..sections.len() {
+            for pos in 0..sections[entry].len() {
+                sections[entry][pos] ^= 0x01;
+                match reload(&log, &sections) {
+                    Ok(loaded) => panic!("flip at entry {entry} byte {pos} accepted: {loaded:?}"),
+                    Err(AuditLoadError::ChainBroken { index }) => {
+                        assert_eq!(index, entry as u64);
+                        chain_broken += 1;
+                    }
+                    Err(_) => {}
                 }
-                Err(AuditLoadError::ChainBroken { .. }) => tampered_hits += 1,
-                Err(_) => {}
+                sections[entry][pos] ^= 0x01;
             }
-            bytes[pos] ^= 0x01;
         }
-        assert!(tampered_hits > 0, "no flip ever hit the chain check");
+        assert!(chain_broken > 0, "no flip ever hit the chain check");
+        let last = sections.len() - 1;
+        *sections[last].last_mut().unwrap() ^= 1;
+        assert_eq!(
+            reload(&log, &sections),
+            Err(AuditLoadError::ChainBroken { index: last as u64 })
+        );
     }
 
     #[test]
-    fn load_rejects_reordered_entries() {
+    fn from_entries_rejects_reordered_entries() {
         // Hand-build a log whose chain digests are all valid but whose
         // second sequence number goes backwards: an adversary re-minting
         // digests cannot also fix ordering without being caught.
@@ -995,41 +966,41 @@ mod tests {
         });
         log.next_seq = 6;
         log.clock = 6;
-        let bytes = log.save();
         assert_eq!(
-            AuditLog::load(&bytes),
+            reload(&log, &sections(&log)),
             Err(AuditLoadError::Reordered { index: 1 })
         );
     }
 
     #[test]
-    fn load_rejects_malformed_headers_and_truncation() {
+    fn from_entries_rejects_truncation_trailing_bytes_and_lagging_counters() {
         let log = full_log();
-        let bytes = log.save();
-        assert_eq!(
-            AuditLog::load(b"not an audit log"),
-            Err(AuditLoadError::Malformed("bad audit magic"))
-        );
-        for cut in 0..bytes.len() {
-            assert!(AuditLog::load(&bytes[..cut]).is_err(), "cut {cut} accepted");
+        let base = sections(&log);
+        for entry in 0..base.len() {
+            for cut in 0..base[entry].len() {
+                let mut cut_sections = base.clone();
+                cut_sections[entry].truncate(cut);
+                assert!(
+                    reload(&log, &cut_sections).is_err(),
+                    "entry {entry} cut at {cut} accepted"
+                );
+            }
         }
-        let mut extended = bytes.clone();
-        extended.push(0);
+        let mut extended = base.clone();
+        extended[2].push(0);
         assert_eq!(
-            AuditLog::load(&extended),
-            Err(AuditLoadError::Malformed("trailing bytes"))
+            reload(&log, &extended),
+            Err(AuditLoadError::Malformed("trailing bytes after entry"))
         );
-        // Header counters must not lag the entries they describe.
-        let mut behind = bytes.clone();
-        behind[8..16].copy_from_slice(&0u64.to_be_bytes());
+        // The counters must not lag the entries they describe.
+        let (next_seq, clock) = log.counters();
+        let slices = || base.iter().map(Vec::as_slice);
         assert_eq!(
-            AuditLog::load(&behind),
+            AuditLog::from_entries(0, clock, slices()),
             Err(AuditLoadError::Malformed("sequence counter behind entries"))
         );
-        let mut behind = bytes;
-        behind[16..24].copy_from_slice(&0u64.to_be_bytes());
         assert_eq!(
-            AuditLog::load(&behind),
+            AuditLog::from_entries(next_seq, 0, slices()),
             Err(AuditLoadError::Malformed("clock behind entries"))
         );
     }
@@ -1037,7 +1008,7 @@ mod tests {
     #[test]
     fn empty_log_roundtrips() {
         let log = AuditLog::new();
-        let restored = AuditLog::load(&log.save()).unwrap();
+        let restored = reload(&log, &[]).unwrap();
         assert!(restored.entries().is_empty());
         assert!(restored.verify());
     }

@@ -47,7 +47,6 @@
 
 pub mod audit;
 pub(crate) mod cache;
-pub mod concurrent;
 pub(crate) mod control;
 pub(crate) mod data;
 pub(crate) mod directory;
@@ -61,7 +60,6 @@ pub mod wire;
 
 pub use audit::{AuditEntry, AuditEvent, AuditLoadError, AuditLog};
 pub use cache::CacheStats;
-pub use concurrent::{run_concurrent_reads, ReaderSpec, ThroughputReport};
 pub use lazy::DEFAULT_LAZY_CAPACITY;
 pub use persist::{
     DurableSystem, LazyDrainHandle, MaintenanceHandle, OpenError, OpenFailure, OpenReport,

@@ -472,9 +472,9 @@ impl<S: Storage> DurableSystem<S> {
     /// Marks the handle poisoned after a journal failure: in-memory
     /// state may now be ahead of the log, so no further mutation is
     /// accepted; reopen from storage instead. The poison is recorded on
-    /// the active span and, when `MABE_TRACE_DIR` / `MABE_EVENTS_DIR`
-    /// are set, the flight recorder and the wide-event ring are dumped —
-    /// exactly when forensics matter.
+    /// the active span and, when `MABE_TRACE_DIR` is set, the flight
+    /// recorder and the wide-event ring are dumped there — exactly when
+    /// forensics matter.
     fn poison(&self, e: &StoreError) {
         self.poisoned.store(true, Ordering::SeqCst);
         let point = store_point(e);

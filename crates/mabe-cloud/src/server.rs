@@ -16,8 +16,8 @@ use std::collections::BTreeMap;
 use parking_lot::RwLock;
 
 use mabe_core::{
-    apply_reencryption, check_reencryption, read_string, CiphertextId, DataEnvelope, Error,
-    OwnerId, Refresh, SealedComponent, UpdateInfo, UpdateKey, WithTables,
+    apply_reencryption, check_reencryption, CiphertextId, DataEnvelope, Error, OwnerId, Refresh,
+    SealedComponent, UpdateInfo, UpdateKey, WithTables,
 };
 use mabe_policy::AuthorityId;
 use mabe_store::{key_str, Keyspace};
@@ -175,70 +175,8 @@ impl CloudServer {
             .collect()
     }
 
-    /// Serializes the entire server state to bytes (record keys plus
-    /// wire-encoded envelopes) — crash/restart persistence for the
-    /// simulated deployment.
-    pub fn snapshot(&self) -> Vec<u8> {
-        use mabe_core::WireCodec;
-        let records = self.records.read();
-        let mut out = Vec::new();
-        out.extend_from_slice(&(records.len() as u32).to_be_bytes());
-        for ((owner, name), envelope) in records.iter() {
-            let owner_bytes = owner.as_str().as_bytes();
-            out.extend_from_slice(&(owner_bytes.len() as u16).to_be_bytes());
-            out.extend_from_slice(owner_bytes);
-            let name_bytes = name.as_bytes();
-            out.extend_from_slice(&(name_bytes.len() as u16).to_be_bytes());
-            out.extend_from_slice(name_bytes);
-            let env_bytes = envelope.to_wire_bytes();
-            out.extend_from_slice(&(env_bytes.len() as u32).to_be_bytes());
-            out.extend_from_slice(&env_bytes);
-        }
-        out
-    }
-
-    /// Restores a server from a [`CloudServer::snapshot`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Malformed`] on truncated or invalid input.
-    pub fn restore(bytes: &[u8]) -> Result<Self, Error> {
-        use mabe_core::{Reader, WireCodec};
-        let mut r = Reader::new(bytes);
-        let count = r.u32()?;
-        // Each record costs at least 8 bytes of framing (two u16 string
-        // lengths + one u32 envelope length), so a count beyond
-        // remaining/8 can never be satisfied — reject before looping.
-        if count > 1 << 20 || count as usize > r.remaining() / 8 {
-            return Err(Error::Malformed("implausible record count"));
-        }
-        let mut records = BTreeMap::new();
-        for _ in 0..count {
-            let owner = read_string(&mut r)?;
-            if owner.is_empty() {
-                return Err(Error::Malformed("empty owner id"));
-            }
-            let name = read_string(&mut r)?;
-            let len = r.u32()? as usize;
-            if len > r.remaining() {
-                return Err(Error::Malformed("oversized envelope length"));
-            }
-            let envelope = DataEnvelope::from_wire_bytes(r.bytes(len)?)?;
-            if records
-                .insert((OwnerId::new(owner), name), envelope)
-                .is_some()
-            {
-                return Err(Error::Malformed("duplicate record in snapshot"));
-            }
-        }
-        if !r.is_exhausted() {
-            return Err(Error::Malformed("trailing bytes"));
-        }
-        Ok(Self::from_records(records))
-    }
-
     /// A server holding `records`, with the component index built from
-    /// them (the restore and durable-open paths).
+    /// them (the durable-open path).
     pub(crate) fn from_records(records: BTreeMap<RecordKey, DataEnvelope>) -> Self {
         let server = CloudServer {
             records: RwLock::new(records),
@@ -402,8 +340,10 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_restore_roundtrip() {
-        use mabe_core::{seal_envelope, AttributeAuthority, CertificateAuthority, DataOwner};
+    fn records_from_wire_bytes_rebuild_a_serving_server() {
+        use mabe_core::{
+            seal_envelope, AttributeAuthority, CertificateAuthority, DataOwner, WireCodec,
+        };
         use rand::rngs::StdRng;
         use rand::SeedableRng;
 
@@ -422,10 +362,24 @@ mod tests {
         server.store(owner.id().clone(), "rec", envelope);
         server.store(owner.id().clone(), "empty", DataEnvelope::new());
 
-        let bytes = server.snapshot();
-        let restored = CloudServer::restore(&bytes).unwrap();
+        // Each record as a `Records` row holds it: envelope wire bytes.
+        let records = server
+            .export_records()
+            .into_iter()
+            .map(|(key, envelope)| {
+                let decoded = DataEnvelope::from_wire_bytes(&envelope.to_wire_bytes()).unwrap();
+                assert_eq!(decoded, envelope);
+                (key, decoded)
+            })
+            .collect();
+        let restored = CloudServer::from_records(records);
         assert_eq!(restored.record_count(), 2);
         assert_eq!(restored.storage_size(), server.storage_size());
+        assert_eq!(
+            restored.affected_ciphertexts(owner.id(), &aid, 1),
+            server.affected_ciphertexts(owner.id(), &aid, 1),
+            "the component index is rebuilt"
+        );
 
         // The restored envelope still decrypts.
         let user = ca.register_user("alice", &mut rng).unwrap();
@@ -435,53 +389,6 @@ mod tests {
         let data =
             mabe_core::open_component(fetched.component("x").unwrap(), &user, &keys).unwrap();
         assert_eq!(data, b"persisted");
-
-        // Corrupted snapshots are rejected, not panicking.
-        assert!(CloudServer::restore(&bytes[..bytes.len() / 2]).is_err());
-        assert!(CloudServer::restore(&[0xff; 4]).is_err());
-        let mut extended = bytes;
-        extended.push(0);
-        assert!(CloudServer::restore(&extended).is_err());
-        // Empty server snapshots round-trip too.
-        let empty = CloudServer::new();
-        assert_eq!(
-            CloudServer::restore(&empty.snapshot())
-                .unwrap()
-                .record_count(),
-            0
-        );
-    }
-
-    #[test]
-    fn restore_rejects_hostile_snapshots() {
-        // A claimed record count far beyond what the input could hold is
-        // rejected before any per-record work.
-        assert!(CloudServer::restore(&100u32.to_be_bytes()).is_err());
-
-        let server = CloudServer::new();
-        server.store(OwnerId::new("o"), "r", DataEnvelope::new());
-        let snap = server.snapshot();
-
-        // An envelope length field claiming u32::MAX must fail cleanly
-        // instead of attempting a 4 GiB read. Layout: 4 (count) + 2+1
-        // (owner "o") + 2+1 (name "r"), so the length field sits at 10.
-        let mut oversized = snap.clone();
-        oversized[10..14].copy_from_slice(&u32::MAX.to_be_bytes());
-        assert!(CloudServer::restore(&oversized).is_err());
-
-        // Duplicate record keys cannot silently collapse into one.
-        let record = &snap[4..];
-        let mut dup = 2u32.to_be_bytes().to_vec();
-        dup.extend_from_slice(record);
-        dup.extend_from_slice(record);
-        assert!(CloudServer::restore(&dup).is_err());
-
-        // Single-bit corruption anywhere never panics.
-        for pos in 0..snap.len() {
-            let mut corrupted = snap.clone();
-            corrupted[pos] ^= 0x01;
-            let _ = CloudServer::restore(&corrupted);
-        }
     }
 
     #[test]

@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
@@ -260,7 +260,8 @@ pub struct CloudSystem {
     pub(crate) wire: Wire,
     pub(crate) audit: Mutex<AuditLog>,
     pub(crate) faults: FaultInjector,
-    pub(crate) retry: RwLock<RetryPolicy>,
+    /// Every instrumented operation runs under the default policy.
+    pub(crate) retry: RetryPolicy,
     /// Jitter draws come from a dedicated stream so fault schedules never
     /// perturb the crypto determinism of `rng`.
     pub(crate) retry_rng: Mutex<StdRng>,
@@ -294,7 +295,7 @@ impl CloudSystem {
             wire: Wire::new(),
             audit: Mutex::new(AuditLog::new()),
             faults,
-            retry: RwLock::new(RetryPolicy::default()),
+            retry: RetryPolicy::default(),
             retry_rng: Mutex::new(StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15)),
             lazy: crate::lazy::LazyState::new(),
             cache: crate::cache::SystemCaches::new(),
@@ -330,8 +331,7 @@ impl CloudSystem {
         what: &str,
         bytes: usize,
     ) -> Result<(), CloudError> {
-        let retry = *self.retry.read();
-        retry
+        self.retry
             .run(
                 &mut LockedRng(&self.retry_rng),
                 point,
@@ -378,8 +378,7 @@ impl CloudSystem {
         point: &'static str,
         aid: Option<&AuthorityId>,
     ) -> Result<(), CloudError> {
-        let retry = *self.retry.read();
-        retry
+        self.retry
             .run(
                 &mut LockedRng(&self.retry_rng),
                 point,
@@ -454,17 +453,6 @@ impl CloudSystem {
     /// Replaces the fault injector wholesale (e.g. a fresh chaos plan).
     pub fn faults_mut(&mut self) -> &mut FaultInjector {
         &mut self.faults
-    }
-
-    /// The retry policy applied to instrumented operations.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        *self.retry.read()
-    }
-
-    /// Replaces the retry policy (e.g. `RetryPolicy::none()` to surface
-    /// every transient fault).
-    pub fn set_retry_policy(&self, policy: RetryPolicy) {
-        *self.retry.write() = policy;
     }
 
     /// JSON snapshot of the global telemetry registry: crypto-op

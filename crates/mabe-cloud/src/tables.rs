@@ -1332,6 +1332,12 @@ pub(crate) mod tests {
                 Box::new(|ks, _| edit_first::<LazyQueue>(ks, |v| v.push(0))),
                 Box::new(row_error("trailing bytes after row value")),
             ),
+            (
+                "one flipped byte in a records value",
+                // The top byte of the envelope's component count.
+                Box::new(|ks, _| edit_first::<Records>(ks, |v| v[0] ^= 0x80)),
+                Box::new(row_error("implausible entry count")),
+            ),
         ];
         for (case, edit, expect) in cases {
             let ks = base.clone();

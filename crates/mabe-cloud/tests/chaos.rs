@@ -15,8 +15,8 @@
 //! 3. non-revoked holders (including users offline through the
 //!    revocation) still read everything their attributes allow;
 //! 4. wire byte accounting stays exact (`sent == delivered + lost`);
-//! 5. server snapshots survive restore, and corrupted snapshots are
-//!    rejected without panicking.
+//! 5. every stored envelope round-trips through its wire bytes, and
+//!    corrupted bytes are rejected without panicking.
 //!
 //! Every seed runs twice: once eager and once with lazy revocation,
 //! where the schedule additionally crashes the deferred-queue paths
@@ -26,8 +26,8 @@
 //! Seeds are fixed so failures reproduce; set `RANDOM_SEED=<u64>` to run
 //! one extra exploratory schedule (CI logs the seed on failure).
 
-use mabe_cloud::{fault_points, CloudError, CloudServer, CloudSystem};
-use mabe_core::{OwnerId, Uid};
+use mabe_cloud::{fault_points, CloudError, CloudSystem};
+use mabe_core::{DataEnvelope, OwnerId, Uid, WireCodec};
 use mabe_faults::{FaultInjector, FaultKind, FaultPlan};
 use mabe_policy::AuthorityId;
 
@@ -138,11 +138,11 @@ fn revoke_until_begun(
 /// One full chaos schedule followed by convergence and invariant checks.
 fn run_scenario(seed: u64, lazy: bool) {
     // On any assertion failure below, dump the flight recorder to
-    // `trace_<seed>_chaos.json` (under `MABE_TRACE_DIR`, or
-    // `target/trace-artifacts`) and the wide-event ring to
-    // `events_<seed>_chaos.jsonl` (under `MABE_EVENTS_DIR`) before the
-    // panic propagates — the events index the failure, the trace holds
-    // the span-level forensics, joined on `trace_id`.
+    // `trace_<seed>_chaos.json` and the wide-event ring to
+    // `events_<seed>_chaos.jsonl` (both under `MABE_TRACE_DIR`, or
+    // `target/trace-artifacts`) before the panic propagates — the
+    // events index the failure, the trace holds the span-level
+    // forensics, joined on `trace_id`.
     let _forensics = mabe_trace::FailureDump::new(seed, "chaos");
     let _events = mabe_events::EventsDump::new(seed, "chaos");
     let mut w = chaotic_world(seed, lazy);
@@ -295,20 +295,34 @@ fn run_scenario(seed: u64, lazy: bool) {
     );
 
     // ---- invariant 5: persistence survives, corruption never panics ----
-    let snapshot = w.sys.server().snapshot();
-    let restored = CloudServer::restore(&snapshot).expect("snapshot restores");
-    assert_eq!(restored.record_count(), w.sys.server().record_count());
-    // Seeded bit flips across the snapshot: decode must return, never
+    // Each stored envelope round-trips through the wire bytes a
+    // `Records` row holds.
+    let server = w.sys.server();
+    let stored: Vec<Vec<u8>> = ["med", "nursing", "trial", "late"]
+        .into_iter()
+        .filter_map(|record| server.fetch(&w.hospital, record))
+        .map(|envelope| {
+            let bytes = envelope.to_wire_bytes();
+            assert_eq!(
+                DataEnvelope::from_wire_bytes(&bytes).as_ref(),
+                Ok(&envelope),
+                "seed {seed}: an envelope failed to round-trip"
+            );
+            bytes
+        })
+        .collect();
+    assert_eq!(stored.len(), server.record_count());
+    // Seeded bit flips across those bytes: decode must return, never
     // panic (xorshift so each seed corrupts different offsets).
     let mut x = seed | 1;
     for _ in 0..64 {
         x ^= x << 13;
         x ^= x >> 7;
         x ^= x << 17;
-        let pos = (x as usize) % snapshot.len();
-        let mut corrupted = snapshot.clone();
+        let mut corrupted = stored[(x >> 32) as usize % stored.len()].clone();
+        let pos = (x as usize) % corrupted.len();
         corrupted[pos] ^= 1 << (x % 8);
-        let _ = CloudServer::restore(&corrupted);
+        let _ = DataEnvelope::from_wire_bytes(&corrupted);
     }
 }
 

@@ -10,25 +10,7 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Environment variable naming the spill directory. When unset,
-/// panic-guard spills fall back to [`DEFAULT_DIR`] and poison spills
-/// are skipped (libraries must not litter by default).
-pub const DIR_ENV: &str = "MABE_EVENTS_DIR";
-
-/// Fallback spill directory for test-harness panic spills.
-pub const DEFAULT_DIR: &str = "target/events-artifacts";
-
-fn sanitize(case: &str) -> String {
-    case.chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '-' || c == '_' {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect()
-}
+use mabe_trace::dump::{sanitize, DEFAULT_DIR, DIR_ENV};
 
 /// The spill body: a self-describing header line, then one JSON object
 /// per retained event, oldest first.
@@ -62,7 +44,8 @@ pub fn dump_to(dir: &Path, seed: u64, case: &str) -> io::Result<PathBuf> {
     Ok(path)
 }
 
-/// Spills only when [`DIR_ENV`] is set — library hook sites (e.g.
+/// Spills only when the forensics directory
+/// ([`mabe_trace::dump::DIR_ENV`]) is set — library hook sites (e.g.
 /// durable-handle poisoning) call this so production-shaped runs stay
 /// silent. Write failures are reported on stderr, never fatal.
 pub fn dump_if_configured(seed: u64, case: &str) -> Option<PathBuf> {
@@ -81,10 +64,11 @@ pub fn dump_if_configured(seed: u64, case: &str) -> Option<PathBuf> {
 
 /// A panic guard for test harnesses, the wide-event sibling of
 /// `mabe_trace::FailureDump`: if the scope unwinds, the kept-event
-/// ring is spilled to `events_<seed>_<case>.jsonl` under [`DIR_ENV`]
-/// (or [`DEFAULT_DIR`]) before the panic continues — so every trace
-/// artifact a failing chaos case leaves behind has a matching event
-/// spill to join against by `trace_id`.
+/// ring is spilled to `events_<seed>_<case>.jsonl` in the forensics
+/// directory ([`mabe_trace::dump::DIR_ENV`], or its `DEFAULT_DIR`)
+/// before the panic continues — so every trace artifact a failing chaos
+/// case leaves behind has a matching event spill beside it to join
+/// against by `trace_id`.
 pub struct EventsDump {
     seed: u64,
     case: String,
@@ -135,11 +119,6 @@ impl Drop for EventsDump {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn spill_names_are_filesystem_safe() {
-        assert_eq!(sanitize("chaos seed#3"), "chaos_seed_3");
-    }
 
     #[test]
     fn dump_to_writes_a_self_describing_jsonl() {

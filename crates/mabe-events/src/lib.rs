@@ -48,16 +48,13 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 pub use assemble::{Assembler, OpCandidate};
-pub use dump::{dump_if_configured, dump_to, EventsDump, DIR_ENV};
+pub use dump::{dump_if_configured, dump_to, EventsDump};
 pub use record::{op_kind, KeepReason, Outcome, WideEvent, OP_KINDS};
 pub use ring::EventRing;
 pub use sampler::{Sampler, TailEstimator, DEFAULT_KEEP_1_IN};
 pub use slo::{SloEngine, SloSpec, SloStatus, DEFAULT_OBJECTIVES, FAST_BURN_THRESHOLD};
 
-/// Environment variable overriding the sampler seed (decimal u64).
-pub const SEED_ENV: &str = "MABE_EVENTS_SEED";
-
-/// Default sampler seed when [`SEED_ENV`] is unset.
+/// The global pipeline's sampler seed.
 pub const DEFAULT_SEED: u64 = 0x6d61_6265; // "mabe"
 
 /// Pipeline construction knobs.
@@ -74,10 +71,7 @@ pub struct EventsConfig {
 impl Default for EventsConfig {
     fn default() -> Self {
         EventsConfig {
-            seed: std::env::var(SEED_ENV)
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(DEFAULT_SEED),
+            seed: DEFAULT_SEED,
             keep_1_in: DEFAULT_KEEP_1_IN,
             ring_capacity: ring::DEFAULT_CAPACITY,
         }

@@ -8,15 +8,18 @@ use std::path::{Path, PathBuf};
 use crate::export::{esc, tree_json};
 use crate::recorder;
 
-/// Environment variable naming the artifact directory. When unset,
+/// Environment variable naming the forensics directory, which holds
+/// these trace dumps and `mabe-events`' wide-event spills. When unset,
 /// panic-guard dumps fall back to [`DEFAULT_DIR`] and poison dumps
 /// are skipped (libraries must not litter by default).
 pub const DIR_ENV: &str = "MABE_TRACE_DIR";
 
-/// Fallback artifact directory for test-harness panic dumps.
+/// Fallback forensics directory for test-harness panic dumps.
 pub const DEFAULT_DIR: &str = "target/trace-artifacts";
 
-fn sanitize(case: &str) -> String {
+/// A case name made filesystem-safe for an artifact file name: every
+/// character but ASCII alphanumerics, `-` and `_` becomes `_`.
+pub fn sanitize(case: &str) -> String {
     case.chars()
         .map(|c| {
             if c.is_ascii_alphanumeric() || c == '-' || c == '_' {
@@ -143,6 +146,7 @@ mod tests {
     fn artifact_names_are_filesystem_safe() {
         assert_eq!(sanitize("cloud revoke.rekey#1"), "cloud_revoke_rekey_1");
         assert_eq!(sanitize("store put/TornWrite#2"), "store_put_TornWrite_2");
+        assert_eq!(sanitize("chaos seed#3"), "chaos_seed_3");
     }
 
     #[test]

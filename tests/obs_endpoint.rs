@@ -241,18 +241,20 @@ fn throughput_workload_profiles_at_least_ten_distinct_call_paths() {
     // The acceptance bar for the span profiler: one real throughput
     // measurement must yield a folded profile with >= 10 distinct
     // call paths (a flamegraph with actual depth, not a stub).
-    let row = mabe_bench::throughput::measure(2, 3, Duration::ZERO);
-    assert_eq!(row.report.corruptions, 0);
+    let row = mabe_bench::throughput::measure(2, 3);
+    assert_eq!((row.ok_reads, row.failed_reads, row.wrong_reads), (6, 0, 0));
 
+    // Set-up and the revocation trace under `bench.throughput`; each
+    // client roots its own `bench.client` trace.
     let profile = mabe_obs::profiler::capture();
     let bench_paths: Vec<&str> = profile
         .iter()
         .map(|(path, _)| path)
-        .filter(|p| p.starts_with("bench.throughput"))
+        .filter(|p| p.starts_with("bench.throughput") || p.starts_with("bench.client"))
         .collect();
     assert!(
         bench_paths.len() >= 10,
-        "expected >= 10 distinct call paths under bench.throughput, got {}: {:#?}",
+        "expected >= 10 distinct call paths under the throughput roots, got {}: {:#?}",
         bench_paths.len(),
         bench_paths
     );
@@ -265,5 +267,5 @@ fn throughput_workload_profiles_at_least_ten_distinct_call_paths() {
         assert!(!path.is_empty());
         self_us.parse::<u64>().expect("numeric self time");
     }
-    assert!(folded.contains("bench.throughput;harness.reader;harness.read;server.fetch"));
+    assert!(folded.contains("bench.client;durable.read;cloud.read;server.fetch"));
 }
