@@ -36,6 +36,7 @@ use std::fmt::Write as _;
 use std::path::Path;
 
 use mabe_obs::json::{self, Value};
+use mabe_telemetry::export::json_escape;
 
 /// Which way a metric is allowed to drift.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -183,16 +184,16 @@ pub fn parse_baseline(doc: &str) -> Result<Baseline, String> {
 /// by `compare --update` to refresh values in place).
 pub fn render_baseline(b: &Baseline) -> String {
     let mut out = String::from("{\n  \"format\": \"mabe-bench-baseline/v1\",\n");
-    let _ = writeln!(out, "  \"bench\": \"{}\",", json::escape(&b.bench));
-    let _ = writeln!(out, "  \"source\": \"{}\",", json::escape(&b.source));
+    let _ = writeln!(out, "  \"bench\": \"{}\",", json_escape(&b.bench));
+    let _ = writeln!(out, "  \"source\": \"{}\",", json_escape(&b.source));
     out.push_str("  \"metrics\": [\n");
     for (i, m) in b.metrics.iter().enumerate() {
         let _ = write!(
             out,
             "    {{\"name\": \"{}\", \"path\": \"{}\", \"value\": {}, \
              \"direction\": \"{}\", \"tolerance_pct\": {}}}",
-            json::escape(&m.name),
-            json::escape(&m.path),
+            json_escape(&m.name),
+            json_escape(&m.path),
             m.value,
             m.direction.as_str(),
             m.tolerance_pct

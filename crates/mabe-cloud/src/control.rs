@@ -104,11 +104,11 @@ impl ControlPlane {
 pub(crate) enum Step<'a> {
     /// A revocation was re-keyed and parked in its (still locked) shard.
     Begun { st: &'a ShardState, id: u64 },
-    /// A revocation was driven to completion, or `deferred` with its
-    /// re-encryption queued.
+    /// A revocation in its (still locked) shard was driven to
+    /// completion, or `deferred` with its re-encryption queued.
     Finished {
+        st: &'a ShardState,
         id: u64,
-        aid: &'a AuthorityId,
         deferred: bool,
     },
     /// A drained lazy batch converged these revocations.
@@ -509,9 +509,8 @@ impl CloudSystem {
                 }
             }
         }
-        let aid = st.authority.aid();
         let deferred = how == Finish::Defer;
-        j.step(op, Step::Finished { id, aid, deferred })
+        j.step(op, Step::Finished { st, id, deferred })
     }
 
     /// The phases past begin: key delivery (once per revocation), owner

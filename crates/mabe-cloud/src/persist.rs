@@ -1091,8 +1091,8 @@ impl<S: Storage> Journal for DurableSystem<S> {
         let drained = matches!(step, Step::Drained { .. });
         let frames = match step {
             Step::Begun { st, id } => tables::frames_revocation_begun(&self.sys, st, id),
-            Step::Finished { id, aid, deferred } => {
-                tables::frames_revocation_finished(&self.sys, id, aid, deferred)
+            Step::Finished { st, id, deferred } => {
+                tables::frames_revocation_finished(&self.sys, st, id, deferred)
             }
             Step::Drained { ids, aid } => tables::frames_lazy_drained(&self.sys, ids, aid),
         };
@@ -1239,7 +1239,7 @@ mod tests {
     use crate::audit::AuditEvent;
     use crate::system::fault_points;
     use mabe_faults::{FaultKind, FaultPlan};
-    use mabe_store::{store_points, GroupWal, Keyspace, Schema, SimDisk};
+    use mabe_store::{store_points, Keyspace, Schema, SimDisk, Wal};
 
     const DOC_POLICY: &str = "Doctor@MedOrg";
     const SHARED_POLICY: &str = "Doctor@MedOrg OR Nurse@MedOrg";
@@ -1357,6 +1357,113 @@ mod tests {
         ds.revoke(&alice, "Doctor@MedOrg").unwrap();
         assert_eq!(ds.system().lazy_queue_depth(), 1);
         (ds, alice, bob, owner)
+    }
+
+    /// A fresh store that never checkpoints on its own.
+    fn unchecked(seed: u64) -> DurableSystem<SimDisk> {
+        let ds = open_fresh(seed);
+        ds.set_checkpoint_interval(usize::MAX);
+        ds.set_wal_budget(usize::MAX);
+        ds
+    }
+
+    /// Reopens a copy of `ds`'s durable bytes (a power cut with nothing
+    /// checkpointed, so the journal alone rebuilds it) and checks that
+    /// it populates the same snapshot and seal as the live system.
+    fn reopens_to_itself(ds: &DurableSystem<SimDisk>, step: &str) {
+        assert_eq!(ds.generation(), 0, "{step}: a checkpoint ran");
+        let mut disk = SimDisk::unfaulted();
+        for (name, bytes) in durable_objects(&ds.storage()) {
+            disk.set_durable(&name, bytes);
+        }
+        let (reopened, _) = DurableSystem::open(disk, 0x0b5e).unwrap();
+        let [live, replayed] = [ds.system(), reopened.system()].map(|sys| {
+            let image = tables::populate(sys, 0);
+            (image.keyspace.encode_snapshot(), image.seal)
+        });
+        assert!(
+            live.0 == replayed.0,
+            "{step}: the replayed snapshot differs"
+        );
+        assert!(live.1 == replayed.1, "{step}: the replayed seal differs");
+    }
+
+    /// Every journaled mutator, ordered so later registrations meet
+    /// earlier state: an authority added after an owner, an owner added
+    /// after grants, offline holders across an eager, a user-level and a
+    /// lazy revocation, a sync, a replaced record and the drain. `check`
+    /// runs after each step, so a row one batch leaves out is caught
+    /// before a later batch's re-put can cover it.
+    fn every_mutator_world(ds: &DurableSystem<SimDisk>, check: fn(&DurableSystem<SimDisk>, &str)) {
+        ds.add_authority("MedOrg", &["Doctor", "Nurse"]).unwrap();
+        check(ds, "add_authority MedOrg");
+        let hospital = ds.add_owner("hospital").unwrap();
+        check(ds, "add_owner hospital");
+        let [alice, bob, carol] = ["alice", "bob", "carol"].map(|n| ds.add_user(n).unwrap());
+        check(ds, "add_user");
+        ds.grant(&alice, &["Doctor@MedOrg"]).unwrap();
+        ds.grant(&bob, &["Doctor@MedOrg", "Nurse@MedOrg"]).unwrap();
+        check(ds, "grant");
+        let trial = ds.add_authority("Trial", &["Researcher"]).unwrap();
+        check(ds, "add_authority Trial after an owner");
+        ds.grant(&alice, &["Researcher@Trial"]).unwrap();
+        ds.grant(&carol, &["Researcher@Trial", "Nurse@MedOrg"])
+            .unwrap();
+        check(ds, "grant at Trial");
+        let clinic = ds.add_owner("clinic").unwrap();
+        check(ds, "add_owner clinic after grants");
+        let notes = "Nurse@MedOrg OR Researcher@Trial";
+        let chart = [
+            ("dx", b"doctors only".as_slice(), DOC_POLICY),
+            ("notes", b"ward", notes),
+        ];
+        ds.publish(&hospital, "chart", &chart).unwrap();
+        let study = [(
+            "data",
+            b"both".as_slice(),
+            "Researcher@Trial AND Nurse@MedOrg",
+        )];
+        ds.publish(&clinic, "study", &study).unwrap();
+        check(ds, "publish");
+        assert_eq!(ds.read(&carol, &clinic, "study", "data").unwrap(), b"both");
+        check(ds, "read");
+        ds.set_offline(&bob).unwrap();
+        ds.set_offline(&carol).unwrap();
+        check(ds, "set_offline");
+        ds.revoke(&alice, "Doctor@MedOrg").unwrap();
+        check(ds, "eager revoke");
+        ds.revoke_user_at(&alice, &trial).unwrap();
+        check(ds, "revoke_user_at");
+        // No read from here to the drain: read-triggered upgrades are
+        // not journaled.
+        ds.system().set_lazy_revocation(true);
+        ds.revoke(&bob, "Nurse@MedOrg").unwrap();
+        assert_eq!(ds.system().lazy_queue_depth(), 1);
+        check(ds, "lazy revoke");
+        ds.sync_user(&carol).unwrap();
+        check(ds, "sync_user");
+        ds.publish(
+            &hospital,
+            "chart",
+            &[("dx", b"replaced".as_slice(), DOC_POLICY)],
+        )
+        .unwrap();
+        check(ds, "replaced record");
+        assert_eq!(ds.drain_lazy().unwrap(), 1);
+        check(ds, "drain_lazy");
+    }
+
+    /// A world run without a checkpoint, crashed and reopened from its
+    /// journal alone, populates the same snapshot and seal as the live
+    /// system it was journaled from.
+    #[test]
+    fn the_journal_alone_rebuilds_the_live_checkpoint() {
+        reopens_to_itself(&full_world(unchecked(51)).0, "full_world");
+        let (lazy, ..) = lazy_world(unchecked(52));
+        reopens_to_itself(&lazy, "lazy_world, queued");
+        assert_eq!(lazy.drain_lazy().unwrap(), 1);
+        reopens_to_itself(&lazy, "lazy_world, drained");
+        every_mutator_world(&unchecked(54), reopens_to_itself);
     }
 
     #[test]
@@ -1606,8 +1713,9 @@ mod tests {
         // A store in another format (here a pre-keyspace tagged record
         // after a frame batch) is rejected typed at the record's index.
         ds.add_user("solo").unwrap();
-        let (wal, ..) = GroupWal::open(ds.into_storage()).unwrap();
-        wal.append_sync(&[4, 0, 4, b's', b'o', b'l', b'o']).unwrap();
+        let (mut wal, _) = Wal::open(ds.into_storage()).unwrap();
+        wal.append(&[4, 0, 4, b's', b'o', b'l', b'o']).unwrap();
+        wal.sync().unwrap();
         let disk = wal.into_store();
         let before = durable_objects(&disk);
         let failure = DurableSystem::open(disk, 5).unwrap_err();
@@ -1625,7 +1733,7 @@ mod tests {
         assert_eq!(durable_objects(&failure.storage), before);
 
         // Likewise a snapshot that is not a per-table snapshot.
-        let (wal, ..) = GroupWal::open(SimDisk::unfaulted()).unwrap();
+        let (mut wal, _) = Wal::open(SimDisk::unfaulted()).unwrap();
         wal.checkpoint(b"MSYS-STYLE-SNAPSHOT", None).unwrap();
         let disk = wal.into_store();
         let before = durable_objects(&disk);
@@ -1647,7 +1755,7 @@ mod tests {
             .keyspace
             .delete::<tables::Meta>(&(tables::META_LSSS.to_owned(),));
         assert!(image.keyspace.rows(tables::Records::ID) > 0);
-        let (wal, ..) = GroupWal::open(SimDisk::unfaulted()).unwrap();
+        let (mut wal, _) = Wal::open(SimDisk::unfaulted()).unwrap();
         wal.checkpoint(&image.keyspace.encode_snapshot(), image.seal.as_deref())
             .unwrap();
         let disk = wal.into_store();
@@ -1660,6 +1768,48 @@ mod tests {
         );
         assert!(failure.error.to_string().contains("LSSS construction"));
         assert_eq!(durable_objects(&failure.storage), before);
+    }
+
+    /// A store written while `Components` rows were persisted opens
+    /// with them ignored (the server rebuilds its index from the
+    /// records), and its next checkpoint drops them.
+    #[test]
+    fn persisted_component_rows_are_ignored_and_dropped_at_the_next_checkpoint() {
+        let (ds, _, bob, owner, _) = full_world(open_fresh(71));
+        let image = tables::populate(ds.system(), 0);
+        let row = |record: &str, label: &str| {
+            let key = (
+                "MedOrg".into(),
+                "hospital".into(),
+                record.into(),
+                label.into(),
+            );
+            Frame::put::<tables::Components>(&key, &vec![0xff; 16])
+        };
+        image.keyspace.apply(&[row("rec-shared", "note")]);
+        let (mut wal, _) = Wal::open(SimDisk::unfaulted()).unwrap();
+        wal.checkpoint(&image.keyspace.encode_snapshot(), image.seal.as_deref())
+            .unwrap();
+        wal.append(&mabe_store::encode_frames(&[row("rec-doc", "diagnosis")]))
+            .unwrap();
+        wal.sync().unwrap();
+
+        let (ds, report) = DurableSystem::open(wal.into_store(), 71).unwrap();
+        assert_eq!(report.records_replayed, 1);
+        assert_eq!(
+            ds.read(&bob, &owner, "rec-shared", "note").unwrap(),
+            b"ward note"
+        );
+        ds.checkpoint().unwrap();
+        let mut disk = ds.into_storage();
+        disk.crash();
+        let (_, open) = TypedStore::open(disk).unwrap();
+        assert_eq!(open.keyspace.rows(tables::Components::ID), 0);
+        assert!(!open
+            .keyspace
+            .encode_snapshot()
+            .windows(b"components".len())
+            .any(|w| w == b"components"));
     }
 
     /// A store written before seals — an `MMAN0001` manifest naming a

@@ -12,6 +12,7 @@
 //! lock only to apply it ([`CloudServer::apply_reencryption`]).
 
 use std::collections::BTreeMap;
+use std::slice;
 
 use parking_lot::RwLock;
 
@@ -20,9 +21,9 @@ use mabe_core::{
     SealedComponent, UpdateInfo, UpdateKey, WithTables,
 };
 use mabe_policy::AuthorityId;
-use mabe_store::{key_str, Keyspace};
+use mabe_store::{key_str, Keyspace, Schema};
 
-use crate::tables::{self, Components};
+use crate::tables::Components;
 
 /// Key of a stored record: owner plus record name.
 pub type RecordKey = (OwnerId, String);
@@ -40,37 +41,55 @@ pub struct CloudServer {
     index: Keyspace,
 }
 
+/// The index rows of one sealed component of record `(owner, name)`:
+/// one per authority it is sealed under, valued `version u64 ‖ ct_id
+/// u64`.
+fn index_rows<'a>(
+    owner: &'a OwnerId,
+    name: &'a str,
+    component: &'a SealedComponent,
+) -> impl Iterator<Item = (<Components as Schema>::Key, Vec<u8>)> + 'a {
+    let ct = &component.key_ct;
+    ct.versions.iter().map(move |(aid, version)| {
+        let key = (
+            aid.as_str().to_owned(),
+            owner.as_str().to_owned(),
+            name.to_owned(),
+            component.label.clone(),
+        );
+        (key, [version.to_be_bytes(), ct.id.0.to_be_bytes()].concat())
+    })
+}
+
+/// An index row's `(version, ciphertext id)`; `None` unless 16 bytes.
+fn decode_index_value(value: &[u8]) -> Option<(u64, CiphertextId)> {
+    let (version, id) = value.split_first_chunk::<8>()?;
+    let id: [u8; 8] = id.try_into().ok()?;
+    Some((
+        u64::from_be_bytes(*version),
+        CiphertextId(u64::from_be_bytes(id)),
+    ))
+}
+
 impl CloudServer {
     /// Creates an empty server.
     pub fn new() -> Self {
         Self::default()
     }
 
-    fn index_envelope(&self, owner: &OwnerId, name: &str, envelope: &DataEnvelope) {
-        for component in &envelope.components {
-            for (aid, version) in &component.key_ct.versions {
-                self.index.put::<Components>(
-                    &(
-                        aid.as_str().to_owned(),
-                        owner.as_str().to_owned(),
-                        name.to_owned(),
-                        component.label.clone(),
-                    ),
-                    &tables::component_value(*version, component.key_ct.id),
-                );
+    /// Puts the index rows of `components`, stored under `(owner, name)`.
+    fn index_components(&self, owner: &OwnerId, name: &str, components: &[SealedComponent]) {
+        for component in components {
+            for (key, value) in index_rows(owner, name, component) {
+                self.index.put::<Components>(&key, &value);
             }
         }
     }
 
-    fn unindex_envelope(&self, owner: &OwnerId, name: &str, envelope: &DataEnvelope) {
-        for component in &envelope.components {
-            for aid in component.key_ct.versions.keys() {
-                self.index.delete::<Components>(&(
-                    aid.as_str().to_owned(),
-                    owner.as_str().to_owned(),
-                    name.to_owned(),
-                    component.label.clone(),
-                ));
+    fn unindex_components(&self, owner: &OwnerId, name: &str, components: &[SealedComponent]) {
+        for component in components {
+            for (key, _) in index_rows(owner, name, component) {
+                self.index.delete::<Components>(&key);
             }
         }
     }
@@ -83,10 +102,10 @@ impl CloudServer {
         let key = (owner, name);
         let mut records = self.records.write();
         if let Some(old) = records.insert(key.clone(), envelope) {
-            self.unindex_envelope(&key.0, &key.1, &old);
+            self.unindex_components(&key.0, &key.1, &old.components);
         }
         let stored = records.get(&key).expect("record just inserted");
-        self.index_envelope(&key.0, &key.1, stored);
+        self.index_components(&key.0, &key.1, &stored.components);
     }
 
     /// Fetches a record (clone — the server hands out bytes, it does not
@@ -135,7 +154,7 @@ impl CloudServer {
             .expect("component index rows are self-encoded");
         let mut out = Vec::new();
         for ((_, row_owner, record, label), value) in rows {
-            let Some((row_version, ct_id)) = tables::decode_component_value(&value) else {
+            let Some((row_version, ct_id)) = decode_index_value(&value) else {
                 continue;
             };
             if row_version == version {
@@ -166,13 +185,13 @@ impl CloudServer {
         out
     }
 
-    /// Clones out every stored record — the checkpoint walk.
-    pub(crate) fn export_records(&self) -> Vec<(RecordKey, DataEnvelope)> {
-        self.records
-            .read()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect()
+    /// Runs `f` over the stored records under the read lock — the
+    /// journal and checkpoint walks.
+    pub(crate) fn with_records<R>(
+        &self,
+        f: impl FnOnce(&BTreeMap<RecordKey, DataEnvelope>) -> R,
+    ) -> R {
+        f(&self.records.read())
     }
 
     /// A server holding `records`, with the component index built from
@@ -185,7 +204,7 @@ impl CloudServer {
         {
             let records = server.records.read();
             for ((owner, name), envelope) in records.iter() {
-                server.index_envelope(owner, name, envelope);
+                server.index_components(owner, name, &envelope.components);
             }
         }
         server
@@ -267,17 +286,7 @@ impl CloudServer {
         apply_reencryption(&mut component.key_ct, uk, ui, refresh)?;
         // The version bump changed index row values (never keys — the
         // authority set of a sealed component is fixed), so re-put them.
-        for (aid, version) in &component.key_ct.versions {
-            self.index.put::<Components>(
-                &(
-                    aid.as_str().to_owned(),
-                    record.0.as_str().to_owned(),
-                    record.1.clone(),
-                    label.to_owned(),
-                ),
-                &tables::component_value(*version, component.key_ct.id),
-            );
-        }
+        self.index_components(&record.0, &record.1, slice::from_ref(component));
         Ok(())
     }
 }
@@ -363,15 +372,16 @@ mod tests {
         server.store(owner.id().clone(), "empty", DataEnvelope::new());
 
         // Each record as a `Records` row holds it: envelope wire bytes.
-        let records = server
-            .export_records()
-            .into_iter()
-            .map(|(key, envelope)| {
-                let decoded = DataEnvelope::from_wire_bytes(&envelope.to_wire_bytes()).unwrap();
-                assert_eq!(decoded, envelope);
-                (key, decoded)
-            })
-            .collect();
+        let records = server.with_records(|records| {
+            records
+                .iter()
+                .map(|(key, envelope)| {
+                    let decoded = DataEnvelope::from_wire_bytes(&envelope.to_wire_bytes()).unwrap();
+                    assert_eq!(&decoded, envelope);
+                    (key.clone(), decoded)
+                })
+                .collect()
+        });
         let restored = CloudServer::from_records(records);
         assert_eq!(restored.record_count(), 2);
         assert_eq!(restored.storage_size(), server.storage_size());

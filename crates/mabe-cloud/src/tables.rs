@@ -1,27 +1,32 @@
 //! The typed keyspace catalog: one [`mabe_store::Schema`] table per
-//! kind of persistent cloud-plane state, the populate/hydrate bridge
-//! between live state and checkpoint keyspaces, and the per-operation
-//! frame emitters the durable wrapper journals.
+//! kind of persistent cloud-plane state, one row writer per table, and
+//! the populate/hydrate bridge between live state and checkpoint
+//! keyspaces.
 //!
 //! # Design
 //!
 //! The live [`crate::CloudSystem`] keeps its working structures exactly
 //! as before (sharded authorities, directory maps, the server's record
 //! map) — those are the lock-ordered, concurrency-tested structures.
-//! Durability flows through tables instead of ad-hoc tag payloads:
+//! Durability flows through tables instead of ad-hoc tag payloads, and
+//! each persistent table has one writer that emits the rows a [`Pick`]
+//! selects from the live state: every row, the rows whose key passes a
+//! test, or explicit keys (a put for each row present, a delete for
+//! each absent):
 //!
 //! * **Journaling** — after an operation mutates live state (and before
-//!   it is acknowledged), the matching `frames_*` emitter reads the
-//!   *current* state of every row the operation could have changed and
-//!   produces a `(table, op, key, value)` frame batch. Replay is then
+//!   it is acknowledged), the matching `frames_*` emitter calls the
+//!   writers of every row the operation could have changed and returns
+//!   their `(table, op, key, value)` frames as one batch. Replay is then
 //!   pure row application: no re-running of key generation, no RNG
 //!   coupling, no order-sensitive side effects.
-//! * **Checkpointing** — [`populate`] walks the live state into a fresh
-//!   [`Keyspace`] (schema-driven per-table snapshot sections) and seals
-//!   the audit entries recorded since the previous checkpoint into one
-//!   seal payload ([`seal_payload`]). The snapshot keeps only the audit
-//!   counters, the sealed-entry count and the chain head, so its size
-//!   tracks the live state, not the length of the history.
+//! * **Checkpointing** — [`populate`] runs every writer over every key
+//!   into a fresh [`Keyspace`] (schema-driven per-table snapshot
+//!   sections) and seals the audit entries recorded since the previous
+//!   checkpoint into one seal payload ([`seal_payload`]). The snapshot
+//!   keeps only the audit counters, the sealed-entry count and the
+//!   chain head, so its size tracks the live state, not the length of
+//!   the history.
 //! * **Hydration** — [`hydrate`] rebuilds a [`crate::CloudSystem`]
 //!   straight from the rows: entity values through their wire codecs,
 //!   composite values through the decoder beside each encoder below,
@@ -32,25 +37,22 @@
 //!
 //! Key encodings are order-preserving ([`mabe_store::key_str`] /
 //! [`mabe_store::key_u64`]), so prefix range scans replace full-map
-//! passes: re-encryption walks `Components` rows under an
-//! `(authority, owner)` prefix, and grant lookup walks
-//! `GrantsByAuthority` under an `(authority)` prefix.
-//!
-//! `Components` rows are *derived* state (version/ciphertext-id per
-//! `(authority, owner, record, label)`): they are journaled and
-//! checkpointed so the on-disk keyspace is self-describing, but
-//! hydration rebuilds the server's live index from the authoritative
-//! envelope bytes in `Records` and ignores them.
+//! passes in the two live-only tables: re-encryption walks the
+//! server's `Components` index under an `(authority, owner)` prefix,
+//! and grant lookup walks `GrantsByAuthority` under an `(authority)`
+//! prefix. Neither is journaled or checkpointed; each is rebuilt from
+//! the rows it indexes (`Records`, `Grants`).
 
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet};
+use std::slice;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
 use mabe_core::{
-    read_string, AttributeAuthority, CertificateAuthority, CiphertextId, DataEnvelope, DataOwner,
-    Error, OwnerId, Reader, RevocationEvent, Uid, UpdateKey, UserPublicKey, UserSecretKey,
-    WireCodec,
+    read_string, AttributeAuthority, CertificateAuthority, DataEnvelope, DataOwner, Error, OwnerId,
+    Reader, RevocationEvent, Uid, UpdateKey, UserPublicKey, UserSecretKey, WireCodec,
 };
 use mabe_crypto::sha256::DIGEST_LEN;
 use mabe_policy::lsss::CONSTRUCTION;
@@ -63,7 +65,7 @@ use crate::directory::UserState;
 use crate::lazy::PendingUpgrade;
 use crate::persist::OpenError;
 use crate::recovery::{PendingRevocation, RevocationStage};
-use crate::server::CloudServer;
+use crate::server::{CloudServer, RecordKey};
 use crate::system::CloudSystem;
 
 mabe_store::define_table!(
@@ -118,9 +120,13 @@ mabe_store::define_table!(
     Records: 9, "records", key(owner: str, record: str)
 );
 mabe_store::define_table!(
-    /// Derived ciphertext-component index: `version u64 ‖ ct_id u64`
+    /// Live-only ciphertext-component index: `version u64 ‖ ct_id u64`
     /// per `(authority, owner, record, label)`. The `(authority,
-    /// owner)` prefix is the re-encryption worklist.
+    /// owner)` prefix is the re-encryption worklist. Never journaled or
+    /// checkpointed — [`CloudServer`] keeps it beside its records and
+    /// rebuilds it from them; a store written when the table was
+    /// persisted opens with its rows ignored, and its next checkpoint
+    /// drops them.
     Components: 10, "components", key(aid: str, owner: str, record: str, label: str)
 );
 mabe_store::define_table!(
@@ -163,8 +169,8 @@ pub(crate) const META_AUDIT_SEALED: &str = "audit_sealed";
 pub(crate) const META_LSSS: &str = "lsss";
 
 /// Registers every *persistent* table (everything except the live-only
-/// [`GrantsByAuthority`]) so empty tables still appear as checkpoint
-/// sections.
+/// [`Components`] and [`GrantsByAuthority`]) so empty tables still
+/// appear as checkpoint sections.
 pub(crate) fn register_all(ks: &Keyspace) {
     ks.register::<Meta>();
     ks.register::<Authorities>();
@@ -175,7 +181,6 @@ pub(crate) fn register_all(ks: &Keyspace) {
     ks.register::<Offline>();
     ks.register::<PendingUpdates>();
     ks.register::<Records>();
-    ks.register::<Components>();
     ks.register::<Audit>();
     ks.register::<PendingRevocations>();
     ks.register::<LazyQueue>();
@@ -225,26 +230,6 @@ fn get_count(r: &mut Reader<'_>) -> Result<usize, Error> {
 // ---------------------------------------------------------------------
 // Value codecs
 // ---------------------------------------------------------------------
-
-/// [`Components`] row value: the component's version at the row's
-/// authority plus its ciphertext id.
-pub(crate) fn component_value(version: u64, id: CiphertextId) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16);
-    put_u64(&mut out, version);
-    put_u64(&mut out, id.0);
-    out
-}
-
-/// Decodes a [`Components`] row value back to `(version, ciphertext
-/// id)`; `None` if the value is not the expected 16 bytes.
-pub(crate) fn decode_component_value(value: &[u8]) -> Option<(u64, CiphertextId)> {
-    if value.len() != 16 {
-        return None;
-    }
-    let version = u64::from_be_bytes(value[..8].try_into().expect("length checked"));
-    let id = u64::from_be_bytes(value[8..].try_into().expect("length checked"));
-    Some((version, CiphertextId(id)))
-}
 
 fn pending_updates_value(queue: &[(OwnerId, UpdateKey)]) -> Vec<u8> {
     let mut out = Vec::new();
@@ -420,204 +405,284 @@ fn meta_frame(name: &str, value: Vec<u8>) -> Frame {
 }
 
 // ---------------------------------------------------------------------
-// Section walks (shared by the per-op emitters and `populate`)
+// Row writers: one per persistent table
 // ---------------------------------------------------------------------
 
-fn ca_frame(sys: &CloudSystem) -> Frame {
-    meta_frame(META_CA, sys.directory.ca.lock().to_wire_bytes())
+/// Which rows of one table a writer emits.
+enum Pick<'a, K> {
+    /// Every row the live state holds.
+    All,
+    /// The live rows whose key passes the test.
+    Where(&'a dyn Fn(&K) -> bool),
+    /// Exactly these keys, in this order: a put for each row the live
+    /// state holds, a delete for each it does not.
+    Keys(&'a [K]),
 }
 
-/// The `lsss` marker. No ciphertext exists before its owner does, so
-/// the batch that registers an owner and every snapshot carry it.
-fn lsss_frame() -> Frame {
-    meta_frame(META_LSSS, CONSTRUCTION.as_bytes().to_vec())
+impl<K> Pick<'_, K> {
+    /// Emits the picked rows of `T`: `live` walks the table's live rows
+    /// in key order, `get` looks one up, and `key` and `value` encode a
+    /// row.
+    fn write<T, B, V>(
+        self,
+        out: &mut Vec<Frame>,
+        live: impl Iterator<Item = (B, V)>,
+        get: impl Fn(&K) -> Option<V>,
+        key: impl Fn(&K) -> T::Key,
+        value: impl Fn(V) -> Vec<u8>,
+    ) where
+        T: Schema<Value = Vec<u8>>,
+        B: Borrow<K>,
+    {
+        let put = |k: &K, v| Frame::put::<T>(&key(k), &value(v));
+        match self {
+            Pick::All => out.extend(live.map(|(k, v)| put(k.borrow(), v))),
+            Pick::Where(keep) => out.extend(
+                live.filter(|(k, _)| keep(k.borrow()))
+                    .map(|(k, v)| put(k.borrow(), v)),
+            ),
+            Pick::Keys(keys) => out.extend(keys.iter().map(|k| match get(k) {
+                Some(v) => put(k, v),
+                None => Frame::delete::<T>(&key(k)),
+            })),
+        }
+    }
 }
 
-fn authority_frame_from_state(st: &ShardState) -> Frame {
+/// `Meta` rows by name: the certificate authority, the LSSS marker and
+/// the revocation counter. The audit rows are written under the audit
+/// lock beside the entries they count ([`emit_audit`], [`populate`]).
+fn meta(sys: &CloudSystem, names: &[&str], out: &mut Vec<Frame>) {
+    for &name in names {
+        let value = match name {
+            META_CA => sys.directory.ca.lock().to_wire_bytes(),
+            // No ciphertext exists before its owner does, so the batch
+            // that registers an owner and every snapshot carry it.
+            META_LSSS => CONSTRUCTION.as_bytes().to_vec(),
+            META_NEXT_REVOCATION => {
+                meta_u64_value(sys.control.next_revocation.load(Ordering::SeqCst))
+            }
+            _ => unreachable!("meta row {name} is written with the audit entries"),
+        };
+        out.push(meta_frame(name, value));
+    }
+}
+
+/// `Authorities` rows, each read under its shard lock.
+fn authorities(sys: &CloudSystem, pick: Pick<'_, AuthorityId>, out: &mut Vec<Frame>) {
+    let shards = sys.control.shards.read();
+    pick.write::<Authorities, _, _>(
+        out,
+        shards.iter(),
+        |aid| shards.get(aid),
+        |aid| (aid.as_str().to_owned(),),
+        |shard| shard.state.lock().authority.to_wire_bytes(),
+    );
+}
+
+/// The `Authorities` row of an already-locked shard.
+fn authority(st: &ShardState) -> Frame {
     Frame::put::<Authorities>(
         &(st.authority.aid().as_str().to_owned(),),
         &st.authority.to_wire_bytes(),
     )
 }
 
-fn all_authority_frames(sys: &CloudSystem, out: &mut Vec<Frame>) {
-    let shards = sys.control.shards.read();
-    for shard in shards.values() {
-        out.push(authority_frame_from_state(&shard.state.lock()));
-    }
-}
-
-fn all_owner_frames(sys: &CloudSystem, out: &mut Vec<Frame>) {
+fn owners(sys: &CloudSystem, pick: Pick<'_, OwnerId>, out: &mut Vec<Frame>) {
     let owners = sys.directory.owners.read();
-    for (id, owner) in owners.iter() {
-        out.push(Frame::put::<Owners>(
-            &(id.as_str().to_owned(),),
-            &owner.to_wire_bytes(),
-        ));
-    }
+    pick.write::<Owners, _, _>(
+        out,
+        owners.iter(),
+        |id| owners.get(id),
+        |id| (id.as_str().to_owned(),),
+        |owner| owner.to_wire_bytes(),
+    );
 }
 
-fn owner_frame(sys: &CloudSystem, owner_id: &OwnerId, out: &mut Vec<Frame>) {
-    let owners = sys.directory.owners.read();
-    if let Some(owner) = owners.get(owner_id) {
-        out.push(Frame::put::<Owners>(
-            &(owner_id.as_str().to_owned(),),
-            &owner.to_wire_bytes(),
-        ));
-    }
-}
-
-/// Every key slot of one user.
-fn user_key_frames(sys: &CloudSystem, uid: &Uid, out: &mut Vec<Frame>) {
+fn users(sys: &CloudSystem, pick: Pick<'_, Uid>, out: &mut Vec<Frame>) {
     let users = sys.directory.users.read();
-    if let Some(state) = users.users.get(uid) {
-        for ((owner, aid), key) in &state.keys {
-            out.push(Frame::put::<UserKeys>(
-                &(
-                    uid.as_str().to_owned(),
-                    owner.as_str().to_owned(),
-                    aid.as_str().to_owned(),
-                ),
-                &key.to_wire_bytes(),
-            ));
-        }
-    }
+    pick.write::<Users, _, _>(
+        out,
+        users.users.iter(),
+        |uid| users.users.get(uid),
+        |uid| (uid.as_str().to_owned(),),
+        |state| state.pk.to_wire_bytes(),
+    );
 }
 
-/// Every user's key slots at one authority (the rows a revocation's
-/// key delivery can touch).
-fn user_key_frames_for_aid(sys: &CloudSystem, aid: &AuthorityId, out: &mut Vec<Frame>) {
+type UserKey = (Uid, OwnerId, AuthorityId);
+
+fn user_keys(sys: &CloudSystem, pick: Pick<'_, UserKey>, out: &mut Vec<Frame>) {
     let users = sys.directory.users.read();
-    for (uid, state) in &users.users {
-        for ((owner, key_aid), key) in &state.keys {
-            if key_aid == aid {
-                out.push(Frame::put::<UserKeys>(
-                    &(
-                        uid.as_str().to_owned(),
-                        owner.as_str().to_owned(),
-                        key_aid.as_str().to_owned(),
-                    ),
-                    &key.to_wire_bytes(),
-                ));
-            }
-        }
-    }
+    let live = users.users.iter().flat_map(|(uid, state)| {
+        state
+            .keys
+            .iter()
+            .map(move |((owner, aid), key)| ((uid.clone(), owner.clone(), aid.clone()), key))
+    });
+    pick.write::<UserKeys, _, _>(
+        out,
+        live,
+        |(uid, owner, aid)| {
+            users
+                .users
+                .get(uid)?
+                .keys
+                .get(&(owner.clone(), aid.clone()))
+        },
+        |(uid, owner, aid)| {
+            (
+                uid.as_str().to_owned(),
+                owner.as_str().to_owned(),
+                aid.as_str().to_owned(),
+            )
+        },
+        |key| key.to_wire_bytes(),
+    );
 }
 
-/// Put-or-delete for one user's pending-update queue, from current
-/// state.
-fn pending_updates_frame(sys: &CloudSystem, uid: &Uid, out: &mut Vec<Frame>) {
+fn grants(sys: &CloudSystem, pick: Pick<'_, (Uid, Attribute)>, out: &mut Vec<Frame>) {
     let users = sys.directory.users.read();
-    match users.pending_updates.get(uid) {
-        Some(queue) => out.push(Frame::put::<PendingUpdates>(
-            &(uid.as_str().to_owned(),),
-            &pending_updates_value(queue),
-        )),
-        None => out.push(Frame::delete::<PendingUpdates>(&(uid.as_str().to_owned(),))),
-    }
+    let live = users.grants.iter().flat_map(|(uid, attrs)| {
+        attrs
+            .iter()
+            .map(move |attr| ((uid.clone(), attr.clone()), ()))
+    });
+    pick.write::<Grants, _, _>(
+        out,
+        live,
+        |(uid, attr)| users.grants.get(uid)?.contains(attr).then_some(()),
+        |(uid, attr)| (uid.as_str().to_owned(), attr.to_string()),
+        |()| Vec::new(),
+    );
 }
 
-fn all_pending_update_frames(sys: &CloudSystem, out: &mut Vec<Frame>) {
+fn offline(sys: &CloudSystem, pick: Pick<'_, Uid>, out: &mut Vec<Frame>) {
     let users = sys.directory.users.read();
-    for (uid, queue) in &users.pending_updates {
-        out.push(Frame::put::<PendingUpdates>(
-            &(uid.as_str().to_owned(),),
-            &pending_updates_value(queue),
-        ));
-    }
+    pick.write::<Offline, _, _>(
+        out,
+        users.offline.iter().map(|uid| (uid, ())),
+        |uid| users.offline.contains(uid).then_some(()),
+        |uid| (uid.as_str().to_owned(),),
+        |()| Vec::new(),
+    );
 }
 
-fn component_frames(owner: &OwnerId, record: &str, envelope: &DataEnvelope, out: &mut Vec<Frame>) {
-    for c in &envelope.components {
-        for (aid, v) in &c.key_ct.versions {
-            out.push(Frame::put::<Components>(
-                &(
-                    aid.as_str().to_owned(),
-                    owner.as_str().to_owned(),
-                    record.to_owned(),
-                    c.label.clone(),
-                ),
-                &component_value(*v, c.key_ct.id),
-            ));
-        }
-    }
+fn pending_updates(sys: &CloudSystem, pick: Pick<'_, Uid>, out: &mut Vec<Frame>) {
+    let users = sys.directory.users.read();
+    pick.write::<PendingUpdates, _, _>(
+        out,
+        users.pending_updates.iter(),
+        |uid| users.pending_updates.get(uid),
+        |uid| (uid.as_str().to_owned(),),
+        |queue| pending_updates_value(queue),
+    );
 }
 
-/// `Records` + `Components` rows for one stored record, read back from
-/// the server (so post-store healing is captured).
-fn record_frames(sys: &CloudSystem, owner: &OwnerId, record: &str, out: &mut Vec<Frame>) {
-    let Some(envelope) = sys.data.server.fetch(owner, record) else {
-        return;
-    };
-    out.push(Frame::put::<Records>(
-        &(owner.as_str().to_owned(), record.to_owned()),
-        &envelope.to_wire_bytes(),
-    ));
-    component_frames(owner, record, &envelope, out);
+/// `Records` rows, read under the server's records lock (so
+/// post-store healing is captured).
+fn records(sys: &CloudSystem, pick: Pick<'_, RecordKey>, out: &mut Vec<Frame>) {
+    sys.data.server.with_records(|records| {
+        pick.write::<Records, _, _>(
+            out,
+            records.iter(),
+            |key| records.get(key),
+            |(owner, record)| (owner.as_str().to_owned(), record.clone()),
+            |envelope| envelope.to_wire_bytes(),
+        )
+    });
 }
 
-/// `Records` + `Components` rows for every record holding a component
-/// sealed under `aid` — the rows a re-encryption pass can rewrite.
-/// Walks the server's `(authority)` component-index prefix instead of
-/// the full record map.
-fn record_frames_for_authority(sys: &CloudSystem, aid: &AuthorityId, out: &mut Vec<Frame>) {
-    for (owner, record) in sys.data.server.records_for_authority(aid) {
-        record_frames(sys, &owner, &record, out);
-    }
+/// `PendingRevocations` rows of one already-locked shard, which holds
+/// every revocation at its authority.
+fn pending_revocations(st: &ShardState, pick: Pick<'_, u64>, out: &mut Vec<Frame>) {
+    pick.write::<PendingRevocations, _, _>(
+        out,
+        st.in_flight.iter(),
+        |id| st.in_flight.get(id),
+        |id| (*id,),
+        pending_revocation_value,
+    );
+}
+
+fn lazy_queue(sys: &CloudSystem, pick: Pick<'_, u64>, out: &mut Vec<Frame>) {
+    let queue = sys.lazy.queue.lock();
+    pick.write::<LazyQueue, _, _>(
+        out,
+        queue.iter(),
+        |id| queue.get(id),
+        |id| (*id,),
+        lazy_queue_value,
+    );
+}
+
+type ArchiveKey = (AuthorityId, OwnerId, u64);
+
+fn lazy_archive(sys: &CloudSystem, pick: Pick<'_, ArchiveKey>, out: &mut Vec<Frame>) {
+    let archive = sys.lazy.archive.read();
+    pick.write::<LazyArchive, _, _>(
+        out,
+        archive.iter(),
+        |key| archive.get(key),
+        |(aid, owner, from)| (aid.as_str().to_owned(), owner.as_str().to_owned(), *from),
+        |uk| uk.to_wire_bytes(),
+    );
+}
+
+/// The audit counter row, from a held audit lock.
+fn audit_counters(audit: &AuditLog) -> Frame {
+    let (next_seq, clock) = audit.counters();
+    meta_frame(META_AUDIT, meta_audit_value(next_seq, clock))
+}
+
+/// Every record holding a component sealed under `aid`: the rows a
+/// re-encryption pass can rewrite.
+fn records_at(sys: &CloudSystem, aid: &AuthorityId, out: &mut Vec<Frame>) {
+    records(
+        sys,
+        Pick::Keys(&sys.data.server.records_for_authority(aid)),
+        out,
+    );
 }
 
 // ---------------------------------------------------------------------
 // Per-operation emitters
 // ---------------------------------------------------------------------
 //
-// Each emitter runs AFTER the live mutation and BEFORE the ack, and
-// reads only current state; the batch it returns makes replay pure row
+// Each emitter runs AFTER the live mutation and BEFORE the ack, and is
+// the writer calls for the rows the operation could have changed, read
+// from current state; the batch it returns makes replay pure row
 // application. Emitters that run under an authority shard lock take the
 // locked `ShardState` instead of re-locking it.
 
 pub(crate) fn frames_authority_added(sys: &CloudSystem, aid: &AuthorityId) -> Vec<Frame> {
-    let mut out = vec![ca_frame(sys)];
-    if let Some(shard) = sys.control.shard(aid) {
-        out.push(authority_frame_from_state(&shard.state.lock()));
-    }
+    let mut out = Vec::new();
+    meta(sys, &[META_CA], &mut out);
+    authorities(sys, Pick::Keys(slice::from_ref(aid)), &mut out);
     // Every existing owner learned the new authority's public keys.
-    all_owner_frames(sys, &mut out);
+    owners(sys, Pick::All, &mut out);
     out
 }
 
 pub(crate) fn frames_owner_added(sys: &CloudSystem, owner_id: &OwnerId) -> Vec<Frame> {
-    let mut out = vec![lsss_frame()];
+    let mut out = Vec::new();
+    meta(sys, &[META_LSSS], &mut out);
     // Every authority registered the new owner; granted users got key
     // slots for it.
-    all_authority_frames(sys, &mut out);
-    owner_frame(sys, owner_id, &mut out);
-    let users = sys.directory.users.read();
-    for (uid, state) in &users.users {
-        for ((slot_owner, aid), key) in &state.keys {
-            if slot_owner == owner_id {
-                out.push(Frame::put::<UserKeys>(
-                    &(
-                        uid.as_str().to_owned(),
-                        slot_owner.as_str().to_owned(),
-                        aid.as_str().to_owned(),
-                    ),
-                    &key.to_wire_bytes(),
-                ));
-            }
-        }
-    }
+    authorities(sys, Pick::All, &mut out);
+    owners(sys, Pick::Keys(slice::from_ref(owner_id)), &mut out);
+    user_keys(
+        sys,
+        Pick::Where(&|(_, owner, _)| owner == owner_id),
+        &mut out,
+    );
     out
 }
 
 pub(crate) fn frames_user_added(sys: &CloudSystem, uid: &Uid) -> Vec<Frame> {
-    let mut out = vec![ca_frame(sys)];
-    let users = sys.directory.users.read();
-    if let Some(state) = users.users.get(uid) {
-        out.push(Frame::put::<Users>(
-            &(uid.as_str().to_owned(),),
-            &state.pk.to_wire_bytes(),
-        ));
-    }
+    let mut out = Vec::new();
+    meta(sys, &[META_CA], &mut out);
+    users(sys, Pick::Keys(slice::from_ref(uid)), &mut out);
     out
 }
 
@@ -625,19 +690,9 @@ pub(crate) fn frames_granted(sys: &CloudSystem, uid: &Uid) -> Vec<Frame> {
     let mut out = Vec::new();
     // Issuing keys mutates authority state; refresh every shard (cheap
     // relative to keygen itself).
-    all_authority_frames(sys, &mut out);
-    {
-        let users = sys.directory.users.read();
-        if let Some(attrs) = users.grants.get(uid) {
-            for attr in attrs {
-                out.push(Frame::put::<Grants>(
-                    &(uid.as_str().to_owned(), attr.to_string()),
-                    &Vec::new(),
-                ));
-            }
-        }
-    }
-    user_key_frames(sys, uid, &mut out);
+    authorities(sys, Pick::All, &mut out);
+    grants(sys, Pick::Where(&|(holder, _)| holder == uid), &mut out);
+    user_keys(sys, Pick::Where(&|(holder, _, _)| holder == uid), &mut out);
     out
 }
 
@@ -645,26 +700,24 @@ pub(crate) fn frames_published(sys: &CloudSystem, owner_id: &OwnerId, record: &s
     // The owner adopted fresh encryption secrets during sealing, so its
     // row must refresh with the record's.
     let mut out = Vec::new();
-    owner_frame(sys, owner_id, &mut out);
-    record_frames(sys, owner_id, record, &mut out);
+    owners(sys, Pick::Keys(slice::from_ref(owner_id)), &mut out);
+    let key = (owner_id.clone(), record.to_owned());
+    records(sys, Pick::Keys(slice::from_ref(&key)), &mut out);
     out
 }
 
 pub(crate) fn frames_offline(sys: &CloudSystem, uid: &Uid) -> Vec<Frame> {
     let mut out = Vec::new();
-    if sys.directory.users.read().offline.contains(uid) {
-        out.push(Frame::put::<Offline>(
-            &(uid.as_str().to_owned(),),
-            &Vec::new(),
-        ));
-    }
+    offline(sys, Pick::Keys(slice::from_ref(uid)), &mut out);
     out
 }
 
 pub(crate) fn frames_synced(sys: &CloudSystem, uid: &Uid) -> Vec<Frame> {
-    let mut out = vec![Frame::delete::<Offline>(&(uid.as_str().to_owned(),))];
-    pending_updates_frame(sys, uid, &mut out);
-    user_key_frames(sys, uid, &mut out);
+    let mut out = Vec::new();
+    let picked = slice::from_ref(uid);
+    offline(sys, Pick::Keys(picked), &mut out);
+    pending_updates(sys, Pick::Keys(picked), &mut out);
+    user_keys(sys, Pick::Where(&|(holder, _, _)| holder == uid), &mut out);
     out
 }
 
@@ -673,71 +726,65 @@ pub(crate) fn frames_synced(sys: &CloudSystem, uid: &Uid) -> Vec<Frame> {
 /// write-ahead of any delivery. The begin may have purged the revoked
 /// user's queued update keys, so every pending-update row is re-emitted.
 pub(crate) fn frames_revocation_begun(sys: &CloudSystem, st: &ShardState, id: u64) -> Vec<Frame> {
-    let pending = st.in_flight.get(&id).expect("begin just parked this id");
-    let mut out = vec![authority_frame_from_state(st)];
-    let uid = &pending.event.revoked_uid;
-    for attr in &pending.event.revoked_attributes {
-        out.push(Frame::delete::<Grants>(&(
-            uid.as_str().to_owned(),
-            attr.to_string(),
-        )));
-    }
-    all_pending_update_frames(sys, &mut out);
-    for (owner, uk) in &pending.event.update_keys {
-        out.push(Frame::put::<LazyArchive>(
-            &(
-                pending.event.aid.as_str().to_owned(),
-                owner.as_str().to_owned(),
-                pending.event.from_version,
-            ),
-            &uk.to_wire_bytes(),
-        ));
-    }
-    out.push(Frame::put::<PendingRevocations>(
-        &(pending.id,),
-        &pending_revocation_value(pending),
-    ));
-    out.push(meta_frame(
-        META_NEXT_REVOCATION,
-        meta_u64_value(
-            sys.control
-                .next_revocation
-                .load(std::sync::atomic::Ordering::SeqCst),
-        ),
-    ));
+    let event = &st
+        .in_flight
+        .get(&id)
+        .expect("begin just parked this id")
+        .event;
+    let revoked: Vec<(Uid, Attribute)> = event
+        .revoked_attributes
+        .iter()
+        .map(|attr| (event.revoked_uid.clone(), attr.clone()))
+        .collect();
+    let archived: Vec<ArchiveKey> = event
+        .update_keys
+        .keys()
+        .map(|owner| (event.aid.clone(), owner.clone(), event.from_version))
+        .collect();
+    let mut out = vec![authority(st)];
+    grants(sys, Pick::Keys(&revoked), &mut out);
+    pending_updates(sys, Pick::All, &mut out);
+    lazy_archive(sys, Pick::Keys(&archived), &mut out);
+    pending_revocations(st, Pick::Keys(&[id]), &mut out);
+    meta(sys, &[META_NEXT_REVOCATION], &mut out);
     out
 }
 
-/// Frames after a revocation finished past begin: the in-flight entry
-/// is gone, keys were delivered or queued, and owners advanced. A driven
-/// revocation (eager, or via recovery) re-encrypted the affected
-/// ciphertexts; a deferred one parked that work on the lazy queue.
+/// Frames after a revocation finished past begin, under its shard lock:
+/// the in-flight entry is gone, keys were delivered or queued, and
+/// owners advanced. A driven revocation (eager, or via recovery)
+/// re-encrypted the affected ciphertexts; a deferred one parked that
+/// work on the lazy queue.
 pub(crate) fn frames_revocation_finished(
     sys: &CloudSystem,
+    st: &ShardState,
     id: u64,
-    aid: &AuthorityId,
     deferred: bool,
 ) -> Vec<Frame> {
-    let mut out = vec![Frame::delete::<PendingRevocations>(&(id,))];
-    user_key_frames_for_aid(sys, aid, &mut out);
-    all_pending_update_frames(sys, &mut out);
-    all_owner_frames(sys, &mut out);
-    if !deferred {
-        record_frames_for_authority(sys, aid, &mut out);
-    } else if let Some(p) = sys.lazy.queue.lock().get(&id) {
-        out.push(Frame::put::<LazyQueue>(&(id,), &lazy_queue_value(p)));
+    let aid = st.authority.aid();
+    let mut out = Vec::new();
+    pending_revocations(st, Pick::Keys(&[id]), &mut out);
+    user_keys(
+        sys,
+        Pick::Where(&|(_, _, key_aid)| key_aid == aid),
+        &mut out,
+    );
+    pending_updates(sys, Pick::All, &mut out);
+    owners(sys, Pick::All, &mut out);
+    if deferred {
+        lazy_queue(sys, Pick::Keys(&[id]), &mut out);
+    } else {
+        records_at(sys, aid, &mut out);
     }
     out
 }
 
 /// Frames after a lazy drain batch converged `ids` at `aid`.
 pub(crate) fn frames_lazy_drained(sys: &CloudSystem, ids: &[u64], aid: &AuthorityId) -> Vec<Frame> {
-    let mut out: Vec<Frame> = ids
-        .iter()
-        .map(|id| Frame::delete::<LazyQueue>(&(*id,)))
-        .collect();
-    all_owner_frames(sys, &mut out);
-    record_frames_for_authority(sys, aid, &mut out);
+    let mut out = Vec::new();
+    lazy_queue(sys, Pick::Keys(ids), &mut out);
+    owners(sys, Pick::All, &mut out);
+    records_at(sys, aid, &mut out);
     out
 }
 
@@ -756,8 +803,7 @@ pub(crate) fn emit_audit(sys: &CloudSystem, watermark: &mut usize, out: &mut Vec
             &audit::entry_bytes(entry),
         ));
     }
-    let (next_seq, clock) = audit.counters();
-    out.push(meta_frame(META_AUDIT, meta_audit_value(next_seq, clock)));
+    out.push(audit_counters(&audit));
     *watermark = entries.len();
 }
 
@@ -780,68 +826,27 @@ pub(crate) struct CheckpointImage {
 
 /// Builds a checkpoint image from the full live state: every
 /// persistent table registered (so empty tables checkpoint as empty
-/// sections), every row emitted from the same walks the per-op emitters
-/// use, and the audit entries from `sealed_from` (the entries the
-/// committed seals already hold) on sealed. The audit counters, sealed
-/// count, chain head and seal come from one hold of the audit lock, so
-/// they always agree.
+/// sections), every writer over every key, and the audit entries from
+/// `sealed_from` (the entries the committed seals already hold) on
+/// sealed. The audit counters, sealed count, chain head and seal come
+/// from one hold of the audit lock, so they always agree.
 pub(crate) fn populate(sys: &CloudSystem, sealed_from: usize) -> CheckpointImage {
     let ks = Keyspace::new();
     register_all(&ks);
-    let mut frames = vec![ca_frame(sys), lsss_frame()];
-    all_authority_frames(sys, &mut frames);
-    all_owner_frames(sys, &mut frames);
-    {
-        let users = sys.directory.users.read();
-        for (uid, state) in &users.users {
-            frames.push(Frame::put::<Users>(
-                &(uid.as_str().to_owned(),),
-                &state.pk.to_wire_bytes(),
-            ));
-            for ((owner, aid), key) in &state.keys {
-                frames.push(Frame::put::<UserKeys>(
-                    &(
-                        uid.as_str().to_owned(),
-                        owner.as_str().to_owned(),
-                        aid.as_str().to_owned(),
-                    ),
-                    &key.to_wire_bytes(),
-                ));
-            }
-        }
-        for (uid, attrs) in &users.grants {
-            for attr in attrs {
-                frames.push(Frame::put::<Grants>(
-                    &(uid.as_str().to_owned(), attr.to_string()),
-                    &Vec::new(),
-                ));
-            }
-        }
-        for uid in &users.offline {
-            frames.push(Frame::put::<Offline>(
-                &(uid.as_str().to_owned(),),
-                &Vec::new(),
-            ));
-        }
-        for (uid, queue) in &users.pending_updates {
-            frames.push(Frame::put::<PendingUpdates>(
-                &(uid.as_str().to_owned(),),
-                &pending_updates_value(queue),
-            ));
-        }
-    }
-    for ((owner, record), envelope) in sys.data.server.export_records() {
-        frames.push(Frame::put::<Records>(
-            &(owner.as_str().to_owned(), record.clone()),
-            &envelope.to_wire_bytes(),
-        ));
-        component_frames(&owner, &record, &envelope, &mut frames);
-    }
+    let mut frames = Vec::new();
+    meta(sys, &[META_CA, META_LSSS], &mut frames);
+    authorities(sys, Pick::All, &mut frames);
+    owners(sys, Pick::All, &mut frames);
+    users(sys, Pick::All, &mut frames);
+    user_keys(sys, Pick::All, &mut frames);
+    grants(sys, Pick::All, &mut frames);
+    offline(sys, Pick::All, &mut frames);
+    pending_updates(sys, Pick::All, &mut frames);
+    records(sys, Pick::All, &mut frames);
     let (seal, sealed) = {
         let audit = sys.audit.lock();
         let entries = audit.entries();
-        let (next_seq, clock) = audit.counters();
-        frames.push(meta_frame(META_AUDIT, meta_audit_value(next_seq, clock)));
+        frames.push(audit_counters(&audit));
         let head = audit.head().unwrap_or([0; DIGEST_LEN]);
         frames.push(meta_frame(
             META_AUDIT_SEALED,
@@ -853,41 +858,12 @@ pub(crate) fn populate(sys: &CloudSystem, sealed_from: usize) -> CheckpointImage
             entries.len(),
         )
     };
-    {
-        let shards = sys.control.shards.read();
-        for shard in shards.values() {
-            let st = shard.state.lock();
-            for pending in st.in_flight.values() {
-                frames.push(Frame::put::<PendingRevocations>(
-                    &(pending.id,),
-                    &pending_revocation_value(pending),
-                ));
-            }
-        }
+    for shard in sys.control.shards.read().values() {
+        pending_revocations(&shard.state.lock(), Pick::All, &mut frames);
     }
-    frames.push(meta_frame(
-        META_NEXT_REVOCATION,
-        meta_u64_value(
-            sys.control
-                .next_revocation
-                .load(std::sync::atomic::Ordering::SeqCst),
-        ),
-    ));
-    {
-        let queue = sys.lazy.queue.lock();
-        for (id, p) in queue.iter() {
-            frames.push(Frame::put::<LazyQueue>(&(*id,), &lazy_queue_value(p)));
-        }
-    }
-    {
-        let archive = sys.lazy.archive.read();
-        for ((aid, owner, from), uk) in archive.iter() {
-            frames.push(Frame::put::<LazyArchive>(
-                &(aid.as_str().to_owned(), owner.as_str().to_owned(), *from),
-                &uk.to_wire_bytes(),
-            ));
-        }
-    }
+    meta(sys, &[META_NEXT_REVOCATION], &mut frames);
+    lazy_queue(sys, Pick::All, &mut frames);
+    lazy_archive(sys, Pick::All, &mut frames);
     ks.apply(&frames);
     CheckpointImage {
         keyspace: ks,

@@ -19,7 +19,7 @@ pub fn spill_jsonl(seed: u64, case: &str) -> String {
     let mut out = format!(
         "{{\"format\":\"mabe-events-spill/v1\",\"seed\":{seed},\
          \"case\":\"{}\",\"emitted\":{},\"kept\":{},\"ring_dropped\":{}}}\n",
-        crate::record::esc(case),
+        mabe_telemetry::export::json_escape(case),
         pipeline.emitted(),
         pipeline.kept(),
         pipeline.ring().dropped(),

@@ -1,6 +1,8 @@
 //! The wide event: one canonical structured record per top-level
 //! operation.
 
+use mabe_telemetry::export::json_escape;
+
 /// Stable op-kind labels, in the order they appear in reports. One
 /// wide event is emitted per *top-level* operation of these kinds;
 /// nested op spans (`durable.read` wrapping `cloud.read`) fold into
@@ -127,26 +129,9 @@ pub struct WideEvent {
     pub kept: KeepReason,
 }
 
-/// Minimal JSON string escape (mirrors the exporters' rules).
-pub(crate) fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn opt_str(v: &Option<String>) -> String {
     match v {
-        Some(s) => format!("\"{}\"", esc(s)),
+        Some(s) => format!("\"{}\"", json_escape(s)),
         None => "null".to_owned(),
     }
 }
@@ -165,7 +150,7 @@ impl WideEvent {
         let faults = self
             .fault_points
             .iter()
-            .map(|f| format!("\"{}\"", esc(f)))
+            .map(|f| format!("\"{}\"", json_escape(f)))
             .collect::<Vec<_>>()
             .join(",");
         format!(
@@ -179,11 +164,11 @@ impl WideEvent {
             self.trace_id,
             self.span_id,
             self.kind,
-            esc(&self.detail),
+            json_escape(&self.detail),
             self.outcome.label(),
             match &self.outcome {
                 Outcome::Ok => "null".to_owned(),
-                Outcome::Error(e) => format!("\"{}\"", esc(e)),
+                Outcome::Error(e) => format!("\"{}\"", json_escape(e)),
             },
             self.start_us,
             self.latency_us,

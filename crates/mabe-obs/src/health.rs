@@ -200,7 +200,7 @@ impl ReadinessReport {
             }
             out.push_str(&format!(
                 "{{\"name\":\"{}\",\"ok\":{},\"critical\":{},\"draining\":{}}}",
-                crate::json::escape(&p.name),
+                mabe_telemetry::export::json_escape(&p.name),
                 p.ok,
                 p.critical,
                 p.draining

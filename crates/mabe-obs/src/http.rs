@@ -314,7 +314,7 @@ fn healthz_body() -> String {
         "{{\"status\":\"ok\",\"uptime_seconds\":{},\"pid\":{},\"version\":\"{}\"}}\n",
         procinfo::uptime_seconds(),
         std::process::id(),
-        crate::json::escape(env!("CARGO_PKG_VERSION")),
+        mabe_telemetry::export::json_escape(env!("CARGO_PKG_VERSION")),
     )
 }
 

@@ -1,4 +1,4 @@
-//! A small strict JSON reader (and string escaper) — enough to diff
+//! A small strict JSON reader — enough to diff
 //! `BENCH_*.json` artifacts against checked-in baselines without
 //! pulling a serde stack into the workspace.
 //!
@@ -123,24 +123,6 @@ impl Value {
         }
         Some(cur)
     }
-}
-
-/// JSON string-escapes `s` for embedding in a document this crate
-/// emits (quotes, backslashes, control characters).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Parses one JSON document (trailing whitespace allowed, trailing
@@ -410,7 +392,7 @@ mod tests {
     #[test]
     fn escape_round_trips_through_parse() {
         let raw = "say \"hi\"\\path\nline\ttab";
-        let doc = format!("\"{}\"", escape(raw));
+        let doc = format!("\"{}\"", mabe_telemetry::export::json_escape(raw));
         assert_eq!(parse(&doc).unwrap().as_str(), Some(raw));
     }
 }

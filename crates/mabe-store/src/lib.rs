@@ -23,22 +23,21 @@
 //!   classification ([`CheckpointFailure`] — a full disk fails clean and
 //!   must not poison), and a [`ScrubReport`]-producing scrubber that
 //!   re-verifies cold segments, the snapshot and the seals.
-//! * [`GroupWal`] — group commit over the [`Wal`]: concurrent writers
-//!   stage records and the elected leader batches every staged record
-//!   under a single sync, so N concurrent journal writes cost one disk
-//!   flush instead of N.
 //! * The typed keyspace — [`Schema`] tables (order-preserving key
 //!   codecs, [`define_table!`]), [`Frame`]-batch journaling, a
 //!   [`Keyspace`] of ordered rows with prefix range scans, and
-//!   [`TypedStore`]: the frame-batch journal with per-table checkpoint
-//!   sections, whose reopen folds both into one [`Keyspace`].
+//!   [`TypedStore`]: the frame-batch journal over the [`Wal`], with
+//!   per-table checkpoint sections and group commit (concurrent
+//!   writers stage batches and the elected leader appends every staged
+//!   batch under a single sync, so N concurrent journal writes cost one
+//!   disk flush instead of N), whose reopen folds both into one
+//!   [`Keyspace`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod compact;
 mod crc;
-mod group;
 mod manifest;
 mod schema;
 mod scrub;
@@ -50,7 +49,6 @@ mod wal;
 
 pub use compact::CheckpointFailure;
 pub use crc::crc32;
-pub use group::{GroupWal, StoreRef};
 pub use manifest::{Manifest, SegmentEntry};
 pub use schema::{
     decode_frames, encode_frames, key_str, key_u64, ByteReader, Frame, FrameOp, Schema,
@@ -59,5 +57,5 @@ pub use schema::{
 pub use scrub::ScrubReport;
 pub use sim::SimDisk;
 pub use storage::{store_points, Storage, StorageUsage, StoreError};
-pub use typed::{Keyspace, TypedOpen, TypedOpenError, TypedStore};
+pub use typed::{Keyspace, StoreRef, TypedOpen, TypedOpenError, TypedStore};
 pub use wal::{Recovered, RecoveryReport, Wal, WalOpenError, DEFAULT_SEGMENT_BUDGET};

@@ -15,20 +15,51 @@
 //! caller together with the committed seal payloads, in order. Every
 //! record must be a frame batch and every snapshot a `MTKS0001` image;
 //! anything else fails typed, with the storage handed back.
+//!
+//! # Group commit
+//!
+//! Many threads journal concurrently against one [`Wal`]: each writer
+//! **stages** its batch (cheap, in memory) and then **commits** its
+//! sequence number. The first committer to find the log idle becomes
+//! the *leader*: it drains every staged batch, appends them in staging
+//! order, and issues **one** `sync` for all of them. Followers whose
+//! batches rode along just observe the durable watermark advance and
+//! return, so N concurrent journal writes cost one disk sync instead of
+//! N. A checkpoint leads the same way, flushing whatever is staged
+//! before it writes the snapshot.
+//!
+//! * `commit(seq)` returns `Ok` only once every batch staged at or
+//!   before `seq` is durable (append **and** sync succeeded).
+//! * Staging order is append order. Callers that need WAL order to
+//!   match in-memory apply order (the durable system's replay
+//!   invariant) must stage under the same lock that serializes their
+//!   state mutation.
+//! * A failed flush poisons the store permanently: the leader parks the
+//!   error and every current and future commit returns a clone of it.
+//!   Acked-implies-durable must never be weakened by retrying a
+//!   half-appended batch.
+//! * Single-threaded use (stage, then commit, with nothing else staged)
+//!   is exactly one `append` + one `sync` per batch, and a checkpoint
+//!   with nothing staged syncs nothing before the snapshot: the same
+//!   storage fault-point hit sequence as the bare [`Wal`], so seeded
+//!   crash sweeps replay unchanged.
+//!
+//! Batched appends run on the leader's thread, so their
+//! `JournalAppend` trace events attach to the leader's active span;
+//! followers' causal trees record only their own staging context.
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::{PoisonError, RwLock};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 
 use crate::compact::CheckpointFailure;
-use crate::group::{GroupWal, StoreRef};
 use crate::schema::{
     decode_frames, encode_frames, ByteReader, Frame, FrameOp, Schema, SchemaError,
     KEYSPACE_SNAPSHOT_MAGIC,
 };
 use crate::scrub::ScrubReport;
 use crate::storage::{Storage, StoreError};
-use crate::wal::{Recovered, RecoveryReport, WalOpenError};
+use crate::wal::{Recovered, RecoveryReport, Wal, WalOpenError};
 
 /// Decoded rows of table `T` in key order — what a prefix range scan
 /// returns.
@@ -329,12 +360,49 @@ impl<S> fmt::Display for TypedOpenError<S> {
     }
 }
 
+/// Locks tolerating poison: a panicked writer thread must not wedge
+/// the whole log (the parked `failure`, not lock poison, is the
+/// correctness signal here).
+fn lock_ok<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Group-commit state, guarded apart from the [`Wal`] so staging never
+/// blocks behind an in-flight disk sync.
+#[derive(Debug, Default)]
+struct GroupState {
+    /// Encoded batches staged but not yet handed to a leader, in stage
+    /// order. Their sequence numbers run contiguously up to `next_seq`.
+    pending: Vec<Vec<u8>>,
+    /// Sequence number the next staged batch will get.
+    next_seq: u64,
+    /// Every batch with `seq < durable_seq` is durable.
+    durable_seq: u64,
+    /// A leader is appending and syncing a batch.
+    committing: bool,
+    /// First dirty failure; permanent (the store is poisoned).
+    failure: Option<StoreError>,
+}
+
 /// The frame-batch journal over the segmented WAL: batches are staged
 /// and group-committed (acked ⇒ durable), checkpoints write per-table
 /// snapshot sections, and reopen folds both back into a [`Keyspace`].
 #[derive(Debug)]
 pub struct TypedStore<S: Storage> {
-    wal: GroupWal<S>,
+    wal: Mutex<Wal<S>>,
+    state: Mutex<GroupState>,
+    cv: Condvar,
+}
+
+/// Read access to the backing store through the log's lock (derefs to
+/// `S`, held for the duration of the borrow).
+pub struct StoreRef<'a, S: Storage>(MutexGuard<'a, Wal<S>>);
+
+impl<S: Storage> std::ops::Deref for StoreRef<'_, S> {
+    type Target = S;
+    fn deref(&self) -> &S {
+        self.0.store()
+    }
 }
 
 impl<S: Storage> TypedStore<S> {
@@ -357,7 +425,7 @@ impl<S: Storage> TypedStore<S> {
                 records,
                 report,
             },
-        ) = GroupWal::open(store).map_err(TypedOpenError::Wal)?;
+        ) = Wal::open(store).map_err(TypedOpenError::Wal)?;
         // The raw snapshot bytes drop as soon as they are decoded.
         let keyspace = match snapshot {
             None => Keyspace::new(),
@@ -384,8 +452,13 @@ impl<S: Storage> TypedStore<S> {
                 }
             }
         }
+        let store = TypedStore {
+            wal: Mutex::new(wal),
+            state: Mutex::default(),
+            cv: Condvar::new(),
+        };
         Ok((
-            TypedStore { wal },
+            store,
             TypedOpen {
                 keyspace,
                 seals,
@@ -400,51 +473,129 @@ impl<S: Storage> TypedStore<S> {
     /// the same lock that mutates state, then [`TypedStore::commit`]
     /// outside it.
     pub fn stage_frames(&self, frames: &[Frame]) -> u64 {
-        self.wal.stage(&encode_frames(frames))
+        let payload = encode_frames(frames);
+        let mut st = lock_ok(&self.state);
+        let seq = st.next_seq;
+        st.next_seq += 1;
+        st.pending.push(payload);
+        seq
     }
 
-    /// Blocks until every record staged at or before `seq` is durable.
+    /// Blocks until every batch staged at or before `seq` is durable,
+    /// leading the flush if no other is in flight.
     ///
     /// # Errors
     ///
-    /// The poisoning [`StoreError`] (see [`GroupWal::commit`]).
+    /// The first storage error any flush hit — permanently, for every
+    /// later commit (the store is poisoned).
     pub fn commit(&self, seq: u64) -> Result<(), StoreError> {
-        self.wal.commit(seq)
+        self.lead(
+            |st| st.durable_seq > seq,
+            |_, flushed| {
+                let registry = mabe_telemetry::global();
+                registry.counter("mabe_wal_group_commits_total", &[]).inc();
+                registry
+                    .counter("mabe_wal_group_batched_records_total", &[])
+                    .add(flushed as u64);
+                Ok(())
+            },
+        )
+        .map(drop)
+        .map_err(|failure| failure.error)
     }
 
-    /// Checkpoints a caller-assembled keyspace image as a per-table
-    /// snapshot, committing `seal` (if any) as the next seal with the
-    /// same manifest swap, and truncates the log (see
-    /// [`GroupWal::checkpoint`] for failure classification).
+    /// Flushes anything still staged, then checkpoints a caller-assembled
+    /// keyspace image as a per-table snapshot, committing `seal` (if
+    /// any) as the next seal with the same manifest swap, and truncates
+    /// the log (see [`Wal::checkpoint`]).
     ///
     /// # Errors
     ///
-    /// [`CheckpointFailure`] — `dirty` poisons, clean leaves the old
-    /// generation authoritative.
+    /// [`CheckpointFailure`], classified: a *dirty* one (the staged
+    /// flush died, or the manifest swap was attempted and its outcome is
+    /// ambiguous) poisons the store permanently; a *clean* one (e.g.
+    /// ENOSPC on the snapshot write, strictly before the swap) leaves
+    /// the old generation authoritative and the store fully usable, so
+    /// the caller may retry once the cause clears.
     pub fn checkpoint_keyspace(
         &self,
         ks: &Keyspace,
         seal: Option<&[u8]>,
     ) -> Result<(), CheckpointFailure> {
-        self.wal.checkpoint(&ks.encode_snapshot(), seal)
+        let snapshot = ks.encode_snapshot();
+        self.lead(|_| false, |wal, _| wal.checkpoint(&snapshot, seal))
+            .map(drop)
     }
 
-    /// One scrub pass over cold segments (see [`GroupWal::scrub`]).
+    /// Waits until no flush is in flight, then leads one: appends every
+    /// staged batch in stage order under one sync (none when nothing is
+    /// staged) and runs `then` with the log and the number of batches
+    /// flushed, both under the log's lock. Returns `None` without
+    /// leading once `done` holds. A failed flush is dirty; `then`
+    /// classifies its own failures. A dirty failure poisons the store;
+    /// after a clean one the flushed batches are durable.
+    fn lead<T>(
+        &self,
+        done: impl Fn(&GroupState) -> bool,
+        then: impl FnOnce(&mut Wal<S>, usize) -> Result<T, CheckpointFailure>,
+    ) -> Result<Option<T>, CheckpointFailure> {
+        let mut st = lock_ok(&self.state);
+        loop {
+            if let Some(error) = &st.failure {
+                return Err(CheckpointFailure {
+                    error: error.clone(),
+                    dirty: true,
+                });
+            }
+            if done(&st) {
+                return Ok(None);
+            }
+            if !st.committing {
+                break;
+            }
+            st = self.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
+        }
+        st.committing = true;
+        let batch = std::mem::take(&mut st.pending);
+        let batch_end = st.next_seq;
+        drop(st);
+
+        let result = {
+            let mut wal = lock_ok(&self.wal);
+            batch
+                .iter()
+                .try_for_each(|payload| wal.append(payload))
+                .and_then(|()| if batch.is_empty() { Ok(()) } else { wal.sync() })
+                .map_err(|error| CheckpointFailure { error, dirty: true })
+                .and_then(|()| then(&mut wal, batch.len()))
+        };
+
+        let mut st = lock_ok(&self.state);
+        st.committing = false;
+        match &result {
+            Err(failure) if failure.dirty => st.failure = Some(failure.error.clone()),
+            _ => st.durable_seq = st.durable_seq.max(batch_end),
+        }
+        self.cv.notify_all();
+        result.map(Some)
+    }
+
+    /// One scrub pass over cold segments (see [`Wal::scrub`]).
     ///
     /// # Errors
     ///
     /// [`StoreError`] if the scrub could not run.
     pub fn scrub(&self) -> Result<ScrubReport, StoreError> {
-        self.wal.scrub()
+        lock_ok(&self.wal).scrub()
     }
 
-    /// Quarantines `names` for forensics.
+    /// Quarantines `names` for forensics (see [`Wal::quarantine`]).
     ///
     /// # Errors
     ///
     /// [`StoreError`] if the move failed.
     pub fn quarantine(&self, names: &[String]) -> Result<(), StoreError> {
-        self.wal.quarantine(names)
+        lock_ok(&self.wal).quarantine(names)
     }
 
     /// Rewrites committed seal `n` with `payload` (the scrub repair).
@@ -453,42 +604,49 @@ impl<S: Storage> TypedStore<S> {
     ///
     /// [`StoreError`] if seal `n` is not committed or the write failed.
     pub fn rewrite_seal(&self, n: u64, payload: &[u8]) -> Result<(), StoreError> {
-        self.wal.rewrite_seal(n, payload)
+        lock_ok(&self.wal).rewrite_seal(n, payload)
     }
 
-    /// Live log bytes (cold + active segments).
+    /// Live log bytes (cold + active segments, snapshot excluded).
     pub fn live_log_bytes(&self) -> usize {
-        self.wal.live_log_bytes()
+        lock_ok(&self.wal).live_log_bytes()
     }
 
-    /// Live segment count.
+    /// Live segments the manifest currently lists.
     pub fn segments_live(&self) -> usize {
-        self.wal.segments_live()
+        lock_ok(&self.wal).segments_live()
     }
 
-    /// Sets the per-segment rotation budget.
+    /// Sets the per-segment rotation budget (see
+    /// [`Wal::set_segment_budget`]).
     pub fn set_segment_budget(&self, budget: usize) {
-        self.wal.set_segment_budget(budget)
+        lock_ok(&self.wal).set_segment_budget(budget)
     }
 
     /// The committed generation.
     pub fn generation(&self) -> u64 {
-        self.wal.generation()
+        lock_ok(&self.wal).generation()
     }
 
     /// The backing store, through the log's lock.
     pub fn storage(&self) -> StoreRef<'_, S> {
-        self.wal.storage()
+        StoreRef(lock_ok(&self.wal))
     }
 
-    /// The backing store, mutably (exclusive access).
+    /// The backing store, mutably (exclusive access — no locking).
     pub fn store_mut(&mut self) -> &mut S {
-        self.wal.store_mut()
+        self.wal
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner)
+            .store_mut()
     }
 
     /// Consumes the store, handing back the backing storage.
     pub fn into_store(self) -> S {
-        self.wal.into_store()
+        self.wal
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
+            .into_store()
     }
 }
 
@@ -498,6 +656,8 @@ mod tests {
     use crate::define_table;
     use crate::schema::{key_str, key_u64};
     use crate::sim::SimDisk;
+    use crate::storage::store_points;
+    use mabe_faults::{FaultInjector, FaultKind, FaultPlan};
 
     define_table!(
         /// Users keyed by uid.
@@ -533,6 +693,163 @@ mod tests {
         let mut disk = ts.into_store();
         disk.crash();
         TypedStore::open(disk).unwrap().1
+    }
+
+    /// A one-frame batch whose `Users` row holds `value`.
+    fn batch(value: &[u8]) -> Vec<Frame> {
+        vec![Frame::put::<Users>(
+            &(format!("{value:?}"),),
+            &value.to_vec(),
+        )]
+    }
+
+    /// Storage hits of `APPEND` and `SYNC` so far.
+    fn hits(disk: &SimDisk) -> [u64; 2] {
+        [store_points::APPEND, store_points::SYNC].map(|point| disk.injector().hits(point))
+    }
+
+    #[test]
+    fn single_threaded_commit_is_one_append_one_sync_per_batch() {
+        let ts = fresh();
+        let [appends, syncs] = hits(&ts.storage());
+        journal(&ts, &batch(b"one"));
+        journal(&ts, &batch(b"two"));
+        // The bare Wal's storage hit sequence: seeded crash sweeps that
+        // count fault-point hits replay unchanged.
+        assert_eq!(hits(&ts.storage()), [appends + 2, syncs + 2]);
+        let records = Wal::open(ts.into_store()).unwrap().1.records;
+        assert_eq!(records, [b"one", b"two"].map(|v| encode_frames(&batch(v))));
+    }
+
+    #[test]
+    fn staged_batches_commit_under_one_sync() {
+        let ts = fresh();
+        let [_, syncs] = hits(&ts.storage());
+        let seqs = [b"a", b"b", b"c"].map(|v| ts.stage_frames(&batch(v)));
+        // Committing the *last* staged batch flushes all three.
+        ts.commit(seqs[2]).unwrap();
+        assert_eq!(hits(&ts.storage())[1], syncs + 1);
+        // Earlier sequences are already durable: no further disk work.
+        ts.commit(seqs[0]).unwrap();
+        ts.commit(seqs[1]).unwrap();
+        assert_eq!(hits(&ts.storage())[1], syncs + 1);
+        let records = Wal::open(ts.into_store()).unwrap().1.records;
+        assert_eq!(
+            records,
+            [b"a", b"b", b"c"].map(|v| encode_frames(&batch(v)))
+        );
+    }
+
+    #[test]
+    fn concurrent_committers_batch_and_preserve_stage_order() {
+        let ts = fresh();
+        let [_, syncs] = hits(&ts.storage());
+        std::thread::scope(|s| {
+            for t in 0..8u8 {
+                let ts = &ts;
+                s.spawn(move || {
+                    for i in 0..16u8 {
+                        journal(ts, &batch(&[t, i]));
+                    }
+                });
+            }
+        });
+        let syncs = hits(&ts.storage())[1] - syncs;
+        assert!(syncs <= 128, "never more syncs than batches: {syncs}");
+        let records = Wal::open(ts.into_store()).unwrap().1.records;
+        assert_eq!(records.len(), 128, "every committed batch is durable");
+        let values: Vec<Vec<u8>> = records
+            .iter()
+            .map(|r| decode_frames(r).unwrap().remove(0).value)
+            .collect();
+        // Per-thread stage order is preserved in the log.
+        for t in 0..8u8 {
+            let order: Vec<u8> = values.iter().filter(|v| v[0] == t).map(|v| v[1]).collect();
+            assert_eq!(order, (0..16u8).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn a_failed_flush_poisons_every_commit_and_checkpoint() {
+        // Open syncs twice (pointer + fresh log); the first commit's
+        // sync is hit 3.
+        let plan = FaultPlan::new(5).at(store_points::SYNC, 3, FaultKind::Crash);
+        let ts = TypedStore::open(SimDisk::new(FaultInjector::new(plan)))
+            .expect("open survives")
+            .0;
+        let err = ts.commit(ts.stage_frames(&batch(b"doomed"))).unwrap_err();
+        assert!(matches!(err, StoreError::Crashed { .. }));
+        // Permanently poisoned: even brand-new batches fail, with the
+        // *original* error.
+        ts.storage().injector().disarm();
+        let later = ts.stage_frames(&batch(b"later"));
+        assert_eq!(ts.commit(later).unwrap_err(), err);
+        let failure = ts.checkpoint_keyspace(&Keyspace::new(), None).unwrap_err();
+        assert_eq!(failure.error, err);
+        assert!(failure.dirty, "a poisoned store reports dirty");
+    }
+
+    #[test]
+    fn a_clean_checkpoint_failure_leaves_the_store_usable() {
+        let mut ts = fresh();
+        journal(&ts, &batch(b"op"));
+        ts.store_mut()
+            .injector_mut()
+            .schedule(store_points::COMPACT, 1, FaultKind::NoSpace);
+        // ENOSPC strictly before the manifest swap fails clean…
+        let image = Keyspace::new();
+        let failure = ts.checkpoint_keyspace(&image, None).unwrap_err();
+        assert!(matches!(failure.error, StoreError::NoSpace { .. }));
+        assert!(!failure.dirty);
+        // …so the store is NOT poisoned: writes and a retried
+        // checkpoint both go through.
+        journal(&ts, &batch(b"more"));
+        ts.checkpoint_keyspace(&image, None).unwrap();
+        assert_eq!(ts.generation(), 1);
+    }
+
+    #[test]
+    fn checkpoint_flushes_staged_batches_and_rolls_generation() {
+        let ts = fresh();
+        journal(&ts, &batch(b"durable"));
+        let [appends, _] = hits(&ts.storage());
+        let _staged = ts.stage_frames(&batch(b"staged-only"));
+        let image = Keyspace::new();
+        image.register::<Users>();
+        ts.checkpoint_keyspace(&image, None).unwrap();
+        assert_eq!(ts.generation(), 1);
+        assert_eq!(hits(&ts.storage())[0], appends + 1, "the staged batch");
+        let (_, r) = Wal::open(ts.into_store()).unwrap();
+        assert_eq!(r.snapshot, Some(image.encode_snapshot()));
+        assert!(r.records.is_empty(), "fresh generation starts empty");
+    }
+
+    /// With nothing staged, a checkpoint syncs nothing before the
+    /// snapshot: it hits storage exactly as the bare log's checkpoint
+    /// does and leaves the same bytes.
+    #[test]
+    fn a_checkpoint_with_nothing_staged_matches_the_bare_log() {
+        let image = Keyspace::new();
+        let ts = fresh();
+        journal(&ts, &batch(b"op"));
+        let (mut wal, _) = Wal::open(SimDisk::unfaulted()).unwrap();
+        wal.append(&encode_frames(&batch(b"op"))).unwrap();
+        wal.sync().unwrap();
+        let before = (hits(&ts.storage()), hits(wal.store()));
+        ts.checkpoint_keyspace(&image, Some(b"SEAL")).unwrap();
+        wal.checkpoint(&image.encode_snapshot(), Some(b"SEAL"))
+            .unwrap();
+        let typed = ts.into_store();
+        let bare = wal.into_store();
+        let delta = |now: [u64; 2], then: [u64; 2]| [now[0] - then[0], now[1] - then[1]];
+        assert_eq!(delta(hits(&typed), before.0), delta(hits(&bare), before.1));
+        let objects = |disk: &SimDisk| {
+            disk.list()
+                .into_iter()
+                .map(|name| (disk.durable_bytes(&name).map(<[u8]>::to_vec), name))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(objects(&typed), objects(&bare));
     }
 
     #[test]

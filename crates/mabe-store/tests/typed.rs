@@ -170,17 +170,23 @@ fn rotted_frame_record_decode_failures_are_typed_with_offsets() {
     // frame marker but is internally malformed, via the raw WAL. The
     // typed layer must reject it as a Record error carrying index and
     // offset — never a panic, never a generic corruption string.
-    use mabe_store::{GroupWal, FRAME_RECORD_MARKER};
-    let (gw, ..) = GroupWal::open(SimDisk::unfaulted()).unwrap();
+    use mabe_store::{Wal, FRAME_RECORD_MARKER};
+    /// A bare log holding `records`, each appended and synced.
+    fn raw_log(records: &[&[u8]]) -> SimDisk {
+        let (mut wal, _) = Wal::open(SimDisk::unfaulted()).unwrap();
+        for record in records {
+            wal.append(record).unwrap();
+            wal.sync().unwrap();
+        }
+        wal.into_store()
+    }
     let good = {
         let frames = [Frame::put::<Users>(&("u".into(),), &b"v".to_vec())];
         mabe_store::encode_frames(&frames)
     };
-    gw.append_sync(&good).unwrap();
     // Marker + implausible count.
-    gw.append_sync(&[FRAME_RECORD_MARKER, 0xFF, 0xFF, 0xFF, 0xFF])
-        .unwrap();
-    match TypedStore::open(gw.into_store()) {
+    let disk = raw_log(&[&good, &[FRAME_RECORD_MARKER, 0xFF, 0xFF, 0xFF, 0xFF]]);
+    match TypedStore::open(disk) {
         Err(TypedOpenError::Record { index, error, .. }) => {
             assert_eq!(index, 1, "first record is fine, second is rot");
             assert!(matches!(
@@ -193,9 +199,7 @@ fn rotted_frame_record_decode_failures_are_typed_with_offsets() {
 
     // Truncation inside an otherwise valid frame record reports the
     // offset where bytes ran out.
-    let (gw, ..) = GroupWal::open(SimDisk::unfaulted()).unwrap();
-    gw.append_sync(&good[..good.len() - 1]).unwrap();
-    match TypedStore::open(gw.into_store()) {
+    match TypedStore::open(raw_log(&[&good[..good.len() - 1]])) {
         Err(TypedOpenError::Record {
             index: 0, error, ..
         }) => match error {
@@ -207,11 +211,7 @@ fn rotted_frame_record_decode_failures_are_typed_with_offsets() {
 
     // A record in any other format (here a pre-keyspace tagged record)
     // is not a frame batch: rejected at its index, never skipped.
-    let (gw, ..) = GroupWal::open(SimDisk::unfaulted()).unwrap();
-    gw.append_sync(&good).unwrap();
-    gw.append_sync(&[4, 0, 5, b'a', b'l', b'i', b'c', b'e'])
-        .unwrap();
-    match TypedStore::open(gw.into_store()) {
+    match TypedStore::open(raw_log(&[&good, &[4, 0, 5, b'a', b'l', b'i', b'c', b'e']])) {
         Err(TypedOpenError::Record {
             index: 1,
             error: SchemaError::Malformed("not a frame record"),
@@ -221,9 +221,9 @@ fn rotted_frame_record_decode_failures_are_typed_with_offsets() {
     }
 
     // Likewise a snapshot that is not a per-table snapshot.
-    let (gw, ..) = GroupWal::open(SimDisk::unfaulted()).unwrap();
-    gw.checkpoint(b"LEGACY-SNAP", None).unwrap();
-    match TypedStore::open(gw.into_store()) {
+    let (mut wal, _) = Wal::open(SimDisk::unfaulted()).unwrap();
+    wal.checkpoint(b"LEGACY-SNAP", None).unwrap();
+    match TypedStore::open(wal.into_store()) {
         Err(TypedOpenError::Snapshot {
             error: SchemaError::BadMagic,
             ..

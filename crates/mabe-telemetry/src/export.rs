@@ -6,7 +6,10 @@ use std::fmt::Write as _;
 use crate::histogram::{bucket_upper_bound, HistogramSnapshot, BUCKET_COUNT};
 use crate::registry::{Key, Registry};
 
-fn json_escape(s: &str) -> String {
+/// Escapes `s` for use inside a JSON string literal: quotes,
+/// backslashes and control characters. The one escaper the exporters,
+/// the wide-event records and the obs endpoints share.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

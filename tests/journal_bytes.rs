@@ -26,7 +26,7 @@ const BEFORE_CHECKPOINT: &[(&str, &str)] = &[
     ),
     (
         "wal.0.0",
-        "a7100ba54c7a757d301e81d98b83b4a3993f0d317b41fdaa6135ce8d526a8a04",
+        "b494b8cdda8d8f7ac80af87c9af047adf3b63c7a2ee53e3c7d5afd46c5a71a8e",
     ),
 ];
 
@@ -46,11 +46,11 @@ const AFTER_CHECKPOINT: &[(&str, &str)] = &[
     ),
     (
         "snapshot-1",
-        "52f7c38cd01dc14d25e4cab5edb040b3b4fa7f585fa25d8f1038f2afde62d71e",
+        "f0217b6ceeddd521056a3de5f654ded53a9d9b73c7f439566255b31376fb96ee",
     ),
     (
         "wal.1.0",
-        "bc94a5daa2cfe6c484439386528d30fefec11b0e57289c3cdbb5547bdce695ce",
+        "08af40418b6b68b5b008a7f9206ef32dd4448d93622bfbda33e939dfb9fae918",
     ),
 ];
 
