@@ -14,6 +14,11 @@
 //!    filler appends and checkpoints in a loop while the main thread
 //!    samples read latency; the p50/p99 quantify how much the
 //!    maintenance machinery steals from the read path.
+//! 4. **Delta vs. full checkpoint** (printed, not gated) — at 64 and at
+//!    1,000 records, the read whose automatic checkpoint writes the
+//!    delta of a fixed 64-op change ([`RecordStore::change`]), and an
+//!    explicit full checkpoint right after it, each with the bytes it
+//!    wrote.
 //!
 //! Usage: `compaction [segment-targets...]` (default 4 16 48).
 //! `RANDOM_SEED=<u64>` overrides the world seed (default 42). With
@@ -25,6 +30,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+use mabe_bench::checkpoints::RecordStore;
 use mabe_cloud::DurableSystem;
 use mabe_store::SimDisk;
 
@@ -42,6 +48,14 @@ struct ReclaimRow {
     bytes_reclaimed: usize,
     compact_ms: f64,
     mb_per_s: f64,
+}
+
+struct CheckpointRow {
+    records: usize,
+    delta_ms: f64,
+    delta_bytes: usize,
+    full_ms: f64,
+    full_bytes: usize,
 }
 
 struct ReadRow {
@@ -164,6 +178,24 @@ fn measure_reads_under_compaction(seed: u64) -> ReadRow {
     }
 }
 
+fn measure_checkpoints(records: usize, seed: u64) -> CheckpointRow {
+    let store = RecordStore::new(records, seed);
+    let delta = store.change();
+    let generation = store.ds.generation();
+    // Read before the full checkpoint collects it.
+    let delta_bytes = store.object_bytes(&format!("delta-{generation}"));
+    let start = Instant::now();
+    store.ds.checkpoint().expect("full checkpoint");
+    let full = start.elapsed();
+    CheckpointRow {
+        records,
+        delta_ms: delta.as_secs_f64() * 1e3,
+        delta_bytes,
+        full_ms: full.as_secs_f64() * 1e3,
+        full_bytes: store.object_bytes(&format!("snapshot-{}", generation + 1)),
+    }
+}
+
 fn emit_json(reopens: &[ReopenRow], reclaim: &ReclaimRow, reads: &ReadRow) {
     let Some(dir) = std::env::var_os("MABE_METRICS_DIR") else {
         return;
@@ -236,6 +268,15 @@ fn main() {
         "reads_under_compaction\t{} samples\t{} checkpoints\tp50 {:.1} us\tp99 {:.1} us",
         reads.samples, reads.checkpoints, reads.p50_us, reads.p99_us
     );
+
+    println!("records\tdelta_ms\tdelta_bytes\tfull_ms\tfull_bytes");
+    for records in [64, 1_000] {
+        let row = measure_checkpoints(records, seed);
+        println!(
+            "{}\t{:.3}\t{}\t{:.3}\t{}",
+            row.records, row.delta_ms, row.delta_bytes, row.full_ms, row.full_bytes
+        );
+    }
 
     emit_json(&reopens, &reclaim, &reads);
     mabe_bench::metrics::emit("compaction");

@@ -20,6 +20,7 @@
 #![warn(missing_docs)]
 
 pub mod baseline;
+pub mod checkpoints;
 pub mod figures;
 pub mod metrics;
 pub mod tables;

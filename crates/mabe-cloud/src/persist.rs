@@ -1,14 +1,16 @@
 //! Durable persistence for the deployment: a typed keyspace journal
-//! with per-table snapshots over [`mabe_store`].
+//! with per-table snapshots and deltas over [`mabe_store`].
 //!
 //! [`DurableSystem`] wraps a [`CloudSystem`] so that every acknowledged
 //! state mutation is journaled to an append-only, checksummed write-ahead
-//! log **before** the call returns (`acked ⇒ durable`), and the live
-//! system state is periodically checkpointed into a generation-numbered
-//! per-table snapshot, beside an append-only seal of the audit entries
-//! recorded since the previous checkpoint. [`DurableSystem::open`]
+//! log **before** the call returns (`acked ⇒ durable`), and the state is
+//! periodically checkpointed into a new generation — a per-table
+//! snapshot of the live system, or a delta of what the journal changed
+//! since the last checkpoint — beside an append-only seal of the audit
+//! entries recorded since then. [`DurableSystem::open`]
 //! rebuilds the system from whatever bytes survived a crash: it loads
-//! the committed snapshot and seals, replays the WAL tail, re-verifies
+//! the committed checkpoint (the base snapshot and its deltas) and the
+//! seals, replays the WAL tail, re-verifies
 //! the audit hash chain, and rolls every journaled in-flight revocation
 //! forward — the paper's requirement that committed version keys and
 //! update keys are never forgotten (§V).
@@ -19,7 +21,7 @@
 //! `(table, op, key, value)` rows of the typed keyspace
 //! ([`crate::tables`]) the operation changed, read back from the live
 //! state *after* the mutation applied. Replay is pure row application —
-//! fold the batches over the per-table snapshot and hydrate a
+//! fold the deltas and batches over the per-table snapshot and hydrate a
 //! [`CloudSystem`] from the resulting keyspace. No per-record
 //! reinterpretation, no RNG coupling: sampled secrets travel inside the
 //! journaled rows. Every batch also carries the
@@ -28,19 +30,39 @@
 //! chain is byte-identical — [`DurableSystem::open`] rejects the store
 //! if it does not verify.
 //!
-//! A checkpoint never rewrites that history. Its snapshot keeps only the
+//! A checkpoint never rewrites that history. Its state keeps only the
 //! audit counters, the sealed-entry count and the chain head; the
 //! entries recorded since the previous checkpoint go into one seal
 //! object, committed by the same manifest swap and never collected.
 //! Reopen rebuilds the chain from the seals, then the WAL tail, and
-//! cross-checks count and head against the snapshot. So a checkpoint
-//! costs the live state, not every audit row ever written.
+//! cross-checks count and head against the checkpoint. So a checkpoint
+//! never costs every audit row ever written.
 //!
-//! Frame batches, per-table snapshots and seals are the only on-disk
-//! format: a store holding any other record or snapshot (such as one
-//! written before the typed keyspace existed) fails to open with a
-//! typed [`OpenError::Frame`] or [`OpenError::Keyspace`], one written
-//! before seals with [`StoreError::Format`], one whose ciphertexts were
+//! # Checkpoints that cost the change
+//!
+//! An automatic checkpoint (every 64 journaled ops, or past the WAL
+//! byte budget) lets the store choose: by default it writes a *delta* —
+//! the last frame per row the journal holds since the previous
+//! checkpoint, read back from the live segments, plus the closing audit
+//! rows — and takes no `CloudSystem` lock but the audit lock. The store
+//! writes a full snapshot instead when its fixed rule says the deltas
+//! would outweigh one ([`mabe_store::MAX_DELTAS`], the base snapshot's
+//! bytes, a segment that fails its checksum on read-back). An explicit
+//! [`DurableSystem::checkpoint`] and a scrub repair are always full.
+//!
+//! A delta persists exactly what the journal holds. A lazy read's
+//! in-place component upgrade is deliberately not journaled, so it
+//! reaches disk at the next drain or full checkpoint; a crash before
+//! then reopens the component at its older version, which the queue or
+//! the update-key archive converges again, as a crash before any
+//! checkpoint always could.
+//!
+//! Frame batches, per-table snapshots, deltas and seals are the only
+//! on-disk format: a store holding any other record or snapshot (such
+//! as one written before the typed keyspace existed) fails to open with
+//! a typed [`OpenError::Frame`] or [`OpenError::Keyspace`], one written
+//! before seals or before deltas with [`StoreError::Format`], one whose
+//! ciphertexts were
 //! shared under an older LSSS construction with [`OpenError::Lsss`],
 //! and the storage is handed back untouched.
 //!
@@ -82,8 +104,8 @@ use mabe_faults::FaultInjector;
 use mabe_policy::lsss::CONSTRUCTION;
 use mabe_policy::AuthorityId;
 use mabe_store::{
-    Frame, RecoveryReport, SchemaError, ScrubReport, Storage, StoreError, StoreRef, TypedOpen,
-    TypedOpenError, TypedStore, DEFAULT_SEGMENT_BUDGET,
+    Frame, RecoveryReport, Schema, SchemaError, ScrubReport, Storage, StoreError, StoreRef,
+    TypedOpen, TypedOpenError, TypedStore, DEFAULT_SEGMENT_BUDGET,
 };
 
 use crate::audit::{AuditLoadError, AuditLog};
@@ -115,9 +137,10 @@ pub enum OpenError {
     Store(StoreError),
     /// A keyspace row failed validation.
     Snapshot(Error),
-    /// The checkpoint snapshot did not decode as a per-table keyspace
-    /// snapshot ([`SchemaError::BadMagic`] for any other format), or a
-    /// row key did not decode.
+    /// The checkpoint did not decode: its base snapshot is not a
+    /// per-table keyspace snapshot ([`SchemaError::BadMagic`] for any
+    /// other format), a delta is not a frame batch, or a row key did not
+    /// decode.
     Keyspace(SchemaError),
     /// The audit trail (the seals, then the journal tail) was tampered
     /// with or reordered, or the seals disagree with the snapshot's
@@ -249,7 +272,8 @@ impl OpState {
 
 /// A [`CloudSystem`] whose every acknowledged mutation is journaled as
 /// a typed frame batch to a write-ahead log and periodically
-/// checkpointed as a per-table snapshot, over any [`Storage`] backend.
+/// checkpointed as a per-table snapshot or a delta, over any
+/// [`Storage`] backend.
 ///
 /// Every operation takes `&self`: appliers serialize on an internal op
 /// lock (in-memory mutation plus journal staging), while the disk syncs
@@ -352,8 +376,8 @@ impl<S: Storage> DurableSystem<S> {
         } = open;
         let hydrated = tables::hydrate(&keyspace, &seals, seed);
         // The keyspace and seals were only the replay vehicle: the live
-        // system of record is the in-memory `CloudSystem`, and every
-        // checkpoint repopulates a keyspace from it. Drop the replayed
+        // system of record is the in-memory `CloudSystem`, and every full
+        // checkpoint walks it again. Drop the replayed
         // bytes instead of keeping a second copy of the world resident.
         drop((keyspace, seals));
         let (mut sys, seal_ends) = match hydrated {
@@ -516,7 +540,7 @@ impl<S: Storage> DurableSystem<S> {
         if op.ops_since_checkpoint >= op.checkpoint_interval
             || self.ts.live_log_bytes() >= op.wal_budget
         {
-            match self.checkpoint_locked(op) {
+            match self.checkpoint_locked(op, false) {
                 Ok(()) => {}
                 // The triggering op itself succeeded (it is durable and
                 // applied); a full disk only means compaction could not
@@ -529,30 +553,42 @@ impl<S: Storage> DurableSystem<S> {
         Ok(())
     }
 
-    /// Snapshots the live system state, seals the audit entries
-    /// recorded since the last seal, and truncates the WAL, with the op
-    /// lock held (no shard lock may be held — encoding takes them).
+    /// Seals the audit entries recorded since the last seal, commits the
+    /// next generation's state and truncates the WAL, with the op lock
+    /// held (no shard lock may be held — a full state's encoding takes
+    /// them). With `full` the state is a whole snapshot of the live
+    /// system; otherwise the store's rule picks, and a delta folds what
+    /// the journal holds and takes no lock but the audit lock.
     ///
     /// Failure handling follows the store's clean/dirty classification:
     /// a *dirty* failure (the manifest swap's outcome is ambiguous, or a
     /// staged flush died) poisons the handle; a *clean* one leaves the
     /// committed generation authoritative and the handle fully usable —
     /// a clean ENOSPC additionally flips the read-only degradation flag.
-    fn checkpoint_locked(&self, op: &mut OpState) -> Result<(), CloudError> {
-        let image = tables::populate(&self.sys, op.sealed());
-        match self
-            .ts
-            .checkpoint_keyspace(&image.keyspace, image.seal.as_deref())
-        {
+    fn checkpoint_locked(&self, op: &mut OpState, full: bool) -> Result<(), CloudError> {
+        let close = tables::close_audit(&self.sys, op.sealed());
+        let seal = close.seal.as_deref();
+        let committed = if full {
+            let keyspace = tables::live_state(&self.sys);
+            keyspace.apply(&close.closing);
+            self.ts.checkpoint_keyspace(&keyspace, seal)
+        } else {
+            self.ts
+                .checkpoint_delta_or_full(&[tables::Audit::ID], &close.closing, seal, || {
+                    tables::live_state(&self.sys)
+                })
+                .map(drop)
+        };
+        match committed {
             Ok(()) => {
                 op.ops_since_checkpoint = 0;
-                if image.seal.is_some() {
-                    op.seal_ends.push(image.sealed);
+                if seal.is_some() {
+                    op.seal_ends.push(close.sealed);
                 }
                 // The seals now carry every audit entry up to
-                // `image.sealed`; anything recorded since rides the next
+                // `close.sealed`; anything recorded since rides the next
                 // staged batch.
-                op.journaled_audit = op.journaled_audit.max(image.sealed);
+                op.journaled_audit = op.journaled_audit.max(close.sealed);
                 // Compaction just reclaimed every superseded segment:
                 // re-evaluate the disk-full degradation right away.
                 let _ = self.check_writable();
@@ -569,11 +605,12 @@ impl<S: Storage> DurableSystem<S> {
         }
     }
 
-    /// Forces a checkpoint: the full system state is written as the next
-    /// generation's snapshot, the manifest swaps to a fresh
-    /// single-segment generation, and every superseded object is
-    /// collected. Deliberately *not* gated on the disk-full flag — a
-    /// successful compaction is exactly what lifts it.
+    /// Forces a full checkpoint: the whole system state is written as
+    /// the next generation's snapshot (the new base), the manifest swaps
+    /// to a fresh single-segment generation, and every superseded
+    /// object — the old base and its deltas included — is collected.
+    /// Deliberately *not* gated on the disk-full flag — a successful
+    /// compaction is exactly what lifts it.
     ///
     /// # Errors
     ///
@@ -583,7 +620,7 @@ impl<S: Storage> DurableSystem<S> {
     pub fn checkpoint(&self) -> Result<(), CloudError> {
         self.check_poisoned()?;
         let mut op = self.op.lock();
-        self.checkpoint_locked(&mut op)
+        self.checkpoint_locked(&mut op, true)
     }
 
     /// Sets how many journaled ops accumulate before an automatic
@@ -611,13 +648,13 @@ impl<S: Storage> DurableSystem<S> {
         self.degraded.load(Ordering::SeqCst)
     }
 
-    /// Runs one scrubber pass: re-verifies every cold segment, the
-    /// committed snapshot and every committed seal. Rot is *repaired*,
-    /// not fatal — the corrupt objects are quarantined for forensics, a
-    /// rotted seal is rewritten byte-identically from the in-memory
-    /// chain (no checkpoint ever supersedes a seal), and rotted
-    /// segments or snapshots are superseded by a fresh checkpoint cut
-    /// from the authoritative in-memory state.
+    /// Runs one scrubber pass: re-verifies every cold segment, the base
+    /// snapshot, every live delta and every committed seal. Rot is
+    /// *repaired*, not fatal — the corrupt objects are quarantined for
+    /// forensics, a rotted seal is rewritten byte-identically from the
+    /// in-memory chain (no checkpoint ever supersedes a seal), and
+    /// rotted segments, snapshots or deltas are superseded by a fresh
+    /// full checkpoint cut from the authoritative in-memory state.
     ///
     /// # Errors
     ///
@@ -631,8 +668,9 @@ impl<S: Storage> DurableSystem<S> {
         let mut op = self.op.lock();
         let report = self.ts.scrub().map_err(store_to_cloud)?;
         if !report.clean() {
-            // Everything corrupt that is not a seal is a segment or the
-            // snapshot, which only a checkpoint supersedes.
+            // Everything corrupt that is not a seal is a segment, the
+            // base snapshot or a delta, which only a full checkpoint
+            // supersedes.
             let superseded = report.corrupt.len() > report.corrupt_seals.len();
             let repaired = self
                 .ts
@@ -641,7 +679,7 @@ impl<S: Storage> DurableSystem<S> {
                 .and_then(|()| self.rewrite_seals(&op, &report.corrupt_seals))
                 .and_then(|()| {
                     if superseded {
-                        self.checkpoint_locked(&mut op)
+                        self.checkpoint_locked(&mut op, true)
                     } else {
                         Ok(())
                     }
@@ -848,7 +886,9 @@ impl<S: Storage> DurableSystem<S> {
     /// audited and not journaled). Reads do not journal server-side
     /// component upgrades: `LazyArchive` rows are never consumed, so a
     /// replayed-stale component self-heals on the next read or drain.
-    /// The commit waits outside the op lock.
+    /// A delta checkpoint carries only what the journal holds, so such
+    /// an upgrade reaches disk at the next drain or full checkpoint. The
+    /// commit waits outside the op lock.
     fn audited_read(
         &self,
         span: &'static str,
@@ -1239,7 +1279,8 @@ mod tests {
     use crate::audit::AuditEvent;
     use crate::system::fault_points;
     use mabe_faults::{FaultKind, FaultPlan};
-    use mabe_store::{store_points, Keyspace, Schema, SimDisk, Wal};
+    use mabe_store::{store_points, CheckpointKind, Keyspace, SimDisk, Wal};
+    use std::collections::BTreeSet;
 
     const DOC_POLICY: &str = "Doctor@MedOrg";
     const SHARED_POLICY: &str = "Doctor@MedOrg OR Nurse@MedOrg";
@@ -1372,6 +1413,13 @@ mod tests {
     /// it populates the same snapshot and seal as the live system.
     fn reopens_to_itself(ds: &DurableSystem<SimDisk>, step: &str) {
         assert_eq!(ds.generation(), 0, "{step}: a checkpoint ran");
+        reopens_alike(ds, step);
+    }
+
+    /// Reopens a copy of `ds`'s durable bytes, as a power cut leaves
+    /// them, checks that it populates the same snapshot and seal as the
+    /// live system, and returns it.
+    fn reopens_alike(ds: &DurableSystem<SimDisk>, step: &str) -> DurableSystem<SimDisk> {
         let mut disk = SimDisk::unfaulted();
         for (name, bytes) in durable_objects(&ds.storage()) {
             disk.set_durable(&name, bytes);
@@ -1386,6 +1434,7 @@ mod tests {
             "{step}: the replayed snapshot differs"
         );
         assert!(live.1 == replayed.1, "{step}: the replayed seal differs");
+        reopened
     }
 
     /// Every journaled mutator, ordered so later registrations meet
@@ -1394,7 +1443,10 @@ mod tests {
     /// lazy revocation, a sync, a replaced record and the drain. `check`
     /// runs after each step, so a row one batch leaves out is caught
     /// before a later batch's re-put can cover it.
-    fn every_mutator_world(ds: &DurableSystem<SimDisk>, check: fn(&DurableSystem<SimDisk>, &str)) {
+    fn every_mutator_world(
+        ds: &DurableSystem<SimDisk>,
+        mut check: impl FnMut(&DurableSystem<SimDisk>, &str),
+    ) {
         ds.add_authority("MedOrg", &["Doctor", "Nurse"]).unwrap();
         check(ds, "add_authority MedOrg");
         let hospital = ds.add_owner("hospital").unwrap();
@@ -1464,6 +1516,116 @@ mod tests {
         assert_eq!(lazy.drain_lazy().unwrap(), 1);
         reopens_to_itself(&lazy, "lazy_world, drained");
         every_mutator_world(&unchecked(54), reopens_to_itself);
+    }
+
+    /// A fresh store that checkpoints after every journaled op, so each
+    /// step of a world ends in an automatic checkpoint.
+    fn checkpointing_every_op(seed: u64) -> DurableSystem<SimDisk> {
+        let ds = open_fresh(seed);
+        ds.set_checkpoint_interval(1);
+        ds
+    }
+
+    /// What `ds`'s newest checkpoint wrote, read off its objects.
+    fn newest_checkpoint(ds: &DurableSystem<SimDisk>) -> CheckpointKind {
+        let names = ds.storage().list();
+        let generation = ds.generation();
+        if names.contains(&format!("delta-{generation}")) {
+            CheckpointKind::Delta
+        } else {
+            assert!(names.contains(&format!("snapshot-{generation}")));
+            CheckpointKind::Full
+        }
+    }
+
+    /// Worlds checkpointed after every op — so their generations are
+    /// deltas on a base as the store's rule picks — reopen after every
+    /// step to the live state, byte for byte. A delta cut right after an
+    /// open carries the replayed journal tail.
+    #[test]
+    fn delta_checkpointed_stores_reopen_to_the_live_state() {
+        let mut kinds = BTreeSet::new();
+        let ds = checkpointing_every_op(57);
+        every_mutator_world(&ds, |ds, step| {
+            reopens_alike(ds, step);
+            kinds.insert(newest_checkpoint(ds));
+        });
+        for seed in [58, 59] {
+            let (lazy, ..) = lazy_world(checkpointing_every_op(seed));
+            reopens_alike(&lazy, "lazy_world, queued");
+            assert_eq!(lazy.drain_lazy().unwrap(), 1);
+            reopens_alike(&lazy, "lazy_world, drained");
+            kinds.insert(newest_checkpoint(&lazy));
+        }
+
+        // A fresh base, then one journaled op no checkpoint covers: the
+        // reopened store replays it, journals one op more, and the delta
+        // that op cuts must carry both.
+        ds.checkpoint().unwrap();
+        ds.set_checkpoint_interval(usize::MAX);
+        let dave = ds.add_user("dave").unwrap();
+        let reopened = reopens_alike(&ds, "a journal tail past a full checkpoint");
+        reopened.set_checkpoint_interval(1);
+        let generation = reopened.generation();
+        reopened.grant(&dave, &["Doctor@MedOrg"]).unwrap();
+        assert_eq!(reopened.generation(), generation + 1);
+        assert_eq!(newest_checkpoint(&reopened), CheckpointKind::Delta);
+        reopens_alike(&reopened, "a delta cut right after an open");
+
+        assert_eq!(
+            kinds,
+            BTreeSet::from([CheckpointKind::Delta, CheckpointKind::Full]),
+            "the worlds wrote both kinds"
+        );
+    }
+
+    /// Rot in a live delta, and separately in the base snapshot, is
+    /// quarantined and superseded by a full checkpoint, and the store
+    /// reopens to the same chain.
+    #[test]
+    fn scrub_repairs_a_rotted_delta_or_base_with_a_full_checkpoint() {
+        for rotted in ["delta", "snapshot"] {
+            let (mut ds, _, bob, owner, _) = full_world(open_fresh(93));
+            ds.checkpoint().unwrap();
+            let base = ds.generation();
+            ds.set_checkpoint_interval(1);
+            ds.set_offline(&bob).unwrap();
+            assert_eq!(newest_checkpoint(&ds), CheckpointKind::Delta);
+            let name = match rotted {
+                "delta" => format!("delta-{}", base + 1),
+                _ => format!("snapshot-{base}"),
+            };
+            let mut bytes = ds.storage().durable_bytes(&name).unwrap().to_vec();
+            let mid = bytes.len() / 2;
+            bytes[mid] ^= 0x20;
+            ds.storage_mut().set_durable(&name, bytes);
+            let expected_audit = ds.audit().clone();
+
+            let report = ds.scrub().unwrap();
+            assert_eq!(report.corrupt, vec![name.clone()], "{rotted}");
+            assert_eq!(report.deltas_checked, 1);
+            assert_eq!(
+                ds.generation(),
+                base + 2,
+                "{rotted}: repaired by a checkpoint"
+            );
+            assert_eq!(newest_checkpoint(&ds), CheckpointKind::Full);
+            let names = ds.storage().list();
+            assert!(names.contains(&format!("quarantine.{name}")));
+            assert!(!names.iter().any(|n| n.starts_with("delta-")));
+            assert!(ds.scrub().unwrap().clean());
+            assert!(!ds.poisoned());
+
+            let mut disk = ds.into_storage();
+            disk.crash();
+            let (ds2, report) = DurableSystem::open(disk, 94).unwrap();
+            assert_eq!(report.wal.deltas, 0);
+            assert_eq!(&*ds2.audit(), &expected_audit);
+            assert_eq!(
+                ds2.read(&bob, &owner, "rec-shared", "note").unwrap(),
+                b"ward note"
+            );
+        }
     }
 
     #[test]
@@ -1921,6 +2083,8 @@ mod tests {
         for family in [
             "mabe_recovery_duration_ms",
             "mabe_wal_records_replayed_total",
+            "mabe_snapshots_written_total",
+            "mabe_deltas_written_total",
         ] {
             assert!(json.contains(family), "{family} missing from JSON export");
             assert!(

@@ -1,7 +1,7 @@
 //! The typed keyspace catalog: one [`mabe_store::Schema`] table per
 //! kind of persistent cloud-plane state, one row writer per table, and
-//! the populate/hydrate bridge between live state and checkpoint
-//! keyspaces.
+//! the bridge between live state and checkpoint keyspaces: the full
+//! state a checkpoint writes, and hydration back from it.
 //!
 //! # Design
 //!
@@ -20,13 +20,16 @@
 //!   their `(table, op, key, value)` frames as one batch. Replay is then
 //!   pure row application: no re-running of key generation, no RNG
 //!   coupling, no order-sensitive side effects.
-//! * **Checkpointing** — [`populate`] runs every writer over every key
-//!   into a fresh [`Keyspace`] (schema-driven per-table snapshot
-//!   sections) and seals the audit entries recorded since the previous
-//!   checkpoint into one seal payload ([`seal_payload`]). The snapshot
-//!   keeps only the audit counters, the sealed-entry count and the
-//!   chain head, so its size tracks the live state, not the length of
-//!   the history.
+//! * **Checkpointing** — [`close_audit`] seals the audit entries
+//!   recorded since the previous checkpoint into one seal payload
+//!   ([`seal_payload`]) beside the closing rows that count them (the
+//!   audit counters, the sealed-entry count and the chain head). A
+//!   delta checkpoint is those rows on top of what the journal holds,
+//!   folded by the store; a full one puts them on top of
+//!   [`live_state`], every writer over every key into a fresh
+//!   [`Keyspace`] (schema-driven per-table snapshot sections). Either
+//!   way the state's size tracks the live state, not the length of the
+//!   history.
 //! * **Hydration** — [`hydrate`] rebuilds a [`crate::CloudSystem`]
 //!   straight from the rows: entity values through their wire codecs,
 //!   composite values through the decoder beside each encoder below,
@@ -51,8 +54,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use mabe_core::{
-    read_string, AttributeAuthority, CertificateAuthority, DataEnvelope, DataOwner, Error, OwnerId,
-    Reader, RevocationEvent, Uid, UpdateKey, UserPublicKey, UserSecretKey, WireCodec,
+    read_string, AttributeAuthority, CertificateAuthority, CiphertextId, DataEnvelope, DataOwner,
+    EncryptionRecord, Error, OwnerId, Reader, RevocationEvent, Uid, UpdateKey, UserPublicKey,
+    UserSecretKey, WireCodec,
 };
 use mabe_crypto::sha256::DIGEST_LEN;
 use mabe_policy::lsss::CONSTRUCTION;
@@ -85,8 +89,9 @@ mabe_store::define_table!(
     Authorities: 2, "authorities", key(aid: str)
 );
 mabe_store::define_table!(
-    /// One data owner per row; value is the owner's wire encoding
-    /// (including adopted per-ciphertext encryption secrets).
+    /// One data owner per row; value is the owner's wire encoding: its
+    /// master key, authority keys, key history and ciphertext id
+    /// counter. Its per-ciphertext secrets are [`OwnerSecrets`] rows.
     Owners: 3, "owners", key(owner: str)
 );
 mabe_store::define_table!(
@@ -125,8 +130,8 @@ mabe_store::define_table!(
     /// owner)` prefix is the re-encryption worklist. Never journaled or
     /// checkpointed — [`CloudServer`] keeps it beside its records and
     /// rebuilds it from them; a store written when the table was
-    /// persisted opens with its rows ignored, and its next checkpoint
-    /// drops them.
+    /// persisted opens with its rows ignored, and its next full
+    /// checkpoint drops them.
     Components: 10, "components", key(aid: str, owner: str, record: str, label: str)
 );
 mabe_store::define_table!(
@@ -153,6 +158,14 @@ mabe_store::define_table!(
     LazyArchive: 14, "lazy_archive", key(aid: str, owner: str, from: u64)
 );
 mabe_store::define_table!(
+    /// The encryption secret an owner keeps per ciphertext, keyed by
+    /// `(owner, ciphertext id)`; value is the
+    /// [`mabe_core::EncryptionRecord`] wire encoding (`s` and the row
+    /// attributes). A publish journals the rows of its new ciphertexts
+    /// only; no row is deleted yet.
+    OwnerSecrets: 16, "owner_secrets", key(owner: str, ct_id: u64)
+);
+mabe_store::define_table!(
     /// Live-only inverted grant index: one row per `(authority, user,
     /// attribute)`, empty value. Never journaled or checkpointed — the
     /// directory rebuilds it from `Grants`; the `(authority)` prefix
@@ -175,6 +188,7 @@ pub(crate) fn register_all(ks: &Keyspace) {
     ks.register::<Meta>();
     ks.register::<Authorities>();
     ks.register::<Owners>();
+    ks.register::<OwnerSecrets>();
     ks.register::<Users>();
     ks.register::<UserKeys>();
     ks.register::<Grants>();
@@ -451,7 +465,7 @@ impl<K> Pick<'_, K> {
 
 /// `Meta` rows by name: the certificate authority, the LSSS marker and
 /// the revocation counter. The audit rows are written under the audit
-/// lock beside the entries they count ([`emit_audit`], [`populate`]).
+/// lock beside the entries they count ([`emit_audit`], [`close_audit`]).
 fn meta(sys: &CloudSystem, names: &[&str], out: &mut Vec<Frame>) {
     for &name in names {
         let value = match name {
@@ -496,6 +510,24 @@ fn owners(sys: &CloudSystem, pick: Pick<'_, OwnerId>, out: &mut Vec<Frame>) {
         |id| owners.get(id),
         |id| (id.as_str().to_owned(),),
         |owner| owner.to_wire_bytes(),
+    );
+}
+
+type SecretKey = (OwnerId, CiphertextId);
+
+fn owner_secrets(sys: &CloudSystem, pick: Pick<'_, SecretKey>, out: &mut Vec<Frame>) {
+    let owners = sys.directory.owners.read();
+    let live = owners.iter().flat_map(|(id, owner)| {
+        owner
+            .records()
+            .map(move |(ct_id, record)| ((id.clone(), ct_id), record))
+    });
+    pick.write::<OwnerSecrets, _, _>(
+        out,
+        live,
+        |(id, ct_id)| owners.get(id)?.record(*ct_id),
+        |(id, ct_id)| (id.as_str().to_owned(), ct_id.0),
+        |record| record.to_wire_bytes(),
     );
 }
 
@@ -697,11 +729,22 @@ pub(crate) fn frames_granted(sys: &CloudSystem, uid: &Uid) -> Vec<Frame> {
 }
 
 pub(crate) fn frames_published(sys: &CloudSystem, owner_id: &OwnerId, record: &str) -> Vec<Frame> {
-    // The owner adopted fresh encryption secrets during sealing, so its
-    // row must refresh with the record's.
+    // Sealing advanced the owner's id counter and kept one secret per
+    // new ciphertext: the owner row and those secrets' rows refresh
+    // with the record's.
+    let key = (owner_id.clone(), record.to_owned());
+    let secrets: Vec<SecretKey> = sys.data.server.with_records(|records| {
+        records.get(&key).map_or_else(Vec::new, |envelope| {
+            envelope
+                .components
+                .iter()
+                .map(|component| (owner_id.clone(), component.key_ct.id))
+                .collect()
+        })
+    });
     let mut out = Vec::new();
     owners(sys, Pick::Keys(slice::from_ref(owner_id)), &mut out);
-    let key = (owner_id.clone(), record.to_owned());
+    owner_secrets(sys, Pick::Keys(&secrets), &mut out);
     records(sys, Pick::Keys(slice::from_ref(&key)), &mut out);
     out
 }
@@ -808,11 +851,75 @@ pub(crate) fn emit_audit(sys: &CloudSystem, watermark: &mut usize, out: &mut Vec
 }
 
 // ---------------------------------------------------------------------
-// Checkpoint populate
+// Checkpoint images
 // ---------------------------------------------------------------------
 
-/// What one checkpoint writes: the live-state keyspace for the
+/// What one checkpoint seals, read under one hold of the audit lock so
+/// the parts always agree.
+pub(crate) struct AuditClose {
+    /// The `audit` counter and `audit_sealed` rows every checkpoint
+    /// writes on top of the state, delta or full.
+    pub(crate) closing: Vec<Frame>,
+    /// The entries recorded since the previous checkpoint as one
+    /// [`seal_payload`]; `None` when there are none.
+    pub(crate) seal: Option<Vec<u8>>,
+    /// Audit entries sealed once this checkpoint commits (the
+    /// checkpoint's sealed-entry count).
+    pub(crate) sealed: usize,
+}
+
+/// Seals the audit entries from `sealed_from` (the entries the committed
+/// seals already hold) on, beside the closing rows that count them: the
+/// audit counters, and the sealed count with the chain head. Takes only
+/// the audit lock.
+pub(crate) fn close_audit(sys: &CloudSystem, sealed_from: usize) -> AuditClose {
+    let audit = sys.audit.lock();
+    let entries = audit.entries();
+    let head = audit.head().unwrap_or([0; DIGEST_LEN]);
+    let fresh = &entries[sealed_from..];
+    AuditClose {
+        closing: vec![
+            audit_counters(&audit),
+            meta_frame(
+                META_AUDIT_SEALED,
+                meta_audit_sealed_value(entries.len() as u64, head),
+            ),
+        ],
+        seal: (!fresh.is_empty()).then(|| seal_payload(fresh)),
+        sealed: entries.len(),
+    }
+}
+
+/// The full live state, audit rows aside: every persistent table
+/// registered (so empty tables checkpoint as empty sections) and every
+/// writer over every key.
+pub(crate) fn live_state(sys: &CloudSystem) -> Keyspace {
+    let ks = Keyspace::new();
+    register_all(&ks);
+    let mut frames = Vec::new();
+    meta(sys, &[META_CA, META_LSSS], &mut frames);
+    authorities(sys, Pick::All, &mut frames);
+    owners(sys, Pick::All, &mut frames);
+    owner_secrets(sys, Pick::All, &mut frames);
+    users(sys, Pick::All, &mut frames);
+    user_keys(sys, Pick::All, &mut frames);
+    grants(sys, Pick::All, &mut frames);
+    offline(sys, Pick::All, &mut frames);
+    pending_updates(sys, Pick::All, &mut frames);
+    records(sys, Pick::All, &mut frames);
+    for shard in sys.control.shards.read().values() {
+        pending_revocations(&shard.state.lock(), Pick::All, &mut frames);
+    }
+    meta(sys, &[META_NEXT_REVOCATION], &mut frames);
+    lazy_queue(sys, Pick::All, &mut frames);
+    lazy_archive(sys, Pick::All, &mut frames);
+    ks.apply(&frames);
+    ks
+}
+
+/// What one full checkpoint writes: the live-state keyspace for the
 /// snapshot, plus the audit entries it seals.
+#[cfg(test)]
 pub(crate) struct CheckpointImage {
     /// Every persistent table, audit rows excepted.
     pub(crate) keyspace: Keyspace,
@@ -824,49 +931,20 @@ pub(crate) struct CheckpointImage {
     pub(crate) sealed: usize,
 }
 
-/// Builds a checkpoint image from the full live state: every
-/// persistent table registered (so empty tables checkpoint as empty
-/// sections), every writer over every key, and the audit entries from
-/// `sealed_from` (the entries the committed seals already hold) on
-/// sealed. The audit counters, sealed count, chain head and seal come
-/// from one hold of the audit lock, so they always agree.
+/// Builds a full checkpoint image, as a full checkpoint writes it:
+/// [`close_audit`] from `sealed_from` on, and its closing rows on top
+/// of the [`live_state`]. Tests compare systems by it.
+#[cfg(test)]
 pub(crate) fn populate(sys: &CloudSystem, sealed_from: usize) -> CheckpointImage {
-    let ks = Keyspace::new();
-    register_all(&ks);
-    let mut frames = Vec::new();
-    meta(sys, &[META_CA, META_LSSS], &mut frames);
-    authorities(sys, Pick::All, &mut frames);
-    owners(sys, Pick::All, &mut frames);
-    users(sys, Pick::All, &mut frames);
-    user_keys(sys, Pick::All, &mut frames);
-    grants(sys, Pick::All, &mut frames);
-    offline(sys, Pick::All, &mut frames);
-    pending_updates(sys, Pick::All, &mut frames);
-    records(sys, Pick::All, &mut frames);
-    let (seal, sealed) = {
-        let audit = sys.audit.lock();
-        let entries = audit.entries();
-        frames.push(audit_counters(&audit));
-        let head = audit.head().unwrap_or([0; DIGEST_LEN]);
-        frames.push(meta_frame(
-            META_AUDIT_SEALED,
-            meta_audit_sealed_value(entries.len() as u64, head),
-        ));
-        let fresh = &entries[sealed_from..];
-        (
-            (!fresh.is_empty()).then(|| seal_payload(fresh)),
-            entries.len(),
-        )
-    };
-    for shard in sys.control.shards.read().values() {
-        pending_revocations(&shard.state.lock(), Pick::All, &mut frames);
-    }
-    meta(sys, &[META_NEXT_REVOCATION], &mut frames);
-    lazy_queue(sys, Pick::All, &mut frames);
-    lazy_archive(sys, Pick::All, &mut frames);
-    ks.apply(&frames);
+    let AuditClose {
+        closing,
+        seal,
+        sealed,
+    } = close_audit(sys, sealed_from);
+    let keyspace = live_state(sys);
+    keyspace.apply(&closing);
     CheckpointImage {
-        keyspace: ks,
+        keyspace,
         seal,
         sealed,
     }
@@ -925,7 +1003,8 @@ fn str_prefix(s: &str) -> Vec<u8> {
 /// Beyond decoding every value whole, it checks what the rows alone
 /// cannot guarantee: a store holding an owner or a record names this
 /// build's LSSS construction; the `ca` row exists; each authority and
-/// owner row is keyed by its own id; every attribute parses; every
+/// owner row is keyed by its own id; each owner secret belongs to a
+/// known owner and to an id below its counter; every attribute parses; every
 /// pending revocation names a known authority; the seals hold exactly the
 /// snapshot's sealed-entry count, ending at its chain head; the audit
 /// chain, order and counters verify; and the revocation counter ends up
@@ -977,6 +1056,16 @@ pub(crate) fn hydrate(
                 return Err(row_err("owner row keyed by another owner"));
             }
             owners.insert(owner.id().clone(), owner);
+        }
+        for ((id, ct_id), value) in rows::<OwnerSecrets>(ks, &[])? {
+            let owner = owners
+                .get_mut(&OwnerId::new(id))
+                .ok_or_else(|| row_err("secret row for an unknown owner"))?;
+            if ct_id >= owner.next_ciphertext_id().0 {
+                return Err(row_err("secret row at or past the owner's id counter"));
+            }
+            let record = wire::<EncryptionRecord>(&value)?;
+            owner.adopt_record(CiphertextId(ct_id), record.s, record.attributes);
         }
     }
     {
@@ -1153,7 +1242,12 @@ pub(crate) mod tests {
         type Expect = Box<dyn Fn(&OpenError) -> bool>;
         let image = populate(&unsettled_system(), 0);
         let (base, base_seals) = (image.keyspace, vec![image.seal.expect("entries to seal")]);
-        for table in [PendingUpdates::ID, PendingRevocations::ID, LazyQueue::ID] {
+        for table in [
+            OwnerSecrets::ID,
+            PendingUpdates::ID,
+            PendingRevocations::ID,
+            LazyQueue::ID,
+        ] {
             assert!(base.rows(table) > 0, "table {table} left empty");
         }
         assert_eq!(base.rows(Audit::ID), 0, "audit rows live in the seal");
@@ -1292,6 +1386,36 @@ pub(crate) mod tests {
                 Box::new(
                     |e| matches!(e, OpenError::Lsss { found: Some(c) } if c == "vandermonde n-of-n"),
                 ),
+            ),
+            (
+                "an owner secret under an unknown owner",
+                Box::new(|ks, _| {
+                    let (_, value) = ks.range::<OwnerSecrets>(&[]).unwrap().remove(0);
+                    ks.put::<OwnerSecrets>(&("clinic".into(), 1), &value);
+                }),
+                Box::new(row_error("secret row for an unknown owner")),
+            ),
+            (
+                "an owner secret at the owner's id counter",
+                Box::new(|ks, _| {
+                    let hospital = ks.get::<Owners>(&("hospital".into(),)).unwrap().unwrap();
+                    let next = DataOwner::from_wire_bytes(&hospital)
+                        .unwrap()
+                        .next_ciphertext_id();
+                    let (_, value) = ks.range::<OwnerSecrets>(&[]).unwrap().remove(0);
+                    ks.put::<OwnerSecrets>(&("hospital".into(), next.0), &value);
+                }),
+                Box::new(row_error("secret row at or past the owner's id counter")),
+            ),
+            (
+                "trailing byte on an owner secret",
+                Box::new(|ks, _| edit_first::<OwnerSecrets>(ks, |v| v.push(0))),
+                Box::new(|e| matches!(e, OpenError::Snapshot(Error::Malformed("trailing bytes")))),
+            ),
+            (
+                "an owner secret cut inside its attributes",
+                Box::new(|ks, _| edit_first::<OwnerSecrets>(ks, |v| v.truncate(v.len() - 1))),
+                Box::new(|e| matches!(e, OpenError::Snapshot(_))),
             ),
             (
                 "trailing byte on a grants value",

@@ -91,7 +91,7 @@ pub use outsource::{
     client_recover, make_transform_key, server_transform, RetrievalKey, TransformKey,
     TransformToken,
 };
-pub use owner::DataOwner;
+pub use owner::{DataOwner, EncryptionRecord};
 pub use revoke::{
     apply_reencryption, check_reencryption, reencrypt, Refresh, UpdateInfo, UpdateTables,
     WithTables, FIXED_BASE_BREAK_EVEN, LINES_BREAK_EVEN,

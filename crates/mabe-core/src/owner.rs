@@ -31,10 +31,14 @@ type AttributeKeys = BTreeMap<Attribute, G1Affine>;
 
 /// Per-ciphertext record the owner retains (the exponent `s` plus the
 /// attribute labelling, enough to regenerate update information).
-#[derive(Clone, Debug)]
-struct EncryptionRecord {
-    s: Fr,
-    attributes: Vec<Attribute>,
+/// Durable stores keep one per ciphertext, apart from the owner's own
+/// encoding, and hand it back through [`DataOwner::adopt_record`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct EncryptionRecord {
+    /// The encryption exponent `s`.
+    pub s: Fr,
+    /// The attribute labelling each LSSS row, `ρ`.
+    pub attributes: Vec<Attribute>,
 }
 
 /// A data owner.
@@ -299,6 +303,22 @@ impl DataOwner {
         self.records.len()
     }
 
+    /// Every retained ciphertext record, in id order.
+    pub fn records(&self) -> impl Iterator<Item = (CiphertextId, &EncryptionRecord)> {
+        self.records.iter().map(|(id, record)| (*id, record))
+    }
+
+    /// The retained record of one ciphertext.
+    pub fn record(&self, id: CiphertextId) -> Option<&EncryptionRecord> {
+        self.records.get(&id)
+    }
+
+    /// The id the next encryption gets; every retained record's id is
+    /// below it.
+    pub fn next_ciphertext_id(&self) -> CiphertextId {
+        CiphertextId(self.next_id)
+    }
+
     /// Paper-accounted storage overhead of this owner in bytes
     /// (Table III "Owner" row: `2|p| + Σ_k (n_k|G| + |G_T|)`).
     pub fn storage_size(&self) -> usize {
@@ -324,7 +344,7 @@ impl DataOwner {
         self.records.get(&id).map(|r| r.s)
     }
 
-    /// Re-installs a ciphertext record captured by
+    /// Re-installs a ciphertext record captured by [`Self::records`] or
     /// [`Self::encryption_secret`] (journal replay): the exponent `s`
     /// plus the row labelling, keyed by the original id. Advances the id
     /// counter past `id` so later encryptions never collide.
@@ -342,8 +362,10 @@ fn key_ratio(old: &AttributeKeys, new: &AttributeKeys, attr: &Attribute) -> Resu
     Ok(G1::from(*pk_old).add(&G1::from(*pk_new).neg()))
 }
 
-// Owner state (master key and per-ciphertext exponents included) travels
-// only into durable snapshots, reusing the validated wire primitives.
+// Owner state (master key, keys and key history) travels only into
+// durable snapshots, reusing the validated wire primitives. The
+// per-ciphertext records are not part of it: a store keeps each as a row
+// of its own and re-adopts them.
 impl crate::serial::WireCodec for DataOwner {
     fn encode(&self, out: &mut Vec<u8>) {
         use crate::serial::{put_attribute, put_fr, put_g1, put_string};
@@ -362,15 +384,6 @@ impl crate::serial::WireCodec for DataOwner {
             for (attr, pk) in pks {
                 put_attribute(out, attr);
                 put_g1(out, pk);
-            }
-        }
-        out.extend_from_slice(&(self.records.len() as u32).to_be_bytes());
-        for (id, record) in &self.records {
-            out.extend_from_slice(&id.0.to_be_bytes());
-            put_fr(out, &record.s);
-            out.extend_from_slice(&(record.attributes.len() as u32).to_be_bytes());
-            for attr in &record.attributes {
-                put_attribute(out, attr);
             }
         }
         out.extend_from_slice(&self.next_id.to_be_bytes());
@@ -412,38 +425,43 @@ impl crate::serial::WireCodec for DataOwner {
                 return Err(Error::Malformed("duplicate history entry in owner state"));
             }
         }
-        let n = get_count(r)?;
-        let mut records = BTreeMap::new();
-        let mut max_id = 0u64;
-        for _ in 0..n {
-            let ct_id = CiphertextId(r.u64()?);
-            let s = get_fr(r)?;
-            let m = get_count(r)?;
-            let mut attributes = Vec::with_capacity(m);
-            for _ in 0..m {
-                attributes.push(get_attribute(r)?);
-            }
-            max_id = max_id.max(ct_id.0);
-            if records
-                .insert(ct_id, EncryptionRecord { s, attributes })
-                .is_some()
-            {
-                return Err(Error::Malformed("duplicate ciphertext record"));
-            }
-        }
+        // Ids start at 1, so a zero counter was never issued.
         let next_id = r.u64()?;
-        if next_id <= max_id {
-            return Err(Error::Malformed("ciphertext id counter behind records"));
+        if next_id == 0 {
+            return Err(Error::Malformed("zero ciphertext id counter"));
         }
         Ok(DataOwner {
             id,
             mk: OwnerMasterKey { beta, r: mk_r },
             authority_keys,
             attr_pk_history,
-            records,
+            records: BTreeMap::new(),
             next_id,
             key_tables: FixedBaseCache::default(),
         })
+    }
+}
+
+/// `s ‖ u32 n ‖ n × attribute`.
+impl crate::serial::WireCodec for EncryptionRecord {
+    fn encode(&self, out: &mut Vec<u8>) {
+        use crate::serial::{put_attribute, put_fr};
+        put_fr(out, &self.s);
+        out.extend_from_slice(&(self.attributes.len() as u32).to_be_bytes());
+        for attr in &self.attributes {
+            put_attribute(out, attr);
+        }
+    }
+
+    fn decode(r: &mut crate::serial::Reader<'_>) -> Result<Self, Error> {
+        use crate::serial::{get_attribute, get_count, get_fr};
+        let s = get_fr(r)?;
+        let n = get_count(r)?;
+        let mut attributes = Vec::with_capacity(n);
+        for _ in 0..n {
+            attributes.push(get_attribute(r)?);
+        }
+        Ok(EncryptionRecord { s, attributes })
     }
 }
 
@@ -588,8 +606,17 @@ mod tests {
             .apply_update_key(event.update_keys.get(&OwnerId::new("o")).unwrap())
             .unwrap();
 
+        // The owner's encoding leaves the records out; a store adopts
+        // each from its own encoding.
         let bytes = owner.to_wire_bytes();
-        let restored = DataOwner::from_wire_bytes(&bytes).unwrap();
+        let mut restored = DataOwner::from_wire_bytes(&bytes).unwrap();
+        assert_eq!(restored.ciphertext_count(), 0);
+        assert_eq!(restored.next_ciphertext_id(), owner.next_ciphertext_id());
+        for (id, record) in owner.records() {
+            let record = EncryptionRecord::from_wire_bytes(&record.to_wire_bytes()).unwrap();
+            assert_eq!(Some(&record), owner.record(id));
+            restored.adopt_record(id, record.s, record.attributes);
+        }
         assert_eq!(restored.id(), owner.id());
         assert_eq!(restored.owner_secret_key(), owner.owner_secret_key());
         assert_eq!(restored.known_version(&aid), owner.known_version(&aid));

@@ -49,6 +49,9 @@ struct Folded {
     gave_up: bool,
     fault_points: Vec<String>,
     wal_bytes: u64,
+    /// The checkpoint the op paid for, if one ran inside it: its kind
+    /// (`delta` or `full`) and the bytes it wrote.
+    checkpoint: Option<(&'static str, u64)>,
     /// Op attributes, first-writer-wins at merge time (a span's own
     /// attributes are applied with override semantics *before* its
     /// children's fill in the gaps).
@@ -76,6 +79,7 @@ impl Folded {
         self.gave_up |= child.gave_up;
         self.fault_points.extend(child.fault_points);
         self.wal_bytes += child.wal_bytes;
+        self.checkpoint = self.checkpoint.or(child.checkpoint);
         for (k, v) in child.attrs {
             self.fill_attr(k, v);
         }
@@ -131,6 +135,11 @@ pub struct OpCandidate {
     pub fault_points: Vec<String>,
     /// WAL bytes appended in the subtree.
     pub wal_bytes: u64,
+    /// Kind of the checkpoint written in the subtree (`delta` or
+    /// `full`), if any.
+    pub checkpoint: Option<&'static str>,
+    /// Bytes that checkpoint wrote (0 without one).
+    pub checkpoint_bytes: u64,
 }
 
 /// The span sink: folds closes into per-trace state and emits an
@@ -184,6 +193,9 @@ impl Assembler {
                     folded.fault_points.push(format!("{point}:{kind}"));
                 }
                 TraceEvent::JournalAppend { bytes, .. } => folded.wal_bytes += bytes,
+                TraceEvent::CheckpointWritten { kind, bytes, .. } => {
+                    folded.checkpoint = Some((kind, *bytes));
+                }
                 TraceEvent::OpAttr { key, value } => folded.set_attr(key, value.clone()),
                 _ => {}
             }
@@ -215,6 +227,8 @@ impl Assembler {
             gave_up: folded.gave_up,
             fault_points: folded.fault_points,
             wal_bytes: folded.wal_bytes,
+            checkpoint: folded.checkpoint.map(|(kind, _)| kind),
+            checkpoint_bytes: folded.checkpoint.map_or(0, |(_, bytes)| bytes),
         }
     }
 }
@@ -347,6 +361,11 @@ mod tests {
                     op: "read",
                     attempt: 1,
                 },
+                TraceEvent::CheckpointWritten {
+                    generation: 3,
+                    kind: "delta",
+                    bytes: 512,
+                },
             ],
         ));
         assert!(out.lock().unwrap().is_empty(), "nested op must not emit");
@@ -368,6 +387,7 @@ mod tests {
         assert_eq!(op.uid.as_deref(), Some("alice"));
         assert_eq!(op.retries, 1);
         assert_eq!(op.wal_bytes, 64);
+        assert_eq!((op.checkpoint, op.checkpoint_bytes), (Some("delta"), 512));
     }
 
     #[test]

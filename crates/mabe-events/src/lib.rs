@@ -194,6 +194,8 @@ impl EventPipeline {
             retries: op.retries,
             fault_points: op.fault_points,
             wal_bytes: op.wal_bytes,
+            checkpoint: op.checkpoint,
+            checkpoint_bytes: op.checkpoint_bytes,
             kept,
         });
     }
@@ -287,6 +289,8 @@ mod tests {
             gave_up: false,
             fault_points: Vec::new(),
             wal_bytes: 0,
+            checkpoint: None,
+            checkpoint_bytes: 0,
         }
     }
 

@@ -125,6 +125,12 @@ pub struct WideEvent {
     pub fault_points: Vec<String>,
     /// WAL bytes appended on behalf of the op.
     pub wal_bytes: u64,
+    /// The checkpoint the op paid for, if one ran inside it: `delta`
+    /// (the change since the last one) or `full` (a whole snapshot).
+    pub checkpoint: Option<&'static str>,
+    /// Bytes that checkpoint wrote: its delta or snapshot object plus
+    /// its seal (0 without one).
+    pub checkpoint_bytes: u64,
     /// Why the tail sampler kept this record.
     pub kept: KeepReason,
 }
@@ -159,7 +165,7 @@ impl WideEvent {
              \"start_us\":{},\"latency_us\":{},\"authority\":{},\"uid\":{},\
              \"key_version_observed\":{},\"key_version_served\":{},\
              \"retries\":{},\"fault_points\":[{}],\"wal_bytes\":{},\
-             \"kept\":\"{}\"}}",
+             \"checkpoint\":{},\"checkpoint_bytes\":{},\"kept\":\"{}\"}}",
             self.seq,
             self.trace_id,
             self.span_id,
@@ -179,6 +185,8 @@ impl WideEvent {
             self.retries,
             faults,
             self.wal_bytes,
+            opt_str(&self.checkpoint.map(str::to_owned)),
+            self.checkpoint_bytes,
             self.kept.label(),
         )
     }
@@ -217,6 +225,8 @@ mod tests {
             retries: 3,
             fault_points: vec!["read.fetch:authority_down".into()],
             wal_bytes: 128,
+            checkpoint: Some("delta"),
+            checkpoint_bytes: 4096,
             kept: KeepReason::Error,
         };
         let json = ev.to_json();
@@ -228,6 +238,7 @@ mod tests {
         assert!(json.contains("\"authority\":\"MedOrg\""));
         assert!(json.contains("\"key_version_observed\":1"));
         assert!(json.contains("\"fault_points\":[\"read.fetch:authority_down\"]"));
+        assert!(json.contains("\"checkpoint\":\"delta\",\"checkpoint_bytes\":4096"));
         assert!(json.contains("\"kept\":\"error\""));
     }
 
@@ -249,10 +260,13 @@ mod tests {
             retries: 0,
             fault_points: Vec::new(),
             wal_bytes: 0,
+            checkpoint: None,
+            checkpoint_bytes: 0,
             kept: KeepReason::Sampled,
         };
         let json = ev.to_json();
         assert!(json.contains("\"authority\":null"));
+        assert!(json.contains("\"checkpoint\":null"));
         assert!(json.contains("\"error\":null"));
         assert!(json.contains("\"key_version_served\":null"));
         assert!(json.contains("\"fault_points\":[]"));

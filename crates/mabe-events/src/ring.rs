@@ -106,6 +106,8 @@ mod tests {
             retries: 0,
             fault_points: Vec::new(),
             wal_bytes: 0,
+            checkpoint: None,
+            checkpoint_bytes: 0,
             kept: KeepReason::Sampled,
         }
     }

@@ -1,27 +1,40 @@
 //! Checkpoint-driven compaction: seal the history recorded since the
-//! last checkpoint, snapshot the live state, swap the manifest to a
-//! fresh single-segment generation that also counts the new seal, and
-//! garbage-collect everything the new generation supersedes. Seals are
-//! never superseded: the sweep deletes only strays numbered at or above
-//! the committed count.
+//! last checkpoint, write the new generation's state — a full snapshot,
+//! or a delta of the change since the previous generation — swap the
+//! manifest to a fresh single-segment generation that also counts the
+//! new seal, and garbage-collect everything the new generation
+//! supersedes. Seals are never superseded: the sweep deletes only
+//! strays numbered at or above the committed count.
 //!
 //! The crash-point map (each step is independently killable and the
 //! sweep schedules crashes at every one):
 //!
 //! ```text
 //! consult store.compact      crash → old generation fully intact
+//! read back live segments    (delta-or-full only) crash → old gen
+//!                                    intact; rot or a read error → full
 //! consult store.seal         crash/ENOSPC → old generation intact
 //! put+sync seal.<s>          crash → stray seal.<s>, old gen intact;
 //!                                    the next checkpoint overwrites it
-//! put+sync snapshot-<g+1>    crash → stray snapshot, old gen intact
+//! full:  put+sync snapshot-<g+1>   crash → stray snapshot, old gen intact
+//! delta: consult store.delta       crash/ENOSPC → old generation intact
+//!        put+sync delta-<g+1>      crash → stray delta, old gen intact
 //! swap manifest (commit)     crash/tear → surviving slot wins
-//! put+sync wal.<g+1>.0       crash → committed; missing segment = empty
+//! put+sync wal.<g+1>.0       crash → committed; reopen creates the
+//!                                    missing segment, empty
 //! consult store.compact,     crash → committed; strays swept by the
 //!   delete stale objects              next successful compaction
 //! ```
 //!
 //! (`s` is the committed seal count; a checkpoint with nothing to seal
-//! skips both seal steps.)
+//! skips both seal steps.) A full checkpoint makes `g+1` the new base,
+//! and its sweep deletes the old base snapshot and its deltas; a delta
+//! checkpoint keeps the base, and its sweep deletes only the superseded
+//! segments (and strays).
+//!
+//! Whether a checkpoint is a delta is decided here, in
+//! [`Wal::checkpoint_delta_or_full`], with fixed constants; the caller
+//! only forces a full one by calling [`Wal::checkpoint`].
 //!
 //! Failures are classified by whether the caller's in-memory state may
 //! have diverged from the committed on-disk state: anything *before*
@@ -37,9 +50,36 @@ use std::fmt;
 use mabe_faults::FaultKind;
 
 use crate::manifest::{Manifest, SegmentEntry};
-use crate::segment::{segment_name, SEG_MAGIC};
+use crate::segment::{segment_name, verify_frames, SEG_MAGIC};
 use crate::storage::{store_points, Storage, StoreError};
-use crate::wal::{crashed, encode_seal, encode_snapshot, seal_name, snap_name, Wal};
+use crate::wal::{
+    crashed, delta_name, encode_delta, encode_seal, encode_snapshot, seal_name, snap_name,
+    verify_cold, Wal,
+};
+
+/// Most deltas one base snapshot carries: once this many are live, the
+/// next checkpoint is full.
+pub const MAX_DELTAS: u64 = 32;
+
+/// What a checkpoint wrote as the new generation's state.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub enum CheckpointKind {
+    /// `delta-<g>`: the change since the previous generation, applied
+    /// on top of the base snapshot.
+    Delta,
+    /// `snapshot-<g>`: the whole state, the new base.
+    Full,
+}
+
+impl CheckpointKind {
+    /// Stable lowercase label (`delta` or `full`).
+    pub fn label(self) -> &'static str {
+        match self {
+            CheckpointKind::Delta => "delta",
+            CheckpointKind::Full => "full",
+        }
+    }
+}
 
 /// A failed checkpoint, classified for the group-commit layer.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -89,12 +129,16 @@ fn lifecycle_fault<S: Storage>(store: &S, point: &'static str) -> Option<Checkpo
     }
 }
 
+/// Bytes `magic ‖ crc32` add to a snapshot, delta or seal payload.
+const OBJECT_FRAMING: usize = 12;
+
 impl<S: Storage> Wal<S> {
-    /// Checkpoints: writes `seal_payload` (if any) as the next seal and
-    /// `snapshot_payload` as generation `g+1`, swaps the manifest to a
-    /// fresh single-segment generation counting the new seal (the
-    /// commit point), creates the new active segment, and collects
-    /// every superseded object — including strays left behind by
+    /// Checkpoints in full: writes `seal_payload` (if any) as the next
+    /// seal and `snapshot_payload` as generation `g+1`'s snapshot — the
+    /// new base — swaps the manifest to a fresh single-segment
+    /// generation counting the new seal (the commit point), creates the
+    /// new active segment, and collects every superseded object,
+    /// including the old base, its deltas, and strays left behind by
     /// earlier crashed compactions.
     pub fn checkpoint(
         &mut self,
@@ -104,38 +148,147 @@ impl<S: Storage> Wal<S> {
         if let Some(failure) = lifecycle_fault(&self.store, store_points::COMPACT) {
             return Err(failure);
         }
+        self.commit(CheckpointKind::Full, snapshot_payload, seal_payload)
+    }
+
+    /// Checkpoints at the cost of the change when the rule allows. The
+    /// live segments are read back and their records handed to `delta`,
+    /// which folds them into a delta payload (`None` if it cannot); that
+    /// payload becomes `delta-<g+1>`. Otherwise `full()` builds the
+    /// snapshot payload and the checkpoint is [`Wal::checkpoint`]'s. The
+    /// rule, with fixed constants — the checkpoint is full when:
+    ///
+    /// * there is no base snapshot yet (generation 0);
+    /// * [`MAX_DELTAS`] deltas are already live;
+    /// * a live segment fails its checksum or length on read-back, or
+    ///   the read fails short of a crash;
+    /// * the live deltas plus this one would outweigh the base snapshot.
+    ///
+    /// Either kind seals `seal_payload` and advances the generation by
+    /// one. Failures classify as [`Wal::checkpoint`]'s.
+    pub fn checkpoint_delta_or_full(
+        &mut self,
+        seal_payload: Option<&[u8]>,
+        delta: impl FnOnce(Vec<Vec<u8>>) -> Option<Vec<u8>>,
+        full: impl FnOnce() -> Vec<u8>,
+    ) -> Result<CheckpointKind, CheckpointFailure> {
+        if let Some(failure) = lifecycle_fault(&self.store, store_points::COMPACT) {
+            return Err(failure);
+        }
+        // Bytes the delta may take before the deltas outweigh the base.
+        let room = self
+            .base_bytes
+            .saturating_sub(self.delta_bytes + OBJECT_FRAMING);
+        let delta = if self.manifest.base == 0 || self.manifest.deltas() >= MAX_DELTAS || room == 0
+        {
+            None
+        } else {
+            match self.read_back_live() {
+                Ok(records) => records.and_then(delta),
+                // The process died reading; any other read failure
+                // leaves the full checkpoint, which reads nothing.
+                Err(error @ StoreError::Crashed { .. }) => return Err(clean(error)),
+                Err(_) => None,
+            }
+        };
+        match delta.filter(|payload| payload.len() <= room) {
+            Some(payload) => self
+                .commit(CheckpointKind::Delta, &payload, seal_payload)
+                .map(|()| CheckpointKind::Delta),
+            None => self
+                .commit(CheckpointKind::Full, &full(), seal_payload)
+                .map(|()| CheckpointKind::Full),
+        }
+    }
+
+    /// Every record of the live segments, read back from storage;
+    /// `None` if a segment is missing, has the wrong length or fails a
+    /// checksum (the checkpoint then goes full). Read errors propagate.
+    fn read_back_live(&mut self) -> Result<Option<Vec<Vec<u8>>>, StoreError> {
+        let generation = self.manifest.generation;
+        let segments = self.manifest.segments.clone();
+        let (active, cold) = segments.split_last().expect("manifest never empty");
+        let mut records = Vec::new();
+        for entry in cold {
+            let segment = self.store.read(&segment_name(generation, entry.seq))?;
+            match verify_cold(segment, entry) {
+                Ok(mut recs) => records.append(&mut recs),
+                Err(_) => return Ok(None),
+            }
+        }
+        // The active segment holds exactly what was appended to it.
+        let segment = self.store.read(&segment_name(generation, active.seq))?;
+        match segment.filter(|bytes| bytes.len() == self.active_bytes) {
+            Some(bytes) => match verify_frames(&bytes) {
+                Ok(mut recs) => records.append(&mut recs),
+                Err(_) => return Ok(None),
+            },
+            None => return Ok(None),
+        }
+        Ok(Some(records))
+    }
+
+    /// Writes the seal and the state object, swaps the manifest to
+    /// generation `g+1` and collects what it supersedes.
+    fn commit(
+        &mut self,
+        kind: CheckpointKind,
+        state_payload: &[u8],
+        seal_payload: Option<&[u8]>,
+    ) -> Result<(), CheckpointFailure> {
         let reclaimable = self.live_log_bytes();
         let next_gen = self.manifest.generation + 1;
 
         // Everything up to the swap fails clean: the old generation
-        // stays authoritative, and a stray seal or snapshot is harmless
-        // (the next checkpoint overwrites the seal; the next successful
-        // compaction's sweep collects either).
+        // stays authoritative, and a stray seal, snapshot or delta is
+        // harmless (the next checkpoint overwrites the seal; the next
+        // successful compaction's sweep collects any of them).
         let mut seals = self.manifest.seals;
+        let mut written = 0;
         if let Some(payload) = seal_payload {
             if let Some(failure) = lifecycle_fault(&self.store, store_points::SEAL) {
                 return Err(failure);
             }
             let seal = seal_name(seals);
-            self.store
-                .put(&seal, &encode_seal(payload))
-                .map_err(clean)?;
+            let framed = encode_seal(payload);
+            self.store.put(&seal, &framed).map_err(clean)?;
             self.store.sync(&seal).map_err(clean)?;
+            written += framed.len();
             seals += 1;
         }
-        let snap = snap_name(next_gen);
-        self.store
-            .put(&snap, &encode_snapshot(snapshot_payload))
-            .map_err(clean)?;
-        self.store.sync(&snap).map_err(clean)?;
+        let (name, framed, base) = match kind {
+            CheckpointKind::Full => (
+                snap_name(next_gen),
+                encode_snapshot(state_payload),
+                next_gen,
+            ),
+            CheckpointKind::Delta => {
+                if let Some(failure) = lifecycle_fault(&self.store, store_points::DELTA) {
+                    return Err(failure);
+                }
+                let base = self.manifest.base;
+                (delta_name(next_gen), encode_delta(state_payload), base)
+            }
+        };
+        self.store.put(&name, &framed).map_err(clean)?;
+        self.store.sync(&name).map_err(clean)?;
+        written += framed.len();
 
         let next = Manifest {
             seq: self.manifest.seq + 1,
             generation: next_gen,
+            base,
             seals,
             segments: vec![SegmentEntry { seq: 0, bytes: 0 }],
         };
         self.swap_manifest(next).map_err(dirty)?;
+        match kind {
+            CheckpointKind::Full => {
+                self.base_bytes = framed.len();
+                self.delta_bytes = 0;
+            }
+            CheckpointKind::Delta => self.delta_bytes += framed.len(),
+        }
 
         let seg = segment_name(next_gen, 0);
         self.store.put(&seg, SEG_MAGIC).map_err(dirty)?;
@@ -146,27 +299,33 @@ impl<S: Storage> Wal<S> {
         self.collect_stale().map_err(dirty)?;
 
         let registry = mabe_telemetry::global();
-        registry.counter("mabe_snapshots_written_total", &[]).inc();
+        registry.counter(checkpoint_counter(kind), &[]).inc();
         registry
             .counter("mabe_wal_bytes_reclaimed_total", &[])
             .add(reclaimable as u64);
         registry.gauge("mabe_wal_segments_live", &[]).set(1);
         mabe_trace::event(mabe_trace::TraceEvent::CheckpointWritten {
             generation: next_gen,
+            kind: kind.label(),
+            bytes: written as u64,
         });
         Ok(())
     }
 
     /// Deletes every object the current manifest supersedes: segments
-    /// of other generations, snapshots other than the committed one,
-    /// and stray seals numbered at or above the committed count.
-    /// Committed seals, quarantined and manifest objects are never
-    /// touched. Consults the compaction fault point before each delete,
-    /// so the sweep can crash mid-GC.
+    /// of other generations, snapshots other than the base, deltas
+    /// outside `(base, generation]`, and stray seals numbered at or
+    /// above the committed count. Committed seals, quarantined and
+    /// manifest objects are never touched. Consults the compaction
+    /// fault point before each delete, so the sweep can crash mid-GC.
     fn collect_stale(&mut self) -> Result<(), StoreError> {
         let point = store_points::COMPACT;
-        let generation = self.manifest.generation;
-        let seals = self.manifest.seals;
+        let Manifest {
+            generation,
+            base,
+            seals,
+            ..
+        } = self.manifest;
         let stale: Vec<String> = self
             .store
             .list()
@@ -175,10 +334,13 @@ impl<S: Storage> Wal<S> {
                 if let Some(seg) = parse_segment_gen(name) {
                     return seg != generation;
                 }
-                if let Some(snap) = parse_snapshot_gen(name) {
-                    return generation > 0 && snap != generation;
+                if let Some(snap) = parse_generation(name, "snapshot-") {
+                    return generation > 0 && snap != base;
                 }
-                if let Some(seal) = parse_seal_number(name) {
+                if let Some(delta) = parse_generation(name, "delta-") {
+                    return delta <= base || delta > generation;
+                }
+                if let Some(seal) = parse_generation(name, "seal.") {
                     return seal >= seals;
                 }
                 false
@@ -198,6 +360,15 @@ impl<S: Storage> Wal<S> {
     }
 }
 
+/// The counter of written checkpoints of `kind`: full snapshots keep
+/// the family they always had.
+pub(crate) fn checkpoint_counter(kind: CheckpointKind) -> &'static str {
+    match kind {
+        CheckpointKind::Full => "mabe_snapshots_written_total",
+        CheckpointKind::Delta => "mabe_deltas_written_total",
+    }
+}
+
 /// Generation of a `wal.<gen>.<seq>` object name, if it is one.
 fn parse_segment_gen(name: &str) -> Option<u64> {
     let rest = name.strip_prefix("wal.")?;
@@ -206,14 +377,10 @@ fn parse_segment_gen(name: &str) -> Option<u64> {
     gen.parse().ok()
 }
 
-/// Generation of a `snapshot-<gen>` object name, if it is one.
-fn parse_snapshot_gen(name: &str) -> Option<u64> {
-    name.strip_prefix("snapshot-")?.parse().ok()
-}
-
-/// Number of a `seal.<n>` object name, if it is one.
-fn parse_seal_number(name: &str) -> Option<u64> {
-    name.strip_prefix("seal.")?.parse().ok()
+/// The number after `prefix` in a `snapshot-<g>`, `delta-<g>` or
+/// `seal.<n>` object name, if `name` is one.
+fn parse_generation(name: &str, prefix: &str) -> Option<u64> {
+    name.strip_prefix(prefix)?.parse().ok()
 }
 
 #[cfg(test)]
@@ -384,5 +551,180 @@ mod tests {
         let names = wal.store().list();
         assert!(!names.iter().any(|n| n.starts_with("wal.0.")));
         assert!(!names.iter().any(|n| n == "snapshot-1"));
+    }
+
+    /// A log with a 256-byte base snapshot at generation 1 and one
+    /// journaled record.
+    fn based() -> Wal<SimDisk> {
+        let mut wal = fresh();
+        wal.checkpoint(&[9; 256], None).unwrap();
+        wal.append(b"op").unwrap();
+        wal.sync().unwrap();
+        wal
+    }
+
+    /// The delta-or-full checkpoint whose delta is `payload` (`None`:
+    /// the fold fails), returning what it wrote.
+    fn auto(wal: &mut Wal<SimDisk>, payload: Option<&[u8]>) -> CheckpointKind {
+        let delta = |_| payload.map(<[u8]>::to_vec);
+        wal.checkpoint_delta_or_full(Some(b"SEAL"), delta, || b"FULL".to_vec())
+            .unwrap()
+    }
+
+    fn names(wal: &Wal<SimDisk>, prefix: &str) -> Vec<String> {
+        let mut names: Vec<String> = wal
+            .store()
+            .list()
+            .into_iter()
+            .filter(|n| n.starts_with(prefix))
+            .collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn a_delta_reads_back_the_live_segments_and_reopens_on_its_base() {
+        let mut wal = based();
+        wal.set_segment_budget(64);
+        for i in 0..6u8 {
+            wal.append(&[i; 24]).unwrap();
+        }
+        wal.sync().unwrap();
+        assert!(wal.segments_live() > 1);
+        let mut seen = Vec::new();
+        let kind = wal
+            .checkpoint_delta_or_full(
+                None,
+                |records| {
+                    seen = records;
+                    Some(b"DELTA".to_vec())
+                },
+                || unreachable!("the rule picks the delta"),
+            )
+            .unwrap();
+        assert_eq!(kind, CheckpointKind::Delta);
+        let mut want = vec![b"op".to_vec()];
+        want.extend((0..6u8).map(|i| vec![i; 24]));
+        assert_eq!(seen, want, "every live record, cold and active, in order");
+        assert_eq!((wal.generation(), wal.manifest.base), (2, 1));
+        // The delta checkpoint collected the old segments, not the base.
+        assert_eq!(names(&wal, "snapshot-"), ["snapshot-1"]);
+        assert_eq!(names(&wal, "delta-"), ["delta-2"]);
+        assert_eq!(names(&wal, "wal."), ["wal.2.0"]);
+        let (_, r) = Wal::open(wal.into_store()).unwrap();
+        assert_eq!(r.snapshot, Some(vec![9; 256]));
+        assert_eq!(r.deltas, vec![b"DELTA".to_vec()]);
+        assert_eq!((r.report.generation, r.report.deltas), (2, 1));
+    }
+
+    #[test]
+    fn the_rule_goes_full_without_a_base_past_the_base_bytes_or_on_a_failed_fold() {
+        // No base yet.
+        let mut wal = fresh();
+        assert_eq!(auto(&mut wal, Some(b"D")), CheckpointKind::Full);
+        assert_eq!(wal.manifest.base, 1);
+
+        // Deltas that together would outweigh the 268-byte base.
+        let mut wal = based();
+        assert_eq!(auto(&mut wal, Some(&[1; 120])), CheckpointKind::Delta);
+        assert_eq!(auto(&mut wal, Some(&[2; 120])), CheckpointKind::Delta);
+        assert_eq!(auto(&mut wal, Some(&[3; 120])), CheckpointKind::Full);
+        assert_eq!((wal.generation(), wal.manifest.base), (4, 4));
+        // The full checkpoint deleted the old base and its deltas.
+        assert_eq!(names(&wal, "snapshot-"), ["snapshot-4"]);
+        assert!(names(&wal, "delta-").is_empty());
+        assert_eq!(wal.seals(), 3, "both kinds seal");
+
+        // A fold that cannot build the delta.
+        let mut wal = based();
+        assert_eq!(auto(&mut wal, None), CheckpointKind::Full);
+    }
+
+    #[test]
+    fn the_rule_goes_full_once_max_deltas_are_live() {
+        let mut wal = fresh();
+        wal.checkpoint(&[0; 4096], None).unwrap();
+        for _ in 0..MAX_DELTAS {
+            assert_eq!(auto(&mut wal, Some(b"D")), CheckpointKind::Delta);
+        }
+        assert_eq!(names(&wal, "delta-").len(), MAX_DELTAS as usize);
+        assert_eq!(auto(&mut wal, Some(b"D")), CheckpointKind::Full);
+        assert_eq!(wal.generation(), MAX_DELTAS + 2);
+        assert!(names(&wal, "delta-").is_empty());
+    }
+
+    #[test]
+    fn a_segment_that_fails_its_checksum_on_read_back_makes_the_checkpoint_full() {
+        let mut wal = based();
+        let mut bytes = wal.store().durable_bytes("wal.1.0").unwrap().to_vec();
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0x04;
+        wal.store_mut().set_durable("wal.1.0", bytes);
+        let kind = wal
+            .checkpoint_delta_or_full(
+                None,
+                |_| unreachable!("no fold over a rotted log"),
+                || b"FULL".to_vec(),
+            )
+            .unwrap();
+        assert_eq!(kind, CheckpointKind::Full);
+        let (_, r) = Wal::open(wal.into_store()).unwrap();
+        assert_eq!(r.snapshot.as_deref(), Some(&b"FULL"[..]));
+
+        // A read that fails short of a crash goes full too; a crash
+        // fails the checkpoint clean.
+        let mut wal = based();
+        let injector = wal.store_mut().injector_mut();
+        injector.schedule(store_points::READ, 1, FaultKind::StorageError);
+        assert_eq!(auto(&mut wal, Some(b"D")), CheckpointKind::Full);
+        let mut wal = based();
+        let injector = wal.store_mut().injector_mut();
+        injector.schedule(store_points::READ, 1, FaultKind::Crash);
+        let failure = wal
+            .checkpoint_delta_or_full(None, |_| Some(b"D".to_vec()), || b"FULL".to_vec())
+            .unwrap_err();
+        assert!(!failure.dirty);
+        assert_eq!(wal.generation(), 1);
+    }
+
+    #[test]
+    fn a_fault_at_the_delta_point_fails_clean_and_a_stray_delta_is_swept() {
+        for kind in [FaultKind::Crash, FaultKind::NoSpace] {
+            let mut wal = based();
+            wal.store_mut()
+                .injector_mut()
+                .schedule(store_points::DELTA, 1, kind);
+            let failure = wal
+                .checkpoint_delta_or_full(None, |_| Some(b"D".to_vec()), || unreachable!())
+                .unwrap_err();
+            assert!(!failure.dirty, "{kind:?} at the delta must not poison");
+            assert!(names(&wal, "delta-").is_empty());
+            assert_eq!(wal.generation(), 1);
+            assert_eq!(auto(&mut wal, Some(b"D")), CheckpointKind::Delta);
+        }
+
+        // A delta synced before a crashed swap is a stray: reopen
+        // ignores it, and the next full checkpoint deletes it.
+        let mut wal = based();
+        // Die once the delta's sync is durable, before the swap.
+        wal.store_mut()
+            .injector_mut()
+            .schedule(store_points::SYNC_POST, 1, FaultKind::Crash);
+        let failure = wal
+            .checkpoint_delta_or_full(None, |_| Some(b"STRAY".to_vec()), || unreachable!())
+            .unwrap_err();
+        assert!(!failure.dirty);
+        let mut disk = wal.into_store();
+        disk.crash();
+        disk.injector_mut().disarm();
+        assert!(
+            disk.durable_bytes("delta-2").is_some(),
+            "the stray is durable"
+        );
+        let (mut wal, r) = Wal::open(disk).unwrap();
+        assert!(r.deltas.is_empty());
+        assert_eq!(r.records, vec![b"op".to_vec()]);
+        wal.checkpoint(b"FULL", None).unwrap();
+        assert!(names(&wal, "delta-").is_empty());
     }
 }

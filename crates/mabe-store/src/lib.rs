@@ -13,21 +13,24 @@
 //! * [`Wal`] — a segmented, length-prefixed, CRC32-checksummed
 //!   write-ahead log: `wal.<gen>.<seq>` segments capped by a byte budget,
 //!   a dual-slot atomically-swapped manifest naming the live set,
-//!   generation-numbered checkpoint snapshots, and append-only `seal.<n>`
-//!   objects holding the history each checkpoint moved out of its
-//!   snapshot. Recovery drops at most the torn tail of the *active*
+//!   generation-numbered checkpoints — a base snapshot plus the deltas
+//!   written on top of it — and append-only `seal.<n>` objects holding
+//!   the history each checkpoint moved out of its state. Recovery drops at most the torn tail of the *active*
 //!   segment, requires cold segments and committed seals to verify
 //!   strictly, and never falls back past a committed checkpoint.
 //! * Lifecycle management on the [`Wal`]: rotation (automatic, budget
 //!   driven), checkpoint-driven compaction with clean/dirty failure
 //!   classification ([`CheckpointFailure`] — a full disk fails clean and
-//!   must not poison), and a [`ScrubReport`]-producing scrubber that
-//!   re-verifies cold segments, the snapshot and the seals.
+//!   must not poison), the one delta-or-full rule ([`CheckpointKind`],
+//!   [`MAX_DELTAS`]), and a [`ScrubReport`]-producing scrubber that
+//!   re-verifies cold segments, the base snapshot, the deltas and the
+//!   seals.
 //! * The typed keyspace — [`Schema`] tables (order-preserving key
 //!   codecs, [`define_table!`]), [`Frame`]-batch journaling, a
 //!   [`Keyspace`] of ordered rows with prefix range scans, and
 //!   [`TypedStore`]: the frame-batch journal over the [`Wal`], with
-//!   per-table checkpoint sections and group commit (concurrent
+//!   per-table checkpoint sections, deltas folded from the journal, and
+//!   group commit (concurrent
 //!   writers stage batches and the elected leader appends every staged
 //!   batch under a single sync, so N concurrent journal writes cost one
 //!   disk flush instead of N), whose reopen folds both into one
@@ -47,7 +50,7 @@ mod storage;
 mod typed;
 mod wal;
 
-pub use compact::CheckpointFailure;
+pub use compact::{CheckpointFailure, CheckpointKind, MAX_DELTAS};
 pub use crc::crc32;
 pub use manifest::{Manifest, SegmentEntry};
 pub use schema::{

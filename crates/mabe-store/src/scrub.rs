@@ -1,21 +1,25 @@
 //! The scrubber: background CRC re-verification of cold segments, the
-//! committed snapshot and every committed seal.
+//! base snapshot, every live delta and every committed seal.
 //!
-//! Cold segments, the snapshot and the seals are exactly the bytes
-//! recovery *cannot* tolerate rot in (see [`crate::wal`]), so the
-//! scrubber walks them while the process is healthy and reports
-//! anything that no longer verifies. Repair is the caller's job — the
-//! durable layer quarantines the rotted objects, checkpoints to
-//! supersede rotted segments or snapshots with a fresh snapshot built
-//! from the authoritative in-memory state, and rewrites a rotted seal
-//! in place ([`Wal::rewrite_seal`]), since no checkpoint ever
-//! supersedes a seal. The scrubber itself never deletes anything.
+//! Cold segments, the base snapshot, the deltas and the seals are
+//! exactly the bytes recovery *cannot* tolerate rot in (see
+//! [`crate::wal`]), so the scrubber walks them while the process is
+//! healthy and reports anything that no longer verifies. Repair is the
+//! caller's job — the durable layer quarantines the rotted objects,
+//! supersedes rotted segments, snapshots or deltas with a full
+//! checkpoint built from the authoritative in-memory state, and
+//! rewrites a rotted seal in place ([`Wal::rewrite_seal`]), since no
+//! checkpoint ever supersedes a seal. The scrubber itself never deletes
+//! anything.
 
 use mabe_faults::FaultKind;
 
 use crate::segment::{segment_name, verify_frames};
 use crate::storage::{store_points, Storage, StoreError};
-use crate::wal::{crashed, decode_seal, decode_snapshot, encode_seal, seal_name, snap_name, Wal};
+use crate::wal::{
+    crashed, decode_delta, decode_seal, decode_snapshot, delta_name, encode_seal, seal_name,
+    snap_name, Wal,
+};
 
 /// What one scrub pass found.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -24,8 +28,10 @@ pub struct ScrubReport {
     pub segments_checked: usize,
     /// Intact frames verified across those segments.
     pub frames_checked: u64,
-    /// Whether the committed snapshot (if any) still verifies.
+    /// Whether the base snapshot (if any) still verifies.
     pub snapshot_ok: bool,
+    /// Live deltas re-verified (a rotted one is in `corrupt`).
+    pub deltas_checked: usize,
     /// Committed seals re-verified.
     pub seals_checked: usize,
     /// Numbers of the committed seals that failed (their names are in
@@ -44,11 +50,11 @@ impl ScrubReport {
 }
 
 impl<S: Storage> Wal<S> {
-    /// Re-verifies every cold segment, the committed snapshot and every
-    /// committed seal, without touching the active segment (its tail
-    /// may legitimately be in flight). Read-only: repair is
-    /// [`Wal::quarantine`] plus a checkpoint or [`Wal::rewrite_seal`],
-    /// driven by the caller.
+    /// Re-verifies every cold segment, the base snapshot, every live
+    /// delta and every committed seal, without touching the active
+    /// segment (its tail may legitimately be in flight). Read-only:
+    /// repair is [`Wal::quarantine`] plus a full checkpoint or
+    /// [`Wal::rewrite_seal`], driven by the caller.
     pub fn scrub(&mut self) -> Result<ScrubReport, StoreError> {
         let point = store_points::SCRUB;
         if let Some(FaultKind::Crash) = self.store.lifecycle_faults().and_then(|i| i.decide(point))
@@ -86,12 +92,23 @@ impl<S: Storage> Wal<S> {
             }
         }
         if generation > 0 {
-            let name = snap_name(generation);
+            let name = snap_name(self.manifest.base);
             report.snapshot_ok = match self.store.read(&name)? {
                 Some(bytes) => decode_snapshot(&bytes).is_ok(),
                 None => false,
             };
             if !report.snapshot_ok {
+                report.corrupt.push(name);
+            }
+        }
+        for g in self.manifest.base + 1..=generation {
+            let name = delta_name(g);
+            let ok = self
+                .store
+                .read(&name)?
+                .is_some_and(|bytes| decode_delta(&bytes).is_ok());
+            report.deltas_checked += 1;
+            if !ok {
                 report.corrupt.push(name);
             }
         }

@@ -21,17 +21,21 @@ pub mod store_points {
     /// Sealing the active WAL segment and opening the next one
     /// (`Crash` dies mid-rotation; `NoSpace` skips the rotation).
     pub const ROTATE: &str = "store.rotate";
-    /// Checkpoint-driven compaction: snapshot write and the garbage
-    /// collection of superseded segments (`Crash` dies pre-swap or
-    /// mid-GC; `NoSpace` aborts the compaction cleanly).
+    /// Checkpoint-driven compaction: snapshot or delta write and the
+    /// garbage collection of superseded objects (`Crash` dies pre-swap
+    /// or mid-GC; `NoSpace` aborts the compaction cleanly).
     pub const COMPACT: &str = "store.compact";
-    /// The background scrub pass re-verifying cold-segment, snapshot
-    /// and seal checksums.
+    /// The background scrub pass re-verifying cold-segment, snapshot,
+    /// delta and seal checksums.
     pub const SCRUB: &str = "store.scrub";
     /// A checkpoint's audit seal write, consulted before the seal's put
     /// (`Crash` dies with the old generation intact; `NoSpace` fails
     /// the checkpoint cleanly).
     pub const SEAL: &str = "store.seal";
+    /// A delta checkpoint's object write, consulted before the delta's
+    /// put (`Crash` dies with the old generation intact; `NoSpace` fails
+    /// the checkpoint cleanly).
+    pub const DELTA: &str = "store.delta";
     /// Atomically swapping the segment manifest (`ManifestTorn` tears
     /// the slot being written; the surviving slot must recover).
     pub const MANIFEST_SWAP: &str = "store.manifest_swap";
@@ -134,8 +138,8 @@ pub trait Storage {
 
     /// The fault injector consulted at the log-lifecycle points
     /// ([`store_points::ROTATE`], [`store_points::COMPACT`],
-    /// [`store_points::SEAL`], [`store_points::SCRUB`],
-    /// [`store_points::MANIFEST_SWAP`]), if
+    /// [`store_points::SEAL`], [`store_points::DELTA`],
+    /// [`store_points::SCRUB`], [`store_points::MANIFEST_SWAP`]), if
     /// this backend carries one. Production backends return `None` and
     /// the lifecycle runs unfaulted.
     fn lifecycle_faults(&self) -> Option<&FaultInjector> {

@@ -5,16 +5,20 @@
 //! applying [`Frame`]s and snapshotted as per-table checkpoint sections.
 //! A [`TypedStore`] is the journal beside it: callers stage one frame
 //! batch per logical operation ([`TypedStore::stage_frames`]), make it
-//! durable through group commit ([`TypedStore::commit`]), and write
-//! per-table snapshots they assemble themselves, each beside an optional
-//! seal of append-only history ([`TypedStore::checkpoint_keyspace`]).
-//! The store never holds rows.
+//! durable through group commit ([`TypedStore::commit`]), and
+//! checkpoint, each time beside an optional seal of append-only
+//! history: either a per-table snapshot they assemble themselves
+//! ([`TypedStore::checkpoint_keyspace`]), or, when the store's rule
+//! allows, a delta folded from the journal itself
+//! ([`TypedStore::checkpoint_delta_or_full`]). The store never holds
+//! rows.
 //!
-//! [`TypedStore::open`] folds the checkpoint snapshot and every frame
-//! batch logged after it into one [`Keyspace`] and hands it to the
-//! caller together with the committed seal payloads, in order. Every
-//! record must be a frame batch and every snapshot a `MTKS0001` image;
-//! anything else fails typed, with the storage handed back.
+//! [`TypedStore::open`] folds the base snapshot, every delta after it
+//! and every frame batch logged after those into one [`Keyspace`] and
+//! hands it to the caller together with the committed seal payloads, in
+//! order. Every record and every delta must be a frame batch and every
+//! snapshot a `MTKS0001` image; anything else fails typed, with the
+//! storage handed back.
 //!
 //! # Group commit
 //!
@@ -52,7 +56,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 
-use crate::compact::CheckpointFailure;
+use crate::compact::{CheckpointFailure, CheckpointKind};
 use crate::schema::{
     decode_frames, encode_frames, ByteReader, Frame, FrameOp, Schema, SchemaError,
     KEYSPACE_SNAPSHOT_MAGIC,
@@ -304,13 +308,13 @@ impl Keyspace {
 /// What [`TypedStore::open`] recovered.
 #[derive(Debug)]
 pub struct TypedOpen {
-    /// The checkpoint snapshot with every later frame batch applied in
-    /// log order — the committed state, owned by the caller.
+    /// The base snapshot with every delta and every later frame batch
+    /// applied in order — the committed state, owned by the caller.
     pub keyspace: Keyspace,
     /// Every committed seal's payload, in seal order — the history the
     /// checkpoints moved out of their snapshots.
     pub seals: Vec<Vec<u8>>,
-    /// How many frame batches were replayed on top of the snapshot.
+    /// How many frame batches were replayed on top of the checkpoint.
     pub records: usize,
     /// The underlying WAL recovery report.
     pub report: RecoveryReport,
@@ -335,8 +339,9 @@ pub enum TypedOpenError<S> {
         /// The backing store, handed back untouched for repair.
         store: S,
     },
-    /// The checkpoint snapshot did not decode as a per-table snapshot
-    /// ([`SchemaError::BadMagic`] for any other format). The backing
+    /// The checkpoint did not decode: its base snapshot is not a
+    /// per-table snapshot ([`SchemaError::BadMagic`] for any other
+    /// format), or one of its deltas is not a frame batch. The backing
     /// store is handed back for forensics.
     Snapshot {
         /// The decode failure.
@@ -358,6 +363,25 @@ impl<S> fmt::Display for TypedOpenError<S> {
             }
         }
     }
+}
+
+/// A generation's delta: the last frame per `(table, key)` across its
+/// frame-batch `records`, minus the `absorbed` tables, with `closing`
+/// on top, in `(table, key)` order. `None` if a record is not a frame
+/// batch.
+fn fold_delta(records: &[Vec<u8>], absorbed: &[u16], closing: &[Frame]) -> Option<Vec<u8>> {
+    let mut last = BTreeMap::new();
+    for record in records {
+        for frame in decode_frames(record).ok()? {
+            if !absorbed.contains(&frame.table) {
+                last.insert((frame.table, frame.key.clone()), frame);
+            }
+        }
+    }
+    for frame in closing {
+        last.insert((frame.table, frame.key.clone()), frame.clone());
+    }
+    Some(encode_frames(&last.into_values().collect::<Vec<_>>()))
 }
 
 /// Locks tolerating poison: a panicked writer thread must not wedge
@@ -406,38 +430,46 @@ impl<S: Storage> std::ops::Deref for StoreRef<'_, S> {
 }
 
 impl<S: Storage> TypedStore<S> {
-    /// Opens the store: decodes the checkpoint snapshot (if any) and
-    /// applies every frame batch logged after it, in order, returning
-    /// the folded [`Keyspace`] and the committed seals in [`TypedOpen`].
+    /// Opens the store: decodes the base snapshot (if any), applies
+    /// every delta after it and then every frame batch logged after
+    /// those, in order, returning the folded [`Keyspace`] and the
+    /// committed seals in [`TypedOpen`].
     ///
     /// # Errors
     ///
     /// [`TypedOpenError`] — WAL-level failure (a missing or rotted
-    /// committed seal among them), a snapshot that is not a well-formed
-    /// per-table snapshot, or a record that is not a well-formed frame
-    /// batch.
+    /// delta or committed seal among them), a snapshot that is not a
+    /// well-formed per-table snapshot, a delta or a record that is not a
+    /// well-formed frame batch.
     pub fn open(store: S) -> Result<(Self, TypedOpen), TypedOpenError<S>> {
         let (
             wal,
             Recovered {
                 snapshot,
+                deltas,
                 seals,
                 records,
                 report,
             },
         ) = Wal::open(store).map_err(TypedOpenError::Wal)?;
-        // The raw snapshot bytes drop as soon as they are decoded.
-        let keyspace = match snapshot {
-            None => Keyspace::new(),
-            Some(bytes) => match Keyspace::decode_snapshot(&bytes) {
-                Ok(keyspace) => keyspace,
-                Err(error) => {
-                    return Err(TypedOpenError::Snapshot {
-                        error,
-                        store: wal.into_store(),
-                    })
+        // The raw snapshot and delta bytes drop as soon as they are
+        // decoded.
+        let checkpoint = snapshot
+            .map_or_else(|| Ok(Keyspace::new()), |b| Keyspace::decode_snapshot(&b))
+            .and_then(|keyspace| {
+                for delta in deltas {
+                    keyspace.apply(&decode_frames(&delta)?);
                 }
-            },
+                Ok(keyspace)
+            });
+        let keyspace = match checkpoint {
+            Ok(keyspace) => keyspace,
+            Err(error) => {
+                return Err(TypedOpenError::Snapshot {
+                    error,
+                    store: wal.into_store(),
+                })
+            }
         };
         let replayed = records.len();
         for (index, payload) in records.into_iter().enumerate() {
@@ -525,6 +557,40 @@ impl<S: Storage> TypedStore<S> {
         let snapshot = ks.encode_snapshot();
         self.lead(|_| false, |wal, _| wal.checkpoint(&snapshot, seal))
             .map(drop)
+    }
+
+    /// Flushes anything still staged, then checkpoints at the cost of
+    /// the change when the store's rule allows (see
+    /// [`Wal::checkpoint_delta_or_full`]): the delta is the last frame
+    /// per `(table, key)` the live segments hold, read back from
+    /// storage, leaving out the `absorbed` tables (whose rows `seal`
+    /// takes over) and ending with the `closing` frames. When the rule
+    /// picks a full checkpoint, `full()` builds the keyspace and the
+    /// `closing` frames are applied to it before it is snapshotted.
+    /// Either way `seal` (if any) commits as the next seal.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckpointFailure`], classified as for
+    /// [`TypedStore::checkpoint_keyspace`].
+    pub fn checkpoint_delta_or_full(
+        &self,
+        absorbed: &[u16],
+        closing: &[Frame],
+        seal: Option<&[u8]>,
+        full: impl FnOnce() -> Keyspace,
+    ) -> Result<CheckpointKind, CheckpointFailure> {
+        let delta = |records: Vec<Vec<u8>>| fold_delta(&records, absorbed, closing);
+        let full = || {
+            let ks = full();
+            ks.apply(closing);
+            ks.encode_snapshot()
+        };
+        self.lead(
+            |_| false,
+            |wal, _| wal.checkpoint_delta_or_full(seal, delta, full),
+        )
+        .map(|kind| kind.expect("a checkpoint always leads"))
     }
 
     /// Waits until no flush is in flight, then leads one: appends every
@@ -850,6 +916,61 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(objects(&typed), objects(&bare));
+    }
+
+    /// A delta holds the last frame per row of the journal since the
+    /// previous checkpoint — deletes included, the absorbed table left
+    /// out, the closing rows on top — and reopen applies it to the base.
+    #[test]
+    fn a_delta_folds_the_journal_and_reopens_on_the_base() {
+        let ts = fresh();
+        journal(&ts, &batch(b"kept"));
+        journal(&ts, &batch(b"deleted"));
+        let full = || {
+            let image = Keyspace::new();
+            image.put::<Users>(&(format!("{:?}", b"kept"),), &b"kept".to_vec());
+            image.put::<Users>(&(format!("{:?}", b"deleted"),), &b"deleted".to_vec());
+            image
+        };
+        let kind = ts.checkpoint_delta_or_full(&[], &[], None, full).unwrap();
+        assert_eq!(kind, CheckpointKind::Full, "no base yet");
+        let grant = |attr: &str| (("u".to_owned(), attr.to_owned()), Vec::new());
+        for frames in [
+            vec![Frame::put::<Grants>(&grant("a").0, &grant("a").1)],
+            vec![Frame::put::<Users>(&("u".into(),), &b"first".to_vec())],
+            vec![Frame::put::<Users>(&("u".into(),), &b"last".to_vec())],
+            vec![Frame::delete::<Users>(&(format!("{:?}", b"deleted"),))],
+        ] {
+            journal(&ts, &frames);
+        }
+        let closing = [Frame::put::<Users>(&("closing".into(),), &b"c".to_vec())];
+        let kind = ts
+            .checkpoint_delta_or_full(&[Grants::ID], &closing, None, || unreachable!())
+            .unwrap();
+        assert_eq!(kind, CheckpointKind::Delta);
+        let delta = ts.storage().durable_bytes("delta-2").unwrap().to_vec();
+        let frames = decode_frames(&delta[12..]).unwrap();
+        assert_eq!(
+            frames,
+            vec![
+                Frame::delete::<Users>(&(format!("{:?}", b"deleted"),)),
+                Frame::put::<Users>(&("closing".into(),), &b"c".to_vec()),
+                Frame::put::<Users>(&("u".into(),), &b"last".to_vec()),
+            ]
+        );
+        let open = reopen(ts);
+        assert_eq!((open.report.deltas, open.records), (1, 0));
+        assert_eq!(open.keyspace.rows(Grants::ID), 0, "the absorbed table");
+        assert_eq!(
+            open.keyspace.get::<Users>(&("u".into(),)).unwrap(),
+            Some(b"last".to_vec())
+        );
+        assert!(!open
+            .keyspace
+            .contains::<Users>(&(format!("{:?}", b"deleted"),)));
+        assert!(open
+            .keyspace
+            .contains::<Users>(&(format!("{:?}", b"kept"),)));
     }
 
     #[test]

@@ -12,7 +12,13 @@
 //!   The highest seq listed by the manifest is the *active* segment;
 //!   appends land there until the segment budget rolls it.
 //! * `snapshot-<g>` — `b"MSNP0001" ‖ u32 crc32(payload) ‖ payload`, the
-//!   live state as of generation `g`'s checkpoint (absent for `g = 0`).
+//!   live state as of generation `g`'s full checkpoint. The manifest's
+//!   `base` names the one that is live (none at generation 0).
+//! * `delta-<g>` — `b"MDLT0001" ‖ u32 crc32(payload) ‖ payload`, what a
+//!   delta checkpoint to generation `g` wrote instead of a snapshot: the
+//!   change since generation `g-1`, which the caller applies on top of
+//!   the base snapshot and the deltas before it. One is live for each
+//!   generation in `(base, generation]`.
 //! * `seal.<n>` — `b"MSEL0001" ‖ u32 crc32(payload) ‖ payload`, the
 //!   append-only history a checkpoint moved out of its snapshot (the
 //!   durable layer seals the audit entries recorded since the previous
@@ -24,29 +30,31 @@
 //!   for forensics; never replayed, never garbage-collected.
 //!
 //! Recovery decodes both manifest slots and trusts the valid one with
-//! the highest swap sequence. It then loads the generation's snapshot
-//! (its checksum must verify — a committed checkpoint is never silently
-//! abandoned for an older one), every committed seal in order (each
-//! must be present and verify), and replays every live segment in
-//! order.
+//! the highest swap sequence. It then loads the base snapshot and every
+//! live delta in order (each checksum must verify — a committed
+//! checkpoint is never silently abandoned for an older one), every
+//! committed seal in order (each must be present and verify), and
+//! replays every live segment in order.
 //! Cold segments (all but the last) were synced before any manifest
 //! swap referenced a successor, so they must verify *strictly*: a bad
 //! frame there is bit rot for the scrubber, not a tear, and recovery
 //! fails typed rather than silently dropping committed records. Only
 //! the active segment may have a torn tail (or be missing entirely —
-//! the crash window between a swap and the new segment's creation),
-//! and only its tail is dropped.
+//! the crash window between a swap and the new segment's creation,
+//! after which recovery creates it), and only its tail is dropped.
 
 use std::fmt;
 
 use mabe_faults::FaultKind;
 
+use crate::compact::{checkpoint_counter, CheckpointKind};
 use crate::crc::crc32;
 use crate::manifest::{legacy_format, slot_name, Manifest, SegmentEntry};
 use crate::segment::{frame, parse_frames, segment_name, verify_frames, SEG_MAGIC};
 use crate::storage::{store_points, Storage, StoreError};
 
 const SNAP_MAGIC: &[u8; 8] = b"MSNP0001";
+const DELTA_MAGIC: &[u8; 8] = b"MDLT0001";
 const SEAL_MAGIC: &[u8; 8] = b"MSEL0001";
 
 /// Rotation keeps this many bytes of slack free: when the backend is
@@ -56,6 +64,11 @@ const ROTATE_HEADROOM: usize = 1024;
 
 pub(crate) fn snap_name(generation: u64) -> String {
     format!("snapshot-{generation}")
+}
+
+/// Name of the delta a checkpoint to `generation` wrote.
+pub(crate) fn delta_name(generation: u64) -> String {
+    format!("delta-{generation}")
 }
 
 /// Name of the `n`-th audit seal (0-based).
@@ -81,6 +94,8 @@ pub struct RecoveryReport {
     pub had_snapshot: bool,
     /// Snapshot payload size in bytes.
     pub snapshot_bytes: usize,
+    /// Deltas loaded on top of the snapshot.
+    pub deltas: usize,
     /// Committed seals loaded.
     pub seals: usize,
     /// Intact records recovered from the log.
@@ -94,8 +109,11 @@ pub struct RecoveryReport {
 /// What [`Wal::open`] recovered from the committed generation.
 #[derive(Debug)]
 pub struct Recovered {
-    /// The checkpoint snapshot payload (`None` for generation 0).
+    /// The base snapshot payload (`None` for generation 0).
     pub snapshot: Option<Vec<u8>>,
+    /// Every live delta's payload, in generation order: apply them to
+    /// the snapshot before the records.
+    pub deltas: Vec<Vec<u8>>,
     /// Every committed seal's payload, in seal order.
     pub seals: Vec<Vec<u8>>,
     /// Every intact record logged since the checkpoint, in order.
@@ -132,6 +150,29 @@ impl<S> fmt::Display for WalOpenError<S> {
 
 impl<S> std::error::Error for WalOpenError<S> {}
 
+/// Byte counts [`Wal::open`] measured for the in-memory bookkeeping.
+#[derive(Default)]
+struct OpenBytes {
+    active: usize,
+    cold: usize,
+    base: usize,
+    deltas: usize,
+}
+
+/// The records of a cold segment read back as `segment`: it was sealed
+/// at `entry.bytes` and synced before any swap named a successor, so it
+/// must be present, exactly that long, and verify frame by frame.
+pub(crate) fn verify_cold(
+    segment: Option<Vec<u8>>,
+    entry: &SegmentEntry,
+) -> Result<Vec<Vec<u8>>, StoreError> {
+    let segment = segment.ok_or(StoreError::Missing("cold wal segment"))?;
+    if segment.len() as u64 != entry.bytes {
+        return Err(StoreError::Corrupt("cold wal segment length"));
+    }
+    verify_frames(&segment)
+}
+
 /// The write-ahead log over a [`Storage`] backend.
 #[derive(Debug)]
 pub struct Wal<S: Storage> {
@@ -141,6 +182,10 @@ pub struct Wal<S: Storage> {
     pub(crate) active_bytes: usize,
     /// Bytes across sealed (cold) segments.
     pub(crate) cold_bytes: usize,
+    /// Framed bytes of the base snapshot (0 at generation 0).
+    pub(crate) base_bytes: usize,
+    /// Framed bytes of the live deltas together.
+    pub(crate) delta_bytes: usize,
     /// Rotate the active segment once it exceeds this many bytes.
     pub(crate) segment_budget: usize,
 }
@@ -158,15 +203,15 @@ impl<S: Storage> Wal<S> {
     /// # Errors
     ///
     /// * [`StoreError::Corrupt`] if both manifest slots are invalid
-    ///   beside committed objects, the committed generation's snapshot
-    ///   or a committed seal fails its checksum, or a *cold* segment
-    ///   fails strict verification — recovery never falls back past a
+    ///   beside committed objects, the base snapshot, a live delta or a
+    ///   committed seal fails its checksum, or a *cold* segment fails
+    ///   strict verification — recovery never falls back past a
     ///   committed checkpoint, never returns a shorter seal history, and
     ///   never silently drops committed records.
-    /// * [`StoreError::Missing`] if the manifest names a snapshot, seal
-    ///   or cold segment the store no longer has.
-    /// * [`StoreError::Format`] if the manifest was written in the
-    ///   pre-seal layout.
+    /// * [`StoreError::Missing`] if the manifest names a snapshot, delta,
+    ///   seal or cold segment the store no longer has.
+    /// * [`StoreError::Format`] if the manifest was written in an
+    ///   earlier layout (before seals, or before deltas).
     /// * Any backend error (including injected ones) from the reads and
     ///   the first-time initialisation writes.
     ///
@@ -174,12 +219,14 @@ impl<S: Storage> Wal<S> {
     /// store back to the caller.
     pub fn open(mut store: S) -> Result<(Self, Recovered), WalOpenError<S>> {
         match Self::open_inner(&mut store) {
-            Ok((manifest, active_bytes, cold_bytes, recovered)) => Ok((
+            Ok((manifest, bytes, recovered)) => Ok((
                 Wal {
                     store,
                     manifest,
-                    active_bytes,
-                    cold_bytes,
+                    active_bytes: bytes.active,
+                    cold_bytes: bytes.cold,
+                    base_bytes: bytes.base,
+                    delta_bytes: bytes.deltas,
                     segment_budget: DEFAULT_SEGMENT_BUDGET,
                 },
                 recovered,
@@ -188,7 +235,7 @@ impl<S: Storage> Wal<S> {
         }
     }
 
-    fn open_inner(store: &mut S) -> Result<(Manifest, usize, usize, Recovered), StoreError> {
+    fn open_inner(store: &mut S) -> Result<(Manifest, OpenBytes, Recovered), StoreError> {
         let slots = [store.read(&slot_name(0))?, store.read(&slot_name(1))?];
         let manifest = slots
             .iter()
@@ -218,6 +265,7 @@ impl<S: Storage> Wal<S> {
                 let m = Manifest {
                     seq: 1,
                     generation: 0,
+                    base: 0,
                     seals: 0,
                     segments: vec![SegmentEntry { seq: 0, bytes: 0 }],
                 };
@@ -231,14 +279,25 @@ impl<S: Storage> Wal<S> {
             }
         };
 
+        let mut bytes = OpenBytes::default();
         let snapshot = if manifest.generation == 0 {
             None
         } else {
             let framed = store
-                .read(&snap_name(manifest.generation))?
+                .read(&snap_name(manifest.base))?
                 .ok_or(StoreError::Missing("committed snapshot"))?;
+            bytes.base = framed.len();
             Some(decode_snapshot(&framed)?)
         };
+        let deltas = (manifest.base + 1..=manifest.generation)
+            .map(|g| {
+                let framed = store
+                    .read(&delta_name(g))?
+                    .ok_or(StoreError::Missing("committed delta"))?;
+                bytes.deltas += framed.len();
+                decode_delta(&framed)
+            })
+            .collect::<Result<Vec<_>, _>>()?;
 
         // Seals are never superseded, so each committed one must be
         // present and intact: a missing or rotted seal fails typed
@@ -254,26 +313,35 @@ impl<S: Storage> Wal<S> {
 
         let mut records = Vec::new();
         let mut dropped_bytes = 0;
-        let mut cold_bytes = 0;
-        let mut active_bytes = SEG_MAGIC.len();
+        bytes.active = SEG_MAGIC.len();
         let last = manifest.segments.last().expect("manifest never empty").seq;
         for entry in &manifest.segments {
             let name = segment_name(manifest.generation, entry.seq);
-            let bytes = store.read(&name)?;
+            let segment = store.read(&name)?;
             if entry.seq == last {
-                // The active segment: may be missing (crash between the
-                // swap announcing it and its creation — the swap already
-                // carries everything) or have a torn tail to drop.
-                let bytes = bytes.unwrap_or_default();
-                let (mut recs, dropped) = parse_frames(&bytes)?;
+                // The active segment: may be missing or torn short of
+                // its magic (crash between the swap announcing it and
+                // its creation — the swap already carries everything),
+                // or have a torn tail to drop. A missing or torn one is
+                // created here, so that later appends land after its
+                // magic.
+                let segment = match segment {
+                    Some(segment) if segment.len() >= SEG_MAGIC.len() => segment,
+                    _ => {
+                        store.put(&name, SEG_MAGIC)?;
+                        store.sync(&name)?;
+                        SEG_MAGIC.to_vec()
+                    }
+                };
+                let (mut recs, dropped) = parse_frames(&segment)?;
                 records.append(&mut recs);
                 dropped_bytes = dropped;
-                active_bytes = (bytes.len() - dropped).max(SEG_MAGIC.len());
+                bytes.active = (segment.len() - dropped).max(SEG_MAGIC.len());
                 if dropped > 0 {
                     // Heal: truncate the torn tail so post-recovery
                     // appends frame cleanly after the intact prefix. A
                     // crash mid-heal just re-runs this on next open.
-                    store.put(&name, &bytes[..bytes.len() - dropped])?;
+                    store.put(&name, &segment[..segment.len() - dropped])?;
                     store.sync(&name)?;
                 }
             } else {
@@ -283,12 +351,8 @@ impl<S: Storage> Wal<S> {
                 // truncation CRC framing alone cannot see), bad frame,
                 // missing object — is bit rot, surfaced typed for the
                 // scrubber to repair.
-                let bytes = bytes.ok_or(StoreError::Missing("cold wal segment"))?;
-                if bytes.len() as u64 != entry.bytes {
-                    return Err(StoreError::Corrupt("cold wal segment length"));
-                }
-                let mut recs = verify_frames(&bytes)?;
-                cold_bytes += bytes.len();
+                let mut recs = verify_cold(segment, entry)?;
+                bytes.cold += entry.bytes as usize;
                 records.append(&mut recs);
             }
         }
@@ -298,6 +362,7 @@ impl<S: Storage> Wal<S> {
             segments: manifest.segments.len(),
             had_snapshot: snapshot.is_some(),
             snapshot_bytes: snapshot.as_ref().map_or(0, Vec::len),
+            deltas: deltas.len(),
             seals: seals.len(),
             records: records.len(),
             record_bytes: records.iter().map(Vec::len).sum(),
@@ -307,6 +372,10 @@ impl<S: Storage> Wal<S> {
         registry
             .counter("mabe_wal_records_replayed_total", &[])
             .add(report.records as u64);
+        // Both checkpoint kinds export from the first open on.
+        for kind in [CheckpointKind::Full, CheckpointKind::Delta] {
+            registry.counter(checkpoint_counter(kind), &[]);
+        }
         registry
             .gauge("mabe_wal_segments_live", &[])
             .set(manifest.segments.len() as i64);
@@ -318,10 +387,10 @@ impl<S: Storage> Wal<S> {
 
         Ok((
             manifest,
-            active_bytes,
-            cold_bytes,
+            bytes,
             Recovered {
                 snapshot,
+                deltas,
                 seals,
                 records,
                 report,
@@ -493,8 +562,8 @@ impl<S: Storage> Wal<S> {
     }
 }
 
-/// `magic ‖ u32 crc32(payload) ‖ payload` — the framing snapshots and
-/// seals share.
+/// `magic ‖ u32 crc32(payload) ‖ payload` — the framing snapshots,
+/// deltas and seals share.
 fn encode_checksummed(magic: &[u8; 8], payload: &[u8]) -> Vec<u8> {
     let mut framed = Vec::with_capacity(12 + payload.len());
     framed.extend_from_slice(magic);
@@ -527,6 +596,14 @@ pub(crate) fn encode_snapshot(payload: &[u8]) -> Vec<u8> {
 
 pub(crate) fn decode_snapshot(framed: &[u8]) -> Result<Vec<u8>, StoreError> {
     decode_checksummed(SNAP_MAGIC, framed, ["snapshot header", "snapshot checksum"])
+}
+
+pub(crate) fn encode_delta(payload: &[u8]) -> Vec<u8> {
+    encode_checksummed(DELTA_MAGIC, payload)
+}
+
+pub(crate) fn decode_delta(framed: &[u8]) -> Result<Vec<u8>, StoreError> {
+    decode_checksummed(DELTA_MAGIC, framed, ["delta header", "delta checksum"])
 }
 
 pub(crate) fn encode_seal(payload: &[u8]) -> Vec<u8> {
@@ -678,6 +755,34 @@ mod tests {
         assert_eq!(wal.generation(), 1);
         assert_eq!(snapshot.as_deref(), Some(&b"STATE"[..]));
         assert!(records.is_empty());
+    }
+
+    #[test]
+    fn a_missing_or_torn_active_segment_is_created_so_later_appends_reopen() {
+        for kind in [FaultKind::Crash, FaultKind::TornWrite] {
+            let (mut wal, ..) = reopen(SimDisk::unfaulted());
+            wal.append(b"op").unwrap();
+            wal.sync().unwrap();
+            // PUT hit 3 is the new generation's segment, after the swap.
+            wal.store_mut()
+                .injector_mut()
+                .schedule(store_points::PUT, 3, kind);
+            assert!(wal.checkpoint(b"STATE", None).is_err());
+            let mut disk = wal.into_store();
+            disk.crash();
+            disk.injector_mut().disarm();
+            assert!(disk
+                .durable_bytes("wal.1.0")
+                .is_none_or(|b| b.len() < SEG_MAGIC.len()));
+            let (mut wal, ..) = reopen(disk);
+            wal.append(b"after").unwrap();
+            wal.sync().unwrap();
+            let mut disk = wal.into_store();
+            disk.crash();
+            let (_, snapshot, records, _) = reopen(disk);
+            assert_eq!(snapshot.as_deref(), Some(&b"STATE"[..]), "{kind:?}");
+            assert_eq!(records, vec![b"after".to_vec()], "{kind:?}");
+        }
     }
 
     #[test]

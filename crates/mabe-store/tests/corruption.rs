@@ -3,8 +3,8 @@
 //! Every test here drives [`Wal::open`] over systematically damaged
 //! on-disk bytes: single-bit flips at every position, truncation at
 //! every byte offset — in the active segment, across cold segment
-//! boundaries, inside the manifest slots and inside committed seals —
-//! plus checksum-breaking snapshot damage. Recovery must never panic,
+//! boundaries, inside the manifest slots, inside committed seals and
+//! inside live deltas — plus checksum-breaking snapshot damage. Recovery must never panic,
 //! must drop at most the suffix starting at the first damaged frame of
 //! the *active* segment (cold-segment and seal damage is typed, for the
 //! scrubber), must never open with a shorter seal history, and must
@@ -388,9 +388,9 @@ fn damage_to_the_manifest_seal_count_never_opens_a_shorter_history() {
     let disk = sealed_disk();
     let slot = newest_slot(&disk);
     let bytes = disk.durable_bytes(slot).unwrap().to_vec();
-    // The count is the third u64 of the payload, after the 12-byte
-    // frame header.
-    let count = 12 + 16..12 + 24;
+    // The count is the fourth u64 of the payload (after seq,
+    // generation and base), past the 12-byte frame header.
+    let count = 12 + 24..12 + 32;
     assert_eq!(
         u64::from_be_bytes(bytes[count.clone()].try_into().unwrap()),
         2
@@ -432,15 +432,35 @@ fn a_pre_seal_manifest_fails_typed_naming_its_format_and_keeps_the_store() {
     payload.extend_from_slice(&0u64.to_be_bytes());
     payload.extend_from_slice(&1u32.to_be_bytes());
     payload.extend_from_slice(&[0; 16]);
-    let mut slot = b"MMAN0001".to_vec();
-    slot.extend_from_slice(&crc32(&payload).to_be_bytes());
-    slot.extend_from_slice(&payload);
+    assert_earlier_manifest_fails_typed(b"MMAN0001", &payload);
+}
+
+#[test]
+fn a_pre_delta_manifest_fails_typed_naming_its_format_and_keeps_the_store() {
+    // The MMAN0002 layout: seq, generation, seal count, segment count,
+    // segments — no base generation.
+    let mut payload = Vec::new();
+    payload.extend_from_slice(&1u64.to_be_bytes());
+    payload.extend_from_slice(&0u64.to_be_bytes());
+    payload.extend_from_slice(&0u64.to_be_bytes());
+    payload.extend_from_slice(&1u32.to_be_bytes());
+    payload.extend_from_slice(&[0; 16]);
+    assert_earlier_manifest_fails_typed(b"MMAN0002", &payload);
+}
+
+/// A store whose only manifest slot is `magic ‖ crc ‖ payload` fails to
+/// open with a format error naming the magic, and keeps every byte.
+fn assert_earlier_manifest_fails_typed(magic: &[u8; 8], payload: &[u8]) {
+    let mut slot = magic.to_vec();
+    slot.extend_from_slice(&crc32(payload).to_be_bytes());
+    slot.extend_from_slice(payload);
     let mut disk = SimDisk::unfaulted();
     disk.set_durable("manifest.1", slot.clone());
     disk.set_durable("wal.0.0", b"MSEG0001".to_vec());
     let failure = Wal::open(disk).map(|_| ()).unwrap_err();
+    let name = std::str::from_utf8(magic).unwrap();
     assert!(
-        matches!(failure.error, StoreError::Format(f) if f.contains("MMAN0001")),
+        matches!(failure.error, StoreError::Format(f) if f.contains(name)),
         "got {:?}",
         failure.error
     );
@@ -488,6 +508,7 @@ fn wal_telemetry_families_export_in_json_and_prometheus() {
         "mabe_wal_bytes_total",
         "mabe_wal_records_replayed_total",
         "mabe_snapshots_written_total",
+        "mabe_deltas_written_total",
         "mabe_wal_rotations_total",
         "mabe_wal_bytes_reclaimed_total",
         "mabe_wal_scrub_frames_checked_total",
@@ -499,5 +520,62 @@ fn wal_telemetry_families_export_in_json_and_prometheus() {
             prom.contains(family),
             "{family} missing from Prometheus export"
         );
+    }
+}
+
+/// A log with a full checkpoint, two delta checkpoints on top of it and
+/// one record after them.
+fn delta_disk() -> SimDisk {
+    let (mut wal, _) = Wal::open(SimDisk::unfaulted()).unwrap();
+    wal.checkpoint(&[7; 256], None).unwrap();
+    for delta in [b"DELTA-2", b"DELTA-3"] {
+        wal.append(b"journaled").unwrap();
+        wal.sync().unwrap();
+        let kind = wal
+            .checkpoint_delta_or_full(None, |_| Some(delta.to_vec()), || unreachable!())
+            .unwrap();
+        assert_eq!(kind, mabe_store::CheckpointKind::Delta);
+    }
+    wal.append(b"post-delta").unwrap();
+    wal.sync().unwrap();
+    wal.into_store()
+}
+
+/// Damage to a live delta never opens: a committed checkpoint is never
+/// abandoned for an older one, so flips and cuts fail typed as
+/// corruption, and a deleted delta as missing.
+#[test]
+fn damage_to_a_delta_fails_typed() {
+    let (wal, r) = Wal::open(delta_disk()).unwrap();
+    assert_eq!(wal.generation(), 3);
+    assert_eq!(r.snapshot, Some(vec![7; 256]));
+    assert_eq!(r.deltas, vec![b"DELTA-2".to_vec(), b"DELTA-3".to_vec()]);
+    assert_eq!(r.records, vec![b"post-delta".to_vec()]);
+
+    for name in ["delta-2", "delta-3"] {
+        let bytes = delta_disk().durable_bytes(name).unwrap().to_vec();
+        for pos in 0..bytes.len() {
+            for bit in 0..8 {
+                let mut flipped = bytes.clone();
+                flipped[pos] ^= 1 << bit;
+                let error = Wal::open(damaged(delta_disk, name, flipped)).map(|_| ());
+                assert!(
+                    matches!(error.map_err(|f| f.error), Err(StoreError::Corrupt(_))),
+                    "{name} pos {pos} bit {bit}"
+                );
+            }
+            let cut = bytes[..pos].to_vec();
+            let error = Wal::open(damaged(delta_disk, name, cut)).map(|_| ());
+            assert!(
+                matches!(error.map_err(|f| f.error), Err(StoreError::Corrupt(_))),
+                "{name} cut {pos}"
+            );
+        }
+        let mut gone = delta_disk();
+        gone.delete(name).unwrap();
+        assert!(matches!(
+            Wal::open(gone).map(|_| ()).map_err(|f| f.error),
+            Err(StoreError::Missing("committed delta"))
+        ));
     }
 }

@@ -53,10 +53,15 @@ pub enum TraceEvent {
         /// The log object synced.
         object: String,
     },
-    /// A checkpoint snapshot was committed.
+    /// A checkpoint was committed.
     CheckpointWritten {
         /// The new committed generation.
         generation: u64,
+        /// What it wrote as the generation's state: `delta` (the change
+        /// since the previous generation) or `full` (a whole snapshot).
+        kind: &'static str,
+        /// Bytes it wrote: the delta or snapshot object plus its seal.
+        bytes: u64,
     },
     /// Recovery replayed the committed generation's log.
     WalReplayed {
@@ -144,9 +149,14 @@ impl TraceEvent {
             TraceEvent::JournalSync { object } => {
                 format!("{{\"object\":\"{}\"}}", esc(object))
             }
-            TraceEvent::CheckpointWritten { generation } => {
-                format!("{{\"generation\":{generation}}}")
-            }
+            TraceEvent::CheckpointWritten {
+                generation,
+                kind,
+                bytes,
+            } => format!(
+                "{{\"generation\":{generation},\"kind\":\"{}\",\"bytes\":{bytes}}}",
+                esc(kind)
+            ),
             TraceEvent::WalReplayed {
                 generation,
                 records,

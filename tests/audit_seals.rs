@@ -3,12 +3,13 @@
 //! Every audited read appends one hash-chained entry. A checkpoint seals
 //! the entries recorded since the previous one into an append-only
 //! `seal.<n>` object and keeps only the audit counters, the sealed-entry
-//! count and the chain head in its snapshot. These tests drive one
-//! `DurableSystem<SimDisk>` through nothing but denied reads — the
-//! cheapest audited op — and check that the snapshot stays the same
-//! size however long the trail grows, that each seal holds exactly the
-//! entries since the checkpoint before it, and that a rotted seal is
-//! repaired by a scrub without changing the replayed chain.
+//! count and the chain head in the state it writes, a full snapshot or
+//! a delta. These tests drive one `DurableSystem<SimDisk>` through
+//! nothing but denied reads — the cheapest audited op — and check that
+//! neither kind of state grows however long the trail grows, that each
+//! seal holds exactly the entries since the checkpoint before it, and
+//! that a rotted seal is repaired by a scrub without changing the
+//! replayed chain.
 
 use mabe_cloud::{DurableSystem, OpenError};
 use mabe_core::{OwnerId, Uid};
@@ -31,9 +32,12 @@ fn denied_reader_world(seed: u64) -> (DurableSystem<SimDisk>, Uid, OwnerId) {
     (ds, nurse, owner)
 }
 
-/// One automatic checkpoint, as seen right after the read that cut it.
+/// One automatic checkpoint, as seen right after the read that cut it:
+/// the state object it wrote (`snapshot-<g>` or `delta-<g>`) and its
+/// length, and the audit trail's length.
 struct Cut {
-    snapshot_len: usize,
+    object: &'static str,
+    state_len: usize,
     audit_len: usize,
 }
 
@@ -48,10 +52,19 @@ fn denied_reads(
     for _ in 0..n {
         let generation = ds.generation();
         assert!(ds.read(nurse, owner, "chart", "diagnosis").is_err());
-        if ds.generation() != generation {
-            let name = format!("snapshot-{}", ds.generation());
+        let cut = ds.generation();
+        if cut != generation {
+            let disk = ds.storage();
+            let (object, bytes) = ["snapshot", "delta"]
+                .into_iter()
+                .find_map(|object| {
+                    let name = format!("{object}-{cut}");
+                    disk.durable_bytes(&name).map(|bytes| (object, bytes))
+                })
+                .expect("committed");
             cuts.push(Cut {
-                snapshot_len: ds.storage().durable_bytes(&name).expect("committed").len(),
+                object,
+                state_len: bytes.len(),
                 audit_len: ds.audit().entries().len(),
             });
         }
@@ -96,12 +109,23 @@ fn a_checkpoint_costs_the_live_state_not_the_audit_history() {
         cuts.len()
     );
 
-    // The trail grew by 2,000 entries; the snapshot did not grow at all.
+    // The trail grew by 2,000 entries; neither the snapshots nor the
+    // deltas grew at all, and both kinds were cut.
+    for object in ["snapshot", "delta"] {
+        let lens: Vec<usize> = cuts
+            .iter()
+            .filter(|cut| cut.object == object)
+            .map(|cut| cut.state_len)
+            .collect();
+        assert!(lens.len() >= 2, "{} {object} checkpoints", lens.len());
+        assert!(
+            lens.iter().all(|len| *len == lens[0]),
+            "{object}s: {lens:?}"
+        );
+    }
     let [.., before_last, last] = &cuts[..] else {
         unreachable!("checked above");
     };
-    assert_eq!(before_last.snapshot_len, last.snapshot_len);
-    assert_eq!(cuts[early - 1].snapshot_len, last.snapshot_len);
 
     // The newest seal holds exactly the entries since the checkpoint
     // before it, byte-identical to the live chain's digests.

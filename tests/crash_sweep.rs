@@ -60,11 +60,12 @@ const STORE_CASES: &[(&str, FaultKind, bool)] = &[
 
 /// Log-lifecycle cases, exercised by the lifecycle scenario (tiny
 /// segment budget + aggressive checkpoint interval + a scrub pass, so
-/// rotation, compaction, seal writes, manifest swaps, and scrubbing all
-/// actually run). Every crash must reopen to a committed state: a torn
-/// manifest swap loses the swap but never the surviving slot, a crashed
-/// seal write leaves the old generation authoritative, and a crashed GC
-/// leaves only strays the next compaction collects.
+/// rotation, compaction, seal and delta writes, manifest swaps, and
+/// scrubbing all actually run). Every crash must reopen to a committed
+/// state: a torn manifest swap loses the swap but never the surviving
+/// slot, a crashed seal or delta write leaves the old generation
+/// authoritative, and a crashed GC leaves only strays the next
+/// compaction collects.
 const LIFECYCLE_CASES: &[(&str, FaultKind, bool)] = &[
     (store_points::ROTATE, FaultKind::Crash, false),
     (store_points::ROTATE, FaultKind::NoSpace, false),
@@ -72,6 +73,8 @@ const LIFECYCLE_CASES: &[(&str, FaultKind, bool)] = &[
     (store_points::COMPACT, FaultKind::NoSpace, false),
     (store_points::SEAL, FaultKind::Crash, false),
     (store_points::SEAL, FaultKind::NoSpace, false),
+    (store_points::DELTA, FaultKind::Crash, false),
+    (store_points::DELTA, FaultKind::NoSpace, false),
     (store_points::MANIFEST_SWAP, FaultKind::Crash, false),
     (store_points::MANIFEST_SWAP, FaultKind::ManifestTorn, false),
     (store_points::SCRUB, FaultKind::Crash, false),
@@ -122,13 +125,21 @@ fn run_scenario(ds: &mut DurableSystem<SimDisk>) -> Result<(), CloudError> {
 
 /// The scenario under aggressive log-lifecycle pressure: segments
 /// rotate every ~192 bytes, checkpoints (each sealing the audit entries
-/// since the last) fire every 6 ops, and a scrub pass plus a forced
-/// compaction close it out — so the rotation, compaction, seal,
-/// manifest-swap, and scrub fault points are all hit.
+/// since the last, as a delta or a full snapshot) fire every 6 ops,
+/// eight more reads make sure one of them is a delta, and a scrub pass
+/// plus a forced full compaction close it out — so the rotation,
+/// compaction, seal, delta, manifest-swap, and scrub fault points are
+/// all hit.
 fn run_lifecycle_scenario(ds: &mut DurableSystem<SimDisk>) -> Result<(), CloudError> {
     ds.set_segment_budget(192);
     ds.set_checkpoint_interval(6);
     run_scenario(ds)?;
+    // Reads journal only their audit rows, so the checkpoint they cut is
+    // a delta on the last full one.
+    let (owner, bob) = (OwnerId::new("hospital"), Uid::new("bob"));
+    for _ in 0..8 {
+        ds.read(&bob, &owner, "rec-shared", "note")?;
+    }
     ds.scrub()?;
     ds.checkpoint()
 }
@@ -358,8 +369,8 @@ fn crash_point_sweep_recovers_at_every_fault_point() {
 /// The lifecycle sweep: the scenario runs under rotation, compaction
 /// and scrub pressure and is killed at every hit of every lifecycle
 /// fault point — rotation, compaction (both the entry and each GC
-/// delete), the seal write, the manifest swap (crashed *and* torn), and
-/// the scrubber.
+/// delete), the seal and delta writes, the manifest swap (crashed *and*
+/// torn), and the scrubber.
 /// Every kill must reopen to a committed generation with the paper's
 /// invariants intact.
 #[test]
@@ -372,9 +383,13 @@ fn lifecycle_crash_sweep_recovers_at_rotation_compaction_and_scrub() {
         DurableSystem::open_with_faults(SimDisk::unfaulted(), seed, FaultInjector::none())
             .expect("clean open");
     run_lifecycle_scenario(&mut ds).expect("clean lifecycle scenario");
+    // The delta point is consulted once per delta, so in a clean run
+    // every other checkpoint was full.
+    let deltas = ds.storage().injector().hits(store_points::DELTA);
     assert!(
-        ds.generation() >= 1,
-        "seed {seed}: the lifecycle scenario never compacted"
+        deltas >= 1 && ds.generation() > deltas,
+        "seed {seed}: {} checkpoints, {deltas} of them deltas",
+        ds.generation()
     );
     let hits: Vec<(&str, FaultKind, bool, u64)> = LIFECYCLE_CASES
         .iter()

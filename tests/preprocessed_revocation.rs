@@ -15,23 +15,25 @@
 //!
 //! The owner (its `β` and every `s`) and the update key come out of the
 //! store itself: the test opens the durable state with `TypedStore`
-//! and decodes the `owners` and `lazy_archive` rows.
+//! and decodes the `owners`, `owner_secrets` and `lazy_archive` rows.
 
 use std::collections::BTreeMap;
 
 use mabe_cloud::DurableSystem;
 use mabe_core::{
-    Ciphertext, DataOwner, OwnerId, UpdateKey, WireCodec, FIXED_BASE_BREAK_EVEN, LINES_BREAK_EVEN,
+    Ciphertext, CiphertextId, DataOwner, EncryptionRecord, OwnerId, UpdateKey, WireCodec,
+    FIXED_BASE_BREAK_EVEN, LINES_BREAK_EVEN,
 };
 use mabe_math::{pairing, G1Affine, G1};
 use mabe_policy::AuthorityId;
-use mabe_store::{SimDisk, Storage, TypedStore};
+use mabe_store::{ByteReader, SimDisk, Storage, TypedStore};
 
 const SEED: u64 = 0x0b5e_55ed;
 
 /// Table ids of the cloud's keyspace catalog (`mabe_cloud::tables`).
 const OWNERS_TABLE: u16 = 3;
 const LAZY_ARCHIVE_TABLE: u16 = 14;
+const OWNER_SECRETS_TABLE: u16 = 16;
 
 /// Records per policy. Every record has a row for `Doctor@Med`, so the
 /// revocation's worklist holds all of them; `Nurse@Med` labels exactly
@@ -155,7 +157,15 @@ fn run(mode: Mode) {
     let [(_, owner_bytes)] = owner_rows.as_slice() else {
         panic!("one owner row, found {}", owner_rows.len());
     };
-    let data_owner = DataOwner::from_wire_bytes(owner_bytes).expect("owner row decodes");
+    let mut data_owner = DataOwner::from_wire_bytes(owner_bytes).expect("owner row decodes");
+    // Each secret row is keyed `(owner, ciphertext id)`.
+    for (key, value) in opened.keyspace.range_raw(OWNER_SECRETS_TABLE, &[]) {
+        let mut key = ByteReader::new(&key);
+        assert_eq!(key.str_component().unwrap(), owner.as_str());
+        let id = CiphertextId(key.u64().unwrap());
+        let record = EncryptionRecord::from_wire_bytes(&value).expect("secret row decodes");
+        data_owner.adopt_record(id, record.s, record.attributes);
+    }
     let archive: Vec<UpdateKey> = opened
         .keyspace
         .range_raw(LAZY_ARCHIVE_TABLE, &[])
