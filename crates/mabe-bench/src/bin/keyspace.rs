@@ -1,11 +1,11 @@
 //! Typed-keyspace bench: the three costs the schema-table refactor is
 //! on the hook for.
 //!
-//! 1. **Range-scan throughput** — the data plane's re-encryption walk
-//!    and the directory's grant lookup are prefix scans now, not full
-//!    map passes. A `(aid, object, component)` table is loaded through
-//!    the journaled typed-store path and scanned by authority prefix;
-//!    the number reported is rows streamed per second.
+//! 1. **Range-scan throughput** — hydration reads each user's keys and
+//!    grants as a prefix scan of the folded keyspace. A `(aid, object,
+//!    component)` table is loaded through the journaled typed-store
+//!    path and scanned by its leading-component prefix; the number
+//!    reported is rows streamed per second.
 //! 2. **Hot-key cache hit ratio under Zipf** — readers in the wild are
 //!    skewed; a Zipf(s≈1.07) workload over the published records must
 //!    be served ≥90% from the content-key cache (the acceptance bar),
@@ -25,9 +25,8 @@ use mabe_cloud::CloudSystem;
 use mabe_store::{define_table, Frame, FrameOp, Keyspace, Schema, SimDisk, TypedStore};
 
 define_table!(
-    /// Bench table mirroring the data plane's component layout:
-    /// `(aid, object, component)` so one authority's ciphertexts are
-    /// one contiguous prefix.
+    /// Bench table keyed `(aid, object, component)`, so each leading
+    /// component's rows are one contiguous prefix.
     Components: 1, "components",
     key(aid: str, object: str, component: u64)
 );
@@ -61,7 +60,7 @@ struct RangeRow {
 
 /// Journals one frame batch and applies it to `ks` — the apply-then-
 /// commit order the durable cloud plane follows.
-fn journal(ts: &TypedStore<SimDisk>, ks: &Keyspace, frames: &[Frame]) {
+fn journal(ts: &TypedStore<SimDisk>, ks: &mut Keyspace, frames: &[Frame]) {
     let seq = ts.stage_frames(frames);
     ks.apply(frames);
     ts.commit(seq).expect("journaled load");
@@ -72,7 +71,7 @@ fn journal(ts: &TypedStore<SimDisk>, ks: &Keyspace, frames: &[Frame]) {
 /// authority prefixes round-robin.
 fn range_scan(per_authority: usize) -> RangeRow {
     let (ts, _) = TypedStore::open(SimDisk::unfaulted()).expect("fresh store");
-    let ks = Keyspace::new();
+    let mut ks = Keyspace::new();
     ks.register::<Components>();
 
     let load = Instant::now();
@@ -86,7 +85,7 @@ fn range_scan(per_authority: usize) -> RangeRow {
                     )
                 })
                 .collect();
-            journal(&ts, &ks, &frames);
+            journal(&ts, &mut ks, &frames);
         }
     }
     let load_ms = load.elapsed().as_secs_f64() * 1e3;
@@ -188,7 +187,7 @@ struct ReopenRow {
 /// number of tables.
 fn reopen(tables: u16, total_rows: usize) -> ReopenRow {
     let (ts, _) = TypedStore::open(SimDisk::unfaulted()).expect("fresh store");
-    let ks = Keyspace::new();
+    let mut ks = Keyspace::new();
     let per_table = total_rows / tables as usize;
     for t in 0..tables {
         let frames: Vec<Frame> = (0..per_table)
@@ -199,7 +198,7 @@ fn reopen(tables: u16, total_rows: usize) -> ReopenRow {
                 value: vec![0xA5; 64],
             })
             .collect();
-        journal(&ts, &ks, &frames);
+        journal(&ts, &mut ks, &frames);
     }
     ts.checkpoint_keyspace(&ks, None)
         .expect("per-table snapshot");

@@ -219,17 +219,13 @@ impl CloudSystem {
             }
             self.local_op(fault_points::GRANT_KEYGEN, Some(&aid))?;
             st.authority.grant(&pk, attrs.iter().cloned())?;
-            {
-                let mut users = self.directory.users.write();
-                users
-                    .grants
-                    .get_mut(uid)
-                    .expect("user exists")
-                    .extend(attrs.iter().cloned());
-                for attr in &attrs {
-                    users.index_grant(uid, attr);
-                }
-            }
+            self.directory
+                .users
+                .write()
+                .grants
+                .get_mut(uid)
+                .expect("user exists")
+                .extend(attrs.iter().cloned());
             let owner_ids: Vec<OwnerId> = self.directory.owners.read().keys().cloned().collect();
             for owner_id in owner_ids {
                 let key = st.authority.keygen(uid, &owner_id)?;
@@ -274,7 +270,7 @@ impl CloudSystem {
     /// With lazy revocation enabled ([`Self::set_lazy_revocation`]) only
     /// the immediate phase runs inline — version bump, audit journal,
     /// key delivery, owner key updates — and server-side re-encryption
-    /// is parked on the pending-upgrade queue (see [`crate::lazy`]).
+    /// is parked on the pending-upgrade queue.
     /// The version check already denies the revoked user at that point;
     /// queued components are healed by [`Self::drain_lazy`] workers or
     /// read-triggered upgrade, whichever reaches them first.
@@ -424,14 +420,9 @@ impl CloudSystem {
         }
         {
             let mut users = self.directory.users.write();
-            if users.grants.contains_key(&uid) {
+            if let Some(granted) = users.grants.get_mut(&uid) {
                 for attr in &event.revoked_attributes {
-                    users
-                        .grants
-                        .get_mut(&uid)
-                        .expect("checked above")
-                        .remove(attr);
-                    users.unindex_grant(&uid, attr);
+                    granted.remove(attr);
                 }
             }
             // Update keys still queued for the revoked user at this
@@ -575,10 +566,8 @@ impl CloudSystem {
             }
             pending.fresh_keys_delivered = true;
         }
-        // Everyone still granted anything at this authority, via the
-        // `(authority)` prefix of the inverted grant index — no full
-        // grants-map walk. Index rows sort by uid under the prefix, so
-        // delivery order matches the old scan.
+        // Everyone still granted anything at this authority, in uid
+        // order.
         let holders: Vec<Uid> = {
             let users = self.directory.users.read();
             users

@@ -22,11 +22,9 @@ use mabe_core::{
 };
 use mabe_math::FixedPairing;
 use mabe_policy::{Attribute, AuthorityId};
-use mabe_store::{key_str, Keyspace};
 
 use crate::audit::AuditEvent;
 use crate::system::{CloudError, CloudSystem};
-use crate::tables::GrantsByAuthority;
 use crate::wire::Endpoint;
 
 /// Per-user runtime state: the CA-issued public key plus every secret
@@ -69,68 +67,17 @@ pub(crate) struct UserDirectory {
     pub(crate) grants: BTreeMap<Uid, BTreeSet<Attribute>>,
     pub(crate) offline: BTreeSet<Uid>,
     pub(crate) pending_updates: BTreeMap<Uid, Vec<(OwnerId, UpdateKey)>>,
-    /// Live-only inverted index of `grants`: one
-    /// [`crate::tables::GrantsByAuthority`] row per `(authority, uid,
-    /// attribute)`, so revocation key delivery finds an authority's
-    /// holders with a prefix range scan instead of walking every user.
-    /// Never journaled or checkpointed; rebuilt from `grants` on
-    /// restore.
-    pub(crate) grant_index: Keyspace,
 }
 
 impl UserDirectory {
-    /// Adds one `(authority, uid, attribute)` row to the inverted grant
-    /// index.
-    pub(crate) fn index_grant(&self, uid: &Uid, attr: &Attribute) {
-        self.grant_index.put::<GrantsByAuthority>(
-            &(
-                attr.authority().as_str().to_owned(),
-                uid.as_str().to_owned(),
-                attr.to_string(),
-            ),
-            &Vec::new(),
-        );
-    }
-
-    /// Removes one `(authority, uid, attribute)` row from the inverted
-    /// grant index.
-    pub(crate) fn unindex_grant(&self, uid: &Uid, attr: &Attribute) {
-        self.grant_index.delete::<GrantsByAuthority>(&(
-            attr.authority().as_str().to_owned(),
-            uid.as_str().to_owned(),
-            attr.to_string(),
-        ));
-    }
-
-    /// Every user currently granted at least one attribute at `aid`
-    /// (distinct, in uid order): the `(authority)` prefix of the
-    /// inverted grant index.
+    /// Every user currently granted at least one attribute at `aid`, in
+    /// uid order.
     pub(crate) fn holders_of_authority(&self, aid: &AuthorityId) -> Vec<Uid> {
-        let mut prefix = Vec::new();
-        key_str(&mut prefix, aid.as_str());
-        let rows = self
-            .grant_index
-            .range::<GrantsByAuthority>(&prefix)
-            .expect("grant index rows are self-encoded");
-        let mut out: Vec<Uid> = Vec::new();
-        for ((_, uid, _), _) in rows {
-            let uid = Uid::new(uid);
-            if out.last() != Some(&uid) {
-                out.push(uid);
-            }
-        }
-        out
-    }
-
-    /// Rebuilds the inverted grant index from `grants` — the restore
-    /// path (the index is derived state and never persisted).
-    pub(crate) fn rebuild_grant_index(&self) {
-        self.grant_index.clear();
-        for (uid, attrs) in &self.grants {
-            for attr in attrs {
-                self.index_grant(uid, attr);
-            }
-        }
+        self.grants
+            .iter()
+            .filter(|(_, attrs)| attrs.iter().any(|attr| attr.authority() == aid))
+            .map(|(uid, _)| uid.clone())
+            .collect()
     }
 }
 
@@ -345,5 +292,39 @@ impl CloudSystem {
     /// ones catch up later via [`Self::sync_user`]).
     pub fn set_offline(&self, uid: &Uid) {
         self.directory.users.write().offline.insert(uid.clone());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::CloudSystem;
+
+    /// `holders_of_authority` lists, in uid order, exactly the users
+    /// granted something at the authority, before and after
+    /// revocations strip one of them.
+    #[test]
+    fn holders_of_authority_lists_granted_users_in_uid_order() {
+        let sys = CloudSystem::new(6160);
+        let org = sys.add_authority("Org", &["A", "C"]).unwrap();
+        let lab = sys.add_authority("Lab", &["B"]).unwrap();
+        sys.add_owner("owner").unwrap();
+        let [carol, alice, bob, _dave] =
+            ["carol", "alice", "bob", "dave"].map(|name| sys.add_user(name).unwrap());
+        sys.grant(&carol, &["A@Org"]).unwrap();
+        sys.grant(&alice, &["A@Org", "C@Org", "B@Lab"]).unwrap();
+        sys.grant(&bob, &["B@Lab"]).unwrap();
+        let holders = |aid| sys.directory.users.read().holders_of_authority(aid);
+        assert_eq!(holders(&org), [alice.clone(), carol.clone()]);
+        assert_eq!(holders(&lab), [alice.clone(), bob.clone()]);
+
+        sys.revoke(&alice, "A@Org").unwrap();
+        assert_eq!(
+            holders(&org),
+            [alice.clone(), carol.clone()],
+            "alice still holds C@Org"
+        );
+        sys.revoke_user_at(&alice, &org).unwrap();
+        assert_eq!(holders(&org), [carol]);
+        assert_eq!(holders(&lab), [alice, bob]);
     }
 }

@@ -155,7 +155,7 @@ impl CloudSystem {
 
     /// Switches revocation between eager (the paper's inline
     /// re-encryption, the default) and lazy (re-encryption parked on
-    /// the pending-upgrade queue; see the [module docs](crate::lazy)).
+    /// the pending-upgrade queue).
     /// Either mode may be toggled at any time — queued work from lazy
     /// revocations keeps draining after a switch back to eager.
     pub fn set_lazy_revocation(&self, enabled: bool) {

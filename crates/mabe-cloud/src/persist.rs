@@ -18,17 +18,16 @@
 //! # Journal format
 //!
 //! Each WAL record is one logical operation's **frame batch**: the
-//! `(table, op, key, value)` rows of the typed keyspace
-//! ([`crate::tables`]) the operation changed, read back from the live
-//! state *after* the mutation applied. Replay is pure row application —
-//! fold the deltas and batches over the per-table snapshot and hydrate a
-//! [`CloudSystem`] from the resulting keyspace. No per-record
-//! reinterpretation, no RNG coupling: sampled secrets travel inside the
-//! journaled rows. Every batch also carries the
-//! [`AuditLog`](crate::AuditLog) entries recorded since the previous
-//! batch (an audit watermark under the op lock), so the replayed hash
-//! chain is byte-identical — [`DurableSystem::open`] rejects the store
-//! if it does not verify.
+//! `(table, op, key, value)` rows of the typed keyspace the operation
+//! changed, read back from the live state *after* the mutation applied.
+//! Replay is pure row application — fold the deltas and batches over
+//! the per-table snapshot and hydrate a [`CloudSystem`] from the
+//! resulting keyspace. No per-record reinterpretation, no RNG coupling:
+//! sampled secrets travel inside the journaled rows. Every batch also
+//! carries the [`AuditLog`] entries recorded since the previous batch
+//! (an audit watermark under the op lock), so the replayed hash chain
+//! is byte-identical — [`DurableSystem::open`] rejects the store if it
+//! does not verify.
 //!
 //! A checkpoint never rewrites that history. Its state keeps only the
 //! audit counters, the sealed-entry count and the chain head; the
@@ -569,7 +568,7 @@ impl<S: Storage> DurableSystem<S> {
         let close = tables::close_audit(&self.sys, op.sealed());
         let seal = close.seal.as_deref();
         let committed = if full {
-            let keyspace = tables::live_state(&self.sys);
+            let mut keyspace = tables::live_state(&self.sys);
             keyspace.apply(&close.closing);
             self.ts.checkpoint_keyspace(&keyspace, seal)
         } else {
@@ -1075,17 +1074,19 @@ impl<S: Storage> DurableSystem<S> {
         self.sys.faults_mut()
     }
 
-    /// The committed checkpoint generation.
+    /// The committed checkpoint generation. Never waits on the log.
     pub fn generation(&self) -> u64 {
         self.ts.generation()
     }
 
-    /// Segments the committed manifest currently lists.
+    /// Segments the committed manifest currently lists. Never waits on
+    /// the log.
     pub fn segments_live(&self) -> usize {
         self.ts.segments_live()
     }
 
-    /// Live log bytes (cold + active segments, snapshot excluded).
+    /// Live log bytes (cold + active segments, snapshot excluded), as of
+    /// the last flush or checkpoint. Never waits on the log.
     pub fn live_log_bytes(&self) -> usize {
         self.ts.live_log_bytes()
     }
@@ -1095,8 +1096,10 @@ impl<S: Storage> DurableSystem<S> {
         self.ts.set_segment_budget(bytes);
     }
 
-    /// Read access to the backing store (a guard dereferencing to `S`,
-    /// held through the log's lock for the duration of the borrow).
+    /// Read access to the backing store: a guard dereferencing to `S`
+    /// that holds the log's lock while it lives, so no mutator, read or
+    /// checkpoint of this system may run on the same thread until it
+    /// drops. The log counters above stay safe to read.
     pub fn storage(&self) -> StoreRef<'_, S> {
         self.ts.storage()
     }
@@ -1279,7 +1282,7 @@ mod tests {
     use crate::audit::AuditEvent;
     use crate::system::fault_points;
     use mabe_faults::{FaultKind, FaultPlan};
-    use mabe_store::{store_points, CheckpointKind, Keyspace, SimDisk, Wal};
+    use mabe_store::{store_points, CheckpointKind, FrameOp, Keyspace, SimDisk, Wal};
     use std::collections::BTreeSet;
 
     const DOC_POLICY: &str = "Doctor@MedOrg";
@@ -1912,7 +1915,7 @@ mod tests {
         // ciphertexts were shared under the older construction, so no
         // read of them could succeed.
         let (ds, ..) = full_world(open_fresh(5));
-        let image = tables::populate(ds.system(), 0);
+        let mut image = tables::populate(ds.system(), 0);
         image
             .keyspace
             .delete::<tables::Meta>(&(tables::META_LSSS.to_owned(),));
@@ -1932,23 +1935,30 @@ mod tests {
         assert_eq!(durable_objects(&failure.storage), before);
     }
 
-    /// A store written while `Components` rows were persisted opens
-    /// with them ignored (the server rebuilds its index from the
-    /// records), and its next checkpoint drops them.
+    /// A store written while `components` rows (table 10) were
+    /// persisted opens with them ignored, and its next full checkpoint
+    /// drops their section.
     #[test]
     fn persisted_component_rows_are_ignored_and_dropped_at_the_next_checkpoint() {
+        const COMPONENTS: u16 = 10;
         let (ds, _, bob, owner, _) = full_world(open_fresh(71));
-        let image = tables::populate(ds.system(), 0);
+        let mut image = tables::populate(ds.system(), 0);
+        let sections = |ks: &Keyspace| ks.encode_snapshot()[8..12].to_vec();
+        let known = sections(&image.keyspace);
         let row = |record: &str, label: &str| {
-            let key = (
-                "MedOrg".into(),
-                "hospital".into(),
-                record.into(),
-                label.into(),
-            );
-            Frame::put::<tables::Components>(&key, &vec![0xff; 16])
+            let mut key = Vec::new();
+            for part in ["MedOrg", "hospital", record, label] {
+                mabe_store::key_str(&mut key, part);
+            }
+            Frame {
+                table: COMPONENTS,
+                op: FrameOp::Put,
+                key,
+                value: vec![0xff; 16],
+            }
         };
         image.keyspace.apply(&[row("rec-shared", "note")]);
+        assert_ne!(sections(&image.keyspace), known);
         let (mut wal, _) = Wal::open(SimDisk::unfaulted()).unwrap();
         wal.checkpoint(&image.keyspace.encode_snapshot(), image.seal.as_deref())
             .unwrap();
@@ -1966,12 +1976,8 @@ mod tests {
         let mut disk = ds.into_storage();
         disk.crash();
         let (_, open) = TypedStore::open(disk).unwrap();
-        assert_eq!(open.keyspace.rows(tables::Components::ID), 0);
-        assert!(!open
-            .keyspace
-            .encode_snapshot()
-            .windows(b"components".len())
-            .any(|w| w == b"components"));
+        assert_eq!(open.keyspace.rows(COMPONENTS), 0);
+        assert_eq!(sections(&open.keyspace), known, "the section is gone");
     }
 
     /// A store written before seals — an `MMAN0001` manifest naming a
@@ -1981,8 +1987,8 @@ mod tests {
     #[test]
     fn a_store_in_the_pre_seal_format_fails_typed_and_hands_back_storage() {
         let (ds, ..) = full_world(open_fresh(61));
-        let ks = Keyspace::new();
-        tables::register_all(&ks);
+        let mut ks = Keyspace::new();
+        tables::register_all(&mut ks);
         for entry in ds.audit().entries() {
             ks.put::<tables::Audit>(&(entry.index,), &crate::audit::entry_bytes(entry));
         }
@@ -2465,5 +2471,60 @@ mod tests {
         assert_eq!(sets(&reopened), 0, "step tables are not journaled");
         reopened.system().set_lazy_revocation(true);
         assert_eq!(served(&reopened), expected);
+    }
+
+    /// A publish that repeats a component label fails typed before it
+    /// seals anything: no record, no audit entry, no owner change and
+    /// nothing journaled, and the next revocation at the authority
+    /// completes.
+    #[test]
+    fn a_publish_with_a_repeated_label_fails_typed_and_changes_nothing() {
+        let (ds, _, bob, owner, _) = full_world(open_fresh(73));
+        let state = |ds: &DurableSystem<SimDisk>| {
+            let image = tables::populate(ds.system(), 0);
+            (image.keyspace.encode_snapshot(), image.seal)
+        };
+        let before = (durable_objects(&ds.storage()), state(&ds));
+        let twice = [
+            ("note", b"one".as_slice(), SHARED_POLICY),
+            ("note", b"two".as_slice(), SHARED_POLICY),
+        ];
+        let err = ds.publish(&owner, "rec-twice", &twice).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                CloudError::Core(Error::Malformed("envelope: repeated component label"))
+            ),
+            "got {err}"
+        );
+        assert!(ds.system().server().fetch(&owner, "rec-twice").is_none());
+        assert_eq!((durable_objects(&ds.storage()), state(&ds)), before);
+        ds.revoke(&bob, "Nurse@MedOrg").unwrap();
+    }
+
+    /// The log's counters never wait on the log, so they answer while a
+    /// `storage()` guard lives on the same thread.
+    #[test]
+    fn log_counters_answer_while_a_storage_guard_lives() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let probe = std::thread::spawn(move || {
+            let ds = open_fresh(74);
+            ds.add_authority("MedOrg", &["Doctor"]).unwrap();
+            let guard = ds.storage();
+            let objects = guard.list().len();
+            let counters = (ds.generation(), ds.segments_live(), ds.live_log_bytes());
+            drop(guard);
+            tx.send((objects, counters)).unwrap();
+        });
+        let got = rx.recv_timeout(Duration::from_secs(30));
+        assert!(
+            !matches!(got, Err(std::sync::mpsc::RecvTimeoutError::Timeout)),
+            "a counter waited on the storage guard"
+        );
+        probe.join().expect("the probe panicked");
+        let (objects, (generation, segments, bytes)) = got.expect("the probe sent its reading");
+        assert!(objects > 0);
+        assert_eq!((generation, segments), (0, 1));
+        assert!(bytes > 0);
     }
 }

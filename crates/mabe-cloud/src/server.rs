@@ -12,7 +12,6 @@
 //! lock only to apply it ([`CloudServer::apply_reencryption`]).
 
 use std::collections::BTreeMap;
-use std::slice;
 
 use parking_lot::RwLock;
 
@@ -21,9 +20,6 @@ use mabe_core::{
     SealedComponent, UpdateInfo, UpdateKey, WithTables,
 };
 use mabe_policy::AuthorityId;
-use mabe_store::{key_str, Keyspace, Schema};
-
-use crate::tables::Components;
 
 /// Key of a stored record: owner plus record name.
 pub type RecordKey = (OwnerId, String);
@@ -32,43 +28,6 @@ pub type RecordKey = (OwnerId, String);
 #[derive(Debug, Default)]
 pub struct CloudServer {
     records: RwLock<BTreeMap<RecordKey, DataEnvelope>>,
-    /// Derived component index mirroring `records`: one
-    /// [`Components`] row per `(authority, owner, record, label)`, so
-    /// revocation re-encryption walks an `(authority, owner)` prefix
-    /// scan instead of a full record-map pass. Maintained by every
-    /// write path ([`CloudServer::store`],
-    /// [`CloudServer::apply_reencryption`], [`CloudServer::from_records`]).
-    index: Keyspace,
-}
-
-/// The index rows of one sealed component of record `(owner, name)`:
-/// one per authority it is sealed under, valued `version u64 ‖ ct_id
-/// u64`.
-fn index_rows<'a>(
-    owner: &'a OwnerId,
-    name: &'a str,
-    component: &'a SealedComponent,
-) -> impl Iterator<Item = (<Components as Schema>::Key, Vec<u8>)> + 'a {
-    let ct = &component.key_ct;
-    ct.versions.iter().map(move |(aid, version)| {
-        let key = (
-            aid.as_str().to_owned(),
-            owner.as_str().to_owned(),
-            name.to_owned(),
-            component.label.clone(),
-        );
-        (key, [version.to_be_bytes(), ct.id.0.to_be_bytes()].concat())
-    })
-}
-
-/// An index row's `(version, ciphertext id)`; `None` unless 16 bytes.
-fn decode_index_value(value: &[u8]) -> Option<(u64, CiphertextId)> {
-    let (version, id) = value.split_first_chunk::<8>()?;
-    let id: [u8; 8] = id.try_into().ok()?;
-    Some((
-        u64::from_be_bytes(*version),
-        CiphertextId(u64::from_be_bytes(id)),
-    ))
 }
 
 impl CloudServer {
@@ -77,35 +36,11 @@ impl CloudServer {
         Self::default()
     }
 
-    /// Puts the index rows of `components`, stored under `(owner, name)`.
-    fn index_components(&self, owner: &OwnerId, name: &str, components: &[SealedComponent]) {
-        for component in components {
-            for (key, value) in index_rows(owner, name, component) {
-                self.index.put::<Components>(&key, &value);
-            }
-        }
-    }
-
-    fn unindex_components(&self, owner: &OwnerId, name: &str, components: &[SealedComponent]) {
-        for component in components {
-            for (key, _) in index_rows(owner, name, component) {
-                self.index.delete::<Components>(&key);
-            }
-        }
-    }
-
     /// Stores (or replaces) a record.
     pub fn store(&self, owner: OwnerId, name: impl Into<String>, envelope: DataEnvelope) {
         let _span = mabe_telemetry::Span::with_labels("mabe_server_op", &[("op", "store")]);
         let _trace = mabe_trace::Span::child("server.store");
-        let name = name.into();
-        let key = (owner, name);
-        let mut records = self.records.write();
-        if let Some(old) = records.insert(key.clone(), envelope) {
-            self.unindex_components(&key.0, &key.1, &old.components);
-        }
-        let stored = records.get(&key).expect("record just inserted");
-        self.index_components(&key.0, &key.1, &stored.components);
+        self.records.write().insert((owner, name.into()), envelope);
     }
 
     /// Fetches a record (clone — the server hands out bytes, it does not
@@ -134,55 +69,48 @@ impl CloudServer {
     }
 
     /// All ciphertext ids (with their record keys) belonging to `owner`
-    /// whose key-wrapping ciphertexts involve `aid` at `version` — the
-    /// set a revocation at that authority forces the server to
-    /// re-encrypt. Served from the component index with an
-    /// `(authority, owner)` prefix range scan, so cost scales with the
-    /// authority's footprint rather than total records stored.
+    /// whose key-wrapping ciphertexts involve `aid` at `version`, in
+    /// `(record, label)` order: the set a revocation at that authority
+    /// forces the server to re-encrypt. A walk over the owner's records.
     pub fn affected_ciphertexts(
         &self,
         owner: &OwnerId,
         aid: &AuthorityId,
         version: u64,
     ) -> Vec<(RecordKey, String, CiphertextId)> {
-        let mut prefix = Vec::new();
-        key_str(&mut prefix, aid.as_str());
-        key_str(&mut prefix, owner.as_str());
-        let rows = self
-            .index
-            .range::<Components>(&prefix)
-            .expect("component index rows are self-encoded");
+        let records = self.records.read();
+        let owned = records
+            .range((owner.clone(), String::new())..)
+            .take_while(|((record_owner, _), _)| record_owner == owner);
         let mut out = Vec::new();
-        for ((_, row_owner, record, label), value) in rows {
-            let Some((row_version, ct_id)) = decode_index_value(&value) else {
-                continue;
-            };
-            if row_version == version {
-                out.push(((OwnerId::new(row_owner), record), label, ct_id));
+        for (key, envelope) in owned {
+            let start = out.len();
+            for component in &envelope.components {
+                let ct = &component.key_ct;
+                if ct.versions.get(aid) == Some(&version) {
+                    out.push((key.clone(), component.label.clone(), ct.id));
+                }
             }
+            out[start..].sort_by(|a, b| a.1.cmp(&b.1));
         }
         out
     }
 
-    /// Every record holding at least one component sealed under `aid`
-    /// (distinct, in key order) — the worklist a revocation or lazy
-    /// drain at that authority must touch. An `(authority)` prefix
-    /// range scan over the component index.
+    /// Every record holding at least one component sealed under `aid`,
+    /// in key order: the worklist a revocation or lazy drain at that
+    /// authority must touch.
     pub(crate) fn records_for_authority(&self, aid: &AuthorityId) -> Vec<RecordKey> {
-        let mut prefix = Vec::new();
-        key_str(&mut prefix, aid.as_str());
-        let rows = self
-            .index
-            .range::<Components>(&prefix)
-            .expect("component index rows are self-encoded");
-        let mut out: Vec<RecordKey> = Vec::new();
-        for ((_, owner, record, _), _) in rows {
-            let key = (OwnerId::new(owner), record);
-            if out.last() != Some(&key) {
-                out.push(key);
-            }
-        }
-        out
+        self.records
+            .read()
+            .iter()
+            .filter(|(_, envelope)| {
+                envelope
+                    .components
+                    .iter()
+                    .any(|component| component.key_ct.versions.contains_key(aid))
+            })
+            .map(|(key, _)| key.clone())
+            .collect()
     }
 
     /// Runs `f` over the stored records under the read lock — the
@@ -194,20 +122,11 @@ impl CloudServer {
         f(&self.records.read())
     }
 
-    /// A server holding `records`, with the component index built from
-    /// them (the durable-open path).
+    /// A server holding `records` (the durable-open path).
     pub(crate) fn from_records(records: BTreeMap<RecordKey, DataEnvelope>) -> Self {
-        let server = CloudServer {
+        CloudServer {
             records: RwLock::new(records),
-            index: Keyspace::default(),
-        };
-        {
-            let records = server.records.read();
-            for ((owner, name), envelope) in records.iter() {
-                server.index_components(owner, name, &envelope.components);
-            }
         }
-        server
     }
 
     /// Runs `ReEncrypt` on one stored component (paper §V-C Phase 2):
@@ -259,8 +178,8 @@ impl CloudServer {
 
     /// The apply half of `ReEncrypt` on one stored component, under the
     /// records write lock: validates the component as it stands, then
-    /// multiplies `refresh` and `ui` in and moves the index rows to the
-    /// new version. Two group multiplications per row; no pairing.
+    /// multiplies `refresh` and `ui` in. Two group multiplications per
+    /// row; no pairing.
     ///
     /// # Errors
     ///
@@ -283,11 +202,7 @@ impl CloudServer {
             .ok_or(Error::Malformed("unknown record"))?
             .component_mut(label)
             .ok_or(Error::Malformed("unknown component"))?;
-        apply_reencryption(&mut component.key_ct, uk, ui, refresh)?;
-        // The version bump changed index row values (never keys — the
-        // authority set of a sealed component is fixed), so re-put them.
-        self.index_components(&record.0, &record.1, slice::from_ref(component));
-        Ok(())
+        apply_reencryption(&mut component.key_ct, uk, ui, refresh)
     }
 }
 
@@ -399,6 +314,88 @@ mod tests {
         let data =
             mabe_core::open_component(fetched.component("x").unwrap(), &user, &keys).unwrap();
         assert_eq!(data, b"persisted");
+    }
+
+    /// The lookups revocation relies on: `affected_ciphertexts` lists
+    /// exactly one owner's components at an authority and version, in
+    /// `(record, label)` order whatever order they were sealed in, and
+    /// `records_for_authority` lists each record with a component under
+    /// the authority once, in key order.
+    #[test]
+    fn lookups_list_components_and_records_in_key_order() {
+        let sys = crate::CloudSystem::new(5150);
+        let org = sys.add_authority("Org", &["A"]).unwrap();
+        let lab = sys.add_authority("Lab", &["B"]).unwrap();
+        let first = sys.add_owner("first").unwrap();
+        let second = sys.add_owner("second").unwrap();
+        let alice = sys.add_user("alice").unwrap();
+        let bob = sys.add_user("bob").unwrap();
+        sys.grant(&alice, &["A@Org"]).unwrap();
+        sys.grant(&bob, &["A@Org", "B@Lab"]).unwrap();
+        let (a, b, both) = ("A@Org", "B@Lab", "A@Org AND B@Lab");
+        let publish = |owner: &OwnerId, record: &str, labels: &[(&str, &str)]| {
+            let components: Vec<(&str, &[u8], &str)> = labels
+                .iter()
+                .map(|&(label, policy)| (label, b"data".as_slice(), policy))
+                .collect();
+            sys.publish(owner, record, &components).unwrap();
+        };
+        publish(&first, "r2", &[("z", a), ("b", b), ("m", both)]);
+        publish(&first, "r1", &[("y", a), ("c", a), ("k", b)]);
+        publish(&first, "r3", &[("q", b)]);
+        publish(&second, "r1", &[("x", a)]);
+        // A lazy revocation leaves every component behind; bob's read
+        // upgrades `z` alone.
+        sys.set_lazy_revocation(true);
+        sys.revoke(&alice, "A@Org").unwrap();
+        sys.read(&bob, &first, "r2", "z").unwrap();
+
+        let server = sys.server();
+        let listed = |owner: &OwnerId, items: &[(&str, &str)]| -> Vec<_> {
+            items
+                .iter()
+                .map(|&(record, label)| {
+                    let envelope = server.fetch(owner, record).unwrap();
+                    let id = envelope.component(label).unwrap().key_ct.id;
+                    ((owner.clone(), record.to_owned()), label.to_owned(), id)
+                })
+                .collect()
+        };
+        assert_eq!(
+            server.affected_ciphertexts(&first, &org, 1),
+            listed(&first, &[("r1", "c"), ("r1", "y"), ("r2", "m")])
+        );
+        assert_eq!(
+            server.affected_ciphertexts(&first, &org, 2),
+            listed(&first, &[("r2", "z")])
+        );
+        assert_eq!(
+            server.affected_ciphertexts(&first, &lab, 1),
+            listed(
+                &first,
+                &[("r1", "k"), ("r2", "b"), ("r2", "m"), ("r3", "q")]
+            )
+        );
+        assert_eq!(
+            server.affected_ciphertexts(&second, &org, 1),
+            listed(&second, &[("r1", "x")])
+        );
+        assert!(server.affected_ciphertexts(&second, &lab, 1).is_empty());
+
+        let keys = |items: &[(&OwnerId, &str)]| -> Vec<RecordKey> {
+            items
+                .iter()
+                .map(|&(owner, record)| (owner.clone(), record.to_owned()))
+                .collect()
+        };
+        assert_eq!(
+            server.records_for_authority(&org),
+            keys(&[(&first, "r1"), (&first, "r2"), (&second, "r1")])
+        );
+        assert_eq!(
+            server.records_for_authority(&lab),
+            keys(&[(&first, "r1"), (&first, "r2"), (&first, "r3")])
+        );
     }
 
     #[test]

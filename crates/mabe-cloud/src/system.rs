@@ -1,12 +1,11 @@
 //! End-to-end orchestration of the five-entity deployment (paper Fig. 1).
 //!
 //! [`CloudSystem`] is a thin shell over three layered modules — the
-//! [directory](crate::directory) (identities and registries), the
-//! [control plane](crate::control) (grant / revoke / key delivery /
-//! recovery, serialized per authority shard), and the
-//! [data plane](crate::data) (publish / read / re-encrypt) — routing
-//! every key and ciphertext through the byte-accounted [`Wire`] so the
-//! paper's storage and communication experiments fall out of ordinary
+//! directory (identities and registries), the control plane (grant /
+//! revoke / key delivery / recovery, serialized per authority shard),
+//! and the data plane (publish / read / re-encrypt) — routing every key
+//! and ciphertext through the byte-accounted [`Wire`] so the paper's
+//! storage and communication experiments fall out of ordinary
 //! operation.
 //!
 //! Every public operation takes `&self`: shared state lives behind the
@@ -15,7 +14,6 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
 
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -470,12 +468,6 @@ impl CloudSystem {
     /// The cloud server.
     pub fn server(&self) -> &CloudServer {
         &self.data.server
-    }
-
-    /// A shared handle on the cloud server, for harnesses that drive
-    /// reads from worker threads while this system mutates state.
-    pub fn server_arc(&self) -> Arc<CloudServer> {
-        Arc::clone(&self.data.server)
     }
 
     /// Current key version of an authority.

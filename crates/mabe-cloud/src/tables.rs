@@ -38,13 +38,11 @@
 //!   in seal order, then the journal tail's `audit` rows, decoded by
 //!   one [`AuditLog::from_entries`] call.
 //!
-//! Key encodings are order-preserving ([`mabe_store::key_str`] /
-//! [`mabe_store::key_u64`]), so prefix range scans replace full-map
-//! passes in the two live-only tables: re-encryption walks the
-//! server's `Components` index under an `(authority, owner)` prefix,
-//! and grant lookup walks `GrantsByAuthority` under an `(authority)`
-//! prefix. Neither is journaled or checkpointed; each is rebuilt from
-//! the rows it indexes (`Records`, `Grants`).
+//! Every table here is persistent. Revocation's lookups (the components
+//! under an authority, the users holding its attributes) walk the live
+//! maps, not a second copy of them. Rows of a table this build does not
+//! know, such as the `components` rows (id 10) older builds wrote, are
+//! ignored on open and dropped by the next full checkpoint.
 
 use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet};
@@ -125,16 +123,6 @@ mabe_store::define_table!(
     Records: 9, "records", key(owner: str, record: str)
 );
 mabe_store::define_table!(
-    /// Live-only ciphertext-component index: `version u64 ‖ ct_id u64`
-    /// per `(authority, owner, record, label)`. The `(authority,
-    /// owner)` prefix is the re-encryption worklist. Never journaled or
-    /// checkpointed — [`CloudServer`] keeps it beside its records and
-    /// rebuilds it from them; a store written when the table was
-    /// persisted opens with its rows ignored, and its next full
-    /// checkpoint drops them.
-    Components: 10, "components", key(aid: str, owner: str, record: str, label: str)
-);
-mabe_store::define_table!(
     /// One audit entry per row (keyed by entry index); value is the
     /// entry's `entry_bytes` encoding. Journaled with each frame batch;
     /// a checkpoint moves the rows into a seal, so snapshots carry the
@@ -165,14 +153,6 @@ mabe_store::define_table!(
     /// only; no row is deleted yet.
     OwnerSecrets: 16, "owner_secrets", key(owner: str, ct_id: u64)
 );
-mabe_store::define_table!(
-    /// Live-only inverted grant index: one row per `(authority, user,
-    /// attribute)`, empty value. Never journaled or checkpointed — the
-    /// directory rebuilds it from `Grants`; the `(authority)` prefix
-    /// answers "who holds anything from this authority" without a full
-    /// grants walk.
-    GrantsByAuthority: 15, "grants_by_authority", key(aid: str, uid: str, attr: str)
-);
 
 /// Meta-table row names.
 pub(crate) const META_CA: &str = "ca";
@@ -181,10 +161,9 @@ pub(crate) const META_AUDIT: &str = "audit";
 pub(crate) const META_AUDIT_SEALED: &str = "audit_sealed";
 pub(crate) const META_LSSS: &str = "lsss";
 
-/// Registers every *persistent* table (everything except the live-only
-/// [`Components`] and [`GrantsByAuthority`]) so empty tables still
-/// appear as checkpoint sections.
-pub(crate) fn register_all(ks: &Keyspace) {
+/// Registers every table so empty tables still appear as checkpoint
+/// sections.
+pub(crate) fn register_all(ks: &mut Keyspace) {
     ks.register::<Meta>();
     ks.register::<Authorities>();
     ks.register::<Owners>();
@@ -894,8 +873,8 @@ pub(crate) fn close_audit(sys: &CloudSystem, sealed_from: usize) -> AuditClose {
 /// registered (so empty tables checkpoint as empty sections) and every
 /// writer over every key.
 pub(crate) fn live_state(sys: &CloudSystem) -> Keyspace {
-    let ks = Keyspace::new();
-    register_all(&ks);
+    let mut ks = Keyspace::new();
+    register_all(&mut ks);
     let mut frames = Vec::new();
     meta(sys, &[META_CA, META_LSSS], &mut frames);
     authorities(sys, Pick::All, &mut frames);
@@ -941,7 +920,7 @@ pub(crate) fn populate(sys: &CloudSystem, sealed_from: usize) -> CheckpointImage
         seal,
         sealed,
     } = close_audit(sys, sealed_from);
-    let keyspace = live_state(sys);
+    let mut keyspace = live_state(sys);
     keyspace.apply(&closing);
     CheckpointImage {
         keyspace,
@@ -1009,7 +988,7 @@ fn str_prefix(s: &str) -> Vec<u8> {
 /// snapshot's sealed-entry count, ending at its chain head; the audit
 /// chain, order and counters verify; and the revocation counter ends up
 /// ahead of every in-flight and queued id. Every user gets a grant set
-/// (empty or not), and the live-only grant index is rebuilt.
+/// (empty or not).
 ///
 /// # Errors
 ///
@@ -1101,8 +1080,6 @@ pub(crate) fn hydrate(
                 .pending_updates
                 .insert(Uid::new(uid), decode_pending_updates_value(&value)?);
         }
-        // The inverted grant index is derived, live-only state.
-        users.rebuild_grant_index();
     }
 
     let mut records = BTreeMap::new();
@@ -1224,7 +1201,7 @@ pub(crate) mod tests {
     }
 
     /// Rewrites the value of the first row of `T` in place.
-    fn edit_first<T: Schema<Value = Vec<u8>>>(ks: &Keyspace, edit: impl FnOnce(&mut Vec<u8>)) {
+    fn edit_first<T: Schema<Value = Vec<u8>>>(ks: &mut Keyspace, edit: impl FnOnce(&mut Vec<u8>)) {
         let (key, mut value) = ks.range::<T>(&[]).unwrap().remove(0);
         edit(&mut value);
         ks.put::<T>(&key, &value);
@@ -1238,7 +1215,7 @@ pub(crate) mod tests {
     /// of a populated keyspace or its seal, fails with its typed error.
     #[test]
     fn hydrate_rejects_each_invalid_row_typed() {
-        type Edit = Box<dyn Fn(&Keyspace, &mut Vec<Vec<u8>>)>;
+        type Edit = Box<dyn Fn(&mut Keyspace, &mut Vec<Vec<u8>>)>;
         type Expect = Box<dyn Fn(&OpenError) -> bool>;
         let image = populate(&unsettled_system(), 0);
         let (base, base_seals) = (image.keyspace, vec![image.seal.expect("entries to seal")]);
@@ -1438,11 +1415,22 @@ pub(crate) mod tests {
                 Box::new(|ks, _| edit_first::<Records>(ks, |v| v[0] ^= 0x80)),
                 Box::new(row_error("implausible entry count")),
             ),
+            (
+                "a records value that repeats a component label",
+                Box::new(|ks, _| {
+                    edit_first::<Records>(ks, |v| {
+                        let mut envelope = DataEnvelope::from_wire_bytes(v).unwrap();
+                        envelope.components.push(envelope.components[0].clone());
+                        *v = envelope.to_wire_bytes();
+                    })
+                }),
+                Box::new(row_error("envelope: repeated component label")),
+            ),
         ];
         for (case, edit, expect) in cases {
-            let ks = base.clone();
+            let mut ks = base.clone();
             let mut seals = base_seals.clone();
-            edit(&ks, &mut seals);
+            edit(&mut ks, &mut seals);
             match hydrate(&ks, &seals, 1) {
                 Ok(_) => panic!("{case}: hydrated"),
                 Err(e) => assert!(expect(&e), "{case}: got {e}"),
@@ -1459,7 +1447,7 @@ pub(crate) mod tests {
         let sys = CloudSystem::new(3);
         sys.add_authority("MedOrg", &["Doctor"]).unwrap();
         sys.add_user("alice").unwrap();
-        let image = populate(&sys, 0);
+        let mut image = populate(&sys, 0);
         image.keyspace.delete::<Meta>(&(META_LSSS.to_owned(),));
         let seals: Vec<Vec<u8>> = image.seal.into_iter().collect();
         hydrate(&image.keyspace, &seals, 1).unwrap();

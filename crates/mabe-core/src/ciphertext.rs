@@ -24,7 +24,7 @@
 //! * [`decrypt_fast`] serves reads. Every pairing in Eq. 1 has `C'` or
 //!   `PK_UID` as one argument, so bilinearity folds the blinding factor
 //!   into `e(Σ_k K_k − n_A·Σ_i w_i·K_ρ(i), C') · e(−n_A·Σ_i w_i·C_i,
-//!   PK_UID)`: two multi-scalar multiplications ([`mabe_math::msm`]) and
+//!   PK_UID)`: two multi-scalar multiplications ([`mabe_math::msm()`]) and
 //!   one two-pair [`mabe_math::multi_pairing`], whatever the policy size.
 //!   The outsourced transform ([`crate::outsource`]) shares the fold.
 //!

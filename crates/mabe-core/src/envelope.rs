@@ -8,7 +8,7 @@
 //! policy. Users with different attributes recover different subsets of
 //! components — the paper's "different granularities of information".
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use rand::RngCore;
 
@@ -111,16 +111,30 @@ pub fn seal_component<R: RngCore + ?Sized>(
     })
 }
 
+/// Fails typed if two of `labels` are the same: a component's label is
+/// its key within its record.
+pub(crate) fn distinct_labels<'a>(labels: impl IntoIterator<Item = &'a str>) -> Result<(), Error> {
+    let mut seen = BTreeSet::new();
+    if labels.into_iter().all(|label| seen.insert(label)) {
+        Ok(())
+    } else {
+        Err(Error::Malformed("envelope: repeated component label"))
+    }
+}
+
 /// Seals several labelled components into one envelope.
 ///
 /// # Errors
 ///
-/// Fails on the first component that cannot be sealed.
+/// [`Error::Malformed`] if a label repeats, checked before anything is
+/// sealed; otherwise fails on the first component that cannot be
+/// sealed.
 pub fn seal_envelope<R: RngCore + ?Sized>(
     owner: &mut DataOwner,
     components: &[(&str, &[u8], &Policy)],
     rng: &mut R,
 ) -> Result<DataEnvelope, Error> {
+    distinct_labels(components.iter().map(|(label, _, _)| *label))?;
     let mut envelope = DataEnvelope::new();
     for (label, data, policy) in components {
         envelope

@@ -22,7 +22,7 @@ use mabe_math::{Fr, G1Affine, Gt};
 use mabe_policy::{AccessStructure, Attribute, AuthorityId};
 
 use crate::ciphertext::{Ciphertext, CiphertextId};
-use crate::envelope::{DataEnvelope, SealedComponent};
+use crate::envelope::{distinct_labels, DataEnvelope, SealedComponent};
 use crate::error::Error;
 use crate::ids::{OwnerId, Uid};
 use crate::keys::{AuthorityPublicKeys, OwnerSecretKey, UpdateKey, UserPublicKey, UserSecretKey};
@@ -671,6 +671,7 @@ impl WireCodec for DataEnvelope {
         for _ in 0..n {
             components.push(SealedComponent::decode(r)?);
         }
+        distinct_labels(components.iter().map(|c| c.label.as_str()))?;
         Ok(DataEnvelope { components })
     }
 }
@@ -867,6 +868,24 @@ mod tests {
             components: vec![comp],
         };
         roundtrip(&envelope);
+    }
+
+    /// A component's label is its key within its record, so an encoded
+    /// envelope that repeats one does not decode.
+    #[test]
+    fn an_envelope_with_a_repeated_label_fails_to_decode() {
+        let mut w = world();
+        let policy = parse("a@Org").unwrap();
+        let components = ["note", "other", "note"]
+            .map(|label| seal_component(&mut w.owner, label, b"x", &policy, &mut w.rng).unwrap());
+        let bytes = DataEnvelope {
+            components: components.to_vec(),
+        }
+        .to_wire_bytes();
+        assert_eq!(
+            DataEnvelope::from_wire_bytes(&bytes),
+            Err(Error::Malformed("envelope: repeated component label"))
+        );
     }
 
     #[test]

@@ -106,7 +106,7 @@ impl Default for TailEstimator {
 
 impl TailEstimator {
     /// Fresh estimator covering every kind in
-    /// [`OP_KINDS`](crate::record::OP_KINDS).
+    /// [`OP_KINDS`].
     pub fn new() -> Self {
         TailEstimator {
             counts: (0..OP_KINDS.len())

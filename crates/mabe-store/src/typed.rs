@@ -54,7 +54,8 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError, RwLock};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 use crate::compact::{CheckpointFailure, CheckpointKind};
 use crate::schema::{
@@ -77,29 +78,14 @@ struct TableData {
     rows: BTreeMap<Vec<u8>, Vec<u8>>,
 }
 
-/// An ordered, schema-addressed table set.
+/// An ordered, schema-addressed table set: the image a checkpoint
+/// writes and reopen folds.
 ///
 /// All row access is by encoded key, so iteration order is the codec's
-/// lexicographic order and `range` is a prefix scan. The keyspace is
-/// internally locked: reads take a shared lock, mutations an exclusive
-/// one. Callers that must keep mutation order aligned with journal
-/// order (the durable replay invariant) serialize externally.
-#[derive(Debug, Default)]
+/// lexicographic order and `range` is a prefix scan.
+#[derive(Clone, Debug, Default)]
 pub struct Keyspace {
-    tables: RwLock<BTreeMap<u16, TableData>>,
-}
-
-impl Clone for Keyspace {
-    fn clone(&self) -> Self {
-        Keyspace {
-            tables: RwLock::new(
-                self.tables
-                    .read()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .clone(),
-            ),
-        }
-    }
+    tables: BTreeMap<u16, TableData>,
 }
 
 impl Keyspace {
@@ -108,19 +94,10 @@ impl Keyspace {
         Keyspace::default()
     }
 
-    fn read_tables(&self) -> std::sync::RwLockReadGuard<'_, BTreeMap<u16, TableData>> {
-        self.tables.read().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn write_tables(&self) -> std::sync::RwLockWriteGuard<'_, BTreeMap<u16, TableData>> {
-        self.tables.write().unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// Registers table `T` (so snapshots carry its name even while it
     /// is empty). Idempotent.
-    pub fn register<T: Schema>(&self) {
-        let mut tables = self.write_tables();
-        let entry = tables.entry(T::ID).or_default();
+    pub fn register<T: Schema>(&mut self) {
+        let entry = self.tables.entry(T::ID).or_default();
         if entry.name.is_empty() {
             entry.name = T::NAME.to_owned();
         }
@@ -133,35 +110,26 @@ impl Keyspace {
     /// [`SchemaError`] if the stored value bytes do not decode.
     pub fn get<T: Schema>(&self, key: &T::Key) -> Result<Option<T::Value>, SchemaError> {
         let kb = T::key_bytes(key);
-        match self.read_tables().get(&T::ID).and_then(|t| t.rows.get(&kb)) {
+        match self.tables.get(&T::ID).and_then(|t| t.rows.get(&kb)) {
             Some(v) => Ok(Some(T::decode_value(v)?)),
             None => Ok(None),
         }
     }
 
-    /// The raw value bytes at `key` in table `table`, if present.
-    pub fn get_raw(&self, table: u16, key: &[u8]) -> Option<Vec<u8>> {
-        self.read_tables()
-            .get(&table)
-            .and_then(|t| t.rows.get(key))
-            .cloned()
-    }
-
     /// Whether table `T` has a row at `key`.
     pub fn contains<T: Schema>(&self, key: &T::Key) -> bool {
         let kb = T::key_bytes(key);
-        self.read_tables()
+        self.tables
             .get(&T::ID)
             .is_some_and(|t| t.rows.contains_key(&kb))
     }
 
     /// Inserts or replaces a row in table `T` (in-memory only — journal
     /// it as a [`Frame`] through [`TypedStore::stage_frames`]).
-    pub fn put<T: Schema>(&self, key: &T::Key, value: &T::Value) {
+    pub fn put<T: Schema>(&mut self, key: &T::Key, value: &T::Value) {
         let kb = T::key_bytes(key);
         let vb = T::value_bytes(value);
-        let mut tables = self.write_tables();
-        let entry = tables.entry(T::ID).or_default();
+        let entry = self.tables.entry(T::ID).or_default();
         if entry.name.is_empty() {
             entry.name = T::NAME.to_owned();
         }
@@ -170,9 +138,9 @@ impl Keyspace {
 
     /// Removes a row from table `T` (in-memory only). Returns whether
     /// the row existed.
-    pub fn delete<T: Schema>(&self, key: &T::Key) -> bool {
+    pub fn delete<T: Schema>(&mut self, key: &T::Key) -> bool {
         let kb = T::key_bytes(key);
-        self.write_tables()
+        self.tables
             .get_mut(&T::ID)
             .is_some_and(|t| t.rows.remove(&kb).is_some())
     }
@@ -195,8 +163,7 @@ impl Keyspace {
 
     /// Raw-bytes form of [`Keyspace::range`].
     pub fn range_raw(&self, table: u16, prefix: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
-        let tables = self.read_tables();
-        let Some(t) = tables.get(&table) else {
+        let Some(t) = self.tables.get(&table) else {
             return Vec::new();
         };
         t.rows
@@ -208,21 +175,20 @@ impl Keyspace {
 
     /// Number of rows in table `table` (0 if absent).
     pub fn rows(&self, table: u16) -> usize {
-        self.read_tables().get(&table).map_or(0, |t| t.rows.len())
+        self.tables.get(&table).map_or(0, |t| t.rows.len())
     }
 
     /// Total rows across all tables.
     pub fn total_rows(&self) -> usize {
-        self.read_tables().values().map(|t| t.rows.len()).sum()
+        self.tables.values().map(|t| t.rows.len()).sum()
     }
 
     /// Applies a frame batch in order: puts insert/replace, deletes
     /// remove (deleting an absent row is a no-op, so replay is
     /// idempotent at batch granularity).
-    pub fn apply(&self, frames: &[Frame]) {
-        let mut tables = self.write_tables();
+    pub fn apply(&mut self, frames: &[Frame]) {
         for frame in frames {
-            let entry = tables.entry(frame.table).or_default();
+            let entry = self.tables.entry(frame.table).or_default();
             match frame.op {
                 FrameOp::Put => {
                     entry.rows.insert(frame.key.clone(), frame.value.clone());
@@ -234,20 +200,14 @@ impl Keyspace {
         }
     }
 
-    /// Drops every row and table.
-    pub fn clear(&self) {
-        self.write_tables().clear();
-    }
-
     /// Encodes the per-table checkpoint snapshot: magic, table count,
     /// then each table (id, name, row count, rows) in id order with
     /// rows in key order — byte-stable for identical contents.
     pub fn encode_snapshot(&self) -> Vec<u8> {
-        let tables = self.read_tables();
         let mut out = Vec::new();
         out.extend_from_slice(KEYSPACE_SNAPSHOT_MAGIC);
-        out.extend_from_slice(&(tables.len() as u32).to_be_bytes());
-        for (id, table) in tables.iter() {
+        out.extend_from_slice(&(self.tables.len() as u32).to_be_bytes());
+        for (id, table) in &self.tables {
             out.extend_from_slice(&id.to_be_bytes());
             out.extend_from_slice(&(table.name.len() as u16).to_be_bytes());
             out.extend_from_slice(table.name.as_bytes());
@@ -299,9 +259,7 @@ impl Keyspace {
             }
         }
         r.expect_exhausted()?;
-        Ok(Keyspace {
-            tables: RwLock::new(tables),
-        })
+        Ok(Keyspace { tables })
     }
 }
 
@@ -413,6 +371,12 @@ struct GroupState {
 /// snapshot sections, and reopen folds both back into a [`Keyspace`].
 #[derive(Debug)]
 pub struct TypedStore<S: Storage> {
+    /// The log's counters, copied under its lock wherever the log
+    /// changes them (open, and the end of each lead), so reading one
+    /// never waits on the log.
+    generation: AtomicU64,
+    segments_live: AtomicUsize,
+    live_log_bytes: AtomicUsize,
     wal: Mutex<Wal<S>>,
     state: Mutex<GroupState>,
     cv: Condvar,
@@ -456,13 +420,13 @@ impl<S: Storage> TypedStore<S> {
         // decoded.
         let checkpoint = snapshot
             .map_or_else(|| Ok(Keyspace::new()), |b| Keyspace::decode_snapshot(&b))
-            .and_then(|keyspace| {
+            .and_then(|mut keyspace| {
                 for delta in deltas {
                     keyspace.apply(&decode_frames(&delta)?);
                 }
                 Ok(keyspace)
             });
-        let keyspace = match checkpoint {
+        let mut keyspace = match checkpoint {
             Ok(keyspace) => keyspace,
             Err(error) => {
                 return Err(TypedOpenError::Snapshot {
@@ -485,6 +449,9 @@ impl<S: Storage> TypedStore<S> {
             }
         }
         let store = TypedStore {
+            generation: AtomicU64::new(wal.generation()),
+            segments_live: AtomicUsize::new(wal.segments_live()),
+            live_log_bytes: AtomicUsize::new(wal.live_log_bytes()),
             wal: Mutex::new(wal),
             state: Mutex::default(),
             cv: Condvar::new(),
@@ -582,7 +549,7 @@ impl<S: Storage> TypedStore<S> {
     ) -> Result<CheckpointKind, CheckpointFailure> {
         let delta = |records: Vec<Vec<u8>>| fold_delta(&records, absorbed, closing);
         let full = || {
-            let ks = full();
+            let mut ks = full();
             ks.apply(closing);
             ks.encode_snapshot()
         };
@@ -628,12 +595,14 @@ impl<S: Storage> TypedStore<S> {
 
         let result = {
             let mut wal = lock_ok(&self.wal);
-            batch
+            let result = batch
                 .iter()
                 .try_for_each(|payload| wal.append(payload))
                 .and_then(|()| if batch.is_empty() { Ok(()) } else { wal.sync() })
                 .map_err(|error| CheckpointFailure { error, dirty: true })
-                .and_then(|()| then(&mut wal, batch.len()))
+                .and_then(|()| then(&mut wal, batch.len()));
+            self.note_log(&wal);
+            result
         };
 
         let mut st = lock_ok(&self.state);
@@ -644,6 +613,15 @@ impl<S: Storage> TypedStore<S> {
         }
         self.cv.notify_all();
         result.map(Some)
+    }
+
+    /// Copies the log's counters out; the caller holds the log's lock.
+    fn note_log(&self, wal: &Wal<S>) {
+        self.generation.store(wal.generation(), Ordering::Relaxed);
+        self.segments_live
+            .store(wal.segments_live(), Ordering::Relaxed);
+        self.live_log_bytes
+            .store(wal.live_log_bytes(), Ordering::Relaxed);
     }
 
     /// One scrub pass over cold segments (see [`Wal::scrub`]).
@@ -673,14 +651,16 @@ impl<S: Storage> TypedStore<S> {
         lock_ok(&self.wal).rewrite_seal(n, payload)
     }
 
-    /// Live log bytes (cold + active segments, snapshot excluded).
+    /// Live log bytes (cold + active segments, snapshot excluded), as
+    /// of the last flush or checkpoint. Never waits on the log.
     pub fn live_log_bytes(&self) -> usize {
-        lock_ok(&self.wal).live_log_bytes()
+        self.live_log_bytes.load(Ordering::Relaxed)
     }
 
-    /// Live segments the manifest currently lists.
+    /// Live segments the manifest currently lists. Never waits on the
+    /// log.
     pub fn segments_live(&self) -> usize {
-        lock_ok(&self.wal).segments_live()
+        self.segments_live.load(Ordering::Relaxed)
     }
 
     /// Sets the per-segment rotation budget (see
@@ -689,12 +669,14 @@ impl<S: Storage> TypedStore<S> {
         lock_ok(&self.wal).set_segment_budget(budget)
     }
 
-    /// The committed generation.
+    /// The committed generation. Never waits on the log.
     pub fn generation(&self) -> u64 {
-        lock_ok(&self.wal).generation()
+        self.generation.load(Ordering::Relaxed)
     }
 
-    /// The backing store, through the log's lock.
+    /// The backing store, through the log's lock: no flush, checkpoint
+    /// or other call that takes the log may run on this thread while
+    /// the guard lives.
     pub fn storage(&self) -> StoreRef<'_, S> {
         StoreRef(lock_ok(&self.wal))
     }
@@ -880,7 +862,7 @@ mod tests {
         journal(&ts, &batch(b"durable"));
         let [appends, _] = hits(&ts.storage());
         let _staged = ts.stage_frames(&batch(b"staged-only"));
-        let image = Keyspace::new();
+        let mut image = Keyspace::new();
         image.register::<Users>();
         ts.checkpoint_keyspace(&image, None).unwrap();
         assert_eq!(ts.generation(), 1);
@@ -927,7 +909,7 @@ mod tests {
         journal(&ts, &batch(b"kept"));
         journal(&ts, &batch(b"deleted"));
         let full = || {
-            let image = Keyspace::new();
+            let mut image = Keyspace::new();
             image.put::<Users>(&(format!("{:?}", b"kept"),), &b"kept".to_vec());
             image.put::<Users>(&(format!("{:?}", b"deleted"),), &b"deleted".to_vec());
             image
@@ -997,7 +979,7 @@ mod tests {
     #[test]
     fn checkpoint_snapshots_by_table_and_reopen_uses_it() {
         let ts = fresh();
-        let image = Keyspace::new();
+        let mut image = Keyspace::new();
         for frames in [
             vec![Frame::put::<Users>(&("u".into(),), &b"x".to_vec())],
             vec![Frame::put::<Grants>(
@@ -1075,7 +1057,7 @@ mod tests {
 
     #[test]
     fn keyspace_snapshot_roundtrips_and_rejects_damage() {
-        let ks = Keyspace::new();
+        let mut ks = Keyspace::new();
         ks.register::<Users>();
         ks.put::<Grants>(&("u".into(), "a".into()), &b"g".to_vec());
         ks.put::<Components>(&("x".into(), "y".into(), 3), &Vec::new());

@@ -71,7 +71,7 @@ fn seeded_disk() -> SimDisk {
 
 /// The keyspace state after applying the first `n` seeded ops.
 fn state_after(n: usize) -> Keyspace {
-    let ks = Keyspace::new();
+    let mut ks = Keyspace::new();
     for frames in seeded_ops().iter().take(n) {
         ks.apply(frames);
     }
@@ -328,7 +328,7 @@ fn range_scan_property_shuffled_inserts_yield_codec_order_and_tight_prefixes() {
     for seed in [0x1u64, 0xdead_beef, 0x5eed_cafe_f00d] {
         let mut shuffled = universe.clone();
         XorShift(seed).shuffle(&mut shuffled);
-        let ks = Keyspace::new();
+        let mut ks = Keyspace::new();
         for key in &shuffled {
             ks.put::<Components>(key, &format!("{key:?}").into_bytes());
         }

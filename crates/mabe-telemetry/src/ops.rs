@@ -91,16 +91,6 @@ pub fn thread_count(op: CryptoOp) -> u64 {
     LOCAL_OPS.with(|ops| ops[op.index()].get())
 }
 
-/// Zeroes this thread's operation counters (the global mirrors keep
-/// accumulating).
-pub fn reset_thread_counts() {
-    LOCAL_OPS.with(|ops| {
-        for cell in ops {
-            cell.set(0);
-        }
-    });
-}
-
 /// A point-in-time copy of this thread's operation counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct OpSnapshot {

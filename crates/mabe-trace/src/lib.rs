@@ -57,7 +57,7 @@ pub use span::{current_ctx, event, Span};
 /// ([`TraceEvent::OpAttr`]) to the innermost active span. The
 /// wide-event pipeline (`mabe-events`) folds these into the enclosing
 /// operation's record; without an active span (or with tracing
-/// disabled) this is a cheap no-op, like [`event`].
+/// disabled) this is a cheap no-op, like [`event()`].
 #[inline]
 pub fn op_attr(key: &'static str, value: impl Into<String>) {
     if !enabled() {
