@@ -2,13 +2,16 @@
 //!
 //! Two caches sit in front of the expensive pairing work:
 //!
-//! * **Content-key cache** — the recovered KEM element (`e(g,g)^s`) per
+//! * **Content-key cache** — the component's derived AEAD key (the
+//!   label-bound HKDF output of the recovered KEM element, no more
+//!   sensitive than that element) per
 //!   `(uid, owner, record, label, ciphertext id, component-versions)`. A
-//!   cache hit turns a read into one AEAD open instead of a full CP-ABE
-//!   decryption. The key embeds the component ciphertext's id and its
-//!   `(authority, version)` vector, so neither a republished record (new
-//!   ciphertext, new id) nor a re-encrypted component (new versions) can
-//!   be served from a stale entry — its key differs.
+//!   cache hit turns a read into one AEAD open over the stored bytes
+//!   instead of a CP-ABE decryption and a key derivation. The key embeds
+//!   the component ciphertext's id and its `(authority, version)` vector,
+//!   so neither a republished record (new ciphertext, new id) nor a
+//!   re-encrypted component (new versions) can be served from a stale
+//!   entry — its key differs.
 //! * **Update-key chain cache** — the composed
 //!   `UpdateKey(from → latest)` per `(authority, owner, from_version)`,
 //!   the per-`(authority, version)` pairing material the lazy drain and
@@ -24,14 +27,16 @@
 //! phase calls [`SystemCaches::invalidate_authority`] **under the
 //! authority shard lock, before the revocation is acknowledged**. That
 //! bumps the authority's generation counter and purges every entry
-//! mentioning the authority, so a revoked user's cached KEM dies with
-//! the ack, and its step tables with it. Readers that raced the bump
-//! are handled by the generation
-//! guard: a reader snapshots the generations of every authority in the
-//! component *before* decrypting, and the insert is dropped unless the
-//! generations are still current ([`SystemCaches::insert_content_if`]) —
-//! a decryption that started before the bump can never repopulate the
-//! cache after it.
+//! mentioning the authority, so a revoked user's cached content key
+//! dies with the ack, and its step tables with it. Readers that raced
+//! the bump are handled by the generation guard: a reader snapshots the
+//! generations of every authority in the component at its miss,
+//! *before* taking its keys and decrypting, and the insert is dropped
+//! unless the generations are still current
+//! ([`SystemCaches::insert_content_if`]) — a decryption that started
+//! before the bump can never repopulate the cache after it. So a hit
+//! needs no key view: an entry exists only while no authority in its
+//! version vector has revoked anything since its reader decrypted.
 //!
 //! Eviction is sharded tick-LRU: each shard tracks a monotonically
 //! increasing touch tick per entry and evicts the smallest tick when
@@ -47,8 +52,8 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use mabe_core::{CiphertextId, UpdateKey, UpdateTables, LINES_BREAK_EVEN};
-use mabe_math::Gt;
 use mabe_policy::AuthorityId;
+use mabe_telemetry::Counter;
 
 /// Default total entry budget for the content-key cache.
 pub(crate) const CONTENT_CACHE_CAPACITY: usize = 4096;
@@ -115,16 +120,43 @@ impl<K: Ord, V> Default for Shard<K, V> {
     }
 }
 
+/// One of a cache's hit, miss and eviction counts: the cache's own, read
+/// through [`CacheStats`], and the process-wide
+/// `mabe_cache_<what>_total{cache=…}` counter, resolved once so that
+/// counting takes no registry lookup.
+struct Count {
+    own: AtomicU64,
+    metric: Counter,
+}
+
+impl Count {
+    fn new(what: &str, cache: &str) -> Self {
+        Count {
+            own: AtomicU64::new(0),
+            metric: mabe_telemetry::global()
+                .counter(&format!("mabe_cache_{what}_total"), &[("cache", cache)]),
+        }
+    }
+
+    fn inc(&self) {
+        self.own.fetch_add(1, Ordering::Relaxed);
+        self.metric.inc();
+    }
+
+    fn get(&self) -> u64 {
+        self.own.load(Ordering::Relaxed)
+    }
+}
+
 /// A bounded sharded tick-LRU map. Shard selection hashes the key;
 /// within a shard, every access stamps a fresh tick and a full shard
 /// evicts its least-recently-stamped entry.
 struct LruCache<K, V> {
     shards: Vec<Mutex<Shard<K, V>>>,
     shard_capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    metric: &'static str,
+    hits: Count,
+    misses: Count,
+    evictions: Count,
 }
 
 impl<K: Ord + Hash + Clone, V: Clone> LruCache<K, V> {
@@ -132,10 +164,9 @@ impl<K: Ord + Hash + Clone, V: Clone> LruCache<K, V> {
         LruCache {
             shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
             shard_capacity: capacity.div_ceil(SHARDS).max(1),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            metric,
+            hits: Count::new("hits", metric),
+            misses: Count::new("misses", metric),
+            evictions: Count::new("evictions", metric),
         }
     }
 
@@ -152,17 +183,11 @@ impl<K: Ord + Hash + Clone, V: Clone> LruCache<K, V> {
         match shard.rows.get_mut(key) {
             Some(entry) => {
                 entry.tick = tick;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                mabe_telemetry::global()
-                    .counter("mabe_cache_hits_total", &[("cache", self.metric)])
-                    .inc();
+                self.hits.inc();
                 Some(entry.value.clone())
             }
             None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                mabe_telemetry::global()
-                    .counter("mabe_cache_misses_total", &[("cache", self.metric)])
-                    .inc();
+                self.misses.inc();
                 None
             }
         }
@@ -182,10 +207,7 @@ impl<K: Ord + Hash + Clone, V: Clone> LruCache<K, V> {
                 .map(|(k, _)| k.clone())
             {
                 shard.rows.remove(&victim);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-                mabe_telemetry::global()
-                    .counter("mabe_cache_evictions_total", &[("cache", self.metric)])
-                    .inc();
+                self.evictions.inc();
             }
         }
         shard.rows.insert(key, Entry { value, tick });
@@ -198,11 +220,7 @@ impl<K: Ord + Hash + Clone, V: Clone> LruCache<K, V> {
     }
 
     fn counters(&self) -> (u64, u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-            self.evictions.load(Ordering::Relaxed),
-        )
+        (self.hits.get(), self.misses.get(), self.evictions.get())
     }
 }
 
@@ -306,7 +324,7 @@ pub(crate) enum StepUse {
 /// tables, and the per-authority generation counters that guard
 /// insertion.
 pub(crate) struct SystemCaches {
-    content: LruCache<ContentCacheKey, Gt>,
+    content: LruCache<ContentCacheKey, [u8; 32]>,
     chains: LruCache<(String, String, u64), UpdateKey>,
     steps: Mutex<StepCache>,
     step_table_builds: AtomicU64,
@@ -351,18 +369,20 @@ impl SystemCaches {
         .collect()
     }
 
-    pub(crate) fn get_content(&self, key: &ContentCacheKey) -> Option<Gt> {
+    /// The cached content key of one reader's component.
+    pub(crate) fn get_content(&self, key: &ContentCacheKey) -> Option<[u8; 32]> {
         self.content.get(key)
     }
 
-    /// Inserts a recovered KEM element unless any involved authority's
-    /// generation moved since `snapshot` was taken (i.e. a revocation
-    /// began mid-decryption — the entry could be stale, drop it).
+    /// Inserts a component's content key unless any involved
+    /// authority's generation moved since `snapshot` was taken (i.e. a
+    /// revocation began mid-decryption — the entry could be stale, drop
+    /// it).
     pub(crate) fn insert_content_if(
         &self,
         snapshot: &[(String, u64)],
         key: ContentCacheKey,
-        kem: Gt,
+        content_key: [u8; 32],
     ) {
         {
             let gens = self.generations.lock();
@@ -375,7 +395,7 @@ impl SystemCaches {
             // check above failed) or will run after (its purge removes
             // this entry). No window remains where a stale entry
             // survives a bump.
-            self.content.insert(key, kem);
+            self.content.insert(key, content_key);
         }
     }
 
@@ -525,16 +545,13 @@ mod tests {
         let snap = caches.generation_snapshot(std::iter::once(&aid));
         // A revocation begins between the snapshot and the insert.
         caches.invalidate_authority(&aid);
-        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(7);
-        let kem = Gt::random(&mut rng);
         let k = key("alice", &[(&aid.to_string(), 1)]);
-        caches.insert_content_if(&snap, k.clone(), kem);
+        caches.insert_content_if(&snap, k.clone(), [7; 32]);
         assert!(caches.get_content(&k).is_none(), "stale insert dropped");
         // A fresh snapshot inserts fine.
         let snap = caches.generation_snapshot(std::iter::once(&aid));
-        let kem = Gt::random(&mut rng);
-        caches.insert_content_if(&snap, k.clone(), kem);
-        assert!(caches.get_content(&k).is_some());
+        caches.insert_content_if(&snap, k.clone(), [8; 32]);
+        assert_eq!(caches.get_content(&k), Some([8; 32]));
         // And the next bump purges it.
         caches.invalidate_authority(&aid);
         assert!(caches.get_content(&k).is_none(), "bump purges entries");

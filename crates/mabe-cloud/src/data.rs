@@ -9,13 +9,15 @@
 //! graceful degradation the paper's semi-trusted-server model wants.
 //!
 //! Both reads run one loop, [`CloudSystem::serve_read`]: fetch →
-//! read-triggered upgrade → key view → open → bounded retry → audit.
-//! Only the open step differs and is passed in as an [`OpenStep`]:
-//! [`LocalOpen`] (content-key cache plus `decrypt_fast`, with the
-//! reader's `PK_UID` lines once it has taken
-//! [`mabe_core::LINES_BREAK_EVEN`] cache misses) for
+//! read-triggered upgrade → cache lookup → key view → open → bounded
+//! retry → audit. The fetch is the server's shared snapshot of the
+//! record, never a copy. Only the lookup and open steps differ and are
+//! passed in as an [`OpenStep`]: [`LocalOpen`] (content-key cache, then
+//! `decrypt_fast` on a miss, with the reader's `PK_UID` lines once it
+//! has taken [`mabe_core::LINES_BREAK_EVEN`] cache misses) for
 //! [`CloudSystem::read`], [`OutsourcedOpen`] (transform key plus
-//! `server_transform`) for [`CloudSystem::read_outsourced`].
+//! `server_transform`) for [`CloudSystem::read_outsourced`]. A
+//! content-key hit is one AEAD open: it takes no key view.
 //!
 //! Every re-encryption worklist (the eager phase, recovery and the lazy
 //! drain) runs through one driver, [`CloudSystem::drive_worklist`]. It
@@ -30,13 +32,14 @@
 //! upgrade takes its step's tables from the step-table cache.
 
 use std::collections::BTreeMap;
+use std::ops::{ControlFlow, Deref};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use mabe_core::{
-    open_component_with_kem, seal_envelope, CiphertextId, Error, OwnerId, Refresh, SealedComponent,
-    Uid, UpdateInfo, UpdateKey, UpdateTables, UserPublicKey, UserSecretKey, WithTables,
-    LINES_BREAK_EVEN,
+    content_key, open_component_with_kem, open_component_with_key, seal_envelope, CiphertextId,
+    DataEnvelope, Error, OwnerId, Refresh, SealedComponent, Uid, UpdateInfo, UpdateKey,
+    UpdateTables, UserPublicKey, UserSecretKey, WithTables, LINES_BREAK_EVEN,
 };
 use mabe_math::FixedPairing;
 use mabe_policy::{parse, AuthorityId, Policy};
@@ -92,6 +95,21 @@ struct KeyView {
     lines: Option<Arc<FixedPairing>>,
 }
 
+/// One component as a read holds it: the server's shared snapshot of
+/// its record and the component's place in it.
+struct Fetched {
+    envelope: Arc<DataEnvelope>,
+    index: usize,
+}
+
+impl Deref for Fetched {
+    type Target = SealedComponent;
+
+    fn deref(&self) -> &SealedComponent {
+        &self.envelope.components[self.index]
+    }
+}
+
 /// Who reads which component.
 struct ReadAt<'a> {
     uid: &'a Uid,
@@ -100,10 +118,14 @@ struct ReadAt<'a> {
     label: &'a str,
 }
 
-/// The step of a read that differs between [`CloudSystem::read`] and
+/// The steps of a read that differ between [`CloudSystem::read`] and
 /// [`CloudSystem::read_outsourced`]; [`CloudSystem::serve_read`] runs
-/// the loop around it.
+/// the loop around them.
 trait OpenStep {
+    /// What a pass that [`Self::lookup`] could not serve hands on to
+    /// [`Self::open`].
+    type Miss;
+
     /// The reader's download of the component: once per read, ahead of
     /// any upgrade.
     fn download(
@@ -115,10 +137,21 @@ trait OpenStep {
         Ok(())
     }
 
-    /// Runs between the read-triggered upgrade and the key-view clone:
-    /// the window in which a revocation landing puts the reader's key
-    /// ahead of the component. Serving paths do nothing here; the race
-    /// tests land revocations in it.
+    /// Serves the component without the reader's keys if it can, once
+    /// per pass, after the read-triggered upgrade: `Break` ends the pass
+    /// with its outcome, `Continue` goes on to the key view and
+    /// [`Self::open`].
+    fn lookup(
+        &mut self,
+        sys: &CloudSystem,
+        at: &ReadAt<'_>,
+        component: &SealedComponent,
+    ) -> ControlFlow<Result<Vec<u8>, Error>, Self::Miss>;
+
+    /// Runs between a missed lookup and the key-view clone: the window
+    /// in which a revocation landing puts the reader's key ahead of the
+    /// component. Serving paths do nothing here; the race tests land
+    /// revocations in it.
     fn before_key_view(&mut self, _sys: &CloudSystem) {}
 
     /// Opens `component` with the reader's key view.
@@ -128,6 +161,7 @@ trait OpenStep {
         at: &ReadAt<'_>,
         component: &SealedComponent,
         view: &KeyView,
+        miss: Self::Miss,
     ) -> Result<Vec<u8>, Error>;
 }
 
@@ -136,6 +170,10 @@ trait OpenStep {
 struct LocalOpen;
 
 impl OpenStep for LocalOpen {
+    /// The pass's cache key and the generations its insert is guarded
+    /// by.
+    type Miss = (ContentCacheKey, Vec<(String, u64)>);
+
     fn download(
         &mut self,
         sys: &CloudSystem,
@@ -155,24 +193,22 @@ impl OpenStep for LocalOpen {
         )
     }
 
-    fn open(
+    fn lookup(
         &mut self,
         sys: &CloudSystem,
         at: &ReadAt<'_>,
         component: &SealedComponent,
-        view: &KeyView,
-    ) -> Result<Vec<u8>, Error> {
-        // Hot-key cache: the recovered KEM element per (reader,
+    ) -> ControlFlow<Result<Vec<u8>, Error>, Self::Miss> {
+        // Hot-key cache: the component's content key per (reader,
         // component, ciphertext, exact version vector). A hit skips the
-        // CP-ABE pairing work entirely; republishing the record changes
-        // the ciphertext id and any re-encryption changes the version
-        // vector, either way the key, so stale hits are structurally
-        // impossible, and the generation guard keeps a decryption
-        // racing a revocation's bump from repopulating the cache
-        // afterwards.
+        // key view and the CP-ABE work entirely; republishing the record
+        // changes the ciphertext id and any re-encryption changes the
+        // version vector, either way the key, so stale hits are
+        // structurally impossible, and a revocation purges its
+        // authority's entries before it is acknowledged.
         let cache_key = ContentCacheKey {
-            uid: at.uid.to_string(),
-            owner: at.owner.to_string(),
+            uid: at.uid.as_str().to_owned(),
+            owner: at.owner.as_str().to_owned(),
             record: at.record.to_owned(),
             label: at.label.to_owned(),
             ciphertext: component.key_ct.id,
@@ -180,24 +216,39 @@ impl OpenStep for LocalOpen {
                 .key_ct
                 .versions
                 .iter()
-                .map(|(a, v)| (a.to_string(), *v))
+                .map(|(a, v)| (a.as_str().to_owned(), *v))
                 .collect(),
         };
-        if let Some(kem) = sys.cache.get_content(&cache_key) {
-            return open_component_with_kem(component, &kem);
+        match sys.cache.get_content(&cache_key) {
+            Some(key) => ControlFlow::Break(open_component_with_key(component, &key)),
+            // Snapshotted before the key view, so a revocation's bump
+            // anywhere from here to the insert drops the insert.
+            None => ControlFlow::Continue((
+                cache_key,
+                sys.cache
+                    .generation_snapshot(component.key_ct.versions.keys()),
+            )),
         }
-        let snapshot = sys
-            .cache
-            .generation_snapshot(component.key_ct.versions.keys());
+    }
+
+    fn open(
+        &mut self,
+        sys: &CloudSystem,
+        at: &ReadAt<'_>,
+        component: &SealedComponent,
+        view: &KeyView,
+        (cache_key, snapshot): Self::Miss,
+    ) -> Result<Vec<u8>, Error> {
         let lines = match &view.lines {
             Some(lines) => Some(Arc::clone(lines)),
             None => sys.count_cold_read(at.uid),
         };
         let pk = WithTables::new(&view.pk, lines.as_deref());
         let kem = mabe_core::decrypt_fast(&component.key_ct, pk, &view.keys)?;
-        let out = open_component_with_kem(component, &kem);
+        let key = content_key(&kem, &component.label);
+        let out = open_component_with_key(component, &key);
         if out.is_ok() {
-            sys.cache.insert_content_if(&snapshot, cache_key, kem);
+            sys.cache.insert_content_if(&snapshot, cache_key, key);
         }
         out
     }
@@ -209,12 +260,25 @@ impl OpenStep for LocalOpen {
 struct OutsourcedOpen;
 
 impl OpenStep for OutsourcedOpen {
+    type Miss = ();
+
+    /// Nothing is cached: every pass transforms.
+    fn lookup(
+        &mut self,
+        _sys: &CloudSystem,
+        _at: &ReadAt<'_>,
+        _component: &SealedComponent,
+    ) -> ControlFlow<Result<Vec<u8>, Error>> {
+        ControlFlow::Continue(())
+    }
+
     fn open(
         &mut self,
         sys: &CloudSystem,
         at: &ReadAt<'_>,
         component: &SealedComponent,
         view: &KeyView,
+        (): (),
     ) -> Result<Vec<u8>, Error> {
         let (tk, rk) = mabe_core::make_transform_key(&view.pk, &view.keys, &mut *sys.rng.lock())?;
         // The blinded key travels to the server (same element count as
@@ -304,7 +368,7 @@ impl CloudSystem {
             &format!("record {record}"),
             envelope.stored_size(),
         )?;
-        self.data.server.store(owner_id.clone(), record, envelope);
+        self.data.server.store(owner_id.clone(), record, envelope)?;
         // A publish whose seal raced a revocation may have landed at the
         // pre-bump version *after* the eager worklist stopped looking.
         // Heal inline from the update-key archive, best-effort: anything
@@ -366,8 +430,9 @@ impl CloudSystem {
         self.serve_read(uid, owner_id, record, label, &mut OutsourcedOpen)
     }
 
-    /// The one read loop: fetch → read-triggered upgrade → key view →
-    /// open → bounded retry, then one audit record of the outcome.
+    /// The one read loop: fetch → read-triggered upgrade → lookup → key
+    /// view → open → bounded retry, then one audit record of the
+    /// outcome. A lookup that serves the pass skips the key view.
     /// Failures before the policy decision (unknown user, record or
     /// component; a lost download; a failed upgrade) return unaudited.
     fn serve_read(
@@ -408,9 +473,15 @@ impl CloudSystem {
                 // Last iteration wins: the version actually served.
                 mabe_trace::op_attr("key_version_served", v.to_string());
             }
-            step.before_key_view(self);
-            let view = self.key_view(at.uid, at.owner);
-            match step.open(self, at, &component, &view) {
+            let served = match step.lookup(self, at, &component) {
+                ControlFlow::Break(hit) => hit,
+                ControlFlow::Continue(miss) => {
+                    step.before_key_view(self);
+                    let view = self.key_view(at.uid, at.owner);
+                    step.open(self, at, &component, &view, miss)
+                }
+            };
+            match served {
                 // The key view and the component straddle a revocation
                 // at `authority`: the key lags a bump whose delivery is
                 // still in flight, or a bump landed between the upgrade
@@ -436,32 +507,50 @@ impl CloudSystem {
         Ok(result?)
     }
 
-    /// One stored component, fetched from the server.
+    /// One stored component, in the server's snapshot of its record.
     fn fetch_component(
         &self,
         owner_id: &OwnerId,
         record: &str,
         label: &str,
-    ) -> Result<SealedComponent, CloudError> {
-        self.data
+    ) -> Result<Fetched, CloudError> {
+        let envelope = self
+            .data
             .server
             .fetch(owner_id, record)
-            .ok_or_else(|| CloudError::UnknownRecord(record.to_owned()))?
+            .ok_or_else(|| CloudError::UnknownRecord(record.to_owned()))?;
+        let index = envelope
             .components
-            .into_iter()
-            .find(|c| c.label == label)
-            .ok_or_else(|| CloudError::UnknownComponent(label.to_owned()))
+            .iter()
+            .position(|c| c.label == label)
+            .ok_or_else(|| CloudError::UnknownComponent(label.to_owned()))?;
+        Ok(Fetched { envelope, index })
     }
 
-    /// A reader's key view for one owner's records, under a short read
-    /// lock.
+    /// The keys `uid` holds for `owner_id`'s records, as a read that
+    /// misses the content-key cache opens with them: its public key and
+    /// its secret key at each authority. `None` for an unknown user.
+    pub fn user_keys(
+        &self,
+        uid: &Uid,
+        owner_id: &OwnerId,
+    ) -> Option<(UserPublicKey, BTreeMap<AuthorityId, UserSecretKey>)> {
+        let KeyView { pk, keys, .. } = self.try_key_view(uid, owner_id)?;
+        Some((pk, keys))
+    }
+
+    /// A reader's key view for one owner's records.
     fn key_view(&self, uid: &Uid, owner_id: &OwnerId) -> KeyView {
+        self.try_key_view(uid, owner_id)
+            .expect("reader checked before the loop")
+    }
+
+    /// A user's key view for one owner's records, under a short read
+    /// lock.
+    fn try_key_view(&self, uid: &Uid, owner_id: &OwnerId) -> Option<KeyView> {
         let users = self.directory.users.read();
-        let state = users
-            .users
-            .get(uid)
-            .expect("reader checked before the loop");
-        KeyView {
+        let state = users.users.get(uid)?;
+        Some(KeyView {
             pk: state.pk.clone(),
             keys: state
                 .keys
@@ -470,7 +559,7 @@ impl CloudSystem {
                 .map(|((_, aid), key)| (aid.clone(), key.clone()))
                 .collect(),
             lines: state.lines.get().cloned(),
-        }
+        })
     }
 
     /// Counts one content-key cache miss of `uid`'s reads. At the
@@ -954,6 +1043,8 @@ mod tests {
     }
 
     impl OpenStep for RevokeInWindow {
+        type Miss = <LocalOpen as OpenStep>::Miss;
+
         fn download(
             &mut self,
             sys: &CloudSystem,
@@ -961,6 +1052,15 @@ mod tests {
             component: &SealedComponent,
         ) -> Result<(), CloudError> {
             LocalOpen.download(sys, at, component)
+        }
+
+        fn lookup(
+            &mut self,
+            sys: &CloudSystem,
+            at: &ReadAt<'_>,
+            component: &SealedComponent,
+        ) -> ControlFlow<Result<Vec<u8>, Error>, Self::Miss> {
+            LocalOpen.lookup(sys, at, component)
         }
 
         fn before_key_view(&mut self, sys: &CloudSystem) {
@@ -975,8 +1075,9 @@ mod tests {
             at: &ReadAt<'_>,
             component: &SealedComponent,
             view: &KeyView,
+            miss: Self::Miss,
         ) -> Result<Vec<u8>, Error> {
-            LocalOpen.open(sys, at, component, view)
+            LocalOpen.open(sys, at, component, view, miss)
         }
     }
 
@@ -1071,7 +1172,10 @@ mod tests {
             .get_mut(&owner)
             .unwrap()
             .adopt_record(republished, s, attributes);
-        sys.data.server.store(owner.clone(), "r0", envelope.clone());
+        sys.data
+            .server
+            .store(owner.clone(), "r0", envelope.clone())
+            .unwrap();
 
         let (r0, r0_prepared) = (&worklist[0], &prepared[0]);
         let refresh = r0_prepared.as_ref().unwrap().refresh.as_ref().unwrap();

@@ -798,7 +798,9 @@ mod tests {
             &mut *sys.rng.lock(),
         )
         .unwrap();
-        sys.server().store(owner.clone(), "rec-b", envelope);
+        sys.server()
+            .store(owner.clone(), "rec-b", envelope)
+            .unwrap();
         // Swap the stale owner in, then advance it with the archived
         // update key so its history spans both versions (exactly the
         // state the real owner is in after the immediate phase).

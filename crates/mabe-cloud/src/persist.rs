@@ -1521,6 +1521,37 @@ mod tests {
         every_mutator_world(&unchecked(54), reopens_to_itself);
     }
 
+    /// A publish that fails on its second component (an attribute no
+    /// authority manages) journals nothing, and leaves the live system
+    /// as the journal alone rebuilds it: the first component's record
+    /// is not adopted and the owner's id counter has not moved.
+    #[test]
+    fn a_publish_failing_on_a_later_component_leaves_the_live_state_as_journaled() {
+        let (ds, _, _, owner, _) = full_world(unchecked(61));
+        let next_id = |ds: &DurableSystem<SimDisk>| {
+            ds.system().directory.owners.read()[&owner].next_ciphertext_id()
+        };
+        let before = next_id(&ds);
+        let failed = ds.publish(
+            &owner,
+            "rec-x",
+            &[
+                ("a", b"sealable".as_slice(), DOC_POLICY),
+                ("b", b"unsealable".as_slice(), "Ghost@MedOrg"),
+            ],
+        );
+        assert!(
+            matches!(
+                failed,
+                Err(CloudError::Core(Error::MissingPublicAttributeKey(_)))
+            ),
+            "{failed:?}"
+        );
+        assert_eq!(next_id(&ds), before, "no ciphertext id was spent");
+        assert!(ds.system().server().fetch(&owner, "rec-x").is_none());
+        reopens_to_itself(&ds, "a publish failing on its second component");
+    }
+
     /// A fresh store that checkpoints after every journaled op, so each
     /// step of a world ends in an automatic checkpoint.
     fn checkpointing_every_op(seed: u64) -> DurableSystem<SimDisk> {

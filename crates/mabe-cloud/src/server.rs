@@ -7,11 +7,15 @@
 //! proxy re-encryption keeps it unable to decrypt.
 //!
 //! Storage is behind a [`parking_lot::RwLock`] so many simulated users
-//! can fetch concurrently. Re-encryption computes its pairing with no
-//! lock held ([`CloudServer::prepare_reencryption`]) and takes the write
-//! lock only to apply it ([`CloudServer::apply_reencryption`]).
+//! can fetch concurrently. Each record is a shared, immutable snapshot
+//! (`Arc<DataEnvelope>`): a fetch hands out the snapshot, and a write
+//! replaces it — copying it first only while a reader still holds it.
+//! Re-encryption computes its pairing with no lock held
+//! ([`CloudServer::prepare_reencryption`]) and takes the write lock only
+//! to apply it ([`CloudServer::apply_reencryption`]).
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use parking_lot::RwLock;
 
@@ -27,7 +31,7 @@ pub type RecordKey = (OwnerId, String);
 /// The cloud storage server.
 #[derive(Debug, Default)]
 pub struct CloudServer {
-    records: RwLock<BTreeMap<RecordKey, DataEnvelope>>,
+    records: RwLock<BTreeMap<RecordKey, Arc<DataEnvelope>>>,
 }
 
 impl CloudServer {
@@ -36,16 +40,32 @@ impl CloudServer {
         Self::default()
     }
 
-    /// Stores (or replaces) a record.
-    pub fn store(&self, owner: OwnerId, name: impl Into<String>, envelope: DataEnvelope) {
+    /// Stores (or replaces) a record. Snapshots fetched before keep the
+    /// record as it was.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Malformed`] if two components share a label
+    /// ([`DataEnvelope::check_labels`]); nothing is stored.
+    pub fn store(
+        &self,
+        owner: OwnerId,
+        name: impl Into<String>,
+        envelope: DataEnvelope,
+    ) -> Result<(), Error> {
         let _span = mabe_telemetry::Span::with_labels("mabe_server_op", &[("op", "store")]);
         let _trace = mabe_trace::Span::child("server.store");
-        self.records.write().insert((owner, name.into()), envelope);
+        envelope.check_labels()?;
+        self.records
+            .write()
+            .insert((owner, name.into()), Arc::new(envelope));
+        Ok(())
     }
 
-    /// Fetches a record (clone — the server hands out bytes, it does not
-    /// share memory with clients).
-    pub fn fetch(&self, owner: &OwnerId, name: &str) -> Option<DataEnvelope> {
+    /// Fetches a record: the server's shared snapshot of it, which no
+    /// later store or re-encryption changes — those write a new
+    /// envelope in its place.
+    pub fn fetch(&self, owner: &OwnerId, name: &str) -> Option<Arc<DataEnvelope>> {
         let _span = mabe_telemetry::Span::with_labels("mabe_server_op", &[("op", "fetch")]);
         let _trace = mabe_trace::Span::child("server.fetch");
         self.records
@@ -64,7 +84,7 @@ impl CloudServer {
         self.records
             .read()
             .values()
-            .map(DataEnvelope::stored_size)
+            .map(|envelope| envelope.stored_size())
             .sum()
     }
 
@@ -117,13 +137,13 @@ impl CloudServer {
     /// journal and checkpoint walks.
     pub(crate) fn with_records<R>(
         &self,
-        f: impl FnOnce(&BTreeMap<RecordKey, DataEnvelope>) -> R,
+        f: impl FnOnce(&BTreeMap<RecordKey, Arc<DataEnvelope>>) -> R,
     ) -> R {
         f(&self.records.read())
     }
 
     /// A server holding `records` (the durable-open path).
-    pub(crate) fn from_records(records: BTreeMap<RecordKey, DataEnvelope>) -> Self {
+    pub(crate) fn from_records(records: BTreeMap<RecordKey, Arc<DataEnvelope>>) -> Self {
         CloudServer {
             records: RwLock::new(records),
         }
@@ -179,7 +199,8 @@ impl CloudServer {
     /// The apply half of `ReEncrypt` on one stored component, under the
     /// records write lock: validates the component as it stands, then
     /// multiplies `refresh` and `ui` in. Two group multiplications per
-    /// row; no pairing.
+    /// row; no pairing. The envelope is copied first only while a reader
+    /// still holds its snapshot.
     ///
     /// # Errors
     ///
@@ -197,18 +218,22 @@ impl CloudServer {
         let _span = mabe_telemetry::Span::with_labels("mabe_server_op", &[("op", "reencrypt")]);
         let _trace = mabe_trace::Span::child("server.reencrypt");
         let mut records = self.records.write();
-        let component = records
+        let envelope = records
             .get_mut(record)
-            .ok_or(Error::Malformed("unknown record"))?
+            .ok_or(Error::Malformed("unknown record"))?;
+        if envelope.component(label).is_none() {
+            return Err(Error::Malformed("unknown component"));
+        }
+        let component = Arc::make_mut(envelope)
             .component_mut(label)
-            .ok_or(Error::Malformed("unknown component"))?;
+            .expect("checked above");
         apply_reencryption(&mut component.key_ct, uk, ui, refresh)
     }
 }
 
 /// One stored component, or the error naming what is missing.
 fn stored_component<'a>(
-    records: &'a BTreeMap<RecordKey, DataEnvelope>,
+    records: &'a BTreeMap<RecordKey, Arc<DataEnvelope>>,
     record: &RecordKey,
     label: &str,
 ) -> Result<&'a SealedComponent, Error> {
@@ -227,7 +252,9 @@ mod tests {
     fn store_fetch_roundtrip() {
         let server = CloudServer::new();
         let owner = OwnerId::new("o");
-        server.store(owner.clone(), "record-1", DataEnvelope::new());
+        server
+            .store(owner.clone(), "record-1", DataEnvelope::new())
+            .unwrap();
         assert_eq!(server.record_count(), 1);
         assert!(server.fetch(&owner, "record-1").is_some());
         assert!(server.fetch(&owner, "missing").is_none());
@@ -246,7 +273,9 @@ mod tests {
         use std::sync::Arc;
         let server = Arc::new(CloudServer::new());
         let owner = OwnerId::new("o");
-        server.store(owner.clone(), "r", DataEnvelope::new());
+        server
+            .store(owner.clone(), "r", DataEnvelope::new())
+            .unwrap();
         let handles: Vec<_> = (0..8)
             .map(|_| {
                 let server = Arc::clone(&server);
@@ -283,8 +312,10 @@ mod tests {
             seal_envelope(&mut owner, &[("x", b"persisted", &policy)], &mut rng).unwrap();
 
         let server = CloudServer::new();
-        server.store(owner.id().clone(), "rec", envelope);
-        server.store(owner.id().clone(), "empty", DataEnvelope::new());
+        server.store(owner.id().clone(), "rec", envelope).unwrap();
+        server
+            .store(owner.id().clone(), "empty", DataEnvelope::new())
+            .unwrap();
 
         // Each record as a `Records` row holds it: envelope wire bytes.
         let records = server.with_records(|records| {
@@ -292,8 +323,8 @@ mod tests {
                 .iter()
                 .map(|(key, envelope)| {
                     let decoded = DataEnvelope::from_wire_bytes(&envelope.to_wire_bytes()).unwrap();
-                    assert_eq!(&decoded, envelope);
-                    (key.clone(), decoded)
+                    assert_eq!(&decoded, &**envelope);
+                    (key.clone(), Arc::new(decoded))
                 })
                 .collect()
         });
@@ -396,6 +427,59 @@ mod tests {
             server.records_for_authority(&lab),
             keys(&[(&first, "r1"), (&first, "r2"), (&first, "r3")])
         );
+    }
+
+    /// An envelope that repeats a component label is refused, as the
+    /// wire decode refuses it, and so never reaches a re-encryption
+    /// worklist: stored, its second `note` would fail every apply with a
+    /// ciphertext mismatch and spin the next eager revocation's passes.
+    #[test]
+    fn a_repeated_label_is_refused_and_the_next_eager_revocation_ends() {
+        use std::sync::mpsc::{channel, RecvTimeoutError};
+        use std::time::Duration;
+
+        let (tx, rx) = channel();
+        let probe = std::thread::spawn(move || {
+            let sys = crate::CloudSystem::new(2626);
+            sys.add_authority("MedOrg", &["Doctor"]).unwrap();
+            let owner = sys.add_owner("hospital").unwrap();
+            let [alice, bob] = ["alice", "bob"].map(|n| sys.add_user(n).unwrap());
+            for uid in [&alice, &bob] {
+                sys.grant(uid, &["Doctor@MedOrg"]).unwrap();
+            }
+            for (record, data) in [("one", b"1"), ("two", b"2")] {
+                sys.publish(
+                    &owner,
+                    record,
+                    &[("note", data.as_slice(), "Doctor@MedOrg")],
+                )
+                .unwrap();
+            }
+            let server = sys.server();
+            let mut dup = DataEnvelope::clone(&server.fetch(&owner, "one").unwrap());
+            let two = server.fetch(&owner, "two").unwrap();
+            dup.components.push(two.components[0].clone());
+            let stored = server.store(owner.clone(), "dup", dup);
+            let listed = server.fetch(&owner, "dup").is_some();
+            let revoked = sys.revoke(&alice, "Doctor@MedOrg");
+            let read = sys.read(&bob, &owner, "one", "note");
+            tx.send((stored, listed, revoked.is_ok(), read.ok()))
+                .unwrap();
+        });
+        let got = rx.recv_timeout(Duration::from_secs(30));
+        assert!(
+            !matches!(got, Err(RecvTimeoutError::Timeout)),
+            "the eager revocation did not end"
+        );
+        probe.join().expect("the probe panicked");
+        let (stored, listed, revoked, read) = got.expect("the probe sent its outcome");
+        assert_eq!(
+            stored,
+            Err(Error::Malformed("envelope: repeated component label"))
+        );
+        assert!(!listed, "nothing was stored");
+        assert!(revoked);
+        assert_eq!(read.as_deref(), Some(b"1".as_slice()));
     }
 
     #[test]

@@ -1084,7 +1084,8 @@ pub(crate) fn hydrate(
 
     let mut records = BTreeMap::new();
     for ((owner, record), value) in rows::<Records>(ks, &[])? {
-        records.insert((OwnerId::new(owner), record), wire::<DataEnvelope>(&value)?);
+        let envelope = wire::<DataEnvelope>(&value)?;
+        records.insert((OwnerId::new(owner), record), Arc::new(envelope));
     }
     sys.data.server = Arc::new(CloudServer::from_records(records));
 

@@ -305,7 +305,7 @@ fn run_scenario(seed: u64, lazy: bool) {
             let bytes = envelope.to_wire_bytes();
             assert_eq!(
                 DataEnvelope::from_wire_bytes(&bytes).as_ref(),
-                Ok(&envelope),
+                Ok(&*envelope),
                 "seed {seed}: an envelope failed to round-trip"
             );
             bytes

@@ -16,10 +16,10 @@ use mabe_crypto::{aead, hkdf};
 use mabe_math::Gt;
 use mabe_policy::{AccessStructure, AuthorityId, Policy};
 
-use crate::ciphertext::{decrypt_fast, Ciphertext};
+use crate::ciphertext::{decrypt_fast, Ciphertext, CiphertextId};
 use crate::error::Error;
 use crate::keys::{UserPublicKey, UserSecretKey};
-use crate::owner::DataOwner;
+use crate::owner::{DataOwner, EncryptionRecord};
 
 const ENVELOPE_SALT: &[u8] = b"mabe-envelope-v1";
 
@@ -75,12 +75,50 @@ impl DataEnvelope {
             .map(SealedComponent::stored_size)
             .sum()
     }
+
+    /// Fails typed if two components share a label, as the wire decode
+    /// and [`seal_envelope`] do.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Malformed`] if a label repeats.
+    pub fn check_labels(&self) -> Result<(), Error> {
+        distinct_labels(self.components.iter().map(|c| c.label.as_str()))
+    }
 }
 
-fn content_key_from(kem: &Gt, label: &str) -> [u8; 32] {
+/// The AEAD key of a component: HKDF-SHA-256 of its KEM element, bound
+/// to its label. A reader that keeps it opens the component again with
+/// one AEAD open ([`open_component_with_key`]) and no CP-ABE work.
+pub fn content_key(kem: &Gt, label: &str) -> [u8; 32] {
     let mut key = [0u8; 32];
     hkdf::derive(ENVELOPE_SALT, &kem.to_bytes(), label.as_bytes(), &mut key);
     key
+}
+
+/// Seals one data component as ciphertext `id` of `owner`: fresh KEM
+/// element → CP-ABE wrap → AEAD seal. The owner retains nothing; the
+/// record it must adopt comes back beside the component.
+fn seal_as<R: RngCore + ?Sized>(
+    owner: &mut DataOwner,
+    id: CiphertextId,
+    (label, data, policy): (&str, &[u8], &Policy),
+    rng: &mut R,
+) -> Result<(SealedComponent, EncryptionRecord), Error> {
+    let access = AccessStructure::from_policy(policy)?;
+    let kem = Gt::random(rng);
+    let (key_ct, record) = owner.encrypt_as(id, &kem, &access, rng)?;
+    let key = content_key(&kem, label);
+    let mut nonce = [0u8; 12];
+    rng.fill_bytes(&mut nonce);
+    let sealed = aead::seal(&key, &nonce, label.as_bytes(), data);
+    let component = SealedComponent {
+        label: label.to_owned(),
+        key_ct,
+        nonce,
+        sealed,
+    };
+    Ok((component, record))
 }
 
 /// Seals one data component: fresh KEM element → CP-ABE wrap → AEAD seal.
@@ -96,19 +134,10 @@ pub fn seal_component<R: RngCore + ?Sized>(
     policy: &Policy,
     rng: &mut R,
 ) -> Result<SealedComponent, Error> {
-    let access = AccessStructure::from_policy(policy)?;
-    let kem = Gt::random(rng);
-    let key_ct = owner.encrypt_under(&kem, &access, rng)?;
-    let key = content_key_from(&kem, label);
-    let mut nonce = [0u8; 12];
-    rng.fill_bytes(&mut nonce);
-    let sealed = aead::seal(&key, &nonce, label.as_bytes(), data);
-    Ok(SealedComponent {
-        label: label.to_owned(),
-        key_ct,
-        nonce,
-        sealed,
-    })
+    let id = owner.next_ciphertext_id();
+    let (component, record) = seal_as(owner, id, (label, data, policy), rng)?;
+    owner.adopt_record(id, record.s, record.attributes);
+    Ok(component)
 }
 
 /// Fails typed if two of `labels` are the same: a component's label is
@@ -122,7 +151,11 @@ pub(crate) fn distinct_labels<'a>(labels: impl IntoIterator<Item = &'a str>) -> 
     }
 }
 
-/// Seals several labelled components into one envelope.
+/// Seals several labelled components into one envelope. All or
+/// nothing: the owner adopts the components' ciphertext records, and
+/// its id counter moves past them, only once every component has
+/// sealed. A failed call leaves only derived state behind (the use
+/// counts of the owner's `PK_x` tables).
 ///
 /// # Errors
 ///
@@ -135,11 +168,16 @@ pub fn seal_envelope<R: RngCore + ?Sized>(
     rng: &mut R,
 ) -> Result<DataEnvelope, Error> {
     distinct_labels(components.iter().map(|(label, _, _)| *label))?;
+    let first = owner.next_ciphertext_id().0;
     let mut envelope = DataEnvelope::new();
-    for (label, data, policy) in components {
-        envelope
-            .components
-            .push(seal_component(owner, label, data, policy, rng)?);
+    let mut records = Vec::with_capacity(components.len());
+    for (&spec, id) in components.iter().zip(first..) {
+        let (component, record) = seal_as(owner, CiphertextId(id), spec, rng)?;
+        envelope.components.push(component);
+        records.push((CiphertextId(id), record));
+    }
+    for (id, record) in records {
+        owner.adopt_record(id, record.s, record.attributes);
     }
     Ok(envelope)
 }
@@ -159,9 +197,22 @@ pub fn open_component(
     keys: &BTreeMap<AuthorityId, UserSecretKey>,
 ) -> Result<Vec<u8>, Error> {
     let kem = decrypt_fast(&component.key_ct, user_pk, keys)?;
-    let key = content_key_from(&kem, &component.label);
+    open_component_with_kem(component, &kem)
+}
+
+/// Opens a component with its content key ([`content_key`]): one AEAD
+/// open.
+///
+/// # Errors
+///
+/// [`Error::SymmetricAuthentication`] if the key is wrong or the payload
+/// was tampered with.
+pub fn open_component_with_key(
+    component: &SealedComponent,
+    key: &[u8; 32],
+) -> Result<Vec<u8>, Error> {
     aead::open(
-        &key,
+        key,
         &component.nonce,
         component.label.as_bytes(),
         &component.sealed,
@@ -170,21 +221,15 @@ pub fn open_component(
 }
 
 /// Opens a component given an already-recovered KEM element (e.g. from
-/// outsourced decryption, where the CP-ABE work happened on a server).
+/// outsourced decryption, where the CP-ABE work happened on a server):
+/// [`content_key`] then [`open_component_with_key`].
 ///
 /// # Errors
 ///
 /// [`Error::SymmetricAuthentication`] if the KEM element is wrong or
 /// the payload was tampered with.
 pub fn open_component_with_kem(component: &SealedComponent, kem: &Gt) -> Result<Vec<u8>, Error> {
-    let key = content_key_from(kem, &component.label);
-    aead::open(
-        &key,
-        &component.nonce,
-        component.label.as_bytes(),
-        &component.sealed,
-    )
-    .map_err(|_| Error::SymmetricAuthentication)
+    open_component_with_key(component, &content_key(kem, &component.label))
 }
 
 /// Opens every component the user is entitled to, returning
@@ -341,6 +386,48 @@ mod tests {
             .map(|c| c.key_ct.wire_size() + c.sealed.len() + 12)
             .sum();
         assert_eq!(envelope.stored_size(), expected);
+    }
+
+    #[test]
+    fn an_envelope_failing_on_a_later_component_leaves_the_owner_as_it_was() {
+        let mut w = world();
+        let known = parse("Employee@HR").unwrap();
+        let unknown = parse("Ghost@HR").unwrap();
+        let next = w.owner.next_ciphertext_id();
+        let failed = seal_envelope(
+            &mut w.owner,
+            &[
+                ("a", b"1".as_slice(), &known),
+                ("b", b"2".as_slice(), &unknown),
+            ],
+            &mut w.rng,
+        );
+        assert!(matches!(failed, Err(Error::MissingPublicAttributeKey(_))));
+        assert_eq!(w.owner.next_ciphertext_id(), next);
+        assert_eq!(w.owner.ciphertext_count(), 0);
+
+        // The next envelope takes the ids the failed one would have.
+        let envelope =
+            seal_envelope(&mut w.owner, &[("a", b"1".as_slice(), &known)], &mut w.rng).unwrap();
+        assert_eq!(envelope.components[0].key_ct.id, next);
+        assert!(w.owner.record(next).is_some());
+    }
+
+    #[test]
+    fn a_kept_content_key_opens_like_its_kem_element() {
+        let mut w = world();
+        let policy = parse("Employee@HR").unwrap();
+        let comp = seal_component(&mut w.owner, "x", b"data", &policy, &mut w.rng).unwrap();
+        let (pk, keys) = enroll(&mut w, "alice", &["Employee@HR"]);
+        let kem = decrypt_fast(&comp.key_ct, &pk, &keys).unwrap();
+        let key = content_key(&kem, &comp.label);
+        assert_eq!(open_component_with_key(&comp, &key).unwrap(), b"data");
+        assert_eq!(open_component_with_kem(&comp, &kem).unwrap(), b"data");
+        assert_ne!(key, content_key(&kem, "y"), "label-bound");
+        assert_eq!(
+            open_component_with_key(&comp, &content_key(&kem, "y")),
+            Err(Error::SymmetricAuthentication)
+        );
     }
 
     #[test]

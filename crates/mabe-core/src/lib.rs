@@ -78,8 +78,8 @@ pub use authority::{attribute_hash, AttributeAuthority, RevocationEvent};
 pub use ca::CertificateAuthority;
 pub use ciphertext::{decrypt, decrypt_fast, decrypt_unchecked, encrypt, Ciphertext, CiphertextId};
 pub use envelope::{
-    open_all, open_component, open_component_with_kem, seal_component, seal_envelope, DataEnvelope,
-    SealedComponent,
+    content_key, open_all, open_component, open_component_with_kem, open_component_with_key,
+    seal_component, seal_envelope, DataEnvelope, SealedComponent,
 };
 pub use error::Error;
 pub use ids::{OwnerId, Uid};

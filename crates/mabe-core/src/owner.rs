@@ -139,6 +139,22 @@ impl DataOwner {
         access: &AccessStructure,
         rng: &mut R,
     ) -> Result<Ciphertext, Error> {
+        let id = self.next_ciphertext_id();
+        let (ct, record) = self.encrypt_as(id, message, access, rng)?;
+        self.adopt_record(id, record.s, record.attributes);
+        Ok(ct)
+    }
+
+    /// [`Self::encrypt_under`] as ciphertext `id`, retaining nothing:
+    /// the record to hand to [`Self::adopt_record`] comes back beside
+    /// the ciphertext. Only the `PK_x` use counts move.
+    pub(crate) fn encrypt_as<R: RngCore + ?Sized>(
+        &mut self,
+        id: CiphertextId,
+        message: &Gt,
+        access: &AccessStructure,
+        rng: &mut R,
+    ) -> Result<(Ciphertext, EncryptionRecord), Error> {
         for attr in access.rho() {
             let pk = self
                 .authority_keys
@@ -148,7 +164,6 @@ impl DataOwner {
                 self.key_tables.count_use(attr, pk);
             }
         }
-        let id = CiphertextId(self.next_id);
         let (ct, s) = encrypt(
             message,
             access,
@@ -158,15 +173,11 @@ impl DataOwner {
             WithTables::new(&self.authority_keys, Some(&self.key_tables)),
             rng,
         )?;
-        self.next_id += 1;
-        self.records.insert(
-            id,
-            EncryptionRecord {
-                s,
-                attributes: access.rho().to_vec(),
-            },
-        );
-        Ok(ct)
+        let record = EncryptionRecord {
+            s,
+            attributes: access.rho().to_vec(),
+        };
+        Ok((ct, record))
     }
 
     /// Applies an authority's update key after a revocation (paper §V-C
