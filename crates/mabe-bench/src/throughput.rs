@@ -65,7 +65,7 @@ fn payload(i: usize) -> Vec<u8> {
 /// read returns a wrong plaintext.
 pub fn measure(clients: usize, reads: u64) -> Row {
     let bench_span =
-        mabe_trace::Span::root("bench.throughput").detail(format!("clients={clients}"));
+        mabe_trace::Span::root("bench.throughput").detail(format_args!("clients={clients}"));
     let (ds, _) = DurableSystem::open(SimDisk::unfaulted(), 0x7412).expect("fresh store opens");
     ds.add_authority("Org", &["A"]).expect("fresh authority");
     let owner = ds.add_owner("owner").expect("fresh owner");

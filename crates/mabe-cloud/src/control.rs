@@ -31,11 +31,14 @@ use mabe_core::{
     AttributeAuthority, Error, OwnerId, RevocationEvent, Uid, UpdateKey, UserSecretKey,
 };
 use mabe_policy::{Attribute, AuthorityId};
+use mabe_telemetry::SpanMetric;
 
 use crate::audit::AuditEvent;
 use crate::recovery::{PendingRevocation, RevocationStage};
 use crate::system::{apply_update_tolerant, fault_points, CloudError, CloudSystem};
 use crate::wire::Endpoint;
+
+static REVOCATION_E2E: SpanMetric = SpanMetric::new("mabe_revocation_e2e", &[]);
 
 /// Everything serialized under one authority's shard lock.
 #[derive(Debug)]
@@ -186,8 +189,8 @@ impl CloudSystem {
     /// Fails on unknown user/authority/attribute, downed authorities, or
     /// unrecovered injected faults.
     pub fn grant(&self, uid: &Uid, attributes: &[&str]) -> Result<(), CloudError> {
-        let _trace = mabe_trace::Span::child("cloud.grant").detail(uid.to_string());
-        mabe_trace::op_attr("uid", uid.to_string());
+        let _trace = mabe_trace::Span::child("cloud.grant").detail(uid);
+        mabe_trace::op_attr("uid", uid);
         let pk = {
             let users = self.directory.users.read();
             users
@@ -208,7 +211,7 @@ impl CloudSystem {
                 .push(attr);
         }
         for (aid, attrs) in by_authority {
-            mabe_trace::op_attr("authority", aid.to_string());
+            mabe_trace::op_attr("authority", &aid);
             let shard = self
                 .control
                 .shard(&aid)
@@ -340,11 +343,11 @@ impl CloudSystem {
     ) -> Result<(), CloudError> {
         // End-to-end revocation latency: ReKey at the authority through
         // the last server-side re-encryption (eager) or enqueue (lazy).
-        let _e2e = mabe_telemetry::Span::start("mabe_revocation_e2e");
+        let _e2e = mabe_telemetry::Span::on(&REVOCATION_E2E);
         let (_trace, attr, aid) = match what {
             Revoke::Attribute(attribute) => {
-                let trace =
-                    mabe_trace::Span::child("cloud.revoke").detail(format!("{uid} {attribute}"));
+                let trace = mabe_trace::Span::child("cloud.revoke")
+                    .detail(format_args!("{uid} {attribute}"));
                 let attr: Attribute = attribute
                     .parse()
                     .map_err(|_| CloudError::UnknownEntity(format!("attribute {attribute}")))?;
@@ -352,13 +355,13 @@ impl CloudSystem {
                 (trace, Some(attr), aid)
             }
             Revoke::UserAt(aid) => {
-                let trace =
-                    mabe_trace::Span::child("cloud.revoke_user_at").detail(format!("{uid} @{aid}"));
+                let trace = mabe_trace::Span::child("cloud.revoke_user_at")
+                    .detail(format_args!("{uid} @{aid}"));
                 (trace, None, aid.clone())
             }
         };
-        mabe_trace::op_attr("uid", uid.to_string());
-        mabe_trace::op_attr("authority", aid.to_string());
+        mabe_trace::op_attr("uid", uid);
+        mabe_trace::op_attr("authority", &aid);
         self.lazy_backpressure(j)?;
         let mut op = j.lock();
         let shard = self
@@ -448,8 +451,8 @@ impl CloudSystem {
         // update-key chain touching this authority stale; drop them
         // before any post-revocation read can be served.
         self.cache.invalidate_authority(&aid);
-        mabe_trace::op_attr("key_version_observed", event.from_version.to_string());
-        mabe_trace::op_attr("key_version_served", event.to_version.to_string());
+        mabe_trace::op_attr("key_version_observed", event.from_version);
+        mabe_trace::op_attr("key_version_served", event.to_version);
         st.in_flight.insert(id, PendingRevocation::new(id, event));
         mabe_trace::event(mabe_trace::TraceEvent::RevocationPhase { stage: "begun" });
         id
@@ -534,8 +537,8 @@ impl CloudSystem {
     /// holder; key application is version-tolerant, so replays after a
     /// crash are no-ops.
     fn deliver_keys(&self, pending: &mut PendingRevocation) -> Result<(), CloudError> {
-        let _trace =
-            mabe_trace::Span::child("cloud.deliver_keys").detail(format!("@{}", pending.event.aid));
+        let _trace = mabe_trace::Span::child("cloud.deliver_keys")
+            .detail(format_args!("@{}", pending.event.aid));
         let aid = pending.event.aid.clone();
         let uid = pending.event.revoked_uid.clone();
         if !pending.fresh_keys_delivered {
@@ -723,7 +726,7 @@ impl CloudSystem {
     /// Propagates key-update failures (e.g. corrupted queues) and
     /// unrecovered injected faults.
     pub fn sync_user(&self, uid: &Uid) -> Result<(), CloudError> {
-        let _trace = mabe_trace::Span::child("cloud.sync_user").detail(uid.to_string());
+        let _trace = mabe_trace::Span::child("cloud.sync_user").detail(uid);
         let (queue, versions) = {
             let mut users = self.directory.users.write();
             users.offline.remove(uid);

@@ -43,6 +43,7 @@ use mabe_core::{
 };
 use mabe_math::FixedPairing;
 use mabe_policy::{parse, AuthorityId, Policy};
+use mabe_telemetry::SpanMetric;
 
 use crate::audit::AuditEvent;
 use crate::cache::{ContentCacheKey, StepUse};
@@ -50,6 +51,11 @@ use crate::recovery::PendingRevocation;
 use crate::server::{CloudServer, RecordKey};
 use crate::system::{fault_points, CloudError, CloudSystem};
 use crate::wire::Endpoint;
+
+static PUBLISH_OP: SpanMetric = SpanMetric::new("mabe_system_op", &[("op", "publish")]);
+static READ_OP: SpanMetric = SpanMetric::new("mabe_system_op", &[("op", "read")]);
+static READ_OUTSOURCED_OP: SpanMetric =
+    SpanMetric::new("mabe_system_op", &[("op", "read_outsourced")]);
 
 /// How many times a reader whose key view and component straddle a
 /// concurrent revocation — the key lagging its delivery, or ahead of a
@@ -338,9 +344,9 @@ impl CloudSystem {
         record: &str,
         components: &[(&str, &[u8], &str)],
     ) -> Result<(), CloudError> {
-        let _span = mabe_telemetry::Span::with_labels("mabe_system_op", &[("op", "publish")]);
-        let _trace = mabe_trace::Span::child("cloud.publish").detail(record.to_owned());
-        mabe_trace::op_attr("uid", owner_id.to_string());
+        let _span = mabe_telemetry::Span::on(&PUBLISH_OP);
+        let _trace = mabe_trace::Span::child("cloud.publish").detail(record);
+        mabe_trace::op_attr("uid", owner_id);
         if !self.directory.owners.read().contains_key(owner_id) {
             return Err(CloudError::Core(Error::UnknownOwner(owner_id.clone())));
         }
@@ -358,17 +364,32 @@ impl CloudSystem {
             let owner = owners.get_mut(owner_id).expect("checked above");
             seal_envelope(owner, &specs, &mut *self.rng.lock())?
         };
+        let ids: Vec<CiphertextId> = envelope.components.iter().map(|c| c.key_ct.id).collect();
         // The upload consults PUBLISH_STORE: transient storage errors and
         // drops are retried; a crash aborts *before* the store, so a
         // failed publish never leaves a half-written record.
-        self.transmit(
-            fault_points::PUBLISH_STORE,
-            Endpoint::Owner(owner_id.clone()),
-            Endpoint::Server,
-            &format!("record {record}"),
-            envelope.stored_size(),
-        )?;
-        self.data.server.store(owner_id.clone(), record, envelope)?;
+        let uploaded = self
+            .transmit(
+                fault_points::PUBLISH_STORE,
+                Endpoint::Owner(owner_id.clone()),
+                Endpoint::Server,
+                &format!("record {record}"),
+                envelope.stored_size(),
+            )
+            .and_then(|()| {
+                self.data
+                    .server
+                    .store(owner_id.clone(), record, envelope)
+                    .map_err(CloudError::from)
+            });
+        if let Err(e) = uploaded {
+            // Nothing reached the server or the journal: the owner drops
+            // the records it adopted when it sealed.
+            if let Some(owner) = self.directory.owners.write().get_mut(owner_id) {
+                owner.forget_records(&ids);
+            }
+            return Err(e);
+        }
         // A publish whose seal raced a revocation may have landed at the
         // pre-bump version *after* the eager worklist stopped looking.
         // Heal inline from the update-key archive, best-effort: anything
@@ -401,8 +422,8 @@ impl CloudSystem {
         record: &str,
         label: &str,
     ) -> Result<Vec<u8>, CloudError> {
-        let _span = mabe_telemetry::Span::with_labels("mabe_system_op", &[("op", "read")]);
-        let _trace = mabe_trace::Span::child("cloud.read").detail(format!("{record}/{label}"));
+        let _span = mabe_telemetry::Span::on(&READ_OP);
+        let _trace = mabe_trace::Span::child("cloud.read").detail(format_args!("{record}/{label}"));
         self.serve_read(uid, owner_id, record, label, &mut LocalOpen)
     }
 
@@ -423,10 +444,9 @@ impl CloudSystem {
         record: &str,
         label: &str,
     ) -> Result<Vec<u8>, CloudError> {
-        let _span =
-            mabe_telemetry::Span::with_labels("mabe_system_op", &[("op", "read_outsourced")]);
-        let _trace =
-            mabe_trace::Span::child("cloud.read_outsourced").detail(format!("{record}/{label}"));
+        let _span = mabe_telemetry::Span::on(&READ_OUTSOURCED_OP);
+        let _trace = mabe_trace::Span::child("cloud.read_outsourced")
+            .detail(format_args!("{record}/{label}"));
         self.serve_read(uid, owner_id, record, label, &mut OutsourcedOpen)
     }
 
@@ -449,7 +469,7 @@ impl CloudSystem {
             record,
             label,
         };
-        mabe_trace::op_attr("uid", at.uid.to_string());
+        mabe_trace::op_attr("uid", at.uid);
         if !self.directory.users.read().users.contains_key(at.uid) {
             return Err(CloudError::Core(Error::UnknownUser(at.uid.clone())));
         }
@@ -458,7 +478,7 @@ impl CloudSystem {
             let mut component = self.fetch_component(at.owner, at.record, at.label)?;
             if barriers == 0 {
                 if let Some(v) = component.key_ct.versions.values().max() {
-                    mabe_trace::op_attr("key_version_observed", v.to_string());
+                    mabe_trace::op_attr("key_version_observed", v);
                 }
                 step.download(self, at, &component)?;
             }
@@ -471,7 +491,7 @@ impl CloudSystem {
             }
             if let Some(v) = component.key_ct.versions.values().max() {
                 // Last iteration wins: the version actually served.
-                mabe_trace::op_attr("key_version_served", v.to_string());
+                mabe_trace::op_attr("key_version_served", v);
             }
             let served = match step.lookup(self, at, &component) {
                 ControlFlow::Break(hit) => hit,
@@ -678,7 +698,7 @@ impl CloudSystem {
         pending: &mut PendingRevocation,
     ) -> Result<(), CloudError> {
         let _trace = mabe_trace::Span::child("cloud.reencrypt_phase")
-            .detail(format!("@{}", pending.event.aid));
+            .detail(format_args!("@{}", pending.event.aid));
         let aid = pending.event.aid.clone();
         let from = pending.event.from_version;
         let width = self.reencrypt_workers();
@@ -716,7 +736,7 @@ impl CloudSystem {
         prepared: Result<Prepared, Error>,
     ) -> Result<(), CloudError> {
         let _trace = mabe_trace::Span::child("cloud.reencrypt")
-            .detail(format!("{}/{}/{label}", record_key.0, record_key.1));
+            .detail(format_args!("{}/{}/{label}", record_key.0, record_key.1));
         self.local_op(fault_points::REVOKE_REENCRYPT, None)?;
         match self.reencrypt_at_server(uk, record_key, label, prepared?) {
             Err(CloudError::Core(Error::CiphertextMismatch { .. })) => Ok(()),
@@ -824,7 +844,7 @@ impl CloudSystem {
                     scope.spawn(move || {
                         let _span = parent.map(|ctx| {
                             mabe_trace::Span::follow(ctx, "cloud.reencrypt.worker")
-                                .detail(format!("worker {w}"))
+                                .detail(format_args!("worker {w}"))
                         });
                         mabe_telemetry::measure(take)
                     })
@@ -973,7 +993,7 @@ impl CloudSystem {
             return Ok(false);
         }
         let _trace =
-            mabe_trace::Span::child("cloud.read_upgrade").detail(format!("{record}/{label}"));
+            mabe_trace::Span::child("cloud.read_upgrade").detail(format_args!("{record}/{label}"));
         let mut ct_id = component.key_ct.id;
         if !self.lazy_revocation_enabled() {
             for (aid, _) in &stale {
@@ -993,7 +1013,7 @@ impl CloudSystem {
             self.upgrade_one(aid, owner_id, *v, &record_key, label, ct_id)?;
             // The wide event for the enclosing read carries the (last)
             // authority whose stale component this read healed.
-            mabe_trace::op_attr("authority", aid.to_string());
+            mabe_trace::op_attr("authority", aid);
             telemetry
                 .counter(
                     "mabe_read_upgrades_total",

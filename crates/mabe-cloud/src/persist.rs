@@ -718,7 +718,7 @@ impl<S: Storage> DurableSystem<S> {
     fn journaled<T>(
         &self,
         span: &'static str,
-        detail: String,
+        detail: impl fmt::Display,
         apply: impl FnOnce() -> Result<T, CloudError>,
     ) -> Result<T, CloudError> {
         self.check_poisoned()?;
@@ -737,7 +737,7 @@ impl<S: Storage> DurableSystem<S> {
     fn mutate<T>(
         &self,
         span: &'static str,
-        detail: String,
+        detail: impl fmt::Display,
         apply: impl FnOnce() -> Result<T, CloudError>,
         frames: impl FnOnce(&T) -> Vec<Frame>,
     ) -> Result<T, CloudError> {
@@ -766,7 +766,7 @@ impl<S: Storage> DurableSystem<S> {
     ) -> Result<AuthorityId, CloudError> {
         self.mutate(
             "durable.add_authority",
-            name.to_owned(),
+            name,
             || self.sys.add_authority(name, attribute_names),
             |aid| tables::frames_authority_added(&self.sys, aid),
         )
@@ -781,7 +781,7 @@ impl<S: Storage> DurableSystem<S> {
     pub fn add_owner(&self, name: &str) -> Result<OwnerId, CloudError> {
         self.mutate(
             "durable.add_owner",
-            name.to_owned(),
+            name,
             || self.sys.add_owner(name),
             |id| tables::frames_owner_added(&self.sys, id),
         )
@@ -796,7 +796,7 @@ impl<S: Storage> DurableSystem<S> {
     pub fn add_user(&self, name: &str) -> Result<Uid, CloudError> {
         self.mutate(
             "durable.add_user",
-            name.to_owned(),
+            name,
             || self.sys.add_user(name),
             |uid| tables::frames_user_added(&self.sys, uid),
         )
@@ -810,7 +810,7 @@ impl<S: Storage> DurableSystem<S> {
     pub fn grant(&self, uid: &Uid, attributes: &[&str]) -> Result<(), CloudError> {
         self.mutate(
             "durable.grant",
-            uid.to_string(),
+            uid,
             || self.sys.grant(uid, attributes),
             |()| tables::frames_granted(&self.sys, uid),
         )
@@ -832,7 +832,7 @@ impl<S: Storage> DurableSystem<S> {
     ) -> Result<(), CloudError> {
         self.mutate(
             "durable.publish",
-            format!("{owner_id}/{record}"),
+            format_args!("{owner_id}/{record}"),
             || self.sys.publish(owner_id, record, components),
             |()| tables::frames_published(&self.sys, owner_id, record),
         )
@@ -853,7 +853,7 @@ impl<S: Storage> DurableSystem<S> {
         record: &str,
         label: &str,
     ) -> Result<Vec<u8>, CloudError> {
-        self.audited_read("durable.read", format!("{record}/{label}"), || {
+        self.audited_read("durable.read", format_args!("{record}/{label}"), || {
             self.sys.read(uid, owner_id, record, label)
         })
     }
@@ -874,7 +874,7 @@ impl<S: Storage> DurableSystem<S> {
     ) -> Result<Vec<u8>, CloudError> {
         self.audited_read(
             "durable.read_outsourced",
-            format!("{record}/{label}"),
+            format_args!("{record}/{label}"),
             || self.sys.read_outsourced(uid, owner_id, record, label),
         )
     }
@@ -891,7 +891,7 @@ impl<S: Storage> DurableSystem<S> {
     fn audited_read(
         &self,
         span: &'static str,
-        detail: String,
+        detail: impl fmt::Display,
         read: impl FnOnce() -> Result<Vec<u8>, CloudError>,
     ) -> Result<Vec<u8>, CloudError> {
         self.check_poisoned()?;
@@ -933,7 +933,7 @@ impl<S: Storage> DurableSystem<S> {
     pub fn set_offline(&self, uid: &Uid) -> Result<(), CloudError> {
         self.mutate(
             "durable.set_offline",
-            uid.to_string(),
+            uid,
             || {
                 self.sys.set_offline(uid);
                 Ok(())
@@ -956,7 +956,7 @@ impl<S: Storage> DurableSystem<S> {
     pub fn sync_user(&self, uid: &Uid) -> Result<(), CloudError> {
         self.mutate(
             "durable.sync_user",
-            uid.to_string(),
+            uid,
             || self.sys.sync_user(uid),
             |()| tables::frames_synced(&self.sys, uid),
         )
@@ -975,7 +975,7 @@ impl<S: Storage> DurableSystem<S> {
     ///
     /// Same contract as [`CloudSystem::revoke`], plus journal failures.
     pub fn revoke(&self, uid: &Uid, attribute: &str) -> Result<(), CloudError> {
-        self.journaled("durable.revoke", format!("{uid} {attribute}"), || {
+        self.journaled("durable.revoke", format_args!("{uid} {attribute}"), || {
             self.sys.revoke_via(self, uid, Revoke::Attribute(attribute))
         })
     }
@@ -988,9 +988,11 @@ impl<S: Storage> DurableSystem<S> {
     /// Same contract as [`CloudSystem::revoke_user_at`], plus journal
     /// failures.
     pub fn revoke_user_at(&self, uid: &Uid, aid: &AuthorityId) -> Result<(), CloudError> {
-        self.journaled("durable.revoke_user_at", format!("{uid} @{aid}"), || {
-            self.sys.revoke_via(self, uid, Revoke::UserAt(aid))
-        })
+        self.journaled(
+            "durable.revoke_user_at",
+            format_args!("{uid} @{aid}"),
+            || self.sys.revoke_via(self, uid, Revoke::UserAt(aid)),
+        )
     }
 
     /// Full user-level revocation across every authority where the user
@@ -1013,9 +1015,7 @@ impl<S: Storage> DurableSystem<S> {
     /// Propagates the first fault that still blocks convergence.
     pub fn recover(&self) -> Result<usize, CloudError> {
         self.check_poisoned()?;
-        traced("durable.recover", String::new(), || {
-            self.sys.recover_via(self)
-        })
+        traced("durable.recover", "", || self.sys.recover_via(self))
     }
 
     /// Claims and drains one authority's pending lazy batch to
@@ -1550,6 +1550,48 @@ mod tests {
         assert_eq!(next_id(&ds), before, "no ciphertext id was spent");
         assert!(ds.system().server().fetch(&owner, "rec-x").is_none());
         reopens_to_itself(&ds, "a publish failing on its second component");
+    }
+
+    /// A publish whose upload fails for good (the retry policy gives up
+    /// on `publish.store`) journals nothing, and leaves the live system
+    /// as the journal alone rebuilds it: the sealed components' records
+    /// are dropped and the owner's id counter is back where it was.
+    #[test]
+    fn a_publish_whose_upload_fails_for_good_leaves_the_live_state_as_journaled() {
+        let plan =
+            FaultPlan::new(0x5707).rate(fault_points::PUBLISH_STORE, FaultKind::StorageError, 1.0);
+        let (ds, _) =
+            DurableSystem::open_with_faults(SimDisk::unfaulted(), 62, FaultInjector::new(plan))
+                .unwrap();
+        ds.set_checkpoint_interval(usize::MAX);
+        ds.set_wal_budget(usize::MAX);
+        ds.add_authority("MedOrg", &["Doctor", "Nurse"]).unwrap();
+        let owner = ds.add_owner("hospital").unwrap();
+        let next_id = |ds: &DurableSystem<SimDisk>| {
+            ds.system().directory.owners.read()[&owner].next_ciphertext_id()
+        };
+        let before = next_id(&ds);
+        let failed = ds.publish(
+            &owner,
+            "rec-x",
+            &[
+                ("a", b"first".as_slice(), DOC_POLICY),
+                ("b", b"second".as_slice(), SHARED_POLICY),
+            ],
+        );
+        assert!(
+            matches!(
+                failed,
+                Err(CloudError::RetriesExhausted {
+                    op: fault_points::PUBLISH_STORE,
+                    ..
+                })
+            ),
+            "{failed:?}"
+        );
+        assert_eq!(next_id(&ds), before, "no ciphertext id was spent");
+        assert!(ds.system().server().fetch(&owner, "rec-x").is_none());
+        reopens_to_itself(&ds, "a publish whose upload failed for good");
     }
 
     /// A fresh store that checkpoints after every journaled op, so each

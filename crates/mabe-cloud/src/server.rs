@@ -24,6 +24,11 @@ use mabe_core::{
     SealedComponent, UpdateInfo, UpdateKey, WithTables,
 };
 use mabe_policy::AuthorityId;
+use mabe_telemetry::SpanMetric;
+
+static STORE_OP: SpanMetric = SpanMetric::new("mabe_server_op", &[("op", "store")]);
+static FETCH_OP: SpanMetric = SpanMetric::new("mabe_server_op", &[("op", "fetch")]);
+static REENCRYPT_OP: SpanMetric = SpanMetric::new("mabe_server_op", &[("op", "reencrypt")]);
 
 /// Key of a stored record: owner plus record name.
 pub type RecordKey = (OwnerId, String);
@@ -53,7 +58,7 @@ impl CloudServer {
         name: impl Into<String>,
         envelope: DataEnvelope,
     ) -> Result<(), Error> {
-        let _span = mabe_telemetry::Span::with_labels("mabe_server_op", &[("op", "store")]);
+        let _span = mabe_telemetry::Span::on(&STORE_OP);
         let _trace = mabe_trace::Span::child("server.store");
         envelope.check_labels()?;
         self.records
@@ -66,7 +71,7 @@ impl CloudServer {
     /// later store or re-encryption changes — those write a new
     /// envelope in its place.
     pub fn fetch(&self, owner: &OwnerId, name: &str) -> Option<Arc<DataEnvelope>> {
-        let _span = mabe_telemetry::Span::with_labels("mabe_server_op", &[("op", "fetch")]);
+        let _span = mabe_telemetry::Span::on(&FETCH_OP);
         let _trace = mabe_trace::Span::child("server.fetch");
         self.records
             .read()
@@ -215,7 +220,7 @@ impl CloudServer {
         ui: &UpdateInfo,
         refresh: &Refresh,
     ) -> Result<(), Error> {
-        let _span = mabe_telemetry::Span::with_labels("mabe_server_op", &[("op", "reencrypt")]);
+        let _span = mabe_telemetry::Span::on(&REENCRYPT_OP);
         let _trace = mabe_trace::Span::child("server.reencrypt");
         let mut records = self.records.write();
         let envelope = records

@@ -188,9 +188,10 @@ pub(crate) fn apply_update_tolerant(
 }
 
 /// Runs `op` under a span named `span`, marked failed on error.
+/// `detail` is formatted only while tracing is enabled.
 pub(crate) fn traced<T>(
     span: &'static str,
-    detail: String,
+    detail: impl fmt::Display,
     op: impl FnOnce() -> Result<T, CloudError>,
 ) -> Result<T, CloudError> {
     let trace = mabe_trace::Span::child(span).detail(detail);

@@ -11,6 +11,16 @@ use std::fmt;
 
 use mabe_core::{OwnerId, Uid};
 use mabe_policy::AuthorityId;
+use mabe_telemetry::{Counter, ResolvedFamily};
+
+/// `mabe_wire_bytes_total{pair}` and `mabe_wire_messages_total{pair}`,
+/// indexed by [`PairClass`].
+static BYTES: ResolvedFamily<Counter, 6> = ResolvedFamily::new("mabe_wire_bytes_total", "pair");
+static MESSAGES: ResolvedFamily<Counter, 6> =
+    ResolvedFamily::new("mabe_wire_messages_total", "pair");
+/// `mabe_wire_delivery_total{disposition}`, indexed by [`Disposition`].
+static DELIVERY: ResolvedFamily<Counter, 5> =
+    ResolvedFamily::new("mabe_wire_delivery_total", "disposition");
 
 /// A message endpoint in the deployment.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Debug)]
@@ -213,20 +223,14 @@ impl Wire {
         bytes: usize,
         disposition: Disposition,
     ) {
-        let pair = PairClass::of(&from, &to).metric_label();
-        let registry = mabe_telemetry::global();
-        registry
-            .counter("mabe_wire_bytes_total", &[("pair", pair)])
+        let pair = PairClass::of(&from, &to);
+        BYTES
+            .get(pair as usize, pair.metric_label())
             .add(bytes as u64);
-        registry
-            .counter("mabe_wire_messages_total", &[("pair", pair)])
-            .inc();
+        MESSAGES.get(pair as usize, pair.metric_label()).inc();
         if disposition != Disposition::Delivered {
-            registry
-                .counter(
-                    "mabe_wire_delivery_total",
-                    &[("disposition", disposition.metric_label())],
-                )
+            DELIVERY
+                .get(disposition as usize, disposition.metric_label())
                 .inc();
         }
         self.log.lock().push(Transmission {

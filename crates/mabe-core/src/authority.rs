@@ -13,12 +13,17 @@ use rand::RngCore;
 
 use mabe_math::{hash_to_fr, Fr, G1Affine, Gt, G1};
 use mabe_policy::{Attribute, AuthorityId};
+use mabe_telemetry::SpanMetric;
 
 use crate::error::Error;
 use crate::ids::{OwnerId, Uid};
 use crate::keys::{
     AuthorityPublicKeys, OwnerSecretKey, UpdateKey, UserPublicKey, UserSecretKey, VersionKey,
 };
+
+static SETUP: SpanMetric = SpanMetric::new("mabe_setup", &[]);
+static KEYGEN: SpanMetric = SpanMetric::new("mabe_keygen", &[]);
+static UPDATE_KEY: SpanMetric = SpanMetric::new("mabe_update_key", &[]);
 
 /// The random oracle `H : {0,1}* → Z_p` applied to an attribute's
 /// canonical `name@authority` encoding.
@@ -75,7 +80,7 @@ impl AttributeAuthority {
         R: RngCore + ?Sized,
         S: AsRef<str>,
     {
-        let _span = mabe_telemetry::Span::start("mabe_setup");
+        let _span = mabe_telemetry::Span::on(&SETUP);
         let attributes = attribute_names
             .iter()
             .map(|n| Attribute::new(n.as_ref(), aid.clone()))
@@ -196,7 +201,7 @@ impl AttributeAuthority {
     ///
     /// Fails if the user or owner is unknown.
     pub fn keygen(&self, uid: &Uid, owner: &OwnerId) -> Result<UserSecretKey, Error> {
-        let _span = mabe_telemetry::Span::start("mabe_keygen");
+        let _span = mabe_telemetry::Span::on(&KEYGEN);
         let record = self
             .users
             .get(uid)
@@ -282,7 +287,7 @@ impl AttributeAuthority {
         attributes: &BTreeSet<Attribute>,
         rng: &mut R,
     ) -> Result<RevocationEvent, Error> {
-        let _span = mabe_telemetry::Span::start("mabe_update_key");
+        let _span = mabe_telemetry::Span::on(&UPDATE_KEY);
         {
             let record = self
                 .users

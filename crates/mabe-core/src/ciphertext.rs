@@ -42,6 +42,7 @@ use rand::RngCore;
 
 use mabe_math::{pairing, FixedBaseCache, FixedPairing, Fr, G1Affine, Gt, Pairs, G1};
 use mabe_policy::{AccessStructure, Attribute, AuthorityId};
+use mabe_telemetry::SpanMetric;
 
 use crate::error::Error;
 use crate::ids::OwnerId;
@@ -49,6 +50,10 @@ use crate::keys::{
     AuthorityPublicKeys, OwnerMasterKey, UserPublicKey, UserSecretKey, GT_BYTES, G_BYTES,
 };
 use crate::revoke::WithTables;
+
+static ENCRYPT: SpanMetric = SpanMetric::new("mabe_encrypt", &[]);
+static DECRYPT_REFERENCE: SpanMetric = SpanMetric::new("mabe_decrypt", &[("variant", "reference")]);
+static DECRYPT_FAST: SpanMetric = SpanMetric::new("mabe_decrypt", &[("variant", "fast")]);
 
 /// Owner-scoped ciphertext identifier (used to look up the stored
 /// encryption exponent during re-encryption).
@@ -127,7 +132,7 @@ pub fn encrypt<'a, R: RngCore + ?Sized>(
     >,
     rng: &mut R,
 ) -> Result<(Ciphertext, Fr), Error> {
-    let _span = mabe_telemetry::Span::start("mabe_encrypt");
+    let _span = mabe_telemetry::Span::on(&ENCRYPT);
     let WithTables {
         value: authority_keys,
         tables,
@@ -205,7 +210,7 @@ pub fn decrypt(
     user_pk: &UserPublicKey,
     keys: &BTreeMap<AuthorityId, UserSecretKey>,
 ) -> Result<Gt, Error> {
-    let _span = mabe_telemetry::Span::with_labels("mabe_decrypt", &[("variant", "reference")]);
+    let _span = mabe_telemetry::Span::on(&DECRYPT_REFERENCE);
     check_keys(ct, user_pk, keys)?;
     decrypt_unchecked(ct, user_pk, keys)
 }
@@ -318,7 +323,7 @@ pub fn decrypt_fast<'a>(
     user_pk: impl Into<WithTables<'a, UserPublicKey, FixedPairing>>,
     keys: &BTreeMap<AuthorityId, UserSecretKey>,
 ) -> Result<Gt, Error> {
-    let _span = mabe_telemetry::Span::with_labels("mabe_decrypt", &[("variant", "fast")]);
+    let _span = mabe_telemetry::Span::on(&DECRYPT_FAST);
     let WithTables {
         value: user_pk,
         tables: lines,

@@ -19,9 +19,12 @@ use std::collections::BTreeMap;
 
 use mabe_math::{Fr, G1Affine, Gt};
 use mabe_policy::{Attribute, AuthorityId};
+use mabe_telemetry::SpanMetric;
 
 use crate::error::Error;
 use crate::ids::{OwnerId, Uid};
+
+static APPLY_UPDATE: SpanMetric = SpanMetric::new("mabe_apply_update", &[]);
 
 /// Size in bytes of a compressed `G` element (the paper's `|G|`).
 pub const G_BYTES: usize = 65;
@@ -181,7 +184,7 @@ impl UserSecretKey {
     /// Fails if the update key targets a different authority or owner, or
     /// if versions do not chain (`uk.from_version != self.version`).
     pub fn apply_update(&mut self, uk: &UpdateKey) -> Result<(), Error> {
-        let _span = mabe_telemetry::Span::start("mabe_apply_update");
+        let _span = mabe_telemetry::Span::on(&APPLY_UPDATE);
         if uk.aid != self.aid {
             return Err(Error::Malformed("update key for different authority"));
         }

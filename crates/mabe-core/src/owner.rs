@@ -363,6 +363,21 @@ impl DataOwner {
         self.records.insert(id, EncryptionRecord { s, attributes });
         self.next_id = self.next_id.max(id.0 + 1);
     }
+
+    /// Drops the records of ciphertexts that never left the owner (a
+    /// publish whose upload failed). The id counter moves back to the
+    /// first of `ids` only if no id past them has been handed out
+    /// since, so ids stay unique while another seal is in flight.
+    pub fn forget_records(&mut self, ids: &[CiphertextId]) {
+        for id in ids {
+            self.records.remove(id);
+        }
+        if let (Some(first), Some(last)) = (ids.iter().min(), ids.iter().max()) {
+            if self.next_id == last.0 + 1 {
+                self.next_id = first.0;
+            }
+        }
+    }
 }
 
 /// `PK_x · P̃K_x⁻¹`, the base of `UI_x`.
@@ -674,6 +689,31 @@ mod tests {
             .encrypt_message(&msg, &parse("Doctor@Med").unwrap(), &mut rng)
             .unwrap();
         assert_eq!(ct.id, CiphertextId(10));
+    }
+
+    #[test]
+    fn forgotten_records_rewind_the_counter_only_if_nothing_followed_them() {
+        let mut rng = StdRng::seed_from_u64(83);
+        let mut owner = DataOwner::new(OwnerId::new("o"), &mut rng);
+        let doctor = || vec!["Doctor@Med".parse().unwrap()];
+        for id in 1..=4 {
+            owner.adopt_record(CiphertextId(id), Fr::from_u64(id), doctor());
+        }
+        // Ids 3 and 4 were the last handed out: they are free again.
+        owner.forget_records(&[CiphertextId(3), CiphertextId(4)]);
+        assert_eq!(owner.next_ciphertext_id(), CiphertextId(3));
+        assert!(owner.record(CiphertextId(3)).is_none());
+        // Ids 3 and 4 again, then 5 by another seal: 3 and 4 go, the
+        // counter stays past 5.
+        for id in 3..=5 {
+            owner.adopt_record(CiphertextId(id), Fr::from_u64(id), doctor());
+        }
+        owner.forget_records(&[CiphertextId(3), CiphertextId(4)]);
+        assert_eq!(owner.next_ciphertext_id(), CiphertextId(6));
+        assert!(owner.record(CiphertextId(4)).is_none());
+        assert!(owner.record(CiphertextId(5)).is_some());
+        owner.forget_records(&[]);
+        assert_eq!(owner.next_ciphertext_id(), CiphertextId(6));
     }
 
     #[test]

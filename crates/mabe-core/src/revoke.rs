@@ -32,11 +32,14 @@ use std::collections::BTreeMap;
 
 use mabe_math::{pairing, FixedBase, FixedPairing, G1Affine, Gt, G1};
 use mabe_policy::{Attribute, AuthorityId};
+use mabe_telemetry::SpanMetric;
 
 use crate::ciphertext::{Ciphertext, CiphertextId};
 use crate::error::Error;
 use crate::ids::OwnerId;
 use crate::keys::UpdateKey;
+
+static REENCRYPT: SpanMetric = SpanMetric::new("mabe_reencrypt", &[]);
 
 pub use mabe_math::{FIXED_BASE_BREAK_EVEN, LINES_BREAK_EVEN};
 
@@ -172,7 +175,7 @@ impl Refresh {
     ) -> Self {
         // The re-encryption latency series times the pairing, which is
         // where a re-encryption spends its time, on whichever thread.
-        let _span = mabe_telemetry::Span::start("mabe_reencrypt");
+        let _span = mabe_telemetry::Span::on(&REENCRYPT);
         let WithTables { value: uk, tables } = uk.into();
         let factor = match tables.and_then(|t| t.lines_for(uk)) {
             Some(lines) => lines.pairing(c_prime),

@@ -47,6 +47,8 @@ pub mod slo;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;
 
+use mabe_telemetry::{Counter, Resolved, ResolvedFamily};
+
 pub use assemble::{Assembler, OpCandidate};
 pub use dump::{dump_if_configured, dump_to, EventsDump};
 pub use record::{op_kind, KeepReason, Outcome, WideEvent, OP_KINDS};
@@ -56,6 +58,11 @@ pub use slo::{SloEngine, SloSpec, SloStatus, DEFAULT_OBJECTIVES, FAST_BURN_THRES
 
 /// The global pipeline's sampler seed.
 pub const DEFAULT_SEED: u64 = 0x6d61_6265; // "mabe"
+
+static EMITTED: Resolved<Counter> = Resolved::new("mabe_events_emitted_total", &[]);
+
+/// `mabe_events_kept_total{reason}`, indexed by [`KeepReason`].
+static KEPT: ResolvedFamily<Counter, 4> = ResolvedFamily::new("mabe_events_kept_total", "reason");
 
 /// Pipeline construction knobs.
 #[derive(Clone, Copy, Debug)]
@@ -152,8 +159,7 @@ impl EventPipeline {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let is_error = op.error.is_some();
         self.slo.record(op.kind, op.latency_us, is_error);
-        let telemetry = mabe_telemetry::global();
-        telemetry.counter("mabe_events_emitted_total", &[]).inc();
+        EMITTED.get().inc();
 
         // Tail-based decision: outcome and latency are known now.
         // Decide against the estimate *before* recording this op into
@@ -172,9 +178,7 @@ impl EventPipeline {
         self.estimator.record(op.kind, op.latency_us);
         let Some(kept) = kept else { return };
         self.kept.fetch_add(1, Ordering::Relaxed);
-        telemetry
-            .counter("mabe_events_kept_total", &[("reason", kept.label())])
-            .inc();
+        KEPT.get(kept as usize, kept.label()).inc();
         self.ring.commit(WideEvent {
             seq,
             trace_id: op.trace_id,

@@ -27,7 +27,13 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use mabe_telemetry::{Gauge, ResolvedFamily};
+
 use crate::record::OP_KINDS;
+
+/// `mabe_slo_error_budget_remaining{kind}`, indexed like [`OP_KINDS`].
+static BUDGET_REMAINING: ResolvedFamily<Gauge, { OP_KINDS.len() }> =
+    ResolvedFamily::new("mabe_slo_error_budget_remaining", "kind");
 
 /// Fast window horizon: 5 virtual minutes.
 pub const FAST_WINDOW_US: u64 = 5 * 60 * 1_000_000;
@@ -195,6 +201,8 @@ fn burn(good: u64, bad: u64, budget_fraction: f64) -> f64 {
 pub struct SloEngine {
     virtual_now_us: AtomicU64,
     kinds: Vec<Mutex<KindState>>,
+    /// Per [`OP_KINDS`] entry, the index in `kinds` of its objective.
+    by_kind: [Option<usize>; OP_KINDS.len()],
 }
 
 impl SloEngine {
@@ -202,6 +210,7 @@ impl SloEngine {
     pub fn new(specs: &[SloSpec]) -> Self {
         SloEngine {
             virtual_now_us: AtomicU64::new(0),
+            by_kind: std::array::from_fn(|k| specs.iter().position(|s| s.kind == OP_KINDS[k])),
             kinds: specs
                 .iter()
                 .map(|spec| {
@@ -228,21 +237,15 @@ impl SloEngine {
         self.virtual_now_us.fetch_add(us, Ordering::Relaxed);
     }
 
-    fn state_of(&self, kind: &str) -> Option<&Mutex<KindState>> {
-        let idx = OP_KINDS.iter().position(|k| *k == kind)?;
-        self.kinds.iter().find(|s| {
-            s.lock()
-                .map(|st| st.spec.kind == OP_KINDS[idx])
-                .unwrap_or(false)
-        })
-    }
-
     /// Records one completed op: classifies good/bad against the
     /// kind's objective, advances the virtual clock by the op's
     /// latency, and refreshes the kind's
     /// `mabe_slo_error_budget_remaining` gauge.
     pub fn record(&self, kind: &str, latency_us: u64, is_error: bool) {
-        let Some(state) = self.state_of(kind) else {
+        let Some(k) = OP_KINDS.iter().position(|known| *known == kind) else {
+            return;
+        };
+        let Some(state) = self.by_kind[k].map(|i| &self.kinds[i]) else {
             return;
         };
         let now = self
@@ -263,8 +266,8 @@ impl SloEngine {
             let slow_burn = burn(sg, sb, st.spec.budget_fraction());
             ((1.0 - slow_burn).max(0.0) * 1e6) as u64
         };
-        mabe_telemetry::global()
-            .gauge("mabe_slo_error_budget_remaining", &[("kind", kind)])
+        BUDGET_REMAINING
+            .get(k, OP_KINDS[k])
             .set(remaining_ppm as i64);
     }
 

@@ -57,6 +57,8 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
+use mabe_telemetry::{Counter, Resolved};
+
 use crate::compact::{CheckpointFailure, CheckpointKind};
 use crate::schema::{
     decode_frames, encode_frames, ByteReader, Frame, FrameOp, Schema, SchemaError,
@@ -491,11 +493,12 @@ impl<S: Storage> TypedStore<S> {
         self.lead(
             |st| st.durable_seq > seq,
             |_, flushed| {
-                let registry = mabe_telemetry::global();
-                registry.counter("mabe_wal_group_commits_total", &[]).inc();
-                registry
-                    .counter("mabe_wal_group_batched_records_total", &[])
-                    .add(flushed as u64);
+                static COMMITS: Resolved<Counter> =
+                    Resolved::new("mabe_wal_group_commits_total", &[]);
+                static BATCHED: Resolved<Counter> =
+                    Resolved::new("mabe_wal_group_batched_records_total", &[]);
+                COMMITS.get().inc();
+                BATCHED.get().add(flushed as u64);
                 Ok(())
             },
         )

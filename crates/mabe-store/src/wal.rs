@@ -46,6 +46,7 @@
 use std::fmt;
 
 use mabe_faults::FaultKind;
+use mabe_telemetry::{Counter, Resolved};
 
 use crate::compact::{checkpoint_counter, CheckpointKind};
 use crate::crc::crc32;
@@ -411,11 +412,10 @@ impl<S: Storage> Wal<S> {
         let name = self.active_name();
         self.store.append(&name, &frame)?;
         self.active_bytes += frame.len();
-        let registry = mabe_telemetry::global();
-        registry.counter("mabe_wal_appends_total", &[]).inc();
-        registry
-            .counter("mabe_wal_bytes_total", &[])
-            .add(frame.len() as u64);
+        static APPENDS: Resolved<Counter> = Resolved::new("mabe_wal_appends_total", &[]);
+        static BYTES: Resolved<Counter> = Resolved::new("mabe_wal_bytes_total", &[]);
+        APPENDS.get().inc();
+        BYTES.get().add(frame.len() as u64);
         mabe_trace::event(mabe_trace::TraceEvent::JournalAppend {
             object: name,
             bytes: frame.len() as u64,

@@ -13,11 +13,15 @@
 //! - [`span`] — RAII timers recording operation latency histograms for
 //!   every scheme and cloud-server operation.
 //!
+//! A per-operation site records through handles it resolves once
+//! ([`Resolved`], [`ResolvedFamily`], [`SpanMetric`]); looking a series
+//! up by name is for one-off and bench use.
+//!
 //! ## Cost when disabled
 //!
 //! Every record path first checks one relaxed atomic flag; after
 //! [`set_enabled`]`(false)` instrumentation reduces to that single
-//! load. Compiling with the `noop` feature removes even the load.
+//! load.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -30,8 +34,11 @@ pub mod span;
 
 pub use histogram::{Histogram, HistogramSnapshot};
 pub use ops::{absorb, measure, record, CryptoOp, OpSnapshot};
-pub use registry::{global, Counter, Gauge, HistogramHandle, Registry};
-pub use span::{time, Span};
+pub use registry::{
+    count_lookups, global, Counter, Gauge, HistogramHandle, Instrument, Registry, Resolved,
+    ResolvedFamily,
+};
+pub use span::{time, Span, SpanMetric};
 
 /// Whether the global registry is currently recording.
 #[inline]

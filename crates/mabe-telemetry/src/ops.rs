@@ -11,6 +11,8 @@
 
 use std::cell::Cell;
 
+use crate::registry::{Counter, ResolvedFamily};
+
 /// The operation classes the paper's cost model distinguishes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum CryptoOp {
@@ -70,6 +72,10 @@ thread_local! {
     static LOCAL_OPS: [Cell<u64>; OP_COUNT] = const { [const { Cell::new(0) }; OP_COUNT] };
 }
 
+/// The global mirror, `mabe_crypto_ops_total{op}`, one handle per class.
+static MIRROR: ResolvedFamily<Counter, OP_COUNT> =
+    ResolvedFamily::new("mabe_crypto_ops_total", "op");
+
 /// Records one crypto operation. Called from `mabe-math` hot paths; a
 /// disabled registry reduces this to a single atomic load.
 #[inline]
@@ -81,9 +87,7 @@ pub fn record(op: CryptoOp) {
         let cell = &ops[op.index()];
         cell.set(cell.get() + 1);
     });
-    crate::registry::global()
-        .counter("mabe_crypto_ops_total", &[("op", op.label())])
-        .inc();
+    MIRROR.get(op.index(), op.label()).inc();
 }
 
 /// This thread's running count for `op`.

@@ -1,12 +1,18 @@
 //! The metrics registry: named, labelled counters, gauges and
 //! histograms, discoverable for export.
 //!
-//! Instrument lookup takes a short-lived `RwLock` on the name→handle
-//! map; the handles themselves are `Arc`-shared atomics, so hot paths
-//! should resolve an instrument once and then record lock-free. Each
-//! handle carries its registry's enable flag: recording while disabled
-//! is one relaxed atomic load.
+//! Instrument lookup by name builds a key and takes a short-lived
+//! `RwLock` on the name→handle map; the handles themselves are
+//! `Arc`-shared atomics. A per-operation site therefore records through
+//! a [`Resolved`] (or [`ResolvedFamily`]) handle, looked up at the
+//! site's first use and lock-free after; the by-name
+//! [`Registry::counter`], [`Registry::gauge`] and
+//! [`Registry::histogram`] calls are for one-off and bench use. Each
+//! thread counts the by-name lookups it makes ([`count_lookups`]), so a
+//! test can pin a hot path at zero. Each handle carries its registry's
+//! enable flag: recording while disabled is one relaxed atomic load.
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
@@ -36,15 +42,7 @@ impl Key {
 
 #[inline]
 fn recording(enabled: &AtomicBool) -> bool {
-    #[cfg(feature = "noop")]
-    {
-        let _ = enabled;
-        false
-    }
-    #[cfg(not(feature = "noop"))]
-    {
-        enabled.load(Ordering::Relaxed)
-    }
+    enabled.load(Ordering::Relaxed)
 }
 
 /// A monotonically increasing counter handle.
@@ -135,7 +133,22 @@ pub struct Registry {
     histograms: RwLock<BTreeMap<Key, Arc<Histogram>>>,
 }
 
+thread_local! {
+    static LOOKUPS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Runs `f` and returns its result along with the by-name registry
+/// lookups it made **on this thread** (any registry's `counter`,
+/// `gauge` or `histogram` call), the way [`crate::measure`] counts
+/// crypto operations.
+pub fn count_lookups<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let before = LOOKUPS.with(Cell::get);
+    let result = f();
+    (result, LOOKUPS.with(Cell::get) - before)
+}
+
 fn intern<T: Default>(map: &RwLock<BTreeMap<Key, Arc<T>>>, key: Key) -> Arc<T> {
+    LOOKUPS.with(|n| n.set(n.get() + 1));
     if let Some(existing) = map.read().expect("registry lock").get(&key) {
         return Arc::clone(existing);
     }
@@ -247,6 +260,82 @@ pub fn global() -> &'static Registry {
     GLOBAL.get_or_init(Registry::new)
 }
 
+/// A handle kind the registry hands out by name ([`Counter`], [`Gauge`]).
+pub trait Instrument: Sized {
+    /// Returns (registering on first use) `name{labels}` in `registry`.
+    fn lookup(registry: &Registry, name: &str, labels: &[(&str, &str)]) -> Self;
+}
+
+impl Instrument for Counter {
+    fn lookup(registry: &Registry, name: &str, labels: &[(&str, &str)]) -> Self {
+        registry.counter(name, labels)
+    }
+}
+
+impl Instrument for Gauge {
+    fn lookup(registry: &Registry, name: &str, labels: &[(&str, &str)]) -> Self {
+        registry.gauge(name, labels)
+    }
+}
+
+/// One series of the global registry with its name and labels fixed at
+/// compile time, held in a `static` at the site that records it. The
+/// first [`get`](Self::get) looks it up (registering it, as a by-name
+/// call would at that moment); every later one is a load.
+#[derive(Debug)]
+pub struct Resolved<T> {
+    name: &'static str,
+    labels: &'static [(&'static str, &'static str)],
+    handle: OnceLock<T>,
+}
+
+impl<T: Instrument> Resolved<T> {
+    /// The series `name{labels}`, not yet looked up.
+    pub const fn new(name: &'static str, labels: &'static [(&'static str, &'static str)]) -> Self {
+        Resolved {
+            name,
+            labels,
+            handle: OnceLock::new(),
+        }
+    }
+
+    /// The handle, looked up on first use.
+    #[inline]
+    pub fn get(&self) -> &T {
+        self.handle
+            .get_or_init(|| T::lookup(global(), self.name, self.labels))
+    }
+}
+
+/// The series of one metric name whose one label takes `N` values fixed
+/// at compile time, one [`Resolved`]-style handle each, indexed like the
+/// enum that names the values. Each value's series is registered at its
+/// own first use.
+#[derive(Debug)]
+pub struct ResolvedFamily<T, const N: usize> {
+    name: &'static str,
+    label: &'static str,
+    handles: [OnceLock<T>; N],
+}
+
+impl<T: Instrument, const N: usize> ResolvedFamily<T, N> {
+    /// The family `name{label=…}`, no value looked up yet.
+    pub const fn new(name: &'static str, label: &'static str) -> Self {
+        ResolvedFamily {
+            name,
+            label,
+            handles: [const { OnceLock::new() }; N],
+        }
+    }
+
+    /// The handle of value number `index`, `name{label=value}`, looked
+    /// up on first use. `value` must be the same for each `index`.
+    #[inline]
+    pub fn get(&self, index: usize, value: &'static str) -> &T {
+        self.handles[index].get_or_init(|| T::lookup(global(), self.name, &[(self.label, value)]))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -291,6 +380,37 @@ mod tests {
         let b = r.counter("x", &[("b", "2"), ("a", "1")]);
         a.inc();
         assert_eq!(b.get(), 1);
+    }
+
+    #[test]
+    fn resolved_handles_look_up_once_and_alias_the_by_name_series() {
+        static ONE: Resolved<Counter> = Resolved::new("resolved_once_total", &[("k", "v")]);
+        static FAMILY: ResolvedFamily<Gauge, 2> = ResolvedFamily::new("resolved_family", "side");
+        let ((), first) = count_lookups(|| {
+            ONE.get().inc();
+            FAMILY.get(1, "right").set(5);
+        });
+        assert_eq!(first, 2, "each series is looked up at its first use");
+        let ((), later) = count_lookups(|| {
+            ONE.get().add(2);
+            FAMILY.get(1, "right").add(1);
+        });
+        assert_eq!(later, 0, "and never again");
+        assert_eq!(
+            global().counter("resolved_once_total", &[("k", "v")]).get(),
+            3
+        );
+        assert_eq!(
+            global()
+                .gauge("resolved_family", &[("side", "right")])
+                .get(),
+            6
+        );
+        let left = global()
+            .gauges()
+            .into_iter()
+            .any(|(key, _)| key.labels.get("side").map(String::as_str) == Some("left"));
+        assert!(!left, "an unused value is never registered");
     }
 
     #[test]

@@ -29,10 +29,11 @@
 //!
 //! ## Cost when disabled
 //!
-//! Span creation and event emission first check one relaxed atomic
-//! flag; after [`set_enabled`]`(false)` instrumentation reduces to
-//! that single load (the same guarantee `mabe-telemetry` makes).
-//! Compiling with the `noop` feature removes even the load.
+//! Span creation, details, op attributes and event emission first
+//! check one relaxed atomic flag; after [`set_enabled`]`(false)`
+//! instrumentation reduces to that single load (the same guarantee
+//! `mabe-telemetry` makes). Details and attribute values are taken as
+//! `impl Display` and formatted only past that check.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -57,29 +58,23 @@ pub use span::{current_ctx, event, Span};
 /// ([`TraceEvent::OpAttr`]) to the innermost active span. The
 /// wide-event pipeline (`mabe-events`) folds these into the enclosing
 /// operation's record; without an active span (or with tracing
-/// disabled) this is a cheap no-op, like [`event()`].
+/// disabled) this is a cheap no-op, like [`event()`], and `value` is
+/// not formatted.
 #[inline]
-pub fn op_attr(key: &'static str, value: impl Into<String>) {
+pub fn op_attr(key: &'static str, value: impl std::fmt::Display) {
     if !enabled() {
         return;
     }
     event(TraceEvent::OpAttr {
         key,
-        value: value.into(),
+        value: value.to_string(),
     });
 }
 
 /// Whether the global flight recorder is currently capturing.
 #[inline]
 pub fn enabled() -> bool {
-    #[cfg(feature = "noop")]
-    {
-        false
-    }
-    #[cfg(not(feature = "noop"))]
-    {
-        recorder::global().is_enabled()
-    }
+    recorder::global().is_enabled()
 }
 
 /// Turns capturing on or off process-wide. Spans opened while enabled

@@ -13,6 +13,7 @@
 //!    report into spans they never opened.
 
 use std::cell::RefCell;
+use std::fmt;
 
 use crate::ctx::TraceCtx;
 use crate::event::TraceEvent;
@@ -107,10 +108,10 @@ impl Span {
     }
 
     /// Attaches a free-form qualifier (record name, uid, attribute)
-    /// shown by both exporters.
-    pub fn detail(self, detail: impl Into<String>) -> Self {
+    /// shown by both exporters. Formatted only if the span is live.
+    pub fn detail(self, detail: impl fmt::Display) -> Self {
         if let Some(ctx) = self.ctx {
-            let detail = detail.into();
+            let detail = detail.to_string();
             STACK.with(|stack| {
                 if let Some(live) = stack
                     .borrow_mut()
@@ -148,33 +149,44 @@ impl Drop for Span {
     fn drop(&mut self) {
         let Some(ctx) = self.ctx else { return };
         let end_us = recorder::now_us();
-        let closed: Vec<LiveSpan> = STACK.with(|stack| {
-            let mut stack = stack.borrow_mut();
-            match stack.iter().rposition(|l| l.ctx.span_id == ctx.span_id) {
-                // Close this span and any descendants whose guards
-                // were leaked (e.g. by a panic unwinding past them).
-                Some(pos) => stack.split_off(pos),
-                None => Vec::new(),
+        STACK.with(|stack| {
+            let Some(pos) = stack
+                .borrow()
+                .iter()
+                .rposition(|l| l.ctx.span_id == ctx.span_id)
+            else {
+                return;
+            };
+            // Close this span and any descendants whose guards were
+            // leaked (e.g. by a panic unwinding past them), innermost
+            // first. Each is popped before it commits, so the sink runs
+            // with no borrow of the stack held.
+            while stack.borrow().len() > pos {
+                let live = stack
+                    .borrow_mut()
+                    .pop()
+                    .expect("the stack is longer than pos");
+                commit(live, end_us);
             }
         });
-        let rec = recorder::global();
-        for live in closed.into_iter().rev() {
-            let record = SpanRecord {
-                seq: 0,
-                ctx: live.ctx,
-                name: live.name,
-                detail: live.detail,
-                start_us: live.start_us,
-                dur_us: end_us.saturating_sub(live.start_us),
-                error: live.error,
-                events: live.events,
-            };
-            if let Some(sink) = crate::sink::sink() {
-                sink.on_close(&record);
-            }
-            rec.commit(record);
-        }
     }
+}
+
+fn commit(live: LiveSpan, end_us: u64) {
+    let record = SpanRecord {
+        seq: 0,
+        ctx: live.ctx,
+        name: live.name,
+        detail: live.detail,
+        start_us: live.start_us,
+        dur_us: end_us.saturating_sub(live.start_us),
+        error: live.error,
+        events: live.events,
+    };
+    if let Some(sink) = crate::sink::sink() {
+        sink.on_close(&record);
+    }
+    recorder::global().commit(record);
 }
 
 /// The innermost active span's context on this thread, if any.
@@ -209,7 +221,6 @@ pub fn event(ev: TraceEvent) {
 mod tests {
     use super::*;
 
-    #[cfg(not(feature = "noop"))]
     fn mine(spans: &[SpanRecord], trace_id: u64) -> Vec<SpanRecord> {
         spans
             .iter()
@@ -218,16 +229,6 @@ mod tests {
             .collect()
     }
 
-    #[cfg(feature = "noop")]
-    #[test]
-    fn noop_feature_compiles_spans_away() {
-        let span = Span::root("gone");
-        assert!(span.ctx().is_none());
-        event(TraceEvent::Note { what: "x".into() });
-        assert!(current_ctx().is_none());
-    }
-
-    #[cfg(not(feature = "noop"))]
     #[test]
     fn children_nest_under_the_active_span() {
         let root = Span::root("outer");
@@ -249,7 +250,6 @@ mod tests {
         assert!(names.contains(&"leaf"));
     }
 
-    #[cfg(not(feature = "noop"))]
     #[test]
     fn events_attach_to_the_innermost_span() {
         let root = Span::root("with_events");
@@ -274,7 +274,6 @@ mod tests {
         assert!(root_rec.events_of("retry_attempt").is_empty());
     }
 
-    #[cfg(not(feature = "noop"))]
     #[test]
     fn follow_continues_a_trace_across_threads() {
         let root = Span::root("spawner");
@@ -292,7 +291,21 @@ mod tests {
         assert!(spans.iter().any(|s| s.ctx == worker_ctx));
     }
 
-    #[cfg(not(feature = "noop"))]
+    #[test]
+    fn closing_a_span_closes_its_leaked_descendants_innermost_first() {
+        let root = Span::root("leaky_root");
+        let trace = root.ctx().unwrap().trace_id;
+        std::mem::forget(Span::child("leaked_mid"));
+        std::mem::forget(Span::child("leaked_leaf"));
+        drop(root);
+        assert!(current_ctx().is_none(), "the stack is empty again");
+        let names: Vec<&str> = mine(&crate::snapshot(), trace)
+            .iter()
+            .map(|s| s.name)
+            .collect();
+        assert_eq!(names, ["leaked_leaf", "leaked_mid", "leaky_root"]);
+    }
+
     #[test]
     fn failed_spans_keep_their_error() {
         let span = Span::root("failing");
@@ -303,7 +316,6 @@ mod tests {
         assert_eq!(spans[0].error.as_deref(), Some("deliberate"));
     }
 
-    #[cfg(not(feature = "noop"))]
     #[test]
     fn disabled_spans_record_nothing() {
         // Runs in its own process-global recorder alongside the other
