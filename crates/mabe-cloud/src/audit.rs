@@ -6,7 +6,7 @@
 //! truncation or in-place edits are detectable — a cheap integrity layer
 //! appropriate for the semi-trusted server model.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 use mabe_crypto::sha256::{Sha256, DIGEST_LEN};
 
@@ -245,6 +245,16 @@ pub struct AuditEntry {
     pub digest: [u8; DIGEST_LEN],
 }
 
+/// Feeds formatted text straight into a hash.
+struct HashText<'a>(&'a mut Sha256);
+
+impl fmt::Write for HashText<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0.update(s.as_bytes());
+        Ok(())
+    }
+}
+
 /// The hash-chained trail.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct AuditLog {
@@ -271,7 +281,9 @@ impl AuditLog {
         h.update(&index.to_be_bytes());
         h.update(&seq.to_be_bytes());
         h.update(&timestamp.to_be_bytes());
-        h.update(event.to_string().as_bytes());
+        // The event's canonical text, streamed into the hash as it is
+        // formatted: the same bytes as `event.to_string()`, unbuffered.
+        let _ = write!(HashText(&mut h), "{event}");
         h.finalize()
     }
 
@@ -486,12 +498,17 @@ impl AuditLog {
 /// [`AuditLog::from_entries`] reads them back.
 pub(crate) fn entry_bytes(entry: &AuditEntry) -> Vec<u8> {
     let mut out = Vec::new();
+    put_entry(&mut out, entry);
+    out
+}
+
+/// Appends [`entry_bytes`]`(entry)` to `out`.
+pub(crate) fn put_entry(out: &mut Vec<u8>, entry: &AuditEntry) {
     out.extend_from_slice(&entry.index.to_be_bytes());
     out.extend_from_slice(&entry.seq.to_be_bytes());
     out.extend_from_slice(&entry.timestamp.to_be_bytes());
-    wire::put_event(&mut out, &entry.event);
+    wire::put_event(out, &entry.event);
     out.extend_from_slice(&entry.digest);
-    out
 }
 
 /// Minimal framing for audit persistence: big-endian integers,

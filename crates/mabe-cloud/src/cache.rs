@@ -44,6 +44,7 @@
 //! both through [`CacheStats`] and the `mabe_cache_*_total` metric
 //! families.
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -170,13 +171,18 @@ impl<K: Ord + Hash + Clone, V: Clone> LruCache<K, V> {
         }
     }
 
-    fn shard(&self, key: &K) -> &Mutex<Shard<K, V>> {
+    /// The shard of `key`. A borrowed form of a key hashes as the key
+    /// does (the [`Borrow`] contract), so both find the same shard.
+    fn shard<Q: Hash + ?Sized>(&self, key: &Q) -> &Mutex<Shard<K, V>> {
         let mut h = std::collections::hash_map::DefaultHasher::new();
         key.hash(&mut h);
         &self.shards[(h.finish() as usize) % SHARDS]
     }
 
-    fn get(&self, key: &K) -> Option<V> {
+    fn get<Q: Ord + Hash + ?Sized>(&self, key: &Q) -> Option<V>
+    where
+        K: Borrow<Q>,
+    {
         let mut shard = self.shard(key).lock();
         shard.tick += 1;
         let tick = shard.tick;
@@ -224,10 +230,14 @@ impl<K: Ord + Hash + Clone, V: Clone> LruCache<K, V> {
     }
 }
 
-/// Content-key cache key: the reader, the component's address, the
+/// Content-cache key: the reader, the component's address, the
 /// ciphertext it currently holds, and the exact `(authority, version)`
 /// vector that ciphertext is sealed under.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+///
+/// A read looks it up through a [`ContentKeyRef`] over what it already
+/// holds, so a hit builds no owned key; both forms compare and hash
+/// through [`ContentKeyParts`].
+#[derive(Clone, Debug)]
 pub(crate) struct ContentCacheKey {
     pub uid: String,
     pub owner: String,
@@ -243,6 +253,157 @@ pub(crate) struct ContentCacheKey {
 impl ContentCacheKey {
     fn mentions(&self, aid: &str) -> bool {
         self.versions.iter().any(|(a, _)| a == aid)
+    }
+}
+
+/// A content-cache key borrowed from a read in progress: its reader and
+/// address, and the component ciphertext's id and version map.
+pub(crate) struct ContentKeyRef<'a> {
+    pub uid: &'a str,
+    pub owner: &'a str,
+    pub record: &'a str,
+    pub label: &'a str,
+    pub ciphertext: CiphertextId,
+    pub versions: &'a BTreeMap<AuthorityId, u64>,
+}
+
+impl ContentKeyRef<'_> {
+    /// The owned key a miss inserts under.
+    pub(crate) fn to_owned_key(&self) -> ContentCacheKey {
+        ContentCacheKey {
+            uid: self.uid.to_owned(),
+            owner: self.owner.to_owned(),
+            record: self.record.to_owned(),
+            label: self.label.to_owned(),
+            ciphertext: self.ciphertext,
+            versions: self
+                .versions
+                .iter()
+                .map(|(a, v)| (a.as_str().to_owned(), *v))
+                .collect(),
+        }
+    }
+}
+
+/// The `(authority, version)` pairs of a key, in authority order.
+pub(crate) enum Versions<'a> {
+    Owned(std::slice::Iter<'a, (String, u64)>),
+    Borrowed(std::collections::btree_map::Iter<'a, AuthorityId, u64>),
+}
+
+impl<'a> Iterator for Versions<'a> {
+    type Item = (&'a str, u64);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        match self {
+            Versions::Owned(it) => it.next().map(|(a, v)| (a.as_str(), *v)),
+            Versions::Borrowed(it) => it.next().map(|(a, v)| (a.as_str(), *v)),
+        }
+    }
+}
+
+/// A content-cache key's parts, however they are held. Equality, order
+/// and hash are defined on the parts, so an owned key and a borrowed
+/// one over the same parts are the same key to the cache.
+pub(crate) trait ContentKeyParts {
+    /// Reader, owner, record, label and ciphertext id.
+    fn address(&self) -> (&str, &str, &str, &str, CiphertextId);
+    /// The version vector.
+    fn versions(&self) -> Versions<'_>;
+}
+
+impl ContentKeyParts for ContentCacheKey {
+    fn address(&self) -> (&str, &str, &str, &str, CiphertextId) {
+        (
+            &self.uid,
+            &self.owner,
+            &self.record,
+            &self.label,
+            self.ciphertext,
+        )
+    }
+
+    fn versions(&self) -> Versions<'_> {
+        Versions::Owned(self.versions.iter())
+    }
+}
+
+impl ContentKeyParts for ContentKeyRef<'_> {
+    fn address(&self) -> (&str, &str, &str, &str, CiphertextId) {
+        (
+            self.uid,
+            self.owner,
+            self.record,
+            self.label,
+            self.ciphertext,
+        )
+    }
+
+    fn versions(&self) -> Versions<'_> {
+        Versions::Borrowed(self.versions.iter())
+    }
+}
+
+impl<'a> Borrow<dyn ContentKeyParts + 'a> for ContentCacheKey {
+    fn borrow(&self) -> &(dyn ContentKeyParts + 'a) {
+        self
+    }
+}
+
+impl PartialEq for dyn ContentKeyParts + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == std::cmp::Ordering::Equal
+    }
+}
+
+impl Eq for dyn ContentKeyParts + '_ {}
+
+impl PartialOrd for dyn ContentKeyParts + '_ {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for dyn ContentKeyParts + '_ {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.address()
+            .cmp(&other.address())
+            .then_with(|| self.versions().cmp(other.versions()))
+    }
+}
+
+impl Hash for dyn ContentKeyParts + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.address().hash(state);
+        for version in self.versions() {
+            version.hash(state);
+        }
+    }
+}
+
+impl PartialEq for ContentCacheKey {
+    fn eq(&self, other: &Self) -> bool {
+        (self as &dyn ContentKeyParts) == (other as &dyn ContentKeyParts)
+    }
+}
+
+impl Eq for ContentCacheKey {}
+
+impl PartialOrd for ContentCacheKey {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for ContentCacheKey {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        (self as &dyn ContentKeyParts).cmp(other as &dyn ContentKeyParts)
+    }
+}
+
+impl Hash for ContentCacheKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (self as &dyn ContentKeyParts).hash(state);
     }
 }
 
@@ -369,8 +530,9 @@ impl SystemCaches {
         .collect()
     }
 
-    /// The cached content key of one reader's component.
-    pub(crate) fn get_content(&self, key: &ContentCacheKey) -> Option<[u8; 32]> {
+    /// The cached content key of one reader's component, looked up by
+    /// an owned or a borrowed key.
+    pub(crate) fn get_content(&self, key: &dyn ContentKeyParts) -> Option<[u8; 32]> {
         self.content.get(key)
     }
 

@@ -190,7 +190,7 @@ impl CloudSystem {
     /// unrecovered injected faults.
     pub fn grant(&self, uid: &Uid, attributes: &[&str]) -> Result<(), CloudError> {
         let _trace = mabe_trace::Span::child("cloud.grant").detail(uid);
-        mabe_trace::op_attr("uid", uid);
+        mabe_trace::op_attr("uid", uid.shared());
         let pk = {
             let users = self.directory.users.read();
             users
@@ -211,7 +211,7 @@ impl CloudSystem {
                 .push(attr);
         }
         for (aid, attrs) in by_authority {
-            mabe_trace::op_attr("authority", &aid);
+            mabe_trace::op_attr("authority", aid.as_str());
             let shard = self
                 .control
                 .shard(&aid)
@@ -360,8 +360,8 @@ impl CloudSystem {
                 (trace, None, aid.clone())
             }
         };
-        mabe_trace::op_attr("uid", uid);
-        mabe_trace::op_attr("authority", &aid);
+        mabe_trace::op_attr("uid", uid.shared());
+        mabe_trace::op_attr("authority", aid.as_str());
         self.lazy_backpressure(j)?;
         let mut op = j.lock();
         let shard = self

@@ -46,7 +46,7 @@ use mabe_policy::{parse, AuthorityId, Policy};
 use mabe_telemetry::SpanMetric;
 
 use crate::audit::AuditEvent;
-use crate::cache::{ContentCacheKey, StepUse};
+use crate::cache::{ContentCacheKey, ContentKeyRef, StepUse};
 use crate::recovery::PendingRevocation;
 use crate::server::{CloudServer, RecordKey};
 use crate::system::{fault_points, CloudError, CloudSystem};
@@ -194,7 +194,7 @@ impl OpenStep for LocalOpen {
             fault_points::READ_FETCH,
             Endpoint::Server,
             Endpoint::User(at.uid.clone()),
-            &format!("component {}/{}", at.record, at.label),
+            format_args!("component {}/{}", at.record, at.label),
             component.stored_size(),
         )
     }
@@ -212,25 +212,20 @@ impl OpenStep for LocalOpen {
         // version vector, either way the key, so stale hits are
         // structurally impossible, and a revocation purges its
         // authority's entries before it is acknowledged.
-        let cache_key = ContentCacheKey {
-            uid: at.uid.as_str().to_owned(),
-            owner: at.owner.as_str().to_owned(),
-            record: at.record.to_owned(),
-            label: at.label.to_owned(),
+        let cache_key = ContentKeyRef {
+            uid: at.uid.as_str(),
+            owner: at.owner.as_str(),
+            record: at.record,
+            label: at.label,
             ciphertext: component.key_ct.id,
-            versions: component
-                .key_ct
-                .versions
-                .iter()
-                .map(|(a, v)| (a.as_str().to_owned(), *v))
-                .collect(),
+            versions: &component.key_ct.versions,
         };
         match sys.cache.get_content(&cache_key) {
             Some(key) => ControlFlow::Break(open_component_with_key(component, &key)),
             // Snapshotted before the key view, so a revocation's bump
             // anywhere from here to the insert drops the insert.
             None => ControlFlow::Continue((
-                cache_key,
+                cache_key.to_owned_key(),
                 sys.cache
                     .generation_snapshot(component.key_ct.versions.keys()),
             )),
@@ -346,7 +341,7 @@ impl CloudSystem {
     ) -> Result<(), CloudError> {
         let _span = mabe_telemetry::Span::on(&PUBLISH_OP);
         let _trace = mabe_trace::Span::child("cloud.publish").detail(record);
-        mabe_trace::op_attr("uid", owner_id);
+        mabe_trace::op_attr("uid", owner_id.as_str());
         if !self.directory.owners.read().contains_key(owner_id) {
             return Err(CloudError::Core(Error::UnknownOwner(owner_id.clone())));
         }
@@ -373,7 +368,7 @@ impl CloudSystem {
                 fault_points::PUBLISH_STORE,
                 Endpoint::Owner(owner_id.clone()),
                 Endpoint::Server,
-                &format!("record {record}"),
+                format_args!("record {record}"),
                 envelope.stored_size(),
             )
             .and_then(|()| {
@@ -469,7 +464,7 @@ impl CloudSystem {
             record,
             label,
         };
-        mabe_trace::op_attr("uid", at.uid);
+        mabe_trace::op_attr("uid", at.uid.shared());
         if !self.directory.users.read().users.contains_key(at.uid) {
             return Err(CloudError::Core(Error::UnknownUser(at.uid.clone())));
         }
@@ -1013,7 +1008,7 @@ impl CloudSystem {
             self.upgrade_one(aid, owner_id, *v, &record_key, label, ct_id)?;
             // The wide event for the enclosing read carries the (last)
             // authority whose stale component this read healed.
-            mabe_trace::op_attr("authority", aid);
+            mabe_trace::op_attr("authority", aid.as_str());
             telemetry
                 .counter(
                     "mabe_read_upgrades_total",

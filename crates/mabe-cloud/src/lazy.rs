@@ -389,7 +389,7 @@ impl CloudSystem {
     /// it runs outside the op lock, and the claim completes under it.
     fn drain_claim_components(&self, claim: &LazyClaim) -> Result<u64, CloudError> {
         traced("cloud.lazy_drain", format_args!("@{}", claim.aid), || {
-            mabe_trace::op_attr("authority", &claim.aid);
+            mabe_trace::op_attr("authority", claim.aid.as_str());
             mabe_trace::op_attr("key_version_observed", claim.from_version);
             mabe_trace::op_attr("key_version_served", claim.to_version);
             let mut drained = 0u64;

@@ -68,4 +68,6 @@ pub use persist::{
 pub use recovery::{PendingRevocation, RevocationStage};
 pub use server::CloudServer;
 pub use system::{fault_points, CloudError, CloudSystem, StorageReport};
-pub use wire::{DeliveryReport, Disposition, Endpoint, PairClass, Transmission, Wire};
+pub use wire::{
+    DeliveryReport, Disposition, Endpoint, PairClass, Transmission, Wire, TRANSCRIPT_CAPACITY,
+};

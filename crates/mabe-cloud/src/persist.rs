@@ -103,8 +103,8 @@ use mabe_faults::FaultInjector;
 use mabe_policy::lsss::CONSTRUCTION;
 use mabe_policy::AuthorityId;
 use mabe_store::{
-    Frame, RecoveryReport, Schema, SchemaError, ScrubReport, Storage, StoreError, StoreRef,
-    TypedOpen, TypedOpenError, TypedStore, DEFAULT_SEGMENT_BUDGET,
+    Frame, FrameBatch, RecoveryReport, Schema, SchemaError, ScrubReport, Storage, StoreError,
+    StoreRef, TypedOpen, TypedOpenError, TypedStore, DEFAULT_SEGMENT_BUDGET,
 };
 
 use crate::audit::{AuditLoadError, AuditLog};
@@ -260,6 +260,9 @@ pub(crate) struct OpState {
     /// memory so a rotted seal is rewritten without trusting its own
     /// header.
     seal_ends: Vec<usize>,
+    /// The batch every staged operation encodes into, kept so that
+    /// staging allocates nothing once warmed.
+    batch: FrameBatch,
 }
 
 impl OpState {
@@ -406,6 +409,7 @@ impl<S: Storage> DurableSystem<S> {
                 wal_budget: 4 * DEFAULT_SEGMENT_BUDGET,
                 journaled_audit,
                 seal_ends,
+                batch: FrameBatch::new(),
             }),
             poisoned: AtomicBool::new(false),
             degraded: AtomicBool::new(false),
@@ -524,10 +528,18 @@ impl<S: Storage> DurableSystem<S> {
     /// audit rows recorded since the last batch ride along (the
     /// watermark), so the journaled `audit` table stays a contiguous
     /// prefix of the live chain.
-    fn stage_frames_locked(&self, op: &mut OpState, mut frames: Vec<Frame>) -> u64 {
-        tables::emit_audit(&self.sys, &mut op.journaled_audit, &mut frames);
+    ///
+    /// The batch encodes into the op state's one reused [`FrameBatch`],
+    /// the operation's own frames first and the audit rows after.
+    fn stage_frames_locked(&self, op: &mut OpState, frames: Vec<Frame>) -> u64 {
+        let batch = &mut op.batch;
+        batch.clear();
+        for frame in &frames {
+            batch.push(frame);
+        }
+        tables::emit_audit(&self.sys, &mut op.journaled_audit, batch);
         op.ops_since_checkpoint += 1;
-        self.ts.stage_frames(&frames)
+        self.ts.stage(batch)
     }
 
     fn maybe_checkpoint(&self) -> Result<(), CloudError> {

@@ -14,6 +14,7 @@
 //! ([`CloudServer::prepare_reencryption`]) and takes the write lock only
 //! to apply it ([`CloudServer::apply_reencryption`]).
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -32,6 +33,52 @@ static REENCRYPT_OP: SpanMetric = SpanMetric::new("mabe_server_op", &[("op", "re
 
 /// Key of a stored record: owner plus record name.
 pub type RecordKey = (OwnerId, String);
+
+/// A record key's two parts, however they are held: the map's owned
+/// [`RecordKey`]s and a fetch's borrowed `(&str, &str)` compare alike,
+/// so a fetch looks a record up without building an owned key.
+trait RecordName {
+    fn parts(&self) -> (&str, &str);
+}
+
+impl RecordName for RecordKey {
+    fn parts(&self) -> (&str, &str) {
+        (self.0.as_str(), &self.1)
+    }
+}
+
+impl RecordName for (&str, &str) {
+    fn parts(&self) -> (&str, &str) {
+        *self
+    }
+}
+
+impl<'a> Borrow<dyn RecordName + 'a> for RecordKey {
+    fn borrow(&self) -> &(dyn RecordName + 'a) {
+        self
+    }
+}
+
+impl PartialEq for dyn RecordName + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.parts() == other.parts()
+    }
+}
+
+impl Eq for dyn RecordName + '_ {}
+
+impl PartialOrd for dyn RecordName + '_ {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// The order of [`RecordKey`]'s derived `Ord`: owner, then name.
+impl Ord for dyn RecordName + '_ {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.parts().cmp(&other.parts())
+    }
+}
 
 /// The cloud storage server.
 #[derive(Debug, Default)]
@@ -73,10 +120,8 @@ impl CloudServer {
     pub fn fetch(&self, owner: &OwnerId, name: &str) -> Option<Arc<DataEnvelope>> {
         let _span = mabe_telemetry::Span::on(&FETCH_OP);
         let _trace = mabe_trace::Span::child("server.fetch");
-        self.records
-            .read()
-            .get(&(owner.clone(), name.to_owned()))
-            .cloned()
+        let key: &dyn RecordName = &(owner.as_str(), name);
+        self.records.read().get(key).cloned()
     }
 
     /// Number of stored records.

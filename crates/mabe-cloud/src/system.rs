@@ -327,7 +327,7 @@ impl CloudSystem {
         point: &'static str,
         from: Endpoint,
         to: Endpoint,
-        what: &str,
+        what: impl fmt::Display,
         bytes: usize,
     ) -> Result<(), CloudError> {
         self.retry
@@ -342,7 +342,7 @@ impl CloudSystem {
                     };
                     let send = |disposition| {
                         self.wire
-                            .send_with(from.clone(), to.clone(), what, bytes, disposition)
+                            .send_with(from.clone(), to.clone(), &what, bytes, disposition)
                     };
                     match self.faults.decide(point) {
                         Some(FaultKind::Drop) => {

@@ -59,7 +59,7 @@ use mabe_core::{
 use mabe_crypto::sha256::DIGEST_LEN;
 use mabe_policy::lsss::CONSTRUCTION;
 use mabe_policy::{Attribute, AuthorityId};
-use mabe_store::{key_str, Frame, Keyspace, Schema};
+use mabe_store::{key_str, Frame, FrameBatch, Keyspace, Schema};
 
 use crate::audit::{self, AuditEntry, AuditLoadError, AuditLog};
 use crate::control::ShardState;
@@ -813,19 +813,26 @@ pub(crate) fn frames_lazy_drained(sys: &CloudSystem, ids: &[u64], aid: &Authorit
 /// Appends puts for every audit entry recorded since `watermark` (plus
 /// the refreshed counter row), advancing the watermark. A no-op when
 /// nothing new was recorded, so read-heavy batches stay empty.
-pub(crate) fn emit_audit(sys: &CloudSystem, watermark: &mut usize, out: &mut Vec<Frame>) {
+///
+/// The rows are encoded straight into `out`, so a read's audit row costs
+/// no buffer of its own.
+pub(crate) fn emit_audit(sys: &CloudSystem, watermark: &mut usize, out: &mut FrameBatch) {
     let audit = sys.audit.lock();
     let entries = audit.entries();
     if entries.len() <= *watermark {
         return;
     }
     for entry in &entries[*watermark..] {
-        out.push(Frame::put::<Audit>(
-            &(entry.index,),
-            &audit::entry_bytes(entry),
-        ));
+        out.put_with::<Audit>(&(entry.index,), |value| audit::put_entry(value, entry));
     }
-    out.push(audit_counters(&audit));
+    let (next_seq, clock) = audit.counters();
+    out.put_encoded::<Meta>(
+        |key| key_str(key, META_AUDIT),
+        |value| {
+            put_u64(value, next_seq);
+            put_u64(value, clock);
+        },
+    );
     *watermark = entries.len();
 }
 

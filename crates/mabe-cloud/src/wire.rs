@@ -2,12 +2,21 @@
 //!
 //! The paper's communication-cost analysis (Table IV) counts the bytes of
 //! keys and ciphertexts exchanged between entity pairs. Instead of
-//! sniffing a real network, every simulated send is recorded here with
+//! sniffing a real network, every simulated send is accounted here with
 //! its paper-accounted wire size, and [`Wire::report`] aggregates per
 //! entity-pair class.
+//!
+//! The accounting is exact and cumulative: [`Wire::report`],
+//! [`Wire::delivery_report`], [`Wire::total_bytes`] and
+//! [`Wire::between`] read running totals over every message since the
+//! last [`Wire::reset`]. The transcript ([`Wire::log`]) keeps only the
+//! last [`TRANSCRIPT_CAPACITY`] messages, like the flight recorder's
+//! span ring, so a server's memory does not grow with its traffic; a
+//! full transcript overwrites its oldest entry in place, so a warmed
+//! send allocates nothing.
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 use mabe_core::{OwnerId, Uid};
 use mabe_policy::AuthorityId;
@@ -190,12 +199,102 @@ pub struct DeliveryReport {
     pub bytes_lost: usize,
 }
 
+/// Messages the transcript ([`Wire::log`]) retains: the last this many.
+pub const TRANSCRIPT_CAPACITY: usize = 4096;
+
+/// Pair classes, in [`PairClass`] order.
+const PAIR_CLASSES: [PairClass; 6] = [
+    PairClass::AuthorityUser,
+    PairClass::AuthorityOwner,
+    PairClass::ServerUser,
+    PairClass::ServerOwner,
+    PairClass::Ca,
+    PairClass::Other,
+];
+
+/// What the wire has accounted since the last reset.
+#[derive(Debug, Default)]
+struct Ledger {
+    /// The last [`TRANSCRIPT_CAPACITY`] messages; once full, `next` is
+    /// the oldest, overwritten by the next send.
+    transcript: Vec<Transmission>,
+    next: usize,
+    /// Messages and bytes per pair class, indexed like
+    /// [`PAIR_CLASSES`].
+    class_messages: [u64; 6],
+    class_bytes: [usize; 6],
+    delivery: DeliveryReport,
+    /// Bytes per endpoint pair, keyed `(lesser, greater)`.
+    pairs: BTreeMap<(Endpoint, Endpoint), usize>,
+}
+
+impl Ledger {
+    fn account(
+        &mut self,
+        from: Endpoint,
+        to: Endpoint,
+        what: impl fmt::Display,
+        bytes: usize,
+        disposition: Disposition,
+    ) {
+        let class = PairClass::of(&from, &to) as usize;
+        self.class_messages[class] += 1;
+        self.class_bytes[class] += bytes;
+        let r = &mut self.delivery;
+        r.sent += 1;
+        r.bytes_sent += bytes;
+        match disposition {
+            Disposition::Delivered => {}
+            Disposition::Retransmit => r.retried += 1,
+            Disposition::Duplicate => r.duplicated += 1,
+            Disposition::Dropped => r.dropped += 1,
+            Disposition::Corrupted => r.corrupted += 1,
+        }
+        if disposition.is_delivered() {
+            r.delivered += 1;
+            r.bytes_delivered += bytes;
+        } else {
+            r.bytes_lost += bytes;
+        }
+        let pair = if from <= to {
+            (from.clone(), to.clone())
+        } else {
+            (to.clone(), from.clone())
+        };
+        match self.pairs.get_mut(&pair) {
+            Some(total) => *total += bytes,
+            None => {
+                self.pairs.insert(pair, bytes);
+            }
+        }
+        if self.transcript.len() < TRANSCRIPT_CAPACITY {
+            self.transcript.push(Transmission {
+                from,
+                to,
+                what: what.to_string(),
+                bytes,
+                disposition,
+            });
+            return;
+        }
+        // Full: overwrite the oldest entry, reusing its text buffer.
+        let slot = &mut self.transcript[self.next];
+        self.next = (self.next + 1) % TRANSCRIPT_CAPACITY;
+        slot.from = from;
+        slot.to = to;
+        slot.what.clear();
+        let _ = write!(slot.what, "{what}");
+        slot.bytes = bytes;
+        slot.disposition = disposition;
+    }
+}
+
 /// The byte-accounting transport. Internally synchronized: concurrent
 /// `&self` readers and the sharded control plane account bandwidth on
 /// one shared wire; entries land in arrival order.
 #[derive(Debug, Default)]
 pub struct Wire {
-    log: parking_lot::Mutex<Vec<Transmission>>,
+    ledger: parking_lot::Mutex<Ledger>,
 }
 
 impl Wire {
@@ -204,22 +303,22 @@ impl Wire {
         Self::default()
     }
 
-    /// Records one delivered message — in the local log (for the paper's
-    /// Table IV reports) and in the global telemetry registry (per-pair
-    /// byte and message counters).
-    pub fn send(&self, from: Endpoint, to: Endpoint, what: impl Into<String>, bytes: usize) {
+    /// Records one delivered message — in the local accounts (for the
+    /// paper's Table IV reports) and in the global telemetry registry
+    /// (per-pair byte and message counters).
+    pub fn send(&self, from: Endpoint, to: Endpoint, what: impl fmt::Display, bytes: usize) {
         self.send_with(from, to, what, bytes, Disposition::Delivered);
     }
 
     /// Records one message with an explicit delivery outcome. Dropped
     /// and corrupted transmissions still spend bandwidth, so they are
     /// logged and counted like any other — only the delivery report
-    /// distinguishes them.
+    /// distinguishes them. `what` is formatted into the transcript.
     pub fn send_with(
         &self,
         from: Endpoint,
         to: Endpoint,
-        what: impl Into<String>,
+        what: impl fmt::Display,
         bytes: usize,
         disposition: Disposition,
     ) {
@@ -233,72 +332,55 @@ impl Wire {
                 .get(disposition as usize, disposition.metric_label())
                 .inc();
         }
-        self.log.lock().push(Transmission {
-            from,
-            to,
-            what: what.into(),
-            bytes,
-            disposition,
-        });
+        self.ledger
+            .lock()
+            .account(from, to, what, bytes, disposition);
     }
 
-    /// Full transmission log (a snapshot copy — sends may continue
-    /// concurrently).
+    /// The last [`TRANSCRIPT_CAPACITY`] transmissions, oldest first (a
+    /// snapshot copy — sends may continue concurrently).
     pub fn log(&self) -> Vec<Transmission> {
-        self.log.lock().clone()
+        let ledger = self.ledger.lock();
+        let (newer, older) = ledger.transcript.split_at(ledger.next);
+        older.iter().chain(newer).cloned().collect()
     }
 
     /// Total bytes transmitted.
     pub fn total_bytes(&self) -> usize {
-        self.log.lock().iter().map(|t| t.bytes).sum()
+        self.ledger.lock().delivery.bytes_sent
     }
 
-    /// Aggregated bytes per entity-pair class (Table IV rows).
+    /// Aggregated bytes per entity-pair class (Table IV rows): every
+    /// class that carried a message.
     pub fn report(&self) -> BTreeMap<PairClass, usize> {
-        let mut out = BTreeMap::new();
-        for t in self.log.lock().iter() {
-            *out.entry(PairClass::of(&t.from, &t.to)).or_insert(0) += t.bytes;
-        }
-        out
+        let ledger = self.ledger.lock();
+        PAIR_CLASSES
+            .iter()
+            .filter(|class| ledger.class_messages[**class as usize] > 0)
+            .map(|class| (*class, ledger.class_bytes[*class as usize]))
+            .collect()
     }
 
     /// Message and byte accounting broken down by delivery outcome.
     pub fn delivery_report(&self) -> DeliveryReport {
-        let mut r = DeliveryReport::default();
-        for t in self.log.lock().iter() {
-            r.sent += 1;
-            r.bytes_sent += t.bytes;
-            match t.disposition {
-                Disposition::Delivered => {}
-                Disposition::Retransmit => r.retried += 1,
-                Disposition::Duplicate => r.duplicated += 1,
-                Disposition::Dropped => r.dropped += 1,
-                Disposition::Corrupted => r.corrupted += 1,
-            }
-            if t.disposition.is_delivered() {
-                r.delivered += 1;
-                r.bytes_delivered += t.bytes;
-            } else {
-                r.bytes_lost += t.bytes;
-            }
-        }
-        r
+        self.ledger.lock().delivery
     }
 
     /// Bytes exchanged between one concrete pair of endpoints
     /// (direction-insensitive).
     pub fn between(&self, a: &Endpoint, b: &Endpoint) -> usize {
-        self.log
-            .lock()
-            .iter()
-            .filter(|t| (&t.from == a && &t.to == b) || (&t.from == b && &t.to == a))
-            .map(|t| t.bytes)
-            .sum()
+        let pair = if a <= b {
+            (a.clone(), b.clone())
+        } else {
+            (b.clone(), a.clone())
+        };
+        self.ledger.lock().pairs.get(&pair).copied().unwrap_or(0)
     }
 
-    /// Clears the log (e.g. between experiment phases).
+    /// Clears the transcript and the totals (e.g. between experiment
+    /// phases).
     pub fn reset(&self) {
-        self.log.lock().clear();
+        *self.ledger.lock() = Ledger::default();
     }
 }
 

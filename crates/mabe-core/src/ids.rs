@@ -7,10 +7,15 @@
 //! apart — the collusion defence).
 
 use std::fmt;
+use std::sync::Arc;
 
 /// A globally unique user identifier (the paper's `UID`).
+///
+/// The text is shared: a clone (a message endpoint, a trace attribute)
+/// takes a reference, not a copy, so the serving path can name its
+/// reader without allocating.
 #[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
-pub struct Uid(String);
+pub struct Uid(Arc<str>);
 
 impl Uid {
     /// Wraps an identifier string.
@@ -21,12 +26,17 @@ impl Uid {
     pub fn new(id: impl Into<String>) -> Self {
         let id = id.into();
         assert!(!id.is_empty(), "UID must be non-empty");
-        Uid(id)
+        Uid(id.into())
     }
 
     /// The identifier as a string slice.
     pub fn as_str(&self) -> &str {
         &self.0
+    }
+
+    /// The identifier's shared text (no copy).
+    pub fn shared(&self) -> Arc<str> {
+        Arc::clone(&self.0)
     }
 }
 

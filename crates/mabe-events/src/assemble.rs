@@ -4,45 +4,47 @@
 //!
 //! The trick is that spans close innermost-first, so by the time the
 //! *outermost* op span of a trace closes, every descendant has already
-//! closed and folded its contribution upward. The assembler keeps, per
-//! live trace:
+//! closed and folded its contribution upward. The folded stats ride a
+//! per-thread stack that mirrors the thread's open spans:
 //!
-//! * `op_stack` — span ids of currently-open *op* spans (pushed at
-//!   open). The stack's first element is the top-level operation; any
-//!   deeper op span (`cloud.read` nested inside `durable.read`) is a
-//!   delegation, not a second operation.
-//! * `pending` — stats folded from already-closed spans, keyed by the
-//!   parent span id they are waiting to merge into.
+//! * at open, a span pushes a frame noting whether it is an *op* span
+//!   and whether an op span encloses it. The first op span of a chain
+//!   is the top-level operation; any deeper one (`cloud.read` nested
+//!   inside `durable.read`) is a delegation, not a second operation;
+//! * at close, the span folds its own events, then what its children
+//!   folded into its frame. The outermost op finalizes an
+//!   [`OpCandidate`] and hands it to the pipeline; any other span folds
+//!   into its parent's frame, one slot down the stack.
 //!
-//! At each span close: fold the span's own events with whatever its
-//! children parked under its id; if the span is the outermost op,
-//! finalize a [`OpCandidate`] and hand it to the pipeline; if it is a
-//! nested op or a plain span, park the folded stats under its parent.
-//! Closing a trace's root drops the trace's state. Every step is O(1)
-//! in the size of the trace — no tree walks, no buffering of whole
-//! traces.
-//!
-//! State is sharded by trace id and capped per shard; when a shard is
-//! full the trace with the smallest id (the oldest, since trace ids
-//! are allocated monotonically) is evicted, deterministically.
+//! A span whose parent is on another thread (opened with
+//! [`mabe_trace::Span::follow`]) cannot reach that frame, so it parks
+//! its stats in a map shared by all threads, keyed by trace and parent
+//! span, which the parent absorbs at its close after its local
+//! children. Its own op-ness is judged on its thread alone: an op span
+//! with no op span below it on its thread's stack is a top-level
+//! operation. The workspace follows a trace only into plain spans (a
+//! revocation's re-encryption helpers), so no operation is counted
+//! twice. The map is touched only while something is parked, so a
+//! single-threaded operation takes no lock and allocates nothing here. Closing a trace's root drops whatever it left parked,
+//! and the map is capped; when full, the entry of the smallest trace id
+//! (the oldest, since trace ids are allocated monotonically) is
+//! evicted, deterministically.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::cell::RefCell;
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
-use mabe_trace::{SpanRecord, SpanSink, TraceCtx, TraceEvent};
+use mabe_trace::{AttrValue, SpanRecord, SpanSink, TraceCtx, TraceEvent};
 
 use crate::record::op_kind;
 
-/// Trace-state shards (trace ids are sequential, so modulo spreads
-/// concurrent traces across locks).
-const SHARDS: usize = 16;
+/// Parked entries (cross-thread children waiting for their parent) the
+/// assembler holds before evicting the oldest.
+const PARKED_CAP: usize = 4096;
 
-/// Live traces one shard tracks before evicting the oldest.
-const PER_SHARD_CAP: usize = 256;
-
-/// Stats folded from closed spans, parked under the parent span id
-/// that will absorb them.
+/// Stats folded from closed spans, on their way up to the op span that
+/// absorbs them.
 #[derive(Clone, Debug, Default)]
 struct Folded {
     retries: u32,
@@ -52,23 +54,45 @@ struct Folded {
     /// The checkpoint the op paid for, if one ran inside it: its kind
     /// (`delta` or `full`) and the bytes it wrote.
     checkpoint: Option<(&'static str, u64)>,
-    /// Op attributes, first-writer-wins at merge time (a span's own
-    /// attributes are applied with override semantics *before* its
-    /// children's fill in the gaps).
-    attrs: Vec<(&'static str, String)>,
+    /// The op attributes a wide event carries. A span's own attributes
+    /// are applied with override semantics *before* its children's fill
+    /// in the gaps; other keys are not folded.
+    authority: Option<AttrValue>,
+    uid: Option<AttrValue>,
+    key_version_observed: Option<AttrValue>,
+    key_version_served: Option<AttrValue>,
 }
 
 impl Folded {
-    fn set_attr(&mut self, key: &'static str, value: String) {
-        match self.attrs.iter_mut().find(|(k, _)| *k == key) {
-            Some(slot) => slot.1 = value,
-            None => self.attrs.push((key, value)),
+    fn attr(&mut self, key: &str) -> Option<&mut Option<AttrValue>> {
+        match key {
+            "authority" => Some(&mut self.authority),
+            "uid" => Some(&mut self.uid),
+            "key_version_observed" => Some(&mut self.key_version_observed),
+            "key_version_served" => Some(&mut self.key_version_served),
+            _ => None,
         }
     }
 
-    fn fill_attr(&mut self, key: &'static str, value: String) {
-        if !self.attrs.iter().any(|(k, _)| *k == key) {
-            self.attrs.push((key, value));
+    /// Folds one of the span's own events (later attributes with the
+    /// same key override earlier ones).
+    fn own(&mut self, ev: &TraceEvent) {
+        match ev {
+            TraceEvent::RetryAttempt { .. } => self.retries += 1,
+            TraceEvent::RetryGaveUp { .. } => self.gave_up = true,
+            TraceEvent::FaultInjected { point, kind, .. } => {
+                self.fault_points.push(format!("{point}:{kind}"));
+            }
+            TraceEvent::JournalAppend { bytes, .. } => self.wal_bytes += bytes,
+            TraceEvent::CheckpointWritten { kind, bytes, .. } => {
+                self.checkpoint = Some((kind, *bytes));
+            }
+            TraceEvent::OpAttr { key, value } => {
+                if let Some(slot) = self.attr(key) {
+                    *slot = Some(value.clone());
+                }
+            }
+            _ => {}
         }
     }
 
@@ -80,27 +104,53 @@ impl Folded {
         self.fault_points.extend(child.fault_points);
         self.wal_bytes += child.wal_bytes;
         self.checkpoint = self.checkpoint.or(child.checkpoint);
-        for (k, v) in child.attrs {
-            self.fill_attr(k, v);
-        }
-    }
-
-    fn attr(&self, key: &str) -> Option<&str> {
-        self.attrs
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|(_, v)| v.as_str())
+        let fill = |slot: &mut Option<AttrValue>, value: Option<AttrValue>| {
+            if slot.is_none() {
+                *slot = value;
+            }
+        };
+        fill(&mut self.authority, child.authority);
+        fill(&mut self.uid, child.uid);
+        fill(&mut self.key_version_observed, child.key_version_observed);
+        fill(&mut self.key_version_served, child.key_version_served);
     }
 }
 
-#[derive(Debug, Default)]
-struct TraceState {
-    /// Open op-span ids, outermost first.
-    op_stack: Vec<u64>,
-    /// Folded stats from closed spans, keyed by the parent span id
-    /// they merge into when that parent closes.
-    pending: HashMap<u64, Folded>,
+/// An attribute as text (a number renders decimal).
+fn text(value: AttrValue) -> Arc<str> {
+    match value {
+        AttrValue::Text(s) => s,
+        AttrValue::U64(n) => n.to_string().into(),
+    }
 }
+
+/// An attribute as a number (text that does not parse is dropped).
+fn number(value: AttrValue) -> Option<u64> {
+    match value {
+        AttrValue::U64(n) => Some(n),
+        AttrValue::Text(s) => s.parse().ok(),
+    }
+}
+
+/// One open span, as the assembler tracks it on its thread.
+struct Frame {
+    /// The assembler the frame belongs to (a thread may feed several).
+    owner: u64,
+    span_id: u64,
+    /// An op span with no op span around it: it emits at its close.
+    emits: bool,
+    /// Whether it or a span around it is an op span.
+    in_op: bool,
+    /// What its closed children folded into it.
+    children: Folded,
+}
+
+thread_local! {
+    static FRAMES: RefCell<Vec<Frame>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Ids that tell assemblers apart on a shared frame stack.
+static NEXT_ASSEMBLER: AtomicU64 = AtomicU64::new(1);
 
 /// One finalized top-level operation, before the keep/drop decision.
 #[derive(Clone, Debug)]
@@ -120,9 +170,9 @@ pub struct OpCandidate {
     /// End-to-end latency, microseconds.
     pub latency_us: u64,
     /// `authority` op attribute.
-    pub authority: Option<String>,
+    pub authority: Option<Arc<str>>,
     /// `uid` op attribute.
-    pub uid: Option<String>,
+    pub uid: Option<Arc<str>>,
     /// `key_version_observed` op attribute.
     pub key_version_observed: Option<u64>,
     /// `key_version_served` op attribute.
@@ -142,10 +192,14 @@ pub struct OpCandidate {
     pub checkpoint_bytes: u64,
 }
 
-/// The span sink: folds closes into per-trace state and emits an
+/// The span sink: folds closes up the span stack and emits an
 /// [`OpCandidate`] per top-level op via the installed callback.
 pub struct Assembler {
-    shards: Vec<Mutex<HashMap<u64, TraceState>>>,
+    id: u64,
+    /// Stats of cross-thread children, by `(trace id, parent span id)`.
+    parked: Mutex<BTreeMap<(u64, u64), Folded>>,
+    /// Entries in `parked`, read without its lock.
+    parked_len: AtomicUsize,
     evicted: AtomicU64,
     emit: Box<dyn Fn(OpCandidate) + Send + Sync>,
 }
@@ -153,7 +207,7 @@ pub struct Assembler {
 impl std::fmt::Debug for Assembler {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Assembler")
-            .field("shards", &self.shards.len())
+            .field("parked", &self.parked_len.load(Ordering::Relaxed))
             .field("evicted", &self.evicted.load(Ordering::Relaxed))
             .finish()
     }
@@ -165,45 +219,38 @@ impl Assembler {
     /// locks; it must not open spans (sinks never re-enter tracing).
     pub fn new(emit: impl Fn(OpCandidate) + Send + Sync + 'static) -> Self {
         Assembler {
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
+            id: NEXT_ASSEMBLER.fetch_add(1, Ordering::Relaxed),
+            parked: Mutex::new(BTreeMap::new()),
+            parked_len: AtomicUsize::new(0),
             evicted: AtomicU64::new(0),
             emit: Box::new(emit),
         }
     }
 
-    /// Traces dropped because their shard was full (forensics: a
-    /// nonzero count means some long-lived traces lost attribution).
+    /// Parked entries dropped because the map was full (forensics: a
+    /// nonzero count means some cross-thread work lost attribution).
     pub fn evicted(&self) -> u64 {
         self.evicted.load(Ordering::Relaxed)
     }
 
-    fn shard(&self, trace_id: u64) -> &Mutex<HashMap<u64, TraceState>> {
-        &self.shards[(trace_id % SHARDS as u64) as usize]
+    /// Runs `f` over the parked map and republishes its size.
+    fn with_parked<T>(&self, f: impl FnOnce(&mut BTreeMap<(u64, u64), Folded>) -> T) -> T {
+        let mut parked = self.parked.lock().expect("assembler parked map");
+        let out = f(&mut parked);
+        self.parked_len.store(parked.len(), Ordering::Relaxed);
+        out
     }
 
-    /// Folds a record's own events, then merges what its children
-    /// parked under its id.
-    fn fold(record: &SpanRecord, state: &mut TraceState) -> Folded {
-        let mut folded = Folded::default();
-        for (_, ev) in &record.events {
-            match ev {
-                TraceEvent::RetryAttempt { .. } => folded.retries += 1,
-                TraceEvent::RetryGaveUp { .. } => folded.gave_up = true,
-                TraceEvent::FaultInjected { point, kind, .. } => {
-                    folded.fault_points.push(format!("{point}:{kind}"));
-                }
-                TraceEvent::JournalAppend { bytes, .. } => folded.wal_bytes += bytes,
-                TraceEvent::CheckpointWritten { kind, bytes, .. } => {
-                    folded.checkpoint = Some((kind, *bytes));
-                }
-                TraceEvent::OpAttr { key, value } => folded.set_attr(key, value.clone()),
-                _ => {}
+    /// Parks a closed span's stats for a parent on another thread.
+    fn park(&self, trace_id: u64, parent_id: u64, folded: Folded) {
+        self.with_parked(|parked| {
+            let key = (trace_id, parent_id);
+            if !parked.contains_key(&key) && parked.len() >= PARKED_CAP {
+                parked.pop_first();
+                self.evicted.fetch_add(1, Ordering::Relaxed);
             }
-        }
-        if let Some(children) = state.pending.remove(&record.ctx.span_id) {
-            folded.absorb(children);
-        }
-        folded
+            parked.entry(key).or_default().absorb(folded);
+        });
     }
 
     fn finalize(record: &SpanRecord, kind: &'static str, folded: Folded) -> OpCandidate {
@@ -215,14 +262,10 @@ impl Assembler {
             error: record.error.clone(),
             start_us: record.start_us,
             latency_us: record.dur_us,
-            authority: folded.attr("authority").map(str::to_owned),
-            uid: folded.attr("uid").map(str::to_owned),
-            key_version_observed: folded
-                .attr("key_version_observed")
-                .and_then(|v| v.parse().ok()),
-            key_version_served: folded
-                .attr("key_version_served")
-                .and_then(|v| v.parse().ok()),
+            authority: folded.authority.map(text),
+            uid: folded.uid.map(text),
+            key_version_observed: folded.key_version_observed.and_then(number),
+            key_version_served: folded.key_version_served.and_then(number),
             retries: folded.retries,
             gave_up: folded.gave_up,
             fault_points: folded.fault_points,
@@ -235,68 +278,73 @@ impl Assembler {
 
 impl SpanSink for Assembler {
     fn on_open(&self, ctx: &TraceCtx, name: &'static str) {
-        if op_kind(name).is_none() {
-            return; // plain spans cost nothing at open
-        }
-        let mut shard = self.shard(ctx.trace_id).lock().expect("assembler shard");
-        if !shard.contains_key(&ctx.trace_id) && shard.len() >= PER_SHARD_CAP {
-            // Deterministic eviction: the smallest trace id is the
-            // oldest trace (ids are allocated monotonically).
-            if let Some(oldest) = shard.keys().min().copied() {
-                shard.remove(&oldest);
-                self.evicted.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        shard
-            .entry(ctx.trace_id)
-            .or_default()
-            .op_stack
-            .push(ctx.span_id);
+        let op = op_kind(name).is_some();
+        FRAMES.with(|frames| {
+            let mut frames = frames.borrow_mut();
+            let parent = frames.iter().rev().find(|f| f.owner == self.id);
+            // A parent off this thread's stack (on another thread, or
+            // opened before this assembler was installed) encloses no op.
+            let enclosed = parent.is_some_and(|p| p.span_id == ctx.parent_id && p.in_op);
+            frames.push(Frame {
+                owner: self.id,
+                span_id: ctx.span_id,
+                emits: op && !enclosed,
+                in_op: op || enclosed,
+                children: Folded::default(),
+            });
+        });
     }
 
     fn on_close(&self, record: &SpanRecord) {
-        let candidate = {
-            let mut shard = self
-                .shard(record.ctx.trace_id)
-                .lock()
-                .expect("assembler shard");
-            let Some(state) = shard.get_mut(&record.ctx.trace_id) else {
-                return; // trace never opened an op span (or was evicted)
-            };
-            let span_id = record.ctx.span_id;
-            let folded = Self::fold(record, state);
-            let candidate = match state.op_stack.iter().position(|id| *id == span_id) {
-                Some(0) => {
-                    state.op_stack.remove(0);
-                    op_kind(record.name).map(|kind| Self::finalize(record, kind, folded))
+        let ctx = record.ctx;
+        let frame = FRAMES.with(|frames| {
+            let mut frames = frames.borrow_mut();
+            let pos = frames
+                .iter()
+                .rposition(|f| f.owner == self.id && f.span_id == ctx.span_id)?;
+            Some(frames.remove(pos))
+        });
+        // A span this assembler never saw open (it was installed after)
+        // folds like a plain one.
+        let (emits, children) = frame.map_or((false, Folded::default()), |f| (f.emits, f.children));
+        let mut folded = Folded::default();
+        for (_, ev) in &record.events {
+            folded.own(ev);
+        }
+        folded.absorb(children);
+        if self.parked_len.load(Ordering::Relaxed) > 0 {
+            let remote = self.with_parked(|parked| {
+                let remote = parked.remove(&(ctx.trace_id, ctx.span_id));
+                if ctx.parent_id == TraceCtx::NO_PARENT {
+                    // The trace is over: drop what it left parked.
+                    parked.retain(|(trace, _), _| *trace != ctx.trace_id);
                 }
-                Some(pos) => {
-                    // A nested op (durable.read wrapping cloud.read):
-                    // a delegation, folded upward instead of emitted.
-                    state.op_stack.remove(pos);
-                    state
-                        .pending
-                        .entry(record.ctx.parent_id)
-                        .or_default()
-                        .absorb(folded);
-                    None
-                }
-                None => {
-                    state
-                        .pending
-                        .entry(record.ctx.parent_id)
-                        .or_default()
-                        .absorb(folded);
-                    None
-                }
-            };
-            if record.ctx.parent_id == TraceCtx::NO_PARENT {
-                shard.remove(&record.ctx.trace_id);
+                remote
+            });
+            if let Some(remote) = remote {
+                folded.absorb(remote);
             }
-            candidate
-        };
-        if let Some(candidate) = candidate {
-            (self.emit)(candidate);
+        }
+        if emits {
+            let kind = op_kind(record.name).expect("an emitting frame is an op span");
+            (self.emit)(Self::finalize(record, kind, folded));
+            return;
+        }
+        if ctx.parent_id == TraceCtx::NO_PARENT {
+            return;
+        }
+        let unclaimed = FRAMES.with(|frames| {
+            let mut frames = frames.borrow_mut();
+            match frames.iter_mut().rev().find(|f| f.owner == self.id) {
+                Some(parent) if parent.span_id == ctx.parent_id => {
+                    parent.children.absorb(folded);
+                    None
+                }
+                _ => Some(folded),
+            }
+        });
+        if let Some(folded) = unclaimed {
+            self.park(ctx.trace_id, ctx.parent_id, folded);
         }
     }
 }
@@ -521,8 +569,21 @@ mod tests {
             vec![],
         ));
         assert!(out.lock().unwrap().is_empty());
-        // Op trace: root close must clear the shard entry.
+        // A cross-thread child parks; its trace's root close drops it.
         asm.on_open(&ctx(7, 2, TraceCtx::NO_PARENT), "cloud.grant");
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                asm.on_open(&ctx(7, 3, 9), "cloud.reencrypt.worker");
+                asm.on_close(&rec(
+                    ctx(7, 3, 9),
+                    "cloud.reencrypt.worker",
+                    1,
+                    None,
+                    vec![],
+                ));
+            });
+        });
+        assert_eq!(asm.parked_len.load(Ordering::Relaxed), 1);
         asm.on_close(&rec(
             ctx(7, 2, TraceCtx::NO_PARENT),
             "cloud.grant",
@@ -530,21 +591,63 @@ mod tests {
             None,
             vec![],
         ));
-        let shard = asm.shard(7).lock().unwrap();
-        assert!(!shard.contains_key(&7), "root close drops trace state");
+        assert_eq!(out.lock().unwrap().len(), 1);
+        assert_eq!(
+            asm.parked_len.load(Ordering::Relaxed),
+            0,
+            "root close drops trace state"
+        );
+        FRAMES.with(|f| assert!(f.borrow().iter().all(|f| f.owner != asm.id)));
     }
 
     #[test]
-    fn full_shards_evict_the_oldest_trace() {
+    fn cross_thread_children_fold_into_their_parent() {
+        let (asm, out) = collecting();
+        asm.on_open(&ctx(8, 1, TraceCtx::NO_PARENT), "cloud.revoke");
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                asm.on_open(&ctx(8, 2, 1), "cloud.reencrypt.worker");
+                asm.on_close(&rec(
+                    ctx(8, 2, 1),
+                    "cloud.reencrypt.worker",
+                    3,
+                    None,
+                    vec![TraceEvent::RetryAttempt {
+                        op: "prepare",
+                        attempt: 1,
+                    }],
+                ));
+            });
+        });
+        asm.on_close(&rec(
+            ctx(8, 1, TraceCtx::NO_PARENT),
+            "cloud.revoke",
+            9,
+            None,
+            vec![],
+        ));
+        let got = out.lock().unwrap();
+        assert_eq!(got.len(), 1);
+        assert_eq!(got[0].retries, 1, "the helper's retry reached the op");
+    }
+
+    #[test]
+    fn a_full_parked_map_evicts_the_oldest_trace() {
         let (asm, _out) = collecting();
-        // Fill one shard (trace ids all ≡ 0 mod SHARDS) past its cap.
-        for i in 0..(PER_SHARD_CAP as u64 + 3) {
-            let tid = i * SHARDS as u64;
-            asm.on_open(&ctx(tid, i + 1, TraceCtx::NO_PARENT), "cloud.read");
+        // Children whose parents live on another thread, one per trace.
+        for tid in 1..=(PARKED_CAP as u64 + 3) {
+            asm.on_open(&ctx(tid, 2, 1), "cloud.reencrypt.worker");
+            asm.on_close(&rec(
+                ctx(tid, 2, 1),
+                "cloud.reencrypt.worker",
+                1,
+                None,
+                vec![],
+            ));
         }
         assert_eq!(asm.evicted(), 3);
-        let shard = asm.shard(0).lock().unwrap();
-        assert!(!shard.contains_key(&0), "oldest trace evicted first");
-        assert!(shard.contains_key(&(3 * SHARDS as u64)));
+        let parked = asm.parked.lock().unwrap();
+        assert!(!parked.contains_key(&(1, 1)), "oldest trace evicted first");
+        assert!(parked.contains_key(&(4, 1)));
     }
 }

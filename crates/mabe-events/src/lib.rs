@@ -14,7 +14,9 @@
 //! The pipeline, in order:
 //!
 //! 1. [`Assembler`] (a [`mabe_trace::SpanSink`]) folds span closes
-//!    into one [`OpCandidate`] per top-level op;
+//!    into one [`OpCandidate`] per top-level op, on a per-thread stack
+//!    of frames: a single-threaded op takes no lock and, once warmed,
+//!    allocates only its candidate's detail;
 //! 2. the [`SloEngine`] counts every op (kept or not) against its
 //!    kind's objective in virtual-time burn-rate windows;
 //! 3. the tail sampler decides keep/drop *after* outcome and latency

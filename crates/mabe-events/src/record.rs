@@ -1,6 +1,8 @@
 //! The wide event: one canonical structured record per top-level
 //! operation.
 
+use std::sync::Arc;
+
 use mabe_telemetry::export::json_escape;
 
 /// Stable op-kind labels, in the order they appear in reports. One
@@ -112,9 +114,9 @@ pub struct WideEvent {
     /// End-to-end latency in microseconds.
     pub latency_us: u64,
     /// Authority the op touched (primary one when several).
-    pub authority: Option<String>,
+    pub authority: Option<Arc<str>>,
     /// Acting user (or owner, for publish).
-    pub uid: Option<String>,
+    pub uid: Option<Arc<str>>,
     /// Key version observed when the op first fetched state.
     pub key_version_observed: Option<u64>,
     /// Key version in effect when the op served/completed.
@@ -135,7 +137,7 @@ pub struct WideEvent {
     pub kept: KeepReason,
 }
 
-fn opt_str(v: &Option<String>) -> String {
+fn opt_str(v: Option<&str>) -> String {
     match v {
         Some(s) => format!("\"{}\"", json_escape(s)),
         None => "null".to_owned(),
@@ -178,14 +180,14 @@ impl WideEvent {
             },
             self.start_us,
             self.latency_us,
-            opt_str(&self.authority),
-            opt_str(&self.uid),
+            opt_str(self.authority.as_deref()),
+            opt_str(self.uid.as_deref()),
             opt_u64(self.key_version_observed),
             opt_u64(self.key_version_served),
             self.retries,
             faults,
             self.wal_bytes,
-            opt_str(&self.checkpoint.map(str::to_owned)),
+            opt_str(self.checkpoint),
             self.checkpoint_bytes,
             self.kept.label(),
         )

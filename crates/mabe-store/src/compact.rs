@@ -238,11 +238,69 @@ impl<S: Storage> Wal<S> {
     ) -> Result<(), CheckpointFailure> {
         let reclaimable = self.live_log_bytes();
         let next_gen = self.manifest.generation + 1;
+        let (seals, written, state_bytes, base) =
+            match self.write_next(kind, state_payload, seal_payload) {
+                Ok(wrote) => wrote,
+                Err(failure) => {
+                    self.strays_possible = true;
+                    return Err(failure);
+                }
+            };
 
-        // Everything up to the swap fails clean: the old generation
-        // stays authoritative, and a stray seal, snapshot or delta is
-        // harmless (the next checkpoint overwrites the seal; the next
-        // successful compaction's sweep collects any of them).
+        let next = Manifest {
+            seq: self.manifest.seq + 1,
+            generation: next_gen,
+            base,
+            seals,
+            segments: vec![SegmentEntry { seq: 0, bytes: 0 }],
+        };
+        let superseded = superseded(&self.manifest, kind);
+        self.swap_manifest(next).map_err(dirty)?;
+        match kind {
+            CheckpointKind::Full => {
+                self.base_bytes = state_bytes;
+                self.delta_bytes = 0;
+            }
+            CheckpointKind::Delta => self.delta_bytes += state_bytes,
+        }
+
+        let seg = segment_name(next_gen, 0);
+        self.store.put(&seg, SEG_MAGIC).map_err(dirty)?;
+        self.store.sync(&seg).map_err(dirty)?;
+        self.cold_bytes = 0;
+        self.active_bytes = SEG_MAGIC.len();
+
+        self.collect_stale(&superseded).map_err(dirty)?;
+
+        let registry = mabe_telemetry::global();
+        registry.counter(checkpoint_counter(kind), &[]).inc();
+        registry
+            .counter("mabe_wal_bytes_reclaimed_total", &[])
+            .add(reclaimable as u64);
+        registry.gauge("mabe_wal_segments_live", &[]).set(1);
+        mabe_trace::event(mabe_trace::TraceEvent::CheckpointWritten {
+            generation: next_gen,
+            kind: kind.label(),
+            bytes: written as u64,
+        });
+        Ok(())
+    }
+
+    /// Writes and syncs the next generation's seal (if any) and state
+    /// object, returning the seal count, the bytes written, the state
+    /// object's framed size and the base the next manifest names.
+    ///
+    /// Everything up to the swap fails clean: the old generation stays
+    /// authoritative, and a stray seal, snapshot or delta is harmless
+    /// (the next checkpoint overwrites the seal; the next successful
+    /// compaction's sweep collects any of them).
+    fn write_next(
+        &mut self,
+        kind: CheckpointKind,
+        state_payload: &[u8],
+        seal_payload: Option<&[u8]>,
+    ) -> Result<(u64, usize, usize, u64), CheckpointFailure> {
+        let next_gen = self.manifest.generation + 1;
         let mut seals = self.manifest.seals;
         let mut written = 0;
         if let Some(payload) = seal_payload {
@@ -273,43 +331,7 @@ impl<S: Storage> Wal<S> {
         self.store.put(&name, &framed).map_err(clean)?;
         self.store.sync(&name).map_err(clean)?;
         written += framed.len();
-
-        let next = Manifest {
-            seq: self.manifest.seq + 1,
-            generation: next_gen,
-            base,
-            seals,
-            segments: vec![SegmentEntry { seq: 0, bytes: 0 }],
-        };
-        self.swap_manifest(next).map_err(dirty)?;
-        match kind {
-            CheckpointKind::Full => {
-                self.base_bytes = framed.len();
-                self.delta_bytes = 0;
-            }
-            CheckpointKind::Delta => self.delta_bytes += framed.len(),
-        }
-
-        let seg = segment_name(next_gen, 0);
-        self.store.put(&seg, SEG_MAGIC).map_err(dirty)?;
-        self.store.sync(&seg).map_err(dirty)?;
-        self.cold_bytes = 0;
-        self.active_bytes = SEG_MAGIC.len();
-
-        self.collect_stale().map_err(dirty)?;
-
-        let registry = mabe_telemetry::global();
-        registry.counter(checkpoint_counter(kind), &[]).inc();
-        registry
-            .counter("mabe_wal_bytes_reclaimed_total", &[])
-            .add(reclaimable as u64);
-        registry.gauge("mabe_wal_segments_live", &[]).set(1);
-        mabe_trace::event(mabe_trace::TraceEvent::CheckpointWritten {
-            generation: next_gen,
-            kind: kind.label(),
-            bytes: written as u64,
-        });
-        Ok(())
+        Ok((seals, written, framed.len(), base))
     }
 
     /// Deletes every object the current manifest supersedes: segments
@@ -318,34 +340,26 @@ impl<S: Storage> Wal<S> {
     /// above the committed count. Committed seals, quarantined and
     /// manifest objects are never touched. Consults the compaction
     /// fault point before each delete, so the sweep can crash mid-GC.
-    fn collect_stale(&mut self) -> Result<(), StoreError> {
+    ///
+    /// The names are those the manifest transition `superseded`, unless
+    /// a stray may exist: a crash before a swap or a clean checkpoint
+    /// failure can leave one, so after an open (which may follow such a
+    /// crash) and after a clean failure the next sweep lists the store
+    /// once. Committed seals accumulate, so a sweep that listed every
+    /// time would cost more with every checkpoint.
+    fn collect_stale(&mut self, superseded: &[String]) -> Result<(), StoreError> {
         let point = store_points::COMPACT;
-        let Manifest {
-            generation,
-            base,
-            seals,
-            ..
-        } = self.manifest;
-        let stale: Vec<String> = self
-            .store
-            .list()
-            .into_iter()
-            .filter(|name| {
-                if let Some(seg) = parse_segment_gen(name) {
-                    return seg != generation;
-                }
-                if let Some(snap) = parse_generation(name, "snapshot-") {
-                    return generation > 0 && snap != base;
-                }
-                if let Some(delta) = parse_generation(name, "delta-") {
-                    return delta <= base || delta > generation;
-                }
-                if let Some(seal) = parse_generation(name, "seal.") {
-                    return seal >= seals;
-                }
-                false
-            })
-            .collect();
+        let manifest = &self.manifest;
+        let stale: Vec<String> = if self.strays_possible {
+            let listed = self.store.list();
+            listed
+                .into_iter()
+                .filter(|n| is_stale(n, manifest))
+                .collect()
+        } else {
+            superseded.to_vec()
+        };
+        self.strays_possible = false;
         for name in stale {
             if let Some(FaultKind::Crash) =
                 self.store.lifecycle_faults().and_then(|i| i.decide(point))
@@ -353,11 +367,57 @@ impl<S: Storage> Wal<S> {
                 return Err(crashed(point));
             }
             // Best-effort: a stale object that refuses to die is
-            // harmless, the manifest no longer names it.
-            let _ = self.store.delete(&name);
+            // harmless, the manifest no longer names it. It is a stray
+            // now, for the next sweep to find by listing.
+            if self.store.delete(&name).is_err() {
+                self.strays_possible = true;
+            }
         }
         Ok(())
     }
+}
+
+/// Whether `manifest` supersedes the object `name`.
+fn is_stale(name: &str, manifest: &Manifest) -> bool {
+    let Manifest {
+        generation,
+        base,
+        seals,
+        ..
+    } = *manifest;
+    if let Some(seg) = parse_segment_gen(name) {
+        return seg != generation;
+    }
+    if let Some(snap) = parse_generation(name, "snapshot-") {
+        return generation > 0 && snap != base;
+    }
+    if let Some(delta) = parse_generation(name, "delta-") {
+        return delta <= base || delta > generation;
+    }
+    if let Some(seal) = parse_generation(name, "seal.") {
+        return seal >= seals;
+    }
+    false
+}
+
+/// The objects a `kind` checkpoint from `old` supersedes, in name order
+/// (the order a listing sweep deletes them in): every segment `old`
+/// lists and, for a full checkpoint (a new base), the old base snapshot
+/// and its deltas.
+fn superseded(old: &Manifest, kind: CheckpointKind) -> Vec<String> {
+    let mut names: Vec<String> = old
+        .segments
+        .iter()
+        .map(|entry| segment_name(old.generation, entry.seq))
+        .collect();
+    if kind == CheckpointKind::Full {
+        if old.base > 0 {
+            names.push(snap_name(old.base));
+        }
+        names.extend((old.base + 1..=old.generation).map(delta_name));
+    }
+    names.sort();
+    names
 }
 
 /// The counter of written checkpoints of `kind`: full snapshots keep
@@ -511,12 +571,92 @@ mod tests {
         wal.checkpoint(b"STATE-3", None).unwrap();
         assert!(!wal.store().list().iter().any(|n| n == "seal.2"));
 
-        // Committed seals survive every sweep.
+        // Committed seals survive every sweep, listing ones included.
         for _ in 0..3 {
-            wal.collect_stale().unwrap();
+            wal.strays_possible = true;
+            wal.collect_stale(&[]).unwrap();
         }
         let (_, r) = Wal::open(wal.into_store()).expect("reopen");
         assert_eq!(r.seals, vec![b"SEAL-0".to_vec(), b"SEAL-1".to_vec()]);
+    }
+
+    /// A store that counts the work asked of it: every call, plus every
+    /// name a listing returns.
+    #[derive(Default)]
+    struct Metered {
+        disk: SimDisk,
+        work: std::cell::Cell<u64>,
+        listings: std::cell::Cell<u64>,
+    }
+
+    impl Metered {
+        fn tick(&self, n: u64) {
+            self.work.set(self.work.get() + n);
+        }
+    }
+
+    impl Storage for Metered {
+        fn append(&mut self, name: &str, bytes: &[u8]) -> Result<(), StoreError> {
+            self.tick(1);
+            self.disk.append(name, bytes)
+        }
+        fn sync(&mut self, name: &str) -> Result<(), StoreError> {
+            self.tick(1);
+            self.disk.sync(name)
+        }
+        fn put(&mut self, name: &str, bytes: &[u8]) -> Result<(), StoreError> {
+            self.tick(1);
+            self.disk.put(name, bytes)
+        }
+        fn read(&mut self, name: &str) -> Result<Option<Vec<u8>>, StoreError> {
+            self.tick(1);
+            self.disk.read(name)
+        }
+        fn delete(&mut self, name: &str) -> Result<(), StoreError> {
+            self.tick(1);
+            self.disk.delete(name)
+        }
+        fn list(&self) -> Vec<String> {
+            let names = self.disk.list();
+            self.tick(1 + names.len() as u64);
+            self.listings.set(self.listings.get() + 1);
+            names
+        }
+    }
+
+    #[test]
+    fn storage_work_per_checkpoint_stays_flat_as_seals_accumulate() {
+        let mut wal = Wal::open(Metered::default()).expect("fresh open").0;
+        let checkpoint = |wal: &mut Wal<Metered>, i: u64| {
+            wal.append(&i.to_be_bytes()).unwrap();
+            wal.sync().unwrap();
+            let before = wal.store().work.get();
+            // Full every 8th, deltas between: both kinds sweep.
+            let kind = wal
+                .checkpoint_delta_or_full(
+                    Some(b"SEAL"),
+                    |records| (!i.is_multiple_of(8)).then(|| records.concat()),
+                    || vec![7; 4096],
+                )
+                .unwrap();
+            (kind, wal.store().work.get() - before)
+        };
+        // The first sweep after an open lists the store once.
+        checkpoint(&mut wal, 0);
+        let listings = wal.store().listings.get();
+        let costs: Vec<_> = (1..2_000).map(|i| checkpoint(&mut wal, i)).collect();
+        assert_eq!(wal.seals(), 2_000, "every checkpoint committed a seal");
+        assert_eq!(
+            wal.store().listings.get(),
+            listings,
+            "no sweep listed again"
+        );
+        // The schedule repeats every 8 checkpoints, and so does the cost.
+        for (i, cost) in costs.iter().enumerate().skip(8) {
+            assert_eq!(*cost, costs[i - 8], "checkpoint {} costs more", i + 1);
+        }
+        assert!(costs[..8].iter().any(|(k, _)| *k == CheckpointKind::Full));
+        assert!(costs[..8].iter().any(|(k, _)| *k == CheckpointKind::Delta));
     }
 
     #[test]

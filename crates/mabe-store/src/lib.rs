@@ -10,6 +10,7 @@
 //!   consults a [`mabe_faults::FaultInjector`] at named fault points
 //!   ([`store_points`]), so torn writes, partial flushes, bit rot, read
 //!   errors, and crashes before/after sync are all seeded and replayable.
+//!   A sync copies only the bytes appended since the last one.
 //! * [`Wal`] — a segmented, length-prefixed, CRC32-checksummed
 //!   write-ahead log: `wal.<gen>.<seq>` segments capped by a byte budget,
 //!   a dual-slot atomically-swapped manifest naming the live set,
@@ -22,7 +23,9 @@
 //!   driven), checkpoint-driven compaction with clean/dirty failure
 //!   classification ([`CheckpointFailure`] — a full disk fails clean and
 //!   must not poison), the one delta-or-full rule ([`CheckpointKind`],
-//!   [`MAX_DELTAS`]), and a [`ScrubReport`]-producing scrubber that
+//!   [`MAX_DELTAS`]), a sweep that deletes exactly what each manifest
+//!   transition superseded (listing the store only when a stray may
+//!   exist), and a [`ScrubReport`]-producing scrubber that
 //!   re-verifies cold segments, the base snapshot, the deltas and the
 //!   seals.
 //! * The typed keyspace — [`Schema`] tables (order-preserving key
@@ -34,7 +37,9 @@
 //!   writers stage batches and the elected leader appends every staged
 //!   batch under a single sync, so N concurrent journal writes cost one
 //!   disk flush instead of N), whose reopen folds both into one
-//!   [`Keyspace`].
+//!   [`Keyspace`]. A batch encodes once, straight into its framed WAL
+//!   record ([`FrameBatch`]), and staging copies it into buffers the
+//!   group commit reuses, so a warmed commit allocates nothing.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -54,7 +59,7 @@ pub use compact::{CheckpointFailure, CheckpointKind, MAX_DELTAS};
 pub use crc::crc32;
 pub use manifest::{Manifest, SegmentEntry};
 pub use schema::{
-    decode_frames, encode_frames, key_str, key_u64, ByteReader, Frame, FrameOp, Schema,
+    decode_frames, encode_frames, key_str, key_u64, ByteReader, Frame, FrameBatch, FrameOp, Schema,
     SchemaError, FRAME_RECORD_MARKER, KEYSPACE_SNAPSHOT_MAGIC,
 };
 pub use scrub::ScrubReport;

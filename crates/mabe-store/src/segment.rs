@@ -25,13 +25,35 @@ pub(crate) fn segment_name(generation: u64, seq: u64) -> String {
     format!("wal.{generation}.{seq}")
 }
 
+/// Bytes of a frame's header: `u32 len ‖ u32 crc32(payload)`.
+pub(crate) const FRAME_HEADER: usize = 8;
+
 /// Frames one record payload for appending.
 pub(crate) fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut frame = Vec::with_capacity(8 + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    frame.extend_from_slice(&crc32(payload).to_be_bytes());
+    let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
+    frame.extend_from_slice(&[0; FRAME_HEADER]);
     frame.extend_from_slice(payload);
+    finish_frame(&mut frame);
     frame
+}
+
+/// Fills in the header reserved at the start of `framed` from the
+/// payload that follows it.
+pub(crate) fn finish_frame(framed: &mut [u8]) {
+    let (header, payload) = framed.split_at_mut(FRAME_HEADER);
+    header[..4].copy_from_slice(&(payload.len() as u32).to_be_bytes());
+    header[4..].copy_from_slice(&crc32(payload).to_be_bytes());
+}
+
+/// Splits back-to-back framed records (as [`frame`] builds them) into
+/// one slice per record, headers included.
+pub(crate) fn framed_records(mut bytes: &[u8]) -> impl Iterator<Item = &[u8]> {
+    std::iter::from_fn(move || {
+        let len = u32::from_be_bytes(bytes.get(..4)?.try_into().expect("4 bytes"));
+        let (record, rest) = bytes.split_at(FRAME_HEADER + len as usize);
+        bytes = rest;
+        Some(record)
+    })
 }
 
 /// Splits a segment into intact record payloads, dropping the tail from

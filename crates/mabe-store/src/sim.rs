@@ -12,6 +12,38 @@ use crate::storage::{store_points, Storage, StorageUsage, StoreError};
 struct SimObject {
     durable: Vec<u8>,
     shadow: Vec<u8>,
+    /// A put replaced the live view since the last flush or crash.
+    /// Until then the live view only grew by appends, so `durable` is a
+    /// prefix of it and a flush copies just the new tail.
+    rewritten: bool,
+}
+
+impl SimObject {
+    /// Makes the live view durable: the appended tail only, unless a
+    /// put replaced the object since the last flush.
+    fn flush(&mut self) {
+        if self.rewritten {
+            self.durable.clone_from(&self.shadow);
+        } else {
+            debug_assert!(self.shadow.starts_with(&self.durable));
+            let flushed = self.durable.len();
+            self.durable.extend_from_slice(&self.shadow[flushed..]);
+        }
+        self.rewritten = false;
+    }
+
+    /// Drops the live view's unflushed bytes (power loss).
+    fn revert(&mut self) {
+        self.shadow.clone_from(&self.durable);
+        self.rewritten = false;
+    }
+
+    /// Replaces the live view (a put).
+    fn replace(&mut self, bytes: &[u8]) {
+        self.shadow.clear();
+        self.shadow.extend_from_slice(bytes);
+        self.rewritten = true;
+    }
 }
 
 /// An in-memory [`Storage`] backend whose failure behaviour is driven by
@@ -42,6 +74,12 @@ struct SimObject {
 /// After any `Crashed` error the harness calls [`SimDisk::crash`], which
 /// drops every object's unflushed bytes — exactly what power loss does to
 /// a page cache.
+///
+/// A sync copies only the bytes appended since the object's last flush,
+/// so committing to a long active segment costs its new record, not the
+/// segment. A put still replaces an object whole, and the sync after it
+/// copies it whole. `crates/mabe-store/tests/sim_differential.rs` holds
+/// this against a model that copies every object whole on every sync.
 #[derive(Debug, Default)]
 pub struct SimDisk {
     objects: BTreeMap<String, SimObject>,
@@ -67,7 +105,7 @@ impl SimDisk {
     /// Simulates power loss: every object's unflushed bytes vanish.
     pub fn crash(&mut self) {
         for obj in self.objects.values_mut() {
-            obj.shadow = obj.durable.clone();
+            obj.revert();
         }
     }
 
@@ -89,9 +127,10 @@ impl SimDisk {
     /// Overwrites `name`'s durable and live bytes directly — the fuzz
     /// corpus uses this to plant corrupted on-disk states.
     pub fn set_durable(&mut self, name: &str, bytes: Vec<u8>) {
-        let obj = self.objects.entry(name.to_owned()).or_default();
-        obj.durable = bytes.clone();
-        obj.shadow = bytes;
+        let obj = self.object(name);
+        obj.shadow.clone_from(&bytes);
+        obj.durable = bytes;
+        obj.rewritten = false;
     }
 
     /// Total durable bytes across all objects.
@@ -130,6 +169,15 @@ impl SimDisk {
         self.live_bytes() - current + new_object_len > cap
     }
 
+    /// The object `name`, created empty if absent. An existing object
+    /// is found without allocating its name.
+    fn object(&mut self, name: &str) -> &mut SimObject {
+        if !self.objects.contains_key(name) {
+            self.objects.insert(name.to_owned(), SimObject::default());
+        }
+        self.objects.get_mut(name).expect("just inserted")
+    }
+
     /// Counts a virtual delay against telemetry, like the cloud layer.
     fn count_delay(&self, point: &'static str) {
         mabe_telemetry::global()
@@ -164,29 +212,21 @@ impl Storage for SimDisk {
                 // The OS had flushed part of this write when power failed:
                 // a strict prefix lands durably, the rest never existed.
                 let n = self.faults.partial_len(bytes.len());
-                let obj = self.objects.entry(name.to_owned()).or_default();
+                let obj = self.object(name);
                 obj.durable.extend_from_slice(&bytes[..n]);
-                obj.shadow = obj.durable.clone();
+                obj.revert();
                 return Err(crashed(point));
             }
             Some(FaultKind::Corrupt) => {
                 let mut rotted = bytes.to_vec();
                 self.faults.corrupt_bytes(&mut rotted);
-                self.objects
-                    .entry(name.to_owned())
-                    .or_default()
-                    .shadow
-                    .extend_from_slice(&rotted);
+                self.object(name).shadow.extend_from_slice(&rotted);
                 return Ok(());
             }
             Some(FaultKind::Delay) => self.count_delay(point),
             _ => {}
         }
-        self.objects
-            .entry(name.to_owned())
-            .or_default()
-            .shadow
-            .extend_from_slice(bytes);
+        self.object(name).shadow.extend_from_slice(bytes);
         Ok(())
     }
 
@@ -202,8 +242,9 @@ impl Storage for SimDisk {
                     let dirty = obj.shadow.len().saturating_sub(obj.durable.len());
                     let n = self.faults.partial_len(dirty);
                     let keep = obj.durable.len() + n;
-                    obj.durable = obj.shadow[..keep.min(obj.shadow.len())].to_vec();
-                    obj.shadow = obj.durable.clone();
+                    obj.shadow.truncate(keep);
+                    obj.durable.clone_from(&obj.shadow);
+                    obj.rewritten = false;
                 }
                 return Err(crashed(point));
             }
@@ -211,7 +252,7 @@ impl Storage for SimDisk {
             _ => {}
         }
         if let Some(obj) = self.objects.get_mut(name) {
-            obj.durable = obj.shadow.clone();
+            obj.flush();
         }
         let post = store_points::SYNC_POST;
         if let Some(FaultKind::Crash) = self.faults.decide(post) {
@@ -237,21 +278,22 @@ impl Storage for SimDisk {
             Some(FaultKind::NoSpace) => return Err(StoreError::NoSpace { point }),
             Some(FaultKind::TornWrite) => {
                 let n = self.faults.partial_len(bytes.len());
-                let obj = self.objects.entry(name.to_owned()).or_default();
-                obj.durable = bytes[..n].to_vec();
-                obj.shadow = obj.durable.clone();
+                let obj = self.object(name);
+                obj.durable.clear();
+                obj.durable.extend_from_slice(&bytes[..n]);
+                obj.revert();
                 return Err(crashed(point));
             }
             Some(FaultKind::Corrupt) => {
                 let mut rotted = bytes.to_vec();
                 self.faults.corrupt_bytes(&mut rotted);
-                self.objects.entry(name.to_owned()).or_default().shadow = rotted;
+                self.object(name).replace(&rotted);
                 return Ok(());
             }
             Some(FaultKind::Delay) => self.count_delay(point),
             _ => {}
         }
-        self.objects.entry(name.to_owned()).or_default().shadow = bytes.to_vec();
+        self.object(name).replace(bytes);
         Ok(())
     }
 

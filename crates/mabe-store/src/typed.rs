@@ -61,10 +61,11 @@ use mabe_telemetry::{Counter, Resolved};
 
 use crate::compact::{CheckpointFailure, CheckpointKind};
 use crate::schema::{
-    decode_frames, encode_frames, ByteReader, Frame, FrameOp, Schema, SchemaError,
+    decode_frames, encode_frames, ByteReader, Frame, FrameBatch, FrameOp, Schema, SchemaError,
     KEYSPACE_SNAPSHOT_MAGIC,
 };
 use crate::scrub::ScrubReport;
+use crate::segment::framed_records;
 use crate::storage::{Storage, StoreError};
 use crate::wal::{Recovered, RecoveryReport, Wal, WalOpenError};
 
@@ -351,13 +352,24 @@ fn lock_ok<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// Largest flushed buffer kept for reuse: the batches of reads and
+/// publishes fit, while a revocation's is handed back rather than kept
+/// resident.
+const MAX_SPARE_PENDING: usize = 64 << 10;
+
 /// Group-commit state, guarded apart from the [`Wal`] so staging never
 /// blocks behind an in-flight disk sync.
 #[derive(Debug, Default)]
 struct GroupState {
-    /// Encoded batches staged but not yet handed to a leader, in stage
-    /// order. Their sequence numbers run contiguously up to `next_seq`.
-    pending: Vec<Vec<u8>>,
+    /// Framed WAL records staged but not yet handed to a leader, back
+    /// to back in stage order. Their sequence numbers run contiguously
+    /// up to `next_seq`.
+    pending: Vec<u8>,
+    /// Records in `pending`.
+    pending_records: usize,
+    /// The buffer the last leader flushed, emptied: the next leader's
+    /// `pending`, so the two alternate without allocating.
+    spare: Vec<u8>,
     /// Sequence number the next staged batch will get.
     next_seq: u64,
     /// Every batch with `seq < durable_seq` is durable.
@@ -474,11 +486,24 @@ impl<S: Storage> TypedStore<S> {
     /// the same lock that mutates state, then [`TypedStore::commit`]
     /// outside it.
     pub fn stage_frames(&self, frames: &[Frame]) -> u64 {
-        let payload = encode_frames(frames);
+        let mut batch = FrameBatch::new();
+        for frame in frames {
+            batch.push(frame);
+        }
+        self.stage(&mut batch)
+    }
+
+    /// Stages `batch` as one WAL record, like
+    /// [`TypedStore::stage_frames`], copying its framed bytes behind
+    /// the batches already staged: a caller that keeps its
+    /// [`FrameBatch`] stages without allocating.
+    pub fn stage(&self, batch: &mut FrameBatch) -> u64 {
+        let framed = batch.framed();
         let mut st = lock_ok(&self.state);
         let seq = st.next_seq;
         st.next_seq += 1;
-        st.pending.push(payload);
+        st.pending.extend_from_slice(framed);
+        st.pending_records += 1;
         seq
     }
 
@@ -592,23 +617,28 @@ impl<S: Storage> TypedStore<S> {
             st = self.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
         }
         st.committing = true;
-        let batch = std::mem::take(&mut st.pending);
+        let spare = std::mem::take(&mut st.spare);
+        let mut batch = std::mem::replace(&mut st.pending, spare);
+        let records = std::mem::take(&mut st.pending_records);
         let batch_end = st.next_seq;
         drop(st);
 
         let result = {
             let mut wal = lock_ok(&self.wal);
-            let result = batch
-                .iter()
-                .try_for_each(|payload| wal.append(payload))
-                .and_then(|()| if batch.is_empty() { Ok(()) } else { wal.sync() })
+            let result = framed_records(&batch)
+                .try_for_each(|framed| wal.append_framed(framed))
+                .and_then(|()| if records == 0 { Ok(()) } else { wal.sync() })
                 .map_err(|error| CheckpointFailure { error, dirty: true })
-                .and_then(|()| then(&mut wal, batch.len()));
+                .and_then(|()| then(&mut wal, records));
             self.note_log(&wal);
             result
         };
 
         let mut st = lock_ok(&self.state);
+        batch.clear();
+        if batch.capacity() <= MAX_SPARE_PENDING {
+            st.spare = batch;
+        }
         st.committing = false;
         match &result {
             Err(failure) if failure.dirty => st.failure = Some(failure.error.clone()),

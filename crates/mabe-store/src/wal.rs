@@ -44,6 +44,7 @@
 //! after which recovery creates it), and only its tail is dropped.
 
 use std::fmt;
+use std::sync::Arc;
 
 use mabe_faults::FaultKind;
 use mabe_telemetry::{Counter, Resolved};
@@ -179,6 +180,9 @@ pub(crate) fn verify_cold(
 pub struct Wal<S: Storage> {
     pub(crate) store: S,
     pub(crate) manifest: Manifest,
+    /// The active segment's name, kept beside the manifest it follows
+    /// and shared with the journal events that name it.
+    active: Arc<str>,
     /// Bytes in the active segment (magic included).
     pub(crate) active_bytes: usize,
     /// Bytes across sealed (cold) segments.
@@ -189,12 +193,25 @@ pub struct Wal<S: Storage> {
     pub(crate) delta_bytes: usize,
     /// Rotate the active segment once it exceeds this many bytes.
     pub(crate) segment_budget: usize,
+    /// Whether the store may hold an object no manifest transition
+    /// accounts for (after an open, which may follow a crash, and after
+    /// a clean checkpoint failure): the next sweep lists the store.
+    pub(crate) strays_possible: bool,
 }
 
 /// Default per-segment byte budget: generous enough that unit-scale
 /// workloads never rotate (preserving their storage fault-point hit
 /// sequences) while still bounding any single recovery read.
 pub const DEFAULT_SEGMENT_BUDGET: usize = 256 << 10;
+
+/// Name of `manifest`'s active (highest-seq) segment.
+fn active_name(manifest: &Manifest) -> Arc<str> {
+    segment_name(
+        manifest.generation,
+        manifest.segments.last().expect("never empty").seq,
+    )
+    .into()
+}
 
 impl<S: Storage> Wal<S> {
     /// Opens (or initialises) the log in `store`, returning the
@@ -223,12 +240,14 @@ impl<S: Storage> Wal<S> {
             Ok((manifest, bytes, recovered)) => Ok((
                 Wal {
                     store,
+                    active: active_name(&manifest),
                     manifest,
                     active_bytes: bytes.active,
                     cold_bytes: bytes.cold,
                     base_bytes: bytes.base,
                     delta_bytes: bytes.deltas,
                     segment_budget: DEFAULT_SEGMENT_BUDGET,
+                    strays_possible: true,
                 },
                 recovered,
             )),
@@ -403,21 +422,25 @@ impl<S: Storage> Wal<S> {
     /// segment first if it is over budget. Not durable until
     /// [`Wal::sync`].
     pub fn append(&mut self, payload: &[u8]) -> Result<(), StoreError> {
-        let frame = frame(payload);
+        self.append_framed(&frame(payload))
+    }
+
+    /// [`Wal::append`] for a record already framed (header and CRC
+    /// filled in, as [`crate::FrameBatch::framed`] builds it).
+    pub(crate) fn append_framed(&mut self, frame: &[u8]) -> Result<(), StoreError> {
         if self.active_bytes + frame.len() > self.segment_budget
             && self.active_bytes > SEG_MAGIC.len()
         {
             self.rotate()?;
         }
-        let name = self.active_name();
-        self.store.append(&name, &frame)?;
+        self.store.append(&self.active, frame)?;
         self.active_bytes += frame.len();
         static APPENDS: Resolved<Counter> = Resolved::new("mabe_wal_appends_total", &[]);
         static BYTES: Resolved<Counter> = Resolved::new("mabe_wal_bytes_total", &[]);
         APPENDS.get().inc();
         BYTES.get().add(frame.len() as u64);
         mabe_trace::event(mabe_trace::TraceEvent::JournalAppend {
-            object: name,
+            object: Arc::clone(&self.active),
             bytes: frame.len() as u64,
         });
         Ok(())
@@ -425,9 +448,10 @@ impl<S: Storage> Wal<S> {
 
     /// Durably flushes the active segment.
     pub fn sync(&mut self) -> Result<(), StoreError> {
-        let name = self.active_name();
-        self.store.sync(&name)?;
-        mabe_trace::event(mabe_trace::TraceEvent::JournalSync { object: name });
+        self.store.sync(&self.active)?;
+        mabe_trace::event(mabe_trace::TraceEvent::JournalSync {
+            object: Arc::clone(&self.active),
+        });
         Ok(())
     }
 
@@ -453,7 +477,7 @@ impl<S: Storage> Wal<S> {
                 return Ok(());
             }
         }
-        let active = self.active_name();
+        let active = Arc::clone(&self.active);
         self.store.sync(&active)?;
         let next_seq = self.manifest.segments.last().expect("never empty").seq + 1;
         let mut next = self.manifest.clone();
@@ -466,7 +490,7 @@ impl<S: Storage> Wal<S> {
             bytes: 0,
         });
         self.swap_manifest(next)?;
-        let new_name = self.active_name();
+        let new_name = Arc::clone(&self.active);
         self.store.put(&new_name, SEG_MAGIC)?;
         self.store.sync(&new_name)?;
         self.cold_bytes += self.active_bytes;
@@ -505,16 +529,9 @@ impl<S: Storage> Wal<S> {
         }
         self.store.put(&slot, &encoded)?;
         self.store.sync(&slot)?;
+        self.active = active_name(&next);
         self.manifest = next;
         Ok(())
-    }
-
-    /// Name of the active (highest-seq) segment.
-    pub(crate) fn active_name(&self) -> String {
-        segment_name(
-            self.manifest.generation,
-            self.manifest.segments.last().expect("never empty").seq,
-        )
     }
 
     /// The committed generation.

@@ -1,6 +1,54 @@
 //! Typed events attached to the active span.
 
+use std::fmt;
+use std::sync::Arc;
+
 use crate::export::esc;
+
+/// The value of an op attribute ([`TraceEvent::OpAttr`]), kept typed:
+/// a key version stays a `u64` from the call site to the wide event,
+/// and an identifier is shared rather than copied. Exporters render
+/// either as the same decimal or text string.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum AttrValue {
+    /// A number (key versions).
+    U64(u64),
+    /// An identifier (uid, authority).
+    Text(Arc<str>),
+}
+
+impl fmt::Display for AttrValue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            AttrValue::U64(n) => write!(f, "{n}"),
+            AttrValue::Text(s) => f.write_str(s),
+        }
+    }
+}
+
+impl From<u64> for AttrValue {
+    fn from(n: u64) -> Self {
+        AttrValue::U64(n)
+    }
+}
+
+impl From<&u64> for AttrValue {
+    fn from(n: &u64) -> Self {
+        AttrValue::U64(*n)
+    }
+}
+
+impl From<Arc<str>> for AttrValue {
+    fn from(s: Arc<str>) -> Self {
+        AttrValue::Text(s)
+    }
+}
+
+impl From<&str> for AttrValue {
+    fn from(s: &str) -> Self {
+        AttrValue::Text(s.into())
+    }
+}
 
 /// One thing that happened inside a span, at a point in time.
 ///
@@ -43,15 +91,16 @@ pub enum TraceEvent {
     },
     /// A framed record was appended to the write-ahead log.
     JournalAppend {
-        /// The log object written (`wal-<generation>`).
-        object: String,
+        /// The log object written (`wal.<generation>.<seq>`), shared
+        /// with the log that keeps its active segment's name.
+        object: Arc<str>,
         /// Framed bytes appended.
         bytes: u64,
     },
     /// The write-ahead log was durably flushed.
     JournalSync {
         /// The log object synced.
-        object: String,
+        object: Arc<str>,
     },
     /// A checkpoint was committed.
     CheckpointWritten {
@@ -95,8 +144,8 @@ pub enum TraceEvent {
     OpAttr {
         /// Stable attribute key.
         key: &'static str,
-        /// Attribute value (numbers are formatted decimal).
-        value: String,
+        /// Attribute value (numbers render decimal).
+        value: AttrValue,
     },
     /// Free-form annotation (sparingly — prefer a typed variant).
     Note {
@@ -174,9 +223,12 @@ impl TraceEvent {
             TraceEvent::Poisoned { point } => {
                 format!("{{\"point\":\"{}\"}}", esc(point))
             }
-            TraceEvent::OpAttr { key, value } => {
-                format!("{{\"key\":\"{}\",\"value\":\"{}\"}}", esc(key), esc(value))
-            }
+            TraceEvent::OpAttr { key, value } => match value {
+                AttrValue::U64(n) => format!("{{\"key\":\"{}\",\"value\":\"{n}\"}}", esc(key)),
+                AttrValue::Text(s) => {
+                    format!("{{\"key\":\"{}\",\"value\":\"{}\"}}", esc(key), esc(s))
+                }
+            },
             TraceEvent::Note { what } => format!("{{\"what\":\"{}\"}}", esc(what)),
         }
     }

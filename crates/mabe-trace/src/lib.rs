@@ -32,8 +32,18 @@
 //! Span creation, details, op attributes and event emission first
 //! check one relaxed atomic flag; after [`set_enabled`]`(false)`
 //! instrumentation reduces to that single load (the same guarantee
-//! `mabe-telemetry` makes). Details and attribute values are taken as
-//! `impl Display` and formatted only past that check.
+//! `mabe-telemetry` makes). Details are taken as `impl Display` and
+//! formatted only past that check; attribute values stay typed
+//! ([`AttrValue`]) and are built only past it.
+//!
+//! ## Cost when enabled
+//!
+//! A warmed span allocates nothing. Its detail and event buffers come
+//! from a small per-thread pool, refilled with the buffers of the
+//! record each commit displaces from the ring (cleared first, so no
+//! record ever carries another span's detail or events). Buffers that
+//! grew past a bound are dropped instead of pooled, so one burst of
+//! events cannot pin its capacity into every later span.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -48,7 +58,7 @@ pub mod span;
 
 pub use ctx::TraceCtx;
 pub use dump::{artifact_json, dump_if_configured, dump_to, FailureDump};
-pub use event::TraceEvent;
+pub use event::{AttrValue, TraceEvent};
 pub use export::{chrome_trace, tree_json};
 pub use recorder::{FlightRecorder, SpanRecord, DEFAULT_CAPACITY};
 pub use sink::{install_sink, sink_installed, SpanSink};
@@ -59,15 +69,15 @@ pub use span::{current_ctx, event, Span};
 /// wide-event pipeline (`mabe-events`) folds these into the enclosing
 /// operation's record; without an active span (or with tracing
 /// disabled) this is a cheap no-op, like [`event()`], and `value` is
-/// not formatted.
+/// not converted.
 #[inline]
-pub fn op_attr(key: &'static str, value: impl std::fmt::Display) {
+pub fn op_attr(key: &'static str, value: impl Into<AttrValue>) {
     if !enabled() {
         return;
     }
     event(TraceEvent::OpAttr {
         key,
-        value: value.to_string(),
+        value: value.into(),
     });
 }
 

@@ -122,12 +122,14 @@ impl FlightRecorder {
         self.next_trace_id.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Commits one completed span into the ring.
-    pub fn commit(&self, mut record: SpanRecord) {
+    /// Commits one completed span into the ring, returning the record
+    /// it displaced once the ring has wrapped (its buffers are the
+    /// committing thread's to reuse).
+    pub fn commit(&self, mut record: SpanRecord) -> Option<SpanRecord> {
         let seq = self.head.fetch_add(1, Ordering::Relaxed);
         record.seq = seq;
         let slot = &self.slots[(seq % self.slots.len() as u64) as usize];
-        *slot.lock().expect("recorder slot poisoned") = Some(record);
+        slot.lock().expect("recorder slot poisoned").replace(record)
     }
 
     /// Every retained span, oldest first.

@@ -13,7 +13,7 @@
 //!    report into spans they never opened.
 
 use std::cell::RefCell;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 use crate::ctx::TraceCtx;
 use crate::event::TraceEvent;
@@ -22,6 +22,21 @@ use crate::recorder::{self, SpanRecord};
 /// Events one span retains before dropping the excess (counted by
 /// [`crate::FlightRecorder::dropped_events`]).
 const MAX_EVENTS_PER_SPAN: usize = 1024;
+
+/// Spare buffers of each kind one thread keeps: at least the deepest
+/// span nesting a served operation reaches, so a warmed operation opens
+/// every span from the pool.
+const MAX_SPARES: usize = 16;
+
+/// Largest detail capacity worth pooling, in bytes.
+const MAX_SPARE_DETAIL: usize = 128;
+
+/// Largest event capacity worth pooling. A pooled buffer keeps its
+/// capacity through every span it serves and the ring slot it rests
+/// in, so a span that logged a burst (a revocation's re-encryptions)
+/// gives its buffer back to the allocator instead: the ring never pins
+/// more than its slots times this many events.
+const MAX_SPARE_EVENTS: usize = 16;
 
 struct LiveSpan {
     ctx: TraceCtx,
@@ -32,8 +47,59 @@ struct LiveSpan {
     events: Vec<(u64, TraceEvent)>,
 }
 
+/// Cleared buffers taken from the records this thread's commits
+/// displaced from the ring, for the next spans it opens.
+struct Spares {
+    details: Vec<String>,
+    events: Vec<Vec<(u64, TraceEvent)>>,
+}
+
 thread_local! {
     static STACK: RefCell<Vec<LiveSpan>> = const { RefCell::new(Vec::new()) };
+    static SPARES: RefCell<Spares> = const {
+        RefCell::new(Spares {
+            details: Vec::new(),
+            events: Vec::new(),
+        })
+    };
+}
+
+/// A detail and an events buffer for a new span: pooled ones when the
+/// thread has them, empty (unallocated) ones otherwise.
+fn spare_buffers() -> (String, Vec<(u64, TraceEvent)>) {
+    SPARES
+        .try_with(|spares| {
+            let mut spares = spares.borrow_mut();
+            (
+                spares.details.pop().unwrap_or_default(),
+                spares.events.pop().unwrap_or_default(),
+            )
+        })
+        .unwrap_or_default()
+}
+
+/// Pools a displaced record's detail and events buffers, cleared, so
+/// the span that reuses them starts as empty as a fresh one. The error
+/// message is dropped: failures are rare and their text never pooled.
+fn recycle(record: SpanRecord) {
+    let SpanRecord {
+        mut detail,
+        mut events,
+        ..
+    } = record;
+    detail.clear();
+    events.clear();
+    let _ = SPARES.try_with(|spares| {
+        let mut spares = spares.borrow_mut();
+        let keep_detail = (1..=MAX_SPARE_DETAIL).contains(&detail.capacity());
+        if keep_detail && spares.details.len() < MAX_SPARES {
+            spares.details.push(detail);
+        }
+        let keep_events = (1..=MAX_SPARE_EVENTS).contains(&events.capacity());
+        if keep_events && spares.events.len() < MAX_SPARES {
+            spares.events.push(events);
+        }
+    });
 }
 
 /// An open span. Dropping it commits the span (and any still-open
@@ -85,14 +151,15 @@ impl Span {
                 parent_id: TraceCtx::NO_PARENT,
             },
         };
+        let (detail, events) = spare_buffers();
         STACK.with(|stack| {
             stack.borrow_mut().push(LiveSpan {
                 ctx,
                 name,
-                detail: String::new(),
+                detail,
                 start_us: recorder::now_us(),
                 error: None,
-                events: Vec::new(),
+                events,
             });
         });
         if let Some(sink) = crate::sink::sink() {
@@ -108,20 +175,16 @@ impl Span {
     }
 
     /// Attaches a free-form qualifier (record name, uid, attribute)
-    /// shown by both exporters. Formatted only if the span is live.
+    /// shown by both exporters. Formatted only if the span is live,
+    /// into the span's own (pooled) buffer.
     pub fn detail(self, detail: impl fmt::Display) -> Self {
         if let Some(ctx) = self.ctx {
-            let detail = detail.to_string();
-            STACK.with(|stack| {
-                if let Some(live) = stack
-                    .borrow_mut()
-                    .iter_mut()
-                    .rev()
-                    .find(|l| l.ctx.span_id == ctx.span_id)
-                {
-                    live.detail = detail;
-                }
-            });
+            // Formatted with the stack unborrowed: a `Display` impl may
+            // itself consult the tracing API.
+            let mut buf = with_live(ctx, |l| std::mem::take(&mut l.detail)).unwrap_or_default();
+            buf.clear();
+            let _ = write!(buf, "{detail}");
+            with_live(ctx, |l| l.detail = buf);
         }
         self
     }
@@ -131,18 +194,21 @@ impl Span {
     pub fn fail(&self, msg: impl Into<String>) {
         if let Some(ctx) = self.ctx {
             let msg = msg.into();
-            STACK.with(|stack| {
-                if let Some(live) = stack
-                    .borrow_mut()
-                    .iter_mut()
-                    .rev()
-                    .find(|l| l.ctx.span_id == ctx.span_id)
-                {
-                    live.error = Some(msg);
-                }
-            });
+            with_live(ctx, |l| l.error = Some(msg));
         }
     }
+}
+
+/// Runs `f` on the open span `ctx` names on this thread's stack.
+fn with_live<R>(ctx: TraceCtx, f: impl FnOnce(&mut LiveSpan) -> R) -> Option<R> {
+    STACK.with(|stack| {
+        stack
+            .borrow_mut()
+            .iter_mut()
+            .rev()
+            .find(|l| l.ctx.span_id == ctx.span_id)
+            .map(f)
+    })
 }
 
 impl Drop for Span {
@@ -186,7 +252,9 @@ fn commit(live: LiveSpan, end_us: u64) {
     if let Some(sink) = crate::sink::sink() {
         sink.on_close(&record);
     }
-    recorder::global().commit(record);
+    if let Some(displaced) = recorder::global().commit(record) {
+        recycle(displaced);
+    }
 }
 
 /// The innermost active span's context on this thread, if any.
@@ -304,6 +372,52 @@ mod tests {
             .map(|s| s.name)
             .collect();
         assert_eq!(names, ["leaked_leaf", "leaked_mid", "leaky_root"]);
+    }
+
+    #[test]
+    fn a_recycled_record_never_carries_a_previous_spans_detail_error_or_events() {
+        // Wrap the ring with spans that set all three, so every later
+        // span on this thread opens on a pooled buffer.
+        for i in 0..crate::DEFAULT_CAPACITY + 64 {
+            let span = Span::root("dirty").detail(format_args!("stale detail {i}"));
+            event(TraceEvent::Note {
+                what: "stale event".into(),
+            });
+            span.fail("stale error");
+        }
+        let pooled = SPARES.with(|s| {
+            let s = s.borrow();
+            (s.details.len(), s.events.len())
+        });
+        assert!(pooled.0 > 0 && pooled.1 > 0, "the wrap refilled the pool");
+
+        let clean = Span::root("clean");
+        let clean_trace = clean.ctx().unwrap().trace_id;
+        drop(clean);
+        let own = Span::root("own").detail("mine");
+        let own_trace = own.ctx().unwrap().trace_id;
+        event(TraceEvent::Note {
+            what: "own event".into(),
+        });
+        drop(own);
+
+        let spans = crate::snapshot();
+        let clean = &mine(&spans, clean_trace)[0];
+        assert_eq!(clean.detail, "");
+        assert_eq!(clean.error, None);
+        assert!(clean.events.is_empty());
+        let own = &mine(&spans, own_trace)[0];
+        assert_eq!(own.detail, "mine");
+        assert_eq!(own.error, None);
+        assert_eq!(
+            own.events
+                .iter()
+                .map(|(_, e)| e.clone())
+                .collect::<Vec<_>>(),
+            [TraceEvent::Note {
+                what: "own event".into()
+            }]
+        );
     }
 
     #[test]
