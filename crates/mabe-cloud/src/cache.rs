@@ -87,6 +87,9 @@ pub struct CacheStats {
     pub chain_evictions: u64,
     /// Step-table sets built for single upgrades and installed.
     pub step_table_builds: u64,
+    /// Key-side tables built by reads and installed in their readers'
+    /// slots.
+    pub key_table_builds: u64,
 }
 
 impl CacheStats {
@@ -489,6 +492,7 @@ pub(crate) struct SystemCaches {
     chains: LruCache<(String, String, u64), UpdateKey>,
     steps: Mutex<StepCache>,
     step_table_builds: AtomicU64,
+    key_table_builds: AtomicU64,
     generations: Mutex<BTreeMap<String, u64>>,
 }
 
@@ -511,6 +515,7 @@ impl SystemCaches {
             chains: LruCache::new(CHAIN_CACHE_CAPACITY, "chain"),
             steps: Mutex::new(StepCache::default()),
             step_table_builds: AtomicU64::new(0),
+            key_table_builds: AtomicU64::new(0),
             generations: Mutex::new(BTreeMap::new()),
         }
     }
@@ -665,7 +670,13 @@ impl SystemCaches {
             chain_misses,
             chain_evictions,
             step_table_builds: self.step_table_builds.load(Ordering::Relaxed),
+            key_table_builds: self.key_table_builds.load(Ordering::Relaxed),
         }
+    }
+
+    /// Counts one key-side table a read built and installed.
+    pub(crate) fn count_key_table_build(&self) {
+        self.key_table_builds.fetch_add(1, Ordering::Relaxed);
     }
 }
 

@@ -245,8 +245,7 @@ impl CloudSystem {
                     .users
                     .get_mut(uid)
                     .expect("checked above")
-                    .keys
-                    .insert((owner_id, aid.clone()), key);
+                    .insert_key(owner_id, aid.clone(), key);
             }
         }
         self.audit.lock().record(AuditEvent::Granted {
@@ -563,8 +562,7 @@ impl CloudSystem {
                         .users
                         .get_mut(&uid)
                         .expect("checked above")
-                        .keys
-                        .insert((owner_id, aid.clone()), key);
+                        .insert_key(owner_id, aid.clone(), key);
                 }
             }
             pending.fresh_keys_delivered = true;
@@ -600,9 +598,10 @@ impl CloudSystem {
                     .update_keys
                     .iter()
                     .filter(|(owner_id, _)| {
-                        users.users.get(&holder).is_some_and(|s| {
-                            s.keys.contains_key(&((*owner_id).clone(), aid.clone()))
-                        })
+                        users
+                            .users
+                            .get(&holder)
+                            .is_some_and(|s| s.key(owner_id, &aid).is_some())
                     })
                     .map(|(o, uk)| (o.clone(), uk.clone()))
                     .collect()
@@ -617,10 +616,7 @@ impl CloudSystem {
                 )?;
                 let mut users = self.directory.users.write();
                 let state = users.users.get_mut(&holder).expect("holder exists");
-                let key = state
-                    .keys
-                    .get_mut(&(owner_id, aid.clone()))
-                    .expect("filtered above");
+                let key = state.key_mut(&owner_id, &aid).expect("filtered above");
                 apply_update_tolerant(key, &uk)?;
             }
             pending.delivered_holders.insert(holder);
@@ -737,9 +733,8 @@ impl CloudSystem {
                 .users
                 .get(uid)
                 .ok_or_else(|| CloudError::Core(Error::UnknownUser(uid.clone())))?
-                .keys
-                .iter()
-                .map(|(slot, key)| (slot.clone(), key.version))
+                .keys()
+                .map(|(owner, aid, key)| ((owner.clone(), aid.clone()), key.version))
                 .collect();
             (queue, versions)
         };
@@ -792,7 +787,7 @@ impl CloudSystem {
             }
             let mut users = self.directory.users.write();
             let state = users.users.get_mut(uid).expect("checked above");
-            if let Some(key) = state.keys.get_mut(slot) {
+            if let Some(key) = state.key_mut(&slot.0, &slot.1) {
                 apply_update_tolerant(key, uk)?;
             }
         }

@@ -3,10 +3,11 @@
 //!
 //! Every data-plane entry point takes `&self`: the ciphertext store is
 //! the already-concurrent [`CloudServer`] behind an `Arc`, and reader
-//! state (user keys) is cloned out of the directory under a short read
-//! lock. Reads therefore proceed while a revocation holds an authority
-//! shard — they serve the last consistent version, exactly the
-//! graceful degradation the paper's semi-trusted-server model wants.
+//! state (user keys) is shared out of the directory under a short read
+//! lock, one reference-count bump per owner's key set. Reads therefore
+//! proceed while a revocation holds an authority shard — they serve the
+//! last consistent version, exactly the graceful degradation the
+//! paper's semi-trusted-server model wants.
 //!
 //! Both reads run one loop, [`CloudSystem::serve_read`]: fetch →
 //! read-triggered upgrade → cache lookup → key view → open → bounded
@@ -14,7 +15,8 @@
 //! record, never a copy. Only the lookup and open steps differ and are
 //! passed in as an [`OpenStep`]: [`LocalOpen`] (content-key cache, then
 //! `decrypt_fast` on a miss, with the reader's `PK_UID` lines once it
-//! has taken [`mabe_core::LINES_BREAK_EVEN`] cache misses) for
+//! has taken [`mabe_core::LINES_BREAK_EVEN`] cache misses and the
+//! key-side table it keeps for the record's owner and policy) for
 //! [`CloudSystem::read`], [`OutsourcedOpen`] (transform key plus
 //! `server_transform`) for [`CloudSystem::read_outsourced`]. A
 //! content-key hit is one AEAD open: it takes no key view.
@@ -47,6 +49,7 @@ use mabe_telemetry::SpanMetric;
 
 use crate::audit::AuditEvent;
 use crate::cache::{ContentCacheKey, ContentKeyRef, StepUse};
+use crate::directory::OwnerKeys;
 use crate::recovery::PendingRevocation;
 use crate::server::{CloudServer, RecordKey};
 use crate::system::{fault_points, CloudError, CloudSystem};
@@ -93,11 +96,11 @@ pub(crate) struct Prepared {
     pub(crate) refresh: Result<Refresh, Error>,
 }
 
-/// A reader's keys for one owner's records, cloned out of the
+/// A reader's keys for one owner's records, a snapshot shared with the
 /// directory, with its `PK_UID` lines if they are built.
 struct KeyView {
     pk: UserPublicKey,
-    keys: BTreeMap<AuthorityId, UserSecretKey>,
+    keys: Arc<OwnerKeys>,
     lines: Option<Arc<FixedPairing>>,
 }
 
@@ -245,7 +248,13 @@ impl OpenStep for LocalOpen {
             None => sys.count_cold_read(at.uid),
         };
         let pk = WithTables::new(&view.pk, lines.as_deref());
-        let kem = mabe_core::decrypt_fast(&component.key_ct, pk, &view.keys)?;
+        let policy = component.key_ct.access.policy();
+        let kept = sys.key_table(at.uid, at.owner, policy);
+        let keys = WithTables::new(&*view.keys, kept.as_deref());
+        let (kem, built) = mabe_core::decrypt_fast(&component.key_ct, pk, keys)?;
+        if let Some(built) = built {
+            sys.install_key_table(at.uid, at.owner, policy, built);
+        }
         let key = content_key(&kem, &component.label);
         let out = open_component_with_key(component, &key);
         if out.is_ok() {
@@ -551,7 +560,7 @@ impl CloudSystem {
         owner_id: &OwnerId,
     ) -> Option<(UserPublicKey, BTreeMap<AuthorityId, UserSecretKey>)> {
         let KeyView { pk, keys, .. } = self.try_key_view(uid, owner_id)?;
-        Some((pk, keys))
+        Some((pk, Arc::unwrap_or_clone(keys)))
     }
 
     /// A reader's key view for one owner's records.
@@ -567,14 +576,40 @@ impl CloudSystem {
         let state = users.users.get(uid)?;
         Some(KeyView {
             pk: state.pk.clone(),
-            keys: state
-                .keys
-                .iter()
-                .filter(|((o, _), _)| o == owner_id)
-                .map(|((_, aid), key)| (aid.clone(), key.clone()))
-                .collect(),
+            keys: state.owner_keys(owner_id),
             lines: state.lines.get().cloned(),
         })
+    }
+
+    /// The key-side table `uid` keeps for reads of `owner_id`'s records
+    /// under `policy`, if any; `decrypt_fast` checks its base.
+    fn key_table(
+        &self,
+        uid: &Uid,
+        owner_id: &OwnerId,
+        policy: &Policy,
+    ) -> Option<Arc<FixedPairing>> {
+        let users = self.directory.users.read();
+        users.users.get(uid)?.key_table(owner_id, policy)
+    }
+
+    /// Keeps the key-side table a read of `owner_id`'s records under
+    /// `policy` built with the directory unlocked, in place of the slot's
+    /// old one: only a table at exactly the next read's `K*` is ever
+    /// evaluated, so a key update, re-grant or revocation needs no
+    /// invalidation, and a concurrent read's install is as good.
+    fn install_key_table(
+        &self,
+        uid: &Uid,
+        owner_id: &OwnerId,
+        policy: &Policy,
+        built: FixedPairing,
+    ) {
+        let users = self.directory.users.read();
+        if let Some(state) = users.users.get(uid) {
+            state.install_key_table(owner_id, policy, Arc::new(built));
+            self.cache.count_key_table_build();
+        }
     }
 
     /// Counts one content-key cache miss of `uid`'s reads. At the

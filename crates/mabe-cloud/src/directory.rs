@@ -21,19 +21,26 @@ use mabe_core::{
     UserPublicKey, UserSecretKey,
 };
 use mabe_math::FixedPairing;
-use mabe_policy::{Attribute, AuthorityId};
+use mabe_policy::{Attribute, AuthorityId, Policy};
 
 use crate::audit::AuditEvent;
 use crate::system::{CloudError, CloudSystem};
 use crate::wire::Endpoint;
 
+/// A user's secret keys for one owner's records, one per authority.
+pub(crate) type OwnerKeys = BTreeMap<AuthorityId, UserSecretKey>;
+
 /// Per-user runtime state: the CA-issued public key plus every secret
-/// key, slotted by `(owner, authority)`, and the derived `PK_UID` lines
-/// of its serving decrypts (never journaled).
+/// key, slotted by owner and then authority, and the derived tables of
+/// its serving decrypts (never journaled): the `PK_UID` lines and one
+/// key-side table per owner and policy.
 #[derive(Debug)]
 pub(crate) struct UserState {
     pub(crate) pk: UserPublicKey,
-    pub(crate) keys: BTreeMap<(OwnerId, AuthorityId), UserSecretKey>,
+    /// Each owner's set sits behind one `Arc` and is replaced
+    /// copy-on-write ([`Self::insert_key`], [`Self::key_mut`]), so a
+    /// read's key view is a reference-count bump and stays a snapshot.
+    keys: BTreeMap<OwnerId, Arc<OwnerKeys>>,
     /// Content-key cache misses this user's reads took, counted until
     /// its lines are built.
     pub(crate) cold_reads: AtomicUsize,
@@ -41,19 +48,96 @@ pub(crate) struct UserState {
     /// [`mabe_core::LINES_BREAK_EVEN`]-th cold read and installed once;
     /// `PK_UID` never changes, so nothing invalidates them.
     pub(crate) lines: OnceLock<Arc<FixedPairing>>,
+    /// The key-side table of each (owner, policy) this user read under:
+    /// the lines of its latest `K*` ([`mabe_core::decrypt_fast`]).
+    key_tables: Mutex<Vec<KeyTable>>,
+}
+
+/// One slot of [`UserState`]'s key-side tables.
+#[derive(Debug)]
+struct KeyTable {
+    owner: OwnerId,
+    policy: Policy,
+    table: Arc<FixedPairing>,
 }
 
 impl UserState {
-    /// A user's state as registered or reloaded: keys, no lines.
-    pub(crate) fn new(
-        pk: UserPublicKey,
-        keys: BTreeMap<(OwnerId, AuthorityId), UserSecretKey>,
-    ) -> Self {
+    /// A user's state as registered or reloaded: keys, no tables.
+    pub(crate) fn new(pk: UserPublicKey, keys: BTreeMap<OwnerId, OwnerKeys>) -> Self {
         UserState {
             pk,
-            keys,
+            keys: keys.into_iter().map(|(o, k)| (o, Arc::new(k))).collect(),
             cold_reads: AtomicUsize::new(0),
             lines: OnceLock::new(),
+            key_tables: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// Every key, in `(owner, authority)` order.
+    pub(crate) fn keys(&self) -> impl Iterator<Item = (&OwnerId, &AuthorityId, &UserSecretKey)> {
+        self.keys
+            .iter()
+            .flat_map(|(owner, keys)| keys.iter().map(move |(aid, key)| (owner, aid, key)))
+    }
+
+    /// The keys for `owner`'s records, as a snapshot.
+    pub(crate) fn owner_keys(&self, owner: &OwnerId) -> Arc<OwnerKeys> {
+        self.keys.get(owner).cloned().unwrap_or_default()
+    }
+
+    /// The key from `aid` for `owner`'s records.
+    pub(crate) fn key(&self, owner: &OwnerId, aid: &AuthorityId) -> Option<&UserSecretKey> {
+        self.keys.get(owner)?.get(aid)
+    }
+
+    /// The key from `aid` for `owner`'s records, to change in place;
+    /// the owner's set is copied first if a key view still holds it.
+    pub(crate) fn key_mut(
+        &mut self,
+        owner: &OwnerId,
+        aid: &AuthorityId,
+    ) -> Option<&mut UserSecretKey> {
+        let keys = self.keys.get_mut(owner)?;
+        if !keys.contains_key(aid) {
+            return None;
+        }
+        Arc::make_mut(keys).get_mut(aid)
+    }
+
+    /// Slots `key` as the key from `aid` for `owner`'s records.
+    pub(crate) fn insert_key(&mut self, owner: OwnerId, aid: AuthorityId, key: UserSecretKey) {
+        Arc::make_mut(self.keys.entry(owner).or_default()).insert(aid, key);
+    }
+
+    /// The key-side table kept for reads of `owner`'s records under
+    /// `policy`, whatever `K*` it was built from.
+    pub(crate) fn key_table(&self, owner: &OwnerId, policy: &Policy) -> Option<Arc<FixedPairing>> {
+        let slots = self.key_tables.lock();
+        let slot = slots
+            .iter()
+            .find(|slot| slot.owner == *owner && slot.policy == *policy)?;
+        Some(Arc::clone(&slot.table))
+    }
+
+    /// Keeps `table` as the key-side table of `owner`'s records under
+    /// `policy`, in place of the one there.
+    pub(crate) fn install_key_table(
+        &self,
+        owner: &OwnerId,
+        policy: &Policy,
+        table: Arc<FixedPairing>,
+    ) {
+        let mut slots = self.key_tables.lock();
+        match slots
+            .iter_mut()
+            .find(|slot| slot.owner == *owner && slot.policy == *policy)
+        {
+            Some(slot) => slot.table = table,
+            None => slots.push(KeyTable {
+                owner: owner.clone(),
+                policy: policy.clone(),
+                table,
+            }),
         }
     }
 }
@@ -239,8 +323,7 @@ impl CloudSystem {
                     .users
                     .get_mut(&uid)
                     .expect("granted user exists")
-                    .keys
-                    .insert((id.clone(), aid), key);
+                    .insert_key(id.clone(), aid, key);
             }
         }
         self.directory.owners.write().insert(id.clone(), owner);

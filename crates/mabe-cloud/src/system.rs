@@ -516,7 +516,7 @@ impl CloudSystem {
             .map(|(uid, s)| {
                 (
                     uid.clone(),
-                    s.keys.values().map(UserSecretKey::wire_size).sum(),
+                    s.keys().map(|(_, _, key)| key.wire_size()).sum(),
                 )
             })
             .collect();

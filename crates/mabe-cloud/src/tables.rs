@@ -63,7 +63,7 @@ use mabe_store::{key_str, Frame, FrameBatch, Keyspace, Schema};
 
 use crate::audit::{self, AuditEntry, AuditLoadError, AuditLog};
 use crate::control::ShardState;
-use crate::directory::UserState;
+use crate::directory::{OwnerKeys, UserState};
 use crate::lazy::PendingUpgrade;
 use crate::persist::OpenError;
 use crate::recovery::{PendingRevocation, RevocationStage};
@@ -527,20 +527,13 @@ fn user_keys(sys: &CloudSystem, pick: Pick<'_, UserKey>, out: &mut Vec<Frame>) {
     let users = sys.directory.users.read();
     let live = users.users.iter().flat_map(|(uid, state)| {
         state
-            .keys
-            .iter()
-            .map(move |((owner, aid), key)| ((uid.clone(), owner.clone(), aid.clone()), key))
+            .keys()
+            .map(move |(owner, aid, key)| ((uid.clone(), owner.clone(), aid.clone()), key))
     });
     pick.write::<UserKeys, _, _>(
         out,
         live,
-        |(uid, owner, aid)| {
-            users
-                .users
-                .get(uid)?
-                .keys
-                .get(&(owner.clone(), aid.clone()))
-        },
+        |(uid, owner, aid)| users.users.get(uid)?.key(owner, aid),
         |(uid, owner, aid)| {
             (
                 uid.as_str().to_owned(),
@@ -1059,12 +1052,11 @@ pub(crate) fn hydrate(
         for ((uid,), value) in rows::<Users>(ks, &[])? {
             let pk = wire::<UserPublicKey>(&value)?;
             let prefix = str_prefix(&uid);
-            let mut keys = BTreeMap::new();
+            let mut keys: BTreeMap<OwnerId, OwnerKeys> = BTreeMap::new();
             for ((_, owner, aid), key) in rows::<UserKeys>(ks, &prefix)? {
-                keys.insert(
-                    (OwnerId::new(owner), AuthorityId::new(aid)),
-                    wire::<UserSecretKey>(&key)?,
-                );
+                keys.entry(OwnerId::new(owner))
+                    .or_default()
+                    .insert(AuthorityId::new(aid), wire::<UserSecretKey>(&key)?);
             }
             let mut attrs: BTreeSet<Attribute> = BTreeSet::new();
             for ((_, attr), value) in rows::<Grants>(ks, &prefix)? {

@@ -32,8 +32,14 @@
 //! their argument ([`WithTables`]), PBC's `element_pp_t` and
 //! `pairing_pp_t`: [`encrypt`] multiplies `PK_x^{−βs}` from a
 //! [`FixedBaseCache`] table of `PK_x` where one was built from exactly
-//! that key, and [`decrypt_fast`] pairs `PK_UID` from its
-//! [`FixedPairing`] lines (the symmetric pairing puts it first). The
+//! that key, and [`decrypt_fast`] runs both of its pairs from
+//! [`FixedPairing`] lines, each first argument's own (the pairing is
+//! symmetric): `PK_UID`'s lines where they were built from exactly
+//! `PK_UID`, and the key-side table of
+//! `K* = Σ_k K_k − n_A·Σ_i w_i·K_ρ(i)`, which the reader keeps per
+//! policy because `K*` depends only on its keys and the policy. A
+//! key-side table is evaluated only at exactly this read's `K*`; any
+//! other is replaced by one `decrypt_fast` builds and hands back. The
 //! tables change no byte, op count or random draw.
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -310,10 +316,22 @@ pub fn decrypt_unchecked(
 ///
 /// [`decrypt`] stays the faithful reference for the paper's cost model.
 ///
-/// `user_pk` may carry the Miller lines of `PK_UID` that the reader's
-/// holder kept ([`FixedPairing`]); lines built from exactly `PK_UID`
-/// replace that pair's Miller loop, with the same result and the same
-/// two counted pairings.
+/// Both pairs run prepared when the reader's holder kept their tables
+/// ([`WithTables`]):
+///
+/// * `user_pk` may carry the Miller lines of `PK_UID`
+///   ([`FixedPairing::new`]); lines built from exactly `PK_UID` replace
+///   that pair's Miller loop.
+/// * `keys` may carry the key-side table: the lines of
+///   `K* = Σ_k K_k − n_A·Σ_i w_i·K_ρ(i)`, which depends only on the
+///   keys and the ciphertext's policy. A table whose base is exactly
+///   this `K*` is evaluated. Otherwise this call builds one for `K*`
+///   ([`FixedPairing::unscaled`], about what the plain pair costs),
+///   pairs from it and returns it beside the result, for the caller to
+///   keep in place of the one it passed.
+///
+/// Either way the result and the two counted pairings are the same;
+/// building counts none.
 ///
 /// # Errors
 ///
@@ -321,17 +339,31 @@ pub fn decrypt_unchecked(
 pub fn decrypt_fast<'a>(
     ct: &Ciphertext,
     user_pk: impl Into<WithTables<'a, UserPublicKey, FixedPairing>>,
-    keys: &BTreeMap<AuthorityId, UserSecretKey>,
-) -> Result<Gt, Error> {
+    keys: impl Into<WithTables<'a, BTreeMap<AuthorityId, UserSecretKey>, FixedPairing>>,
+) -> Result<(Gt, Option<FixedPairing>), Error> {
     let _span = mabe_telemetry::Span::on(&DECRYPT_FAST);
     let WithTables {
         value: user_pk,
         tables: lines,
     } = user_pk.into();
+    let WithTables {
+        value: keys,
+        tables: kept,
+    } = keys.into();
     let involved = check_keys(ct, user_pk, keys)?;
-    let pk = WithTables::new(&user_pk.pk, lines);
-    let blinding = blinding_factor(ct, &involved, pk, keys)?;
-    Ok(ct.c.div(&blinding))
+    let [key_sum, row_sum] = folded_arguments(ct, &involved, keys)?;
+    let kept = kept.filter(|table| table.base() == &key_sum);
+    let built = kept.is_none().then(|| FixedPairing::unscaled(&key_sum));
+    let table = kept
+        .or(built.as_ref())
+        .expect("a kept table or a built one");
+    let key_pair = Pairs::with_fixed(&[], table, ct.c_prime);
+    let plain = [(row_sum, user_pk.pk)];
+    let blinding = match lines.filter(|lines| lines.base() == &user_pk.pk) {
+        Some(lines) => mabe_math::multi_pairing(key_pair.and_fixed(lines, row_sum)),
+        None => mabe_math::multi_pairing(Pairs::with_fixed(&plain, table, ct.c_prime)),
+    };
+    Ok((ct.c.div(&blinding), built))
 }
 
 /// One authority's key components that Eq. 1 pairs against: `K` and
@@ -354,15 +386,13 @@ impl PairingKey for UserSecretKey {
     }
 }
 
-/// Eq. 1's blinding factor
+/// The two `G` arguments of Eq. 1's blinding factor
 /// `Π_k e(C', K_k) / Π_i (e(C_i, PK) · e(C', K_ρ(i)))^{w_i·n_A}`,
 /// folded by bilinearity into
-/// `e(Σ_k K_k − n_A·Σ_i w_i·K_ρ(i), C') · e(−n_A·Σ_i w_i·C_i, PK)`:
-/// one [`mabe_math::msm`] call for both sums and one two-pair
-/// [`mabe_math::multi_pairing`]. `PK`'s lines, when `pk` carries lines
-/// built from exactly `PK`, run that pair as `e(PK, −n_A·Σ_i w_i·C_i)`
-/// beside the plain pair, in the same Miller loop and final
-/// exponentiation.
+/// `e(K*, C') · e(−n_A·Σ_i w_i·C_i, PK)` with
+/// `K* = Σ_k K_k − n_A·Σ_i w_i·K_ρ(i)`: `[K*, −n_A·Σ_i w_i·C_i]`,
+/// from one [`mabe_math::msm`] call for both sums. The caller pairs
+/// them.
 ///
 /// Rows at `w_i = 1` (every row of an AND/OR policy) stay out of the
 /// MSMs: mixed additions add them up into one `K_ρ(i)` sum and one `C_i`
@@ -378,12 +408,11 @@ impl PairingKey for UserSecretKey {
 /// * [`Error::PolicyNotSatisfied`] — the keys' attributes cannot
 ///   reconstruct the secret.
 /// * [`Error::MissingAuthorityKey`] — no key from an involved authority.
-pub(crate) fn blinding_factor<K: PairingKey>(
+pub(crate) fn folded_arguments<K: PairingKey>(
     ct: &Ciphertext,
     involved: &BTreeSet<AuthorityId>,
-    pk: WithTables<'_, G1Affine, FixedPairing>,
     keys: &BTreeMap<AuthorityId, K>,
-) -> Result<Gt, Error> {
+) -> Result<[G1Affine; 2], Error> {
     let n = involved.len() as u64;
     let n_a = Fr::from_u64(n);
     // Held means certified by any supplied key, as in decrypt_unchecked.
@@ -423,11 +452,7 @@ pub(crate) fn blinding_factor<K: PairingKey>(
     let key_sum = key_sum.add(&unit_keys.mul_by_limbs(&[n]).neg());
     let row_sum = row_sum.add(&unit_rows.mul_by_limbs(&[n]).neg());
     let sums = mabe_math::batch_normalize(&[key_sum, row_sum]);
-    let plain = (sums[0], ct.c_prime);
-    Ok(match pk.tables.filter(|lines| lines.base() == pk.value) {
-        Some(lines) => mabe_math::multi_pairing(Pairs::with_fixed(&[plain], lines, sums[1])),
-        None => mabe_math::multi_pairing(&[plain, (sums[1], *pk.value)]),
-    })
+    Ok([sums[0], sums[1]])
 }
 
 #[cfg(test)]
@@ -703,9 +728,11 @@ mod tests {
                 &["Doctor@Med", "Nurse@Med", "Researcher@Trial"],
             );
             let reference = decrypt(&ct, &pk, &keys).unwrap();
-            let fast = decrypt_fast(&ct, &pk, &keys).unwrap();
+            let (fast, built) = decrypt_fast(&ct, &pk, &keys).unwrap();
             assert_eq!(reference, fast);
             assert_eq!(fast, msg);
+            let kept = WithTables::new(&keys, built.as_ref());
+            assert_eq!(decrypt_fast(&ct, &pk, kept), Ok((msg, None)));
         }
     }
 

@@ -196,7 +196,7 @@ pub fn open_component(
     user_pk: &UserPublicKey,
     keys: &BTreeMap<AuthorityId, UserSecretKey>,
 ) -> Result<Vec<u8>, Error> {
-    let kem = decrypt_fast(&component.key_ct, user_pk, keys)?;
+    let (kem, _) = decrypt_fast(&component.key_ct, user_pk, keys)?;
     open_component_with_kem(component, &kem)
 }
 
@@ -419,7 +419,7 @@ mod tests {
         let policy = parse("Employee@HR").unwrap();
         let comp = seal_component(&mut w.owner, "x", b"data", &policy, &mut w.rng).unwrap();
         let (pk, keys) = enroll(&mut w, "alice", &["Employee@HR"]);
-        let kem = decrypt_fast(&comp.key_ct, &pk, &keys).unwrap();
+        let (kem, _) = decrypt_fast(&comp.key_ct, &pk, &keys).unwrap();
         let key = content_key(&kem, &comp.label);
         assert_eq!(open_component_with_key(&comp, &key).unwrap(), b"data");
         assert_eq!(open_component_with_kem(&comp, &kem).unwrap(), b"data");

@@ -25,7 +25,7 @@ use rand::RngCore;
 use mabe_math::{Fr, G1Affine, Gt, G1};
 use mabe_policy::{Attribute, AuthorityId};
 
-use crate::ciphertext::{blinding_factor, Ciphertext, PairingKey};
+use crate::ciphertext::{folded_arguments, Ciphertext, PairingKey};
 use crate::error::Error;
 use crate::ids::{OwnerId, Uid};
 use crate::keys::{UserPublicKey, UserSecretKey};
@@ -173,7 +173,12 @@ pub fn server_transform(ct: &Ciphertext, tk: &TransformKey) -> Result<TransformT
             });
         }
     }
-    blinding_factor(ct, &involved, (&tk.blinded_pk).into(), &tk.entries).map(TransformToken)
+    // One-off blinded keys: both pairs run plain.
+    let [key_sum, row_sum] = folded_arguments(ct, &involved, &tk.entries)?;
+    Ok(TransformToken(mabe_math::multi_pairing(&[
+        (key_sum, ct.c_prime),
+        (row_sum, tk.blinded_pk),
+    ])))
 }
 
 /// Client side: unblinds the token and strips the mask — one `G_T`

@@ -251,7 +251,8 @@ impl G1 {
         let y2 = self.y.square();
         let s = self.x.mul(&y2).double().double(); // 4XY²
         let z2 = self.z.square();
-        let m = self.x.square().mul(&Fq::from_u64(3)).add(&z2.square()); // 3X² + Z⁴
+        let x2 = self.x.square();
+        let m = x2.double().add(&x2).add(&z2.square()); // 3X² + Z⁴
         let x3 = m.square().sub(&s.double());
         let y4_8 = y2.square().double().double().double(); // 8Y⁴
         let y3 = m.mul(&s.sub(&x3)).sub(&y4_8);

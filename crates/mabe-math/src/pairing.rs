@@ -18,15 +18,17 @@
 //!   conjugate-divide (Frobenius on `F_{q²}` is conjugation), the hard
 //!   part the 353-bit power `z^h` of a unitary `z`, by PBC's Lucas ladder
 //!   on the trace (one `F_q` multiplication and one squaring per bit).
+//!   The two parts share one `F_q` inversion.
 //! * Each Miller step returns its line in one form,
 //!   `[λ·(μ·x_q + ν) − κ] + [ζ·y_q]·i`, that [`pairing`] and
 //!   [`multi_pairing`] evaluate directly and [`FixedPairing`] (PBC's
-//!   `pairing_pp_t`) stores once, divided by `ζ`, for a first argument
-//!   paired many times.
+//!   `pairing_pp_t`) stores once for a first argument paired more than
+//!   once: divided by `ζ` when it is paired many times, with `ζ` kept
+//!   when building must cost no more than the pair it replaces.
 //! * One routine runs every Miller loop: a product of pairs in lockstep,
 //!   each pair's lines computed on the fly or read from a
 //!   [`FixedPairing`], under one final exponentiation. [`pairing`],
-//!   [`multi_pairing`] (plain pairs, optionally one prepared pair
+//!   [`multi_pairing`] (plain pairs, optionally up to two prepared pairs
 //!   beside them, see [`Pairs`]) and [`FixedPairing::pairing`] are
 //!   products of one or more pairs.
 
@@ -44,8 +46,8 @@ use crate::params;
 /// At `φ(Q) = (-x_q, i·y_q)` its value is
 /// `[λ·(μ·x_q + ν) − κ] + [ζ·y_q]·i`: the full pairing evaluates that
 /// directly ([`Line::eval`]), and [`FixedPairing`] stores it as
-/// `(a·x_q + b) + y_q·i` after dividing by `ζ ∈ F_q`
-/// ([`Line::coefficients`]), a factor the final exponentiation kills.
+/// `(a·x_q + b) + ζ·y_q·i` ([`Line::coefficients`]), in one form after
+/// dividing by `ζ ∈ F_q`, a factor the final exponentiation kills.
 struct Line {
     lambda: Fq,
     mu: Fq,
@@ -64,7 +66,7 @@ impl Line {
         Fq2::new(c0, self.zeta.mul(yq))
     }
 
-    /// `(a, b, c)` with value `(a·x_q + b) + c·y_q·i` at `φ(Q)`.
+    /// `(a, b, ζ)` with value `(a·x_q + b) + ζ·y_q·i` at `φ(Q)`.
     fn coefficients(&self) -> (Fq, Fq, Fq) {
         let a = self.lambda.mul(&self.mu);
         let b = self.lambda.mul(&self.nu).sub(&self.kappa);
@@ -91,7 +93,8 @@ fn double_step(t: &G1) -> Step {
     let (x, y, z) = (t.x, t.y, t.z);
     let y2 = y.square();
     let z2 = z.square();
-    let m = x.square().mul(&Fq::from_u64(3)).add(&z2.square()); // 3X² + Z⁴ (a = 1)
+    let x2 = x.square();
+    let m = x2.double().add(&x2).add(&z2.square()); // 3X² + Z⁴ (a = 1)
     let s = x.mul(&y2).double().double(); // 4XY²
     let x3 = m.square().sub(&s.double());
     let y3 = m
@@ -204,43 +207,80 @@ impl MillerLoop {
     }
 }
 
-/// Raises the Miller-loop output to `(q² - 1)/r`, landing in the order-`r`
-/// subgroup of `F_{q²}*`.
+/// Raises the Miller-loop output `f = f₀ + f₁·i` to `(q² - 1)/r`,
+/// landing in the order-`r` subgroup of `F_{q²}*`, with one inversion.
+///
+/// The easy part is `z = f^(q-1) = conj(f)/f = conj(f)²/N` with the
+/// norm `N = f₀² + f₁²`, so `z = a + b·i` with `a = (f₀² − f₁²)/N` and
+/// `b = −2·f₀·f₁/N`. The hard part `z^h` ([`lucas_ladder`]) needs the
+/// trace `P = 2a` and divides by `P² − 4 = −4b²`: its imaginary part is
+/// `b·(2·V_{h+1} − P·V_h)/(P² − 4) = (2·V_{h+1} − P·V_h)·N/(8·f₀·f₁)`.
+/// One inversion of `N·f₀·f₁` gives both `1/N` and `N/(f₀·f₁)`. Where
+/// `f₀·f₁ = 0`, `z = ±1` and `z^h = 1`, because `h` is even
+/// (`4 | q + 1`, `r` odd); `multi_pairing` of a pair and its negation
+/// reaches `z = 1`.
 fn final_exponentiation(f: &Fq2) -> Fq2 {
+    let (f0_2, f1_2) = (f.c0.square(), f.c1.square());
+    let norm = f0_2.add(&f1_2);
+    let cross = f.c0.mul(&f.c1);
+    let Some(inv) = norm.mul(&cross).invert() else {
+        assert!(!norm.is_zero(), "Miller loop output is nonzero");
+        return Fq2::one();
+    };
+    let trace = f0_2.sub(&f1_2).mul(&inv.mul(&cross)).double(); // 2a
+    let (v0, v1) = lucas_ladder(&trace);
+    let n_over_cross = inv.mul(&norm.square());
+    let c1 = v1.double().sub(&trace.mul(&v0)).mul(&n_over_cross);
+    Fq2::new(v0.halve(), c1.halve().halve().halve())
+}
+
+/// `(V_h, V_{h+1})` for the trace `P` of a unitary `z`, with
+/// `h = (q + 1)/r` the cofactor: PBC's Lucas ladder (`lucas_odd`).
+///
+/// `z` and `z̄ = z⁻¹` are the roots of `X² − P·X + 1`, so
+/// `V_k = z^k + z̄^k` obeys `V_{2k} = V_k² − 2` and
+/// `V_{2k+1} = V_k·V_{k+1} − P`: one multiplication and one squaring in
+/// `F_q` per bit of `h`, where square-and-multiply in `F_{q²}` spends
+/// about twice that. Then `z^h = V_h/2 + b·U_h·i` with
+/// `U_h = (2·V_{h+1} − P·V_h)/(P² − 4)`.
+fn lucas_ladder(trace: &Fq) -> (Fq, Fq) {
+    let two = Fq::from_u64(2);
+    let (mut v0, mut v1) = (two, *trace); // (V_k, V_{k+1}) at k = 0
+    for i in (0..params::H.bits()).rev() {
+        if params::H.bit(i) {
+            v0 = v0.mul(&v1).sub(trace);
+            v1 = v1.square().sub(&two);
+        } else {
+            v1 = v0.mul(&v1).sub(trace);
+            v0 = v0.square().sub(&two);
+        }
+    }
+    (v0, v1)
+}
+
+/// The two-inversion final exponentiation [`final_exponentiation`]
+/// replaced, kept as its test oracle: the easy part divides by `f`, the
+/// hard part by `P² − 4`.
+#[cfg(test)]
+fn final_exponentiation_reference(f: &Fq2) -> Fq2 {
     hard_part(&easy_part(f))
 }
 
 /// Easy part: `f^(q-1) = conj(f) / f`, a unitary element (norm 1).
+#[cfg(test)]
 fn easy_part(f: &Fq2) -> Fq2 {
     let inv = f.invert().expect("Miller loop output is nonzero");
     f.conjugate().mul(&inv)
 }
 
-/// Hard part: `z^h` for unitary `z = a + b·i` and the cofactor
-/// `h = (q + 1)/r`, by PBC's Lucas ladder on the trace (`lucas_odd`).
-///
-/// `z` and `z̄ = z⁻¹` are the roots of `X² − P·X + 1` with trace
-/// `P = 2a`, so `V_k = z^k + z̄^k` obeys `V_{2k} = V_k² − 2` and
-/// `V_{2k+1} = V_k·V_{k+1} − P`: one multiplication and one squaring
-/// in `F_q` per bit of `h`, where square-and-multiply in `F_{q²}`
-/// spends about twice that. Then `z^h = V_h/2 + b·U_h·i` with
-/// `U_h = (2·V_{h+1} − P·V_h)/(P² − 4)`. That divisor is zero exactly
-/// for `z = ±1`, where `z^h = 1` because `h` is even (`4 | q + 1`, `r`
-/// odd); `multi_pairing` of a pair and its negation reaches `z = 1`.
+/// Hard part: `z^h` for unitary `z = a + b·i` by the Lucas ladder, with
+/// its own inversion of `P² − 4`; that divisor is zero exactly for
+/// `z = ±1`, where `z^h = 1`.
+#[cfg(test)]
 fn hard_part(z: &Fq2) -> Fq2 {
-    let two = Fq::from_u64(2);
     let trace = z.c0.double();
-    let (mut v0, mut v1) = (two, trace); // (V_k, V_{k+1}) at k = 0
-    for i in (0..params::H.bits()).rev() {
-        if params::H.bit(i) {
-            v0 = v0.mul(&v1).sub(&trace);
-            v1 = v1.square().sub(&two);
-        } else {
-            v1 = v0.mul(&v1).sub(&trace);
-            v0 = v0.square().sub(&two);
-        }
-    }
-    let Some(inv) = trace.square().sub(&two.double()).invert() else {
+    let (v0, v1) = lucas_ladder(&trace);
+    let Some(inv) = trace.square().sub(&Fq::from_u64(4)).invert() else {
         return Fq2::one();
     };
     let u = v1.double().sub(&trace.mul(&v0)).mul(&inv);
@@ -254,11 +294,15 @@ fn hard_part_reference(z: &Fq2) -> Fq2 {
     z.pow_vartime(&params::H.limbs)
 }
 
-/// Pairings against one first argument from which its [`FixedPairing`]
-/// lines pay for themselves. Building them cost 1.3–1.5 times what one
-/// pairing against them saves (e.g. 572 µs to build, 742 → 353 µs per
-/// pairing; medians of 15 interleaved rounds, three runs, 2-vCPU x86-64
-/// VM), so the second pairing recovers the build.
+/// Pairings against one first argument from which its scaled
+/// [`FixedPairing`] lines ([`FixedPairing::new`]) pay for themselves.
+/// Building them cost 1.3–1.5 times what one pairing against them saves
+/// (e.g. 572 µs to build, 742 → 353 µs per pairing; medians of 15
+/// interleaved rounds, three runs, 2-vCPU x86-64 VM), so the second
+/// pairing recovers the build. The `ζ`-keeping form
+/// ([`FixedPairing::unscaled`]) needs no threshold: building one and
+/// using it at once costs about what the plain pair it replaces costs,
+/// so it is built at its first use.
 pub const LINES_BREAK_EVEN: usize = 2;
 
 /// The symmetric pairing `e(P, Q)`.
@@ -269,14 +313,14 @@ pub fn pairing(p: &G1Affine, q: &G1Affine) -> Gt {
     multi_pairing(&[(*p, *q)])
 }
 
-/// The pairs of one [`multi_pairing`]: plain `(P, Q)` pairs, plus at
-/// most one pair whose `P` comes prepared as a [`FixedPairing`]. A
-/// slice, array or vector of plain pairs converts with none, so a
-/// product of plain pairs reads `multi_pairing(&pairs)`.
+/// The pairs of one [`multi_pairing`]: plain `(P, Q)` pairs, plus up to
+/// two pairs whose `P` comes prepared as a [`FixedPairing`]. A slice,
+/// array or vector of plain pairs converts with none, so a product of
+/// plain pairs reads `multi_pairing(&pairs)`.
 #[derive(Clone, Copy, Debug)]
 pub struct Pairs<'a> {
     plain: &'a [(G1Affine, G1Affine)],
-    fixed: Option<(&'a FixedPairing, G1Affine)>,
+    fixed: [Option<(&'a FixedPairing, G1Affine)>; 2],
 }
 
 impl<'a> Pairs<'a> {
@@ -288,26 +332,45 @@ impl<'a> Pairs<'a> {
     ) -> Self {
         Pairs {
             plain,
-            fixed: Some((fixed, q)),
+            fixed: [Some((fixed, q)), None],
         }
+    }
+
+    /// These pairs, times `e(P, q)` for the `P` whose lines `fixed`
+    /// holds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if two prepared pairs are already in.
+    pub fn and_fixed(mut self, fixed: &'a FixedPairing, q: G1Affine) -> Self {
+        let slot = self
+            .fixed
+            .iter_mut()
+            .find(|slot| slot.is_none())
+            .expect("a product holds at most two prepared pairs");
+        *slot = Some((fixed, q));
+        self
     }
 }
 
 impl<'a> From<&'a [(G1Affine, G1Affine)]> for Pairs<'a> {
     fn from(plain: &'a [(G1Affine, G1Affine)]) -> Self {
-        Pairs { plain, fixed: None }
+        Pairs {
+            plain,
+            fixed: [None, None],
+        }
     }
 }
 
 impl<'a, const N: usize> From<&'a [(G1Affine, G1Affine); N]> for Pairs<'a> {
     fn from(plain: &'a [(G1Affine, G1Affine); N]) -> Self {
-        Pairs { plain, fixed: None }
+        Pairs::from(plain.as_slice())
     }
 }
 
 impl<'a> From<&'a Vec<(G1Affine, G1Affine)>> for Pairs<'a> {
     fn from(plain: &'a Vec<(G1Affine, G1Affine)>) -> Self {
-        Pairs { plain, fixed: None }
+        Pairs::from(plain.as_slice())
     }
 }
 
@@ -319,21 +382,31 @@ impl<'a> From<&'a Vec<(G1Affine, G1Affine)>> for Pairs<'a> {
 /// standard "product of pairings" optimization; the scheme's decryption
 /// (a product of `n_A + 2·|I|` pairings) is its natural consumer.
 ///
-/// A prepared pair ([`Pairs::with_fixed`]) evaluates its stored lines
-/// instead of running its Miller loop, with the same result. Every pair
-/// counts as one pairing; identity arguments contribute a factor of 1,
-/// like [`pairing`].
+/// A prepared pair ([`Pairs::with_fixed`], [`Pairs::and_fixed`])
+/// evaluates its stored lines instead of running its Miller loop, with
+/// the same result. Every pair counts as one pairing; identity
+/// arguments contribute a factor of 1, like [`pairing`].
 pub fn multi_pairing<'a>(pairs: impl Into<Pairs<'a>>) -> Gt {
     let Pairs { plain, fixed } = pairs.into();
-    let mut loops = Vec::with_capacity(plain.len() + 1);
-    if let Some((prepared, q)) = fixed {
+    let mut loops = Vec::with_capacity(plain.len() + fixed.len());
+    for (prepared, q) in fixed.into_iter().flatten() {
         mabe_telemetry::record(mabe_telemetry::CryptoOp::Pairing);
         if !prepared.per_bit.is_empty() && !q.is_identity() {
-            loops.push(PairLoop::Fixed {
-                lines: prepared.lines.iter(),
-                per_bit: prepared.per_bit.iter(),
-                xq: q.x(),
-                yq: q.y(),
+            let per_bit = prepared.per_bit.iter();
+            let (xq, yq) = (q.x(), q.y());
+            loops.push(match &prepared.lines {
+                Lines::Scaled(lines) => PairLoop::Scaled {
+                    lines: lines.iter(),
+                    per_bit,
+                    xq,
+                    yq,
+                },
+                Lines::Kept(lines) => PairLoop::Kept {
+                    lines: lines.iter(),
+                    per_bit,
+                    xq,
+                    yq,
+                },
             });
         }
     }
@@ -353,16 +426,22 @@ pub fn multi_pairing<'a>(pairs: impl Into<Pairs<'a>>) -> Gt {
 }
 
 /// One pair's Miller loop as [`miller_product`] advances it: lines computed
-/// from `P` on the fly, or read back from a [`FixedPairing`]; either
-/// way evaluated at `φ(Q)`.
+/// from `P` on the fly, or read back from a [`FixedPairing`] of either
+/// form; either way evaluated at `φ(Q)`.
 enum PairLoop<'a> {
     Plain {
         miller: Box<MillerLoop>,
         xq: Fq,
         yq: Fq,
     },
-    Fixed {
+    Scaled {
         lines: std::slice::Iter<'a, (Fq, Fq)>,
+        per_bit: std::slice::Iter<'a, u8>,
+        xq: Fq,
+        yq: Fq,
+    },
+    Kept {
+        lines: std::slice::Iter<'a, (Fq, Fq, Fq)>,
         per_bit: std::slice::Iter<'a, u8>,
         xq: Fq,
         yq: Fq,
@@ -378,7 +457,7 @@ impl PairLoop<'_> {
                     *f = f.mul(&line.eval(xq, yq));
                 }
             }
-            PairLoop::Fixed {
+            PairLoop::Scaled {
                 lines,
                 per_bit,
                 xq,
@@ -387,6 +466,17 @@ impl PairLoop<'_> {
                 let count = per_bit.next().copied().unwrap_or(0);
                 for (a, b) in lines.by_ref().take(usize::from(count)) {
                     *f = f.mul(&Fq2::new(a.mul(xq).add(b), *yq));
+                }
+            }
+            PairLoop::Kept {
+                lines,
+                per_bit,
+                xq,
+                yq,
+            } => {
+                let count = per_bit.next().copied().unwrap_or(0);
+                for (a, b, zeta) in lines.by_ref().take(usize::from(count)) {
+                    *f = f.mul(&Fq2::new(a.mul(xq).add(b), zeta.mul(yq)));
                 }
             }
         }
@@ -412,46 +502,52 @@ fn miller_product(loops: &mut [PairLoop<'_>]) -> Gt {
 
 /// A pairing with its first argument fixed: PBC's `pairing_pp_t`.
 ///
-/// The Miller loop's points and lines depend only on `P`, so
-/// [`FixedPairing::new`] runs the loop once and keeps every line as
-/// `(a, b)`, divided by its `F_q` factor `ζ` (one batch inversion for
-/// all of them) so that its value at `φ(Q)` is `(a·x_q + b) + y_q·i`.
-/// Each [`FixedPairing::pairing`] then only evaluates and multiplies
-/// lines: a third of a full Miller loop, and the same `G_T` element
-/// as [`pairing`], since the final exponentiation kills the dropped
-/// `F_q` factors. Building costs about one and a third Miller loops,
-/// so it pays from the [`LINES_BREAK_EVEN`]-th pairing with the same
-/// `P` on: a revocation pairs one `UK1` with every affected `C'`, and
-/// a reader pairs its `PK_UID` in every cold read ([`Pairs::with_fixed`]
-/// puts the prepared pair beside plain ones). About 20 KiB.
-#[derive(Clone, Debug)]
+/// The Miller loop's points and lines depend only on `P`, so building
+/// runs the loop once and keeps every line; each pairing then only
+/// evaluates and multiplies lines, with the same `G_T` element as
+/// [`pairing`]. A line's value at `φ(Q)` is `(a·x_q + b) + ζ·y_q·i`
+/// with `ζ ∈ F_q`, and the two forms differ in what they do with `ζ`:
+///
+/// * [`FixedPairing::new`] divides every line by its `ζ` (one batch
+///   inversion for all of them), a factor the final exponentiation
+///   kills, and keeps `(a, b)`: a third of a full Miller loop per
+///   pairing, but building costs about one and a third Miller loops, so
+///   it pays from the [`LINES_BREAK_EVEN`]-th pairing with the same `P`
+///   on. A revocation pairs one `UK1` with every affected `C'`, and a
+///   reader pairs its `PK_UID` in every cold read. About 20 KiB.
+/// * [`FixedPairing::unscaled`] keeps `(a, b, ζ)`: no inversion to
+///   build, one more `F_q` multiplication per line to use. Building one
+///   and using it at once costs about what the plain pair it replaces
+///   costs, so it pays from its first use, where a scaled build would
+///   not: a reader's key-side sum `K*` repeats across the records of
+///   one policy but changes with every key version. About 31 KiB.
+///
+/// [`Pairs::with_fixed`] and [`Pairs::and_fixed`] put prepared pairs of
+/// either form beside plain ones.
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct FixedPairing {
     /// The fixed first argument.
     base: G1Affine,
-    /// Scaled `(a, b)` of every line not in `F_q`, in loop order.
-    lines: Vec<(Fq, Fq)>,
+    /// Every line not in `F_q`, in loop order.
+    lines: Lines,
     /// How many of `lines` each bit of the loop contributes (0–2).
     per_bit: Vec<u8>,
 }
 
+/// A [`FixedPairing`]'s lines in one of its two forms.
+#[derive(Clone, PartialEq, Eq, Debug)]
+enum Lines {
+    /// `(a, b)` divided by `ζ`: value `(a·x_q + b) + y_q·i`.
+    Scaled(Vec<(Fq, Fq)>),
+    /// `(a, b, ζ)`: value `(a·x_q + b) + ζ·y_q·i`.
+    Kept(Vec<(Fq, Fq, Fq)>),
+}
+
 impl FixedPairing {
-    /// Runs `p`'s Miller loop once and keeps its lines.
+    /// Runs `p`'s Miller loop once and keeps its lines, each divided by
+    /// its `ζ`.
     pub fn new(p: &G1Affine) -> Self {
-        if p.is_identity() {
-            return FixedPairing {
-                base: *p,
-                lines: Vec::new(),
-                per_bit: Vec::new(),
-            };
-        }
-        let mut raw = Vec::with_capacity(params::R_BITS + 2);
-        let mut per_bit = Vec::with_capacity(params::R_BITS);
-        let mut miller = MillerLoop::new(p);
-        for i in MillerLoop::bits() {
-            let before = raw.len();
-            raw.extend(miller.bit(i).map(|line| line.coefficients()));
-            per_bit.push((raw.len() - before) as u8);
-        }
+        let (raw, per_bit) = Self::walk(p);
         // Montgomery's trick: one inversion for every ζ (all nonzero:
         // ζ = 0 only at 2-torsion or the identity, whose lines are None).
         let mut prefix = Vec::with_capacity(raw.len());
@@ -469,9 +565,36 @@ impl FixedPairing {
         }
         FixedPairing {
             base: *p,
-            lines,
+            lines: Lines::Scaled(lines),
             per_bit,
         }
+    }
+
+    /// Runs `p`'s Miller loop once and keeps its lines with their `ζ`.
+    pub fn unscaled(p: &G1Affine) -> Self {
+        let (raw, per_bit) = Self::walk(p);
+        FixedPairing {
+            base: *p,
+            lines: Lines::Kept(raw),
+            per_bit,
+        }
+    }
+
+    /// `p`'s Miller loop: every line's `(a, b, ζ)` in loop order, and
+    /// how many lines each bit contributes. The identity has none.
+    fn walk(p: &G1Affine) -> (Vec<(Fq, Fq, Fq)>, Vec<u8>) {
+        if p.is_identity() {
+            return (Vec::new(), Vec::new());
+        }
+        let mut raw = Vec::with_capacity(params::R_BITS + 2);
+        let mut per_bit = Vec::with_capacity(params::R_BITS);
+        let mut miller = MillerLoop::new(p);
+        for i in MillerLoop::bits() {
+            let before = raw.len();
+            raw.extend(miller.bit(i).map(|line| line.coefficients()));
+            per_bit.push((raw.len() - before) as u8);
+        }
+        (raw, per_bit)
     }
 
     /// The fixed first argument `P`.
@@ -637,6 +760,21 @@ mod tests {
         }
 
         #[test]
+        fn one_inversion_final_exponentiation_matches_two(seed in any::<u64>()) {
+            let mut r = StdRng::seed_from_u64(seed);
+            let f = Fq2::random(&mut r);
+            prop_assume!(!f.is_zero());
+            prop_assert_eq!(final_exponentiation(&f), final_exponentiation_reference(&f));
+            // The f₀·f₁ = 0 edge: f in F_q or in i·F_q.
+            let c = Fq::random(&mut r);
+            prop_assume!(!c.is_zero());
+            for edge in [Fq2::new(c, Fq::zero()), Fq2::new(Fq::zero(), c)] {
+                prop_assert_eq!(final_exponentiation(&edge), Fq2::one());
+                prop_assert_eq!(final_exponentiation_reference(&edge), Fq2::one());
+            }
+        }
+
+        #[test]
         fn fixed_pairing_matches_pairing(seed in any::<u64>()) {
             let mut r = StdRng::seed_from_u64(seed);
             let (p, q) = (random_point(&mut r), random_point(&mut r));
@@ -679,6 +817,56 @@ mod tests {
                 multi_pairing(&[(a, b), (q, p)])
             );
         }
+
+        #[test]
+        fn any_mix_of_forms_matches_the_plain_product(seed in any::<u64>()) {
+            // Two prepared pairs, each scaled or ζ-keeping, beside zero or
+            // one plain pair, as a cold read runs it with P = K* and
+            // A = PK_UID; identity bases and identity points in each slot.
+            let mut r = StdRng::seed_from_u64(seed);
+            let (p, q) = (random_point(&mut r), random_point(&mut r));
+            let (a, b) = (random_point(&mut r), random_point(&mut r));
+            let (c, d) = (random_point(&mut r), random_point(&mut r));
+            let id = G1Affine::identity();
+            let kept = FixedPairing::unscaled(&p);
+            let scaled = FixedPairing::new(&p);
+            prop_assert_eq!(kept.pairing(&q), scaled.pairing(&q));
+            prop_assert_eq!(kept.pairing(&q), pairing(&p, &q));
+            prop_assert_eq!(kept.pairing(&p.neg()), pairing(&p, &p).invert());
+            for (base, point) in [(a, b), (id, b), (a, id), (a, a.neg())] {
+                // The forms and the first pair's point drawn per case.
+                let pick = r.next_u32();
+                let second = if pick & 1 == 0 {
+                    FixedPairing::new(&base)
+                } else {
+                    FixedPairing::unscaled(&base)
+                };
+                let first = if pick & 2 == 0 { &kept } else { &scaled };
+                let qq = if pick & 4 == 0 { q } else { id };
+                prop_assert_eq!(
+                    multi_pairing(Pairs::with_fixed(&[(c, d)], first, qq).and_fixed(&second, point)),
+                    multi_pairing(&[(c, d), (p, qq), (base, point)])
+                );
+                prop_assert_eq!(
+                    multi_pairing(Pairs::with_fixed(&[], first, qq).and_fixed(&second, point)),
+                    multi_pairing(&[(p, qq), (base, point)])
+                );
+            }
+            // A second prepared pair on plain pairs alone fills the free slot.
+            prop_assert_eq!(
+                multi_pairing(Pairs::from(&[(c, d)]).and_fixed(&kept, q)),
+                multi_pairing(&[(c, d), (p, q)])
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at most two prepared pairs")]
+    fn a_third_prepared_pair_is_refused() {
+        let g = G1Affine::generator();
+        let fixed = FixedPairing::unscaled(&g);
+        let two = Pairs::with_fixed(&[], &fixed, g).and_fixed(&fixed, g);
+        let _ = two.and_fixed(&fixed, g);
     }
 
     #[test]
@@ -713,6 +901,12 @@ mod tests {
         assert!(FixedPairing::new(&id).pairing(&id).is_one());
         let g = G1Affine::generator();
         assert_eq!(FixedPairing::new(&g).pairing(&g), Gt::generator());
+        let kept = FixedPairing::unscaled(&p);
+        assert_eq!(kept.pairing(&p), pairing(&p, &p));
+        assert!(kept.pairing(&id).is_one());
+        assert!(FixedPairing::unscaled(&id).pairing(&p).is_one());
+        assert!(FixedPairing::unscaled(&id).pairing(&id).is_one());
+        assert_eq!(FixedPairing::unscaled(&g).pairing(&g), Gt::generator());
     }
 
     #[test]
@@ -721,14 +915,21 @@ mod tests {
         let (p, q) = (random_point(&mut r), random_point(&mut r));
         let (fixed, built) = mabe_telemetry::measure(|| FixedPairing::new(&p));
         assert_eq!(built.pairings, 0, "building runs no pairing");
+        let (kept, built) = mabe_telemetry::measure(|| FixedPairing::unscaled(&q));
+        assert_eq!(built.pairings, 0, "building runs no pairing");
         let (_, used) = mabe_telemetry::measure(|| fixed.pairing(&q));
         assert_eq!(used.pairings, 1);
         // The prepared pair beside a plain one: two pairings, as the
-        // plain product counts.
+        // plain product counts; so do two prepared pairs.
         let (_, mixed) =
             mabe_telemetry::measure(|| multi_pairing(Pairs::with_fixed(&[(q, p)], &fixed, q)));
         assert_eq!(mixed.pairings, 2);
+        let (_, both) = mabe_telemetry::measure(|| {
+            multi_pairing(Pairs::with_fixed(&[], &fixed, q).and_fixed(&kept, p))
+        });
+        assert_eq!(both.pairings, 2);
         assert_eq!(fixed.base(), &p);
+        assert_eq!(kept.base(), &q);
     }
 
     #[test]

@@ -17,7 +17,7 @@ use rand::SeedableRng;
 use mabe_core::{
     client_recover, decrypt, decrypt_fast, encrypt, make_transform_key, server_transform,
     AttributeAuthority, CertificateAuthority, Ciphertext, CiphertextId, OwnerId, OwnerMasterKey,
-    UserPublicKey, UserSecretKey,
+    UserPublicKey, UserSecretKey, WithTables,
 };
 use mabe_math::Gt;
 use mabe_policy::{parse, AccessStructure, AuthorityId};
@@ -144,7 +144,7 @@ fn general_decrypt_costs_na_plus_2i_pairings() {
 
     // The serving path folds every pairing onto C' or PK_UID: two
     // multi-scalar multiplications, then two pairings.
-    let (fast, fast_ops) = measure(|| decrypt_fast(&ct, &pk, &keys).unwrap());
+    let ((fast, _), fast_ops) = measure(|| decrypt_fast(&ct, &pk, &keys).unwrap());
     assert_eq!(fast, msg);
     assert_eq!(fast_ops.pairings, 2);
     assert_eq!(fast_ops.gt_pows, 0);
@@ -170,12 +170,19 @@ fn paper_point_5x5_decrypt_costs_55_faithful_and_2_serving_pairings() {
     assert_eq!(ops.pairings, 5 + 2 * 25, "n_A + 2·|I|");
     assert_eq!(ops.gt_pows, 25);
 
-    let (fast, fast_ops) = measure(|| decrypt_fast(&ct, &world.user_pk, &world.user_keys).unwrap());
+    let ((fast, built), fast_ops) =
+        measure(|| decrypt_fast(&ct, &world.user_pk, &world.user_keys).unwrap());
     assert_eq!(fast, msg);
     assert_eq!(fast_ops.pairings, 2);
     assert_eq!(fast_ops.gt_pows, 0);
     assert_eq!(fast_ops.g1_muls, 0);
     assert_eq!(fast_ops.msms, 2);
+    // The key-side table that call built evaluates in its place: the
+    // same counts.
+    let kept = WithTables::new(&world.user_keys, built.as_ref());
+    let (again, kept_ops) = measure(|| decrypt_fast(&ct, &world.user_pk, kept).unwrap());
+    assert_eq!(again, (msg, None));
+    assert_eq!(kept_ops, fast_ops);
 
     // The outsourcing server runs the same fold on blinded keys.
     let mut rng = StdRng::seed_from_u64(56);
@@ -214,6 +221,16 @@ fn cold_cloud_read_at_5x5_costs_2_pairings_and_a_warm_one_none() {
     let (_, warm) = measure(|| sys.read(&user, &owner, "rec", "x").unwrap());
     assert_eq!(warm.pairings, 0);
     assert_eq!(sys.cache_stats().content_hits, 1);
+
+    // A second cold read under the same policy evaluates the key-side
+    // table the first one built: still 2 pairings and 2 MSMs.
+    sys.publish(&owner, "rec2", &[("x", b"payload2".as_slice(), &policy)])
+        .unwrap();
+    let (bytes, second) = measure(|| sys.read(&user, &owner, "rec2", "x").unwrap());
+    assert_eq!(bytes, b"payload2");
+    assert_eq!(sys.cache_stats().key_table_builds, 1);
+    assert_eq!((second.pairings, second.msms), (2, 2));
+    assert_eq!((second.gt_pows, second.g1_muls), (0, 0));
 }
 
 #[test]

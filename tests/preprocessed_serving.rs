@@ -1,21 +1,26 @@
 //! The preprocessed serving path computes what the plain one computes.
 //!
 //! A data owner keeps a fixed-base table per current attribute key
-//! (`PK_x`) for its publishes, and a reader's `PK_UID` Miller lines
-//! replace one pair's Miller loop in its serving decrypt. Each property
-//! runs the prepared path beside the plain one on the same inputs:
+//! (`PK_x`) for its publishes, and a reader's `PK_UID` Miller lines and
+//! its key-side table (the lines of `K*`, kept per policy) replace the
+//! two Miller loops of its serving decrypt. Each property runs the
+//! prepared path beside the plain one on the same inputs:
 //!
 //! * `encrypt` through a warm owner (tables for every row) is byte for
 //!   byte the ciphertext a cold copy of the same owner (no tables)
 //!   writes from the same random seed, with the same op counts, before
 //!   and after a revocation bumps one authority's keys;
-//! * `decrypt_fast` with the reader's lines returns exactly what the
-//!   faithful Eq. 1 `decrypt` returns, in two counted pairings, and
-//!   ignores lines built for another user.
+//! * `decrypt_fast` returns exactly what the faithful Eq. 1 `decrypt`
+//!   returns, in two counted pairings and two MSMs, with the reader's
+//!   lines or another user's (ignored), and with no key-side table, the
+//!   table a previous call returned, or a stale one: built for another
+//!   reader, for another policy, or for this reader before a revocation
+//!   at an involved authority. A stale table comes back replaced by the
+//!   table of the reader's `K*`, never evaluated.
 //!
-//! The kernels under them (signed fixed-base multiplication, the mixed
-//! prepared/plain pairing product) have their own differential
-//! properties in `mabe-math`. Each property here runs
+//! The kernels under them (signed fixed-base multiplication, the
+//! product of plain and prepared pairs of either form) have their own
+//! differential properties in `mabe-math`. Each property here runs
 //! [`DIFFERENTIAL_CASES`] cases.
 
 use std::collections::BTreeMap;
@@ -25,8 +30,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use mabe::core::{
-    decrypt, decrypt_fast, AttributeAuthority, CertificateAuthority, DataOwner, OwnerId,
-    UserPublicKey, UserSecretKey, WireCodec, WithTables, FIXED_BASE_BREAK_EVEN,
+    decrypt, decrypt_fast, AttributeAuthority, CertificateAuthority, Ciphertext, DataOwner, Error,
+    OwnerId, UserPublicKey, UserSecretKey, WireCodec, WithTables, FIXED_BASE_BREAK_EVEN,
 };
 use mabe::math::{FixedPairing, Gt};
 use mabe::policy::{parse, AuthorityId, Policy};
@@ -155,33 +160,87 @@ proptest! {
     }
 
     #[test]
-    fn decrypt_with_lines_matches_faithful_decrypt(pick in any::<u8>(), seed in any::<u64>()) {
+    fn decrypt_with_lines_matches_faithful_decrypt(
+        pick in any::<u8>(),
+        seed in any::<u64>(),
+    ) {
         let mut w = world(seed);
-        let policy = policy(pick);
+        let (policy, other_policy) = (policy(pick), policy(pick.wrapping_add(1)));
         let msg = Gt::random(&mut w.rng);
         let ct = w.owner.encrypt_message(&msg, &policy, &mut w.rng).unwrap();
-        let (alice, alice_keys) = &w.users[0];
-        let (bob, _) = &w.users[1];
+        let other_ct = w.owner.encrypt_message(&msg, &other_policy, &mut w.rng).unwrap();
+        let (alice, alice_keys) = w.users[0].clone();
+        let (bob, bob_keys) = w.users[1].clone();
         let lines = FixedPairing::new(&alice.pk);
-        let faithful = decrypt(&ct, alice, alice_keys);
+        let with_lines = WithTables::new(&alice, Some(&lines));
+        let faithful = decrypt(&ct, &alice, &alice_keys);
         prop_assert_eq!(&faithful, &Ok(msg));
-        let (prepared, ops) = mabe_telemetry::measure(|| {
-            decrypt_fast(&ct, WithTables::new(alice, Some(&lines)), alice_keys)
-        });
-        prop_assert_eq!(&prepared, &faithful);
-        prop_assert_eq!((ops.pairings, ops.msms), (2, 2));
+
+        // No key-side table: the call builds one, pairs from it and
+        // hands it back.
+        let built = fast_is_faithful(&ct, with_lines, &alice_keys, None, &faithful)?
+            .expect("built without a table");
+        // The table a previous call returned is evaluated, with or
+        // without the PK_UID lines beside it.
+        for pk in [with_lines, WithTables::from(&alice)] {
+            prop_assert!(fast_is_faithful(&ct, pk, &alice_keys, Some(&built), &faithful)?.is_none());
+        }
         // Bob's lines do not belong to Alice's PK_UID: ignored.
-        let other = FixedPairing::new(&bob.pk);
+        let bobs_lines = FixedPairing::new(&bob.pk);
+        let pk = WithTables::new(&alice, Some(&bobs_lines));
+        prop_assert!(fast_is_faithful(&ct, pk, &alice_keys, Some(&built), &faithful)?.is_none());
+
+        // Stale tables come back replaced by the table of Alice's K*:
+        // one built for Bob under the same policy, and one built for
+        // Alice under another.
+        let (_, bobs) = decrypt_fast(&ct, &bob, &bob_keys).unwrap();
+        let (_, other) = decrypt_fast(&other_ct, &alice, &alice_keys).unwrap();
+        for stale in [bobs.unwrap(), other.unwrap()] {
+            prop_assert_ne!(stale.base(), built.base());
+            let replaced = fast_is_faithful(&ct, with_lines, &alice_keys, Some(&stale), &faithful)?;
+            prop_assert_eq!(replaced.as_ref(), Some(&built));
+        }
+
+        // A stale key gets the faithful path's error, with tables too.
+        let mut stale_keys = alice_keys.clone();
+        stale_keys.get_mut(&AuthorityId::new("Med")).unwrap().version += 1;
         prop_assert_eq!(
-            &decrypt_fast(&ct, WithTables::new(alice, Some(&other)), alice_keys),
-            &faithful
+            decrypt_fast(&ct, with_lines, WithTables::new(&stale_keys, Some(&built))).map(|(m, _)| m),
+            decrypt(&ct, &alice, &stale_keys)
         );
-        // A stale key gets the faithful path's error with lines too.
-        let mut stale = alice_keys.clone();
-        stale.get_mut(&AuthorityId::new("Med")).unwrap().version += 1;
-        prop_assert_eq!(
-            decrypt_fast(&ct, WithTables::new(alice, Some(&lines)), &stale),
-            decrypt(&ct, alice, &stale)
-        );
+
+        // Revoking Doctor@Med from Bob moves Alice's Med key to version
+        // 2, and with it her K*: her table from before is stale.
+        let doctor = "Doctor@Med".parse().unwrap();
+        let event = w.aas[0].revoke_attribute(&bob.uid, &doctor, &mut w.rng).unwrap();
+        let uk = &event.update_keys[w.owner.id()];
+        w.owner.apply_update_key(uk).unwrap();
+        let mut updated = alice_keys.clone();
+        updated.get_mut(&AuthorityId::new("Med")).unwrap().apply_update(uk).unwrap();
+        let ct = w.owner.encrypt_message(&msg, &policy, &mut w.rng).unwrap();
+        let faithful = decrypt(&ct, &alice, &updated);
+        prop_assert_eq!(&faithful, &Ok(msg));
+        let rebuilt = fast_is_faithful(&ct, with_lines, &updated, Some(&built), &faithful)?
+            .expect("a pre-revocation table is replaced");
+        prop_assert_ne!(rebuilt.base(), built.base());
+        prop_assert!(fast_is_faithful(&ct, with_lines, &updated, Some(&rebuilt), &faithful)?.is_none());
     }
+}
+
+/// Runs `decrypt_fast` with the key-side table `kept`: it must return
+/// `faithful` in 2 counted pairings and 2 MSMs, and hands back the table
+/// it built, if any.
+fn fast_is_faithful(
+    ct: &Ciphertext,
+    pk: WithTables<'_, UserPublicKey, FixedPairing>,
+    keys: &BTreeMap<AuthorityId, UserSecretKey>,
+    kept: Option<&FixedPairing>,
+    faithful: &Result<Gt, Error>,
+) -> Result<Option<FixedPairing>, TestCaseError> {
+    let (out, ops) =
+        mabe_telemetry::measure(|| decrypt_fast(ct, pk, WithTables::new(keys, kept)).unwrap());
+    let (m, built) = out;
+    prop_assert_eq!(&Ok(m), faithful);
+    prop_assert_eq!((ops.pairings, ops.msms), (2, 2));
+    Ok(built)
 }

@@ -186,7 +186,7 @@ proptest! {
         let (ct, msg) = world.encrypt_with_message();
         prop_assert_eq!(world.decrypt_once(&ct), msg);
         prop_assert_eq!(
-            mabe::core::decrypt_fast(&ct, &world.user_pk, &world.user_keys).unwrap(),
+            mabe::core::decrypt_fast(&ct, &world.user_pk, &world.user_keys).unwrap().0,
             msg
         );
         let mut rng = StdRng::seed_from_u64(seed ^ 0xabcd);
@@ -440,9 +440,10 @@ proptest! {
                 let expected = if satisfied { Ok(msg) } else { Err(Error::PolicyNotSatisfied) };
                 prop_assert_eq!(&faithful, &expected);
             }
-            let fast = decrypt_fast(&ct, &world.user, &keys);
+            let fast = decrypt_fast(&ct, &world.user, &keys).map(|(m, _)| m);
             prop_assert!(fast == faithful, "{fault:?}: {fast:?} != {faithful:?}");
-            let prepared = decrypt_fast(&ct, WithTables::new(&world.user, Some(&lines)), &keys);
+            let prepared = decrypt_fast(&ct, WithTables::new(&world.user, Some(&lines)), &keys)
+                .map(|(m, _)| m);
             prop_assert!(prepared == faithful, "{fault:?}: {prepared:?} != {faithful:?}");
             let transformed = outsourced(&ct, &world.user, &keys, &mut world.rng);
             prop_assert!(transformed == faithful, "{fault:?}: {transformed:?} != {faithful:?}");
@@ -462,10 +463,14 @@ fn serving_decrypt_matches_faithful_eq1_at_5x5() {
     let (ct, msg) = world.encrypt_with_message();
     let mut rng = StdRng::seed_from_u64(26);
     assert_eq!(world.decrypt_once(&ct), msg);
-    assert_eq!(decrypt_fast(&ct, &world.user_pk, &world.user_keys), Ok(msg));
+    let fast = |pk, keys| decrypt_fast(&ct, pk, keys).map(|(m, _)| m);
+    assert_eq!(
+        fast(WithTables::from(&world.user_pk), &world.user_keys),
+        Ok(msg)
+    );
     let lines = FixedPairing::new(&world.user_pk.pk);
     let prepared = WithTables::new(&world.user_pk, Some(&lines));
-    assert_eq!(decrypt_fast(&ct, prepared, &world.user_keys), Ok(msg));
+    assert_eq!(fast(prepared, &world.user_keys), Ok(msg));
     assert_eq!(
         outsourced(&ct, &world.user_pk, &world.user_keys, &mut rng),
         Ok(msg)
@@ -478,7 +483,7 @@ fn serving_decrypt_matches_faithful_eq1_at_5x5() {
     );
     let faithful = decrypt(&ct, &world.user_pk, &stale);
     assert!(matches!(faithful, Err(Error::VersionMismatch { .. })));
-    assert_eq!(decrypt_fast(&ct, &world.user_pk, &stale), faithful);
-    assert_eq!(decrypt_fast(&ct, prepared, &stale), faithful);
+    assert_eq!(fast(WithTables::from(&world.user_pk), &stale), faithful);
+    assert_eq!(fast(prepared, &stale), faithful);
     assert_eq!(outsourced(&ct, &world.user_pk, &stale, &mut rng), faithful);
 }
