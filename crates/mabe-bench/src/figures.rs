@@ -173,6 +173,49 @@ mod tests {
         );
     }
 
+    /// The shape above in exact operation counts, which timing on a
+    /// shared machine cannot pin. With `l` rows over `n_A` authorities,
+    /// ours encrypts in `2l + 1` G and 2 G_T exponentiations and
+    /// decrypts in `n_A + 2l` pairings and `l` G_T exponentiations;
+    /// Lewko–Waters encrypts in `3l` G and `2l + 2` G_T exponentiations
+    /// and decrypts in `2l` pairings, `l` G_T exponentiations and one
+    /// hash-to-curve.
+    #[test]
+    fn each_scheme_costs_its_cost_model_in_exact_op_counts() {
+        use mabe_telemetry::{measure, OpSnapshot};
+
+        let ops = |pairings, g1_muls, gt_pows, hash_to_curve| OpSnapshot {
+            pairings,
+            g1_muls,
+            gt_pows,
+            hash_to_curve,
+            ..OpSnapshot::default()
+        };
+        for (authorities, attrs_per_authority) in [(2, 2), (3, 2), (2, 3)] {
+            let shape = Shape {
+                authorities,
+                attrs_per_authority,
+            };
+            let (l, n_a) = (shape.total_attrs() as u64, authorities as u64);
+            let mut ours = OurWorld::new(shape, 31);
+            let (ct, ours_encrypt) = measure(|| ours.encrypt_once());
+            let (_, ours_decrypt) = measure(|| ours.decrypt_once(&ct));
+            let mut lewko = LewkoWorld::new(shape, 32);
+            let (ct, lewko_encrypt) = measure(|| lewko.encrypt_once());
+            let (_, lewko_decrypt) = measure(|| lewko.decrypt_once(&ct));
+            assert_eq!(
+                [ours_encrypt, ours_decrypt, lewko_encrypt, lewko_decrypt],
+                [
+                    ops(0, 2 * l + 1, 2, 0),
+                    ops(n_a + 2 * l, 0, l, 0),
+                    ops(0, 3 * l, 2 * l + 2, 0),
+                    ops(2 * l, 0, l, 1),
+                ],
+                "ours' encrypt and decrypt, then Lewko–Waters', at {shape:?}"
+            );
+        }
+    }
+
     #[test]
     fn slope_helper() {
         let x = [1usize, 2, 3, 4];

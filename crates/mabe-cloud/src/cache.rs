@@ -1,17 +1,18 @@
-//! Bounded sharded LRU caches for the hot read path.
+//! Bounded caches for the hot read path.
 //!
-//! Two caches sit in front of the expensive pairing work:
+//! Three caches sit in front of the expensive pairing work:
 //!
 //! * **Content-key cache** — the component's derived AEAD key (the
 //!   label-bound HKDF output of the recovered KEM element, no more
-//!   sensitive than that element) per
-//!   `(uid, owner, record, label, ciphertext id, component-versions)`. A
-//!   cache hit turns a read into one AEAD open over the stored bytes
-//!   instead of a CP-ABE decryption and a key derivation. The key embeds
-//!   the component ciphertext's id and its `(authority, version)` vector,
-//!   so neither a republished record (new ciphertext, new id) nor a
-//!   re-encrypted component (new versions) can be served from a stale
-//!   entry — its key differs.
+//!   sensitive than that element) per `(uid, owner, ciphertext id)`: the
+//!   reader and the component ciphertext, which its owner's id and the
+//!   owner-scoped ciphertext id name. A cache hit turns a read into one
+//!   AEAD open over the stored bytes instead of a CP-ABE decryption and a
+//!   key derivation. The entry keeps the component's label and the exact
+//!   `(authority, version)` vector the key was derived at, and serves
+//!   only a component that still has both: a republished record holds a
+//!   new ciphertext (new id, another key), and a re-encrypted component
+//!   (new versions) misses its old entry.
 //! * **Update-key chain cache** — the composed
 //!   `UpdateKey(from → latest)` per `(authority, owner, from_version)`,
 //!   the per-`(authority, version)` pairing material the lazy drain and
@@ -27,24 +28,24 @@
 //! phase calls [`SystemCaches::invalidate_authority`] **under the
 //! authority shard lock, before the revocation is acknowledged**. That
 //! bumps the authority's generation counter and purges every entry
-//! mentioning the authority, so a revoked user's cached content key
-//! dies with the ack, and its step tables with it. Readers that raced
-//! the bump are handled by the generation guard: a reader snapshots the
-//! generations of every authority in the component at its miss,
-//! *before* taking its keys and decrypting, and the insert is dropped
-//! unless the generations are still current
-//! ([`SystemCaches::insert_content_if`]) — a decryption that started
-//! before the bump can never repopulate the cache after it. So a hit
-//! needs no key view: an entry exists only while no authority in its
-//! version vector has revoked anything since its reader decrypted.
+//! mentioning the authority (for a content key, an entry whose versions
+//! name it), so a revoked user's cached content key dies with the ack,
+//! and its step tables with it. Readers that raced the bump are handled
+//! by the generation guard: a reader snapshots the generations of every
+//! authority in the component at its miss, *before* taking its keys and
+//! decrypting, and the insert is dropped unless the generations are
+//! still current ([`SystemCaches::insert_content_if`]) — a decryption
+//! that started before the bump can never repopulate the cache after
+//! it. So a hit needs no key view: an entry exists only while no
+//! authority in its version vector has revoked anything since its
+//! reader decrypted.
 //!
-//! Eviction is sharded tick-LRU: each shard tracks a monotonically
-//! increasing touch tick per entry and evicts the smallest tick when
-//! full. Hits, misses, and evictions are counted per cache and exported
-//! both through [`CacheStats`] and the `mabe_cache_*_total` metric
-//! families.
+//! The content and chain caches are sharded tick-LRU maps: each shard
+//! tracks a monotonically increasing touch tick per entry and evicts the
+//! smallest tick when full. Hits, misses, and evictions are counted per
+//! cache and exported both through [`CacheStats`] and the
+//! `mabe_cache_*_total` metric families.
 
-use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -52,7 +53,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use mabe_core::{CiphertextId, UpdateKey, UpdateTables, LINES_BREAK_EVEN};
+use mabe_core::{CiphertextId, OwnerId, Uid, UpdateKey, UpdateTables, LINES_BREAK_EVEN};
 use mabe_policy::AuthorityId;
 use mabe_telemetry::Counter;
 
@@ -163,7 +164,7 @@ struct LruCache<K, V> {
     evictions: Count,
 }
 
-impl<K: Ord + Hash + Clone, V: Clone> LruCache<K, V> {
+impl<K: Ord + Hash + Clone, V> LruCache<K, V> {
     fn new(capacity: usize, metric: &'static str) -> Self {
         LruCache {
             shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
@@ -174,32 +175,28 @@ impl<K: Ord + Hash + Clone, V: Clone> LruCache<K, V> {
         }
     }
 
-    /// The shard of `key`. A borrowed form of a key hashes as the key
-    /// does (the [`Borrow`] contract), so both find the same shard.
-    fn shard<Q: Hash + ?Sized>(&self, key: &Q) -> &Mutex<Shard<K, V>> {
+    fn shard(&self, key: &K) -> &Mutex<Shard<K, V>> {
         let mut h = std::collections::hash_map::DefaultHasher::new();
         key.hash(&mut h);
         &self.shards[(h.finish() as usize) % SHARDS]
     }
 
-    fn get<Q: Ord + Hash + ?Sized>(&self, key: &Q) -> Option<V>
-    where
-        K: Borrow<Q>,
-    {
+    /// What `read` takes from `key`'s entry, which it stamps most
+    /// recent. An entry `read` rejects counts as a miss.
+    fn get<R>(&self, key: &K, read: impl FnOnce(&V) -> Option<R>) -> Option<R> {
         let mut shard = self.shard(key).lock();
         shard.tick += 1;
         let tick = shard.tick;
-        match shard.rows.get_mut(key) {
-            Some(entry) => {
-                entry.tick = tick;
-                self.hits.inc();
-                Some(entry.value.clone())
-            }
-            None => {
-                self.misses.inc();
-                None
-            }
+        let got = shard.rows.get_mut(key).and_then(|entry| {
+            let got = read(&entry.value)?;
+            entry.tick = tick;
+            Some(got)
+        });
+        match got {
+            Some(_) => self.hits.inc(),
+            None => self.misses.inc(),
         }
+        got
     }
 
     fn insert(&self, key: K, value: V) {
@@ -222,9 +219,9 @@ impl<K: Ord + Hash + Clone, V: Clone> LruCache<K, V> {
         shard.rows.insert(key, Entry { value, tick });
     }
 
-    fn purge_if(&self, matches: impl Fn(&K) -> bool) {
+    fn purge_if(&self, matches: impl Fn(&K, &V) -> bool) {
         for shard in &self.shards {
-            shard.lock().rows.retain(|k, _| !matches(k));
+            shard.lock().rows.retain(|k, e| !matches(k, &e.value));
         }
     }
 
@@ -233,180 +230,30 @@ impl<K: Ord + Hash + Clone, V: Clone> LruCache<K, V> {
     }
 }
 
-/// Content-cache key: the reader, the component's address, the
-/// ciphertext it currently holds, and the exact `(authority, version)`
-/// vector that ciphertext is sealed under.
-///
-/// A read looks it up through a [`ContentKeyRef`] over what it already
-/// holds, so a hit builds no owned key; both forms compare and hash
-/// through [`ContentKeyParts`].
-#[derive(Clone, Debug)]
+/// Content-cache key: the reader and the component ciphertext, named by
+/// its owner and owner-scoped id. A republished record holds a new
+/// ciphertext, so it never finds the old one's entry.
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub(crate) struct ContentCacheKey {
-    pub uid: String,
-    pub owner: String,
-    pub record: String,
+    pub uid: Uid,
+    pub owner: OwnerId,
+    pub ciphertext: CiphertextId,
+}
+
+/// A content-cache entry: the derived AEAD key, and the label and exact
+/// `(authority, version)` vector of the component it was derived from.
+/// It serves only a component that still has both, so a re-encrypted
+/// component (new versions) misses.
+#[derive(Debug)]
+pub(crate) struct ContentEntry {
+    pub key: [u8; 32],
     pub label: String,
-    /// The component ciphertext's owner-scoped id: a republished record
-    /// holds a new ciphertext (and content key) under the same address.
-    pub ciphertext: CiphertextId,
-    /// Sorted `(authority, version)` pairs of the component ciphertext.
-    pub versions: Vec<(String, u64)>,
+    pub versions: BTreeMap<AuthorityId, u64>,
 }
 
-impl ContentCacheKey {
-    fn mentions(&self, aid: &str) -> bool {
-        self.versions.iter().any(|(a, _)| a == aid)
-    }
-}
-
-/// A content-cache key borrowed from a read in progress: its reader and
-/// address, and the component ciphertext's id and version map.
-pub(crate) struct ContentKeyRef<'a> {
-    pub uid: &'a str,
-    pub owner: &'a str,
-    pub record: &'a str,
-    pub label: &'a str,
-    pub ciphertext: CiphertextId,
-    pub versions: &'a BTreeMap<AuthorityId, u64>,
-}
-
-impl ContentKeyRef<'_> {
-    /// The owned key a miss inserts under.
-    pub(crate) fn to_owned_key(&self) -> ContentCacheKey {
-        ContentCacheKey {
-            uid: self.uid.to_owned(),
-            owner: self.owner.to_owned(),
-            record: self.record.to_owned(),
-            label: self.label.to_owned(),
-            ciphertext: self.ciphertext,
-            versions: self
-                .versions
-                .iter()
-                .map(|(a, v)| (a.as_str().to_owned(), *v))
-                .collect(),
-        }
-    }
-}
-
-/// The `(authority, version)` pairs of a key, in authority order.
-pub(crate) enum Versions<'a> {
-    Owned(std::slice::Iter<'a, (String, u64)>),
-    Borrowed(std::collections::btree_map::Iter<'a, AuthorityId, u64>),
-}
-
-impl<'a> Iterator for Versions<'a> {
-    type Item = (&'a str, u64);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        match self {
-            Versions::Owned(it) => it.next().map(|(a, v)| (a.as_str(), *v)),
-            Versions::Borrowed(it) => it.next().map(|(a, v)| (a.as_str(), *v)),
-        }
-    }
-}
-
-/// A content-cache key's parts, however they are held. Equality, order
-/// and hash are defined on the parts, so an owned key and a borrowed
-/// one over the same parts are the same key to the cache.
-pub(crate) trait ContentKeyParts {
-    /// Reader, owner, record, label and ciphertext id.
-    fn address(&self) -> (&str, &str, &str, &str, CiphertextId);
-    /// The version vector.
-    fn versions(&self) -> Versions<'_>;
-}
-
-impl ContentKeyParts for ContentCacheKey {
-    fn address(&self) -> (&str, &str, &str, &str, CiphertextId) {
-        (
-            &self.uid,
-            &self.owner,
-            &self.record,
-            &self.label,
-            self.ciphertext,
-        )
-    }
-
-    fn versions(&self) -> Versions<'_> {
-        Versions::Owned(self.versions.iter())
-    }
-}
-
-impl ContentKeyParts for ContentKeyRef<'_> {
-    fn address(&self) -> (&str, &str, &str, &str, CiphertextId) {
-        (
-            self.uid,
-            self.owner,
-            self.record,
-            self.label,
-            self.ciphertext,
-        )
-    }
-
-    fn versions(&self) -> Versions<'_> {
-        Versions::Borrowed(self.versions.iter())
-    }
-}
-
-impl<'a> Borrow<dyn ContentKeyParts + 'a> for ContentCacheKey {
-    fn borrow(&self) -> &(dyn ContentKeyParts + 'a) {
-        self
-    }
-}
-
-impl PartialEq for dyn ContentKeyParts + '_ {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
-    }
-}
-
-impl Eq for dyn ContentKeyParts + '_ {}
-
-impl PartialOrd for dyn ContentKeyParts + '_ {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for dyn ContentKeyParts + '_ {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.address()
-            .cmp(&other.address())
-            .then_with(|| self.versions().cmp(other.versions()))
-    }
-}
-
-impl Hash for dyn ContentKeyParts + '_ {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.address().hash(state);
-        for version in self.versions() {
-            version.hash(state);
-        }
-    }
-}
-
-impl PartialEq for ContentCacheKey {
-    fn eq(&self, other: &Self) -> bool {
-        (self as &dyn ContentKeyParts) == (other as &dyn ContentKeyParts)
-    }
-}
-
-impl Eq for ContentCacheKey {}
-
-impl PartialOrd for ContentCacheKey {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for ContentCacheKey {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self as &dyn ContentKeyParts).cmp(other as &dyn ContentKeyParts)
-    }
-}
-
-impl Hash for ContentCacheKey {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        (self as &dyn ContentKeyParts).hash(state);
+impl ContentEntry {
+    fn serves(&self, label: &str, versions: &BTreeMap<AuthorityId, u64>) -> bool {
+        self.label == label && self.versions == *versions
     }
 }
 
@@ -488,7 +335,7 @@ pub(crate) enum StepUse {
 /// tables, and the per-authority generation counters that guard
 /// insertion.
 pub(crate) struct SystemCaches {
-    content: LruCache<ContentCacheKey, [u8; 32]>,
+    content: LruCache<ContentCacheKey, ContentEntry>,
     chains: LruCache<(String, String, u64), UpdateKey>,
     steps: Mutex<StepCache>,
     step_table_builds: AtomicU64,
@@ -535,10 +382,17 @@ impl SystemCaches {
         .collect()
     }
 
-    /// The cached content key of one reader's component, looked up by
-    /// an owned or a borrowed key.
-    pub(crate) fn get_content(&self, key: &dyn ContentKeyParts) -> Option<[u8; 32]> {
-        self.content.get(key)
+    /// The cached content key of one reader's component, if its entry
+    /// was derived at this `label` and these `versions`.
+    pub(crate) fn get_content(
+        &self,
+        key: &ContentCacheKey,
+        label: &str,
+        versions: &BTreeMap<AuthorityId, u64>,
+    ) -> Option<[u8; 32]> {
+        self.content.get(key, |entry| {
+            entry.serves(label, versions).then_some(entry.key)
+        })
     }
 
     /// Inserts a component's content key unless any involved
@@ -549,7 +403,7 @@ impl SystemCaches {
         &self,
         snapshot: &[(String, u64)],
         key: ContentCacheKey,
-        content_key: [u8; 32],
+        entry: ContentEntry,
     ) {
         {
             let gens = self.generations.lock();
@@ -562,7 +416,7 @@ impl SystemCaches {
             // check above failed) or will run after (its purge removes
             // this entry). No window remains where a stale entry
             // survives a bump.
-            self.content.insert(key, content_key);
+            self.content.insert(key, entry);
         }
     }
 
@@ -570,7 +424,10 @@ impl SystemCaches {
     /// Callers must validate `to_version` against the target they need
     /// — a shorter (stale) chain is a miss, never silently applied.
     pub(crate) fn get_chain(&self, aid: &str, owner: &str, from: u64) -> Option<UpdateKey> {
-        self.chains.get(&(aid.to_owned(), owner.to_owned(), from))
+        self.chains
+            .get(&(aid.to_owned(), owner.to_owned(), from), |chain| {
+                Some(chain.clone())
+            })
     }
 
     pub(crate) fn insert_chain(&self, aid: &str, owner: &str, from: u64, chain: UpdateKey) {
@@ -646,16 +503,17 @@ impl SystemCaches {
     /// Revocation's version bump: called under the authority shard lock
     /// before the revocation is acknowledged. Bumps the generation (so
     /// in-flight decryptions and table builds cannot repopulate) and
-    /// purges every entry that mentions the authority: content keys,
-    /// chains and step tables.
+    /// purges every entry that mentions the authority: content keys
+    /// whose versions name it, chains and step tables.
     pub(crate) fn invalidate_authority(&self, aid: &AuthorityId) {
         let name = aid.to_string();
         {
             let mut gens = self.generations.lock();
             *gens.entry(name.clone()).or_insert(0) += 1;
         }
-        self.content.purge_if(|k| k.mentions(&name));
-        self.chains.purge_if(|(a, _, _)| *a == name);
+        self.content
+            .purge_if(|_, entry| entry.versions.contains_key(aid));
+        self.chains.purge_if(|(a, _, _), _| *a == name);
         self.steps.lock().rows.retain(|(a, ..), _| *a != name);
     }
 
@@ -684,18 +542,33 @@ impl SystemCaches {
 mod tests {
     use super::*;
 
-    fn key(uid: &str, versions: &[(&str, u64)]) -> ContentCacheKey {
+    fn key(uid: &str, owner: &str) -> ContentCacheKey {
         ContentCacheKey {
-            uid: uid.to_owned(),
-            owner: "o".to_owned(),
-            record: "r".to_owned(),
-            label: "l".to_owned(),
+            uid: Uid::new(uid),
+            owner: OwnerId::new(owner),
             ciphertext: CiphertextId(1),
-            versions: versions
-                .iter()
-                .map(|(a, v)| ((*a).to_owned(), *v))
-                .collect(),
         }
+    }
+
+    fn versions(pairs: &[(&str, u64)]) -> BTreeMap<AuthorityId, u64> {
+        pairs
+            .iter()
+            .map(|&(aid, version)| (AuthorityId::new(aid), version))
+            .collect()
+    }
+
+    fn entry(key: u8, label: &str, versions: &BTreeMap<AuthorityId, u64>) -> ContentEntry {
+        ContentEntry {
+            key: [key; 32],
+            label: label.to_owned(),
+            versions: versions.clone(),
+        }
+    }
+
+    /// Inserts `entry` under a generation snapshot taken now.
+    fn insert(caches: &SystemCaches, key: ContentCacheKey, entry: ContentEntry) {
+        let snap = caches.generation_snapshot(entry.versions.keys());
+        caches.insert_content_if(&snap, key, entry);
     }
 
     #[test]
@@ -715,19 +588,83 @@ mod tests {
     fn generation_bump_blocks_stale_insert() {
         let caches = SystemCaches::new();
         let aid = AuthorityId::new("A1");
+        let at = versions(&[("A1", 1)]);
         let snap = caches.generation_snapshot(std::iter::once(&aid));
         // A revocation begins between the snapshot and the insert.
         caches.invalidate_authority(&aid);
-        let k = key("alice", &[(&aid.to_string(), 1)]);
-        caches.insert_content_if(&snap, k.clone(), [7; 32]);
-        assert!(caches.get_content(&k).is_none(), "stale insert dropped");
+        let k = key("alice", "o");
+        caches.insert_content_if(&snap, k.clone(), entry(7, "l", &at));
+        assert!(
+            caches.get_content(&k, "l", &at).is_none(),
+            "stale insert dropped"
+        );
         // A fresh snapshot inserts fine.
-        let snap = caches.generation_snapshot(std::iter::once(&aid));
-        caches.insert_content_if(&snap, k.clone(), [8; 32]);
-        assert_eq!(caches.get_content(&k), Some([8; 32]));
+        insert(&caches, k.clone(), entry(8, "l", &at));
+        assert_eq!(caches.get_content(&k, "l", &at), Some([8; 32]));
         // And the next bump purges it.
         caches.invalidate_authority(&aid);
-        assert!(caches.get_content(&k).is_none(), "bump purges entries");
+        assert!(
+            caches.get_content(&k, "l", &at).is_none(),
+            "bump purges entries"
+        );
+    }
+
+    /// An entry serves the label and the exact version vector it was
+    /// derived at, and nothing else: another label, another version, or
+    /// an authority more or fewer is a miss, and is counted as one.
+    #[test]
+    fn an_entry_serves_only_the_label_and_versions_it_was_derived_at() {
+        let caches = SystemCaches::new();
+        let k = key("alice", "o");
+        let at = versions(&[("A", 1), ("B", 3)]);
+        insert(&caches, k.clone(), entry(5, "dx", &at));
+        assert_eq!(caches.get_content(&k, "dx", &at), Some([5; 32]));
+        let others = [
+            ("notes", at.clone()),
+            ("dx", versions(&[("A", 2), ("B", 3)])),
+            ("dx", versions(&[("A", 1), ("B", 4)])),
+            ("dx", versions(&[("A", 1)])),
+            ("dx", versions(&[("A", 1), ("B", 3), ("C", 1)])),
+        ];
+        for (label, other) in &others {
+            assert_eq!(
+                caches.get_content(&k, label, other),
+                None,
+                "{label} {other:?}"
+            );
+        }
+        let stats = caches.stats();
+        assert_eq!((stats.content_hits, stats.content_misses), (1, 5));
+        // The insert after a miss replaces the rejected entry.
+        let re_encrypted = &others[1].1;
+        insert(&caches, k.clone(), entry(5, "dx", re_encrypted));
+        assert_eq!(caches.get_content(&k, "dx", re_encrypted), Some([5; 32]));
+        assert_eq!(caches.get_content(&k, "dx", &at), None);
+    }
+
+    /// Ciphertext ids are owner-scoped, so two owners' ciphertexts can
+    /// share one: a reader's entries for them stay apart, as do two
+    /// readers' entries for one ciphertext.
+    #[test]
+    fn a_readers_entries_for_two_owners_ciphertexts_with_one_id_stay_apart() {
+        let caches = SystemCaches::new();
+        let at = versions(&[("A", 1)]);
+        let readers = [
+            ("alice", "first", 1),
+            ("alice", "second", 2),
+            ("bob", "first", 3),
+        ];
+        for (uid, owner, content_key) in readers {
+            insert(&caches, key(uid, owner), entry(content_key, "x", &at));
+        }
+        for (uid, owner, content_key) in readers {
+            assert_eq!(
+                caches.get_content(&key(uid, owner), "x", &at),
+                Some([content_key; 32]),
+                "{uid} reading {owner}'s"
+            );
+        }
+        assert_eq!(caches.get_content(&key("bob", "second"), "x", &at), None);
     }
 
     fn step(aid: &str, owner: &str, from: u64, to: u64) -> UpdateKey {

@@ -48,7 +48,7 @@ use mabe_policy::{parse, AuthorityId, Policy};
 use mabe_telemetry::SpanMetric;
 
 use crate::audit::AuditEvent;
-use crate::cache::{ContentCacheKey, ContentKeyRef, StepUse};
+use crate::cache::{ContentCacheKey, ContentEntry, StepUse};
 use crate::directory::OwnerKeys;
 use crate::recovery::PendingRevocation;
 use crate::server::{CloudServer, RecordKey};
@@ -209,29 +209,29 @@ impl OpenStep for LocalOpen {
         component: &SealedComponent,
     ) -> ControlFlow<Result<Vec<u8>, Error>, Self::Miss> {
         // Hot-key cache: the component's content key per (reader,
-        // component, ciphertext, exact version vector). A hit skips the
-        // key view and the CP-ABE work entirely; republishing the record
-        // changes the ciphertext id and any re-encryption changes the
-        // version vector, either way the key, so stale hits are
-        // structurally impossible, and a revocation purges its
-        // authority's entries before it is acknowledged.
-        let cache_key = ContentKeyRef {
-            uid: at.uid.as_str(),
-            owner: at.owner.as_str(),
-            record: at.record,
-            label: at.label,
+        // owner, ciphertext id), served only at the label and exact
+        // version vector it was derived at. A hit skips the key view and
+        // the CP-ABE work entirely; republishing the record changes the
+        // ciphertext id and any re-encryption changes the version
+        // vector, either way a miss, so stale hits are structurally
+        // impossible, and a revocation purges its authority's entries
+        // before it is acknowledged.
+        let cache_key = ContentCacheKey {
+            uid: at.uid.clone(),
+            owner: at.owner.clone(),
             ciphertext: component.key_ct.id,
-            versions: &component.key_ct.versions,
         };
-        match sys.cache.get_content(&cache_key) {
+        let versions = &component.key_ct.versions;
+        match sys
+            .cache
+            .get_content(&cache_key, &component.label, versions)
+        {
             Some(key) => ControlFlow::Break(open_component_with_key(component, &key)),
             // Snapshotted before the key view, so a revocation's bump
             // anywhere from here to the insert drops the insert.
-            None => ControlFlow::Continue((
-                cache_key.to_owned_key(),
-                sys.cache
-                    .generation_snapshot(component.key_ct.versions.keys()),
-            )),
+            None => {
+                ControlFlow::Continue((cache_key, sys.cache.generation_snapshot(versions.keys())))
+            }
         }
     }
 
@@ -258,7 +258,12 @@ impl OpenStep for LocalOpen {
         let key = content_key(&kem, &component.label);
         let out = open_component_with_key(component, &key);
         if out.is_ok() {
-            sys.cache.insert_content_if(&snapshot, cache_key, key);
+            let entry = ContentEntry {
+                key,
+                label: component.label.clone(),
+                versions: component.key_ct.versions.clone(),
+            };
+            sys.cache.insert_content_if(&snapshot, cache_key, entry);
         }
         out
     }

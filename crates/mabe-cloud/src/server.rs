@@ -7,14 +7,17 @@
 //! proxy re-encryption keeps it unable to decrypt.
 //!
 //! Storage is behind a [`parking_lot::RwLock`] so many simulated users
-//! can fetch concurrently. Each record is a shared, immutable snapshot
-//! (`Arc<DataEnvelope>`): a fetch hands out the snapshot, and a write
-//! replaces it — copying it first only while a reader still holds it.
-//! Re-encryption computes its pairing with no lock held
-//! ([`CloudServer::prepare_reencryption`]) and takes the write lock only
-//! to apply it ([`CloudServer::apply_reencryption`]).
+//! can fetch concurrently. The server keeps each owner's records in
+//! their own map, by name: a ciphertext id is owner-scoped, so
+//! `(owner, ciphertext id)` names every stored component, and a fetch,
+//! a revocation's walk and a re-encryption look the owner up directly.
+//! Walks run in `(owner, name)` order. Each record is a shared,
+//! immutable snapshot (`Arc<DataEnvelope>`): a fetch hands out the
+//! snapshot, and a write replaces it — copying it first only while a
+//! reader still holds it. Re-encryption computes its pairing with no
+//! lock held ([`CloudServer::prepare_reencryption`]) and takes the write
+//! lock only to apply it ([`CloudServer::apply_reencryption`]).
 
-use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -34,56 +37,21 @@ static REENCRYPT_OP: SpanMetric = SpanMetric::new("mabe_server_op", &[("op", "re
 /// Key of a stored record: owner plus record name.
 pub type RecordKey = (OwnerId, String);
 
-/// A record key's two parts, however they are held: the map's owned
-/// [`RecordKey`]s and a fetch's borrowed `(&str, &str)` compare alike,
-/// so a fetch looks a record up without building an owned key.
-trait RecordName {
-    fn parts(&self) -> (&str, &str);
-}
+/// The stored records: each owner's, by name.
+pub(crate) type RecordMap = BTreeMap<OwnerId, BTreeMap<String, Arc<DataEnvelope>>>;
 
-impl RecordName for RecordKey {
-    fn parts(&self) -> (&str, &str) {
-        (self.0.as_str(), &self.1)
-    }
-}
-
-impl RecordName for (&str, &str) {
-    fn parts(&self) -> (&str, &str) {
-        *self
-    }
-}
-
-impl<'a> Borrow<dyn RecordName + 'a> for RecordKey {
-    fn borrow(&self) -> &(dyn RecordName + 'a) {
-        self
-    }
-}
-
-impl PartialEq for dyn RecordName + '_ {
-    fn eq(&self, other: &Self) -> bool {
-        self.parts() == other.parts()
-    }
-}
-
-impl Eq for dyn RecordName + '_ {}
-
-impl PartialOrd for dyn RecordName + '_ {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// The order of [`RecordKey`]'s derived `Ord`: owner, then name.
-impl Ord for dyn RecordName + '_ {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.parts().cmp(&other.parts())
-    }
+/// The record `key` names in `records`, if stored.
+pub(crate) fn record<'a>(
+    records: &'a RecordMap,
+    (owner, name): &RecordKey,
+) -> Option<&'a Arc<DataEnvelope>> {
+    records.get(owner)?.get(name)
 }
 
 /// The cloud storage server.
 #[derive(Debug, Default)]
 pub struct CloudServer {
-    records: RwLock<BTreeMap<RecordKey, Arc<DataEnvelope>>>,
+    records: RwLock<RecordMap>,
 }
 
 impl CloudServer {
@@ -97,8 +65,11 @@ impl CloudServer {
     ///
     /// # Errors
     ///
-    /// [`Error::Malformed`] if two components share a label
-    /// ([`DataEnvelope::check_labels`]); nothing is stored.
+    /// Nothing is stored on an error:
+    /// * [`Error::Malformed`] if two components share a label
+    ///   ([`DataEnvelope::check_labels`]);
+    /// * [`Error::OwnerMismatch`] if a component's ciphertext is another
+    ///   owner's: only its own owner's update keys can re-encrypt it.
     pub fn store(
         &self,
         owner: OwnerId,
@@ -108,9 +79,18 @@ impl CloudServer {
         let _span = mabe_telemetry::Span::on(&STORE_OP);
         let _trace = mabe_trace::Span::child("server.store");
         envelope.check_labels()?;
+        let mut owners = envelope.components.iter().map(|c| &c.key_ct.owner);
+        if let Some(found) = owners.find(|&found| *found != owner) {
+            return Err(Error::OwnerMismatch {
+                expected: owner,
+                found: found.clone(),
+            });
+        }
         self.records
             .write()
-            .insert((owner, name.into()), Arc::new(envelope));
+            .entry(owner)
+            .or_default()
+            .insert(name.into(), Arc::new(envelope));
         Ok(())
     }
 
@@ -120,13 +100,12 @@ impl CloudServer {
     pub fn fetch(&self, owner: &OwnerId, name: &str) -> Option<Arc<DataEnvelope>> {
         let _span = mabe_telemetry::Span::on(&FETCH_OP);
         let _trace = mabe_trace::Span::child("server.fetch");
-        let key: &dyn RecordName = &(owner.as_str(), name);
-        self.records.read().get(key).cloned()
+        self.records.read().get(owner)?.get(name).cloned()
     }
 
     /// Number of stored records.
     pub fn record_count(&self) -> usize {
-        self.records.read().len()
+        self.records.read().values().map(BTreeMap::len).sum()
     }
 
     /// Total paper-accounted storage in bytes (Table III "Server" row).
@@ -134,6 +113,7 @@ impl CloudServer {
         self.records
             .read()
             .values()
+            .flat_map(BTreeMap::values)
             .map(|envelope| envelope.stored_size())
             .sum()
     }
@@ -149,16 +129,14 @@ impl CloudServer {
         version: u64,
     ) -> Vec<(RecordKey, String, CiphertextId)> {
         let records = self.records.read();
-        let owned = records
-            .range((owner.clone(), String::new())..)
-            .take_while(|((record_owner, _), _)| record_owner == owner);
         let mut out = Vec::new();
-        for (key, envelope) in owned {
+        for (name, envelope) in records.get(owner).into_iter().flatten() {
             let start = out.len();
             for component in &envelope.components {
                 let ct = &component.key_ct;
                 if ct.versions.get(aid) == Some(&version) {
-                    out.push((key.clone(), component.label.clone(), ct.id));
+                    let key = (owner.clone(), name.clone());
+                    out.push((key, component.label.clone(), ct.id));
                 }
             }
             out[start..].sort_by(|a, b| a.1.cmp(&b.1));
@@ -170,30 +148,27 @@ impl CloudServer {
     /// in key order: the worklist a revocation or lazy drain at that
     /// authority must touch.
     pub(crate) fn records_for_authority(&self, aid: &AuthorityId) -> Vec<RecordKey> {
-        self.records
-            .read()
-            .iter()
-            .filter(|(_, envelope)| {
-                envelope
-                    .components
-                    .iter()
-                    .any(|component| component.key_ct.versions.contains_key(aid))
-            })
-            .map(|(key, _)| key.clone())
-            .collect()
+        let records = self.records.read();
+        let mut out = Vec::new();
+        for (owner, named) in records.iter() {
+            for (name, envelope) in named {
+                let mut components = envelope.components.iter();
+                if components.any(|c| c.key_ct.versions.contains_key(aid)) {
+                    out.push((owner.clone(), name.clone()));
+                }
+            }
+        }
+        out
     }
 
     /// Runs `f` over the stored records under the read lock — the
     /// journal and checkpoint walks.
-    pub(crate) fn with_records<R>(
-        &self,
-        f: impl FnOnce(&BTreeMap<RecordKey, Arc<DataEnvelope>>) -> R,
-    ) -> R {
+    pub(crate) fn with_records<R>(&self, f: impl FnOnce(&RecordMap) -> R) -> R {
         f(&self.records.read())
     }
 
     /// A server holding `records` (the durable-open path).
-    pub(crate) fn from_records(records: BTreeMap<RecordKey, Arc<DataEnvelope>>) -> Self {
+    pub(crate) fn from_records(records: RecordMap) -> Self {
         CloudServer {
             records: RwLock::new(records),
         }
@@ -259,7 +234,7 @@ impl CloudServer {
     /// since `refresh` was prepared.
     pub fn apply_reencryption(
         &self,
-        record: &RecordKey,
+        (owner, name): &RecordKey,
         label: &str,
         uk: &UpdateKey,
         ui: &UpdateInfo,
@@ -269,7 +244,8 @@ impl CloudServer {
         let _trace = mabe_trace::Span::child("server.reencrypt");
         let mut records = self.records.write();
         let envelope = records
-            .get_mut(record)
+            .get_mut(owner)
+            .and_then(|named| named.get_mut(name))
             .ok_or(Error::Malformed("unknown record"))?;
         if envelope.component(label).is_none() {
             return Err(Error::Malformed("unknown component"));
@@ -283,12 +259,11 @@ impl CloudServer {
 
 /// One stored component, or the error naming what is missing.
 fn stored_component<'a>(
-    records: &'a BTreeMap<RecordKey, Arc<DataEnvelope>>,
-    record: &RecordKey,
+    records: &'a RecordMap,
+    key: &RecordKey,
     label: &str,
 ) -> Result<&'a SealedComponent, Error> {
-    records
-        .get(record)
+    record(records, key)
         .ok_or(Error::Malformed("unknown record"))?
         .component(label)
         .ok_or(Error::Malformed("unknown component"))
@@ -369,14 +344,18 @@ mod tests {
 
         // Each record as a `Records` row holds it: envelope wire bytes.
         let records = server.with_records(|records| {
-            records
-                .iter()
-                .map(|(key, envelope)| {
+            let mut restored = RecordMap::new();
+            for (owner, named) in records {
+                for (name, envelope) in named {
                     let decoded = DataEnvelope::from_wire_bytes(&envelope.to_wire_bytes()).unwrap();
                     assert_eq!(&decoded, &**envelope);
-                    (key.clone(), Arc::new(decoded))
-                })
-                .collect()
+                    restored
+                        .entry(owner.clone())
+                        .or_default()
+                        .insert(name.clone(), Arc::new(decoded));
+                }
+            }
+            restored
         });
         let restored = CloudServer::from_records(records);
         assert_eq!(restored.record_count(), 2);
@@ -401,7 +380,8 @@ mod tests {
     /// exactly one owner's components at an authority and version, in
     /// `(record, label)` order whatever order they were sealed in, and
     /// `records_for_authority` lists each record with a component under
-    /// the authority once, in key order.
+    /// the authority once, in key order. Two owners' records of one name
+    /// stay apart.
     #[test]
     fn lookups_list_components_and_records_in_key_order() {
         let sys = crate::CloudSystem::new(5150);
@@ -432,6 +412,25 @@ mod tests {
         sys.read(&bob, &first, "r2", "z").unwrap();
 
         let server = sys.server();
+        let (first_r1, second_r1) = (
+            server.fetch(&first, "r1").unwrap(),
+            server.fetch(&second, "r1").unwrap(),
+        );
+        let labels = |envelope: &DataEnvelope| -> Vec<String> {
+            envelope
+                .components
+                .iter()
+                .map(|c| c.label.clone())
+                .collect()
+        };
+        assert_eq!(labels(&first_r1), ["y", "c", "k"]);
+        assert_eq!(labels(&second_r1), ["x"]);
+        assert!(first_r1.components.iter().all(|c| c.key_ct.owner == first));
+        assert!(second_r1
+            .components
+            .iter()
+            .all(|c| c.key_ct.owner == second));
+        assert!(server.fetch(&second, "r2").is_none());
         let listed = |owner: &OwnerId, items: &[(&str, &str)]| -> Vec<_> {
             items
                 .iter()
@@ -530,6 +529,42 @@ mod tests {
         assert!(!listed, "nothing was stored");
         assert!(revoked);
         assert_eq!(read.as_deref(), Some(b"1".as_slice()));
+    }
+
+    /// A record's ciphertexts are its owner's. A copy of one owner's
+    /// record stored under another owner is refused: stored, it would
+    /// stall the next revocation at its authority, since the storing
+    /// owner cannot re-encrypt another owner's ciphertext, and every
+    /// later one there, which drives the stalled one first.
+    #[test]
+    fn another_owners_ciphertext_is_refused_and_revocations_go_on() {
+        let sys = crate::CloudSystem::new(3030);
+        sys.add_authority("Org", &["A"]).unwrap();
+        let alpha = sys.add_owner("alpha").unwrap();
+        let beta = sys.add_owner("beta").unwrap();
+        let [alice, bob, carol] = ["alice", "bob", "carol"].map(|n| sys.add_user(n).unwrap());
+        for uid in [&alice, &bob, &carol] {
+            sys.grant(uid, &["A@Org"]).unwrap();
+        }
+        sys.publish(&alpha, "r", &[("x", b"alpha's".as_slice(), "A@Org")])
+            .unwrap();
+        let server = sys.server();
+        let copy = DataEnvelope::clone(&server.fetch(&alpha, "r").unwrap());
+        assert_eq!(
+            server.store(beta.clone(), "copied", copy),
+            Err(Error::OwnerMismatch {
+                expected: beta.clone(),
+                found: alpha.clone(),
+            })
+        );
+        assert!(server.fetch(&beta, "copied").is_none(), "nothing stored");
+        assert_eq!(server.record_count(), 1);
+        for uid in [&alice, &bob] {
+            sys.revoke(uid, "A@Org").unwrap();
+            assert!(!sys.needs_recovery());
+        }
+        assert_eq!(sys.read(&carol, &alpha, "r", "x").unwrap(), b"alpha's");
+        assert!(sys.read(&alice, &alpha, "r", "x").is_err());
     }
 
     #[test]

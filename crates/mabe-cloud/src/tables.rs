@@ -67,7 +67,7 @@ use crate::directory::{OwnerKeys, UserState};
 use crate::lazy::PendingUpgrade;
 use crate::persist::OpenError;
 use crate::recovery::{PendingRevocation, RevocationStage};
-use crate::server::{CloudServer, RecordKey};
+use crate::server::{self, CloudServer, RecordKey, RecordMap};
 use crate::system::CloudSystem;
 
 mabe_store::define_table!(
@@ -587,10 +587,15 @@ fn pending_updates(sys: &CloudSystem, pick: Pick<'_, Uid>, out: &mut Vec<Frame>)
 /// post-store healing is captured).
 fn records(sys: &CloudSystem, pick: Pick<'_, RecordKey>, out: &mut Vec<Frame>) {
     sys.data.server.with_records(|records| {
+        let live = records.iter().flat_map(|(owner, named)| {
+            named
+                .iter()
+                .map(move |(name, envelope)| ((owner.clone(), name.clone()), envelope))
+        });
         pick.write::<Records, _, _>(
             out,
-            records.iter(),
-            |key| records.get(key),
+            live,
+            |key| server::record(records, key),
             |(owner, record)| (owner.as_str().to_owned(), record.clone()),
             |envelope| envelope.to_wire_bytes(),
         )
@@ -706,7 +711,7 @@ pub(crate) fn frames_published(sys: &CloudSystem, owner_id: &OwnerId, record: &s
     // with the record's.
     let key = (owner_id.clone(), record.to_owned());
     let secrets: Vec<SecretKey> = sys.data.server.with_records(|records| {
-        records.get(&key).map_or_else(Vec::new, |envelope| {
+        server::record(records, &key).map_or_else(Vec::new, |envelope| {
             envelope
                 .components
                 .iter()
@@ -1081,10 +1086,13 @@ pub(crate) fn hydrate(
         }
     }
 
-    let mut records = BTreeMap::new();
+    let mut records = RecordMap::new();
     for ((owner, record), value) in rows::<Records>(ks, &[])? {
         let envelope = wire::<DataEnvelope>(&value)?;
-        records.insert((OwnerId::new(owner), record), Arc::new(envelope));
+        records
+            .entry(OwnerId::new(owner))
+            .or_default()
+            .insert(record, Arc::new(envelope));
     }
     sys.data.server = Arc::new(CloudServer::from_records(records));
 

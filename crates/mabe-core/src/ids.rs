@@ -51,8 +51,12 @@ impl fmt::Display for Uid {
 /// Owners are not named entities in the paper's CA, but every owner has
 /// its own master key `MK_o`, so keys and update keys must be scoped to an
 /// owner; this identifier provides that scope.
+///
+/// The text is shared, as [`Uid`]'s is: a clone (a cache key, the
+/// server's record map, a message endpoint) takes a reference, not a
+/// copy.
 #[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
-pub struct OwnerId(String);
+pub struct OwnerId(Arc<str>);
 
 impl OwnerId {
     /// Wraps an identifier string.
@@ -63,7 +67,7 @@ impl OwnerId {
     pub fn new(id: impl Into<String>) -> Self {
         let id = id.into();
         assert!(!id.is_empty(), "owner id must be non-empty");
-        OwnerId(id)
+        OwnerId(id.into())
     }
 
     /// The identifier as a string slice.
